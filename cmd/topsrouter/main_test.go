@@ -95,7 +95,7 @@ func startMember(t *testing.T, bin string, index int, extra ...string) *child {
 	t.Helper()
 	return startChild(t, bin, append([]string{
 		"-preset", tPreset, "-scale", fmt.Sprint(tScale), "-seed", fmt.Sprint(tSeed),
-		"-batch-window", "0", "-shards", fmt.Sprint(tShards), "-shard-index", fmt.Sprint(index),
+		"-shards", fmt.Sprint(tShards), "-shard-index", fmt.Sprint(index),
 	}, extra...)...)
 }
 

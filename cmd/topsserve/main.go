@@ -2,7 +2,7 @@
 // dataset preset, warm-starts the NETCLUS index from a snapshot or
 // checkpoint when one is available, wraps it in the concurrent engine
 // (single-index or sharded), and exposes the internal/server JSON API with
-// micro-batched admission and graceful drain.
+// per-request deadlines and graceful drain.
 //
 // Durability (-wal-dir): every acknowledged /v1/update is appended to a
 // write-ahead log before the response leaves; -fsync picks the durability
@@ -44,8 +44,8 @@
 //
 // SIGTERM/SIGINT starts a graceful drain: /healthz flips to 503 so load
 // balancers stop routing here, in-flight requests finish (bounded by
-// -drain-timeout), the micro-batcher delivers its last flush, and optional
-// -snapshot-on-exit / final checkpoints are written before exit.
+// -drain-timeout), and optional -snapshot-on-exit / final checkpoints are
+// written before exit.
 package main
 
 import (
@@ -99,8 +99,6 @@ type config struct {
 	cacheDir     string
 	workers      int
 	noCoverCache bool
-	batchWindow  time.Duration
-	batchMax     int
 	timeout      time.Duration
 	drainTimeout time.Duration
 	exitSnapshot string
@@ -189,8 +187,6 @@ func main() {
 	flag.StringVar(&c.cacheDir, "cache", "", "snapshot-cache directory (warm-starts repeat boots, caches cold builds)")
 	flag.IntVar(&c.workers, "workers", 0, "index build parallelism for cold builds (0 = all cores)")
 	flag.BoolVar(&c.noCoverCache, "no-cover-cache", false, "disable the engine's cover memoization (paper's per-query behaviour)")
-	flag.DurationVar(&c.batchWindow, "batch-window", 2*time.Millisecond, "micro-batch coalescing window; 0 disables batching")
-	flag.IntVar(&c.batchMax, "batch-max", 64, "micro-batch flush size")
 	flag.DurationVar(&c.timeout, "timeout", 10*time.Second, "default per-request deadline")
 	flag.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 	flag.StringVar(&c.exitSnapshot, "snapshot-on-exit", "", "write a final index checkpoint here after draining")
@@ -622,13 +618,7 @@ func followerMain(c *config) {
 // optional checkpoint timer and follower loop, waits for SIGTERM/SIGINT,
 // drains, and writes final checkpoints.
 func startServer(eng netclus.DurableEngine, inst *netclus.Instance, c *config, log *netclus.WAL, fol *netclus.Follower) {
-	window := c.batchWindow
-	if window == 0 {
-		window = -1 // server convention: negative disables batching
-	}
 	sopts := netclus.ServeOptions{
-		BatchWindow:    window,
-		BatchMaxSize:   c.batchMax,
 		DefaultTimeout: c.timeout,
 		Log:            log,
 		Quorum:         c.quorum,
@@ -725,11 +715,9 @@ func startServer(eng netclus.DurableEngine, inst *netclus.Instance, c *config, l
 		// instance by its replayed mutations, so the preset counts would
 		// be wrong; report the recovery LSN instead.
 		if lsn := eng.LSN(); lsn > 0 {
-			fmt.Printf("%s recovered state at LSN %d on %s (batch window %v, max %d)\n",
-				role, lsn, c.addr, c.batchWindow, c.batchMax)
+			fmt.Printf("%s recovered state at LSN %d on %s\n", role, lsn, c.addr)
 		} else {
-			fmt.Printf("%s %d trajectories / %d sites on %s (batch window %v, max %d)\n",
-				role, inst.M(), inst.N(), c.addr, c.batchWindow, c.batchMax)
+			fmt.Printf("%s %d trajectories / %d sites on %s\n", role, inst.M(), inst.N(), c.addr)
 		}
 		errc <- httpSrv.ListenAndServe()
 	}()
@@ -744,15 +732,13 @@ func startServer(eng netclus.DurableEngine, inst *netclus.Instance, c *config, l
 	}
 
 	// Drain: stop advertising health, let in-flight requests finish, then
-	// stop the batcher (its last flush delivers before Close returns) and
-	// the background loops.
+	// stop the background loops.
 	srv.SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "drain incomplete: %v\n", err)
 	}
-	srv.Close()
 	stopBg()
 	if ckptDone != nil {
 		<-ckptDone

@@ -66,7 +66,7 @@ func startChild(t *testing.T, bin, addr string, extra ...string) *child {
 	t.Helper()
 	args := append([]string{
 		"-preset", tPreset, "-scale", fmt.Sprint(tScale), "-seed", fmt.Sprint(tSeed),
-		"-addr", addr, "-batch-window", "0",
+		"-addr", addr,
 	}, extra...)
 	logf, err := os.CreateTemp(t.TempDir(), "child-*.log")
 	if err != nil {

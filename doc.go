@@ -57,9 +57,9 @@
 //	internal/wal         durability: segmented CRC-framed write-ahead log
 //	                     (LSN-stamped snapshots, checkpoint + tail-replay
 //	                     recovery, compaction, follower record streams)
-//	internal/server      the HTTP JSON serving layer (micro-batched
-//	                     admission, strict decoding, drain, /statsz,
-//	                     /v1/log streaming, follower tailing)
+//	internal/server      the HTTP JSON serving layer (strict decoding,
+//	                     deadlines, drain, /statsz, /v1/log streaming,
+//	                     follower tailing)
 //	internal/bench       one experiment per paper table/figure
 //	cmd/...              topsserve, topsbench, topsgen, topsquery, benchjson
 //	examples/...         runnable scenario walkthroughs

@@ -359,11 +359,23 @@ func (idx *Index) CoverFor(p int, pref tops.Preference) (*tops.CoverSets, []Clus
 // aggressive-deadline client therefore cannot fail well-behaved concurrent
 // requests for the same cover.
 func (idx *Index) CoverForCtx(ctx context.Context, p int, pref tops.Preference) (*tops.CoverSets, []ClusterID, bool, error) {
-	key := coverKey{p: p, fp: PrefFingerprint(pref)}
+	return idx.coverFor(ctx, coverKey{p: p, fp: PrefFingerprint(pref)}, pref, nil)
+}
+
+// coverFor is the memoized cover lookup behind CoverForCtx (key.mask == 0,
+// keep unused) and CoverForMaskedCtx: claim the key's entry, fill it under
+// its Once or share the fill another caller is running, count the hit or
+// miss, and on a failed fill evict the entry and retry while the caller's
+// own context is live. This is the one place concurrent look-alike queries
+// coalesce — the serving layers above call straight through to it.
+func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, bool, error) {
 	for {
 		idx.coverMu.Lock()
 		if idx.coverCache == nil {
 			idx.coverCache = make(map[coverKey]*coverEntry)
+		}
+		if key.mask != 0 {
+			idx.purgePreviousMask(key.p, key.mask)
 		}
 		e, ok := idx.coverCache[key]
 		if !ok {
@@ -375,7 +387,11 @@ func (idx *Index) CoverForCtx(ctx context.Context, p int, pref tops.Preference) 
 		hit := true
 		e.once.Do(func() {
 			hit = false
-			e.cs, e.reps, e.err = idx.RepCoverCtx(ctx, p, pref)
+			if key.mask == 0 {
+				e.cs, e.reps, e.err = idx.RepCoverCtx(ctx, key.p, pref)
+			} else {
+				e.cs, e.reps, e.err = idx.RepCoverMaskedCtx(ctx, key.p, pref, keep)
+			}
 		})
 		if e.err == nil {
 			if hit {
@@ -515,53 +531,23 @@ func (idx *Index) RepCoverMaskedCtx(ctx context.Context, p int, pref tops.Prefer
 // new mask for an instance purges the instance's entries under its previous
 // mask (see the package comment above on cross-shard invalidation).
 func (idx *Index) CoverForMaskedCtx(ctx context.Context, p int, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, bool, error) {
-	mask := MaskFingerprint(keep)
-	key := coverKey{p: p, fp: PrefFingerprint(pref), mask: mask}
-	for {
-		idx.coverMu.Lock()
-		if idx.coverCache == nil {
-			idx.coverCache = make(map[coverKey]*coverEntry)
-		}
-		if idx.coverMasks == nil {
-			idx.coverMasks = make(map[int]uint64)
-		}
-		if cur, ok := idx.coverMasks[p]; ok && cur != mask {
-			for k := range idx.coverCache {
-				if k.p == p && k.mask == cur {
-					delete(idx.coverCache, k)
-				}
-			}
-		}
-		idx.coverMasks[p] = mask
-		e, ok := idx.coverCache[key]
-		if !ok {
-			e = &coverEntry{}
-			idx.coverCache[key] = e
-		}
-		idx.coverMu.Unlock()
+	return idx.coverFor(ctx, coverKey{p: p, fp: PrefFingerprint(pref), mask: MaskFingerprint(keep)}, pref, keep)
+}
 
-		hit := true
-		e.once.Do(func() {
-			hit = false
-			e.cs, e.reps, e.err = idx.RepCoverMaskedCtx(ctx, p, pref, keep)
-		})
-		if e.err == nil {
-			if hit {
-				idx.coverHits.Add(1)
-			} else {
-				idx.coverMisses.Add(1)
+// purgePreviousMask records mask as instance p's current one, dropping the
+// entries memoized under the mask it replaces. Caller holds coverMu.
+func (idx *Index) purgePreviousMask(p int, mask uint64) {
+	if idx.coverMasks == nil {
+		idx.coverMasks = make(map[int]uint64)
+	}
+	if cur, ok := idx.coverMasks[p]; ok && cur != mask {
+		for k := range idx.coverCache {
+			if k.p == p && k.mask == cur {
+				delete(idx.coverCache, k)
 			}
-			return e.cs, e.reps, hit, nil
-		}
-		idx.coverMu.Lock()
-		if idx.coverCache[key] == e {
-			delete(idx.coverCache, key)
-		}
-		idx.coverMu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return nil, nil, false, err
 		}
 	}
+	idx.coverMasks[p] = mask
 }
 
 // invalidateCovers drops every memoized cover; sitesChanged additionally

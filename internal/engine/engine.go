@@ -341,9 +341,8 @@ type BatchItem struct {
 // structure is fetched exactly once and then serves every (k, ψ-parameter)
 // combination in the group; the greedy runs fan out across BatchWorkers.
 // The interactive pattern the paper motivates — one analyst re-running a
-// query while varying k and τ — maps to groups of size > 1 here, and
-// internal/server's micro-batching admission layer coalesces concurrent
-// network queries into exactly this call.
+// query while varying k and τ — maps to groups of size > 1 here; POST
+// /v1/query/batch is this call over the network.
 //
 // The context applies to the batch as a whole: cancellation fails the
 // not-yet-answered items with the context's error (already-computed items

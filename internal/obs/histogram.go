@@ -170,9 +170,6 @@ var (
 	// whether the covering structure came from the memoized cover cache.
 	QueryCached   = &Histogram{}
 	QueryUncached = &Histogram{}
-	// BatchFlush times one micro-batch flush (the coalesced QueryBatch
-	// call the admission layer makes).
-	BatchFlush = &Histogram{}
 	// UpdateApply times the engine mutation behind one /v1/update.
 	UpdateApply = &Histogram{}
 	// IngestDecode/Match/Apply time the three windows of the live-GPS
@@ -201,8 +198,6 @@ func WriteLatencyHistograms(ew *ExpoWriter) {
 	ew.Family("netclus_query_seconds", "End-to-end engine query latency by cover-cache outcome.", "histogram")
 	ew.Histogram("netclus_query_seconds", `cache="hit"`, QueryCached.Snapshot())
 	ew.Histogram("netclus_query_seconds", `cache="miss"`, QueryUncached.Snapshot())
-	ew.Family("netclus_batch_flush_seconds", "Micro-batch flush (engine QueryBatch) latency.", "histogram")
-	ew.Histogram("netclus_batch_flush_seconds", "", BatchFlush.Snapshot())
 	ew.Family("netclus_update_apply_seconds", "/v1/update mutation apply latency.", "histogram")
 	ew.Histogram("netclus_update_apply_seconds", "", UpdateApply.Snapshot())
 	ew.Family("netclus_ingest_stage_seconds", "Ingest pipeline stage latency.", "histogram")

@@ -108,15 +108,12 @@ func TestRouterTracePropagation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(m, server.Options{BatchWindow: -1, Member: m, Logger: logger})
+		srv, err := server.New(m, server.Options{Member: m, Logger: logger})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)
-		t.Cleanup(func() {
-			ts.Close()
-			srv.Close()
-		})
+		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
 	r, err := New(Options{Shards: [][]string{{urls[0]}, {urls[1]}}})

@@ -56,15 +56,12 @@ func memberServer(t testing.TB, inst *tops.Instance, j, n int) (*httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(m, server.Options{BatchWindow: -1, Member: m})
+	srv, err := server.New(m, server.Options{Member: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return ts, m
 }
 

@@ -29,9 +29,9 @@ func TestDecodeQueryAllocConstant(t *testing.T) {
 }
 
 func TestDecodeBatchAllocConstant(t *testing.T) {
-	// Eight homogeneous queries: the batched admission path's steady-state
-	// shape. The per-item cost must stay a small constant, so the whole
-	// batch decode is bounded by base + items*perItem.
+	// Eight homogeneous queries, the shape of a k/τ sweep. The per-item
+	// cost must stay a small constant, so the whole batch decode is
+	// bounded by base + items*perItem.
 	body := []byte(`{"queries":[
 		{"k":5,"tau":0.8},{"k":3,"tau":0.4},{"k":7,"tau":1.6},{"k":5,"tau":0.8},
 		{"k":2,"tau":3.2},{"k":5,"tau":0.8},{"k":4,"tau":0.4},{"k":6,"tau":1.6}

@@ -289,15 +289,12 @@ func TestFollowEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(eng, Options{BatchWindow: -1, ReadOnly: true, Replication: fol.Status, Retarget: fol.Retarget})
+	srv, err := New(eng, Options{ReadOnly: true, Replication: fol.Status, Retarget: fol.Retarget})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	defer func() {
-		ts.Close()
-		srv.Close()
-	}()
+	defer ts.Close()
 
 	status, body := postJSON(t, ts.Client(), ts.URL+"/v1/follow", `{"primary":"http://new-primary:9090"}`)
 	if status != http.StatusOK {
@@ -317,15 +314,12 @@ func TestFollowEndpoint(t *testing.T) {
 
 	// On a node currently serving as primary the endpoint is a conflict:
 	// re-pointing the tail loop of a non-follower makes no sense.
-	psrv, err := New(eng, Options{BatchWindow: -1, Retarget: fol.Retarget})
+	psrv, err := New(eng, Options{Retarget: fol.Retarget})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := httptest.NewServer(psrv)
-	defer func() {
-		pts.Close()
-		psrv.Close()
-	}()
+	defer pts.Close()
 	status, body = postJSON(t, pts.Client(), pts.URL+"/v1/follow", `{"primary":"http://new-primary:9090"}`)
 	if status != http.StatusConflict {
 		t.Fatalf("primary /v1/follow status %d (%s), want 409", status, body)

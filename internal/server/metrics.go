@@ -96,16 +96,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if st.Batching != nil {
-		b := st.Batching
-		ew.Family("netclus_batch_flushes_total", "Micro-batch flushes cut.", "counter")
-		ew.Uint("netclus_batch_flushes_total", "", b.Flushes)
-		ew.Family("netclus_batch_coalesced_total", "Queries coalesced into flushes.", "counter")
-		ew.Uint("netclus_batch_coalesced_total", "", b.Coalesced)
-		ew.Family("netclus_batch_in_flight", "Flushes currently executing.", "gauge")
-		ew.Sample("netclus_batch_in_flight", "", float64(b.InFlight))
-	}
-
 	if st.Ingest != nil {
 		in := st.Ingest
 		ew.Family("netclus_ingest_traces_total", "Ingested GPS trace lines by outcome.", "counter")

@@ -34,14 +34,13 @@ func newPrimary(t *testing.T, seed int64, walOpts wal.Options) (*httptest.Server
 	if err := eng.AttachWAL(log); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(eng, Options{BatchWindow: -1, Log: log})
+	srv, err := New(eng, Options{Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
-		srv.Close()
 		log.Close()
 	})
 	return ts, eng, log
@@ -107,15 +106,12 @@ func TestFollowerConvergesAndServesIdenticalAnswers(t *testing.T) {
 
 	// Query both engines over the serving surface: answers must be
 	// bit-identical.
-	fsrv, err := New(feng, Options{BatchWindow: -1, ReadOnly: true, Replication: fol.Status})
+	fsrv, err := New(feng, Options{ReadOnly: true, Replication: fol.Status})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fts := httptest.NewServer(fsrv)
-	defer func() {
-		fts.Close()
-		fsrv.Close()
-	}()
+	defer fts.Close()
 	for _, q := range []string{
 		`{"k":4,"tau":0.9}`,
 		`{"k":7,"tau":2.5,"pref":"linear"}`,
@@ -244,15 +240,12 @@ func TestFollowerBootstrapFromCheckpointAfterCompaction(t *testing.T) {
 	if st := stranded.Status(); !st.NeedsBootstrap {
 		t.Fatalf("stranded status: %+v", st)
 	}
-	ssrv, err := New(seng, Options{BatchWindow: -1, ReadOnly: true, Replication: stranded.Status})
+	ssrv, err := New(seng, Options{ReadOnly: true, Replication: stranded.Status})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sts := httptest.NewServer(ssrv)
-	defer func() {
-		sts.Close()
-		ssrv.Close()
-	}()
+	defer sts.Close()
 	hresp, err := sts.Client().Get(sts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func newReplServer(t *testing.T, seed int64, mutate func(*Options)) (*httptest.S
 	if err := eng.AttachWAL(log); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{BatchWindow: -1, Log: log}
+	opts := Options{Log: log}
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -46,7 +46,6 @@ func newReplServer(t *testing.T, seed int64, mutate func(*Options)) (*httptest.S
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
-		srv.Close()
 		log.Close()
 	})
 	return ts, srv, eng, log
@@ -119,7 +118,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 
 	t.Run("read_only", func(t *testing.T) {
-		rts, _, _, _ := newTestServer(t, 333, Options{ReadOnly: true, BatchWindow: -1})
+		rts, _, _, _ := newTestServer(t, 333, Options{ReadOnly: true})
 		status, env, _ := doReq(t, rts.Client(), http.MethodPost, rts.URL+"/v1/update", `{"op":"add_site","node":1}`)
 		if status != http.StatusForbidden || env.Code != CodeReadOnly {
 			t.Fatalf("read-only update: %d %q", status, env.Code)
@@ -422,15 +421,12 @@ func TestPromoteAndFencing(t *testing.T) {
 		}
 		return epoch, nil
 	}
-	fsrv, err := New(feng, Options{BatchWindow: -1, ReadOnly: true, Replication: fol.Status, Log: flog, Promote: promote})
+	fsrv, err := New(feng, Options{ReadOnly: true, Replication: fol.Status, Log: flog, Promote: promote})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fts := httptest.NewServer(fsrv)
-	defer func() {
-		fts.Close()
-		fsrv.Close()
-	}()
+	defer fts.Close()
 
 	// Promote: 200, primary role, epoch 2; writes open up.
 	status, body := postJSON(t, fts.Client(), fts.URL+"/v1/promote", "")
@@ -542,15 +538,12 @@ func TestFollowerUnhealthyLatchesHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(eng, Options{BatchWindow: -1, ReadOnly: true, Replication: fol.Status})
+	srv, err := New(eng, Options{ReadOnly: true, Replication: fol.Status})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hts := httptest.NewServer(srv)
-	defer func() {
-		hts.Close()
-		srv.Close()
-	}()
+	defer hts.Close()
 	status, body := postJSONGet(t, hts.Client(), hts.URL+"/healthz")
 	var h healthResponse
 	if err := json.Unmarshal(body, &h); err != nil {

@@ -1,10 +1,10 @@
 // Package server is the network serving layer over the NETCLUS engine: an
-// HTTP JSON API with a micro-batching admission path, per-request
-// deadlines, graceful drain, and an atomic metrics block.
+// HTTP JSON API with per-request deadlines, graceful drain, and an atomic
+// metrics block.
 //
 // Endpoints:
 //
-//	POST /v1/query        one TOPS query (coalesced into engine batches)
+//	POST /v1/query        one TOPS query (a direct Engine.Query call)
 //	POST /v1/query/batch  many queries in one engine call
 //	POST /v1/update       §6 dynamic updates (site/trajectory add/delete)
 //	POST /v1/snapshot     stream a consistent checkpoint of the live index
@@ -23,7 +23,9 @@
 //
 // The layering mirrors the rest of the module: core stays synchronous,
 // engine owns the reader/writer protocol, and this package owns transport
-// concerns only — decoding, limits, deadlines, admission batching, drain.
+// concerns only — decoding, limits, deadlines, drain. In particular there is
+// no admission window: concurrent look-alike queries share one cover fill
+// through the cover cache's singleflight in internal/core, nowhere else.
 package server
 
 import (
@@ -83,14 +85,8 @@ type shardStatser interface {
 
 // Options configures a Server.
 type Options struct {
-	// BatchWindow is how long /v1/query waits to coalesce concurrent
-	// queries into one engine batch. Zero selects the default (2ms);
-	// negative disables micro-batching entirely (every query goes to
-	// Engine.Query directly).
+	// Ignored: kept only so cmd/topsload/ladder.go (frozen by BENCHMARK.json) compiles.
 	BatchWindow time.Duration
-	// BatchMaxSize flushes a micro-batch early once this many queries
-	// have gathered. Zero selects the default (64).
-	BatchMaxSize int
 	// DefaultTimeout is the per-request deadline applied when the client
 	// does not send timeout_ms. Zero selects the default (10s).
 	DefaultTimeout time.Duration
@@ -144,17 +140,11 @@ type Options struct {
 	Logger *slog.Logger
 	// SlowQuery, when > 0, emits one structured log record for every
 	// /v1/query whose end-to-end handling exceeds it: trace id, k, ψ
-	// fingerprint, τ, cache hit/miss, batching, elapsed. Zero disables.
+	// fingerprint, τ, cache hit/miss, elapsed. Zero disables.
 	SlowQuery time.Duration
 }
 
 func (o Options) withDefaults() Options {
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
-	if o.BatchMaxSize <= 0 {
-		o.BatchMaxSize = 64
-	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 10 * time.Second
 	}
@@ -214,12 +204,11 @@ func (m *routeMetrics) stats() routeStats {
 	}
 }
 
-// Server serves one Engine over HTTP. Create it with New, mount it as an
-// http.Handler, and Close it after the http.Server has drained.
+// Server serves one Engine over HTTP. Create it with New and mount it as an
+// http.Handler.
 type Server struct {
 	eng  Engine
 	opts Options
-	bat  *batcher // nil when micro-batching is disabled
 	mux  *http.ServeMux
 	log  *slog.Logger
 
@@ -268,7 +257,6 @@ func New(eng Engine, opts Options) (*Server, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("server: nil engine")
 	}
-	batching := opts.BatchWindow >= 0
 	opts = opts.withDefaults()
 	s := &Server{eng: eng, opts: opts, start: time.Now(), drainCh: make(chan struct{}), acks: newAckTracker()}
 	s.log = opts.Logger
@@ -277,9 +265,6 @@ func New(eng Engine, opts Options) (*Server, error) {
 	}
 	s.log = s.log.With("component", "server")
 	s.readOnly.Store(opts.ReadOnly)
-	if batching {
-		s.bat = newBatcher(eng, opts.BatchWindow, opts.BatchMaxSize)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.instrument(&s.mQuery, http.MethodPost, s.handleQuery))
 	mux.HandleFunc("/v1/query/batch", s.instrument(&s.mBatch, http.MethodPost, s.handleBatch))
@@ -343,13 +328,8 @@ func (s *Server) drainSignal() <-chan struct{} {
 	return s.drainCh
 }
 
-// Close stops the micro-batcher after the HTTP server has drained. Safe to
-// call once, after http.Server.Shutdown has returned.
-func (s *Server) Close() {
-	if s.bat != nil {
-		s.bat.Close()
-	}
-}
+// Close does nothing: kept only so cmd/topsload/ladder.go (frozen by BENCHMARK.json) compiles.
+func (s *Server) Close() {}
 
 // statusWriter captures the response code for metrics and carries the
 // request's trace id so writeError can stamp it into error envelopes.
@@ -456,8 +436,6 @@ func queryStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, CodeTimeout
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable, CodeDraining
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, CodeCanceled
 	default:
@@ -476,11 +454,10 @@ type queryResponse struct {
 	EstimatedCovered   int     `json:"estimated_covered"`
 	InstanceUsed       int     `json:"instance_used"`
 	NumRepresentatives int     `json:"num_representatives"`
-	Batched            bool    `json:"batched,omitempty"`
 	ElapsedMs          float64 `json:"elapsed_ms"`
 }
 
-func toQueryResponse(res *core.QueryResult, batched bool, elapsed time.Duration) queryResponse {
+func toQueryResponse(res *core.QueryResult, elapsed time.Duration) queryResponse {
 	out := queryResponse{
 		Sites:              make([]int64, len(res.Sites)),
 		SiteIDs:            make([]int32, len(res.SiteIDs)),
@@ -488,7 +465,6 @@ func toQueryResponse(res *core.QueryResult, batched bool, elapsed time.Duration)
 		EstimatedCovered:   res.EstimatedCovered,
 		InstanceUsed:       res.InstanceUsed,
 		NumRepresentatives: res.NumRepresentatives,
-		Batched:            batched,
 		ElapsedMs:          float64(elapsed.Nanoseconds()) / 1e6,
 	}
 	for i, v := range res.Sites {
@@ -543,20 +519,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, timeout)
 	defer cancel()
 	t0 := time.Now()
-	var res *core.QueryResult
-	batched := s.bat != nil
-	if batched {
-		res, err = s.bat.Do(ctx, opts)
-	} else {
-		res, err = s.eng.Query(ctx, opts)
-	}
+	res, err := s.eng.Query(ctx, opts)
 	if err != nil {
 		status, code := queryStatus(err)
 		writeError(w, status, code, err)
 		return
 	}
 	elapsed := time.Since(t0)
-	resp := toQueryResponse(res, batched, elapsed)
+	resp := toQueryResponse(res, elapsed)
 	coverHit := res.CoverHit
 	res.Release()
 	if s.opts.SlowQuery > 0 && elapsed >= s.opts.SlowQuery {
@@ -568,7 +538,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"tau_km", opts.Pref.Tau,
 			"fm", opts.UseFM,
 			"cover_hit", coverHit,
-			"batched", batched,
 			"elapsed_ms", float64(elapsed.Nanoseconds())/1e6,
 		)
 	}
@@ -624,7 +593,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Results[i].Error = it.Err.Error()
 			continue
 		}
-		qr := toQueryResponse(it.Result, true, elapsed)
+		qr := toQueryResponse(it.Result, elapsed)
 		it.Result.Release()
 		out.Results[i].Result = &qr
 	}
@@ -965,9 +934,8 @@ type statszResponse struct {
 	Engine        engine.Stats  `json:"engine"`
 	// Shards carries the per-shard counter blocks (scatter calls, queue
 	// depths, cover-cache effectiveness) when the served engine is sharded.
-	Shards   []shard.Stat          `json:"shards,omitempty"`
-	Routes   map[string]routeStats `json:"routes"`
-	Batching *batcherStats         `json:"batching,omitempty"`
+	Shards []shard.Stat          `json:"shards,omitempty"`
+	Routes map[string]routeStats `json:"routes"`
 	// Ingest reports the live-ingestion pipeline (traces in, matched,
 	// rejected, raw points, batches, match vs apply time) when POST
 	// /v1/ingest is enabled.
@@ -1033,10 +1001,6 @@ func (s *Server) Stats() statszResponse {
 	}
 	if ss, ok := s.eng.(shardStatser); ok {
 		resp.Shards = ss.ShardStats()
-	}
-	if s.bat != nil {
-		st := s.bat.stats()
-		resp.Batching = &st
 	}
 	if s.ing != nil {
 		st := s.ing.Stats()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -17,13 +18,14 @@ import (
 	"netclus/internal/engine"
 	"netclus/internal/gen"
 	"netclus/internal/roadnet"
+	"netclus/internal/shard"
 	"netclus/internal/tops"
 )
 
-// buildFixture generates a small deterministic dataset and a NETCLUS index
-// over it (same shape as the engine package's fixture; duplicated because
-// test helpers do not cross packages).
-func buildFixture(t testing.TB, seed int64) (*core.Index, *tops.Instance) {
+// buildInstance generates a small deterministic dataset (same shape as the
+// engine package's fixture; duplicated because test helpers do not cross
+// packages).
+func buildInstance(t testing.TB, seed int64) *tops.Instance {
 	t.Helper()
 	city, err := gen.GenerateCity(gen.CityConfig{
 		Topology: gen.GridMesh, Nodes: 500, SpanKm: 10, Jitter: 0.2,
@@ -44,7 +46,17 @@ func buildFixture(t testing.TB, seed int64) (*core.Index, *tops.Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := core.Build(inst, core.Options{Gamma: 0.75, TauMin: 0.4, TauMax: 6.4})
+	return inst
+}
+
+// fixtureBuild is the index configuration of every fixture here.
+var fixtureBuild = core.Options{Gamma: 0.75, TauMin: 0.4, TauMax: 6.4}
+
+// buildFixture builds a NETCLUS index over buildInstance's dataset.
+func buildFixture(t testing.TB, seed int64) (*core.Index, *tops.Instance) {
+	t.Helper()
+	inst := buildInstance(t, seed)
+	idx, err := core.Build(inst, fixtureBuild)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +76,7 @@ func newTestServer(t testing.TB, seed int64, opts Options) (*httptest.Server, *S
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return ts, srv, eng, idx
 }
 
@@ -91,24 +100,31 @@ func TestQueryEndpointMatchesEngine(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
-	var got queryResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
 	want, err := eng.Query(context.Background(), core.QueryOptions{K: 5, Pref: tops.Binary(0.8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.EstimatedUtility != want.EstimatedUtility || len(got.Sites) != len(want.Sites) {
-		t.Fatalf("HTTP answer %+v does not match engine %+v", got, want)
+	assertSameAnswer(t, "k=5", data, want)
+}
+
+// assertSameAnswer fails unless the /v1/query response body carries want
+// bit for bit: sites, site ids, utility, coverage, instance, representatives.
+func assertSameAnswer(t *testing.T, label string, body []byte, want *core.QueryResult) {
+	t.Helper()
+	var got queryResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("%s: %v (%s)", label, err, body)
 	}
-	for i := range want.Sites {
-		if got.Sites[i] != int64(want.Sites[i]) || got.SiteIDs[i] != int32(want.SiteIDs[i]) {
-			t.Fatalf("site %d differs: %v/%v vs %v/%v", i, got.Sites[i], got.SiteIDs[i], want.Sites[i], want.SiteIDs[i])
-		}
+	same := got.EstimatedUtility == want.EstimatedUtility &&
+		got.EstimatedCovered == want.EstimatedCovered &&
+		got.InstanceUsed == want.InstanceUsed &&
+		got.NumRepresentatives == want.NumRepresentatives &&
+		len(got.Sites) == len(want.Sites) && len(got.SiteIDs) == len(want.SiteIDs)
+	for i := 0; same && i < len(want.Sites); i++ {
+		same = got.Sites[i] == int64(want.Sites[i]) && got.SiteIDs[i] == int32(want.SiteIDs[i])
 	}
-	if !got.Batched {
-		t.Error("default server should answer via the micro-batcher")
+	if !same {
+		t.Errorf("%s: HTTP answer %+v does not match the reference %+v", label, got, want)
 	}
 }
 
@@ -306,33 +322,197 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
-func TestBatcherCoalesces(t *testing.T) {
-	ts, srv, _, _ := newTestServer(t, 349, Options{BatchWindow: 40 * time.Millisecond, BatchMaxSize: 64})
-	const n = 16
+// coverCounts is one cover cache's counters. A single engine has one
+// cache, a sharded engine one per shard.
+type coverCounts struct {
+	hits, misses uint64
+	entries      int
+}
+
+// lookalikeSeed is the fixture the served engines and their sequential twin
+// are all built over.
+const lookalikeSeed = 349
+
+// TestLookalikeQueriesShareOneCoverFill pins the property /v1/query leans
+// on for having no admission window: concurrent queries that differ only
+// in k pay for ONE cover fill per cache per invalidation — the cover
+// cache's singleflight (core.coverFor) — and every one of them still
+// answers exactly what a sequential reference engine answers.
+func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
+	t.Run("engine", func(t *testing.T) {
+		idx, _ := buildFixture(t, lookalikeSeed)
+		served, err := engine.New(idx, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLookalikesShareCover(t, served, func() []coverCounts {
+			st := served.Stats()
+			return []coverCounts{{st.CoverHits, st.CoverMisses, st.CoverEntries}}
+		})
+	})
+	t.Run("sharded", func(t *testing.T) {
+		served, err := shard.Build(buildInstance(t, lookalikeSeed), shard.Options{Shards: 2, Build: fixtureBuild})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLookalikesShareCover(t, served, func() []coverCounts {
+			var out []coverCounts
+			for _, st := range served.ShardStats() {
+				out = append(out, coverCounts{st.CoverHits, st.CoverMisses, st.CoverEntries})
+			}
+			return out
+		})
+	})
+}
+
+// checkLookalikesShareCover serves `served` (built over lookalikeSeed) on
+// HTTP, invalidates every cover cache that caches() reports, fires a burst
+// of look-alike queries, and checks the counters and the answers — the
+// latter against a sequential single engine kept in step with the
+// mutations.
+func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []coverCounts) {
+	srv, err := New(served, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	idx, inst := buildFixture(t, lookalikeSeed)
+	sites := append([]roadnet.NodeID(nil), inst.Sites...)
+	twin, err := engine.New(idx, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Warm every cache, so that the flip below has a cover to invalidate.
+	if code, data := postJSON(t, client, ts.URL+"/v1/query", `{"k":3,"tau":0.8}`); code != http.StatusOK {
+		t.Fatalf("warm-up query: %d %s", code, data)
+	}
+	for i, c := range caches() {
+		if c.entries == 0 {
+			t.Fatalf("cache %d holds no cover after the warm-up query: the fixture gives it nothing to own", i)
+		}
+	}
+	// One site flip (off, on) empties the cache of the engine that owns the
+	// site and no other, so a sharded engine takes flips until each shard
+	// has had one.
+	empty := func() bool {
+		for _, c := range caches() {
+			if c.entries != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for _, v := range sites {
+		for _, op := range []string{"delete_site", "add_site"} {
+			if code, data := postJSON(t, client, ts.URL+"/v1/update", fmt.Sprintf(`{"op":%q,"node":%d}`, op, v)); code != http.StatusOK {
+				t.Fatalf("%s %d: %d %s", op, v, code, data)
+			}
+		}
+		if err := twin.DeleteSite(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.AddSite(v); err != nil {
+			t.Fatal(err)
+		}
+		if empty() {
+			break
+		}
+	}
+	if !empty() {
+		t.Fatal("site flips left a cover cache populated")
+	}
+
+	const n = 32
+	before := caches()
+	bodies := make([][]byte, n)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			code, data := postJSON(t, ts.Client(), ts.URL+"/v1/query", `{"k":5,"tau":0.8}`)
+			<-start
+			code, data := postJSON(t, client, ts.URL+"/v1/query", fmt.Sprintf(`{"k":%d,"tau":0.8}`, 1+i%8))
 			if code != http.StatusOK {
-				t.Errorf("status %d: %s", code, data)
+				t.Errorf("query %d: status %d: %s", i, code, data)
 			}
-		}()
+			bodies[i] = data
+		}(i)
 	}
+	close(start)
 	wg.Wait()
-	st := srv.Stats()
-	if st.Batching == nil {
-		t.Fatal("batching stats missing")
+
+	for j, after := range caches() {
+		if misses, hits := after.misses-before[j].misses, after.hits-before[j].hits; misses != 1 || hits != n-1 {
+			t.Errorf("cache %d: %d concurrent look-alike queries cost %d cover fills and %d hits, want 1 and %d", j, n, misses, hits, n-1)
+		}
 	}
-	if st.Batching.Coalesced != n {
-		t.Fatalf("coalesced %d queries, want %d", st.Batching.Coalesced, n)
+	for i, body := range bodies {
+		k := 1 + i%8
+		want, err := twin.Query(context.Background(), core.QueryOptions{K: k, Pref: tops.Binary(0.8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnswer(t, fmt.Sprintf("query %d (k=%d)", i, k), body, want)
 	}
-	if st.Batching.Flushes >= n {
-		t.Fatalf("%d flushes for %d queries: no coalescing happened", st.Batching.Flushes, n)
+}
+
+// ctxBoundEngine is an Engine whose query paths only wait for their context
+// to end and then report what ended it.
+type ctxBoundEngine struct {
+	Engine
+	ended chan error
+}
+
+func (e *ctxBoundEngine) Query(ctx context.Context, _ core.QueryOptions) (*core.QueryResult, error) {
+	<-ctx.Done()
+	e.ended <- ctx.Err()
+	return nil, ctx.Err()
+}
+
+// QueryBatch is held to the same contract, so a server that answered
+// /v1/query through engine batches would be caught here as well.
+func (e *ctxBoundEngine) QueryBatch(ctx context.Context, qs []core.QueryOptions) []engine.BatchItem {
+	<-ctx.Done()
+	e.ended <- ctx.Err()
+	out := make([]engine.BatchItem, len(qs))
+	for i := range out {
+		out[i].Err = ctx.Err()
 	}
-	if st.Engine.BatchQueries != n || st.Engine.Queries != 0 {
-		t.Fatalf("engine saw %d batch / %d single queries, want %d/0", st.Engine.BatchQueries, st.Engine.Queries, n)
+	return out
+}
+
+// TestQueryDeadlineReachesEngine pins requestCtx's promise on the default
+// serving path: timeout_ms is not only the HTTP answer's deadline, it
+// cancels the engine work itself.
+func TestQueryDeadlineReachesEngine(t *testing.T) {
+	idx, _ := buildFixture(t, 359)
+	real, err := engine.New(idx, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &ctxBoundEngine{Engine: real, ended: make(chan error, 1)}
+	srv, err := New(eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	status, env, _ := doReq(t, ts.Client(), http.MethodPost, ts.URL+"/v1/query", `{"k":1,"tau":0.8,"timeout_ms":20}`)
+	if status != http.StatusGatewayTimeout || env.Code != CodeTimeout {
+		t.Fatalf("expired query answered %d %q, want 504 %q", status, env.Code, CodeTimeout)
+	}
+	select {
+	case err := <-eng.ended:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("engine's context ended with %v, want its deadline", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the request's deadline never reached the engine: its query is still running")
 	}
 }
 
@@ -341,7 +521,7 @@ func TestBatcherCoalesces(t *testing.T) {
 // hammer one in-process server while the race detector watches, and every
 // stats sample must be monotone against the previous one.
 func TestServeEndToEndRace(t *testing.T) {
-	ts, srv, _, idx := newTestServer(t, 353, Options{BatchWindow: time.Millisecond, BatchMaxSize: 32})
+	ts, srv, _, idx := newTestServer(t, 353, Options{})
 	client := ts.Client()
 	client.Timeout = 30 * time.Second
 	iters := 60
@@ -469,9 +649,6 @@ func TestServeEndToEndRace(t *testing.T) {
 	if st.Routes["/v1/query"].Errors4xx == 0 {
 		t.Error("deliberately malformed queries were never counted as 4xx")
 	}
-	if st.Batching == nil || st.Batching.Coalesced == 0 {
-		t.Error("no queries went through the micro-batcher")
-	}
 }
 
 // checkMonotone asserts no counter in cur regressed against prev (torn
@@ -503,34 +680,9 @@ func checkMonotone(t *testing.T, prev, cur statszResponse) {
 			pair{route + ".errors_5xx", rp.Errors5xx, rc.Errors5xx},
 		)
 	}
-	if prev.Batching != nil && cur.Batching != nil {
-		pairs = append(pairs,
-			pair{"batching.flushes", prev.Batching.Flushes, cur.Batching.Flushes},
-			pair{"batching.coalesced", prev.Batching.Coalesced, cur.Batching.Coalesced},
-			pair{"batching.max_flush", prev.Batching.MaxFlush, cur.Batching.MaxFlush},
-		)
-	}
 	for _, p := range pairs {
 		if p.new < p.old {
 			t.Errorf("counter %s regressed: %d -> %d", p.name, p.old, p.new)
 		}
-	}
-}
-
-// TestDrainRefusesNewBatchedQueries pins the shutdown contract of the
-// admission layer: after Close, Do returns ErrDraining instead of hanging.
-func TestDrainRefusesNewBatchedQueries(t *testing.T) {
-	idx, _ := buildFixture(t, 359)
-	eng, err := engine.New(idx, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newBatcher(eng, time.Millisecond, 8)
-	if _, err := b.Do(context.Background(), core.QueryOptions{K: 3, Pref: tops.Binary(0.8)}); err != nil {
-		t.Fatalf("pre-drain query: %v", err)
-	}
-	b.Close()
-	if _, err := b.Do(context.Background(), core.QueryOptions{K: 3, Pref: tops.Binary(0.8)}); err != ErrDraining {
-		t.Fatalf("post-drain query: %v, want ErrDraining", err)
 	}
 }

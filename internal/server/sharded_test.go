@@ -8,9 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"netclus/internal/gen"
 	"netclus/internal/shard"
-	"netclus/internal/tops"
 )
 
 // TestServeShardedEngine boots the HTTP layer over a scatter-gather sharded
@@ -18,26 +16,7 @@ import (
 // /statsz must expose the per-shard counter blocks (sites, scatter calls,
 // queue depths) the sharded engine adds.
 func TestServeShardedEngine(t *testing.T) {
-	city, err := gen.GenerateCity(gen.CityConfig{
-		Topology: gen.GridMesh, Nodes: 500, SpanKm: 10, Jitter: 0.2,
-		OneWayFrac: 0.1, RemoveFrac: 0.05, Seed: 77,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := gen.GenerateTrajectories(city, gen.TrajConfig{Count: 60, Seed: 78})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites, err := gen.SampleSites(city.Graph, gen.SiteConfig{Count: 120, Seed: 79})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := tops.NewInstance(city.Graph, store, sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := shard.Build(inst, shard.Options{Shards: 3})
+	sh, err := shard.Build(buildInstance(t, 77), shard.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +25,10 @@ func TestServeShardedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	client := ts.Client()
 
-	// Query (through the micro-batcher).
+	// Query.
 	status, body := postJSON(t, client, ts.URL+"/v1/query", `{"k":5,"tau":0.8}`)
 	if status != http.StatusOK {
 		t.Fatalf("/v1/query status %d: %s", status, body)

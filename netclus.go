@@ -248,14 +248,13 @@ const ShardedManifestName = shard.ManifestName
 
 // Network serving layer.
 type (
-	// Server exposes an Engine over an HTTP JSON API: /v1/query (with
-	// micro-batched admission), /v1/query/batch, /v1/update, /v1/snapshot,
-	// /healthz and /statsz. It implements http.Handler; mount it on an
-	// http.Server and Close it after shutdown. cmd/topsserve is the
-	// reference deployment.
+	// Server exposes an Engine over an HTTP JSON API: /v1/query,
+	// /v1/query/batch, /v1/update, /v1/snapshot, /healthz and /statsz. It
+	// implements http.Handler; mount it on an http.Server. cmd/topsserve is
+	// the reference deployment.
 	Server = server.Server
-	// ServeOptions configures the serving layer: batching window/size,
-	// default per-request deadline, and decode limits.
+	// ServeOptions configures the serving layer: default per-request
+	// deadline, decode limits, and the replication/ingest/logging hooks.
 	ServeOptions = server.Options
 	// ServeLimits bounds what the server's request decoder accepts.
 	ServeLimits = server.Limits
