@@ -123,18 +123,9 @@ func main() {
 		fmt.Println(d.Summary())
 	}
 
-	var pref tops.Preference
-	switch *prefName {
-	case "binary":
-		pref = tops.Binary(*tau)
-	case "linear":
-		pref = tops.Linear(*tau)
-	case "convex":
-		pref = tops.ConvexQuadratic(*tau)
-	case "exp":
-		pref = tops.ExpDecay(*tau, 1)
-	default:
-		fatal(fmt.Errorf("unknown preference %q", *prefName))
+	pref, err := tops.PreferenceByName(*prefName, *tau, 0)
+	if err != nil {
+		fatal(err)
 	}
 
 	switch {

@@ -52,8 +52,11 @@
 //	                     QueryBatch grouping, context deadlines, traffic
 //	                     stats)
 //	internal/shard       scatter-gather sharding (site partitioners,
-//	                     cluster ownership, distributed greedy, manifest
+//	                     cluster ownership, the distributed greedy's one
+//	                     coordinator and per-shard session, manifest
 //	                     snapshots) — bit-exact vs the single engine
+//	internal/router      the same coordinator over HTTP: the stateless
+//	                     front tier of shard-per-process topologies
 //	internal/wal         durability: segmented CRC-framed write-ahead log
 //	                     (LSN-stamped snapshots, checkpoint + tail-replay
 //	                     recovery, compaction, follower record streams)

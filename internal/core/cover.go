@@ -431,11 +431,12 @@ func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preferen
 
 // RepInfo describes one cluster representative of an instance: the cluster,
 // the representative's node, and dr(c_i, r_i). The sharding layer reduces
-// RepInfos across shards to find each cluster's globally closest site.
+// RepInfos across shards to find each cluster's globally closest site (the
+// JSON form is a row of GET /v1/shard/reps).
 type RepInfo struct {
-	Cluster ClusterID
-	Node    roadnet.NodeID
-	Dr      float64
+	Cluster ClusterID      `json:"c"`
+	Node    roadnet.NodeID `json:"v"`
+	Dr      float64        `json:"dr"`
 }
 
 // RepInfos lists the representatives of instance p in ascending cluster

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"netclus/internal/obs"
+	"netclus/internal/roadnet"
 )
 
 // Error codes mirror the serving tier's envelope so clients see one
@@ -313,9 +314,9 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		}
 		if status/100 == 2 {
 			if u.Op == "add_site" {
-				r.mirrorAdd(u.Node)
+				r.sites.Add(roadnet.NodeID(u.Node))
 			} else {
-				r.mirrorDelete(u.Node)
+				r.sites.Delete(roadnet.NodeID(u.Node))
 			}
 			r.dropOwnership()
 		}
@@ -399,32 +400,6 @@ func decodeEnvelope(status int, body []byte) error {
 	return &httpError{status: status, code: env.Code, msg: env.Error}
 }
 
-// mirrorAdd appends a node to the dense-id mirror (the in-process index
-// assigns dense ids by append order).
-func (r *Router) mirrorAdd(v int64) {
-	if _, ok := r.siteID[v]; ok {
-		return
-	}
-	r.siteID[v] = int32(len(r.sites))
-	r.sites = append(r.sites, v)
-}
-
-// mirrorDelete swap-removes a node, moving the last dense id into the
-// vacated slot — the in-process index's delete discipline, so dense ids
-// keep matching.
-func (r *Router) mirrorDelete(v int64) {
-	i, ok := r.siteID[v]
-	if !ok {
-		return
-	}
-	last := len(r.sites) - 1
-	moved := r.sites[last]
-	r.sites[i] = moved
-	r.siteID[moved] = i
-	r.sites = r.sites[:last]
-	delete(r.siteID, v)
-}
-
 // topologyRequest is POST /v1/topology: make primary shard j's active
 // target (the re-point step after promoting a follower).
 type topologyRequest struct {
@@ -475,7 +450,7 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	r.mu.RLock()
-	sites := len(r.sites)
+	sites := len(r.sites.Sites())
 	warn := r.siteWarn
 	r.mu.RUnlock()
 	writeJSON(w, struct {

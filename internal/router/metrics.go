@@ -39,7 +39,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	ew.Uint("netclus_router_errors_total", "", r.errs.Load())
 
 	r.mu.RLock()
-	sites := len(r.sites)
+	sites := len(r.sites.Sites())
 	type shardRow struct {
 		j      int
 		active int

@@ -13,7 +13,6 @@ import (
 	"netclus/internal/core"
 	"netclus/internal/obs"
 	"netclus/internal/shard"
-	"netclus/internal/tops"
 )
 
 // wireQuery mirrors the serving tier's /v1/query body. The router accepts
@@ -32,8 +31,8 @@ type wireQuery struct {
 }
 
 // validate applies the serving tier's structural checks plus the router's
-// own restrictions, and lowers the preference once to fail fast (members
-// re-derive it from the wire form).
+// own restrictions, and lowers the preference once — through the function
+// the members re-derive it with — to fail fast.
 func (q wireQuery) validate(maxK int) (shard.WirePref, error) {
 	var zero shard.WirePref
 	if q.K <= 0 {
@@ -44,9 +43,6 @@ func (q wireQuery) validate(maxK int) (shard.WirePref, error) {
 	}
 	if q.FM || q.F != 0 || q.Seed != 0 {
 		return zero, fmt.Errorf("fm queries are not supported by the router tier (exact greedy only)")
-	}
-	if q.Lambda != 0 && q.Pref != "exp" {
-		return zero, fmt.Errorf("lambda applies only to the exp preference")
 	}
 	if q.TimeoutMs < 0 {
 		return zero, fmt.Errorf("timeout_ms = %d must be non-negative", q.TimeoutMs)
@@ -78,157 +74,103 @@ func retryable(err error) bool {
 	return true
 }
 
-// shardConn is one active shard's per-query state: its index, the last
-// round's reply, and its accumulated member-call time (written only by
-// this shard's round goroutine, rounds are sequential — no atomics
-// needed; read after the final round for the slow-query record).
-type shardConn struct {
-	j     int
-	reply *shard.RoundReply
+// memberHandle is the coordinator's handle on one member's session: the
+// round protocol over HTTP. The URL is resolved when the handle is made,
+// under the query's read lock, because End's request outlives it and must
+// not race a failover's cursor write. nanos accumulates the member-call
+// time (written only by this shard's round goroutine, rounds are
+// sequential — no atomics needed; read after the run).
+type memberHandle struct {
+	r     *Router
+	url   string
+	start *shard.StartRequest // nil once the session is open
+	qid   string
 	nanos int64
 }
 
+func (h *memberHandle) Step(ctx context.Context, winnerGI int32, deltas []shard.UtilDelta) (reply shard.RoundReply, err error) {
+	t0 := time.Now()
+	defer func() { h.nanos += int64(time.Since(t0)) }()
+	if req := h.start; req != nil {
+		h.start = nil
+		err = h.r.call(ctx, http.MethodPost, h.url+"/v1/shard/query/start", req, &reply)
+		return reply, err
+	}
+	// The winner shard recognizes its own candidate by global index and
+	// marks it selected; global indices partition across shards, so nobody
+	// else matches.
+	err = h.r.call(ctx, http.MethodPost, h.url+"/v1/shard/query/step", &shard.StepRequest{QID: h.qid, WinnerGI: winnerGI, Deltas: deltas}, &reply)
+	return reply, err
+}
+
+// End releases the member's session best-effort: sessions also expire by
+// TTL, so a lost End costs memory only briefly.
+func (h *memberHandle) End() {
+	if h.start != nil {
+		return // never opened
+	}
+	go func() {
+		_ = h.r.call(context.Background(), http.MethodPost, h.url+"/v1/shard/query/end", &shard.EndRequest{QID: h.qid}, nil)
+	}()
+}
+
 // runQuery executes one query against the topology: derive the ladder
-// instance and cluster ownership, open a session on every shard that owns
-// clusters, then run synchronized rounds — reduce the per-shard argmax
-// candidates under tops.GreaterSite in ascending shard order (the exact
-// in-process reduce), absorb the winner's TC list into the global utility
-// vector via shard.ApplyWinner (the exact in-process float ops), and
-// broadcast the deltas. Holds the read lock so router-routed updates
-// serialize against it.
+// instance and cluster ownership, then let the coordinator (shard.Gather,
+// the code the in-process engine runs) drive one session per shard that
+// owns clusters, each round's member calls fanned out across goroutines.
+// Holds the read lock so router-routed updates serialize against it.
 func (r *Router) runQuery(ctx context.Context, q wireQuery, pref shard.WirePref) (*queryResult, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
-	p := core.InstanceForTau(r.tauMin, r.gamma, r.rungs, q.Tau)
+	p := core.InstanceForTau(r.ladder.TauMin, r.ladder.Gamma, r.ladder.Rungs, q.Tau)
 	own, err := r.ownership(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	res := &queryResult{InstanceUsed: p, NumRepresentatives: len(own.winners), Sites: []int64{}, SiteIDs: []int32{}}
-	if len(own.winners) == 0 {
+	res := &queryResult{InstanceUsed: p, NumRepresentatives: len(own.Winners), Sites: []int64{}, SiteIDs: []int32{}}
+	if len(own.Winners) == 0 {
 		return res, nil
-	}
-	k := q.K
-	if k > len(own.winners) {
-		k = len(own.winners)
 	}
 
 	qid := fmt.Sprintf("q%d-%d", os.Getpid(), r.qidSeq.Add(1))
-	var conns []*shardConn
-	for j := 0; j < r.n; j++ {
-		if len(own.masks[j]) > 0 {
-			conns = append(conns, &shardConn{j: j})
+	var hs []shard.Handle
+	for j := range r.n {
+		if len(own.Masks[j]) > 0 {
+			hs = append(hs, shard.Handle{Shard: j, Session: &memberHandle{
+				r: r, url: r.activeURL(j), qid: qid,
+				start: &shard.StartRequest{QID: qid, P: p, Pref: pref, Mask: own.Masks[j], MaskGlobal: own.MasksGI[j]},
+			}})
 		}
 	}
-
-	// Scatter the session starts; on any failure, close what opened and
-	// report the first failed shard for failover.
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	tRound := time.Now()
-	for i, sc := range conns {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			t0 := time.Now()
-			defer func() { sc.nanos += int64(time.Since(t0)) }()
-			req := &shard.StartRequest{QID: qid, P: p, Pref: pref, Mask: own.masks[sc.j], MaskGlobal: own.masksGI[sc.j]}
-			var reply shard.RoundReply
-			if err := r.call(ctx, http.MethodPost, r.activeURL(sc.j)+"/v1/shard/query/start", req, &reply); err != nil {
-				errs[i] = err
-				return
-			}
-			sc.reply = &reply
-		}(i, sc)
-	}
-	wg.Wait()
-	obs.RouterScatter.RecordSince(tRound)
-	res.rounds++
-	defer r.endSessions(qid, conns)
-	defer func() {
-		for _, sc := range conns {
-			res.shardMs = append(res.shardMs, shardTiming{Shard: sc.j, Ms: float64(sc.nanos) / 1e6})
-		}
-	}()
-	for i, err := range errs {
-		if err != nil {
-			return nil, r.classify(conns[i].j, err)
-		}
-	}
-
-	// The global utility vector spans the widest trajectory id any shard
-	// covers — identical to the in-process gather's m = max over shards.
-	m := 0
-	for _, sc := range conns {
-		if sc.reply.M > m {
-			m = sc.reply.M
-		}
-	}
-	util := make([]float64, m)
-	var deltas []shard.UtilDelta
-
-	for len(res.Sites) < k {
-		// Reduce this round's candidates in ascending shard order.
-		var wc *shard.WireCand
-		for _, sc := range conns {
-			c := sc.reply.Cand
-			if c == nil {
-				continue
-			}
-			if wc == nil || tops.GreaterSite(c.Marg, c.Weight, int(c.GI), wc.Marg, wc.Weight, int(wc.GI)) {
-				wc = c
-			}
-		}
-		if wc == nil {
-			break // every representative selected
-		}
-		w := own.winners[wc.GI]
-		res.Sites = append(res.Sites, w.node)
-		if id, ok := r.siteID[w.node]; ok {
-			res.SiteIDs = append(res.SiteIDs, id)
-		} else {
-			res.SiteIDs = append(res.SiteIDs, int32(tops.InvalidSiteID))
-		}
-		res.EstimatedUtility += wc.Marg
-		var nc int
-		deltas, nc = shard.ApplyWinner(util, wc.Trajs, wc.Scores, deltas[:0])
-		res.EstimatedCovered += nc
-		if len(res.Sites) == k {
-			break // the in-process greedy also skips the final round's bookkeeping
-		}
-
-		// Broadcast the winner and gather next-round candidates. The winner
-		// shard recognizes its own candidate by global index and marks it
-		// selected; global indices partition across shards, so nobody else
-		// matches.
-		step := &shard.StepRequest{QID: qid, WinnerGI: wc.GI, Deltas: deltas}
-		for i := range errs {
-			errs[i] = nil
-		}
-		tRound = time.Now()
-		for i, sc := range conns {
+	fan := func(n int, call func(i int)) {
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for i := range n {
 			wg.Add(1)
-			go func(i int, sc *shardConn) {
-				defer wg.Done()
-				t0 := time.Now()
-				defer func() { sc.nanos += int64(time.Since(t0)) }()
-				var reply shard.RoundReply
-				if err := r.call(ctx, http.MethodPost, r.activeURL(sc.j)+"/v1/shard/query/step", step, &reply); err != nil {
-					errs[i] = err
-					return
-				}
-				sc.reply = &reply
-			}(i, sc)
+			go func() { defer wg.Done(); call(i) }()
 		}
 		wg.Wait()
-		obs.RouterScatter.RecordSince(tRound)
+		obs.RouterScatter.RecordSince(t0)
 		res.rounds++
-		for i, err := range errs {
-			if err != nil {
-				return nil, r.classify(conns[i].j, err)
-			}
-		}
+	}
+	var g shard.Gather
+	sel, err := g.Run(ctx, min(q.K, len(own.Winners)), hs, fan)
+	var se *shard.StepError
+	if errors.As(err, &se) {
+		return nil, r.classify(se.Shard, se.Err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, h := range hs {
+		res.shardMs = append(res.shardMs, shardTiming{Shard: h.Shard, Ms: float64(h.Session.(*memberHandle).nanos) / 1e6})
+	}
+	res.EstimatedUtility, res.EstimatedCovered = sel.Utility, sel.Covered
+	for _, gi := range sel.Selected {
+		node := own.Winners[gi].Node
+		res.Sites = append(res.Sites, int64(node))
+		res.SiteIDs = append(res.SiteIDs, int32(r.sites.ID(node)))
 	}
 	return res, nil
 }
@@ -240,19 +182,6 @@ func (r *Router) classify(j int, err error) error {
 		return &memberError{shard: j, err: err}
 	}
 	return err
-}
-
-// endSessions releases the query's sessions best-effort: sessions also
-// expire by TTL, so a lost End costs memory only briefly.
-func (r *Router) endSessions(qid string, conns []*shardConn) {
-	for _, sc := range conns {
-		// Resolve the URL while the caller still holds the read lock; the
-		// goroutine outlives it and must not race a failover's cursor write.
-		u := r.activeURL(sc.j)
-		go func(u string) {
-			_ = r.call(context.Background(), http.MethodPost, u+"/v1/shard/query/end", &shard.EndRequest{QID: qid}, nil)
-		}(u)
-	}
 }
 
 // queryResult accumulates one answer in the serving tier's wire shape.

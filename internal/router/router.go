@@ -1,12 +1,15 @@
 // Package router is the stateless front tier of a shard-per-process
 // NETCLUS topology: each shard runs as its own topsserve process (with its
-// own WAL, snapshots, and followers), and the router speaks the
-// distributed-greedy round protocol of internal/shard against them over
-// HTTP — per round, each member's local argmax is reduced under
-// tops.GreaterSite and the winner's trajectory-score deltas broadcast
-// back, the same float ops as the in-process gather, so answers stay
-// float-op-for-float-op identical to a single-process engine over the
-// same dataset (the cross-process differential oracle enforces it).
+// own WAL, snapshots, and followers), and the router is the HTTP transport
+// of internal/shard's distributed greedy — it reduces the members'
+// representative rows with shard.ReduceOwnership and hands shard.Gather
+// (the one coordinator, the same code shard.Sharded runs in process) one
+// handle per owning member, each speaking the round protocol of
+// shard/protocol.go, so answers stay float-op-for-float-op identical to a
+// single-process engine over the same dataset (the cross-process
+// differential oracle enforces it). What lives here is everything a
+// network adds: the shard map, timeouts, failover and retry, and the
+// per-round goroutine fan-out a network hop is worth.
 //
 // The router owns the shard map: per shard an ordered list of member URLs
 // (primary first, then followers) with an active cursor. The round
@@ -42,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netclus/internal/core"
 	"netclus/internal/obs"
 	"netclus/internal/roadnet"
 	"netclus/internal/shard"
@@ -105,22 +109,6 @@ type slot struct {
 	lastErr string
 }
 
-// ownTable caches one ladder instance's cluster ownership: the winners in
-// ascending cluster order (position i is global dense representative
-// index i) and, per shard, the owned clusters and their global indices —
-// the mask a StartRequest ships.
-type ownTable struct {
-	winners []ownWinner
-	masks   [][]int64
-	masksGI [][]int32
-}
-
-type ownWinner struct {
-	cluster int64
-	shard   int
-	node    int64
-}
-
 // Router fronts N shard-member processes. Create with New, mount as an
 // http.Handler.
 type Router struct {
@@ -137,18 +125,16 @@ type Router struct {
 	partName string
 	// part evaluates the partitioner locally when it is graph-free (hash);
 	// nil means owner lookups go to the members (grid needs the graph).
-	part                  shard.Partitioner
-	tauMin, tauMax, gamma float64
-	rungs                 int
+	part   shard.Partitioner
+	ladder shard.Ladder
 
-	// Global dense site-id mirror, replicating the single-process index's
-	// bookkeeping (append on add, swap-remove on delete) so SiteIDs match.
-	sites    []int64
-	siteID   map[int64]int32
+	// sites is the global dense site-id mirror, so SiteIDs match the
+	// single-process index's.
+	sites    *shard.SiteMirror
 	siteWarn string // non-empty when the mirror was seeded from concatenation
 
 	ownMu      sync.Mutex
-	own        map[int]*ownTable
+	own        map[int]*shard.Ownership
 	ownerCache map[int64]int
 
 	qidSeq    atomic.Uint64
@@ -177,9 +163,8 @@ func New(opts Options) (*Router, error) {
 		opts:       opts,
 		client:     opts.Client,
 		n:          len(opts.Shards),
-		own:        make(map[int]*ownTable),
+		own:        make(map[int]*shard.Ownership),
 		ownerCache: make(map[int64]int),
-		siteID:     make(map[int64]int32),
 		start:      time.Now(),
 		log:        opts.Logger.With("component", "router"),
 	}
@@ -205,7 +190,9 @@ func New(opts Options) (*Router, error) {
 		metas[j] = meta
 	}
 	m0 := metas[0]
+	ladders := make([]shard.Ladder, r.n)
 	for j, m := range metas {
+		ladders[j] = m.Ladder
 		if m.Shards != r.n {
 			return nil, fmt.Errorf("router: shard %d reports a %d-shard topology, shard map has %d", j, m.Shards, r.n)
 		}
@@ -215,13 +202,11 @@ func New(opts Options) (*Router, error) {
 		if m.Partitioner != m0.Partitioner {
 			return nil, fmt.Errorf("router: shard %d partitioner %q differs from shard 0's %q", j, m.Partitioner, m0.Partitioner)
 		}
-		if m.TauMin != m0.TauMin || m.TauMax != m0.TauMax || m.Gamma != m0.Gamma || m.Rungs != m0.Rungs {
-			return nil, fmt.Errorf("router: shard %d ladder (γ=%v τ=[%v,%v) rungs=%d) differs from shard 0 (γ=%v τ=[%v,%v) rungs=%d)",
-				j, m.Gamma, m.TauMin, m.TauMax, m.Rungs, m0.Gamma, m0.TauMin, m0.TauMax, m0.Rungs)
-		}
 	}
-	r.partName = m0.Partitioner
-	r.tauMin, r.tauMax, r.gamma, r.rungs = m0.TauMin, m0.TauMax, m0.Gamma, m0.Rungs
+	if err := shard.CheckLadders(ladders); err != nil {
+		return nil, fmt.Errorf("router: %w", err)
+	}
+	r.partName, r.ladder = m0.Partitioner, m0.Ladder
 	if r.partName == shard.HashPartitioner {
 		part, err := shard.NewPartitioner(r.partName, r.n, nil)
 		if err != nil {
@@ -244,7 +229,7 @@ func New(opts Options) (*Router, error) {
 // recorded in siteWarn and surfaced on /statsz.
 func (r *Router) seedMirror(metas []shard.MemberMeta) {
 	liveCount := 0
-	liveSet := make(map[int64]bool)
+	liveSet := make(map[roadnet.NodeID]bool)
 	for _, m := range metas {
 		liveCount += len(m.Sites)
 		for _, v := range m.Sites {
@@ -268,18 +253,16 @@ func (r *Router) seedMirror(metas []shard.MemberMeta) {
 	} else {
 		exact = false
 	}
-	if exact {
-		r.sites = append([]int64(nil), metas[0].InitialSites...)
-	} else {
+	seed := metas[0].InitialSites
+	if !exact {
+		seed = nil
 		for _, m := range metas {
-			r.sites = append(r.sites, m.Sites...)
+			seed = append(seed, m.Sites...)
 		}
 		r.siteWarn = "dense site ids seeded from per-shard concatenation (members past their build-time site set); ids may differ from a single-process history"
 		r.log.Warn("site-id mirror inexact", "detail", r.siteWarn)
 	}
-	for i, v := range r.sites {
-		r.siteID[v] = int32(i)
-	}
+	r.sites = shard.NewSiteMirror(seed)
 }
 
 // activeURL returns shard j's current target.
@@ -362,74 +345,37 @@ func (r *Router) fetchMeta(j int) (shard.MemberMeta, error) {
 }
 
 // ownership derives (or returns the cached) cluster ownership of ladder
-// instance p: every shard's representatives are fetched and reduced per
-// cluster to the shard with minimal (dr, node) — the exact single-shard
-// representative tie-break, the same reduce shard.Sharded runs in
-// process. Dropped whole on any site mutation.
-func (r *Router) ownership(ctx context.Context, p int) (*ownTable, error) {
+// instance p from every shard's /v1/shard/reps. Dropped whole on any site
+// mutation.
+func (r *Router) ownership(ctx context.Context, p int) (*shard.Ownership, error) {
 	r.ownMu.Lock()
 	defer r.ownMu.Unlock()
-	if t := r.own[p]; t != nil {
-		return t, nil
+	if o := r.own[p]; o != nil {
+		return o, nil
 	}
-	type fetch struct {
-		reps []shard.WireRep
-		err  error
-	}
-	fetches := make([]fetch, r.n)
+	rows := make([][]core.RepInfo, r.n)
+	errs := make([]error, r.n)
 	var wg sync.WaitGroup
-	for j := 0; j < r.n; j++ {
+	for j := range r.n {
 		wg.Add(1)
-		go func(j int) {
+		go func() {
 			defer wg.Done()
 			var resp struct {
-				P    int             `json:"p"`
-				Reps []shard.WireRep `json:"reps"`
+				Reps []core.RepInfo `json:"reps"`
 			}
-			fetches[j].err = r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/reps?p=%d", r.activeURL(j), p), nil, &resp)
-			fetches[j].reps = resp.Reps
-		}(j)
+			errs[j] = r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/reps?p=%d", r.activeURL(j), p), nil, &resp)
+			rows[j] = resp.Reps
+		}()
 	}
 	wg.Wait()
-	maxCi := int64(-1)
-	for j, f := range fetches {
-		if f.err != nil {
-			return nil, &memberError{shard: j, err: f.err}
-		}
-		for _, ri := range f.reps {
-			if int64(ri.Cluster) > maxCi {
-				maxCi = int64(ri.Cluster)
-			}
+	for j, err := range errs {
+		if err != nil {
+			return nil, &memberError{shard: j, err: err}
 		}
 	}
-	n := int(maxCi) + 1
-	bestShard := make([]int32, n)
-	bestNode := make([]int64, n)
-	bestDr := make([]float64, n)
-	for i := range bestShard {
-		bestShard[i] = -1
-	}
-	for j, f := range fetches {
-		for _, ri := range f.reps {
-			c := ri.Cluster
-			if bestShard[c] < 0 || ri.Dr < bestDr[c] || (ri.Dr == bestDr[c] && ri.Node < bestNode[c]) {
-				bestShard[c], bestNode[c], bestDr[c] = int32(j), ri.Node, ri.Dr
-			}
-		}
-	}
-	t := &ownTable{masks: make([][]int64, r.n), masksGI: make([][]int32, r.n)}
-	for c := 0; c < n; c++ {
-		if bestShard[c] < 0 {
-			continue
-		}
-		gi := int32(len(t.winners))
-		j := int(bestShard[c])
-		t.winners = append(t.winners, ownWinner{cluster: int64(c), shard: j, node: bestNode[c]})
-		t.masks[j] = append(t.masks[j], int64(c))
-		t.masksGI[j] = append(t.masksGI[j], gi)
-	}
-	r.own[p] = t
-	return t, nil
+	o := shard.ReduceOwnership(rows)
+	r.own[p] = o
+	return o, nil
 }
 
 // dropOwnership invalidates the ownership and owner caches after a site
@@ -438,7 +384,7 @@ func (r *Router) ownership(ctx context.Context, p int) (*ownTable, error) {
 // routing decision).
 func (r *Router) dropOwnership() {
 	r.ownMu.Lock()
-	r.own = make(map[int]*ownTable)
+	r.own = make(map[int]*shard.Ownership)
 	r.ownMu.Unlock()
 }
 

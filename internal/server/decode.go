@@ -129,28 +129,9 @@ func (q queryRequest) toOptions(lim Limits) (core.QueryOptions, time.Duration, e
 	if q.Tau > lim.MaxTau {
 		return zero, 0, fmt.Errorf("tau = %v exceeds limit %v", q.Tau, lim.MaxTau)
 	}
-	var pref tops.Preference
-	switch q.Pref {
-	case "", "binary":
-		pref = tops.Binary(q.Tau)
-	case "linear":
-		pref = tops.Linear(q.Tau)
-	case "convex":
-		pref = tops.ConvexQuadratic(q.Tau)
-	case "exp":
-		lambda := q.Lambda
-		if lambda == 0 {
-			lambda = 1
-		}
-		if !finite(lambda) || lambda <= 0 {
-			return zero, 0, fmt.Errorf("lambda = %v must be a positive finite number", q.Lambda)
-		}
-		pref = tops.ExpDecay(q.Tau, lambda)
-	default:
-		return zero, 0, fmt.Errorf("unknown preference %q (want binary, linear, convex or exp)", q.Pref)
-	}
-	if q.Lambda != 0 && q.Pref != "exp" {
-		return zero, 0, fmt.Errorf("lambda applies only to the exp preference")
+	pref, err := tops.PreferenceByName(q.Pref, q.Tau, q.Lambda)
+	if err != nil {
+		return zero, 0, err
 	}
 	if q.FM {
 		if q.Pref != "" && q.Pref != "binary" {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"netclus/internal/core"
 	"netclus/internal/obs"
 	"netclus/internal/shard"
 )
@@ -18,12 +19,11 @@ import (
 // query against a shard's replica before any promotion happens.
 type MemberEngine interface {
 	Meta() shard.MemberMeta
-	Reps(p int) ([]shard.WireRep, error)
+	Reps(p int) ([]core.RepInfo, error)
 	Owner(v int64) int
 	Start(ctx context.Context, req *shard.StartRequest) (*shard.RoundReply, error)
 	Step(req *shard.StepRequest) (*shard.RoundReply, error)
 	End(qid string)
-	Sessions() int
 }
 
 // handleShardMeta serves GET /v1/shard/meta.
@@ -33,8 +33,8 @@ func (s *Server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
 
 // repsResponse is GET /v1/shard/reps?p=.
 type repsResponse struct {
-	P    int             `json:"p"`
-	Reps []shard.WireRep `json:"reps"`
+	P    int            `json:"p"`
+	Reps []core.RepInfo `json:"reps"`
 }
 
 func (s *Server) handleShardReps(w http.ResponseWriter, r *http.Request) {

@@ -16,10 +16,11 @@ import (
 
 // Member is one shard of a router-fronted topology running in its own
 // process: a full engine.Engine (WAL, snapshots, followers, promotion all
-// unchanged) restricted to the sites its partitioner routes here, plus
-// the shard side of the distributed-greedy round protocol (protocol.go).
-// The serving layer exposes it under /v1/shard/ when Options.Member is
-// set; internal/router speaks the protocol against N of these.
+// unchanged) restricted to the sites its partitioner routes here, plus a
+// qid-keyed table of the query sessions (session.go) that the round
+// protocol (protocol.go) addresses. The serving layer exposes it under
+// /v1/shard/ when Options.Member is set; internal/router speaks the
+// protocol against N of these.
 //
 // Site mutations are validated against ownership: a node another shard
 // owns is rejected, because applying it here would diverge this member's
@@ -37,21 +38,7 @@ type Member struct {
 	sesMu     sync.Mutex
 	sessions  map[string]*memberSession
 	lastSweep time.Time
-}
-
-// memberSession is one query's per-shard round state: the immutable
-// masked-cover snapshot taken at start, the marginals and selection mask
-// the rounds evolve, and the last candidate reported (so a step naming it
-// as the winner can mark it selected).
-type memberSession struct {
-	mu       sync.Mutex
-	cs       *tops.CoverSets
-	g2l      []int32
-	marg     []float64
-	selected []bool
-	lastLI   int // local index of the last reported candidate; -1 none
-	lastGI   int32
-	touched  time.Time
+	now       func() time.Time // the session clock; tests substitute it
 }
 
 // sessionTTL expires sessions a crashed or partitioned gather never ended.
@@ -77,13 +64,18 @@ func NewMember(eng *engine.Engine, shards, index int, partitioner string, initia
 	if err != nil {
 		return nil, err
 	}
+	return newMember(eng, part, index, initialSites), nil
+}
+
+func newMember(eng *engine.Engine, part Partitioner, index int, initialSites []roadnet.NodeID) *Member {
 	return &Member{
 		Engine:       eng,
 		part:         part,
 		index:        index,
 		initialSites: initialSites,
 		sessions:     make(map[string]*memberSession),
-	}, nil
+		now:          time.Now,
+	}
 }
 
 // BuildMember builds shard index of a shards-wide topology from the full
@@ -105,17 +97,8 @@ func BuildMember(inst *tops.Instance, index int, opts Options) (*Member, error) 
 	if index < 0 || index >= opts.Shards {
 		return nil, fmt.Errorf("shard: member index %d outside [0, %d)", index, opts.Shards)
 	}
-	if opts.Build.TauMin <= 0 || opts.Build.TauMax <= 0 {
-		tmin, tmax := core.EstimateTauRange(inst)
-		if opts.Build.TauMin <= 0 {
-			opts.Build.TauMin = tmin
-		}
-		if opts.Build.TauMax <= 0 {
-			opts.Build.TauMax = tmax
-		}
-	}
-	if opts.Build.TauMin >= opts.Build.TauMax {
-		return nil, fmt.Errorf("shard: τmin %v >= τmax %v", opts.Build.TauMin, opts.Build.TauMax)
+	if err := deriveLadderRange(inst, &opts.Build); err != nil {
+		return nil, err
 	}
 	insts := shardInstances(part, inst)
 	bopts := opts.Build
@@ -130,13 +113,7 @@ func BuildMember(inst *tops.Instance, index int, opts Options) (*Member, error) 
 	if err != nil {
 		return nil, fmt.Errorf("shard: member %d engine: %w", index, err)
 	}
-	return &Member{
-		Engine:       eng,
-		part:         part,
-		index:        index,
-		initialSites: append([]roadnet.NodeID(nil), inst.Sites...),
-		sessions:     make(map[string]*memberSession),
-	}, nil
+	return newMember(eng, part, index, append([]roadnet.NodeID(nil), inst.Sites...)), nil
 }
 
 // ShardIndex returns which shard of the topology this member is.
@@ -145,45 +122,33 @@ func (m *Member) ShardIndex() int { return m.index }
 // Meta assembles the /v1/shard/meta response.
 func (m *Member) Meta() MemberMeta {
 	idx := m.Engine.Index()
-	tmin, tmax := idx.TauRange()
-	live := idx.TopsInstance().Sites
-	meta := MemberMeta{
-		Shards:      m.part.Shards(),
-		Index:       m.index,
-		Partitioner: m.part.Name(),
-		TauMin:      tmin,
-		TauMax:      tmax,
-		Gamma:       idx.Gamma(),
-		Rungs:       len(idx.Instances),
-		Sites:       make([]int64, len(live)),
-		LSN:         m.LSN(),
-		Epoch:       m.Epoch(),
+	return MemberMeta{
+		Shards:       m.part.Shards(),
+		Index:        m.index,
+		Partitioner:  m.part.Name(),
+		Ladder:       ladderOf(idx),
+		Sites:        append([]roadnet.NodeID{}, idx.TopsInstance().Sites...),
+		InitialSites: m.initialSites,
+		LSN:          m.LSN(),
+		Epoch:        m.Epoch(),
 	}
-	for i, v := range live {
-		meta.Sites[i] = int64(v)
+}
+
+// checkInstance rejects a ladder instance index this member does not hold.
+func (m *Member) checkInstance(p int) error {
+	if n := len(m.Engine.Index().Instances); p < 0 || p >= n {
+		return fmt.Errorf("shard: instance %d outside ladder [0, %d)", p, n)
 	}
-	if m.initialSites != nil {
-		meta.InitialSites = make([]int64, len(m.initialSites))
-		for i, v := range m.initialSites {
-			meta.InitialSites[i] = int64(v)
-		}
-	}
-	return meta
+	return nil
 }
 
 // Reps lists instance p's representatives for the router's ownership
 // reduce (GET /v1/shard/reps).
-func (m *Member) Reps(p int) ([]WireRep, error) {
-	idx := m.Engine.Index()
-	if p < 0 || p >= len(idx.Instances) {
-		return nil, fmt.Errorf("shard: instance %d outside ladder [0, %d)", p, len(idx.Instances))
+func (m *Member) Reps(p int) ([]core.RepInfo, error) {
+	if err := m.checkInstance(p); err != nil {
+		return nil, err
 	}
-	ris := m.RepInfos(p)
-	out := make([]WireRep, len(ris))
-	for i, ri := range ris {
-		out[i] = WireRep{Cluster: int32(ri.Cluster), Node: int64(ri.Node), Dr: ri.Dr}
-	}
-	return out, nil
+	return m.RepInfos(p), nil
 }
 
 // Owner reports the shard the partitioner routes node v to — the router's
@@ -209,16 +174,24 @@ func (m *Member) DeleteSite(v roadnet.NodeID) error {
 	return m.Engine.DeleteSite(v)
 }
 
-// Start opens a query session: fill the masked cover for (p, ψ), seed the
-// marginals, and answer the round-0 candidate. The cover snapshot is
-// immutable (finalized CoverSets), so the session stays consistent even
-// if mutations land between rounds.
+// Start opens a query session: fill the masked cover for (p, ψ), open the
+// round state over it, and answer the round-0 candidate. The cover
+// snapshot is immutable (finalized CoverSets), so the session stays
+// consistent even if mutations land between rounds.
 func (m *Member) Start(ctx context.Context, req *StartRequest) (*RoundReply, error) {
 	if req.QID == "" {
 		return nil, fmt.Errorf("shard: start needs a qid")
 	}
+	if err := m.checkInstance(req.P); err != nil {
+		return nil, err
+	}
 	if len(req.Mask) != len(req.MaskGlobal) {
 		return nil, fmt.Errorf("shard: mask (%d) and mask_global (%d) lengths differ", len(req.Mask), len(req.MaskGlobal))
+	}
+	for i := 1; i < len(req.Mask); i++ {
+		if req.Mask[i] <= req.Mask[i-1] {
+			return nil, fmt.Errorf("shard: mask must be strictly ascending")
+		}
 	}
 	pref, err := req.Pref.Preference()
 	if err != nil {
@@ -227,44 +200,16 @@ func (m *Member) Start(ctx context.Context, req *StartRequest) (*RoundReply, err
 	if err := pref.Validate(); err != nil {
 		return nil, err
 	}
-	mask := make([]core.ClusterID, len(req.Mask))
-	for i, c := range req.Mask {
-		mask[i] = core.ClusterID(c)
-		if i > 0 && mask[i] <= mask[i-1] {
-			return nil, fmt.Errorf("shard: mask must be strictly ascending")
-		}
-	}
-	cs, reps, err := m.CoverMasked(ctx, req.P, pref, mask)
+	cs, reps, err := m.CoverMasked(ctx, req.P, pref, req.Mask)
 	if err != nil {
 		return nil, err
 	}
-	// Merge the returned reps against the mask (both ascending by cluster)
-	// into the local→global index map — the cross-process face of the
-	// in-process scatter's g2l construction. A returned cluster the mask
-	// no longer names (possible only under concurrent mutation) is not a
-	// winner: -1, permanently selected.
-	g2l := make([]int32, len(reps))
-	mi := 0
-	for li, ci := range reps {
-		g2l[li] = -1
-		for mi < len(mask) && mask[mi] < ci {
-			mi++
-		}
-		if mi < len(mask) && mask[mi] == ci {
-			g2l[li] = req.MaskGlobal[mi]
-			mi++
-		}
+	ses := openSession(cs, reps, req.Mask, req.MaskGlobal, false)
+	ses.touched = m.now()
+	reply := &RoundReply{M: cs.M}
+	if c, ok := ses.step(-1, nil); ok {
+		reply.Cand = &c
 	}
-	ses := &memberSession{
-		cs:       cs,
-		g2l:      g2l,
-		marg:     make([]float64, len(reps)),
-		selected: make([]bool, len(reps)),
-		lastLI:   -1,
-		touched:  time.Now(),
-	}
-	seedLocalMarginals(cs, g2l, ses.marg, ses.selected)
-	reply := &RoundReply{M: cs.M, Cand: ses.takeCandidate()}
 	m.sesMu.Lock()
 	m.sweepLocked()
 	m.sessions[req.QID] = ses
@@ -272,8 +217,7 @@ func (m *Member) Start(ctx context.Context, req *StartRequest) (*RoundReply, err
 	return reply, nil
 }
 
-// Step advances a session one round: mark our candidate selected if it
-// won, absorb the winner's utility deltas, and answer the next candidate.
+// Step advances a session one round.
 func (m *Member) Step(req *StepRequest) (*RoundReply, error) {
 	m.sesMu.Lock()
 	ses := m.sessions[req.QID]
@@ -283,12 +227,12 @@ func (m *Member) Step(req *StepRequest) (*RoundReply, error) {
 	}
 	ses.mu.Lock()
 	defer ses.mu.Unlock()
-	ses.touched = time.Now()
-	if ses.lastLI >= 0 && ses.lastGI == req.WinnerGI {
-		ses.selected[ses.lastLI] = true
+	ses.touched = m.now()
+	reply := &RoundReply{}
+	if c, ok := ses.step(req.WinnerGI, req.Deltas); ok {
+		reply.Cand = &c
 	}
-	applyWinnerDeltas(ses.cs, ses.marg, req.Deltas)
-	return &RoundReply{Cand: ses.takeCandidate()}, nil
+	return reply, nil
 }
 
 // End releases a session. Missing sessions are fine: End is best-effort
@@ -299,18 +243,9 @@ func (m *Member) End(qid string) {
 	m.sesMu.Unlock()
 }
 
-// Sessions reports the live session count (expiring stale ones first).
-func (m *Member) Sessions() int {
-	m.sesMu.Lock()
-	defer m.sesMu.Unlock()
-	m.lastSweep = time.Time{} // force
-	m.sweepLocked()
-	return len(m.sessions)
-}
-
 // sweepLocked drops sessions idle past sessionTTL, at most once per 30s.
 func (m *Member) sweepLocked() {
-	now := time.Now()
+	now := m.now()
 	if now.Sub(m.lastSweep) < 30*time.Second {
 		return
 	}
@@ -322,27 +257,5 @@ func (m *Member) sweepLocked() {
 		if stale {
 			delete(m.sessions, qid)
 		}
-	}
-}
-
-// takeCandidate records and returns the session's current argmax (with
-// its TC list, so the gather can apply a win without another round trip),
-// or nil when every owned representative is selected. Caller holds ses.mu
-// (or exclusive access at start).
-func (ses *memberSession) takeCandidate() *WireCand {
-	best := argmaxLocal(ses.cs, ses.g2l, ses.marg, ses.selected)
-	if best < 0 {
-		ses.lastLI = -1
-		return nil
-	}
-	trajs, scores := ses.cs.TC(int32(best))
-	ses.lastLI = best
-	ses.lastGI = ses.g2l[best]
-	return &WireCand{
-		GI:     ses.g2l[best],
-		Marg:   ses.marg[best],
-		Weight: ses.cs.Weights[best],
-		Trajs:  trajs,
-		Scores: scores,
 	}
 }

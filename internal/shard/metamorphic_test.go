@@ -75,33 +75,49 @@ func TestPartitionerInvariance(t *testing.T) {
 }
 
 func TestGatherOrderInvariance(t *testing.T) {
-	// The gather's reduce is a strict total order, so permuting the shard
-	// enumeration must not change any answer (including under the inline
-	// sequential reduce the batch path uses).
+	// The coordinator's reduce is a strict total order, so permuting the
+	// order it enumerates the shards' sessions in must not change any
+	// answer.
 	inst, _ := buildFixture(t, 419)
 	s := shardedEngine(t, inst, 4, HashPartitioner)
 	ctx := context.Background()
-	base := make([]*core.QueryResult, 0)
+	rng := rand.New(rand.NewSource(7))
 	for _, q := range queryGrid() {
-		res, err := s.Query(ctx, q)
+		base, err := s.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base = append(base, res)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 4; trial++ {
-		order := rng.Perm(4)
-		s.gatherOrder = order
-		for i, q := range queryGrid() {
-			res, err := s.Query(ctx, q)
+		p := s.shards[0].eng.InstanceFor(q.Pref.Tau)
+		own := s.ownership(p)
+		gs, err := s.scatter(ctx, p, q.Pref, own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gs.covers) < 3 {
+			t.Fatalf("only %d owning shards: the permutations below would prove nothing", len(gs.covers))
+		}
+		for trial := 0; trial < 4; trial++ {
+			hs := make([]Handle, len(gs.covers))
+			for i, j := range rng.Perm(len(gs.covers)) {
+				sc := gs.covers[j]
+				hs[i] = Handle{Shard: sc.shard, Session: openSession(sc.cs, sc.reps, own.Masks[sc.shard], own.MasksGI[sc.shard], true)}
+			}
+			var g Gather
+			res, err := g.Run(ctx, q.K, hs, Inline)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameAnswer(t, "gather-order invariance", res, base[i])
+			got := &core.QueryResult{
+				EstimatedUtility: res.Utility, EstimatedCovered: res.Covered,
+				InstanceUsed: p, NumRepresentatives: len(own.Winners),
+			}
+			for _, gi := range res.Selected {
+				got.Sites = append(got.Sites, own.Winners[gi].Node)
+				got.SiteIDs = append(got.SiteIDs, s.sites.ID(own.Winners[gi].Node))
+			}
+			sameAnswer(t, "gather-order invariance", got, base)
 		}
 	}
-	s.gatherOrder = nil
 }
 
 // TestShardedDisableCoverCache pins the caching policy pass-through: with

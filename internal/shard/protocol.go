@@ -1,59 +1,43 @@
 package shard
 
 import (
-	"fmt"
-
+	"netclus/internal/core"
+	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 )
 
-// The distributed-greedy round protocol, extracted into wire-codable
-// messages so the scatter/gather of shard.Sharded runs identically across
-// process boundaries (internal/router fronting N topsserve shard members).
+// The distributed-greedy round protocol in wire-codable messages: the
+// HTTP transport of the one coordinator (gather.go) over the one per-shard
+// round state (session.go). In process, shard.Sharded hands the
+// coordinator its sessions directly; across processes, internal/router
+// hands it handles that speak these messages to N topsserve shard members,
+// each keeping the same sessions in a qid table (member.go).
 //
-// One query is a session: the gather side (in-process gatherSet, or the
-// router) sends each owning shard a StartRequest carrying the ladder
-// instance, the preference in wire form, and the shard's ownership mask;
-// the shard fills its masked cover, seeds its marginals, and answers with
-// its local argmax candidate plus that candidate's trajectory-score (TC)
-// list. The gather reduces the candidates under tops.GreaterSite, applies
-// the winner's TC list to its utility vector (ApplyWinner), and broadcasts
-// the resulting utility deltas in a StepRequest; each shard absorbs them,
-// re-takes its argmax, and answers again. Every float64 op on both sides
-// is shared with the in-process gather (the helpers below are called by
-// greedy.go too), and Go's encoding/json emits float64 with the shortest
-// round-trip representation, so all values — marginals, weights, scores,
-// deltas — survive the wire bit-for-bit. That is what keeps a router-tier
-// answer float-op-for-float-op identical to the single-process engine.
+// One query is a session per owning shard: a StartRequest carries the
+// ladder instance, the preference in wire form, and the shard's ownership
+// mask; the shard fills its masked cover, opens a session over it, and
+// answers with its local argmax candidate plus that candidate's
+// trajectory-score (TC) list. The coordinator reduces the candidates,
+// applies the winner's TC list to its utility vector, and broadcasts the
+// resulting utility deltas in a StepRequest; each shard absorbs them,
+// re-takes its argmax, and answers again. Go's encoding/json emits float64
+// with the shortest round-trip representation, so all values — marginals,
+// weights, scores, deltas — survive the wire bit-for-bit. That is what
+// keeps a router-tier answer float-op-for-float-op identical to the
+// single-process engine.
 
 // WirePref is a preference in wire form: the serving layer's (name, τ, λ)
-// triple, re-lowered to a tops.Preference on the receiving side with the
-// exact constructor the /v1/query decoder uses.
+// triple, re-lowered to a tops.Preference on the receiving side by the
+// function the /v1/query decoder uses.
 type WirePref struct {
 	Name   string  `json:"name"`
 	Tau    float64 `json:"tau"`
 	Lambda float64 `json:"lambda,omitempty"`
 }
 
-// Preference lowers the wire form. The switch mirrors the /v1/query
-// decoder so a preference crossing the shard wire reconstructs the same
-// function the front door would have built.
+// Preference lowers the wire form.
 func (w WirePref) Preference() (tops.Preference, error) {
-	switch w.Name {
-	case "", "binary":
-		return tops.Binary(w.Tau), nil
-	case "linear":
-		return tops.Linear(w.Tau), nil
-	case "convex":
-		return tops.ConvexQuadratic(w.Tau), nil
-	case "exp":
-		lambda := w.Lambda
-		if lambda == 0 {
-			lambda = 1
-		}
-		return tops.ExpDecay(w.Tau, lambda), nil
-	default:
-		return tops.Preference{}, fmt.Errorf("shard: unknown preference %q", w.Name)
-	}
+	return tops.PreferenceByName(w.Name, w.Tau, w.Lambda)
 }
 
 // UtilDelta is one trajectory's utility improvement from a selection
@@ -62,15 +46,6 @@ type UtilDelta struct {
 	Traj int32   `json:"t"`
 	OldU float64 `json:"o"`
 	NewU float64 `json:"n"`
-}
-
-// WireRep is one representative row of GET /v1/shard/reps: the inputs of
-// the gather-side ownership reduce (per cluster, the shard with minimal
-// (dr, node) owns it — the single-shard representative tie-break).
-type WireRep struct {
-	Cluster int32   `json:"c"`
-	Node    int64   `json:"v"`
-	Dr      float64 `json:"dr"`
 }
 
 // StartRequest opens a query session on one shard member
@@ -85,8 +60,8 @@ type StartRequest struct {
 	// Mask lists the clusters this shard owns (ascending), and MaskGlobal
 	// the global dense representative index of each — the positions the
 	// shard's candidates occupy in the single-shard representative space.
-	Mask       []int64 `json:"mask"`
-	MaskGlobal []int32 `json:"mask_global"`
+	Mask       []core.ClusterID `json:"mask"`
+	MaskGlobal []int32          `json:"mask_global"`
 }
 
 // StepRequest advances a session one round (POST /v1/shard/query/step):
@@ -134,29 +109,24 @@ type WireCand struct {
 // (core.InstanceForTau), and the site lists that seed the router's global
 // dense-id mirror.
 type MemberMeta struct {
-	Shards      int     `json:"shards"`
-	Index       int     `json:"index"`
-	Partitioner string  `json:"partitioner"`
-	TauMin      float64 `json:"tau_min"`
-	TauMax      float64 `json:"tau_max"`
-	Gamma       float64 `json:"gamma"`
-	Rungs       int     `json:"rungs"`
+	Shards      int    `json:"shards"`
+	Index       int    `json:"index"`
+	Partitioner string `json:"partitioner"`
+	Ladder
 	// Sites is this shard's live site list in its own dense order.
-	Sites []int64 `json:"sites"`
+	Sites []roadnet.NodeID `json:"sites"`
 	// InitialSites is the full global site order the member was built
 	// from, when it still knows it (a member recovered from a checkpoint
 	// does not). All members of one build report the same list; the router
 	// seeds its dense-id mirror from it so SiteIDs match the single-process
 	// engine's.
-	InitialSites []int64 `json:"initial_sites,omitempty"`
-	LSN          uint64  `json:"lsn"`
-	Epoch        uint64  `json:"epoch"`
+	InitialSites []roadnet.NodeID `json:"initial_sites,omitempty"`
+	LSN          uint64           `json:"lsn"`
+	Epoch        uint64           `json:"epoch"`
 }
 
-// The round arithmetic, shared between the in-process gather (greedy.go)
-// and the cross-process member/router pair. Keeping these loops in one
-// place is what makes "bit-exact across the wire" a structural property
-// instead of a copy-discipline one.
+// The round arithmetic: the float loops the sessions and the coordinator
+// run, whichever transport sits between them.
 
 // seedLocalMarginals fills one shard's round-0 marginals: each owned
 // representative's initial marginal is its TC scores summed left to right
@@ -248,7 +218,7 @@ func argmaxLocal(cs *tops.CoverSets, g2l []int32, marg []float64, selected []boo
 // utility vector: trajectories whose score beats their current utility
 // move up, each improvement is recorded as a delta (appended into buf),
 // and newly covered trajectories are counted. The exact float sequence of
-// Algorithm 1's utility update, exported because the router is a gather.
+// Algorithm 1's utility update.
 func ApplyWinner(util []float64, trajs []int32, scores []float64, buf []UtilDelta) ([]UtilDelta, int) {
 	covered := 0
 	for i, tr := range trajs {

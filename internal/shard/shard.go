@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,16 +62,14 @@ type Sharded struct {
 	shards []*shardState
 	opts   Options
 
-	// Global dense site-id mirror: replicates the single-shard index's
-	// bookkeeping (append on add, swap-remove on delete) over the full
-	// site set, so QueryResult.SiteIDs match the single-shard engine.
-	sites  []roadnet.NodeID
-	siteID map[roadnet.NodeID]int32
+	// sites is the global dense site-id mirror, so QueryResult.SiteIDs
+	// match the single-shard engine.
+	sites *SiteMirror
 
-	// Cluster ownership per ladder instance, derived lazily and dropped on
-	// every site mutation.
+	// Cluster ownership per ladder instance, derived lazily and patched in
+	// place on every site mutation.
 	ownMu sync.Mutex
-	own   map[int]*ownership
+	own   map[int]*Ownership
 
 	// sink receives the global mutation stream when a log is attached (the
 	// per-shard engines never log: the Sharded layer is the system of
@@ -92,10 +89,6 @@ type Sharded struct {
 	canceled     atomic.Uint64
 	coverNanos   atomic.Int64
 	greedyNanos  atomic.Int64
-
-	// gatherOrder is a test hook: when non-nil it permutes the order the
-	// gather enumerates shards in, to assert enumeration-order invariance.
-	gatherOrder []int
 }
 
 // Build partitions inst's candidate sites across opts.Shards shards, builds
@@ -113,19 +106,8 @@ func Build(inst *tops.Instance, opts Options) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One ladder for every shard: derive the τ range from the FULL site
-	// set up front, exactly as core.Build would.
-	if opts.Build.TauMin <= 0 || opts.Build.TauMax <= 0 {
-		tmin, tmax := core.EstimateTauRange(inst)
-		if opts.Build.TauMin <= 0 {
-			opts.Build.TauMin = tmin
-		}
-		if opts.Build.TauMax <= 0 {
-			opts.Build.TauMax = tmax
-		}
-	}
-	if opts.Build.TauMin >= opts.Build.TauMax {
-		return nil, fmt.Errorf("shard: τmin %v >= τmax %v", opts.Build.TauMin, opts.Build.TauMax)
+	if err := deriveLadderRange(inst, &opts.Build); err != nil {
+		return nil, err
 	}
 	insts := shardInstances(part, inst)
 
@@ -181,26 +163,20 @@ func shardInstances(part Partitioner, inst *tops.Instance) []*tops.Instance {
 // validating that all shards share one ladder.
 func assemble(inst *tops.Instance, part Partitioner, insts []*tops.Instance, idxs []*core.Index, opts Options) (*Sharded, error) {
 	s := &Sharded{
-		g:      inst.G,
-		part:   part,
-		opts:   opts,
-		sites:  append([]roadnet.NodeID(nil), inst.Sites...),
-		siteID: make(map[roadnet.NodeID]int32, len(inst.Sites)),
-		own:    make(map[int]*ownership),
+		g:     inst.G,
+		part:  part,
+		opts:  opts,
+		sites: NewSiteMirror(inst.Sites),
+		own:   make(map[int]*Ownership),
 	}
-	for i, v := range s.sites {
-		s.siteID[v] = int32(i)
-	}
-	var tmin0, tmax0, gamma0 float64
-	var rungs0 int
+	ladders := make([]Ladder, len(idxs))
 	for j, idx := range idxs {
-		tmin, tmax := idx.TauRange()
-		if j == 0 {
-			tmin0, tmax0, gamma0, rungs0 = tmin, tmax, idx.Gamma(), len(idx.Instances)
-		} else if tmin != tmin0 || tmax != tmax0 || idx.Gamma() != gamma0 || len(idx.Instances) != rungs0 {
-			return nil, fmt.Errorf("shard: shard %d ladder (γ=%v τ=[%v,%v) rungs=%d) differs from shard 0 (γ=%v τ=[%v,%v) rungs=%d)",
-				j, idx.Gamma(), tmin, tmax, len(idx.Instances), gamma0, tmin0, tmax0, rungs0)
-		}
+		ladders[j] = ladderOf(idx)
+	}
+	if err := CheckLadders(ladders); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	for j, idx := range idxs {
 		eng, err := engine.New(idx, opts.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("shard: shard %d engine: %w", j, err)
@@ -224,71 +200,22 @@ func (s *Sharded) Graph() *roadnet.Graph { return s.g }
 func (s *Sharded) Sites() []roadnet.NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]roadnet.NodeID(nil), s.sites...)
-}
-
-// winner is one cluster's globally best representative: the shard holding
-// it and the representative node.
-type winner struct {
-	cluster core.ClusterID
-	shard   int32
-	node    roadnet.NodeID
-}
-
-// ownership maps one ladder instance's clusters to their owning shards. The
-// winners slice is ascending by cluster, so position i is exactly the dense
-// representative index i of a single-shard query on the same instance.
-type ownership struct {
-	winners []winner
-	masks   [][]core.ClusterID // per shard: owned clusters, ascending
+	return append([]roadnet.NodeID(nil), s.sites.Sites()...)
 }
 
 // ownership derives (or returns the cached) cluster ownership of instance
-// p: per cluster, the shard whose representative has minimal (dr, node) —
-// the exact tie-break of the single-shard representative choice, so the
-// union of owned representatives is the single-shard representative set.
-// The reduction runs over dense per-cluster slices (cluster ids are dense
-// int32s), and emitting in cluster order makes the winner list sorted by
-// construction.
-func (s *Sharded) ownership(p int) *ownership {
+// p from every shard's representatives.
+func (s *Sharded) ownership(p int) *Ownership {
 	s.ownMu.Lock()
 	defer s.ownMu.Unlock()
 	if o := s.own[p]; o != nil {
 		return o
 	}
-	infos := make([][]core.RepInfo, len(s.shards))
-	maxCi := core.ClusterID(-1)
+	rows := make([][]core.RepInfo, len(s.shards))
 	for j, sh := range s.shards {
-		infos[j] = sh.eng.RepInfos(p)
-		for _, ri := range infos[j] {
-			if ri.Cluster > maxCi {
-				maxCi = ri.Cluster
-			}
-		}
+		rows[j] = sh.eng.RepInfos(p)
 	}
-	n := int(maxCi) + 1
-	bestShard := make([]int32, n)
-	bestNode := make([]roadnet.NodeID, n)
-	bestDr := make([]float64, n)
-	for i := range bestShard {
-		bestShard[i] = -1
-	}
-	for j, ris := range infos {
-		for _, ri := range ris {
-			c := ri.Cluster
-			if bestShard[c] < 0 || ri.Dr < bestDr[c] || (ri.Dr == bestDr[c] && ri.Node < bestNode[c]) {
-				bestShard[c], bestNode[c], bestDr[c] = int32(j), ri.Node, ri.Dr
-			}
-		}
-	}
-	o := &ownership{masks: make([][]core.ClusterID, len(s.shards))}
-	for c := 0; c < n; c++ {
-		if bestShard[c] < 0 {
-			continue
-		}
-		o.winners = append(o.winners, winner{cluster: core.ClusterID(c), shard: bestShard[c], node: bestNode[c]})
-		o.masks[bestShard[c]] = append(o.masks[bestShard[c]], core.ClusterID(c))
-	}
+	o := ReduceOwnership(rows)
 	s.own[p] = o
 	return o
 }
@@ -308,156 +235,72 @@ func (s *Sharded) updateOwnershipAt(v roadnet.NodeID) {
 		if ci == core.InvalidCluster {
 			continue
 		}
-		var nw winner
-		var nwDr float64
-		has := false
+		var best core.RepInfo
+		owner := int32(-1)
 		for j, sh := range s.shards {
-			ri, ok := sh.eng.RepOfCluster(p, ci)
-			if !ok {
-				continue
-			}
-			if !has || ri.Dr < nwDr || (ri.Dr == nwDr && ri.Node < nw.node) {
-				nw = winner{cluster: ci, shard: int32(j), node: ri.Node}
-				nwDr = ri.Dr
-				has = true
+			if ri, ok := sh.eng.RepOfCluster(p, ci); ok && (owner < 0 || closerRep(ri, best)) {
+				owner, best = int32(j), ri
 			}
 		}
-		pos := sort.Search(len(own.winners), func(i int) bool { return own.winners[i].cluster >= ci })
-		had := pos < len(own.winners) && own.winners[pos].cluster == ci
-		switch {
-		case has && had:
-			old := own.winners[pos]
-			own.winners[pos] = nw
-			if old.shard != nw.shard {
-				own.masks[old.shard] = maskRemove(own.masks[old.shard], ci)
-				own.masks[nw.shard] = maskInsert(own.masks[nw.shard], ci)
-			}
-		case has && !had:
-			own.winners = append(own.winners, winner{})
-			copy(own.winners[pos+1:], own.winners[pos:])
-			own.winners[pos] = nw
-			own.masks[nw.shard] = maskInsert(own.masks[nw.shard], ci)
-		case !has && had:
-			old := own.winners[pos]
-			own.winners = append(own.winners[:pos], own.winners[pos+1:]...)
-			own.masks[old.shard] = maskRemove(own.masks[old.shard], ci)
-		}
+		own.setWinner(ci, owner, best.Node)
 	}
 }
 
-// maskInsert adds ci to a sorted cluster mask.
-func maskInsert(mask []core.ClusterID, ci core.ClusterID) []core.ClusterID {
-	pos := sort.Search(len(mask), func(i int) bool { return mask[i] >= ci })
-	if pos < len(mask) && mask[pos] == ci {
-		return mask
-	}
-	mask = append(mask, 0)
-	copy(mask[pos+1:], mask[pos:])
-	mask[pos] = ci
-	return mask
-}
-
-// maskRemove deletes ci from a sorted cluster mask.
-func maskRemove(mask []core.ClusterID, ci core.ClusterID) []core.ClusterID {
-	pos := sort.Search(len(mask), func(i int) bool { return mask[i] >= ci })
-	if pos < len(mask) && mask[pos] == ci {
-		return append(mask[:pos], mask[pos+1:]...)
-	}
-	return mask
-}
-
-// gatherSet is one scatter's result: per-shard masked covers plus the
-// local→global dense index mapping that stitches them into the single-shard
-// representative space.
+// gatherSet is one scatter's result: the owning shards' masked covers, in
+// ascending shard order, under the ownership they were fetched for.
 type gatherSet struct {
-	own *ownership
-	n   int // number of winners == single-shard representative count
-	m   int // trajectory universe size (max over shard covers)
-	loc []*shardCover
+	own    *Ownership
+	covers []shardCover
 }
 
 // shardCover is one shard's slice of the query: its masked cover and the
-// mapping from its local dense representative index to the global one.
+// clusters its local dense representative indices stand for.
 type shardCover struct {
 	shard int
 	cs    *tops.CoverSets
-	g2l   []int32 // local rep index -> global winner index, -1 = not a winner
+	reps  []core.ClusterID
 }
 
 // scatter fetches every owning shard's masked cover for (p, ψ) — in
-// parallel when the machine has the cores for it — and builds the gather
-// set. Cover wall time is accounted to the cover phase.
-func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own *ownership, parallel bool) (*gatherSet, error) {
+// parallel when the machine has the cores for it, which is where
+// multi-core sharding earns its keep: a cover fill is milliseconds, a
+// greedy round microseconds. Cover wall time is accounted to the cover
+// phase.
+func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own *Ownership) (*gatherSet, error) {
 	t0 := time.Now()
 	defer func() { s.coverNanos.Add(time.Since(t0).Nanoseconds()) }()
 
-	type fetch struct {
-		cs   *tops.CoverSets
-		reps []core.ClusterID
-		err  error
+	gs := &gatherSet{own: own, covers: make([]shardCover, 0, len(s.shards))}
+	for j := range s.shards {
+		if len(own.Masks[j]) > 0 {
+			gs.covers = append(gs.covers, shardCover{shard: j})
+		}
 	}
-	fetches := make([]fetch, len(s.shards))
-	run := func(j int) {
-		sh := s.shards[j]
+	errs := make([]error, len(gs.covers))
+	fetch := func(i int) {
+		sc := &gs.covers[i]
+		sh := s.shards[sc.shard]
 		sh.scatters.Add(1)
 		sh.inFlight.Add(1)
 		defer sh.inFlight.Add(-1)
-		fetches[j].cs, fetches[j].reps, fetches[j].err = sh.eng.CoverMasked(ctx, p, pref, own.masks[j])
+		sc.cs, sc.reps, errs[i] = sh.eng.CoverMasked(ctx, p, pref, own.Masks[sc.shard])
 	}
-	active := make([]int, 0, len(s.shards))
-	for j := range s.shards {
-		if len(own.masks[j]) > 0 {
-			active = append(active, j)
-		}
-	}
-	if parallel && len(active) > 1 {
+	if runtime.GOMAXPROCS(0) > 1 && len(gs.covers) > 1 {
 		var wg sync.WaitGroup
-		for _, j := range active {
+		for i := range gs.covers {
 			wg.Add(1)
-			go func(j int) { defer wg.Done(); run(j) }(j)
+			go func() { defer wg.Done(); fetch(i) }()
 		}
 		wg.Wait()
 	} else {
-		for _, j := range active {
-			run(j)
+		for i := range gs.covers {
+			fetch(i)
 		}
 	}
-
-	gs := &gatherSet{own: own, n: len(own.winners)}
-	// globalIdx[cluster] via merge: winners and each shard's returned reps
-	// are both ascending by cluster.
-	order := active
-	if s.gatherOrder != nil {
-		order = make([]int, 0, len(active))
-		for _, j := range s.gatherOrder {
-			for _, a := range active {
-				if a == j {
-					order = append(order, j)
-				}
-			}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-	}
-	for _, j := range order {
-		f := fetches[j]
-		if f.err != nil {
-			return nil, f.err
-		}
-		sc := &shardCover{shard: j, cs: f.cs, g2l: make([]int32, len(f.reps))}
-		wi := 0
-		for li, ci := range f.reps {
-			sc.g2l[li] = -1
-			for wi < gs.n && own.winners[wi].cluster < ci {
-				wi++
-			}
-			if wi < gs.n && own.winners[wi].cluster == ci && own.winners[wi].shard == int32(j) {
-				sc.g2l[li] = int32(wi)
-				wi++
-			}
-		}
-		if f.cs.M > gs.m {
-			gs.m = f.cs.M
-		}
-		gs.loc = append(gs.loc, sc)
 	}
 	return gs, nil
 }
@@ -475,18 +318,18 @@ func (s *Sharded) accountErr(err error) error {
 
 // Query answers one TOPS query by scatter-gather, bit-exact against the
 // single-shard engine. The context cancels the scatter at the shard fills'
-// checkpoints and is re-checked before the gather greedy.
+// checkpoints and is re-checked before every gather round.
 func (s *Sharded) Query(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res, err := s.serve(ctx, opts, runtime.GOMAXPROCS(0) > 1)
+	res, err := s.serve(ctx, opts)
 	if err == nil {
 		s.queries.Add(1)
 	}
 	return res, s.accountErr(err)
 }
 
-func (s *Sharded) serve(ctx context.Context, opts core.QueryOptions, parallel bool) (*core.QueryResult, error) {
+func (s *Sharded) serve(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error) {
 	if err := opts.Pref.Validate(); err != nil {
 		return nil, err
 	}
@@ -497,81 +340,80 @@ func (s *Sharded) serve(ctx context.Context, opts core.QueryOptions, parallel bo
 		return nil, err
 	}
 	p := s.shards[0].eng.InstanceFor(opts.Pref.Tau)
-	own := s.ownership(p)
-	gs, err := s.scatter(ctx, p, opts.Pref, own, parallel)
+	gs, err := s.scatter(ctx, p, opts.Pref, s.ownership(p))
 	if err != nil {
 		return nil, err
 	}
-	return s.answer(ctx, gs, p, opts, parallel)
+	return s.answer(ctx, gs, p, opts)
 }
 
-// answer runs the gather phase: the distributed greedy on the common path,
-// or the merged-cover fallback for query modes with extra greedy state (FM
-// sketches, lazy evaluation, existing services, target coverage).
-func (s *Sharded) answer(ctx context.Context, gs *gatherSet, p int, opts core.QueryOptions, parallel bool) (*core.QueryResult, error) {
-	if gs.n == 0 {
+var gatherPool = sync.Pool{New: func() any { return new(Gather) }}
+
+// answer runs the gather phase. The common path is the distributed greedy:
+// the coordinator over one in-process session per fetched cover, rounds
+// inline. Query modes with extra greedy state (FM sketches, lazy
+// evaluation, existing services, target coverage) run on the merged cover
+// instead.
+func (s *Sharded) answer(ctx context.Context, gs *gatherSet, p int, opts core.QueryOptions) (*core.QueryResult, error) {
+	n := len(gs.own.Winners)
+	if n == 0 {
 		return nil, fmt.Errorf("shard: instance %d has no cluster representatives (no candidate sites?)", p)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	k := opts.K
-	if k > gs.n {
-		k = gs.n
-	}
+	k := min(opts.K, n)
 	t0 := time.Now()
 	defer func() { s.greedyNanos.Add(time.Since(t0).Nanoseconds()) }()
 
+	pooled := !s.opts.Engine.DisablePooling
 	var res tops.Result
 	var err error
-	var g *greedyScratch
-	if opts.UseFM || opts.Greedy.Lazy || len(opts.Greedy.InitialSites) > 0 || opts.Greedy.TargetCoverage > 0 {
-		cs := gs.merged()
-		if opts.UseFM {
-			res, err = tops.FMGreedy(cs, tops.FMGreedyOptions{K: k, F: opts.F, Seed: opts.Seed})
+	var g *Gather
+	switch {
+	case opts.UseFM:
+		res, err = tops.FMGreedy(gs.merged(), tops.FMGreedyOptions{K: k, F: opts.F, Seed: opts.Seed})
+	case opts.Greedy.Lazy || len(opts.Greedy.InitialSites) > 0 || opts.Greedy.TargetCoverage > 0:
+		gopts := opts.Greedy
+		gopts.K = k
+		if gopts.TargetCoverage > 0 {
+			gopts.K = n
+		}
+		res, err = tops.IncGreedy(gs.merged(), gopts)
+	default:
+		if pooled {
+			g = gatherPool.Get().(*Gather)
 		} else {
-			gopts := opts.Greedy
-			gopts.K = k
-			if gopts.TargetCoverage > 0 {
-				gopts.K = gs.n
-			}
-			res, err = tops.IncGreedy(cs, gopts)
+			g = new(Gather)
 		}
-		if err != nil {
-			return nil, err
+		hs := make([]Handle, len(gs.covers))
+		for i, sc := range gs.covers {
+			hs[i] = Handle{Shard: sc.shard, Session: openSession(sc.cs, sc.reps, gs.own.Masks[sc.shard], gs.own.MasksGI[sc.shard], pooled)}
 		}
-	} else {
-		if s.opts.Engine.DisablePooling {
-			g = new(greedyScratch)
-		} else {
-			g = greedyScratchPool.Get().(*greedyScratch)
-		}
-		res = gs.greedy(k, parallel, g)
+		res, err = g.Run(ctx, k, hs, Inline)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	var out *core.QueryResult
-	if s.opts.Engine.DisablePooling {
-		out = &core.QueryResult{}
-	} else {
+	if pooled {
 		out = core.AcquireQueryResult()
+	} else {
+		out = &core.QueryResult{}
 	}
 	out.EstimatedUtility = res.Utility
 	out.EstimatedCovered = res.Covered
 	out.InstanceUsed = p
-	out.NumRepresentatives = gs.n
-	for _, ri := range res.Selected {
-		w := gs.own.winners[ri]
-		out.Sites = append(out.Sites, w.node)
-		sid := tops.InvalidSiteID
-		if id, ok := s.siteID[w.node]; ok {
-			sid = tops.SiteID(id)
-		}
-		out.SiteIDs = append(out.SiteIDs, sid)
+	out.NumRepresentatives = n
+	for _, gi := range res.Selected {
+		node := gs.own.Winners[gi].Node
+		out.Sites = append(out.Sites, node)
+		out.SiteIDs = append(out.SiteIDs, s.sites.ID(node))
 	}
-	if g != nil && !s.opts.Engine.DisablePooling {
-		// res.Selected (aliasing g.sel) is fully consumed above, so the
-		// scratch can recycle.
-		g.release()
+	if g != nil && pooled {
+		// res.Selected (aliasing g) is fully consumed above.
+		gatherPool.Put(g)
 	}
 	return out, nil
 }
@@ -582,9 +424,15 @@ func (s *Sharded) answer(ctx context.Context, gs *gatherSet, p int, opts core.Qu
 // lifetime); weights recompute through the same left-to-right summation
 // the single-shard fill performs, so they carry identical bits.
 func (gs *gatherSet) merged() *tops.CoverSets {
-	cs := tops.NewCoverSets(gs.n, gs.m)
-	for _, sc := range gs.loc {
-		for li, gi := range sc.g2l {
+	m := 0
+	for _, sc := range gs.covers {
+		m = max(m, sc.cs.M)
+	}
+	cs := tops.NewCoverSets(len(gs.own.Winners), m)
+	var g2l []int32
+	for _, sc := range gs.covers {
+		g2l = localToGlobal(g2l, sc.reps, gs.own.Masks[sc.shard], gs.own.MasksGI[sc.shard])
+		for li, gi := range g2l {
 			if gi >= 0 {
 				trajs, scores := sc.cs.TC(int32(li))
 				cs.SetTCArrays(gi, trajs, scores)
@@ -632,8 +480,7 @@ func (s *Sharded) QueryBatch(ctx context.Context, qs []core.QueryOptions) []engi
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for key, members := range groups {
-		own := s.ownership(key.p)
-		gs, err := s.scatter(ctx, key.p, qs[members[0]].Pref, own, true)
+		gs, err := s.scatter(ctx, key.p, qs[members[0]].Pref, s.ownership(key.p))
 		if err != nil {
 			for _, i := range members {
 				out[i].Err = s.accountErr(err)
@@ -646,9 +493,7 @@ func (s *Sharded) QueryBatch(ctx context.Context, qs []core.QueryOptions) []engi
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				// The per-query gather runs its rounds inline: parallelism
-				// comes from the fan-out across batch members here.
-				out[i].Result, out[i].Err = s.answer(ctx, gs, key.p, qs[i], false)
+				out[i].Result, out[i].Err = s.answer(ctx, gs, key.p, qs[i])
 				if out[i].Err == nil {
 					s.batchQueries.Add(1)
 				} else {
@@ -701,14 +546,12 @@ func (s *Sharded) addSiteLocked(v roadnet.NodeID) error {
 		return err
 	}
 	sh.updates.Add(1)
-	s.sites = append(s.sites, v)
-	s.siteID[v] = int32(len(s.sites) - 1)
+	s.sites.Add(v)
 	s.updateOwnershipAt(v)
 	return nil
 }
 
-// DeleteSite removes a candidate site from its owning shard, mirroring the
-// single-shard swap-remove dense-id bookkeeping globally.
+// DeleteSite removes a candidate site from its owning shard.
 func (s *Sharded) DeleteSite(v roadnet.NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -730,14 +573,7 @@ func (s *Sharded) deleteSiteLocked(v roadnet.NodeID) error {
 		return err
 	}
 	sh.updates.Add(1)
-	slot := s.siteID[v]
-	last := len(s.sites) - 1
-	if moved := s.sites[last]; moved != v {
-		s.sites[slot] = moved
-		s.siteID[moved] = slot
-	}
-	s.sites = s.sites[:last]
-	delete(s.siteID, v)
+	s.sites.Delete(v)
 	s.updateOwnershipAt(v)
 	return nil
 }
@@ -769,7 +605,7 @@ func (s *Sharded) addSitesLocked(nodes []roadnet.NodeID) error {
 		if v < 0 || int(v) >= s.g.NumNodes() {
 			return fmt.Errorf("shard: AddSites: node %d outside graph", v)
 		}
-		if _, ok := s.siteID[v]; ok {
+		if s.sites.ID(v) != tops.InvalidSiteID {
 			return fmt.Errorf("shard: AddSites: node %d is already a site", v)
 		}
 		if dup[v] {
@@ -794,8 +630,7 @@ func (s *Sharded) addSitesLocked(nodes []roadnet.NodeID) error {
 		}
 	}
 	for _, v := range nodes {
-		s.sites = append(s.sites, v)
-		s.siteID[v] = int32(len(s.sites) - 1)
+		s.sites.Add(v)
 		s.updateOwnershipAt(v)
 	}
 	return nil

@@ -96,7 +96,7 @@ func (s *Sharded) manifest(withFiles bool) Manifest {
 // mirror order — the same quantity core.DatasetFingerprint computes over
 // the instance a load will present.
 func (s *Sharded) fingerprint() uint64 {
-	return core.DatasetFingerprint(&tops.Instance{G: s.g, Trajs: s.shards[0].inst.Trajs, Sites: s.sites})
+	return core.DatasetFingerprint(&tops.Instance{G: s.g, Trajs: s.shards[0].inst.Trajs, Sites: s.sites.Sites()})
 }
 
 // Snapshot writes the whole sharded engine as one stream under the read
@@ -116,7 +116,7 @@ func (s *Sharded) Snapshot(w io.Writer) (int64, error) {
 func (s *Sharded) Checkpoint(w io.Writer) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return wal.WriteCheckpoint(w, s.sites, s.shards[0].inst.Trajs, s.sink.Epoch(), s.snapshotLocked)
+	return wal.WriteCheckpoint(w, s.sites.Sites(), s.shards[0].inst.Trajs, s.sink.Epoch(), s.snapshotLocked)
 }
 
 // snapshotLocked streams the container format; the caller holds at least

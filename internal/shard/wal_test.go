@@ -243,5 +243,5 @@ func TestShardedWALRecoveryDifferential(t *testing.T) {
 // fullInstance reassembles the primary's current logical dataset (shared
 // graph, extended store, mirror-ordered sites) for snapshot reloads.
 func (s *Sharded) fullInstance() *tops.Instance {
-	return &tops.Instance{G: s.g, Trajs: s.shards[0].inst.Trajs, Sites: s.sites}
+	return &tops.Instance{G: s.g, Trajs: s.shards[0].inst.Trajs, Sites: s.sites.Sites()}
 }

@@ -105,6 +105,37 @@ func ExpDecay(tau, lambda float64) Preference {
 	}
 }
 
+// PreferenceByName lowers the serving tiers' wire form of a preference —
+// (name, τ, λ), with "" meaning binary and λ = 0 meaning the exp default of
+// 1 — to the function it names. Every entry point that accepts a named
+// preference (/v1/query on topsserve and topsrouter, the shard wire, the
+// CLI) lowers through here, so one name is one function everywhere.
+func PreferenceByName(name string, tau, lambda float64) (Preference, error) {
+	var pref Preference
+	switch name {
+	case "", "binary":
+		pref = Binary(tau)
+	case "linear":
+		pref = Linear(tau)
+	case "convex":
+		pref = ConvexQuadratic(tau)
+	case "exp":
+		if lambda == 0 {
+			lambda = 1
+		}
+		if math.IsNaN(lambda) || math.IsInf(lambda, 0) || lambda <= 0 {
+			return Preference{}, fmt.Errorf("lambda = %v must be a positive finite number", lambda)
+		}
+		return ExpDecay(tau, lambda), nil
+	default:
+		return Preference{}, fmt.Errorf("unknown preference %q (want binary, linear, convex or exp)", name)
+	}
+	if lambda != 0 {
+		return Preference{}, fmt.Errorf("lambda applies only to the exp preference")
+	}
+	return pref, nil
+}
+
 // NegativeDistance is the TOPS3 deviation-minimizing preference: the score
 // is -dr with an unbounded threshold, so maximizing total utility minimizes
 // total user deviation (§7.4). Scores are not in [0,1] by design.
