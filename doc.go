@@ -24,6 +24,13 @@
 // warm-start in milliseconds instead of re-clustering, and a snapshot can
 // never silently serve a mismatched dataset.
 //
+// Updates have one write path. A §6 update is a Mutation value; an engine's
+// Apply applies it through a single transition function and, WAL-served,
+// logs its encoding; replay decodes the record back to the value and runs
+// the same function, so recovery cannot disagree with what was served. The
+// typed methods (AddSite, AddTrajectories, …) build the value and call
+// Apply.
+//
 // A write-ahead log (OpenWAL, Engine.AttachWAL) turns a served engine into
 // a system of record: every acknowledged mutation is an LSN-numbered
 // record, snapshots carry the LSN they reflect, recovery is checkpoint +
@@ -50,14 +57,15 @@
 //	                     cached covering structures (CoverPlan / CoverFor)
 //	internal/engine      the concurrent serving layer (RWMutex protocol,
 //	                     QueryBatch grouping, context deadlines, traffic
-//	                     stats)
+//	                     stats, the one write path: Apply / ApplyRecord)
 //	internal/shard       scatter-gather sharding (site partitioners,
 //	                     cluster ownership, the distributed greedy's one
 //	                     coordinator and per-shard session, manifest
 //	                     snapshots) — bit-exact vs the single engine
 //	internal/router      the same coordinator over HTTP: the stateless
 //	                     front tier of shard-per-process topologies
-//	internal/wal         durability: segmented CRC-framed write-ahead log
+//	internal/wal         durability: the Mutation value and its codec, and
+//	                     the segmented CRC-framed write-ahead log
 //	                     (LSN-stamped snapshots, checkpoint + tail-replay
 //	                     recovery, compaction, follower record streams)
 //	internal/server      the HTTP JSON serving layer (strict decoding,

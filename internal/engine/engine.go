@@ -62,14 +62,14 @@ type Engine struct {
 	// restarts and recovers (queries keep serving).
 	sink wal.Sink
 
+	// admit, when set, vets every live mutation before it is applied (see
+	// SetAdmission). Replay trusts the log and skips it.
+	admit func(wal.Mutation) error
+
 	queries      atomic.Uint64
 	batchQueries atomic.Uint64
 	batches      atomic.Uint64
-	updates      atomic.Uint64
-	siteAdds     atomic.Uint64
-	siteDeletes  atomic.Uint64
-	trajAdds     atomic.Uint64
-	trajDeletes  atomic.Uint64
+	updates      UpdateCounters
 	errors       atomic.Uint64
 	canceled     atomic.Uint64
 	coverNanos   atomic.Int64
@@ -152,15 +152,10 @@ type Stats struct {
 // queries, which is fine for monitoring).
 func (e *Engine) Stats() Stats {
 	cc := e.idx.CoverCacheStats()
-	return Stats{
+	st := Stats{
 		Queries:      e.queries.Load(),
 		BatchQueries: e.batchQueries.Load(),
 		Batches:      e.batches.Load(),
-		Updates:      e.updates.Load(),
-		SiteAdds:     e.siteAdds.Load(),
-		SiteDeletes:  e.siteDeletes.Load(),
-		TrajAdds:     e.trajAdds.Load(),
-		TrajDeletes:  e.trajDeletes.Load(),
 		LSN:          e.sink.LSN(),
 		Epoch:        e.sink.Epoch(),
 		Errors:       e.errors.Load(),
@@ -171,6 +166,46 @@ func (e *Engine) Stats() Stats {
 		CoverTime:    time.Duration(e.coverNanos.Load()),
 		GreedyTime:   time.Duration(e.greedyNanos.Load()),
 	}
+	e.updates.Fill(&st)
+	return st
+}
+
+// UpdateCounters tallies applied §6 mutations for Stats: calls, and items
+// per kind. Engine and shard.Sharded both count through it, from the one
+// function each applies a mutation in, so live application and replay of
+// the same history cannot report different numbers.
+type UpdateCounters struct {
+	updates, siteAdds, siteDeletes, trajAdds, trajDeletes atomic.Uint64
+}
+
+// Count tallies one applied mutation.
+func (c *UpdateCounters) Count(m wal.Mutation) {
+	c.updates.Add(1)
+	switch m.Kind {
+	case wal.KindAddSite:
+		c.siteAdds.Add(1)
+	case wal.KindAddSites:
+		c.siteAdds.Add(uint64(len(m.Nodes)))
+	case wal.KindDeleteSite:
+		c.siteDeletes.Add(1)
+	case wal.KindAddTrajectory:
+		c.trajAdds.Add(1)
+	case wal.KindAddTrajectories:
+		c.trajAdds.Add(uint64(len(m.Trajs)))
+	case wal.KindDeleteTrajectory:
+		c.trajDeletes.Add(1)
+	case wal.KindDeleteTrajectories:
+		c.trajDeletes.Add(uint64(len(m.IDs)))
+	}
+}
+
+// Fill copies the tallies into st.
+func (c *UpdateCounters) Fill(st *Stats) {
+	st.Updates = c.updates.Load()
+	st.SiteAdds = c.siteAdds.Load()
+	st.SiteDeletes = c.siteDeletes.Load()
+	st.TrajAdds = c.trajAdds.Load()
+	st.TrajDeletes = c.trajDeletes.Load()
 }
 
 // cover fetches (or builds) the covering structure for instance p under the
@@ -418,150 +453,121 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []core.QueryOptions) []Batch
 	return out
 }
 
-// Mutations: every §6 update takes the write lock, so in-flight queries
-// drain first, and the core-side cache invalidation happens before any new
-// reader can observe the changed index.
-//
-// With a WAL attached the discipline is apply-then-log under the exclusive
-// lock: core validation has already accepted the mutation when the record
-// is appended, so the log contains exactly the successful mutation sequence
-// and replay can never fail on a record the live path accepted. The write
-// lock makes apply+append atomic with respect to snapshots — a checkpoint
-// can never observe state ahead of its stamped LSN. An update is
-// acknowledged only after the append returns (durability at that point
-// follows the log's fsync policy); if the append itself fails, the error
-// carries wal.ErrLogFailed and the engine refuses further mutations, since
-// its memory state is now ahead of the log.
+// Mutations. A §6 update is a wal.Mutation value and there is one write
+// path for it: Apply takes the write lock — so in-flight queries drain
+// first and core's cache invalidation happens before any new reader can
+// observe the changed index — and hands applyMutation, the engine's one
+// transition function, to the sink's live discipline (wal.Sink.Apply:
+// apply, then log, then acknowledge); ApplyRecord hands the same function
+// to the replay discipline. The write lock makes apply+append atomic with
+// respect to snapshots — a checkpoint can never observe state ahead of its
+// stamped LSN. The typed methods below only build the value.
 
-// guardLog rejects mutations after a log append failure.
-func (e *Engine) guardLog() error { return e.sink.Guard() }
+// Apply is the live write path: it applies m and, with a WAL attached, logs
+// it before returning. The engine keeps nothing the caller can still reach
+// — trajectories are stored as decoded copies of the value's data, the same
+// objects a replay of the logged record would build.
+func (e *Engine) Apply(m wal.Mutation) (wal.Applied, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.admit != nil {
+		if err := e.admit(m); err != nil {
+			return wal.Applied{}, err
+		}
+	}
+	a, err := e.sink.Apply(m, e.applyMutation)
+	if a.LSN > 0 {
+		e.idx.SetWalLSN(a.LSN)
+	}
+	return a, err
+}
 
-// commit appends the record for a mutation that core just applied and
-// stamps the engine (and the index, for snapshots) with the assigned LSN.
-func (e *Engine) commit(kind wal.Kind, body []byte) error {
-	lsn, err := e.sink.Commit(kind, body)
+// SetAdmission installs a check every live mutation must pass before it is
+// applied; a non-nil error refuses the mutation untouched. It sits inside
+// Apply, so no route to the engine — typed method, Apply, HTTP — can skip
+// it. shard.Member refuses sites its partition does not own this way. Call
+// before the engine serves.
+func (e *Engine) SetAdmission(admit func(wal.Mutation) error) { e.admit = admit }
+
+// applyMutation is the one transition function over mutations, reached by
+// Apply (live) and ApplyRecord (replay) alike: it makes the core call m
+// stands for, tallies it, and returns the ids an add kind assigned. Caller
+// holds the write lock.
+func (e *Engine) applyMutation(m wal.Mutation) ([]trajectory.ID, error) {
+	trs, err := m.Trajectories(e.Graph())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if lsn > 0 {
-		e.idx.SetWalLSN(lsn)
+	var ids []trajectory.ID
+	switch m.Kind {
+	case wal.KindAddSite:
+		err = e.idx.AddSite(m.Node)
+	case wal.KindDeleteSite:
+		err = e.idx.DeleteSite(m.Node)
+	case wal.KindAddSites:
+		err = e.idx.AddSites(m.Nodes)
+	case wal.KindAddTrajectory:
+		ids = make([]trajectory.ID, 1)
+		ids[0], err = e.idx.AddTrajectory(trs[0])
+	case wal.KindDeleteTrajectory:
+		err = e.idx.DeleteTrajectory(m.ID)
+	case wal.KindAddTrajectories:
+		ids, err = e.idx.AddTrajectories(trs)
+	case wal.KindDeleteTrajectories:
+		err = e.idx.DeleteTrajectories(m.IDs)
+	default:
+		err = fmt.Errorf("engine: %s is not a §6 mutation", m.Kind)
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	e.updates.Count(m)
+	return ids, nil
 }
 
 // AddSite registers a new candidate site.
 func (e *Engine) AddSite(v roadnet.NodeID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return err
-	}
-	if err := e.idx.AddSite(v); err != nil {
-		return err
-	}
-	e.updates.Add(1)
-	e.siteAdds.Add(1)
-	return e.commit(wal.KindAddSite, wal.NodeBody(int64(v)))
+	_, err := e.Apply(wal.Mutation{Kind: wal.KindAddSite, Node: v})
+	return err
 }
 
 // DeleteSite removes a candidate site.
 func (e *Engine) DeleteSite(v roadnet.NodeID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return err
-	}
-	if err := e.idx.DeleteSite(v); err != nil {
-		return err
-	}
-	e.updates.Add(1)
-	e.siteDeletes.Add(1)
-	return e.commit(wal.KindDeleteSite, wal.NodeBody(int64(v)))
+	_, err := e.Apply(wal.Mutation{Kind: wal.KindDeleteSite, Node: v})
+	return err
 }
 
 // AddSites registers a batch of candidate sites atomically.
 func (e *Engine) AddSites(nodes []roadnet.NodeID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return err
-	}
-	if err := e.idx.AddSites(nodes); err != nil {
-		return err
-	}
-	e.updates.Add(1)
-	e.siteAdds.Add(uint64(len(nodes)))
-	ids := make([]int64, len(nodes))
-	for i, v := range nodes {
-		ids[i] = int64(v)
-	}
-	return e.commit(wal.KindAddSites, wal.IDListBody(ids))
+	_, err := e.Apply(wal.Mutation{Kind: wal.KindAddSites, Nodes: nodes})
+	return err
 }
 
 // AddTrajectory ingests one trajectory.
 func (e *Engine) AddTrajectory(tr *trajectory.Trajectory) (trajectory.ID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return 0, err
-	}
-	tid, err := e.idx.AddTrajectory(tr)
+	a, err := e.Apply(wal.Mutation{Kind: wal.KindAddTrajectory, Traj: wal.FromTrajectory(tr)})
 	if err != nil {
 		return 0, err
 	}
-	e.updates.Add(1)
-	e.trajAdds.Add(1)
-	return tid, e.commit(wal.KindAddTrajectory, wal.TrajectoryBody(tr))
+	return a.IDs[0], nil
 }
 
 // DeleteTrajectory removes one trajectory.
 func (e *Engine) DeleteTrajectory(tid trajectory.ID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return err
-	}
-	if err := e.idx.DeleteTrajectory(tid); err != nil {
-		return err
-	}
-	e.updates.Add(1)
-	e.trajDeletes.Add(1)
-	return e.commit(wal.KindDeleteTrajectory, wal.NodeBody(int64(tid)))
+	_, err := e.Apply(wal.Mutation{Kind: wal.KindDeleteTrajectory, ID: tid})
+	return err
 }
 
 // AddTrajectories ingests a batch of trajectories atomically.
 func (e *Engine) AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return nil, err
-	}
-	ids, err := e.idx.AddTrajectories(trs)
-	if err != nil {
-		return nil, err
-	}
-	e.updates.Add(1)
-	e.trajAdds.Add(uint64(len(trs)))
-	return ids, e.commit(wal.KindAddTrajectories, wal.TrajectoriesBody(trs))
+	a, err := e.Apply(wal.Mutation{Kind: wal.KindAddTrajectories, Trajs: wal.FromTrajectories(trs)})
+	return a.IDs, err
 }
 
 // DeleteTrajectories removes a batch of trajectories atomically.
 func (e *Engine) DeleteTrajectories(ids []trajectory.ID) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return err
-	}
-	if err := e.idx.DeleteTrajectories(ids); err != nil {
-		return err
-	}
-	e.updates.Add(1)
-	e.trajDeletes.Add(uint64(len(ids)))
-	raw := make([]int64, len(ids))
-	for i, id := range ids {
-		raw[i] = int64(id)
-	}
-	return e.commit(wal.KindDeleteTrajectories, wal.IDListBody(raw))
+	_, err := e.Apply(wal.Mutation{Kind: wal.KindDeleteTrajectories, IDs: ids})
+	return err
 }
 
 // Durability and replication surface. The engine exposes three things: the
@@ -587,9 +593,6 @@ func (e *Engine) RestoreEpoch(epoch uint64) { e.sink.RestoreEpoch(epoch) }
 func (e *Engine) BeginEpoch(epoch uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.guardLog(); err != nil {
-		return err
-	}
 	lsn, err := e.sink.BeginEpoch(epoch)
 	if err != nil {
 		return err
@@ -611,12 +614,11 @@ func (e *Engine) AttachWAL(l *wal.Log) error {
 	return e.sink.Attach(l)
 }
 
-// ApplyRecord applies one logged mutation through the same core paths the
-// live mutation methods use, without re-logging it. It is the replay
-// surface: crash recovery drives the checkpoint's tail through it, and a
-// follower drives the primary's streamed records through it. Records must
-// arrive in LSN order; a WAL-attached engine refuses (its records originate
-// locally).
+// ApplyRecord is the replay path: it applies one logged mutation through
+// applyMutation — the function Apply logged it from — without re-logging
+// it. Crash recovery drives the checkpoint's tail through it, and a follower
+// drives the primary's streamed records through it. Records must arrive in
+// LSN order; a WAL-attached engine refuses (its records originate locally).
 func (e *Engine) ApplyRecord(rec wal.Record) error {
 	m, err := rec.Mutation()
 	if err != nil {
@@ -624,88 +626,10 @@ func (e *Engine) ApplyRecord(rec wal.Record) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.sink.CheckReplay(rec); err != nil {
+	if err := e.sink.Replay(rec.LSN, m, e.applyMutation); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	if m.Kind == wal.KindEpoch {
-		if err := e.sink.ApplyEpoch(rec); err != nil {
-			return fmt.Errorf("engine: replaying LSN %d (%s): %w", rec.LSN, m.Kind, err)
-		}
-		e.idx.SetWalLSN(rec.LSN)
-		return nil
-	}
-	if err := e.applyMutation(m); err != nil {
-		return fmt.Errorf("engine: replaying LSN %d (%s): %w", rec.LSN, m.Kind, err)
-	}
-	e.sink.SetLSN(rec.LSN)
 	e.idx.SetWalLSN(rec.LSN)
-	return nil
-}
-
-// applyMutation dispatches a decoded record to the core mutation it logs.
-// Caller holds the write lock.
-func (e *Engine) applyMutation(m wal.Mutation) error {
-	g := e.idx.TopsInstance().G
-	switch m.Kind {
-	case wal.KindAddSite:
-		if err := e.idx.AddSite(roadnet.NodeID(m.Node)); err != nil {
-			return err
-		}
-		e.siteAdds.Add(1)
-	case wal.KindDeleteSite:
-		if err := e.idx.DeleteSite(roadnet.NodeID(m.Node)); err != nil {
-			return err
-		}
-		e.siteDeletes.Add(1)
-	case wal.KindAddSites:
-		nodes := make([]roadnet.NodeID, len(m.Nodes))
-		for i, v := range m.Nodes {
-			nodes[i] = roadnet.NodeID(v)
-		}
-		if err := e.idx.AddSites(nodes); err != nil {
-			return err
-		}
-		e.siteAdds.Add(uint64(len(nodes)))
-	case wal.KindAddTrajectory:
-		tr, err := m.Traj.Trajectory(g)
-		if err != nil {
-			return err
-		}
-		if _, err := e.idx.AddTrajectory(tr); err != nil {
-			return err
-		}
-		e.trajAdds.Add(1)
-	case wal.KindDeleteTrajectory:
-		if err := e.idx.DeleteTrajectory(trajectory.ID(m.ID)); err != nil {
-			return err
-		}
-		e.trajDeletes.Add(1)
-	case wal.KindAddTrajectories:
-		trs := make([]*trajectory.Trajectory, len(m.Trajs))
-		for i, td := range m.Trajs {
-			tr, err := td.Trajectory(g)
-			if err != nil {
-				return err
-			}
-			trs[i] = tr
-		}
-		if _, err := e.idx.AddTrajectories(trs); err != nil {
-			return err
-		}
-		e.trajAdds.Add(uint64(len(trs)))
-	case wal.KindDeleteTrajectories:
-		ids := make([]trajectory.ID, len(m.Nodes))
-		for i, v := range m.Nodes {
-			ids[i] = trajectory.ID(v)
-		}
-		if err := e.idx.DeleteTrajectories(ids); err != nil {
-			return err
-		}
-		e.trajDeletes.Add(uint64(len(ids)))
-	default:
-		return fmt.Errorf("engine: unknown mutation kind %s", m.Kind)
-	}
-	e.updates.Add(1)
 	return nil
 }
 

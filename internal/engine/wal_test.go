@@ -301,11 +301,6 @@ func TestWALRecoveryDifferential(t *testing.T) {
 
 	// Full-log replay over a freshly built engine (no checkpoint at all)
 	// reaches the same state — the follower's from-scratch bootstrap.
-	log3, err := wal.Open(t.TempDir(), wal.Options{})
-	_ = log3
-	if err != nil {
-		t.Fatal(err)
-	}
 	idxF, _, _ := buildFixture(t, seed)
 	engF, err := New(idxF, Options{})
 	if err != nil {
@@ -413,8 +408,11 @@ func TestApplyRecordGuards(t *testing.T) {
 	}
 }
 
-// TestPerKindCounters pins the satellite contract: /statsz splits update
-// counts by mutation kind, batch entries counting items.
+// TestPerKindCounters pins the /statsz contract: update counts split by
+// mutation kind, batch entries counting items — and, because both paths
+// count in applyMutation, replaying a log leaves exactly the counters that
+// applying the same history live did (internal/shard's test of the same
+// name holds the sharded engine to it too).
 func TestPerKindCounters(t *testing.T) {
 	idx, inst, city := buildFixture(t, 619)
 	eng, err := New(idx, Options{})
@@ -444,6 +442,36 @@ func TestPerKindCounters(t *testing.T) {
 	}
 	if st.Updates != 5 {
 		t.Fatalf("updates %d, want 5 calls", st.Updates)
+	}
+
+	// All seven kinds applied live, then the same history replayed.
+	var pair [2]*Engine
+	for i := range pair {
+		idx, _, _ := buildFixture(t, 619)
+		if pair[i], err = New(idx, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log, err := wal.Open(t.TempDir(), wal.Options{Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := pair[0].AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range mutationScript(t, pair[0].Index().TopsInstance(), city, rand.New(rand.NewSource(47)), 30) {
+		if err := op(pair[0]); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if _, err := wal.Replay(log, pair[1]); err != nil {
+		t.Fatal(err)
+	}
+	if live, got := pair[0].Stats(), pair[1].Stats(); got != live {
+		t.Fatalf("replayed stats %+v\nlive stats     %+v", got, live)
+	} else if live.SiteAdds < 3 || live.SiteDeletes < 2 || live.TrajAdds < 5 || live.TrajDeletes < 3 {
+		t.Fatalf("script did not exercise every kind: %+v", live)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"netclus/internal/obs"
 	"netclus/internal/roadnet"
+	"netclus/internal/wal"
 )
 
 // Error codes mirror the serving tier's envelope so clients see one
@@ -257,11 +258,6 @@ type wireUpdate struct {
 	ID    int64   `json:"id,omitempty"`
 }
 
-// handleUpdate routes one mutation: site ops to the owning shard's
-// primary, trajectory ops broadcast to every shard (member 0 first — it
-// validates the request before the others commit). The write lock
-// serializes against in-flight queries, so a router-routed history has the
-// in-process engine's sequential semantics.
 // handleIngest: the router deliberately does not serve live GPS
 // ingestion. Map-matching needs the road network and its spatial index,
 // which the stateless router tier does not load — and shipping raw traces
@@ -277,6 +273,11 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		fmt.Errorf("the router tier does not map-match: stream raw traces to a single-process topsserve /v1/ingest, or match client-side and broadcast add_trajectory updates via /v1/update"))
 }
 
+// handleUpdate routes one mutation by its kind's wal.Kind.Routed: site ops
+// to the owning shard's primary, trajectory ops broadcast to every shard
+// (member 0 first — it validates the request before the others commit). The
+// write lock serializes against in-flight queries, so a router-routed
+// history has the in-process engine's sequential semantics.
 func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
 	if err != nil {
@@ -294,8 +295,13 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch u.Op {
-	case "add_site", "delete_site":
+	kind, ok := wal.KindByName(u.Op)
+	switch {
+	case u.Op == "":
+		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("missing op"))
+	case !ok || !kind.Single():
+		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("unknown op %q (want add_site, delete_site, add_trajectory or delete_trajectory)", u.Op))
+	case kind.Routed():
 		if u.Node < 0 || u.Node > math.MaxInt32 {
 			writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("node %d outside int32 range", u.Node))
 			return
@@ -313,7 +319,7 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		if status/100 == 2 {
-			if u.Op == "add_site" {
+			if kind == wal.KindAddSite {
 				r.sites.Add(roadnet.NodeID(u.Node))
 			} else {
 				r.sites.Delete(roadnet.NodeID(u.Node))
@@ -321,7 +327,7 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 			r.dropOwnership()
 		}
 		relayResponse(w, status, body)
-	case "add_trajectory", "delete_trajectory":
+	default:
 		var status int
 		var body []byte
 		for j := 0; j < r.n; j++ {
@@ -350,10 +356,6 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 		relayResponse(w, status, body)
-	case "":
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("missing op"))
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("unknown op %q (want add_site, delete_site, add_trajectory or delete_trajectory)", u.Op))
 	}
 }
 

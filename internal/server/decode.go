@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"netclus/internal/core"
+	"netclus/internal/roadnet"
 	"netclus/internal/tops"
+	"netclus/internal/trajectory"
+	"netclus/internal/wal"
 )
 
 // Limits bound what the request decoder accepts. Every bound exists to
@@ -89,6 +92,9 @@ type updateRequest struct {
 	Nodes []int64 `json:"nodes,omitempty"`
 	// ID addresses delete_trajectory.
 	ID int64 `json:"id,omitempty"`
+
+	// kind is Op lowered by decodeUpdateRequest.
+	kind wal.Kind
 }
 
 // strictUnmarshal decodes exactly one JSON value into v, rejecting unknown
@@ -216,15 +222,22 @@ func decodeUpdateRequest(data []byte) (updateRequest, error) {
 	if err := strictUnmarshal(data, &u); err != nil {
 		return u, err
 	}
-	switch u.Op {
-	case "add_site", "delete_site":
+	if u.Op == "" {
+		return u, fmt.Errorf("missing op")
+	}
+	var ok bool
+	if u.kind, ok = wal.KindByName(u.Op); !ok || !u.kind.Single() {
+		return u, fmt.Errorf("unknown op %q (want add_site, delete_site, add_trajectory or delete_trajectory)", u.Op)
+	}
+	switch u.kind {
+	case wal.KindAddSite, wal.KindDeleteSite:
 		if u.Node < 0 || u.Node > math.MaxInt32 {
 			return u, fmt.Errorf("node %d outside int32 range", u.Node)
 		}
 		if len(u.Nodes) != 0 || u.ID != 0 {
 			return u, fmt.Errorf("%s takes only the node field", u.Op)
 		}
-	case "add_trajectory":
+	case wal.KindAddTrajectory:
 		if len(u.Nodes) == 0 {
 			return u, fmt.Errorf("add_trajectory needs a non-empty nodes sequence")
 		}
@@ -239,17 +252,32 @@ func decodeUpdateRequest(data []byte) (updateRequest, error) {
 		if u.Node != 0 || u.ID != 0 {
 			return u, fmt.Errorf("add_trajectory takes only the nodes field")
 		}
-	case "delete_trajectory":
+	case wal.KindDeleteTrajectory:
 		if u.ID < 0 || u.ID > math.MaxInt32 {
 			return u, fmt.Errorf("trajectory id %d outside int32 range", u.ID)
 		}
 		if u.Node != 0 || len(u.Nodes) != 0 {
 			return u, fmt.Errorf("delete_trajectory takes only the id field")
 		}
-	case "":
-		return u, fmt.Errorf("missing op")
-	default:
-		return u, fmt.Errorf("unknown op %q (want add_site, delete_site, add_trajectory or delete_trajectory)", u.Op)
 	}
 	return u, nil
+}
+
+// mutation lowers a decoded request to the value the engine applies. An
+// add_trajectory's node sequence is priced over g here, outside the engine
+// lock (a hop without a direct edge costs a shortest-path search).
+func (u updateRequest) mutation(g *roadnet.Graph) (wal.Mutation, error) {
+	m := wal.Mutation{Kind: u.kind, Node: roadnet.NodeID(u.Node), ID: trajectory.ID(u.ID)}
+	if u.kind == wal.KindAddTrajectory {
+		nodes := make([]roadnet.NodeID, len(u.Nodes))
+		for i, v := range u.Nodes {
+			nodes[i] = roadnet.NodeID(v)
+		}
+		tr, err := trajectory.New(g, nodes)
+		if err != nil {
+			return m, err
+		}
+		m.Traj = wal.FromTrajectory(tr)
+	}
+	return m, nil
 }

@@ -38,20 +38,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sink := ingest.SinkFunc(func(ctx context.Context, trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
-		ids, err := s.eng.AddTrajectories(trs)
+		applied, err := s.eng.Apply(wal.Mutation{Kind: wal.KindAddTrajectories, Trajs: wal.FromTrajectories(trs)})
 		if err != nil {
 			return nil, err
 		}
 		// Semi-sync quorum, batch-grained: the whole window's verdicts
-		// wait on one LSN, amortising the round trip over MaxBatch lines.
+		// wait on the window's own LSN, amortising the round trip over
+		// MaxBatch lines.
 		if s.opts.Quorum > 0 && s.opts.Log != nil {
-			lsn := s.opts.Log.HeadLSN()
-			if !s.acks.await(ctx, s.opts.Quorum, lsn, s.opts.QuorumTimeout, s.drainSignal()) {
+			if !s.acks.await(ctx, s.opts.Quorum, applied.LSN, s.opts.QuorumTimeout, s.drainSignal()) {
 				return nil, fmt.Errorf("batch applied locally at LSN %d but %d follower ack(s) did not arrive within %v: %w",
-					lsn, s.opts.Quorum, s.opts.QuorumTimeout, errQuorumLost)
+					applied.LSN, s.opts.Quorum, s.opts.QuorumTimeout, errQuorumLost)
 			}
 		}
-		return ids, nil
+		return applied.IDs, nil
 	})
 
 	rc := http.NewResponseController(w)

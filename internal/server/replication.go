@@ -152,9 +152,9 @@ type QuorumConfig struct {
 	TimeoutSeconds float64 `json:"timeout_seconds"`
 }
 
-// replicationResponse is GET /v1/replication: the first-class replication
-// control surface. It supersedes the X-Netclus-*-LSN headers on /v1/log,
-// which remain for existing clients but are deprecated.
+// replicationResponse is GET /v1/replication: the replication status
+// resource, for operators and tooling. The tail protocol itself carries the
+// head LSN and epoch a follower needs as X-Netclus-* headers on /v1/log.
 type replicationResponse struct {
 	// Role is "primary" or "follower" (a promoted follower reports
 	// primary).

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"netclus/internal/engine"
+	"netclus/internal/ingest"
 	"netclus/internal/roadnet"
 	"netclus/internal/wal"
 )
@@ -564,5 +565,76 @@ func TestFollowerUnhealthyLatchesHealthz(t *testing.T) {
 	status, _ = postJSONGet(t, hts.Client(), hts.URL+"/healthz")
 	if status != http.StatusOK {
 		t.Fatalf("recovered replica healthz: %d", status)
+	}
+}
+
+// overtakenEngine is a primary under concurrent writers, as one handler
+// sees it: by the time its Apply returns, the log head has moved past the
+// record this call committed (other is how far). It reports its own LSN.
+type overtakenEngine struct {
+	Engine
+	log   *wal.Log
+	other int
+}
+
+func (e *overtakenEngine) Apply(m wal.Mutation) (wal.Applied, error) {
+	a, err := e.Engine.Apply(m)
+	for i := 0; i < e.other && err == nil; i++ {
+		_, err = e.log.Append(wal.KindDeleteSite, wal.NodeBody(int64(i))) // some later writer's record
+	}
+	return a, err
+}
+
+// TestAckReportsOwnLSN: the lsn in a write's ack, and the LSN a -quorum ack
+// waits on, are the ones Apply returned for this write — not the log head
+// read after the engine lock was released, which under concurrent writers
+// is some later mutation's (and made -quorum wait on a record this client
+// never sent). Both /v1/update and the /v1/ingest window wait are covered.
+func TestAckReportsOwnLSN(t *testing.T) {
+	const seed = 347
+	idx, _ := buildFixture(t, seed)
+	eng, err := engine.New(idx, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(t.TempDir(), wal.Options{Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := eng.AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(&overtakenEngine{Engine: eng, log: log, other: 3}, Options{
+		Log: log, Quorum: 1, QuorumTimeout: 200 * time.Millisecond,
+		Ingest: &ingest.Options{Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// The one follower has durably acknowledged exactly the next record.
+	srv.acks.record("f1", 1)
+	status, body := postJSON(t, ts.Client(), ts.URL+"/v1/update", fmt.Sprintf(`{"op":"add_site","node":%d}`, freeNode(t, eng)))
+	var upd updateResponse
+	if err := json.Unmarshal(body, &upd); err != nil || status != http.StatusOK {
+		t.Fatalf("update: status %d body %s", status, body)
+	}
+	if upd.LSN != 1 || !upd.Quorum || log.HeadLSN() != 4 {
+		t.Fatalf("ack %+v with the log head at %d: want this write's lsn 1, quorum met", upd, log.HeadLSN())
+	}
+
+	// Ingest: the window's verdicts wait on the window's record (LSN 5).
+	srv.acks.record("f1", 5)
+	resp, verdicts := postNDJSON(t, ts.URL, ingestFeed(t, ingestFixtureCity(t, seed), 2, seed+100))
+	if resp.StatusCode != http.StatusOK || len(verdicts) != 2 {
+		t.Fatalf("ingest: status %d, %d verdicts", resp.StatusCode, len(verdicts))
+	}
+	for _, v := range verdicts {
+		if v.Code != "" {
+			t.Fatalf("ingest verdict %+v: the window's own LSN was acknowledged", v)
+		}
 	}
 }

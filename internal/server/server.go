@@ -49,7 +49,6 @@ import (
 	"netclus/internal/obs"
 	"netclus/internal/roadnet"
 	"netclus/internal/shard"
-	"netclus/internal/trajectory"
 	"netclus/internal/wal"
 )
 
@@ -67,13 +66,10 @@ type Engine interface {
 	// bootstraps from it when the primary's log no longer reaches LSN 1.
 	Checkpoint(w io.Writer) (int64, error)
 	Graph() *roadnet.Graph
-	AddSite(v roadnet.NodeID) error
-	DeleteSite(v roadnet.NodeID) error
-	AddTrajectory(tr *trajectory.Trajectory) (trajectory.ID, error)
-	// AddTrajectories applies a batch atomically under one WAL record —
-	// the ingest pipeline's write path.
-	AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID, error)
-	DeleteTrajectory(tid trajectory.ID) error
+	// Apply is the one write path: /v1/update and each /v1/ingest window
+	// lower to a wal.Mutation, and the engine applies it and — WAL-served —
+	// logs it under one lock, reporting the LSN that record was assigned.
+	Apply(m wal.Mutation) (wal.Applied, error)
 }
 
 // shardStatser is the optional per-shard metrics surface: when the served
@@ -605,8 +601,8 @@ type updateResponse struct {
 	OK bool `json:"ok"`
 	// TrajectoryID reports the id assigned by add_trajectory.
 	TrajectoryID *int32 `json:"trajectory_id,omitempty"`
-	// LSN is the write-ahead-log head right after this mutation committed
-	// (0 when the server has no log).
+	// LSN is the sequence number of this mutation's own write-ahead-log
+	// record (0 when the server has no log).
 	LSN uint64 `json:"lsn,omitempty"`
 	// Quorum reports that the configured follower quorum durably
 	// acknowledged LSN before this response.
@@ -632,30 +628,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	var resp updateResponse
+	// Pricing a posted node sequence into a trajectory can fail on the live
+	// graph (unknown node, unreachable hop): a conflict, like any other
+	// mutation the engine refuses.
 	tApply := time.Now()
-	switch u.Op {
-	case "add_site":
-		err = s.eng.AddSite(roadnet.NodeID(u.Node))
-	case "delete_site":
-		err = s.eng.DeleteSite(roadnet.NodeID(u.Node))
-	case "add_trajectory":
-		nodes := make([]roadnet.NodeID, len(u.Nodes))
-		for i, v := range u.Nodes {
-			nodes[i] = roadnet.NodeID(v)
-		}
-		var tr *trajectory.Trajectory
-		tr, err = trajectory.New(s.eng.Graph(), nodes)
-		if err == nil {
-			var tid trajectory.ID
-			tid, err = s.eng.AddTrajectory(tr)
-			if err == nil {
-				id := int32(tid)
-				resp.TrajectoryID = &id
-			}
-		}
-	case "delete_trajectory":
-		err = s.eng.DeleteTrajectory(trajectory.ID(u.ID))
+	m, err := u.mutation(s.eng.Graph())
+	var applied wal.Applied
+	if err == nil {
+		applied, err = s.eng.Apply(m)
 	}
 	obs.UpdateApply.RecordSince(tApply)
 	if err != nil {
@@ -670,9 +650,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp.OK = true
-	if s.opts.Log != nil {
-		resp.LSN = s.opts.Log.HeadLSN()
+	resp := updateResponse{OK: true, LSN: applied.LSN}
+	if len(applied.IDs) > 0 {
+		id := int32(applied.IDs[0])
+		resp.TrajectoryID = &id
 	}
 	// Semi-sync quorum: hold the ack until Quorum followers have durably
 	// persisted past this mutation's LSN. On timeout the mutation has
@@ -737,8 +718,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // deposed-primary latch.
 //
 // The response carries the log's first retained and head LSNs plus the
-// primary's epoch in headers (deprecated in favor of GET /v1/replication;
-// kept for existing clients). A from below the first retained LSN is 410
+// primary's epoch in headers; they are part of the replication protocol
+// (a follower measures lag off the head and fences a stale primary off the
+// epoch). A from below the first retained LSN is 410
 // Gone: those records were compacted away and the follower must bootstrap
 // from /v1/checkpoint.
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {

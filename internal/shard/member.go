@@ -12,6 +12,7 @@ import (
 	"netclus/internal/engine"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
+	"netclus/internal/wal"
 )
 
 // Member is one shard of a router-fronted topology running in its own
@@ -22,9 +23,10 @@ import (
 // /v1/shard/ when Options.Member is set; internal/router speaks the
 // protocol against N of these.
 //
-// Site mutations are validated against ownership: a node another shard
-// owns is rejected, because applying it here would diverge this member's
-// partition from the topology the router derives from the partitioner.
+// Site mutations are validated against ownership (admit): a node another
+// shard owns is rejected, because applying it here would diverge this
+// member's partition from the topology the router derives from the
+// partitioner.
 type Member struct {
 	*engine.Engine
 	part  Partitioner
@@ -68,7 +70,7 @@ func NewMember(eng *engine.Engine, shards, index int, partitioner string, initia
 }
 
 func newMember(eng *engine.Engine, part Partitioner, index int, initialSites []roadnet.NodeID) *Member {
-	return &Member{
+	m := &Member{
 		Engine:       eng,
 		part:         part,
 		index:        index,
@@ -76,6 +78,8 @@ func newMember(eng *engine.Engine, part Partitioner, index int, initialSites []r
 		sessions:     make(map[string]*memberSession),
 		now:          time.Now,
 	}
+	eng.SetAdmission(m.admit)
+	return m
 }
 
 // BuildMember builds shard index of a shards-wide topology from the full
@@ -156,22 +160,22 @@ func (m *Member) Reps(p int) ([]core.RepInfo, error) {
 // graph (grid).
 func (m *Member) Owner(v int64) int { return m.part.Shard(roadnet.NodeID(v)) }
 
-// AddSite validates ownership before delegating: a misrouted site
-// mutation must fail loudly, not silently split one logical partition
-// across two shards.
-func (m *Member) AddSite(v roadnet.NodeID) error {
-	if j := m.part.Shard(v); j != m.index {
-		return fmt.Errorf("shard: node %d belongs to shard %d, not this member (%d)", v, j, m.index)
+// admit is the engine's live-path admission check (engine.SetAdmission):
+// a site mutation naming a node another shard owns must fail loudly, not
+// silently split one logical partition across two shards. Sitting inside
+// Engine.Apply, it covers every site kind by every route — the typed
+// methods promoted from the embedded engine included. Replay skips it: the
+// log holds only what a member admitted.
+func (m *Member) admit(mut wal.Mutation) error {
+	if !mut.Kind.Routed() {
+		return nil
 	}
-	return m.Engine.AddSite(v)
-}
-
-// DeleteSite validates ownership before delegating (see AddSite).
-func (m *Member) DeleteSite(v roadnet.NodeID) error {
-	if j := m.part.Shard(v); j != m.index {
-		return fmt.Errorf("shard: node %d belongs to shard %d, not this member (%d)", v, j, m.index)
+	for _, v := range mut.Sites() {
+		if j := m.part.Shard(v); j != m.index {
+			return fmt.Errorf("shard: node %d belongs to shard %d, not this member (%d)", v, j, m.index)
+		}
 	}
-	return m.Engine.DeleteSite(v)
+	return nil
 }
 
 // Start opens a query session: fill the masked cover for (p, ψ), open the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,11 +81,7 @@ type Sharded struct {
 	queries      atomic.Uint64
 	batchQueries atomic.Uint64
 	batches      atomic.Uint64
-	updateCount  atomic.Uint64
-	siteAdds     atomic.Uint64
-	siteDeletes  atomic.Uint64
-	trajAdds     atomic.Uint64
-	trajDeletes  atomic.Uint64
+	updates      engine.UpdateCounters
 	errorCount   atomic.Uint64
 	canceled     atomic.Uint64
 	coverNanos   atomic.Int64
@@ -506,100 +503,89 @@ func (s *Sharded) QueryBatch(ctx context.Context, qs []core.QueryOptions) []engi
 	return out
 }
 
-// Mutations. Site updates route to the owning shard; trajectory updates
-// broadcast (every shard's trajectory lists carry every trajectory). All
-// run under the write lock, so queries drain first and ownership
-// invalidation is fenced. With a WAL attached the discipline mirrors
-// engine.Engine: apply, then append the record, then acknowledge — one
-// record per logical mutation, independent of shard count, so a sharded
-// primary's log replays identically into any follower topology.
+// Mutations mirror engine.Engine: one live write path (Apply), one
+// transition function (applyMutation) that the replay path shares, typed
+// methods that only build the wal.Mutation value. Everything runs under the
+// write lock, so queries drain first and the ownership patch is fenced.
+// With a WAL attached there is one record per logical mutation, independent
+// of shard count, so a sharded primary's log replays identically into any
+// follower topology.
 
-// guardLog rejects mutations after a log append failure.
-func (s *Sharded) guardLog() error { return s.sink.Guard() }
-
-// commit appends the record for a mutation just applied and stamps the
-// engine with the assigned LSN. Caller holds the write lock.
-func (s *Sharded) commit(kind wal.Kind, body []byte) error {
-	_, err := s.sink.Commit(kind, body)
-	return err
-}
-
-// AddSite registers a new candidate site on its owning shard.
-func (s *Sharded) AddSite(v roadnet.NodeID) error {
+// Apply is the live write path (see engine.Engine.Apply).
+func (s *Sharded) Apply(m wal.Mutation) (wal.Applied, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return err
-	}
-	if err := s.addSiteLocked(v); err != nil {
-		return err
-	}
-	s.updateCount.Add(1)
-	s.siteAdds.Add(1)
-	return s.commit(wal.KindAddSite, wal.NodeBody(int64(v)))
+	return s.sink.Apply(m, s.applyMutation)
 }
 
-func (s *Sharded) addSiteLocked(v roadnet.NodeID) error {
-	j := s.part.Shard(v)
-	sh := s.shards[j]
-	if err := sh.eng.AddSite(v); err != nil {
-		return err
+// applyMutation is the sharded transition function, reached by Apply (live)
+// and ApplyRecord (replay) alike. The shards apply through their own
+// engines' Apply (they never carry a log: the Sharded layer is the system
+// of record). Caller holds the write lock.
+func (s *Sharded) applyMutation(m wal.Mutation) ([]trajectory.ID, error) {
+	var ids []trajectory.ID
+	var err error
+	if m.Kind.Routed() {
+		err = s.routeSites(m)
+	} else {
+		ids, err = s.broadcast(m)
 	}
-	sh.updates.Add(1)
-	s.sites.Add(v)
-	s.updateOwnershipAt(v)
+	if err != nil {
+		return nil, err
+	}
+	s.updates.Count(m)
+	return ids, nil
+}
+
+// routeSites applies a site kind on the shard (for a batch: the shards)
+// owning its nodes, then brings the global site mirror and the cluster
+// ownership tables up to date.
+func (s *Sharded) routeSites(m wal.Mutation) error {
+	nodes := m.Sites()
+	if m.Kind == wal.KindAddSites {
+		// A batch can span shards and no shard can undo another's share, so
+		// all-or-nothing (the single-shard batch contract) is checked here.
+		if err := s.checkSiteBatch(nodes); err != nil {
+			return err
+		}
+	}
+	byShard := make([][]roadnet.NodeID, len(s.shards))
+	for _, v := range nodes {
+		j := s.part.Shard(v)
+		byShard[j] = append(byShard[j], v)
+	}
+	for j, group := range byShard {
+		if len(group) == 0 {
+			continue
+		}
+		sub := m
+		if m.Kind == wal.KindAddSites {
+			sub.Nodes = group
+		}
+		if _, err := s.shards[j].eng.Apply(sub); err != nil {
+			if m.Kind == wal.KindAddSites {
+				// Unreachable after checkSiteBatch; surface loudly if a shard
+				// still disagrees, because state has diverged.
+				return fmt.Errorf("shard: AddSites: shard %d rejected a pre-validated batch: %w", j, err)
+			}
+			return err
+		}
+		s.shards[j].updates.Add(1)
+	}
+	for _, v := range nodes {
+		if m.Kind == wal.KindDeleteSite {
+			s.sites.Delete(v)
+		} else {
+			s.sites.Add(v)
+		}
+		s.updateOwnershipAt(v)
+	}
 	return nil
 }
 
-// DeleteSite removes a candidate site from its owning shard.
-func (s *Sharded) DeleteSite(v roadnet.NodeID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return err
-	}
-	if err := s.deleteSiteLocked(v); err != nil {
-		return err
-	}
-	s.updateCount.Add(1)
-	s.siteDeletes.Add(1)
-	return s.commit(wal.KindDeleteSite, wal.NodeBody(int64(v)))
-}
-
-func (s *Sharded) deleteSiteLocked(v roadnet.NodeID) error {
-	j := s.part.Shard(v)
-	sh := s.shards[j]
-	if err := sh.eng.DeleteSite(v); err != nil {
-		return err
-	}
-	sh.updates.Add(1)
-	s.sites.Delete(v)
-	s.updateOwnershipAt(v)
-	return nil
-}
-
-// AddSites registers a batch of candidate sites, validated as a whole
-// up front (all-or-nothing, like the single-shard batch path) and then
-// routed per owning shard.
-func (s *Sharded) AddSites(nodes []roadnet.NodeID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return err
-	}
-	if err := s.addSitesLocked(nodes); err != nil {
-		return err
-	}
-	s.updateCount.Add(1)
-	s.siteAdds.Add(uint64(len(nodes)))
-	ids := make([]int64, len(nodes))
-	for i, v := range nodes {
-		ids[i] = int64(v)
-	}
-	return s.commit(wal.KindAddSites, wal.IDListBody(ids))
-}
-
-func (s *Sharded) addSitesLocked(nodes []roadnet.NodeID) error {
+// checkSiteBatch validates an add_sites batch as a whole against the global
+// site set.
+func (s *Sharded) checkSiteBatch(nodes []roadnet.NodeID) error {
 	dup := make(map[roadnet.NodeID]bool, len(nodes))
 	for _, v := range nodes {
 		if v < 0 || int(v) >= s.g.NumNodes() {
@@ -613,140 +599,82 @@ func (s *Sharded) addSitesLocked(nodes []roadnet.NodeID) error {
 		}
 		dup[v] = true
 	}
-	byShard := make([][]roadnet.NodeID, len(s.shards))
-	for _, v := range nodes {
-		j := s.part.Shard(v)
-		byShard[j] = append(byShard[j], v)
-	}
-	for j, group := range byShard {
-		if len(group) == 0 {
-			continue
-		}
-		s.shards[j].updates.Add(1)
-		if err := s.shards[j].eng.AddSites(group); err != nil {
-			// Unreachable after the validation above; surface loudly if a
-			// shard still disagrees, because state has diverged.
-			return fmt.Errorf("shard: AddSites: shard %d rejected a pre-validated batch: %w", j, err)
-		}
-	}
-	for _, v := range nodes {
-		s.sites.Add(v)
-		s.updateOwnershipAt(v)
-	}
 	return nil
 }
 
-// broadcast applies one trajectory mutation to every shard. The first shard
-// validates before mutating (core's contract), so an invalid request fails
-// cleanly with no shard touched; shards past the first share identical
-// trajectory state, so they cannot disagree with it.
-func (s *Sharded) broadcast(apply func(sh *shardState) error) error {
-	for j, sh := range s.shards {
-		sh.updates.Add(1)
-		if err := apply(sh); err != nil {
-			if j > 0 {
-				return fmt.Errorf("shard: shard %d diverged during a trajectory broadcast: %w", j, err)
-			}
-			return err
-		}
+// broadcast applies a trajectory kind to every shard. An add kind is
+// decoded once, here, so all shards store the same trajectory objects.
+// Shard 0 validates before mutating (core's contract), so an invalid
+// request fails cleanly with no shard touched; the shards past it hold
+// identical trajectory state (their stores are clones of one origin), so a
+// failure or a different assigned id there means they have diverged.
+func (s *Sharded) broadcast(m wal.Mutation) ([]trajectory.ID, error) {
+	if _, err := m.Trajectories(s.g); err != nil {
+		return nil, err
 	}
-	return nil
+	var ids []trajectory.ID
+	for j, sh := range s.shards {
+		a, err := sh.eng.Apply(m)
+		if err == nil && j > 0 && !slices.Equal(a.IDs, ids) {
+			err = fmt.Errorf("assigned ids %v, expected %v", a.IDs, ids)
+		}
+		if err != nil {
+			if j > 0 {
+				return nil, fmt.Errorf("shard: shard %d diverged during a trajectory broadcast: %w", j, err)
+			}
+			return nil, err
+		}
+		sh.updates.Add(1)
+		ids = a.IDs
+	}
+	return ids, nil
+}
+
+// AddSite registers a new candidate site on its owning shard.
+func (s *Sharded) AddSite(v roadnet.NodeID) error {
+	_, err := s.Apply(wal.Mutation{Kind: wal.KindAddSite, Node: v})
+	return err
+}
+
+// DeleteSite removes a candidate site from its owning shard.
+func (s *Sharded) DeleteSite(v roadnet.NodeID) error {
+	_, err := s.Apply(wal.Mutation{Kind: wal.KindDeleteSite, Node: v})
+	return err
+}
+
+// AddSites registers a batch of candidate sites, all or nothing, each on
+// its owning shard.
+func (s *Sharded) AddSites(nodes []roadnet.NodeID) error {
+	_, err := s.Apply(wal.Mutation{Kind: wal.KindAddSites, Nodes: nodes})
+	return err
 }
 
 // AddTrajectory ingests one trajectory into every shard; all shards assign
-// the same id (their stores are clones of one origin).
+// the same id.
 func (s *Sharded) AddTrajectory(tr *trajectory.Trajectory) (trajectory.ID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return 0, err
-	}
-	tid, err := s.addTrajectoryLocked(tr)
+	a, err := s.Apply(wal.Mutation{Kind: wal.KindAddTrajectory, Traj: wal.FromTrajectory(tr)})
 	if err != nil {
 		return 0, err
 	}
-	s.updateCount.Add(1)
-	s.trajAdds.Add(1)
-	return tid, s.commit(wal.KindAddTrajectory, wal.TrajectoryBody(tr))
-}
-
-func (s *Sharded) addTrajectoryLocked(tr *trajectory.Trajectory) (trajectory.ID, error) {
-	var tid trajectory.ID
-	first := true
-	err := s.broadcast(func(sh *shardState) error {
-		id, err := sh.eng.AddTrajectory(tr)
-		if err != nil {
-			return err
-		}
-		if first {
-			tid, first = id, false
-		} else if id != tid {
-			return fmt.Errorf("assigned id %d, expected %d", id, tid)
-		}
-		return nil
-	})
-	return tid, err
+	return a.IDs[0], nil
 }
 
 // DeleteTrajectory removes one trajectory from every shard.
 func (s *Sharded) DeleteTrajectory(tid trajectory.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return err
-	}
-	if err := s.broadcast(func(sh *shardState) error { return sh.eng.DeleteTrajectory(tid) }); err != nil {
-		return err
-	}
-	s.updateCount.Add(1)
-	s.trajDeletes.Add(1)
-	return s.commit(wal.KindDeleteTrajectory, wal.NodeBody(int64(tid)))
+	_, err := s.Apply(wal.Mutation{Kind: wal.KindDeleteTrajectory, ID: tid})
+	return err
 }
 
 // AddTrajectories ingests a batch of trajectories into every shard.
 func (s *Sharded) AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return nil, err
-	}
-	var ids []trajectory.ID
-	first := true
-	err := s.broadcast(func(sh *shardState) error {
-		got, err := sh.eng.AddTrajectories(trs)
-		if err != nil {
-			return err
-		}
-		if first {
-			ids, first = got, false
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.updateCount.Add(1)
-	s.trajAdds.Add(uint64(len(trs)))
-	return ids, s.commit(wal.KindAddTrajectories, wal.TrajectoriesBody(trs))
+	a, err := s.Apply(wal.Mutation{Kind: wal.KindAddTrajectories, Trajs: wal.FromTrajectories(trs)})
+	return a.IDs, err
 }
 
 // DeleteTrajectories removes a batch of trajectories from every shard.
 func (s *Sharded) DeleteTrajectories(ids []trajectory.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return err
-	}
-	if err := s.broadcast(func(sh *shardState) error { return sh.eng.DeleteTrajectories(ids) }); err != nil {
-		return err
-	}
-	s.updateCount.Add(1)
-	s.trajDeletes.Add(uint64(len(ids)))
-	raw := make([]int64, len(ids))
-	for i, id := range ids {
-		raw[i] = int64(id)
-	}
-	return s.commit(wal.KindDeleteTrajectories, wal.IDListBody(raw))
+	_, err := s.Apply(wal.Mutation{Kind: wal.KindDeleteTrajectories, IDs: ids})
+	return err
 }
 
 // Durability and replication surface, mirroring engine.Engine's: LSN,
@@ -766,9 +694,6 @@ func (s *Sharded) RestoreEpoch(epoch uint64) { s.sink.RestoreEpoch(epoch) }
 func (s *Sharded) BeginEpoch(epoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.guardLog(); err != nil {
-		return err
-	}
 	_, err := s.sink.BeginEpoch(epoch)
 	return err
 }
@@ -781,8 +706,8 @@ func (s *Sharded) AttachWAL(l *wal.Log) error {
 	return s.sink.Attach(l)
 }
 
-// ApplyRecord applies one logged mutation through the sharded routing
-// paths without re-logging it — recovery and follower tailing. Records
+// ApplyRecord is the replay path — recovery and follower tailing: one
+// logged mutation through applyMutation, without re-logging it. Records
 // must arrive in LSN order.
 func (s *Sharded) ApplyRecord(rec wal.Record) error {
 	m, err := rec.Mutation()
@@ -791,89 +716,9 @@ func (s *Sharded) ApplyRecord(rec wal.Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.sink.CheckReplay(rec); err != nil {
+	if err := s.sink.Replay(rec.LSN, m, s.applyMutation); err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	if m.Kind == wal.KindEpoch {
-		if err := s.sink.ApplyEpoch(rec); err != nil {
-			return fmt.Errorf("shard: replaying LSN %d (%s): %w", rec.LSN, m.Kind, err)
-		}
-		return nil
-	}
-	if err := s.applyMutation(m); err != nil {
-		return fmt.Errorf("shard: replaying LSN %d (%s): %w", rec.LSN, m.Kind, err)
-	}
-	s.sink.SetLSN(rec.LSN)
-	return nil
-}
-
-// applyMutation dispatches a decoded record to the sharded mutation it
-// logs. Caller holds the write lock.
-func (s *Sharded) applyMutation(m wal.Mutation) error {
-	switch m.Kind {
-	case wal.KindAddSite:
-		if err := s.addSiteLocked(roadnet.NodeID(m.Node)); err != nil {
-			return err
-		}
-		s.siteAdds.Add(1)
-	case wal.KindDeleteSite:
-		if err := s.deleteSiteLocked(roadnet.NodeID(m.Node)); err != nil {
-			return err
-		}
-		s.siteDeletes.Add(1)
-	case wal.KindAddSites:
-		nodes := make([]roadnet.NodeID, len(m.Nodes))
-		for i, v := range m.Nodes {
-			nodes[i] = roadnet.NodeID(v)
-		}
-		if err := s.addSitesLocked(nodes); err != nil {
-			return err
-		}
-		s.siteAdds.Add(uint64(len(nodes)))
-	case wal.KindAddTrajectory:
-		tr, err := m.Traj.Trajectory(s.g)
-		if err != nil {
-			return err
-		}
-		if _, err := s.addTrajectoryLocked(tr); err != nil {
-			return err
-		}
-		s.trajAdds.Add(1)
-	case wal.KindDeleteTrajectory:
-		if err := s.broadcast(func(sh *shardState) error { return sh.eng.DeleteTrajectory(trajectory.ID(m.ID)) }); err != nil {
-			return err
-		}
-		s.trajDeletes.Add(1)
-	case wal.KindAddTrajectories:
-		trs := make([]*trajectory.Trajectory, len(m.Trajs))
-		for i, td := range m.Trajs {
-			tr, err := td.Trajectory(s.g)
-			if err != nil {
-				return err
-			}
-			trs[i] = tr
-		}
-		err := s.broadcast(func(sh *shardState) error {
-			_, err := sh.eng.AddTrajectories(trs)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		s.trajAdds.Add(uint64(len(trs)))
-	case wal.KindDeleteTrajectories:
-		ids := make([]trajectory.ID, len(m.Nodes))
-		for i, v := range m.Nodes {
-			ids[i] = trajectory.ID(v)
-		}
-		if err := s.broadcast(func(sh *shardState) error { return sh.eng.DeleteTrajectories(ids) }); err != nil {
-			return err
-		}
-		s.trajDeletes.Add(uint64(len(ids)))
-	default:
-		return fmt.Errorf("shard: unknown mutation kind %s", m.Kind)
-	}
-	s.updateCount.Add(1)
 	return nil
 }
 
@@ -885,11 +730,6 @@ func (s *Sharded) Stats() engine.Stats {
 		Queries:      s.queries.Load(),
 		BatchQueries: s.batchQueries.Load(),
 		Batches:      s.batches.Load(),
-		Updates:      s.updateCount.Load(),
-		SiteAdds:     s.siteAdds.Load(),
-		SiteDeletes:  s.siteDeletes.Load(),
-		TrajAdds:     s.trajAdds.Load(),
-		TrajDeletes:  s.trajDeletes.Load(),
 		LSN:          s.sink.LSN(),
 		Epoch:        s.sink.Epoch(),
 		Errors:       s.errorCount.Load(),
@@ -897,6 +737,7 @@ func (s *Sharded) Stats() engine.Stats {
 		CoverTime:    time.Duration(s.coverNanos.Load()),
 		GreedyTime:   time.Duration(s.greedyNanos.Load()),
 	}
+	s.updates.Fill(&st)
 	for _, sh := range s.shards {
 		es := sh.eng.Stats()
 		st.CoverHits += es.CoverHits

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -244,4 +245,91 @@ func TestShardedWALRecoveryDifferential(t *testing.T) {
 // graph, extended store, mirror-ordered sites) for snapshot reloads.
 func (s *Sharded) fullInstance() *tops.Instance {
 	return &tops.Instance{G: s.g, Trajs: s.shards[0].inst.Trajs, Sites: s.sites.Sites()}
+}
+
+// TestEngineOwnsAddedTrajectories: an engine stores what the mutation value
+// carries, never the caller's objects, so a library caller that reuses its
+// slices after AddTrajectory / AddTrajectories cannot make live state differ
+// from what the log recovers (at the parent commit the live path kept the
+// caller's pointer while the log kept a copy). The in-process shards still
+// share one decoded object per trajectory — decoded once at the Sharded
+// level, live and on replay.
+func TestEngineOwnsAddedTrajectories(t *testing.T) {
+	inst, city := buildFixture(t, 769)
+	type durable interface {
+		walOps
+		wal.Applier
+		AttachWAL(l *wal.Log) error
+		AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID, error)
+		Checkpoint(w io.Writer) (int64, error)
+		Query(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error)
+	}
+	for name, build := range map[string]func() durable{
+		"engine":  func() durable { return singleEngine(t, cloneInstance(inst)) },
+		"sharded": func() durable { return shardedEngine(t, cloneInstance(inst), 3, HashPartitioner) },
+	} {
+		live, twin := build(), build()
+		log, err := wal.Open(t.TempDir(), wal.Options{Policy: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		if err := live.AttachWAL(log); err != nil {
+			t.Fatal(err)
+		}
+		mine := extraTrajectories(t, city, 3, 9127)
+		first, err := live.AddTrajectory(mine[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := live.AddTrajectories(mine[1:]); err != nil {
+			t.Fatal(err)
+		}
+		// The caller reuses its buffers.
+		for _, tr := range mine {
+			for i := range tr.Nodes {
+				tr.Nodes[i] = tr.Nodes[0]
+				tr.CumDist[i] *= 3
+			}
+		}
+		if n, err := wal.Replay(log, twin); err != nil || n != 2 {
+			t.Fatalf("%s: replay = %d, %v", name, n, err)
+		}
+		var a, b bytes.Buffer
+		if _, err := live.Checkpoint(&a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twin.Checkpoint(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: live checkpoint differs from the one recovered from its own log", name)
+		}
+		rng := rand.New(rand.NewSource(53))
+		for d := 0; d < 6; d++ {
+			opts := core.QueryOptions{K: 1 + rng.Intn(8), Pref: drawPref(rng)}
+			got, err := live.Query(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.Query(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswer(t, name, got, want)
+		}
+		for _, eng := range []durable{live, twin} {
+			s, ok := eng.(*Sharded)
+			if !ok {
+				continue
+			}
+			for id := first; id < first+3; id++ {
+				for j, sh := range s.shards {
+					if sh.inst.Trajs.Get(id) != s.shards[0].inst.Trajs.Get(id) {
+						t.Errorf("shard %d holds its own copy of trajectory %d", j, id)
+					}
+				}
+			}
+		}
+	}
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"netclus/internal/roadnet"
 )
 
 // Append throughput per fsync policy — the EXPERIMENTS.md table of what a
 // durability guarantee costs per acknowledged update.
 func BenchmarkWALAppend(b *testing.B) {
-	body := IDListBody([]int64{1, 2, 3, 4, 5, 6, 7, 8})
+	body := IDListBody([]roadnet.NodeID{1, 2, 3, 4, 5, 6, 7, 8})
 	for _, pol := range []SyncPolicy{SyncAlways, SyncEveryInterval, SyncNever} {
 		b.Run(string(pol), func(b *testing.B) {
 			l, err := Open(b.TempDir(), Options{Policy: pol, Interval: 10 * time.Millisecond})
@@ -38,7 +40,7 @@ func BenchmarkWALReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			body := IDListBody([]int64{1, 2, 3, 4, 5, 6, 7, 8})
+			body := IDListBody([]roadnet.NodeID{1, 2, 3, 4, 5, 6, 7, 8})
 			for i := 0; i < n; i++ {
 				if _, err := l.Append(KindAddSites, body); err != nil {
 					b.Fatal(err)

@@ -47,42 +47,62 @@ const (
 	KindEpoch Kind = 8
 )
 
-// String names the record kind for error messages and logs.
-func (k Kind) String() string {
-	switch k {
-	case KindAddSite:
-		return "add_site"
-	case KindDeleteSite:
-		return "delete_site"
-	case KindAddTrajectory:
-		return "add_trajectory"
-	case KindDeleteTrajectory:
-		return "delete_trajectory"
-	case KindAddSites:
-		return "add_sites"
-	case KindAddTrajectories:
-		return "add_trajectories"
-	case KindDeleteTrajectories:
-		return "delete_trajectories"
-	case KindEpoch:
-		return "epoch"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
+// kindNames is the one table between kinds and their names. The names
+// double as the JSON op names of POST /v1/update, so the serving tiers lower
+// an op through KindByName.
+var kindNames = [...]string{
+	KindAddSite:            "add_site",
+	KindDeleteSite:         "delete_site",
+	KindAddTrajectory:      "add_trajectory",
+	KindDeleteTrajectory:   "delete_trajectory",
+	KindAddSites:           "add_sites",
+	KindAddTrajectories:    "add_trajectories",
+	KindDeleteTrajectories: "delete_trajectories",
+	KindEpoch:              "epoch",
 }
 
 func (k Kind) valid() bool { return k >= KindAddSite && k <= KindEpoch }
 
+// String names the record kind for error messages and logs.
+func (k Kind) String() string {
+	if !k.valid() {
+		return fmt.Sprintf("kind(%d)", uint8(k))
+	}
+	return kindNames[k]
+}
+
+// KindByName is the inverse of String.
+func KindByName(name string) (Kind, bool) {
+	for k := KindAddSite; k <= KindEpoch; k++ {
+		if kindNames[k] == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// Routed reports whether k is a site kind. A site mutation routes to the
+// one shard whose partition owns its node; every other mutation addresses
+// the trajectory set, which all shards replicate, and broadcasts.
+func (k Kind) Routed() bool {
+	return k == KindAddSite || k == KindDeleteSite || k == KindAddSites
+}
+
+// Single reports whether k mutates exactly one item — the four kinds POST
+// /v1/update accepts. The batch frames are library- and log-only.
+func (k Kind) Single() bool { return k >= KindAddSite && k <= KindDeleteTrajectory }
+
 // Record is one logged mutation: its sequence number, kind, and the
-// kind-specific body (see the Body constructors below).
+// kind-specific body (see the body encoders below).
 type Record struct {
 	LSN  uint64
 	Kind Kind
 	Body []byte
 }
 
-// Body constructors. Bodies are little-endian and fully self-delimiting so
-// a record round-trips through disk and network identically.
+// Body encoders. Bodies are little-endian and fully self-delimiting so a
+// record round-trips through disk and network identically. Mutation.Body
+// picks the encoder for a kind; Record.Mutation is its inverse.
 
 // NodeBody encodes a single id (node or trajectory id).
 func NodeBody(v int64) []byte {
@@ -92,15 +112,11 @@ func NodeBody(v int64) []byte {
 }
 
 // EpochBody encodes a KindEpoch record's fencing token.
-func EpochBody(epoch uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], epoch)
-	return b[:]
-}
+func EpochBody(epoch uint64) []byte { return NodeBody(int64(epoch)) }
 
-// IDListBody encodes a list of ids (trajectory node sequences, site
-// batches, trajectory-id batches): u32 count, then count u64 values.
-func IDListBody(vs []int64) []byte {
+// IDListBody encodes a list of ids (site batches, trajectory-id batches):
+// u32 count, then count u64 values.
+func IDListBody[T ~int32](vs []T) []byte {
 	b := make([]byte, 4+8*len(vs))
 	binary.LittleEndian.PutUint32(b, uint32(len(vs)))
 	for i, v := range vs {
@@ -119,13 +135,27 @@ type TrajData struct {
 	Cum   []float64
 }
 
-// FromTrajectory captures a trajectory for logging.
+// FromTrajectory captures a trajectory for logging. The copy is what lets
+// the caller go on using (or reusing) its own slices; a nil trajectory
+// captures as the empty one, which no engine accepts.
 func FromTrajectory(tr *trajectory.Trajectory) TrajData {
+	if tr == nil {
+		return TrajData{}
+	}
 	d := TrajData{Nodes: make([]int64, len(tr.Nodes)), Cum: append([]float64(nil), tr.CumDist...)}
 	for i, v := range tr.Nodes {
 		d.Nodes[i] = int64(v)
 	}
 	return d
+}
+
+// FromTrajectories captures a batch (see FromTrajectory).
+func FromTrajectories(trs []*trajectory.Trajectory) []TrajData {
+	out := make([]TrajData, len(trs))
+	for i, tr := range trs {
+		out[i] = FromTrajectory(tr)
+	}
+	return out
 }
 
 // Trajectory reconstructs the exact logged trajectory over g, validating
@@ -150,36 +180,15 @@ func (d TrajData) Trajectory(g *roadnet.Graph) (*trajectory.Trajectory, error) {
 	return tr, nil
 }
 
-// TrajectoryBody encodes one trajectory: u32 len, len u64 nodes, len f64
+// appendTraj encodes one trajectory: u32 len, len u64 nodes, len f64
 // cumulative distances.
-func TrajectoryBody(tr *trajectory.Trajectory) []byte {
-	return appendTraj(nil, FromTrajectory(tr))
-}
-
 func appendTraj(b []byte, d TrajData) []byte {
-	var u4 [4]byte
-	var u8 [8]byte
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(d.Nodes)))
-	b = append(b, u4[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(d.Nodes)))
 	for _, v := range d.Nodes {
-		binary.LittleEndian.PutUint64(u8[:], uint64(v))
-		b = append(b, u8[:]...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	for _, c := range d.Cum {
-		binary.LittleEndian.PutUint64(u8[:], math.Float64bits(c))
-		b = append(b, u8[:]...)
-	}
-	return b
-}
-
-// TrajectoriesBody encodes a batch: u32 count, then one TrajectoryBody
-// block per trajectory.
-func TrajectoriesBody(trs []*trajectory.Trajectory) []byte {
-	var u4 [4]byte
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(trs)))
-	b := append([]byte(nil), u4[:]...)
-	for _, tr := range trs {
-		b = appendTraj(b, FromTrajectory(tr))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 	}
 	return b
 }
@@ -189,19 +198,89 @@ func TrajectoriesBody(trs []*trajectory.Trajectory) []byte {
 // decoder must stay allocation-safe on adversarial input.
 const maxListLen = 1 << 24
 
-// Mutation is the decoded, typed form of a record body — what the engine
-// and sharded replay paths dispatch on.
+// Mutation is one §6 update as a value — the only currency of the write
+// path. A live caller builds one and hands it to an engine's Apply, which
+// logs Body(); recovery and followers get the same value back from
+// Record.Mutation and hand it to the same transition function. The fields
+// a kind does not name are zero.
 type Mutation struct {
 	Kind Kind
-	// Node addresses add_site / delete_site; ID addresses delete_trajectory.
-	Node, ID int64
-	// Nodes carries add_sites' site nodes or delete_trajectories' ids.
-	Nodes []int64
+	// Node addresses add_site / delete_site; Nodes is add_sites' batch.
+	Node  roadnet.NodeID
+	Nodes []roadnet.NodeID
+	// ID addresses delete_trajectory; IDs is delete_trajectories' batch.
+	ID  trajectory.ID
+	IDs []trajectory.ID
 	// Traj carries add_trajectory's data; Trajs carries add_trajectories'.
 	Traj  TrajData
 	Trajs []TrajData
 	// Epoch carries a KindEpoch record's fencing token.
 	Epoch uint64
+
+	// decoded caches Trajectories' result on the value.
+	decoded []*trajectory.Trajectory
+}
+
+// Sites returns the nodes a site kind addresses: the one node of add_site /
+// delete_site, the batch of add_sites.
+func (m Mutation) Sites() []roadnet.NodeID {
+	if m.Kind == KindAddSites {
+		return m.Nodes
+	}
+	return []roadnet.NodeID{m.Node}
+}
+
+// Trajectories returns the trajectories an add kind carries (nil for every
+// other kind), decoded over g into fresh objects the receiving index may
+// keep, and validated. The first call caches them on the value, so a
+// mutation handed on afterwards — a sharded engine's broadcast — gives every
+// receiver the same objects instead of one decode per shard.
+func (m *Mutation) Trajectories(g *roadnet.Graph) ([]*trajectory.Trajectory, error) {
+	src := m.Trajs
+	if m.Kind == KindAddTrajectory {
+		src = []TrajData{m.Traj}
+	} else if m.Kind != KindAddTrajectories {
+		return nil, nil
+	}
+	if m.decoded == nil {
+		out := make([]*trajectory.Trajectory, len(src))
+		for i, d := range src {
+			tr, err := d.Trajectory(g)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = tr
+		}
+		m.decoded = out
+	}
+	return m.decoded, nil
+}
+
+// Body encodes the mutation as its record body, the exact inverse of
+// Record.Mutation (FuzzMutationCodec holds the pair to it).
+func (m Mutation) Body() []byte {
+	switch m.Kind {
+	case KindAddSite, KindDeleteSite:
+		return NodeBody(int64(m.Node))
+	case KindDeleteTrajectory:
+		return NodeBody(int64(m.ID))
+	case KindAddSites:
+		return IDListBody(m.Nodes)
+	case KindDeleteTrajectories:
+		return IDListBody(m.IDs)
+	case KindAddTrajectory:
+		return appendTraj(nil, m.Traj)
+	case KindAddTrajectories:
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(m.Trajs)))
+		for _, d := range m.Trajs {
+			b = appendTraj(b, d)
+		}
+		return b
+	case KindEpoch:
+		return EpochBody(m.Epoch)
+	default:
+		return nil
+	}
 }
 
 type bodyReader struct {
@@ -227,7 +306,17 @@ func (r *bodyReader) i64() (int64, error) {
 	return v, nil
 }
 
-func (r *bodyReader) i64List() ([]int64, error) {
+// readID reads one logged id into the 32-bit id type the index uses,
+// rejecting a value that would wrap.
+func readID[T ~int32](r *bodyReader) (T, error) {
+	v, err := r.i64()
+	if err == nil && int64(int32(v)) != v {
+		err = fmt.Errorf("wal: id %d outside the 32-bit id range", v)
+	}
+	return T(v), err
+}
+
+func readIDList[T ~int32](r *bodyReader) ([]T, error) {
 	n, err := r.u32()
 	if err != nil {
 		return nil, err
@@ -238,9 +327,11 @@ func (r *bodyReader) i64List() ([]int64, error) {
 	if r.off+8*int(n) > len(r.b) {
 		return nil, fmt.Errorf("wal: list of %d overruns body", n)
 	}
-	out := make([]int64, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i], _ = r.i64()
+		if out[i], err = readID[T](r); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -275,19 +366,22 @@ func (r *bodyReader) done() error {
 }
 
 // Mutation decodes the record body into its typed form. It never panics:
-// any structural problem — unknown kind, truncated list, trailing bytes —
-// is an error, so a follower can decode frames from an untrusted stream.
+// any structural problem — unknown kind, truncated list, trailing bytes, an
+// id past the 32-bit id types — is an error, so a follower can decode
+// frames from an untrusted stream.
 func (r Record) Mutation() (Mutation, error) {
 	m := Mutation{Kind: r.Kind}
 	br := &bodyReader{b: r.Body}
 	var err error
 	switch r.Kind {
 	case KindAddSite, KindDeleteSite:
-		m.Node, err = br.i64()
+		m.Node, err = readID[roadnet.NodeID](br)
 	case KindDeleteTrajectory:
-		m.ID, err = br.i64()
-	case KindAddSites, KindDeleteTrajectories:
-		m.Nodes, err = br.i64List()
+		m.ID, err = readID[trajectory.ID](br)
+	case KindAddSites:
+		m.Nodes, err = readIDList[roadnet.NodeID](br)
+	case KindDeleteTrajectories:
+		m.IDs, err = readIDList[trajectory.ID](br)
 	case KindAddTrajectory:
 		m.Traj, err = br.traj()
 	case KindEpoch:

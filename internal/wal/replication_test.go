@@ -111,8 +111,8 @@ func TestEpochRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSinkEpochFencing: BeginEpoch only moves forward, ApplyEpoch never
-// moves backwards, and both report ErrFenced on a stale token.
+// TestSinkEpochFencing: BeginEpoch only moves forward, a replayed epoch
+// record never moves backwards, and both report ErrFenced on a stale token.
 func TestSinkEpochFencing(t *testing.T) {
 	var s Sink
 	if s.Epoch() != 0 {
@@ -134,20 +134,24 @@ func TestSinkEpochFencing(t *testing.T) {
 
 	// Replayed epoch records: same epoch is idempotent, lower is fenced,
 	// higher advances.
-	rec := Record{LSN: 5, Kind: KindEpoch, Body: EpochBody(2)}
-	if err := s.ApplyEpoch(rec); err != nil {
-		t.Fatalf("ApplyEpoch(same) = %v", err)
+	replay := func(lsn, epoch uint64) error {
+		return s.Replay(lsn, Mutation{Kind: KindEpoch, Epoch: epoch}, nil)
+	}
+	s.SetLSN(4)
+	if err := replay(5, 2); err != nil {
+		t.Fatalf("replay(same epoch) = %v", err)
 	}
 	if s.LSN() != 5 {
-		t.Fatalf("ApplyEpoch did not stamp LSN: %d", s.LSN())
+		t.Fatalf("replayed epoch record did not stamp LSN: %d", s.LSN())
 	}
-	rec = Record{LSN: 6, Kind: KindEpoch, Body: EpochBody(1)}
-	if err := s.ApplyEpoch(rec); !errors.Is(err, ErrFenced) {
-		t.Fatalf("ApplyEpoch(stale) = %v, want ErrFenced", err)
+	if err := replay(6, 1); !errors.Is(err, ErrFenced) || s.LSN() != 5 {
+		t.Fatalf("replay(stale epoch) = %v at LSN %d, want ErrFenced at 5", err, s.LSN())
 	}
-	rec = Record{LSN: 6, Kind: KindEpoch, Body: EpochBody(9)}
-	if err := s.ApplyEpoch(rec); err != nil || s.Epoch() != 9 {
-		t.Fatalf("ApplyEpoch(newer) = %v, epoch %d", err, s.Epoch())
+	if err := replay(6, 9); err != nil || s.Epoch() != 9 {
+		t.Fatalf("replay(newer epoch) = %v, epoch %d", err, s.Epoch())
+	}
+	if err := replay(8, 9); err == nil {
+		t.Fatal("replay accepted an LSN gap")
 	}
 }
 

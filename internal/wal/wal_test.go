@@ -3,9 +3,11 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,7 +59,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Node != int64(i) {
+		if m.Node != roadnet.NodeID(i) {
 			t.Fatalf("record %d node %d, want %d", i, m.Node, i)
 		}
 	}
@@ -271,43 +273,70 @@ func TestResetDiscardsAndRebases(t *testing.T) {
 	}
 }
 
+// le assembles a reference body by hand — u32 counts, u64 ids, f64
+// distances, little-endian — independently of the encoder under test.
+func le(vals ...any) []byte {
+	var b []byte
+	for _, v := range vals {
+		switch v := v.(type) {
+		case uint32:
+			b = binary.LittleEndian.AppendUint32(b, v)
+		case int:
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		case float64:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
 func TestMutationCodecRoundTrip(t *testing.T) {
 	cases := []struct {
-		kind Kind
 		body []byte
 		want Mutation
 	}{
-		{KindAddSite, NodeBody(17), Mutation{Kind: KindAddSite, Node: 17}},
-		{KindDeleteSite, NodeBody(3), Mutation{Kind: KindDeleteSite, Node: 3}},
-		{KindAddTrajectory, TrajectoryBody(&trajectory.Trajectory{Nodes: []roadnet.NodeID{1, 2, 3}, CumDist: []float64{0, 1, 2.5}}),
+		{le(17), Mutation{Kind: KindAddSite, Node: 17}},
+		{le(3), Mutation{Kind: KindDeleteSite, Node: 3}},
+		{le(uint32(3), 1, 2, 3, 0.0, 1.0, 2.5),
 			Mutation{Kind: KindAddTrajectory, Traj: TrajData{Nodes: []int64{1, 2, 3}, Cum: []float64{0, 1, 2.5}}}},
-		{KindDeleteTrajectory, NodeBody(9), Mutation{Kind: KindDeleteTrajectory, ID: 9}},
-		{KindAddSites, IDListBody([]int64{4, 5}), Mutation{Kind: KindAddSites, Nodes: []int64{4, 5}}},
-		{KindAddTrajectories, TrajectoriesBody([]*trajectory.Trajectory{
-			{Nodes: []roadnet.NodeID{1, 2}, CumDist: []float64{0, 2}},
-			{Nodes: []roadnet.NodeID{3}, CumDist: []float64{0}},
-		}), Mutation{Kind: KindAddTrajectories, Trajs: []TrajData{
-			{Nodes: []int64{1, 2}, Cum: []float64{0, 2}},
-			{Nodes: []int64{3}, Cum: []float64{0}},
-		}}},
-		{KindDeleteTrajectories, IDListBody([]int64{0, 2}), Mutation{Kind: KindDeleteTrajectories, Nodes: []int64{0, 2}}},
+		{le(9), Mutation{Kind: KindDeleteTrajectory, ID: 9}},
+		{le(uint32(2), 4, 5), Mutation{Kind: KindAddSites, Nodes: []roadnet.NodeID{4, 5}}},
+		{le(uint32(2), uint32(2), 1, 2, 0.0, 2.0, uint32(1), 3, 0.0),
+			Mutation{Kind: KindAddTrajectories, Trajs: []TrajData{
+				{Nodes: []int64{1, 2}, Cum: []float64{0, 2}},
+				{Nodes: []int64{3}, Cum: []float64{0}},
+			}}},
+		{le(uint32(2), 0, 2), Mutation{Kind: KindDeleteTrajectories, IDs: []trajectory.ID{0, 2}}},
+		{le(7), Mutation{Kind: KindEpoch, Epoch: 7}},
 	}
 	for _, tc := range cases {
-		m, err := (Record{LSN: 1, Kind: tc.kind, Body: tc.body}).Mutation()
+		kind := tc.want.Kind
+		m, err := (Record{LSN: 1, Kind: kind, Body: tc.body}).Mutation()
 		if err != nil {
-			t.Fatalf("%s: %v", tc.kind, err)
+			t.Fatalf("%s: %v", kind, err)
 		}
 		if !reflect.DeepEqual(m, tc.want) {
-			t.Errorf("%s decoded %+v, want %+v", tc.kind, m, tc.want)
+			t.Errorf("%s decoded %+v, want %+v", kind, m, tc.want)
 		}
+		if got := tc.want.Body(); !bytes.Equal(got, tc.body) {
+			t.Errorf("%s encoded % x, want % x", kind, got, tc.body)
+		}
+		if back, ok := KindByName(kind.String()); !ok || back != kind {
+			t.Errorf("KindByName(%q) = %v, %v", kind.String(), back, ok)
+		}
+	}
+	if k, ok := KindByName("kind(9)"); ok {
+		t.Errorf("KindByName resolved a non-kind to %v", k)
 	}
 	// Structural garbage must error, never panic.
 	bad := []Record{
 		{LSN: 1, Kind: KindAddSite, Body: []byte{1, 2}},
 		{LSN: 1, Kind: KindAddTrajectory, Body: []byte{255, 255, 255, 255}},
-		{LSN: 1, Kind: KindAddTrajectory, Body: IDListBody([]int64{1, 2})}, // nodes without distances
+		{LSN: 1, Kind: KindAddTrajectory, Body: IDListBody([]roadnet.NodeID{1, 2})}, // nodes without distances
 		{LSN: 1, Kind: Kind(99), Body: nil},
 		{LSN: 1, Kind: KindAddSite, Body: append(NodeBody(1), 0xff)},
+		{LSN: 1, Kind: KindAddSite, Body: NodeBody(1<<32 + 5)},                 // would wrap to node 5
+		{LSN: 1, Kind: KindDeleteTrajectories, Body: le(uint32(2), 0, -1<<40)}, // likewise in a list
 		{LSN: 1, Kind: KindAddTrajectories, Body: []byte{2, 0, 0, 0, 1, 0, 0, 0}},
 	}
 	for _, rec := range bad {
@@ -321,7 +350,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	recs := []Record{
 		{LSN: 1, Kind: KindAddSite, Body: NodeBody(4)},
-		{LSN: 2, Kind: KindAddSites, Body: IDListBody([]int64{5, 6})},
+		{LSN: 2, Kind: KindAddSites, Body: IDListBody([]roadnet.NodeID{5, 6})},
 	}
 	for _, rec := range recs {
 		if err := WriteFrame(&buf, rec); err != nil {

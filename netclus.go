@@ -258,9 +258,17 @@ type (
 	ServeOptions = server.Options
 	// ServeLimits bounds what the server's request decoder accepts.
 	ServeLimits = server.Limits
-	// ServerEngine is the serving surface NewServer accepts: both Engine
-	// and ShardedEngine satisfy it.
+	// ServerEngine is the serving surface NewServer accepts: queries,
+	// snapshots, counters and one write method, Apply. Engine, ShardedEngine
+	// and ShardMember satisfy it.
 	ServerEngine = server.Engine
+	// Mutation is one §6 update as a value — what ServerEngine.Apply takes,
+	// what the write-ahead log records, and what replay decodes back. The
+	// engines' typed methods (AddSite, AddTrajectories, …) build one and
+	// call Apply.
+	Mutation = wal.Mutation
+	// Applied is Apply's result: the record's LSN and any assigned ids.
+	Applied = wal.Applied
 )
 
 // NewServer wraps an engine — single-index or sharded — in the HTTP
@@ -332,11 +340,18 @@ var ParseFsyncPolicy = wal.ParsePolicy
 // OpenWAL opens (or creates) a log directory, repairing a torn tail.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) { return wal.Open(dir, opts) }
 
-// DurableEngine is the serving surface plus the durability hooks both
-// Engine and ShardedEngine implement: replaying logged records, attaching
-// a log for new mutations, and reporting the applied LSN.
+// DurableEngine is the serving surface plus what both Engine and
+// ShardedEngine add to it: the typed §6 methods (value constructors over
+// ServerEngine.Apply) and the durability hooks — replaying logged records
+// through the same function Apply applies them with, attaching a log for new
+// mutations, and reporting the applied LSN.
 type DurableEngine interface {
 	ServerEngine
+	AddSite(v NodeID) error
+	DeleteSite(v NodeID) error
+	AddTrajectory(tr *Trajectory) (TrajectoryID, error)
+	AddTrajectories(trs []*Trajectory) ([]TrajectoryID, error)
+	DeleteTrajectory(tid TrajectoryID) error
 	// ApplyRecord applies one logged mutation without re-logging it (crash
 	// recovery, follower tailing). Records must arrive in LSN order.
 	ApplyRecord(rec WALRecord) error
