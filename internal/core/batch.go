@@ -3,15 +3,15 @@ package core
 import (
 	"fmt"
 
-	"netclus/internal/roadnet"
 	"netclus/internal/trajectory"
 )
 
-// Batch updates. §6: "While multiple updates can be applied one after
-// another, batch processing is more efficient." The batch entry points
+// Batch trajectory updates. §6: "While multiple updates can be applied one
+// after another, batch processing is more efficient." The batch entry points
 // validate the whole batch up front (all-or-nothing), then apply per
 // index instance in one pass, amortizing bookkeeping that the single-item
-// paths repeat per update.
+// paths repeat per update. (The site batch, AddSites, is updates.go's one
+// add body.)
 
 // AddTrajectories ingests a batch of trajectories atomically: either every
 // trajectory is valid and all are added (ids returned in order), or none
@@ -40,7 +40,7 @@ func (idx *Index) AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID
 			registerTrajectory(ins, ids[i], tr)
 		}
 	}
-	idx.invalidateCovers(false)
+	idx.invalidateCovers()
 	return ids, nil
 }
 
@@ -85,39 +85,6 @@ func (idx *Index) DeleteTrajectories(ids []trajectory.ID) error {
 			ins.Clusters[ci].TL = kept
 		}
 	}
-	idx.invalidateCovers(false)
-	return nil
-}
-
-// AddSites registers a batch of nodes as candidate sites atomically.
-func (idx *Index) AddSites(nodes []roadnet.NodeID) error {
-	dup := make(map[roadnet.NodeID]bool, len(nodes))
-	for _, v := range nodes {
-		if v < 0 || int(v) >= idx.inst.G.NumNodes() {
-			return fmt.Errorf("core: AddSites: node %d outside graph", v)
-		}
-		if idx.isSite[v] {
-			return fmt.Errorf("core: AddSites: node %d is already a site", v)
-		}
-		if dup[v] {
-			return fmt.Errorf("core: AddSites: node %d listed twice", v)
-		}
-		dup[v] = true
-	}
-	for _, v := range nodes {
-		idx.isSite[v] = true
-		idx.siteID[v] = int32(len(idx.inst.Sites))
-		idx.inst.Sites = append(idx.inst.Sites, v)
-	}
-	for _, ins := range idx.Instances {
-		for _, v := range nodes {
-			ci := ins.NodeCluster[v]
-			if ci == InvalidCluster {
-				continue
-			}
-			maybeTakeRep(&ins.Clusters[ci], v, ins.nodeCenterDr[v])
-		}
-	}
-	idx.invalidateCovers(true)
+	idx.invalidateCovers()
 	return nil
 }

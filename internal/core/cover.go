@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,61 +16,119 @@ import (
 // This file splits the §5.1 RepCover computation into two halves with very
 // different lifetimes:
 //
-//   - CoverPlan: which clusters field a representative and, per
-//     representative, the ordered scan list (own cluster first, then CL
-//     neighbors with their center distances) plus dr(c_i, r_i). This depends
-//     only on the clustering and the site set, so it is computed once per
-//     instance and reused across every preference function until a site
-//     mutation moves a representative.
-//   - the fill: evaluating Eq. 9 over the scan lists for a concrete ψ. The
-//     fill shards representatives across workers, each with a dense
-//     epoch-stamped scratch array instead of the former per-representative
-//     map, and the results are memoized per (instance, ψ fingerprint) in a
-//     cache that every §6 mutation invalidates.
+//   - CoverPlan: which clusters field a representative, and per
+//     representative dr(c_i, r_i) — the only thing about the site set Eq. 9
+//     reads. It depends on the clustering and the site set alone, so it is
+//     computed once per instance and reused across every preference function
+//     until a site mutation moves a representative of that instance.
+//   - the fill: evaluating Eq. 9 row by row (one row per representative)
+//     for a concrete ψ. The fill shards rows across workers, each with a
+//     dense epoch-stamped scratch array, and the result is memoized per
+//     (instance, ψ fingerprint) together with the plan rows it was computed
+//     from.
+//
+// A memoized cover is revalidated against those rows, not dropped, when
+// sites change. A site mutation bumps Instance.repGen only where some
+// cluster's representative presence or RepDr actually moved, and a lookup
+// (coverFor) serves in three steps under one singleflight per key:
+//
+//  1. generation equal: hit, O(1), no allocation;
+//  2. generation moved: compare the entry's (cluster, RepDr) rows with the
+//     current plan by value; equal (a delete-then-re-add, any update that
+//     nets out) adopts the generation and is a hit;
+//  3. rows differ: build a new CoverSets copy-on-write, borrowing every row
+//     whose (cluster, RepDr) is unchanged from the old flat arrays and
+//     sweeping only changed or inserted rows (fillCover — a cold fill is the
+//     same function with nothing to borrow from).
+//
+// A row is a pure function of (cluster, RepDr, ψ, trajectory state), and
+// Finalize derives everything else from the rows, so a patched cover is
+// byte-equal to a fresh one (TestCoverRevalidationDifferential).
+//
+// Trajectory mutations still drop every memoized cover. That is measured,
+// not assumed: a TC row lists trajectories in first-touch order of the sweep
+// (own cluster, then CL neighbours), not id order, so appending a new
+// trajectory to an old row is not bit-exact and a touched row must be swept
+// again whole; and on bangalore 0.01 a 64-trace ingest window touches a
+// cluster in the scan set of 88–100 % of the rows of the four rungs the
+// benchmark mix queries, landing an entry within τ in 62–100 % of them (one
+// trajectory: 8–60 % and 2–39 %), so row-granular refill would borrow next
+// to nothing there and still pay the Finalize.
 //
 // The Index alone does not serialize queries against mutations; the
-// concurrency protocol (readers query, writers mutate+invalidate) is owned
-// by internal/engine.
+// concurrency protocol (readers query, writers mutate) is owned by
+// internal/engine.
 
 // CoverPlan is the reusable positional half of the covering-structure
 // computation for one instance. The per-representative scan order (own
 // cluster first, then CL neighbors with their center distances) is read
 // straight off the immutable CL lists at fill time — CL is built once per
 // instance and no §6 mutation touches it, so the plan only needs the
-// representative list and its dr snapshot.
+// representative list and its dr snapshot. A plan is immutable once built.
 type CoverPlan struct {
-	// Reps maps dense representative index -> cluster id.
+	// Reps maps dense representative index -> cluster id, ascending.
 	Reps []ClusterID
 	// repDr[ri] is dr(c_i, r_i) for Reps[ri], snapshotted at plan time.
 	repDr []float64
+	// gen is the Instance.repGen the rows were read at, or last found
+	// unchanged at (coverFor, step 2).
+	gen uint64
 }
 
-// coverKey identifies one memoized cover: the ladder instance, a
-// fingerprint of the preference function, and — for masked fills driven by
-// the sharded engine — a fingerprint of the cluster mask. Full covers use
-// mask 0; MaskFingerprint never returns 0.
+// sameRows reports whether two plans list the same (cluster, RepDr) rows —
+// everything a fill reads from a plan.
+func (pl *CoverPlan) sameRows(o *CoverPlan) bool {
+	return slices.Equal(pl.Reps, o.Reps) && slices.Equal(pl.repDr, o.repDr)
+}
+
+// coverKey identifies one cache slot: the ladder instance, a fingerprint of
+// the preference function, and whether it holds the full cover or the masked
+// one the sharded engine asks for. A shard serves one mask per instance at a
+// time (its current ownership), so the mask is validated, not keyed.
 type coverKey struct {
-	p    int
-	fp   uint64
-	mask uint64
+	p      int
+	fp     uint64
+	masked bool
 }
 
-// coverEntry is a singleflight slot: the first goroutine to claim the key
-// fills it, concurrent claimants block on the Once and share the result —
-// including a fill error (a canceled context), in which case the entry is
-// evicted so the next caller retries instead of inheriting the failure.
+// coverEntry is one cache slot. cur is the cover last published for the key;
+// fill is the singleflight: its holder brings cur up to date while
+// concurrent look-alike callers queue behind it and then find cur current.
+// A holder whose context is canceled publishes nothing, so cur keeps the
+// previous cover and the next caller in line patches from it under its own
+// context — one aggressive-deadline client cannot fail, or cost a cold fill
+// to, well-behaved concurrent requests for the same cover.
 type coverEntry struct {
-	once sync.Once
-	cs   *tops.CoverSets
-	reps []ClusterID
-	err  error
+	fill sync.Mutex
+	cur  atomic.Pointer[cachedCover]
 }
 
-// CoverCacheStats reports cover-cache effectiveness counters.
+// cachedCover is an immutable memoized cover that knows its inputs: the
+// plan rows it was filled from (and, in plan.gen, the instance generation
+// they were last found current at) and the mask it was requested under (a
+// private copy — the caller's is spliced in place on ownership moves).
+type cachedCover struct {
+	cs   *tops.CoverSets
+	plan *CoverPlan
+	keep []ClusterID
+}
+
+// current is step 1 of coverFor: no representative row of the instance moved
+// since the cover was validated, and it was filled for this mask.
+func (c *cachedCover) current(gen uint64, keep []ClusterID) bool {
+	return c != nil && c.plan.gen == gen && slices.Equal(c.keep, keep)
+}
+
+// CoverCacheStats reports cover-cache effectiveness counters. A hit is a
+// lookup that swept no representative row (steps 1 and 2 of coverFor;
+// Revalidated counts the step-2 share), a miss one that swept at least one
+// (a patch or a cold fill); RowsSwept totals the rows.
 type CoverCacheStats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries int
+	Hits        uint64
+	Misses      uint64
+	Revalidated uint64
+	RowsSwept   uint64
+	Entries     int
 }
 
 // PrefFingerprint derives a cache key from a preference function (also used
@@ -123,19 +182,22 @@ func fnvU64(h, v uint64) uint64 {
 	return h
 }
 
-// coverPlan returns instance p's plan, building it on first use.
+// coverPlan returns instance p's full plan, rebuilding it when a site
+// mutation has moved one of the instance's representatives since it was
+// built.
 func (idx *Index) coverPlan(p int) *CoverPlan {
+	gen := idx.Instances[p].repGen
 	idx.coverMu.Lock()
 	if idx.coverPlans == nil {
 		idx.coverPlans = make([]*CoverPlan, len(idx.Instances))
 	}
-	if pl := idx.coverPlans[p]; pl != nil {
-		idx.coverMu.Unlock()
+	pl := idx.coverPlans[p]
+	idx.coverMu.Unlock()
+	if pl != nil && pl.gen == gen {
 		return pl
 	}
-	idx.coverMu.Unlock()
 
-	pl := idx.buildCoverPlan(p)
+	pl = idx.buildCoverPlan(p)
 
 	idx.coverMu.Lock()
 	idx.coverPlans[p] = pl
@@ -145,7 +207,7 @@ func (idx *Index) coverPlan(p int) *CoverPlan {
 
 func (idx *Index) buildCoverPlan(p int) *CoverPlan {
 	ins := idx.Instances[p]
-	pl := &CoverPlan{}
+	pl := &CoverPlan{gen: ins.repGen}
 	for ci := range ins.Clusters {
 		appendPlanEntry(pl, ins, ClusterID(ci))
 	}
@@ -223,24 +285,29 @@ func (s *fillScratch) reset() {
 	s.touched = s.touched[:0]
 }
 
-// fillCover evaluates Eq. 9 for every representative of the plan under the
-// given preference, sharding representatives across NumCPU workers. Workers
-// write disjoint TC slots (tops.CoverSets.SetTCArrays over arena segments);
+// fillCover builds the covering structure of plan pl under the given
+// preference: one TC row per representative, sharded across NumCPU workers.
+// A row is a pure function of (cluster, RepDr, ψ, trajectory state), so when
+// prev — a cover of the same key filled against the same trajectory state —
+// has a row with the same (cluster, RepDr), that row is borrowed from prev's
+// flat arrays instead of swept; a cold fill is the case prev == nil. Workers
+// write disjoint TC slots (tops.CoverSets.SetTCArrays); the CSR arrays and
 // the trajectory-side SC lists are derived by the single Finalize pass
-// afterwards.
+// afterwards, which copies borrowed rows too, so prev is never aliased by
+// the result. The second return counts the rows swept.
 //
 // The per-representative sweep is the expensive part of a query, so it is
 // also where request deadlines bite: every worker checks ctx between
 // representatives and the whole fill aborts with the context error once any
 // worker observes cancellation. A canceled fill is never returned (nor
 // memoized), so partially filled covers cannot leak into answers.
-func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops.Preference) (*tops.CoverSets, error) {
+func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops.Preference, prev *cachedCover) (*tops.CoverSets, int, error) {
 	ins := idx.Instances[p]
 	m := idx.trajs.Len()
 	cs := tops.NewCoverSets(len(pl.Reps), m)
 	nReps := len(pl.Reps)
 	if nReps == 0 {
-		return cs, nil
+		return cs, 0, nil
 	}
 	workers := runtime.NumCPU()
 	if workers > nReps {
@@ -270,8 +337,15 @@ func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops
 					canceled.Store(true)
 					break
 				}
-				sc.reset()
 				repDr := pl.repDr[ri]
+				if prev != nil {
+					if pri, ok := slices.BinarySearch(prev.plan.Reps, pl.Reps[ri]); ok && prev.plan.repDr[pri] == repDr {
+						trajs, scores := prev.cs.TC(int32(pri))
+						cs.SetTCArrays(int32(ri), trajs, scores)
+						continue
+					}
+				}
+				sc.reset()
 				cl := &ins.Clusters[pl.Reps[ri]]
 				// Scan order matches the former materialized scan lists —
 				// own cluster (centerDr 0) first, then CL neighbors — with
@@ -319,23 +393,21 @@ func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops
 		}(w)
 	}
 	wg.Wait()
-	if canceled.Load() {
-		for _, sc := range scratches {
-			if sc != nil {
-				fillScratchPool.Put(sc)
-			}
-		}
-		return nil, ctx.Err()
+	// Finalize copies the borrowed segments (arena and prev alike) into the
+	// CSR arrays, so the scratches only recycle afterwards.
+	aborted := canceled.Load()
+	if !aborted {
+		cs.Finalize()
 	}
-	// Finalize copies the borrowed arena segments into the CSR arrays, so
-	// the scratches only recycle afterwards.
-	cs.Finalize()
+	swept := 0
 	for _, sc := range scratches {
-		if sc != nil {
-			fillScratchPool.Put(sc)
-		}
+		swept += len(sc.segs)
+		fillScratchPool.Put(sc)
 	}
-	return cs, nil
+	if aborted {
+		return nil, 0, ctx.Err()
+	}
+	return cs, swept, nil
 }
 
 // CoverFor returns the §5.1 covering structure of instance p under pref,
@@ -344,90 +416,95 @@ func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops
 // between callers and must be treated as read-only (the greedy algorithms
 // already are).
 //
-// Every §6 mutation invalidates the cache, so a cached cover is always
-// consistent with the index state at call time — provided queries and
-// mutations are serialized by the caller (see internal/engine).
+// A cached cover is checked against the index state on every lookup (see
+// coverFor), so it is always consistent with the state at call time —
+// provided queries and mutations are serialized by the caller (see
+// internal/engine).
 func (idx *Index) CoverFor(p int, pref tops.Preference) (*tops.CoverSets, []ClusterID, bool) {
-	cs, reps, hit, _ := idx.CoverForCtx(context.Background(), p, pref)
-	return cs, reps, hit
+	cs, reps, swept, _ := idx.CoverForCtx(context.Background(), p, pref)
+	return cs, reps, swept == 0
 }
 
-// CoverForCtx is CoverFor under a request context. Concurrent callers of
-// the same key singleflight onto one fill. A canceled fill is never
-// memoized: the poisoned entry is dropped, the filler returns its own
-// context error, and waiters whose contexts are still live retry — one
-// aggressive-deadline client therefore cannot fail well-behaved concurrent
-// requests for the same cover.
-func (idx *Index) CoverForCtx(ctx context.Context, p int, pref tops.Preference) (*tops.CoverSets, []ClusterID, bool, error) {
+// CoverForCtx is CoverFor under a request context. The third return is the
+// number of representative rows the lookup had to sweep: 0 is a cache hit.
+// Concurrent callers of the same key singleflight onto one fill.
+func (idx *Index) CoverForCtx(ctx context.Context, p int, pref tops.Preference) (*tops.CoverSets, []ClusterID, int, error) {
 	return idx.coverFor(ctx, coverKey{p: p, fp: PrefFingerprint(pref)}, pref, nil)
 }
 
-// coverFor is the memoized cover lookup behind CoverForCtx (key.mask == 0,
-// keep unused) and CoverForMaskedCtx: claim the key's entry, fill it under
-// its Once or share the fill another caller is running, count the hit or
-// miss, and on a failed fill evict the entry and retry while the caller's
-// own context is live. This is the one place concurrent look-alike queries
+// coverFor is the memoized cover lookup behind CoverForCtx (keep unused)
+// and CoverForMaskedCtx, serving in the three steps of the file comment.
+// Step 1 is lock-free on the entry; steps 2 and 3 run under the entry's
+// singleflight. This is the one place concurrent look-alike queries
 // coalesce — the serving layers above call straight through to it.
-func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, bool, error) {
-	for {
-		idx.coverMu.Lock()
-		if idx.coverCache == nil {
-			idx.coverCache = make(map[coverKey]*coverEntry)
-		}
-		if key.mask != 0 {
-			idx.purgePreviousMask(key.p, key.mask)
-		}
-		e, ok := idx.coverCache[key]
-		if !ok {
-			e = &coverEntry{}
-			idx.coverCache[key] = e
-		}
-		idx.coverMu.Unlock()
+func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, int, error) {
+	gen := idx.Instances[key.p].repGen
+	idx.coverMu.Lock()
+	if idx.coverCache == nil {
+		idx.coverCache = make(map[coverKey]*coverEntry)
+	}
+	e, ok := idx.coverCache[key]
+	if !ok {
+		e = &coverEntry{}
+		idx.coverCache[key] = e
+	}
+	idx.coverMu.Unlock()
 
-		hit := true
-		e.once.Do(func() {
-			hit = false
-			if key.mask == 0 {
-				e.cs, e.reps, e.err = idx.RepCoverCtx(ctx, key.p, pref)
-			} else {
-				e.cs, e.reps, e.err = idx.RepCoverMaskedCtx(ctx, key.p, pref, keep)
-			}
-		})
-		if e.err == nil {
-			if hit {
-				idx.coverHits.Add(1)
-			} else {
-				idx.coverMisses.Add(1)
-			}
-			return e.cs, e.reps, hit, nil
-		}
-		idx.coverMu.Lock()
-		if idx.coverCache[key] == e {
-			delete(idx.coverCache, key)
-		}
-		idx.coverMu.Unlock()
-		// The fill aborted under the FILLER's context. Give up only if our
-		// own context is also done; otherwise loop — the entry is evicted,
-		// so the retry claims (or joins) a fresh fill. Each iteration
-		// consumes one completed fill attempt, so this cannot spin.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, false, err
+	c, swept := e.cur.Load(), 0
+	if !c.current(gen, keep) {
+		var err error
+		if c, swept, err = idx.refreshCover(ctx, e, key, gen, pref, keep); err != nil {
+			return nil, nil, 0, err
 		}
 	}
+	if swept == 0 {
+		idx.coverHits.Add(1)
+	} else {
+		idx.coverMisses.Add(1)
+		idx.coverRowsSwept.Add(uint64(swept))
+	}
+	return c.cs, c.plan.Reps, swept, nil
+}
+
+// refreshCover brings entry e up to generation gen and mask keep: steps 2
+// and 3 of coverFor, and the wait of a caller that lost the race to run
+// them. On a canceled fill e keeps its previous cover.
+func (idx *Index) refreshCover(ctx context.Context, e *coverEntry, key coverKey, gen uint64, pref tops.Preference, keep []ClusterID) (*cachedCover, int, error) {
+	e.fill.Lock()
+	defer e.fill.Unlock()
+	prev := e.cur.Load()
+	if prev.current(gen, keep) {
+		return prev, 0, nil
+	}
+	var pl *CoverPlan
+	if key.masked {
+		pl = idx.maskedPlan(key.p, keep)
+	} else {
+		pl = idx.coverPlan(key.p)
+	}
+	next := &cachedCover{plan: pl, keep: slices.Clone(keep)}
+	swept := 0
+	if prev != nil && prev.plan.sameRows(pl) {
+		next.cs = prev.cs
+		idx.coverRevalidated.Add(1)
+	} else {
+		var err error
+		if next.cs, swept, err = idx.fillCover(ctx, key.p, pl, pref, prev); err != nil {
+			return nil, 0, err
+		}
+	}
+	e.cur.Store(next)
+	return next, swept, nil
 }
 
 // Masked covers: the sharding layer (internal/shard) partitions cluster
 // ownership across per-shard indexes and asks each shard to fill covering
 // structures only for the clusters it owns. The fill machinery is the full
 // RepCover pipeline over a filtered plan; memoization reuses the cover
-// cache under a (instance, ψ fingerprint, mask fingerprint) key.
-//
-// At any moment a shard serves exactly one mask per instance (its current
-// ownership), so when a new mask shows up for an instance the entries under
-// the instance's previous mask are purged — this is the cross-shard
-// invalidation hook: a site mutation on one shard changes ownership masks
-// elsewhere, and the stale masked covers on those shards evaporate on first
-// contact instead of accumulating.
+// cache, one masked slot per (instance, ψ fingerprint), validated against
+// the requested mask by value. An ownership move therefore costs the
+// gaining shard a one-row insert and the losing shard a one-row drop (which
+// sweeps nothing), the same patch path a moved representative takes.
 
 // RepInfo describes one cluster representative of an instance: the cluster,
 // the representative's node, and dr(c_i, r_i). The sharding layer reduces
@@ -482,21 +559,6 @@ func (idx *Index) RepOfCluster(p int, ci ClusterID) (RepInfo, bool) {
 	return RepInfo{Cluster: ci, Node: cl.Rep, Dr: cl.RepDr}, true
 }
 
-// MaskFingerprint hashes a sorted cluster-id mask into a cover-cache key
-// component. It never returns 0 (0 is the full, unmasked cover). Like
-// PrefFingerprint it is inline FNV-1a over the same byte stream the former
-// hash/fnv version consumed: the sharded engine computes it per lookup.
-func MaskFingerprint(keep []ClusterID) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range keep {
-		h = fnvByte(h, byte(c))
-		h = fnvByte(h, byte(c>>8))
-		h = fnvByte(h, byte(c>>16))
-		h = fnvByte(h, byte(c>>24))
-	}
-	return h | 1
-}
-
 // maskedPlan assembles a cover plan for exactly the clusters in keep
 // (sorted ascending), straight from the instance — deliberately NOT via the
 // cached full plan, whose post-mutation rebuild costs O(all
@@ -506,7 +568,7 @@ func MaskFingerprint(keep []ClusterID) uint64 {
 // failing.
 func (idx *Index) maskedPlan(p int, keep []ClusterID) *CoverPlan {
 	ins := idx.Instances[p]
-	sub := &CoverPlan{}
+	sub := &CoverPlan{gen: ins.repGen}
 	for _, ci := range keep {
 		if ci < 0 || int(ci) >= len(ins.Clusters) {
 			continue
@@ -521,65 +583,47 @@ func (idx *Index) maskedPlan(p int, keep []ClusterID) *CoverPlan {
 // space is the filtered plan: index i maps to the i-th returned cluster.
 func (idx *Index) RepCoverMaskedCtx(ctx context.Context, p int, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, error) {
 	pl := idx.maskedPlan(p, keep)
-	cs, err := idx.fillCover(ctx, p, pl, pref)
+	cs, _, err := idx.fillCover(ctx, p, pl, pref, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	return cs, pl.Reps, nil
 }
 
-// CoverForMaskedCtx is the memoized form of RepCoverMaskedCtx. Presenting a
-// new mask for an instance purges the instance's entries under its previous
-// mask (see the package comment above on cross-shard invalidation).
-func (idx *Index) CoverForMaskedCtx(ctx context.Context, p int, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, bool, error) {
-	return idx.coverFor(ctx, coverKey{p: p, fp: PrefFingerprint(pref), mask: MaskFingerprint(keep)}, pref, keep)
+// CoverForMaskedCtx is the memoized form of RepCoverMaskedCtx, with
+// CoverForCtx's returns.
+func (idx *Index) CoverForMaskedCtx(ctx context.Context, p int, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, int, error) {
+	return idx.coverFor(ctx, coverKey{p: p, fp: PrefFingerprint(pref), masked: true}, pref, keep)
 }
 
-// purgePreviousMask records mask as instance p's current one, dropping the
-// entries memoized under the mask it replaces. Caller holds coverMu.
-func (idx *Index) purgePreviousMask(p int, mask uint64) {
-	if idx.coverMasks == nil {
-		idx.coverMasks = make(map[int]uint64)
-	}
-	if cur, ok := idx.coverMasks[p]; ok && cur != mask {
-		for k := range idx.coverCache {
-			if k.p == p && k.mask == cur {
-				delete(idx.coverCache, k)
-			}
-		}
-	}
-	idx.coverMasks[p] = mask
-}
-
-// invalidateCovers drops every memoized cover; sitesChanged additionally
-// drops the per-instance plans (a site mutation can move or remove a
-// representative). Trajectory mutations keep the plans: they only change TL
-// contents, which live in the fill, not the plan.
-//
-// Invalidation is deliberately whole-index: a trajectory registers in every
-// ladder instance and site renumbering is global, so there is no cheaper
-// sound granularity.
-func (idx *Index) invalidateCovers(sitesChanged bool) {
+// invalidateCovers drops every memoized cover. Trajectory mutations call it
+// (see the file comment for why rows are not patched there); the plans stay,
+// because trajectories only change TL contents, which live in the fill. Site
+// mutations do not call it: they bump Instance.repGen where a representative
+// moved, and lookups revalidate against that.
+func (idx *Index) invalidateCovers() {
 	idx.coverMu.Lock()
 	defer idx.coverMu.Unlock()
 	if len(idx.coverCache) > 0 {
 		idx.coverCache = make(map[coverKey]*coverEntry, len(idx.coverCache))
 	}
-	if sitesChanged {
-		for i := range idx.coverPlans {
-			idx.coverPlans[i] = nil
-		}
-	}
 }
 
-// CoverCacheStats returns cumulative cover-cache counters.
+// CoverCacheStats returns cumulative cover-cache counters. Entries counts
+// the slots holding a cover (a slot whose only fill was canceled holds none).
 func (idx *Index) CoverCacheStats() CoverCacheStats {
-	idx.coverMu.Lock()
-	entries := len(idx.coverCache)
-	idx.coverMu.Unlock()
-	return CoverCacheStats{
-		Hits:    idx.coverHits.Load(),
-		Misses:  idx.coverMisses.Load(),
-		Entries: entries,
+	st := CoverCacheStats{
+		Hits:        idx.coverHits.Load(),
+		Misses:      idx.coverMisses.Load(),
+		Revalidated: idx.coverRevalidated.Load(),
+		RowsSwept:   idx.coverRowsSwept.Load(),
 	}
+	idx.coverMu.Lock()
+	defer idx.coverMu.Unlock()
+	for _, e := range idx.coverCache {
+		if e.cur.Load() != nil {
+			st.Entries++
+		}
+	}
+	return st
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"netclus/internal/tops"
@@ -39,9 +40,9 @@ func TestQueryCtxCancellation(t *testing.T) {
 	if len(res.Sites) == 0 {
 		t.Fatal("live query returned no sites")
 	}
-	if _, _, hit, err := idx.CoverForCtx(context.Background(), idx.InstanceFor(pref.Tau), pref); err != nil {
+	if _, _, swept, err := idx.CoverForCtx(context.Background(), idx.InstanceFor(pref.Tau), pref); err != nil {
 		t.Fatal(err)
-	} else if hit {
+	} else if swept == 0 {
 		// QueryCtx goes through RepCoverCtx (uncached); the first CoverForCtx
 		// fill is this call, so a hit here would mean stale state survived.
 		t.Log("cover already cached (unexpected but harmless)")
@@ -58,7 +59,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 
 // TestCoverForCtxWaiterSurvivesCanceledFiller pins the singleflight
 // contract: a waiter with a live context must not inherit the filling
-// request's cancellation — it retries and gets a cover.
+// request's cancellation — it fills in its turn and gets a cover.
 func TestCoverForCtxWaiterSurvivesCanceledFiller(t *testing.T) {
 	idx, _ := buildTestIndex(t, 137, false)
 	pref := tops.Binary(0.8)
@@ -71,14 +72,81 @@ func TestCoverForCtxWaiterSurvivesCanceledFiller(t *testing.T) {
 		t.Fatalf("doomed filler returned %v", err)
 	}
 	// ...and a live caller right after must succeed, not see the stale
-	// cancellation. (Sequential here; the concurrent interleaving where
-	// the waiter blocks inside the filler's once.Do exercises the same
-	// retry loop, and runs under -race via the engine's e2e tests.)
+	// cancellation. (Sequential here; in the concurrent interleaving the
+	// waiter queues on the entry's fill lock, finds nothing published and
+	// fills under its own context — the same code path, run under -race by
+	// the engine's e2e tests.)
 	cs, reps, _, err := idx.CoverForCtx(context.Background(), p, pref)
 	if err != nil {
 		t.Fatalf("live caller inherited filler failure: %v", err)
 	}
 	if cs == nil || len(reps) == 0 {
 		t.Fatal("live caller got an empty cover")
+	}
+}
+
+// TestCanceledPatchKeepsPreviousCover extends the rule above to a memoized
+// cover one site update behind: a patch canceled by its filler's context
+// publishes nothing and leaves the previous cover in place, so the next
+// caller patches the one stale row from it instead of paying a cold fill.
+func TestCanceledPatchKeepsPreviousCover(t *testing.T) {
+	idx, _ := buildTestIndex(t, 139, false)
+	pref := tops.Linear(3.0)
+	p := idx.InstanceFor(pref.Tau)
+	_, reps, swept, err := idx.CoverForCtx(context.Background(), p, pref)
+	if err != nil || swept != len(reps) {
+		t.Fatalf("cold fill swept %d of %d rows, err %v", swept, len(reps), err)
+	}
+
+	// Move one representative of the rung: delete it where a runner-up
+	// (at another distance) takes over.
+	moved := false
+	for ci := range idx.Instances[p].Clusters {
+		cl := &idx.Instances[p].Clusters[ci]
+		sites := 0
+		for _, v := range cl.Members {
+			if idx.isSite[v] {
+				sites++
+			}
+		}
+		if sites >= 2 {
+			if err := idx.DeleteSite(cl.Rep); err != nil {
+				t.Fatal(err)
+			}
+			moved = true
+			break
+		}
+	}
+	if !moved {
+		t.Fatal("fixture has no cluster with two sites on the rung")
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := idx.CoverForCtx(canceled, p, pref); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled patch returned %v, want context.Canceled", err)
+	}
+	if st := idx.CoverCacheStats(); st.Entries != 1 || st.Misses != 1 {
+		t.Fatalf("canceled patch left %d entries after %d misses, want the previous cover and the cold fill's one miss", st.Entries, st.Misses)
+	}
+
+	got, gotReps, swept, err := idx.CoverForCtx(context.Background(), p, pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swept != 1 {
+		t.Fatalf("retry after a canceled patch swept %d rows, want the one stale row", swept)
+	}
+	want, wantReps, err := idx.RepCoverCtx(context.Background(), p, pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotReps) != len(wantReps) || got.Pairs() != want.Pairs() {
+		t.Fatalf("patched cover has %d rows / %d pairs, fresh fill %d / %d", len(gotReps), got.Pairs(), len(wantReps), want.Pairs())
+	}
+	for s := range got.Weights {
+		if math.Float64bits(got.Weights[s]) != math.Float64bits(want.Weights[s]) {
+			t.Fatalf("patched cover's weight of row %d differs from a fresh fill", s)
+		}
 	}
 }

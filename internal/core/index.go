@@ -70,6 +70,10 @@ type Instance struct {
 	CC [][]ClusterID
 	// BuildTime records how long this instance took to construct.
 	BuildTime time.Duration
+	// repGen advances whenever a site mutation changes some cluster's
+	// representative presence or RepDr — the only site-set inputs of Eq. 9.
+	// Memoized covers and plans are validated against it (cover.go).
+	repGen uint64
 }
 
 // Options configures index construction.
@@ -127,17 +131,17 @@ type Index struct {
 	walLSN uint64
 
 	// Cover caching (cover.go): per-instance CoverPlans plus memoized
-	// CoverSets keyed by (instance, preference fingerprint, cluster mask).
-	// coverMasks tracks the one masked-fill fingerprint currently live per
-	// instance (the sharded engine's ownership mask). coverMu guards the
-	// maps; mutation-vs-query serialization is the caller's job
-	// (internal/engine wraps the index in an RWMutex for that).
-	coverMu     sync.Mutex
-	coverPlans  []*CoverPlan
-	coverCache  map[coverKey]*coverEntry
-	coverMasks  map[int]uint64
-	coverHits   atomic.Uint64
-	coverMisses atomic.Uint64
+	// CoverSets keyed by (instance, preference fingerprint, full | masked).
+	// coverMu guards the plan table and the map; mutation-vs-query
+	// serialization is the caller's job (internal/engine wraps the index in
+	// an RWMutex for that).
+	coverMu          sync.Mutex
+	coverPlans       []*CoverPlan
+	coverCache       map[coverKey]*coverEntry
+	coverHits        atomic.Uint64
+	coverMisses      atomic.Uint64
+	coverRevalidated atomic.Uint64
+	coverRowsSwept   atomic.Uint64
 }
 
 // Build constructs the full NETCLUS index offline phase: the instance

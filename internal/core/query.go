@@ -50,10 +50,13 @@ type QueryResult struct {
 	// NumRepresentatives is |Ŝ|, the candidate pool size (η_p bound).
 	NumRepresentatives int
 	// CoverHit reports whether the covering structure came from the
-	// memoized cover cache (false on a fresh fill, on uncached engines,
-	// and on paths that bypass the cache). Set by the engine layer; the
-	// serving tier's slow-query log and latency histograms key on it.
-	CoverHit bool
+	// memoized cover cache without sweeping a representative row (false on
+	// a fresh fill, on a patched cover, on uncached engines, and on paths
+	// that bypass the cache); CoverRowsSwept is the number of rows the
+	// query's cover lookup swept. Set by the engine layer; the serving
+	// tier's slow-query log and latency histograms key on them.
+	CoverHit       bool
+	CoverRowsSwept int
 
 	// scratch, when non-nil, ties this result to the pooled QueryScratch
 	// whose buffers back Sites/SiteIDs (the result struct itself lives
@@ -127,7 +130,7 @@ func (idx *Index) RepCover(p int, pref tops.Preference) (*tops.CoverSets, []Clus
 // part of a query.
 func (idx *Index) RepCoverCtx(ctx context.Context, p int, pref tops.Preference) (*tops.CoverSets, []ClusterID, error) {
 	pl := idx.coverPlan(p)
-	cs, err := idx.fillCover(ctx, p, pl, pref)
+	cs, _, err := idx.fillCover(ctx, p, pl, pref, nil)
 	if err != nil {
 		return nil, nil, err
 	}

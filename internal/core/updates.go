@@ -18,23 +18,47 @@ import (
 // possibly improves the cluster representative. It returns an error when v
 // is invalid or already a site.
 func (idx *Index) AddSite(v roadnet.NodeID) error {
-	if v < 0 || int(v) >= idx.inst.G.NumNodes() {
-		return fmt.Errorf("core: AddSite: node %d outside graph", v)
-	}
-	if idx.isSite[v] {
-		return fmt.Errorf("core: AddSite: node %d is already a site", v)
-	}
-	idx.isSite[v] = true
-	idx.siteID[v] = int32(len(idx.inst.Sites))
-	idx.inst.Sites = append(idx.inst.Sites, v)
-	for _, ins := range idx.Instances {
-		ci := ins.NodeCluster[v]
-		if ci == InvalidCluster {
-			continue
+	return idx.addSites("AddSite", []roadnet.NodeID{v})
+}
+
+// AddSites registers a batch of nodes as candidate sites atomically: the
+// whole batch is validated before any node is applied (§6: "batch
+// processing is more efficient").
+func (idx *Index) AddSites(nodes []roadnet.NodeID) error {
+	return idx.addSites("AddSites", nodes)
+}
+
+// addSites is the one site-add body; op names the entry point in errors.
+func (idx *Index) addSites(op string, nodes []roadnet.NodeID) error {
+	dup := make(map[roadnet.NodeID]bool, len(nodes))
+	for _, v := range nodes {
+		if v < 0 || int(v) >= idx.inst.G.NumNodes() {
+			return fmt.Errorf("core: %s: node %d outside graph", op, v)
 		}
-		maybeTakeRep(&ins.Clusters[ci], v, ins.nodeCenterDr[v])
+		if idx.isSite[v] {
+			return fmt.Errorf("core: %s: node %d is already a site", op, v)
+		}
+		if dup[v] {
+			return fmt.Errorf("core: %s: node %d listed twice", op, v)
+		}
+		dup[v] = true
 	}
-	idx.invalidateCovers(true)
+	for _, v := range nodes {
+		idx.isSite[v] = true
+		idx.siteID[v] = int32(len(idx.inst.Sites))
+		idx.inst.Sites = append(idx.inst.Sites, v)
+	}
+	for _, ins := range idx.Instances {
+		for _, v := range nodes {
+			ci := ins.NodeCluster[v]
+			if ci == InvalidCluster {
+				continue
+			}
+			if maybeTakeRep(&ins.Clusters[ci], v, ins.nodeCenterDr[v]) {
+				ins.repGen++
+			}
+		}
+	}
 	return nil
 }
 
@@ -46,11 +70,17 @@ func (idx *Index) AddSite(v roadnet.NodeID) error {
 // which the sharded engine's cross-shard ownership reduction relies on:
 // a stateless reduce over per-shard representatives can only reproduce the
 // single-shard representative if both are the same canonical argmin.
-func maybeTakeRep(cl *Cluster, v roadnet.NodeID, d float64) {
-	if d < cl.RepDr || (d == cl.RepDr && v < cl.Rep) {
+//
+// It reports whether RepDr changed, which is what memoized covers depend
+// on: a tie won on node id swaps the node an answer reports (resolved at
+// assembly time) but not one float of Eq. 9.
+func maybeTakeRep(cl *Cluster, v roadnet.NodeID, d float64) bool {
+	closer := d < cl.RepDr
+	if closer || (d == cl.RepDr && v < cl.Rep) {
 		cl.Rep = v
 		cl.RepDr = d
 	}
+	return closer
 }
 
 // DeleteSite untags node v as a candidate site. If v was a cluster
@@ -81,11 +111,14 @@ func (idx *Index) DeleteSite(v roadnet.NodeID) error {
 		if ci == InvalidCluster {
 			continue
 		}
-		if ins.Clusters[ci].Rep == v {
+		if cl := &ins.Clusters[ci]; cl.Rep == v {
+			was := cl.RepDr
 			idx.chooseRepresentative(ins, ci)
+			if cl.RepDr != was {
+				ins.repGen++
+			}
 		}
 	}
-	idx.invalidateCovers(true)
 	return nil
 }
 
@@ -109,7 +142,7 @@ func (idx *Index) AddTrajectory(tr *trajectory.Trajectory) (trajectory.ID, error
 	for _, ins := range idx.Instances {
 		registerTrajectory(ins, tid, tr)
 	}
-	idx.invalidateCovers(false)
+	idx.invalidateCovers()
 	return tid, nil
 }
 
@@ -138,7 +171,7 @@ func (idx *Index) DeleteTrajectory(tid trajectory.ID) error {
 		}
 		ins.CC[tid] = nil
 	}
-	idx.invalidateCovers(false)
+	idx.invalidateCovers()
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"netclus/internal/core"
 	"netclus/internal/gen"
+	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 )
 
@@ -41,11 +42,31 @@ func allocFixture(t *testing.T) *core.Index {
 	return idx
 }
 
+// bystander finds a node that is not a site and, added as one, would not
+// displace its cluster's representative on the rung serving tau: a strictly
+// farther member of a cluster that has one.
+func bystander(t testing.TB, idx *core.Index, tau float64) roadnet.NodeID {
+	t.Helper()
+	inst := idx.TopsInstance()
+	for _, cl := range idx.Instances[idx.InstanceFor(tau)].Clusters {
+		for i, v := range cl.Members {
+			if _, isSite := inst.SiteIDOf(v); !isSite && cl.MemberDr[i] > cl.RepDr {
+				return v
+			}
+		}
+	}
+	t.Fatalf("no non-displacing node on the rung of tau=%v", tau)
+	return roadnet.InvalidNode
+}
+
 // TestCachedQueryZeroAllocs is the hot-path allocation gate: once the cover
 // is memoized and the scratch pools are warm, Engine.Query must allocate
 // nothing — the whole greedy phase runs on pooled buffers. A regression
 // here (a stray fmt.Sprintf in the cache key, a per-query slice) fails the
-// test with the measured count.
+// test with the measured count. The second case adds a site that displaces
+// no representative of the queried rung between warm-up and measurement:
+// the memoized cover must keep serving as a plain hit (core.coverFor,
+// step 1), not be dropped, refilled or revalidated per query.
 func TestCachedQueryZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		// The race detector's instrumentation allocates on its own (shadow
@@ -53,44 +74,65 @@ func TestCachedQueryZeroAllocs(t *testing.T) {
 		// under -race. The non-race CI lanes enforce it.
 		t.Skip("allocation counts are not exact under -race")
 	}
-	idx := allocFixture(t)
-	eng, err := New(idx, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := core.QueryOptions{K: 5, Pref: tops.Binary(0.8)}
-	ctx := context.Background()
-	// Warm the cover cache and the scratch pools, and verify the path works.
-	for i := 0; i < 3; i++ {
-		res, err := eng.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Sites) == 0 {
-			t.Fatal("warm-up query returned no sites")
-		}
-		res.Release()
-	}
-	// Flush sync.Pool victim caches so the measurement loop starts from
-	// steady state (a Get that repopulates from the victim cache is free,
-	// but a Get after two GCs re-allocates once — that one-time cost must
-	// land before the measured runs, not inside them).
-	runtime.GC()
-	runtime.GC()
-	res, err := eng.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Release()
-	avg := testing.AllocsPerRun(100, func() {
-		r, err := eng.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Release()
-	})
-	if avg != 0 {
-		t.Fatalf("cached Engine.Query allocates %.2f objects per call, want 0", avg)
+	for _, tc := range []struct {
+		name      string
+		tau       float64
+		bystander bool
+	}{
+		{"steady", 0.8, false},
+		{"after_bystander_add", 2.4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			idx := allocFixture(t)
+			eng, err := New(idx, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := core.QueryOptions{K: 5, Pref: tops.Binary(tc.tau)}
+			ctx := context.Background()
+			// Warm the cover cache and the scratch pools, and verify the path works.
+			for i := 0; i < 3; i++ {
+				res, err := eng.Query(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Sites) == 0 {
+					t.Fatal("warm-up query returned no sites")
+				}
+				res.Release()
+			}
+			if tc.bystander {
+				if err := eng.AddSite(bystander(t, idx, tc.tau)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Flush sync.Pool victim caches so the measurement loop starts from
+			// steady state (a Get that repopulates from the victim cache is free,
+			// but a Get after two GCs re-allocates once — that one-time cost must
+			// land before the measured runs, not inside them).
+			runtime.GC()
+			runtime.GC()
+			before := eng.Stats()
+			res, err := eng.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Release()
+			avg := testing.AllocsPerRun(100, func() {
+				r, err := eng.Query(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Release()
+			})
+			if avg != 0 {
+				t.Fatalf("cached Engine.Query allocates %.2f objects per call, want 0", avg)
+			}
+			if after := eng.Stats(); after.CoverMisses != before.CoverMisses || after.CoverRevalidated != before.CoverRevalidated {
+				t.Fatalf("measured queries were not plain cover hits: misses %d -> %d, revalidated %d -> %d",
+					before.CoverMisses, after.CoverMisses, before.CoverRevalidated, after.CoverRevalidated)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"netclus/internal/core"
 	"netclus/internal/gen"
+	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 )
 
@@ -82,4 +83,84 @@ func BenchmarkEngineQPS(b *testing.B) {
 	b.Run("cached", func(b *testing.B) { run(b, Options{}) })
 	b.Run("cached_unpooled", func(b *testing.B) { run(b, Options{DisablePooling: true}) })
 	b.Run("uncached", func(b *testing.B) { run(b, Options{DisableCoverCache: true}) })
+}
+
+// BenchmarkCoverAfterSiteUpdate times ONE query right after EACH single site
+// mutation (the mutation itself is outside the timer), on a mutation that
+// does not net out — unlike the delete-and-re-add flips behind
+// BenchmarkShardedQPS and the serve_churn workload, which a memoized cover
+// merely revalidates against. moved_rep alternately deletes and re-adds the
+// representative of one cluster of the queried rung, so every query finds
+// exactly one row of its cover stale and patches it; bystander does the
+// same with another site of that cluster, which moves nothing the cover
+// was filled from (a plain hit); refill is moved_rep without the cover
+// cache, what every site update used to cost. CI gates moved_rep
+// calibrated by refill against BENCH_BASELINE.txt.
+//
+// The query is τ = 1.3: on the first rung of benchIndex whose clusters hold
+// several sites (the one BenchmarkEngineQPS's τ = 1.6 runs on), and cached it
+// costs what that benchmark's τ mix costs on average, so bystander reads
+// against EngineQPS/cached directly.
+func BenchmarkCoverAfterSiteUpdate(b *testing.B) {
+	idx := benchIndex(b)
+	q := core.QueryOptions{K: 5, Pref: tops.Binary(1.3)}
+	// A cluster of the queried rung with two sites: its representative, and
+	// a site strictly farther from the center.
+	rep, other := roadnet.InvalidNode, roadnet.InvalidNode
+	inst := idx.TopsInstance()
+	for _, cl := range idx.Instances[idx.InstanceFor(q.Pref.Tau)].Clusters {
+		for i, v := range cl.Members {
+			if _, isSite := inst.SiteIDOf(v); isSite && cl.MemberDr[i] > cl.RepDr {
+				rep, other = cl.Rep, v
+			}
+		}
+		if rep != roadnet.InvalidNode {
+			break
+		}
+	}
+	if rep == roadnet.InvalidNode {
+		b.Fatal("no cluster with two sites on the queried rung")
+	}
+	run := func(b *testing.B, opts Options, site roadnet.NodeID) {
+		eng, err := New(idx, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		query := func() {
+			res, err := eng.Query(context.Background(), q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res.Release()
+		}
+		query() // fill the cover before the first mutation
+		present := true
+		flip := func() {
+			var err error
+			if present {
+				err = eng.DeleteSite(site)
+			} else {
+				err = eng.AddSite(site)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			present = !present
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			flip()
+			b.StartTimer()
+			query()
+		}
+		b.StopTimer()
+		if !present {
+			flip() // leave the shared index as it was found
+		}
+	}
+	b.Run("moved_rep", func(b *testing.B) { run(b, Options{}, rep) })
+	b.Run("bystander", func(b *testing.B) { run(b, Options{}, other) })
+	b.Run("refill", func(b *testing.B) { run(b, Options{DisableCoverCache: true}, rep) })
 }

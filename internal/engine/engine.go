@@ -135,11 +135,16 @@ type Stats struct {
 	// Canceled counts queries aborted by context cancellation or a lapsed
 	// per-request deadline.
 	Canceled uint64 `json:"canceled"`
-	// CoverHits / CoverMisses report the core cover-cache counters;
-	// CoverEntries is the number of covers currently memoized.
-	CoverHits    uint64 `json:"cover_hits"`
-	CoverMisses  uint64 `json:"cover_misses"`
-	CoverEntries int    `json:"cover_entries"`
+	// The core cover-cache counters (core.CoverCacheStats): CoverHits counts
+	// lookups that swept no representative row — CoverRevalidated of them by
+	// re-checking a cover against moved representatives — CoverMisses those
+	// that swept at least one, CoverRowsSwept the rows; CoverEntries is the
+	// number of covers currently memoized.
+	CoverHits        uint64 `json:"cover_hits"`
+	CoverMisses      uint64 `json:"cover_misses"`
+	CoverRevalidated uint64 `json:"cover_revalidated"`
+	CoverRowsSwept   uint64 `json:"cover_rows_swept"`
+	CoverEntries     int    `json:"cover_entries"`
 	// CoverTime and GreedyTime accumulate the wall time of the two query
 	// phases (cover fetch-or-build, greedy selection) across all queries,
 	// in nanoseconds on the wire.
@@ -160,11 +165,14 @@ func (e *Engine) Stats() Stats {
 		Epoch:        e.sink.Epoch(),
 		Errors:       e.errors.Load(),
 		Canceled:     e.canceled.Load(),
-		CoverHits:    cc.Hits,
-		CoverMisses:  cc.Misses,
-		CoverEntries: cc.Entries,
 		CoverTime:    time.Duration(e.coverNanos.Load()),
 		GreedyTime:   time.Duration(e.greedyNanos.Load()),
+
+		CoverHits:        cc.Hits,
+		CoverMisses:      cc.Misses,
+		CoverRevalidated: cc.Revalidated,
+		CoverRowsSwept:   cc.RowsSwept,
+		CoverEntries:     cc.Entries,
 	}
 	e.updates.Fill(&st)
 	return st
@@ -210,21 +218,23 @@ func (c *UpdateCounters) Fill(st *Stats) {
 
 // cover fetches (or builds) the covering structure for instance p under the
 // engine's caching policy, accounting the time to the cover phase and
-// reporting whether the memoized cache served it. The context cancels the
-// sweep between representatives (see core.RepCoverCtx).
-func (e *Engine) cover(ctx context.Context, p int, pref tops.Preference) (*tops.CoverSets, []core.ClusterID, bool, error) {
+// reporting how many representative rows it had to sweep (0: the memoized
+// cache served it). The context cancels the sweep between representatives
+// (see core.RepCoverCtx).
+func (e *Engine) cover(ctx context.Context, p int, pref tops.Preference) (*tops.CoverSets, []core.ClusterID, int, error) {
 	t0 := time.Now()
 	var cs *tops.CoverSets
 	var reps []core.ClusterID
-	var hit bool
+	var swept int
 	var err error
 	if e.opts.DisableCoverCache {
 		cs, reps, err = e.idx.RepCoverCtx(ctx, p, pref)
+		swept = len(reps)
 	} else {
-		cs, reps, hit, err = e.idx.CoverForCtx(ctx, p, pref)
+		cs, reps, swept, err = e.idx.CoverForCtx(ctx, p, pref)
 	}
 	e.coverNanos.Add(time.Since(t0).Nanoseconds())
-	return cs, reps, hit, err
+	return cs, reps, swept, err
 }
 
 // accountErr classifies a query failure into the Errors / Canceled
@@ -267,7 +277,7 @@ func (e *Engine) serve(ctx context.Context, opts core.QueryOptions) (*core.Query
 		return nil, err
 	}
 	p := e.idx.InstanceFor(opts.Pref.Tau)
-	cs, reps, hit, err := e.cover(ctx, p, opts.Pref)
+	cs, reps, swept, err := e.cover(ctx, p, opts.Pref)
 	if err != nil {
 		return nil, err
 	}
@@ -276,11 +286,12 @@ func (e *Engine) serve(ctx context.Context, opts core.QueryOptions) (*core.Query
 	e.greedyNanos.Add(time.Since(t0).Nanoseconds())
 	if err == nil {
 		// The latency split keys on the cover source: a memoized cover is
-		// the steady-state cached path, a fresh fill the cold one. Record
-		// and the CoverHit stamp are allocation-free — the zero-alloc
-		// cached-query gate runs with this instrumentation live.
-		res.CoverHit = hit
-		if hit {
+		// the steady-state cached path, one that swept rows (a fresh fill
+		// or a patch) the cold one. Record and the stamp are
+		// allocation-free — the zero-alloc cached-query gate runs with this
+		// instrumentation live.
+		res.CoverHit, res.CoverRowsSwept = swept == 0, swept
+		if res.CoverHit {
 			obs.QueryCached.RecordSince(tServe)
 		} else {
 			obs.QueryUncached.RecordSince(tServe)
@@ -343,26 +354,29 @@ func (e *Engine) RepOfCluster(p int, ci core.ClusterID) (core.RepInfo, bool) {
 
 // CoverMasked fetches (or fills) the covering structure of instance p under
 // pref restricted to the clusters in keep (sorted ascending), memoized in
-// the index's cover cache under the mask — or filled fresh per call when
-// the engine's cover cache is disabled, mirroring the Query path's policy.
-// Cover time is accounted like any other cover fetch.
-func (e *Engine) CoverMasked(ctx context.Context, p int, pref tops.Preference, keep []core.ClusterID) (*tops.CoverSets, []core.ClusterID, error) {
+// the index's cover cache and validated against the mask — or filled fresh
+// per call when the engine's cover cache is disabled, mirroring the Query
+// path's policy. Cover time and the rows-swept return are accounted like any
+// other cover fetch (see cover).
+func (e *Engine) CoverMasked(ctx context.Context, p int, pref tops.Preference, keep []core.ClusterID) (*tops.CoverSets, []core.ClusterID, int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	t0 := time.Now()
 	var cs *tops.CoverSets
 	var reps []core.ClusterID
+	var swept int
 	var err error
 	if e.opts.DisableCoverCache {
 		cs, reps, err = e.idx.RepCoverMaskedCtx(ctx, p, pref, keep)
+		swept = len(reps)
 	} else {
-		cs, reps, _, err = e.idx.CoverForMaskedCtx(ctx, p, pref, keep)
+		cs, reps, swept, err = e.idx.CoverForMaskedCtx(ctx, p, pref, keep)
 	}
 	e.coverNanos.Add(time.Since(t0).Nanoseconds())
 	if err != nil {
-		return nil, nil, e.accountErr(err)
+		return nil, nil, 0, e.accountErr(err)
 	}
-	return cs, reps, nil
+	return cs, reps, swept, nil
 }
 
 // BatchItem is one QueryBatch outcome, index-aligned with the input.
@@ -417,7 +431,7 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []core.QueryOptions) []Batch
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for key, members := range groups {
-		cs, reps, hit, err := e.cover(ctx, key.p, qs[members[0]].Pref)
+		cs, reps, swept, err := e.cover(ctx, key.p, qs[members[0]].Pref)
 		if err != nil {
 			for _, i := range members {
 				out[i].Err = e.accountErr(err)
@@ -434,10 +448,10 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []core.QueryOptions) []Batch
 				out[i].Result, out[i].Err = e.queryOnCover(ctx, key.p, cs, reps, qs[i])
 				e.greedyNanos.Add(time.Since(t0).Nanoseconds())
 				if out[i].Err == nil {
-					out[i].Result.CoverHit = hit
+					out[i].Result.CoverHit, out[i].Result.CoverRowsSwept = swept == 0, swept
 					// Per-item latency: batch items ride a shared cover, so the
 					// greedy phase is the whole per-query cost here.
-					if hit {
+					if swept == 0 {
 						obs.QueryCached.RecordSince(t0)
 					} else {
 						obs.QueryUncached.RecordSince(t0)

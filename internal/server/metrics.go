@@ -75,10 +75,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ew.Uint("netclus_engine_errors_total", "", eng.Errors)
 	ew.Family("netclus_engine_canceled_total", "Queries aborted by cancellation or deadline.", "counter")
 	ew.Uint("netclus_engine_canceled_total", "", eng.Canceled)
-	ew.Family("netclus_cover_cache_hits_total", "Cover-cache hits.", "counter")
+	ew.Family("netclus_cover_cache_hits_total", "Cover lookups that swept no representative row.", "counter")
 	ew.Uint("netclus_cover_cache_hits_total", "", eng.CoverHits)
-	ew.Family("netclus_cover_cache_misses_total", "Cover-cache misses (fresh builds).", "counter")
+	ew.Family("netclus_cover_cache_misses_total", "Cover lookups that swept rows (patches and cold fills).", "counter")
 	ew.Uint("netclus_cover_cache_misses_total", "", eng.CoverMisses)
+	ew.Family("netclus_cover_cache_revalidations_total", "Cover-cache hits that re-checked a cover against moved representatives.", "counter")
+	ew.Uint("netclus_cover_cache_revalidations_total", "", eng.CoverRevalidated)
+	ew.Family("netclus_cover_cache_rows_swept_total", "Representative rows swept by cover-cache misses.", "counter")
+	ew.Uint("netclus_cover_cache_rows_swept_total", "", eng.CoverRowsSwept)
 	ew.Family("netclus_cover_cache_entries", "Covers currently memoized.", "gauge")
 	ew.Sample("netclus_cover_cache_entries", "", float64(eng.CoverEntries))
 	ew.Family("netclus_engine_lsn", "Last WAL LSN applied by the engine.", "gauge")

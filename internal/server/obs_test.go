@@ -78,6 +78,8 @@ func TestMetricsExposition(t *testing.T) {
 		`netclus_uptime_seconds{`,
 		`netclus_http_requests_total{`,
 		`netclus_engine_queries_total{`,
+		`netclus_cover_cache_revalidations_total{`,
+		`netclus_cover_cache_rows_swept_total{`,
 		`netclus_query_seconds_bucket{`,
 		`netclus_query_seconds_count{`,
 		`netclus_query_seconds_sum{`,
@@ -212,5 +214,9 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if _, ok := rec["elapsed_ms"]; !ok {
 		t.Error("record has no elapsed_ms")
+	}
+	// The server's first query fills its cover cold: every row is swept.
+	if swept, _ := rec["cover_rows_swept"].(float64); swept <= 0 || rec["cover_hit"] != false {
+		t.Errorf("record of a cold query has cover_hit = %v, cover_rows_swept = %v", rec["cover_hit"], rec["cover_rows_swept"])
 	}
 }

@@ -523,7 +523,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(t0)
 	resp := toQueryResponse(res, elapsed)
-	coverHit := res.CoverHit
+	coverHit, rowsSwept := res.CoverHit, res.CoverRowsSwept
 	res.Release()
 	if s.opts.SlowQuery > 0 && elapsed >= s.opts.SlowQuery {
 		s.log.Warn("slow query",
@@ -534,6 +534,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"tau_km", opts.Pref.Tau,
 			"fm", opts.UseFM,
 			"cover_hit", coverHit,
+			"cover_rows_swept", rowsSwept,
 			"elapsed_ms", float64(elapsed.Nanoseconds())/1e6,
 		)
 	}

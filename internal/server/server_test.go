@@ -325,8 +325,8 @@ func TestHealthzDraining(t *testing.T) {
 // coverCounts is one cover cache's counters. A single engine has one
 // cache, a sharded engine one per shard.
 type coverCounts struct {
-	hits, misses uint64
-	entries      int
+	hits, misses, swept uint64
+	entries             int
 }
 
 // lookalikeSeed is the fixture the served engines and their sequential twin
@@ -335,9 +335,11 @@ const lookalikeSeed = 349
 
 // TestLookalikeQueriesShareOneCoverFill pins the property /v1/query leans
 // on for having no admission window: concurrent queries that differ only
-// in k pay for ONE cover fill per cache per invalidation — the cover
-// cache's singleflight (core.coverFor) — and every one of them still
-// answers exactly what a sequential reference engine answers.
+// in k pay for ONE cover fill per cache — the cover cache's singleflight
+// (core.coverFor) — whether that fill is a cold one after a trajectory
+// update emptied the cache or a one-row patch after a representative
+// moved, and every one of them still answers exactly what a sequential
+// reference engine answers.
 func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
 	t.Run("engine", func(t *testing.T) {
 		idx, _ := buildFixture(t, lookalikeSeed)
@@ -347,7 +349,7 @@ func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
 		}
 		checkLookalikesShareCover(t, served, func() []coverCounts {
 			st := served.Stats()
-			return []coverCounts{{st.CoverHits, st.CoverMisses, st.CoverEntries}}
+			return []coverCounts{{st.CoverHits, st.CoverMisses, st.CoverRowsSwept, st.CoverEntries}}
 		})
 	})
 	t.Run("sharded", func(t *testing.T) {
@@ -358,7 +360,7 @@ func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
 		checkLookalikesShareCover(t, served, func() []coverCounts {
 			var out []coverCounts
 			for _, st := range served.ShardStats() {
-				out = append(out, coverCounts{st.CoverHits, st.CoverMisses, st.CoverEntries})
+				out = append(out, coverCounts{st.CoverHits, st.CoverMisses, st.CoverRowsSwept, st.CoverEntries})
 			}
 			return out
 		})
@@ -366,10 +368,11 @@ func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
 }
 
 // checkLookalikesShareCover serves `served` (built over lookalikeSeed) on
-// HTTP, invalidates every cover cache that caches() reports, fires a burst
-// of look-alike queries, and checks the counters and the answers — the
-// latter against a sequential single engine kept in step with the
-// mutations.
+// HTTP and fires two bursts of look-alike queries — one at cover caches a
+// trajectory update just emptied, one at covers a deleted representative
+// just made stale by one row — checking the counters of every cache that
+// caches() reports, and the answers against a sequential single engine
+// kept in step with the mutations.
 func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []coverCounts) {
 	srv, err := New(served, Options{})
 	if err != nil {
@@ -379,84 +382,138 @@ func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []cove
 	defer ts.Close()
 	client := ts.Client()
 	idx, inst := buildFixture(t, lookalikeSeed)
-	sites := append([]roadnet.NodeID(nil), inst.Sites...)
 	twin, err := engine.New(idx, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Warm every cache, so that the flip below has a cover to invalidate.
-	if code, data := postJSON(t, client, ts.URL+"/v1/query", `{"k":3,"tau":0.8}`); code != http.StatusOK {
-		t.Fatalf("warm-up query: %d %s", code, data)
+	update := func(body string) updateResponse {
+		t.Helper()
+		code, data := postJSON(t, client, ts.URL+"/v1/update", body)
+		if code != http.StatusOK {
+			t.Fatalf("update %s: %d %s", body, code, data)
+		}
+		var ack updateResponse
+		if err := json.Unmarshal(data, &ack); err != nil {
+			t.Fatal(err)
+		}
+		return ack
 	}
+	// burst fires n concurrent queries that differ only in k and returns
+	// each cache's counter movement; every answer must be the twin's.
+	const n = 32
+	burst := func(tau float64) []coverCounts {
+		t.Helper()
+		before := caches()
+		bodies := make([][]byte, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				code, data := postJSON(t, client, ts.URL+"/v1/query", fmt.Sprintf(`{"k":%d,"tau":%v}`, 1+i%8, tau))
+				if code != http.StatusOK {
+					t.Errorf("query %d: status %d: %s", i, code, data)
+				}
+				bodies[i] = data
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, body := range bodies {
+			k := 1 + i%8
+			want, err := twin.Query(context.Background(), core.QueryOptions{K: k, Pref: tops.Binary(tau)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameAnswer(t, fmt.Sprintf("query %d (k=%d, tau=%v)", i, k, tau), body, want)
+		}
+		delta := caches()
+		for j := range delta {
+			delta[j].hits -= before[j].hits
+			delta[j].misses -= before[j].misses
+			delta[j].swept -= before[j].swept
+		}
+		return delta
+	}
+	warm := func(tau float64) {
+		t.Helper()
+		if code, data := postJSON(t, client, ts.URL+"/v1/query", fmt.Sprintf(`{"k":3,"tau":%v}`, tau)); code != http.StatusOK {
+			t.Fatalf("warm-up query: %d %s", code, data)
+		}
+	}
+
+	// Cold: warm every cache, so that the trajectory update below has a
+	// cover to drop; a trajectory add + delete then empties every cache
+	// (site updates no longer do).
+	warm(0.8)
 	for i, c := range caches() {
 		if c.entries == 0 {
 			t.Fatalf("cache %d holds no cover after the warm-up query: the fixture gives it nothing to own", i)
 		}
 	}
-	// One site flip (off, on) empties the cache of the engine that owns the
-	// site and no other, so a sharded engine takes flips until each shard
-	// has had one.
-	empty := func() bool {
-		for _, c := range caches() {
-			if c.entries != 0 {
-				return false
-			}
-		}
-		return true
+	nodes, err := json.Marshal(inst.Trajs.Get(0).Nodes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range sites {
-		for _, op := range []string{"delete_site", "add_site"} {
-			if code, data := postJSON(t, client, ts.URL+"/v1/update", fmt.Sprintf(`{"op":%q,"node":%d}`, op, v)); code != http.StatusOK {
-				t.Fatalf("%s %d: %d %s", op, v, code, data)
+	added := update(fmt.Sprintf(`{"op":"add_trajectory","nodes":%s}`, nodes))
+	update(fmt.Sprintf(`{"op":"delete_trajectory","id":%d}`, *added.TrajectoryID))
+	tid, err := twin.AddTrajectory(inst.Trajs.Get(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.DeleteTrajectory(tid); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range caches() {
+		if c.entries != 0 {
+			t.Fatalf("a trajectory update left cover cache %d populated", i)
+		}
+	}
+	for j, d := range burst(0.8) {
+		if d.misses != 1 || d.hits != n-1 {
+			t.Errorf("cold cache %d: %d concurrent look-alike queries cost %d cover fills and %d hits, want 1 and %d", j, n, d.misses, d.hits, n-1)
+		}
+	}
+
+	// Patch: on a rung whose clusters hold several sites, delete one
+	// cluster's representative and leave it deleted. Its runner-up takes
+	// over at another RepDr, so exactly one row of one cache is stale: the
+	// burst costs that cache one miss sweeping one row, and nobody else
+	// anything (a shard that merely loses the cluster drops the row without
+	// sweeping).
+	const tau = 3.0
+	warm(tau)
+	rep := roadnet.InvalidNode
+	for _, cl := range idx.Instances[idx.InstanceFor(tau)].Clusters {
+		sites := 0
+		for _, v := range cl.Members {
+			if _, ok := inst.SiteIDOf(v); ok {
+				sites++
 			}
 		}
-		if err := twin.DeleteSite(v); err != nil {
-			t.Fatal(err)
-		}
-		if err := twin.AddSite(v); err != nil {
-			t.Fatal(err)
-		}
-		if empty() {
+		if sites >= 2 {
+			rep = cl.Rep
 			break
 		}
 	}
-	if !empty() {
-		t.Fatal("site flips left a cover cache populated")
+	if rep == roadnet.InvalidNode {
+		t.Fatalf("no cluster with two sites on the rung of tau=%v", tau)
 	}
-
-	const n = 32
-	before := caches()
-	bodies := make([][]byte, n)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			code, data := postJSON(t, client, ts.URL+"/v1/query", fmt.Sprintf(`{"k":%d,"tau":0.8}`, 1+i%8))
-			if code != http.StatusOK {
-				t.Errorf("query %d: status %d: %s", i, code, data)
-			}
-			bodies[i] = data
-		}(i)
+	update(fmt.Sprintf(`{"op":"delete_site","node":%d}`, rep))
+	if err := twin.DeleteSite(rep); err != nil {
+		t.Fatal(err)
 	}
-	close(start)
-	wg.Wait()
-
-	for j, after := range caches() {
-		if misses, hits := after.misses-before[j].misses, after.hits-before[j].hits; misses != 1 || hits != n-1 {
-			t.Errorf("cache %d: %d concurrent look-alike queries cost %d cover fills and %d hits, want 1 and %d", j, n, misses, hits, n-1)
+	var misses uint64
+	for j, d := range burst(tau) {
+		if d.misses > 1 || d.swept != d.misses || d.hits != n-d.misses {
+			t.Errorf("patched cache %d: %d concurrent look-alike queries cost %d misses sweeping %d rows and %d hits, want at most one one-row miss", j, n, d.misses, d.swept, d.hits)
 		}
+		misses += d.misses
 	}
-	for i, body := range bodies {
-		k := 1 + i%8
-		want, err := twin.Query(context.Background(), core.QueryOptions{K: k, Pref: tops.Binary(0.8)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAnswer(t, fmt.Sprintf("query %d (k=%d)", i, k), body, want)
+	if misses != 1 {
+		t.Errorf("a moved representative cost %d one-row patches over all caches, want 1", misses)
 	}
 }
 
@@ -667,6 +724,8 @@ func checkMonotone(t *testing.T, prev, cur statszResponse) {
 		{"engine.errors", prev.Engine.Errors, cur.Engine.Errors},
 		{"engine.cover_hits", prev.Engine.CoverHits, cur.Engine.CoverHits},
 		{"engine.cover_misses", prev.Engine.CoverMisses, cur.Engine.CoverMisses},
+		{"engine.cover_revalidated", prev.Engine.CoverRevalidated, cur.Engine.CoverRevalidated},
+		{"engine.cover_rows_swept", prev.Engine.CoverRowsSwept, cur.Engine.CoverRowsSwept},
 	}
 	for route, rp := range prev.Routes {
 		rc, ok := cur.Routes[route]

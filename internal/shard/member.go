@@ -204,7 +204,7 @@ func (m *Member) Start(ctx context.Context, req *StartRequest) (*RoundReply, err
 	if err := pref.Validate(); err != nil {
 		return nil, err
 	}
-	cs, reps, err := m.CoverMasked(ctx, req.P, pref, req.Mask)
+	cs, reps, _, err := m.CoverMasked(ctx, req.P, pref, req.Mask)
 	if err != nil {
 		return nil, err
 	}

@@ -24,10 +24,11 @@
 // §6 updates route by ownership: a site mutation goes to the one shard the
 // partitioner maps its node to (and re-derives cluster ownership), while
 // trajectory mutations — which touch every shard's trajectory lists —
-// broadcast. The payoff shows up under update-heavy traffic: a site update
-// invalidates one shard's cover cache instead of all covers, and the stale
-// ownership masks on the other shards purge themselves on first contact
-// (core's masked-cover invalidation hook).
+// broadcast. No site update empties a cover cache: each shard's memoized
+// masked cover is validated against its current ownership mask and
+// representatives on lookup (core.coverFor), so a cluster changing hands is
+// a one-row insert on the gaining shard and a one-row drop on the losing
+// one.
 package shard
 
 import (

@@ -244,18 +244,22 @@ func (s *Sharded) updateOwnershipAt(v roadnet.NodeID) {
 }
 
 // gatherSet is one scatter's result: the owning shards' masked covers, in
-// ascending shard order, under the ownership they were fetched for.
+// ascending shard order, under the ownership they were fetched for, and the
+// rows the shards swept between them to produce the covers.
 type gatherSet struct {
 	own    *Ownership
 	covers []shardCover
+	swept  int
 }
 
-// shardCover is one shard's slice of the query: its masked cover and the
-// clusters its local dense representative indices stand for.
+// shardCover is one shard's slice of the query: its masked cover, the
+// clusters its local dense representative indices stand for, and the rows
+// the shard swept to produce it (0: served from its cover cache).
 type shardCover struct {
 	shard int
 	cs    *tops.CoverSets
 	reps  []core.ClusterID
+	swept int
 }
 
 // scatter fetches every owning shard's masked cover for (p, ψ) — in
@@ -280,7 +284,7 @@ func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own 
 		sh.scatters.Add(1)
 		sh.inFlight.Add(1)
 		defer sh.inFlight.Add(-1)
-		sc.cs, sc.reps, errs[i] = sh.eng.CoverMasked(ctx, p, pref, own.Masks[sc.shard])
+		sc.cs, sc.reps, sc.swept, errs[i] = sh.eng.CoverMasked(ctx, p, pref, own.Masks[sc.shard])
 	}
 	if runtime.GOMAXPROCS(0) > 1 && len(gs.covers) > 1 {
 		var wg sync.WaitGroup
@@ -294,10 +298,11 @@ func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own 
 			fetch(i)
 		}
 	}
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		gs.swept += gs.covers[i].swept
 	}
 	return gs, nil
 }
@@ -403,6 +408,7 @@ func (s *Sharded) answer(ctx context.Context, gs *gatherSet, p int, opts core.Qu
 	out.EstimatedCovered = res.Covered
 	out.InstanceUsed = p
 	out.NumRepresentatives = n
+	out.CoverHit, out.CoverRowsSwept = gs.swept == 0, gs.swept
 	for _, gi := range res.Selected {
 		node := gs.own.Winners[gi].Node
 		out.Sites = append(out.Sites, node)
@@ -742,6 +748,8 @@ func (s *Sharded) Stats() engine.Stats {
 		es := sh.eng.Stats()
 		st.CoverHits += es.CoverHits
 		st.CoverMisses += es.CoverMisses
+		st.CoverRevalidated += es.CoverRevalidated
+		st.CoverRowsSwept += es.CoverRowsSwept
 		st.CoverEntries += es.CoverEntries
 	}
 	return st
@@ -750,14 +758,16 @@ func (s *Sharded) Stats() engine.Stats {
 // Stat is one shard's /statsz block: size, cover-cache effectiveness, and
 // the scatter queue depth (fetches currently in flight on the shard).
 type Stat struct {
-	Shard        int    `json:"shard"`
-	Sites        int    `json:"sites"`
-	Scatters     uint64 `json:"scatter_calls"`
-	QueueDepth   int64  `json:"queue_depth"`
-	Updates      uint64 `json:"updates"`
-	CoverHits    uint64 `json:"cover_hits"`
-	CoverMisses  uint64 `json:"cover_misses"`
-	CoverEntries int    `json:"cover_entries"`
+	Shard            int    `json:"shard"`
+	Sites            int    `json:"sites"`
+	Scatters         uint64 `json:"scatter_calls"`
+	QueueDepth       int64  `json:"queue_depth"`
+	Updates          uint64 `json:"updates"`
+	CoverHits        uint64 `json:"cover_hits"`
+	CoverMisses      uint64 `json:"cover_misses"`
+	CoverRevalidated uint64 `json:"cover_revalidated"`
+	CoverRowsSwept   uint64 `json:"cover_rows_swept"`
+	CoverEntries     int    `json:"cover_entries"`
 }
 
 // ShardStats reports per-shard counters (the /statsz "shards" array).
@@ -768,14 +778,16 @@ func (s *Sharded) ShardStats() []Stat {
 	for j, sh := range s.shards {
 		es := sh.eng.Stats()
 		out[j] = Stat{
-			Shard:        j,
-			Sites:        sh.inst.N(),
-			Scatters:     sh.scatters.Load(),
-			QueueDepth:   sh.inFlight.Load(),
-			Updates:      sh.updates.Load(),
-			CoverHits:    es.CoverHits,
-			CoverMisses:  es.CoverMisses,
-			CoverEntries: es.CoverEntries,
+			Shard:            j,
+			Sites:            sh.inst.N(),
+			Scatters:         sh.scatters.Load(),
+			QueueDepth:       sh.inFlight.Load(),
+			Updates:          sh.updates.Load(),
+			CoverHits:        es.CoverHits,
+			CoverMisses:      es.CoverMisses,
+			CoverRevalidated: es.CoverRevalidated,
+			CoverRowsSwept:   es.CoverRowsSwept,
+			CoverEntries:     es.CoverEntries,
 		}
 	}
 	return out
