@@ -98,7 +98,6 @@ type config struct {
 	loadPath     string
 	cacheDir     string
 	workers      int
-	noCoverCache bool
 	timeout      time.Duration
 	drainTimeout time.Duration
 	exitSnapshot string
@@ -129,10 +128,6 @@ type config struct {
 	ingestMinSpacing float64
 	ingestOriginLat  float64
 	ingestOriginLon  float64
-}
-
-func (c *config) engineOpts() netclus.EngineOptions {
-	return netclus.EngineOptions{DisableCoverCache: c.noCoverCache}
 }
 
 func (c *config) walOptions() netclus.WALOptions {
@@ -186,7 +181,6 @@ func main() {
 	flag.StringVar(&c.loadPath, "load", "", "warm-start from this snapshot file (dataset must match)")
 	flag.StringVar(&c.cacheDir, "cache", "", "snapshot-cache directory (warm-starts repeat boots, caches cold builds)")
 	flag.IntVar(&c.workers, "workers", 0, "index build parallelism for cold builds (0 = all cores)")
-	flag.BoolVar(&c.noCoverCache, "no-cover-cache", false, "disable the engine's cover memoization (paper's per-query behaviour)")
 	flag.DurationVar(&c.timeout, "timeout", 10*time.Second, "default per-request deadline")
 	flag.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 	flag.StringVar(&c.exitSnapshot, "snapshot-on-exit", "", "write a final index checkpoint here after draining")
@@ -298,7 +292,7 @@ func primaryMain(c *config) {
 		}
 		inst = d.Instance
 		fmt.Println(d.Summary())
-		eng, err = netclus.LoadCheckpointFile(c.checkpointPath(), inst.G, c.engineOpts())
+		eng, err = netclus.LoadCheckpointFile(c.checkpointPath(), inst.G, netclus.EngineOptions{})
 		if err != nil {
 			fatal(fmt.Errorf("recovering from %s: %w", c.checkpointPath(), err))
 		}
@@ -390,7 +384,6 @@ func buildEngine(c *config, t0 time.Time) (netclus.DurableEngine, *netclus.Insta
 			Shards:      c.shards,
 			Partitioner: c.partitioner,
 			Build:       netclus.BuildOptions{Workers: c.workers},
-			Engine:      c.engineOpts(),
 		})
 		if err != nil {
 			return nil, nil, err
@@ -410,7 +403,6 @@ func buildEngine(c *config, t0 time.Time) (netclus.DurableEngine, *netclus.Insta
 			Shards:      c.shards,
 			Partitioner: c.partitioner,
 			Build:       netclus.BuildOptions{Workers: c.workers},
-			Engine:      c.engineOpts(),
 		}
 		var sh *netclus.ShardedEngine
 		dir := ""
@@ -485,7 +477,7 @@ func buildEngine(c *config, t0 time.Time) (netclus.DurableEngine, *netclus.Insta
 				time.Since(t0).Seconds(), len(idx.Instances), float64(idx.MemoryBytes())/(1<<20))
 		}
 	}
-	eng, err := netclus.NewEngine(idx, c.engineOpts())
+	eng, err := netclus.NewEngine(idx, netclus.EngineOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -525,7 +517,7 @@ func followerMain(c *config) {
 	}
 	var eng netclus.DurableEngine
 	if log != nil && fileExists(c.checkpointPath()) {
-		eng, err = netclus.LoadCheckpointFile(c.checkpointPath(), loadInst().G, c.engineOpts())
+		eng, err = netclus.LoadCheckpointFile(c.checkpointPath(), loadInst().G, netclus.EngineOptions{})
 		if err != nil {
 			fatal(fmt.Errorf("recovering local checkpoint: %w", err))
 		}
@@ -570,7 +562,7 @@ func followerMain(c *config) {
 			if err != nil {
 				fatal(err)
 			}
-			eng, err = netclus.LoadCheckpoint(body, loadInst().G, c.engineOpts())
+			eng, err = netclus.LoadCheckpoint(body, loadInst().G, netclus.EngineOptions{})
 			body.Close()
 			if err != nil {
 				fatal(fmt.Errorf("loading primary checkpoint: %w", err))

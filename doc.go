@@ -55,9 +55,13 @@
 //	internal/tops        the TOPS problem and all non-indexed algorithms
 //	internal/core        the NETCLUS index (paper's contribution) plus
 //	                     cached covering structures (CoverPlan / CoverFor)
-//	internal/engine      the concurrent serving layer (RWMutex protocol,
-//	                     QueryBatch grouping, context deadlines, traffic
-//	                     stats, the one write path: Apply / ApplyRecord)
+//	internal/engine      the concurrent serving layer: the Front shell
+//	                     (RWMutex protocol, QueryBatch grouping, context
+//	                     deadlines, traffic stats, the one write path:
+//	                     Apply / ApplyRecord) over a Backend holding only
+//	                     what differs between engines — Engine is the
+//	                     single-index one, shard.Sharded the scatter-gather
+//	                     one, both embed the shell
 //	internal/shard       scatter-gather sharding (site partitioners,
 //	                     cluster ownership, the distributed greedy's one
 //	                     coordinator and per-shard session, manifest

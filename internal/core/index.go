@@ -124,10 +124,9 @@ type Index struct {
 	trajs *trajectory.Store
 	alive []bool
 
-	// walLSN is the last write-ahead-log sequence number applied to this
-	// index (0 when it is not WAL-served). The serving layer stamps it
-	// after every logged mutation; snapshots carry it so recovery knows
-	// which log suffix to replay.
+	// walLSN is the write-ahead-log sequence number stamped in the snapshot
+	// this index was loaded from (0 for a fresh build): where log replay
+	// resumes. The serving layer counts on from it in its own sink.
 	walLSN uint64
 
 	// Cover caching (cover.go): per-instance CoverPlans plus memoized
@@ -507,15 +506,10 @@ func (idx *Index) Gamma() float64 { return idx.opts.Gamma }
 // TopsInstance returns the underlying problem instance.
 func (idx *Index) TopsInstance() *tops.Instance { return idx.inst }
 
-// WalLSN returns the last write-ahead-log sequence number applied to this
-// index; 0 when the index is not WAL-served. Snapshots embed it, so a
-// loaded index reports where log replay must resume.
+// WalLSN returns the write-ahead-log sequence number of the snapshot this
+// index was loaded from — every logged mutation up to and including it is
+// reflected, so replay resumes after it; 0 for a fresh build.
 func (idx *Index) WalLSN() uint64 { return idx.walLSN }
-
-// SetWalLSN stamps the index with the LSN of the mutation just applied.
-// The serving layer calls it under its write lock, right after the logged
-// mutation; it is not safe to call concurrently with queries or WriteTo.
-func (idx *Index) SetWalLSN(lsn uint64) { idx.walLSN = lsn }
 
 // NumAlive returns the number of live (non-deleted) trajectories.
 func (idx *Index) NumAlive() int {

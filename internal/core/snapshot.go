@@ -108,8 +108,17 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // WriteTo serializes the index as a versioned snapshot: header and payload,
 // then a CRC32 (IEEE) trailer over every preceding byte, so in-range bit
 // corruption — which the decoder's structural checks alone cannot see —
-// fails the load instead of silently changing query answers.
+// fails the load instead of silently changing query answers. The snapshot
+// is stamped with WalLSN(); a serving layer that has applied logged
+// mutations since writes through WriteSnapshot.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
+	return idx.WriteSnapshot(w, idx.walLSN)
+}
+
+// WriteSnapshot is WriteTo stamped with lsn: the write-ahead-log sequence
+// number of the last mutation the written state reflects, which is where
+// log replay resumes after a load.
+func (idx *Index) WriteSnapshot(w io.Writer, lsn uint64) (int64, error) {
 	cw := &countingWriter{w: w}
 	sum := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(cw, sum))
@@ -119,7 +128,7 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 		snapshotMagic,
 		snapshotVersion,
 		DatasetFingerprint(idx.inst),
-		idx.walLSN,
+		lsn,
 		idx.opts.Gamma,
 		idx.opts.TauMin,
 		idx.opts.TauMax,

@@ -235,9 +235,8 @@ func TestReadIndexRejectsFutureVersion(t *testing.T) {
 
 func TestSnapshotCarriesWalLSN(t *testing.T) {
 	idx, inst := buildTestIndex(t, 331, false)
-	idx.SetWalLSN(41)
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if _, err := idx.WriteSnapshot(&buf, 41); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadIndex(bytes.NewReader(buf.Bytes()), inst)

@@ -126,50 +126,104 @@ func (idx *Index) DeleteSite(v roadnet.NodeID) error {
 // CC structures of every instance (§6). The returned id addresses the
 // trajectory in later deletions.
 func (idx *Index) AddTrajectory(tr *trajectory.Trajectory) (trajectory.ID, error) {
-	if tr == nil {
-		return 0, fmt.Errorf("core: AddTrajectory: nil trajectory")
+	ids, err := idx.addTrajectories("AddTrajectory", []*trajectory.Trajectory{tr})
+	if err != nil {
+		return 0, err
 	}
-	if err := tr.Validate(); err != nil {
-		return 0, fmt.Errorf("core: AddTrajectory: %w", err)
-	}
-	for _, v := range tr.Nodes {
-		if v < 0 || int(v) >= idx.inst.G.NumNodes() {
-			return 0, fmt.Errorf("core: AddTrajectory: node %d outside graph", v)
+	return ids[0], nil
+}
+
+// AddTrajectories ingests a batch of trajectories atomically (§6: "batch
+// processing is more efficient"): either every trajectory is valid and all
+// are added (ids returned in order), or none is and an error identifies the
+// first offender.
+func (idx *Index) AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
+	return idx.addTrajectories("AddTrajectories", trs)
+}
+
+// addTrajectories is the one trajectory-add body; op names the entry point
+// in errors, beside the offending position.
+func (idx *Index) addTrajectories(op string, trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
+	for i, tr := range trs {
+		if tr == nil {
+			return nil, fmt.Errorf("core: %s: trajectory %d: nil trajectory", op, i)
+		}
+		if err := tr.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %s: trajectory %d: %w", op, i, err)
+		}
+		for _, v := range tr.Nodes {
+			if v < 0 || int(v) >= idx.inst.G.NumNodes() {
+				return nil, fmt.Errorf("core: %s: trajectory %d: node %d outside graph", op, i, v)
+			}
 		}
 	}
-	tid := idx.trajs.Add(tr)
-	idx.alive = append(idx.alive, true)
+	ids := make([]trajectory.ID, len(trs))
+	for i, tr := range trs {
+		ids[i] = idx.trajs.Add(tr)
+		idx.alive = append(idx.alive, true)
+	}
 	for _, ins := range idx.Instances {
-		registerTrajectory(ins, tid, tr)
+		for i, tr := range trs {
+			registerTrajectory(ins, ids[i], tr)
+		}
 	}
 	idx.invalidateCovers()
-	return tid, nil
+	return ids, nil
 }
 
 // DeleteTrajectory removes trajectory tid from every instance using the
 // inverse map CC (§6) and marks it dead for query-time filtering.
 func (idx *Index) DeleteTrajectory(tid trajectory.ID) error {
-	if int(tid) < 0 || int(tid) >= len(idx.alive) {
-		return fmt.Errorf("core: DeleteTrajectory: id %d out of range", tid)
-	}
-	if !idx.alive[tid] {
-		return fmt.Errorf("core: DeleteTrajectory: id %d already deleted", tid)
-	}
-	idx.alive[tid] = false
-	for _, ins := range idx.Instances {
-		if int(tid) >= len(ins.CC) {
-			continue
+	return idx.deleteTrajectories("DeleteTrajectory", []trajectory.ID{tid})
+}
+
+// DeleteTrajectories removes a batch atomically, validating every id first.
+func (idx *Index) DeleteTrajectories(ids []trajectory.ID) error {
+	return idx.deleteTrajectories("DeleteTrajectories", ids)
+}
+
+// deleteTrajectories is the one trajectory-delete body; op names the entry
+// point in errors.
+func (idx *Index) deleteTrajectories(op string, ids []trajectory.ID) error {
+	seen := make(map[trajectory.ID]bool, len(ids))
+	for _, tid := range ids {
+		if int(tid) < 0 || int(tid) >= len(idx.alive) {
+			return fmt.Errorf("core: %s: id %d out of range", op, tid)
 		}
-		for _, ci := range ins.CC[tid] {
-			tl := ins.Clusters[ci].TL
-			for i := range tl {
-				if tl[i].Traj == tid {
-					ins.Clusters[ci].TL = append(tl[:i], tl[i+1:]...)
-					break
+		if !idx.alive[tid] {
+			return fmt.Errorf("core: %s: id %d already deleted", op, tid)
+		}
+		if seen[tid] {
+			return fmt.Errorf("core: %s: id %d listed twice", op, tid)
+		}
+		seen[tid] = true
+	}
+	for _, tid := range ids {
+		idx.alive[tid] = false
+	}
+	// One pass per instance: drop all dead entries of each touched cluster
+	// at once, in place, so the surviving TL entries keep their order (the
+	// cover fill sums in TL order; memoized covers are compared bit for bit).
+	for _, ins := range idx.Instances {
+		touched := map[ClusterID]bool{}
+		for _, tid := range ids {
+			if int(tid) < len(ins.CC) {
+				for _, ci := range ins.CC[tid] {
+					touched[ci] = true
 				}
+				ins.CC[tid] = nil
 			}
 		}
-		ins.CC[tid] = nil
+		for ci := range touched {
+			tl := ins.Clusters[ci].TL
+			kept := tl[:0]
+			for _, te := range tl {
+				if !seen[te.Traj] {
+					kept = append(kept, te)
+				}
+			}
+			ins.Clusters[ci].TL = kept
+		}
 	}
 	idx.invalidateCovers()
 	return nil

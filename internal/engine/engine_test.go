@@ -121,7 +121,7 @@ func TestQueryMatchesCoreAndHitsCache(t *testing.T) {
 
 func TestQueryBatchMatchesSingles(t *testing.T) {
 	idx, _, _ := buildFixture(t, 907)
-	eng, err := New(idx, Options{BatchWorkers: 4})
+	eng, err := New(idx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	// agree with a mirror index that saw the same sequence sequentially.
 	idx, inst, city := buildFixture(t, 917)
 	mirrorIdx, mirrorInst, _ := buildFixture(t, 917)
-	eng, err := New(idx, Options{BatchWorkers: 2})
+	eng, err := New(idx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

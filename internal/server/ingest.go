@@ -12,10 +12,6 @@ import (
 	"netclus/internal/wal"
 )
 
-// errQuorumLost marks a batch that applied (and logged) locally but did
-// not gather its follower quorum in time.
-var errQuorumLost = errors.New("quorum not reached")
-
 // handleIngest is POST /v1/ingest: an NDJSON stream of raw GPS traces in,
 // an NDJSON stream of per-line verdicts out ({"line":N,"trajectory_id":I}
 // or {"line":N,"code":C,"error":…}). The body is consumed incrementally —
@@ -45,11 +41,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Semi-sync quorum, batch-grained: the whole window's verdicts
 		// wait on the window's own LSN, amortising the round trip over
 		// MaxBatch lines.
-		if s.opts.Quorum > 0 && s.opts.Log != nil {
-			if !s.acks.await(ctx, s.opts.Quorum, applied.LSN, s.opts.QuorumTimeout, s.drainSignal()) {
-				return nil, fmt.Errorf("batch applied locally at LSN %d but %d follower ack(s) did not arrive within %v: %w",
-					applied.LSN, s.opts.Quorum, s.opts.QuorumTimeout, errQuorumLost)
-			}
+		if _, err := s.awaitQuorum(ctx, applied.LSN); err != nil {
+			return nil, err
 		}
 		return applied.IDs, nil
 	})

@@ -10,12 +10,15 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"netclus/internal/obs"
+	"netclus/internal/shard"
 )
 
 // lockedBuffer makes a bytes.Buffer safe to read from the test goroutine
@@ -37,23 +40,10 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestMetricsExposition exercises the serving path and then asserts the
-// /metrics answer parses under the strict text-format grammar and carries
-// the families a dashboard needs (including a derivable latency histogram).
-func TestMetricsExposition(t *testing.T) {
-	ts, _, _, _ := newTestServer(t, 331, Options{})
-	client := ts.Client()
-
-	// Populate counters and the query histograms: two identical queries
-	// (miss then cover-cache hit), one mutation, one client error.
-	for i := 0; i < 2; i++ {
-		if code, data := postJSON(t, client, ts.URL+"/v1/query", `{"k":3,"tau":0.8}`); code != http.StatusOK {
-			t.Fatalf("query %d: status %d: %s", i, code, data)
-		}
-	}
-	postJSON(t, client, ts.URL+"/v1/query", `{"k":0}`)
-
-	resp, err := client.Get(ts.URL + "/metrics")
+// scrapeMetrics fetches /metrics, checks the envelope, and returns the body.
+func scrapeMetrics(t *testing.T, client *http.Client, url string) string {
+	t.Helper()
+	resp, err := client.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,40 +58,94 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateExposition(string(body)); err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, body)
-	}
+	return string(body)
+}
 
-	text := string(body)
-	for _, want := range []string{
-		`netclus_build_info{`,
-		`netclus_uptime_seconds{`,
-		`netclus_http_requests_total{`,
-		`netclus_engine_queries_total{`,
-		`netclus_cover_cache_revalidations_total{`,
-		`netclus_cover_cache_rows_swept_total{`,
-		`netclus_query_seconds_bucket{`,
-		`netclus_query_seconds_count{`,
-		`netclus_query_seconds_sum{`,
-		`role="primary"`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition is missing %q", want)
-		}
-	}
-	// The histogram must have observed the queries above, so p50/p99 are
-	// derivable: its cumulative +Inf bucket carries a positive count.
-	if !strings.Contains(text, `le="+Inf"`) {
-		t.Error("histogram exposition has no +Inf bucket")
-	}
-	var sawCount bool
+// queryLatencySamples sums netclus_query_seconds_count over its two series
+// (cache="hit" and cache="miss").
+func queryLatencySamples(t *testing.T, text string) uint64 {
+	t.Helper()
+	var total uint64
 	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "netclus_query_seconds_count{") && !strings.HasSuffix(line, " 0") {
-			sawCount = true
+		if !strings.HasPrefix(line, "netclus_query_seconds_count{") {
+			continue
 		}
+		n, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("unparsable sample %q: %v", line, err)
+		}
+		total += n
 	}
-	if !sawCount {
-		t.Error("query latency histogram recorded no samples")
+	return total
+}
+
+// TestMetricsExposition exercises the serving path and then asserts the
+// /metrics answer parses under the strict text-format grammar and carries
+// the families a dashboard needs (including a derivable latency histogram)
+// — over a single engine and over a sharded one, which must record the
+// query histogram exactly as the single engine does: one sample per
+// answered /v1/query.
+func TestMetricsExposition(t *testing.T) {
+	single, _, _, _ := newTestServer(t, 331, Options{})
+	sh, err := shard.Build(buildInstance(t, 331), shard.Options{Shards: 2, Build: fixtureBuild})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(sh, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := httptest.NewServer(srv)
+	t.Cleanup(sharded.Close)
+
+	for _, arm := range []struct {
+		name string
+		ts   *httptest.Server
+	}{{"single", single}, {"sharded", sharded}} {
+		t.Run(arm.name, func(t *testing.T) {
+			ts, client := arm.ts, arm.ts.Client()
+			before := queryLatencySamples(t, scrapeMetrics(t, client, ts.URL))
+
+			// Populate counters and the query histograms: two identical queries
+			// (miss then cover-cache hit) and one client error, which never
+			// reaches the engine.
+			const answered = 2
+			for i := 0; i < answered; i++ {
+				if code, data := postJSON(t, client, ts.URL+"/v1/query", `{"k":3,"tau":0.8}`); code != http.StatusOK {
+					t.Fatalf("query %d: status %d: %s", i, code, data)
+				}
+			}
+			postJSON(t, client, ts.URL+"/v1/query", `{"k":0}`)
+
+			text := scrapeMetrics(t, client, ts.URL)
+			if err := obs.ValidateExposition(text); err != nil {
+				t.Fatalf("exposition does not parse: %v\n%s", err, text)
+			}
+			for _, want := range []string{
+				`netclus_build_info{`,
+				`netclus_uptime_seconds{`,
+				`netclus_http_requests_total{`,
+				`netclus_engine_queries_total{`,
+				`netclus_cover_cache_revalidations_total{`,
+				`netclus_cover_cache_rows_swept_total{`,
+				`netclus_query_seconds_bucket{`,
+				`netclus_query_seconds_count{`,
+				`netclus_query_seconds_sum{`,
+				`role="primary"`,
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("exposition is missing %q", want)
+				}
+			}
+			// The histogram must have observed the queries above, so p50/p99 are
+			// derivable: a +Inf bucket, and a sample per answered query.
+			if !strings.Contains(text, `le="+Inf"`) {
+				t.Error("histogram exposition has no +Inf bucket")
+			}
+			if got := queryLatencySamples(t, text) - before; got != answered {
+				t.Errorf("query latency histogram recorded %d samples for %d answered queries", got, answered)
+			}
+		})
 	}
 }
 

@@ -115,6 +115,26 @@ func (a *ackTracker) await(ctx context.Context, n int, lsn uint64, timeout time.
 	}
 }
 
+// errQuorumLost marks a write that applied (and logged) locally but did not
+// gather its follower quorum in time.
+var errQuorumLost = errors.New("quorum not reached")
+
+// awaitQuorum is the semi-sync wait of every write path: on a log-serving
+// primary with Options.Quorum set it holds the acknowledgement of the write
+// logged at lsn until that many followers have durably persisted past it,
+// and reports true. Without a quorum configured it returns (false, nil) at
+// once. A wait ended by the timeout, ctx or a drain wraps errQuorumLost.
+func (s *Server) awaitQuorum(ctx context.Context, lsn uint64) (bool, error) {
+	if s.opts.Quorum <= 0 || s.opts.Log == nil {
+		return false, nil
+	}
+	if !s.acks.await(ctx, s.opts.Quorum, lsn, s.opts.QuorumTimeout, s.drainSignal()) {
+		return false, fmt.Errorf("applied locally at LSN %d but %d follower ack(s) did not arrive within %v: %w",
+			lsn, s.opts.Quorum, s.opts.QuorumTimeout, errQuorumLost)
+	}
+	return true, nil
+}
+
 // snapshot returns the per-follower ack table for /v1/replication, sorted
 // by follower id for stable output.
 func (a *ackTracker) snapshot(head uint64) []FollowerAckStatus {

@@ -660,13 +660,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// persisted past this mutation's LSN. On timeout the mutation has
 	// still applied (and logged) locally — the envelope says so and the
 	// client retries its read of the replicas, not the write.
-	if s.opts.Quorum > 0 && s.opts.Log != nil {
-		if !s.acks.await(r.Context(), s.opts.Quorum, resp.LSN, s.opts.QuorumTimeout, s.drainSignal()) {
-			writeError(w, http.StatusServiceUnavailable, CodeQuorumTimeout,
-				fmt.Errorf("update applied locally at LSN %d but %d follower ack(s) did not arrive within %v", resp.LSN, s.opts.Quorum, s.opts.QuorumTimeout))
-			return
-		}
-		resp.Quorum = true
+	if resp.Quorum, err = s.awaitQuorum(r.Context(), resp.LSN); err != nil {
+		writeError(w, http.StatusServiceUnavailable, CodeQuorumTimeout, err)
+		return
 	}
 	writeJSON(w, resp)
 }

@@ -53,6 +53,47 @@ func checkDraw(t *testing.T, ref *engine.Engine, s *Sharded, k int, pref tops.Pr
 	sameAnswer(t, "merged-cover lazy", gotLazy, wantLazy)
 }
 
+// checkTraffic closes a scripted workload with the failure kinds — one
+// canceled query, one k = 0 batch item, one epoch — and asserts that the two
+// engines, having served the same calls, report the same traffic: every
+// Stats field but the cover-cache counters and phase times, which
+// legitimately differ (a sharded query touches one cover cache per owning
+// shard).
+func checkTraffic(t *testing.T, ref *engine.Engine, s *Sharded) {
+	t.Helper()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := core.QueryOptions{K: 3, Pref: tops.Binary(0.8)}
+	bad := []core.QueryOptions{{K: 0, Pref: tops.Binary(0.8)}}
+	for name, eng := range map[string]interface {
+		Query(context.Context, core.QueryOptions) (*core.QueryResult, error)
+		QueryBatch(context.Context, []core.QueryOptions) []engine.BatchItem
+		BeginEpoch(uint64) error
+	}{"reference": ref, "sharded": s} {
+		if _, err := eng.Query(canceled, q); err != context.Canceled {
+			t.Fatalf("%s: canceled query returned %v", name, err)
+		}
+		if items := eng.QueryBatch(context.Background(), bad); items[0].Err == nil {
+			t.Fatalf("%s: k = 0 batch item accepted", name)
+		}
+		if err := eng.BeginEpoch(3); err != nil {
+			t.Fatalf("%s: BeginEpoch: %v", name, err)
+		}
+	}
+	traffic := func(st engine.Stats) engine.Stats {
+		st.CoverHits, st.CoverMisses, st.CoverRevalidated, st.CoverRowsSwept, st.CoverEntries = 0, 0, 0, 0, 0
+		st.CoverTime, st.GreedyTime = 0, 0
+		return st
+	}
+	want, got := traffic(ref.Stats()), traffic(s.Stats())
+	if got != want {
+		t.Fatalf("traffic counters diverged:\nsharded   %+v\nreference %+v", got, want)
+	}
+	if want.Errors < 2 || want.Canceled < 1 || want.Epoch != 3 {
+		t.Fatalf("script did not exercise the counters: %+v", want)
+	}
+}
+
 func TestShardedDifferentialOracle(t *testing.T) {
 	seeds := []int64{311, 331}
 	if testing.Short() {
@@ -91,6 +132,10 @@ func TestShardedDifferentialOracle(t *testing.T) {
 					break
 				}
 				extras = applyRandomUpdates(t, ref, s, refInst, rng, extras)
+			}
+			checkTraffic(t, ref, s)
+			if st := s.Stats(); st.Queries == 0 || st.Updates == 0 {
+				t.Fatalf("script served no queries or no updates: %+v", st)
 			}
 		}
 	}
@@ -214,6 +259,7 @@ func TestShardedBatchMatchesReference(t *testing.T) {
 	if st.Batches != 1 || st.BatchQueries != uint64(len(qs)-1) {
 		t.Fatalf("batch counters: %+v", st)
 	}
+	checkTraffic(t, ref, s)
 }
 
 // TestShardedExoticModes pins the merged-cover fallback against the

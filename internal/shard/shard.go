@@ -2,13 +2,11 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netclus/internal/core"
 	"netclus/internal/engine"
@@ -30,7 +28,7 @@ type Options struct {
 	// one ladder (and match a single-shard build of the same dataset).
 	Build core.Options
 	// Engine configures the per-shard engines (cover caching policy) and
-	// supplies BatchWorkers for the gather's QueryBatch fan-out.
+	// the gather's result pooling.
 	Engine engine.Options
 }
 
@@ -44,20 +42,24 @@ type shardState struct {
 	updates  atomic.Uint64 // §6 mutations routed here
 }
 
-// Sharded is a scatter-gather engine over N site-partitioned shards. It
-// serves the same Query / QueryBatch / Stats / Snapshot surface as
-// engine.Engine and is bit-exact against it: for any sequential workload of
-// queries and §6 updates, selected sites, dense site ids, and estimated
-// utilities are identical to a single-shard engine over the same dataset
-// (enforced by the shard-differential oracle).
+// Sharded is a scatter-gather engine over N site-partitioned shards: the
+// engine.Front shell — the surface engine.Engine serves, from the same body
+// — over the scatter-gather backend. It is bit-exact against the single
+// engine: for any sequential workload of queries and §6 updates, selected
+// sites, dense site ids, and estimated utilities are identical to a
+// single-shard engine over the same dataset (enforced by the
+// shard-differential oracle).
 //
-// All exported methods are safe for concurrent use. Queries share a read
-// lock; updates take the write lock, route to the owning shard (site
-// mutations) or broadcast (trajectory mutations), and patch the cluster
-// ownership tables in place (a site mutation can move only the
-// representative of its own cluster per instance).
+// All exported methods are safe for concurrent use. Queries share the
+// shell's read lock; updates take its write lock, route to the owning shard
+// (site mutations) or broadcast (trajectory mutations), and patch the
+// cluster ownership tables in place (a site mutation can move only the
+// representative of its own cluster per instance). The shell's sink
+// receives the global mutation stream when a log is attached; the per-shard
+// engines never log — the Sharded layer is the system of record, so one
+// logical mutation is one record regardless of shard count.
 type Sharded struct {
-	mu     sync.RWMutex
+	engine.Front[*gatherSet]
 	g      *roadnet.Graph
 	part   Partitioner
 	shards []*shardState
@@ -71,21 +73,6 @@ type Sharded struct {
 	// place on every site mutation.
 	ownMu sync.Mutex
 	own   map[int]*Ownership
-
-	// sink receives the global mutation stream when a log is attached (the
-	// per-shard engines never log: the Sharded layer is the system of
-	// record, so one logical mutation is one record regardless of shard
-	// count). See wal.Sink for the commit/guard/replay discipline.
-	sink wal.Sink
-
-	queries      atomic.Uint64
-	batchQueries atomic.Uint64
-	batches      atomic.Uint64
-	updates      engine.UpdateCounters
-	errorCount   atomic.Uint64
-	canceled     atomic.Uint64
-	coverNanos   atomic.Int64
-	greedyNanos  atomic.Int64
 }
 
 // Build partitions inst's candidate sites across opts.Shards shards, builds
@@ -135,7 +122,7 @@ func Build(inst *tops.Instance, opts Options) (*Sharded, error) {
 			return nil, fmt.Errorf("shard: building shard %d: %w", j, err)
 		}
 	}
-	return assemble(inst, part, insts, idxs, opts)
+	return assemble(inst, part, insts, idxs, opts, 0)
 }
 
 // shardInstances derives the per-shard problem instances: the shared graph,
@@ -156,9 +143,10 @@ func shardInstances(part Partitioner, inst *tops.Instance) []*tops.Instance {
 	return out
 }
 
-// assemble wires pre-built per-shard indexes into a Sharded engine,
-// validating that all shards share one ladder.
-func assemble(inst *tops.Instance, part Partitioner, insts []*tops.Instance, idxs []*core.Index, opts Options) (*Sharded, error) {
+// assemble wires pre-built per-shard indexes into a Sharded engine at the
+// WAL LSN their state reflects, validating that all shards share one
+// ladder.
+func assemble(inst *tops.Instance, part Partitioner, insts []*tops.Instance, idxs []*core.Index, opts Options, lsn uint64) (*Sharded, error) {
 	s := &Sharded{
 		g:     inst.G,
 		part:  part,
@@ -180,6 +168,7 @@ func assemble(inst *tops.Instance, part Partitioner, insts []*tops.Instance, idx
 		}
 		s.shards = append(s.shards, &shardState{eng: eng, inst: insts[j]})
 	}
+	s.Init(backend{s}, lsn)
 	return s, nil
 }
 
@@ -191,13 +180,11 @@ func (s *Sharded) Graph() *roadnet.Graph { return s.g }
 
 // Sites returns a copy of the current global site list in dense-id order —
 // the site list a snapshot load must be presented with (together with the
-// trajectory store) after §6 mutations, mirroring the single-shard
-// contract that a snapshot re-attaches only to the exact dataset it was
-// taken from.
-func (s *Sharded) Sites() []roadnet.NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]roadnet.NodeID(nil), s.sites.Sites()...)
+// trajectory store) after §6 mutations: as on the single engine, a snapshot
+// re-attaches only to the exact dataset it was taken from.
+func (s *Sharded) Sites() (sites []roadnet.NodeID) {
+	s.View(func() { sites = append(sites, s.sites.Sites()...) })
+	return sites
 }
 
 // ownership derives (or returns the cached) cluster ownership of instance
@@ -265,12 +252,8 @@ type shardCover struct {
 // scatter fetches every owning shard's masked cover for (p, ψ) — in
 // parallel when the machine has the cores for it, which is where
 // multi-core sharding earns its keep: a cover fill is milliseconds, a
-// greedy round microseconds. Cover wall time is accounted to the cover
-// phase.
+// greedy round microseconds.
 func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own *Ownership) (*gatherSet, error) {
-	t0 := time.Now()
-	defer func() { s.coverNanos.Add(time.Since(t0).Nanoseconds()) }()
-
 	gs := &gatherSet{own: own, covers: make([]shardCover, 0, len(s.shards))}
 	for j := range s.shards {
 		if len(own.Masks[j]) > 0 {
@@ -307,56 +290,31 @@ func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own 
 	return gs, nil
 }
 
-// accountErr classifies a failure into the error/canceled counters.
-func (s *Sharded) accountErr(err error) error {
-	if err != nil {
-		s.errorCount.Add(1)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.canceled.Add(1)
-		}
-	}
-	return err
-}
+// backend is Sharded as the shell's engine.Backend. A type of its own so
+// that these methods, which run under a lock the shell already holds, stay
+// off Sharded's method set.
+type backend struct{ s *Sharded }
 
-// Query answers one TOPS query by scatter-gather, bit-exact against the
-// single-shard engine. The context cancels the scatter at the shard fills'
-// checkpoints and is re-checked before every gather round.
-func (s *Sharded) Query(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, err := s.serve(ctx, opts)
-	if err == nil {
-		s.queries.Add(1)
-	}
-	return res, s.accountErr(err)
-}
+func (b backend) InstanceFor(tau float64) int { return b.s.shards[0].eng.InstanceFor(tau) }
 
-func (s *Sharded) serve(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error) {
-	if err := opts.Pref.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("shard: k = %d must be positive", opts.K)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p := s.shards[0].eng.InstanceFor(opts.Pref.Tau)
-	gs, err := s.scatter(ctx, p, opts.Pref, s.ownership(p))
+// FetchCover scatters under the current cluster ownership of instance p.
+func (b backend) FetchCover(ctx context.Context, p int, pref tops.Preference) (*gatherSet, int, error) {
+	gs, err := b.s.scatter(ctx, p, pref, b.s.ownership(p))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return s.answer(ctx, gs, p, opts)
+	return gs, gs.swept, nil
 }
 
 var gatherPool = sync.Pool{New: func() any { return new(Gather) }}
 
-// answer runs the gather phase. The common path is the distributed greedy:
+// Answer runs the gather phase. The common path is the distributed greedy:
 // the coordinator over one in-process session per fetched cover, rounds
-// inline. Query modes with extra greedy state (FM sketches, lazy
-// evaluation, existing services, target coverage) run on the merged cover
-// instead.
-func (s *Sharded) answer(ctx context.Context, gs *gatherSet, p int, opts core.QueryOptions) (*core.QueryResult, error) {
+// inline, the context re-checked before each. Query modes with extra greedy
+// state (FM sketches, lazy evaluation, existing services, target coverage)
+// run on the merged cover instead.
+func (b backend) Answer(ctx context.Context, p int, gs *gatherSet, opts core.QueryOptions) (*core.QueryResult, error) {
+	s := b.s
 	n := len(gs.own.Winners)
 	if n == 0 {
 		return nil, fmt.Errorf("shard: instance %d has no cluster representatives (no candidate sites?)", p)
@@ -365,9 +323,6 @@ func (s *Sharded) answer(ctx context.Context, gs *gatherSet, p int, opts core.Qu
 		return nil, err
 	}
 	k := min(opts.K, n)
-	t0 := time.Now()
-	defer func() { s.greedyNanos.Add(time.Since(t0).Nanoseconds()) }()
-
 	pooled := !s.opts.Engine.DisablePooling
 	var res tops.Result
 	var err error
@@ -408,7 +363,6 @@ func (s *Sharded) answer(ctx context.Context, gs *gatherSet, p int, opts core.Qu
 	out.EstimatedCovered = res.Covered
 	out.InstanceUsed = p
 	out.NumRepresentatives = n
-	out.CoverHit, out.CoverRowsSwept = gs.swept == 0, gs.swept
 	for _, gi := range res.Selected {
 		node := gs.own.Winners[gi].Node
 		out.Sites = append(out.Sites, node)
@@ -446,101 +400,14 @@ func (gs *gatherSet) merged() *tops.CoverSets {
 	return cs
 }
 
-// QueryBatch answers many queries under one read lock, scattering once per
-// (ladder instance, ψ fingerprint) group and fanning the gather greedies
-// across Engine.BatchWorkers, mirroring engine.QueryBatch.
-func (s *Sharded) QueryBatch(ctx context.Context, qs []core.QueryOptions) []engine.BatchItem {
-	out := make([]engine.BatchItem, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.batches.Add(1)
-
-	type groupKey struct {
-		p  int
-		fp uint64
-	}
-	groups := make(map[groupKey][]int)
-	for i, q := range qs {
-		if err := q.Pref.Validate(); err != nil {
-			out[i].Err = s.accountErr(err)
-			continue
-		}
-		if q.K <= 0 {
-			out[i].Err = s.accountErr(fmt.Errorf("shard: k = %d must be positive", q.K))
-			continue
-		}
-		key := groupKey{p: s.shards[0].eng.InstanceFor(q.Pref.Tau), fp: core.PrefFingerprint(q.Pref)}
-		groups[key] = append(groups[key], i)
-	}
-
-	workers := s.opts.Engine.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for key, members := range groups {
-		gs, err := s.scatter(ctx, key.p, qs[members[0]].Pref, s.ownership(key.p))
-		if err != nil {
-			for _, i := range members {
-				out[i].Err = s.accountErr(err)
-			}
-			continue
-		}
-		for _, i := range members {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				out[i].Result, out[i].Err = s.answer(ctx, gs, key.p, qs[i])
-				if out[i].Err == nil {
-					s.batchQueries.Add(1)
-				} else {
-					s.accountErr(out[i].Err)
-				}
-			}(i)
-		}
-	}
-	wg.Wait()
-	return out
-}
-
-// Mutations mirror engine.Engine: one live write path (Apply), one
-// transition function (applyMutation) that the replay path shares, typed
-// methods that only build the wal.Mutation value. Everything runs under the
-// write lock, so queries drain first and the ownership patch is fenced.
-// With a WAL attached there is one record per logical mutation, independent
-// of shard count, so a sharded primary's log replays identically into any
-// follower topology.
-
-// Apply is the live write path (see engine.Engine.Apply).
-func (s *Sharded) Apply(m wal.Mutation) (wal.Applied, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sink.Apply(m, s.applyMutation)
-}
-
-// applyMutation is the sharded transition function, reached by Apply (live)
-// and ApplyRecord (replay) alike. The shards apply through their own
-// engines' Apply (they never carry a log: the Sharded layer is the system
-// of record). Caller holds the write lock.
-func (s *Sharded) applyMutation(m wal.Mutation) ([]trajectory.ID, error) {
-	var ids []trajectory.ID
-	var err error
+// ApplyMutation is the sharded transition function: site kinds route to
+// the owning shards, trajectory kinds broadcast. The shards apply through
+// their own engines' Apply, which never carry a log.
+func (b backend) ApplyMutation(m wal.Mutation) ([]trajectory.ID, error) {
 	if m.Kind.Routed() {
-		err = s.routeSites(m)
-	} else {
-		ids, err = s.broadcast(m)
+		return nil, b.s.routeSites(m)
 	}
-	if err != nil {
-		return nil, err
-	}
-	s.updates.Count(m)
-	return ids, nil
+	return b.s.broadcast(m)
 }
 
 // routeSites applies a site kind on the shard (for a batch: the shards)
@@ -636,121 +503,16 @@ func (s *Sharded) broadcast(m wal.Mutation) ([]trajectory.ID, error) {
 	return ids, nil
 }
 
-// AddSite registers a new candidate site on its owning shard.
-func (s *Sharded) AddSite(v roadnet.NodeID) error {
-	_, err := s.Apply(wal.Mutation{Kind: wal.KindAddSite, Node: v})
-	return err
-}
-
-// DeleteSite removes a candidate site from its owning shard.
-func (s *Sharded) DeleteSite(v roadnet.NodeID) error {
-	_, err := s.Apply(wal.Mutation{Kind: wal.KindDeleteSite, Node: v})
-	return err
-}
-
-// AddSites registers a batch of candidate sites, all or nothing, each on
-// its owning shard.
-func (s *Sharded) AddSites(nodes []roadnet.NodeID) error {
-	_, err := s.Apply(wal.Mutation{Kind: wal.KindAddSites, Nodes: nodes})
-	return err
-}
-
-// AddTrajectory ingests one trajectory into every shard; all shards assign
-// the same id.
-func (s *Sharded) AddTrajectory(tr *trajectory.Trajectory) (trajectory.ID, error) {
-	a, err := s.Apply(wal.Mutation{Kind: wal.KindAddTrajectory, Traj: wal.FromTrajectory(tr)})
-	if err != nil {
-		return 0, err
-	}
-	return a.IDs[0], nil
-}
-
-// DeleteTrajectory removes one trajectory from every shard.
-func (s *Sharded) DeleteTrajectory(tid trajectory.ID) error {
-	_, err := s.Apply(wal.Mutation{Kind: wal.KindDeleteTrajectory, ID: tid})
-	return err
-}
-
-// AddTrajectories ingests a batch of trajectories into every shard.
-func (s *Sharded) AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
-	a, err := s.Apply(wal.Mutation{Kind: wal.KindAddTrajectories, Trajs: wal.FromTrajectories(trs)})
-	return a.IDs, err
-}
-
-// DeleteTrajectories removes a batch of trajectories from every shard.
-func (s *Sharded) DeleteTrajectories(ids []trajectory.ID) error {
-	_, err := s.Apply(wal.Mutation{Kind: wal.KindDeleteTrajectories, IDs: ids})
-	return err
-}
-
-// Durability and replication surface, mirroring engine.Engine's: LSN,
-// AttachWAL, ApplyRecord (replay without re-logging), Checkpoint.
-
-// LSN reports the last applied write-ahead-log sequence number.
-func (s *Sharded) LSN() uint64 { return s.sink.LSN() }
-
-// Epoch reports the replication fencing token this engine last observed.
-func (s *Sharded) Epoch() uint64 { return s.sink.Epoch() }
-
-// RestoreEpoch stamps the epoch recovered from a checkpoint container.
-// Load-time only, before any mutations or replay.
-func (s *Sharded) RestoreEpoch(epoch uint64) { s.sink.RestoreEpoch(epoch) }
-
-// BeginEpoch opens a new primary term (see engine.Engine.BeginEpoch).
-func (s *Sharded) BeginEpoch(epoch uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.sink.BeginEpoch(epoch)
-	return err
-}
-
-// AttachWAL connects the sharded engine to its log. The log must sit
-// exactly at the engine's LSN; an empty log is based there.
-func (s *Sharded) AttachWAL(l *wal.Log) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sink.Attach(l)
-}
-
-// ApplyRecord is the replay path — recovery and follower tailing: one
-// logged mutation through applyMutation, without re-logging it. Records
-// must arrive in LSN order.
-func (s *Sharded) ApplyRecord(rec wal.Record) error {
-	m, err := rec.Mutation()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.sink.Replay(rec.LSN, m, s.applyMutation); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	return nil
-}
-
-// Stats aggregates the scatter-gather engine's counters into the same shape
-// the single-shard engine reports (the /statsz wire contract). Cover cache
-// counters sum across shards.
-func (s *Sharded) Stats() engine.Stats {
-	st := engine.Stats{
-		Queries:      s.queries.Load(),
-		BatchQueries: s.batchQueries.Load(),
-		Batches:      s.batches.Load(),
-		LSN:          s.sink.LSN(),
-		Epoch:        s.sink.Epoch(),
-		Errors:       s.errorCount.Load(),
-		Canceled:     s.canceled.Load(),
-		CoverTime:    time.Duration(s.coverNanos.Load()),
-		GreedyTime:   time.Duration(s.greedyNanos.Load()),
-	}
-	s.updates.Fill(&st)
-	for _, sh := range s.shards {
-		es := sh.eng.Stats()
-		st.CoverHits += es.CoverHits
-		st.CoverMisses += es.CoverMisses
-		st.CoverRevalidated += es.CoverRevalidated
-		st.CoverRowsSwept += es.CoverRowsSwept
-		st.CoverEntries += es.CoverEntries
+// CoverCacheStats sums the shards' cover-cache counters.
+func (b backend) CoverCacheStats() core.CoverCacheStats {
+	var st core.CoverCacheStats
+	for _, sh := range b.s.shards {
+		cc := sh.eng.Index().CoverCacheStats()
+		st.Hits += cc.Hits
+		st.Misses += cc.Misses
+		st.Revalidated += cc.Revalidated
+		st.RowsSwept += cc.RowsSwept
+		st.Entries += cc.Entries
 	}
 	return st
 }
@@ -772,23 +534,23 @@ type Stat struct {
 
 // ShardStats reports per-shard counters (the /statsz "shards" array).
 func (s *Sharded) ShardStats() []Stat {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]Stat, len(s.shards))
-	for j, sh := range s.shards {
-		es := sh.eng.Stats()
-		out[j] = Stat{
-			Shard:            j,
-			Sites:            sh.inst.N(),
-			Scatters:         sh.scatters.Load(),
-			QueueDepth:       sh.inFlight.Load(),
-			Updates:          sh.updates.Load(),
-			CoverHits:        es.CoverHits,
-			CoverMisses:      es.CoverMisses,
-			CoverRevalidated: es.CoverRevalidated,
-			CoverRowsSwept:   es.CoverRowsSwept,
-			CoverEntries:     es.CoverEntries,
+	s.View(func() {
+		for j, sh := range s.shards {
+			es := sh.eng.Stats()
+			out[j] = Stat{
+				Shard:            j,
+				Sites:            sh.inst.N(),
+				Scatters:         sh.scatters.Load(),
+				QueueDepth:       sh.inFlight.Load(),
+				Updates:          sh.updates.Load(),
+				CoverHits:        es.CoverHits,
+				CoverMisses:      es.CoverMisses,
+				CoverRevalidated: es.CoverRevalidated,
+				CoverRowsSwept:   es.CoverRowsSwept,
+				CoverEntries:     es.CoverEntries,
+			}
 		}
-	}
+	})
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"netclus/internal/core"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
+	"netclus/internal/trajectory"
 	"netclus/internal/wal"
 )
 
@@ -74,7 +75,7 @@ func (s *Sharded) manifest(withFiles bool) Manifest {
 		Shards:             len(s.shards),
 		Partitioner:        s.part.Name(),
 		DatasetFingerprint: s.fingerprint(),
-		LSN:                s.sink.LSN(),
+		LSN:                s.LSN(),
 		Sites:              make([][]int64, len(s.shards)),
 		SiteCounts:         make([]int, len(s.shards)),
 	}
@@ -96,32 +97,21 @@ func (s *Sharded) manifest(withFiles bool) Manifest {
 // mirror order — the same quantity core.DatasetFingerprint computes over
 // the instance a load will present.
 func (s *Sharded) fingerprint() uint64 {
-	return core.DatasetFingerprint(&tops.Instance{G: s.g, Trajs: s.shards[0].inst.Trajs, Sites: s.sites.Sites()})
+	sites, trajs := backend{s}.Dataset()
+	return core.DatasetFingerprint(&tops.Instance{G: s.g, Trajs: trajs, Sites: sites})
 }
 
-// Snapshot writes the whole sharded engine as one stream under the read
-// lock, so a live service can checkpoint while serving queries (the
-// engine-surface contract /v1/snapshot relies on).
-func (s *Sharded) Snapshot(w io.Writer) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snapshotLocked(w)
+// Dataset returns the global site list in mirror order and the trajectory
+// store, of which every shard holds an identical clone.
+func (b backend) Dataset() ([]roadnet.NodeID, *trajectory.Store) {
+	return b.s.sites.Sites(), b.s.shards[0].inst.Trajs
 }
 
-// Checkpoint writes the recovery bundle: the mutated dataset state (global
-// site order, trajectory store) plus the LSN-stamped sharded container,
-// under one read lock so the three views are mutually consistent. Reload
-// with wal.ReadCheckpoint + LoadSharded (the netclus.LoadCheckpoint
-// facade).
-func (s *Sharded) Checkpoint(w io.Writer) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return wal.WriteCheckpoint(w, s.sites.Sites(), s.shards[0].inst.Trajs, s.sink.Epoch(), s.snapshotLocked)
-}
-
-// snapshotLocked streams the container format; the caller holds at least
-// the read lock.
-func (s *Sharded) snapshotLocked(w io.Writer) (int64, error) {
+// WriteSnapshot streams the container format: the whole sharded engine as
+// one stream, which is what keeps /v1/snapshot and checkpoints working on a
+// sharded server. Reload with LoadSharded.
+func (b backend) WriteSnapshot(w io.Writer) (int64, error) {
+	s := b.s
 	var n int64
 	man, err := json.Marshal(s.manifest(false))
 	if err != nil {
@@ -212,12 +202,7 @@ func LoadSharded(r io.Reader, inst *tops.Instance, opts Options) (*Sharded, erro
 	}
 	opts.Shards = man.Shards
 	opts.Partitioner = man.Partitioner
-	s, err := assemble(inst, part, insts, idxs, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.sink.SetLSN(man.LSN)
-	return s, nil
+	return assemble(inst, part, insts, idxs, opts, man.LSN)
 }
 
 // validateManifest checks a manifest against the presented dataset and
@@ -278,9 +263,12 @@ func validateManifest(man *Manifest, inst *tops.Instance) (Partitioner, []*tops.
 // per shard under dir (created if missing). Each file lands atomically
 // (temp + fsync + rename), and the manifest is written last, so a reader
 // that finds a manifest finds complete shard files.
-func (s *Sharded) SaveDir(dir string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *Sharded) SaveDir(dir string) (err error) {
+	s.View(func() { err = s.saveDir(dir) })
+	return err
+}
+
+func (s *Sharded) saveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: snapshot dir: %w", err)
 	}
@@ -335,10 +323,5 @@ func LoadDir(dir string, inst *tops.Instance, opts Options) (*Sharded, error) {
 	}
 	opts.Shards = man.Shards
 	opts.Partitioner = man.Partitioner
-	s, err := assemble(inst, part, insts, idxs, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.sink.SetLSN(man.LSN)
-	return s, nil
+	return assemble(inst, part, insts, idxs, opts, man.LSN)
 }
