@@ -96,31 +96,30 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("loaded %d nodes, %d trajectories\n", g.NumNodes(), trajs.Len())
-	} else if *cacheDir != "" {
-		// Preset + snapshot cache: one call loads the dataset and serves
-		// its index warm when a valid cache entry exists.
-		t0 := time.Now()
-		di, err := netclus.LoadIndexedDataset(dataset.Preset(*preset),
-			netclus.DatasetConfig{Scale: *scale, Seed: *seed, CacheDir: *cacheDir},
-			netclus.BuildOptions{Workers: *workers})
-		if err != nil {
-			fatal(err)
-		}
-		inst = di.Instance
-		idx = di.Index
-		fmt.Println(di.Summary())
-		how := "cold build + cache"
-		if di.WarmLoaded {
-			how = "warm load"
-		}
-		fmt.Printf("index via %s (%s) in %.3fs\n", how, di.SnapshotPath, time.Since(t0).Seconds())
 	} else {
-		d, err := dataset.Load(dataset.Preset(*preset), dataset.Config{Scale: *scale, Seed: *seed})
+		cfg := dataset.Config{Scale: *scale, Seed: *seed}
+		d, err := dataset.Load(dataset.Preset(*preset), cfg)
 		if err != nil {
 			fatal(err)
 		}
 		inst = d.Instance
 		fmt.Println(d.Summary())
+		if *cacheDir != "" {
+			// Snapshot cache: the index is served warm when a valid entry
+			// exists and stored after a cold build otherwise.
+			t0 := time.Now()
+			opts := netclus.BuildOptions{Workers: *workers}
+			key := dataset.SnapshotKey(d.Name, cfg, opts)
+			var warm bool
+			if idx, warm, err = dataset.CachedBuild(*cacheDir, key, inst, opts); err != nil {
+				fatal(err)
+			}
+			how := "cold build + cache"
+			if warm {
+				how = "warm load"
+			}
+			fmt.Printf("index via %s (%s) in %.3fs\n", how, key, time.Since(t0).Seconds())
+		}
 	}
 
 	pref, err := tops.PreferenceByName(*prefName, *tau, 0)

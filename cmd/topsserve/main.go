@@ -1,8 +1,19 @@
-// Command topsserve serves TOPS queries over HTTP: it materializes a
-// dataset preset, warm-starts the NETCLUS index from a snapshot or
-// checkpoint when one is available, wraps it in the concurrent engine
-// (single-index or sharded), and exposes the internal/server JSON API with
+// Command topsserve serves TOPS queries over HTTP. Every process starts the
+// same way (boot): it materializes the dataset preset, opens the -wal-dir
+// log, picks a starting checkpoint — the log directory's recovery
+// checkpoint, the -load file, a follower's primary checkpoint, or the
+// -cache entry — builds cold when there is none, joins the shard topology
+// under -shard-index, and replays the local log tail. Only then do the
+// roles differ: a primary attaches the log and opens its epoch, a
+// read-replica (-follow) tails its primary. The engine is single-index or
+// in-process sharded (-shards N), behind the internal/server JSON API with
 // per-request deadlines and graceful drain.
+//
+// Every file topsserve reads or writes is one format, the NCCK checkpoint
+// (dataset state plus the LSN-stamped index): -cache keeps the cold build as
+// one at LSN 0, keyed by the dataset fingerprint and the topology; -load
+// starts from one; -snapshot-on-exit, -checkpoint-every and POST
+// /v1/checkpoint write one.
 //
 // Durability (-wal-dir): every acknowledged /v1/update is appended to a
 // write-ahead log before the response leaves; -fsync picks the durability
@@ -31,6 +42,8 @@
 //	topsserve -preset beijing -scale 0.02 -shards 4 -wal-dir ./wal
 //	topsserve -preset beijing -scale 0.02 -follow http://primary:8080 -addr :8081
 //	topsserve -preset beijing -scale 0.02 -wal-dir ./wal -quorum 1
+//	topsserve -preset beijing -scale 0.02 -snapshot-on-exit state.ncck
+//	topsserve -preset beijing -scale 0.02 -load state.ncck
 //
 // Query it:
 //
@@ -44,18 +57,20 @@
 //
 // SIGTERM/SIGINT starts a graceful drain: /healthz flips to 503 so load
 // balancers stop routing here, in-flight requests finish (bounded by
-// -drain-timeout), and optional -snapshot-on-exit / final checkpoints are
-// written before exit.
+// -drain-timeout), and the optional -snapshot-on-exit / final checkpoints
+// are written before exit.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -64,24 +79,14 @@ import (
 
 	"netclus"
 	"netclus/internal/dataset"
-	"netclus/internal/wal"
 )
 
 // checkpointName is the recovery bundle inside -wal-dir.
 const checkpointName = "checkpoint.ncck"
 
-// fileExists reports whether path exists (used only to decide whether a
-// failed warm load deserves a diagnostic).
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
-}
-
-// shardedCacheDir derives the snapshot-cache location for a sharded build:
-// sharded manifests live next to the single-index cache entries, keyed by
-// everything that changes the partition.
-func shardedCacheDir(cacheDir, preset string, scale float64, seed int64, shards int, partitioner string) string {
-	return filepath.Join(cacheDir, fmt.Sprintf("sharded-%s-s%g-seed%d-%dx-%s", preset, scale, seed, shards, partitioner))
 }
 
 func fatal(err error) {
@@ -89,7 +94,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// config carries the parsed flags the boot paths share.
+// config carries the parsed flags; validate checks and lowers them.
 type config struct {
 	addr         string
 	preset       string
@@ -97,7 +102,6 @@ type config struct {
 	seed         int64
 	loadPath     string
 	cacheDir     string
-	workers      int
 	timeout      time.Duration
 	drainTimeout time.Duration
 	exitSnapshot string
@@ -106,6 +110,7 @@ type config struct {
 	shardIndex   int
 
 	walDir          string
+	fsyncName       string
 	fsync           netclus.SyncPolicy
 	fsyncInterval   time.Duration
 	checkpointEvery time.Duration
@@ -117,6 +122,7 @@ type config struct {
 	pprofAddr       string
 	logLevel        string
 	logFormat       string
+	logger          *slog.Logger
 	slowQuery       time.Duration
 
 	ingestWorkers    int
@@ -130,8 +136,90 @@ type config struct {
 	ingestOriginLon  float64
 }
 
-func (c *config) walOptions() netclus.WALOptions {
-	return netclus.WALOptions{Policy: c.fsync, Interval: c.fsyncInterval}
+// flags registers every topsserve flag on a new set bound to c.
+func (c *config) flags(onError flag.ErrorHandling) *flag.FlagSet {
+	fs := flag.NewFlagSet("topsserve", onError)
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.preset, "preset", "beijing", "dataset preset to serve")
+	fs.Float64Var(&c.scale, "scale", 0.02, "dataset scale")
+	fs.Int64Var(&c.seed, "seed", 42, "generation seed")
+	fs.StringVar(&c.loadPath, "load", "", "start from this checkpoint file (as -snapshot-on-exit or POST /v1/checkpoint wrote it)")
+	fs.StringVar(&c.cacheDir, "cache", "", "checkpoint-cache directory: a cold build is stored here, keyed by dataset fingerprint and topology, and later boots start from it")
+	fs.DurationVar(&c.timeout, "timeout", 10*time.Second, "default per-request deadline")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
+	fs.StringVar(&c.exitSnapshot, "snapshot-on-exit", "", "write a checkpoint here after draining (reload it with -load)")
+	fs.IntVar(&c.shards, "shards", 1, "number of engine shards; queries scatter-gather across them and site updates invalidate only the owning shard")
+	fs.StringVar(&c.partitioner, "partitioner", netclus.ShardByHash, "site partitioner for -shards > 1: hash or grid")
+	fs.IntVar(&c.shardIndex, "shard-index", -1, "serve as shard member N of a -shards-wide cross-process topology behind topsrouter (exposes /v1/shard/); -1 disables")
+	fs.StringVar(&c.walDir, "wal-dir", "", "write-ahead-log directory: log every update, recover on boot (checkpoint + tail replay)")
+	fs.StringVar(&c.fsyncName, "fsync", string(netclus.FsyncEveryInterval), "WAL fsync policy: always (durable acks), interval (group commit), none")
+	fs.DurationVar(&c.fsyncInterval, "fsync-interval", 100*time.Millisecond, "group-commit period for -fsync interval")
+	fs.DurationVar(&c.checkpointEvery, "checkpoint-every", 0, "write a recovery checkpoint on this period and compact the log (requires -wal-dir)")
+	fs.StringVar(&c.follow, "follow", "", "run as a read-replica tailing this primary URL's /v1/log")
+	fs.DurationVar(&c.followPoll, "follow-poll", 500*time.Millisecond, "replica fallback polling period for -follow (used when long-polling is off or returns early)")
+	fs.DurationVar(&c.followWait, "follow-wait", 10*time.Second, "replica long-poll window for -follow: how long the primary parks an empty /v1/log read; 0 disables long-polling")
+	fs.IntVar(&c.quorum, "quorum", 0, "semi-sync replication: acknowledge an update only after this many followers durably persisted it (requires -wal-dir); 0 disables")
+	fs.DurationVar(&c.quorumTimeout, "quorum-timeout", 5*time.Second, "how long an update waits for the -quorum before answering 503 quorum_timeout")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof profiling endpoints on this address (e.g. localhost:6060); empty disables")
+	fs.StringVar(&c.logLevel, "log-level", "info", "structured log level: debug, info, warn, or error")
+	fs.StringVar(&c.logFormat, "log-format", "text", "structured log encoding: text or json")
+	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log a structured record for queries slower than this (e.g. 250ms); 0 disables")
+	fs.IntVar(&c.ingestWorkers, "ingest-workers", 0, "map-matching worker pool for POST /v1/ingest (0 = all cores capped at 8, -1 disables the endpoint)")
+	fs.IntVar(&c.ingestBatch, "ingest-batch", 0, "traces per ingest AddTrajectories mutation (0 = default 64)")
+	fs.Float64Var(&c.ingestRadius, "ingest-radius", 0, "matcher candidate radius in km (0 = default 0.3)")
+	fs.Float64Var(&c.ingestSigma, "ingest-sigma", 0, "matcher GPS noise sigma in km (0 = default 0.05)")
+	fs.Float64Var(&c.ingestBeta, "ingest-beta", 0, "matcher transition tolerance in km (0 = default 0.3)")
+	fs.IntVar(&c.ingestMaxCand, "ingest-max-candidates", 0, "matcher candidates per GPS point (0 = default 6)")
+	fs.Float64Var(&c.ingestMinSpacing, "ingest-min-spacing", 0, "drop GPS points closer than this many km to their predecessor (0 = keep all)")
+	fs.Float64Var(&c.ingestOriginLat, "ingest-origin-lat", 0, "projection origin latitude for lat/lon ingest points")
+	fs.Float64Var(&c.ingestOriginLon, "ingest-origin-lon", 0, "projection origin longitude for lat/lon ingest points")
+	return fs
+}
+
+// validate rejects the flag combinations that genuinely conflict and lowers
+// the named settings (fsync policy, structured logger, shard-count cap). It
+// is the one place a mode's preconditions live.
+func (c *config) validate() error {
+	var err error
+	if c.fsync, err = netclus.ParseFsyncPolicy(c.fsyncName); err != nil {
+		return err
+	}
+	lvl, err := netclus.ParseLogLevel(c.logLevel)
+	if err != nil {
+		return err
+	}
+	// Structured logs go to stderr, so they never interleave with the
+	// stdout status lines.
+	if c.logger, err = netclus.NewLogger(os.Stderr, lvl, c.logFormat); err != nil {
+		return err
+	}
+	if c.loadPath != "" && (c.walDir != "" || c.follow != "" || c.cacheDir != "") {
+		return fmt.Errorf("-load is a starting state of its own: it does not combine with -wal-dir, -follow or -cache, which pick the starting checkpoint themselves")
+	}
+	if c.checkpointEvery > 0 && c.walDir == "" {
+		return fmt.Errorf("-checkpoint-every needs -wal-dir (checkpoints live in the log directory)")
+	}
+	if c.quorum > 0 && c.walDir == "" {
+		return fmt.Errorf("-quorum needs -wal-dir (followers acknowledge log positions)")
+	}
+	if c.shardIndex >= 0 {
+		// Member mode: -shards is the TOPOLOGY-wide shard count, not this
+		// host's in-process fan-out, so the NumCPU cap does not apply — a
+		// 16-shard topology boots fine on 4-core members.
+		if c.shardIndex >= c.shards {
+			return fmt.Errorf("-shard-index %d outside [0, %d) (-shards is the topology-wide shard count)", c.shardIndex, c.shards)
+		}
+		return nil
+	}
+	n, warn, err := netclus.ValidateShardCount(c.shards)
+	if err != nil {
+		return err
+	}
+	if warn != "" {
+		fmt.Fprintln(os.Stderr, warn)
+	}
+	c.shards = n
+	return nil
 }
 
 // ingestOptions lowers the -ingest-* flags; nil disables POST /v1/ingest.
@@ -156,467 +244,298 @@ func (c *config) ingestOptions() *netclus.IngestOptions {
 
 func (c *config) checkpointPath() string { return filepath.Join(c.walDir, checkpointName) }
 
-// logger lowers the -log-level/-log-format flags to the process root
-// structured logger (stderr, so it never interleaves with stdout status
-// lines); fatal on an unknown level or format name.
-func (c *config) logger() *slog.Logger {
-	lvl, err := netclus.ParseLogLevel(c.logLevel)
-	if err != nil {
-		fatal(err)
+// cachePath names the -cache entry for inst. The key covers everything a
+// cold build depends on — the dataset (by fingerprint, so generator drift
+// misses instead of failing), the shard count, the partitioner and the
+// member index — so a different topology never loads another's entry.
+func (c *config) cachePath(inst *netclus.Instance) string {
+	name := fmt.Sprintf("%s-%016x-%dx%s", c.preset, netclus.IndexFingerprint(inst), c.shards, c.partitioner)
+	if c.shardIndex >= 0 {
+		name += fmt.Sprintf("-member%d", c.shardIndex)
 	}
-	lg, err := netclus.NewLogger(os.Stderr, lvl, c.logFormat)
-	if err != nil {
-		fatal(err)
-	}
-	return lg
+	return filepath.Join(c.cacheDir, name+".ncck")
 }
 
 func main() {
 	var c config
-	var fsyncName string
-	flag.StringVar(&c.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&c.preset, "preset", "beijing", "dataset preset to serve")
-	flag.Float64Var(&c.scale, "scale", 0.02, "dataset scale")
-	flag.Int64Var(&c.seed, "seed", 42, "generation seed")
-	flag.StringVar(&c.loadPath, "load", "", "warm-start from this snapshot file (dataset must match)")
-	flag.StringVar(&c.cacheDir, "cache", "", "snapshot-cache directory (warm-starts repeat boots, caches cold builds)")
-	flag.IntVar(&c.workers, "workers", 0, "index build parallelism for cold builds (0 = all cores)")
-	flag.DurationVar(&c.timeout, "timeout", 10*time.Second, "default per-request deadline")
-	flag.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
-	flag.StringVar(&c.exitSnapshot, "snapshot-on-exit", "", "write a final index checkpoint here after draining")
-	flag.IntVar(&c.shards, "shards", 1, "number of engine shards; queries scatter-gather across them and site updates invalidate only the owning shard")
-	flag.StringVar(&c.partitioner, "partitioner", netclus.ShardByHash, "site partitioner for -shards > 1: hash or grid")
-	flag.IntVar(&c.shardIndex, "shard-index", -1, "serve as shard member N of a -shards-wide cross-process topology behind topsrouter (exposes /v1/shard/); -1 disables")
-	flag.StringVar(&c.walDir, "wal-dir", "", "write-ahead-log directory: log every update, recover on boot (checkpoint + tail replay)")
-	flag.StringVar(&fsyncName, "fsync", string(netclus.FsyncEveryInterval), "WAL fsync policy: always (durable acks), interval (group commit), none")
-	flag.DurationVar(&c.fsyncInterval, "fsync-interval", 100*time.Millisecond, "group-commit period for -fsync interval")
-	flag.DurationVar(&c.checkpointEvery, "checkpoint-every", 0, "write a recovery checkpoint on this period and compact the log (requires -wal-dir)")
-	flag.StringVar(&c.follow, "follow", "", "run as a read-replica tailing this primary URL's /v1/log")
-	flag.DurationVar(&c.followPoll, "follow-poll", 500*time.Millisecond, "replica fallback polling period for -follow (used when long-polling is off or returns early)")
-	flag.DurationVar(&c.followWait, "follow-wait", 10*time.Second, "replica long-poll window for -follow: how long the primary parks an empty /v1/log read; 0 disables long-polling")
-	flag.IntVar(&c.quorum, "quorum", 0, "semi-sync replication: acknowledge an update only after this many followers durably persisted it (requires -wal-dir); 0 disables")
-	flag.DurationVar(&c.quorumTimeout, "quorum-timeout", 5*time.Second, "how long an update waits for the -quorum before answering 503 quorum_timeout")
-	flag.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof profiling endpoints on this address (e.g. localhost:6060); empty disables")
-	flag.StringVar(&c.logLevel, "log-level", "info", "structured log level: debug, info, warn, or error")
-	flag.StringVar(&c.logFormat, "log-format", "text", "structured log encoding: text or json")
-	flag.DurationVar(&c.slowQuery, "slow-query", 0, "log a structured record for queries slower than this (e.g. 250ms); 0 disables")
-	flag.IntVar(&c.ingestWorkers, "ingest-workers", 0, "map-matching worker pool for POST /v1/ingest (0 = all cores capped at 8, -1 disables the endpoint)")
-	flag.IntVar(&c.ingestBatch, "ingest-batch", 0, "traces per ingest AddTrajectories mutation (0 = default 64)")
-	flag.Float64Var(&c.ingestRadius, "ingest-radius", 0, "matcher candidate radius in km (0 = default 0.3)")
-	flag.Float64Var(&c.ingestSigma, "ingest-sigma", 0, "matcher GPS noise sigma in km (0 = default 0.05)")
-	flag.Float64Var(&c.ingestBeta, "ingest-beta", 0, "matcher transition tolerance in km (0 = default 0.3)")
-	flag.IntVar(&c.ingestMaxCand, "ingest-max-candidates", 0, "matcher candidates per GPS point (0 = default 6)")
-	flag.Float64Var(&c.ingestMinSpacing, "ingest-min-spacing", 0, "drop GPS points closer than this many km to their predecessor (0 = keep all)")
-	flag.Float64Var(&c.ingestOriginLat, "ingest-origin-lat", 0, "projection origin latitude for lat/lon ingest points")
-	flag.Float64Var(&c.ingestOriginLon, "ingest-origin-lon", 0, "projection origin longitude for lat/lon ingest points")
-	flag.Parse()
-
-	pol, err := netclus.ParseFsyncPolicy(fsyncName)
+	c.flags(flag.ExitOnError).Parse(os.Args[1:])
+	if err := c.validate(); err != nil {
+		fatal(err)
+	}
+	b, err := boot(&c)
 	if err != nil {
 		fatal(err)
 	}
-	c.fsync = pol
-	if c.cacheDir != "" && c.loadPath != "" {
-		fatal(fmt.Errorf("-cache and -load are mutually exclusive: the cache decides which snapshot to read"))
-	}
-	if c.checkpointEvery > 0 && c.walDir == "" {
-		fatal(fmt.Errorf("-checkpoint-every needs -wal-dir (checkpoints live in the log directory)"))
-	}
-	if c.quorum > 0 && c.walDir == "" {
-		fatal(fmt.Errorf("-quorum needs -wal-dir (followers acknowledge log positions)"))
-	}
-	if c.follow != "" && c.loadPath != "" {
-		fatal(fmt.Errorf("-follow bootstraps from its -wal-dir checkpoint or the primary; -load does not apply"))
-	}
-	if c.walDir != "" && c.loadPath != "" {
-		fatal(fmt.Errorf("-load and -wal-dir are mutually exclusive: with a WAL, the checkpoint in the log directory decides the starting state"))
-	}
-	if c.shardIndex >= 0 {
-		// Member mode: -shards is the TOPOLOGY-wide shard count, not this
-		// host's in-process fan-out, so the NumCPU cap does not apply — a
-		// 16-shard topology boots fine on 4-core members.
-		if c.shards < 1 {
-			fatal(fmt.Errorf("-shard-index needs -shards >= 1 (the topology-wide shard count)"))
-		}
-		if c.shardIndex >= c.shards {
-			fatal(fmt.Errorf("-shard-index %d outside [0, %d)", c.shardIndex, c.shards))
-		}
-		if c.cacheDir != "" {
-			fatal(fmt.Errorf("-cache does not apply to -shard-index member mode (the cache stores whole-topology manifests); use -wal-dir checkpoints for fast member boots"))
-		}
-		if c.loadPath != "" {
-			fatal(fmt.Errorf("-load reads a whole-dataset snapshot; a shard member rebuilds its partition or recovers from its -wal-dir checkpoint"))
-		}
-	} else {
-		nShards, shardWarn, err := netclus.ValidateShardCount(c.shards)
-		if err != nil {
-			fatal(err)
-		}
-		if shardWarn != "" {
-			fmt.Fprintln(os.Stderr, shardWarn)
-		}
-		c.shards = nShards
-		if c.shards > 1 && c.loadPath != "" {
-			fatal(fmt.Errorf("-load reads a single-index snapshot; with -shards > 1 use -cache, which stores a sharded manifest"))
-		}
-	}
-
+	var fol *netclus.Follower
 	if c.follow != "" {
-		followerMain(&c)
-		return
-	}
-	primaryMain(&c)
-}
-
-// primaryMain boots a read-write server: recover from the WAL directory
-// when one is configured, otherwise build/warm-load as before.
-func primaryMain(c *config) {
-	t0 := time.Now()
-	var log *netclus.WAL
-	var err error
-	if c.walDir != "" {
-		log, err = netclus.OpenWAL(c.walDir, c.walOptions())
+		wait := c.followWait
+		if wait <= 0 {
+			wait = -1 // follower convention: negative disables long-polling
+		}
+		fol, err = netclus.NewFollower(c.follow, b.eng, b.log, netclus.FollowerOptions{Poll: c.followPoll, Wait: wait})
 		if err != nil {
 			fatal(err)
 		}
-	}
-
-	var eng netclus.DurableEngine
-	var inst *netclus.Instance
-	if log != nil && fileExists(c.checkpointPath()) {
-		// Recovery fast path: the checkpoint bundles the mutated dataset,
-		// so only the immutable graph comes from the preset.
-		d, err := netclus.LoadDataset(dataset.Preset(c.preset), netclus.DatasetConfig{Scale: c.scale, Seed: c.seed})
-		if err != nil {
-			fatal(err)
-		}
-		inst = d.Instance
-		fmt.Println(d.Summary())
-		eng, err = netclus.LoadCheckpointFile(c.checkpointPath(), inst.G, netclus.EngineOptions{})
-		if err != nil {
-			fatal(fmt.Errorf("recovering from %s: %w", c.checkpointPath(), err))
-		}
-		if c.shardIndex >= 0 {
-			if eng, err = memberize(c, eng); err != nil {
-				fatal(err)
-			}
-		} else if c.shards > 1 {
-			fmt.Fprintln(os.Stderr, "note: -shards/-partitioner are ignored when recovering from a checkpoint (its topology applies)")
-		}
-		fmt.Printf("recovered checkpoint %s at LSN %d in %.3fs\n", c.checkpointPath(), eng.LSN(), time.Since(t0).Seconds())
-	} else {
-		eng, inst, err = buildEngine(c, t0)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	if log != nil {
-		reconcileLog(eng, log, c.walDir)
-		n, err := netclus.ReplayWAL(log, eng)
-		if err != nil {
-			fatal(fmt.Errorf("replaying WAL tail: %w", err))
-		}
-		if n > 0 {
-			fmt.Printf("replayed %d WAL records to LSN %d\n", n, eng.LSN())
-		}
-		if err := eng.AttachWAL(log); err != nil {
+		fmt.Printf("following %s from LSN %d (poll %v, long-poll %v)\n", c.follow, b.eng.LSN(), c.followPoll, c.followWait)
+	} else if b.log != nil {
+		if err := b.eng.AttachWAL(b.log); err != nil {
 			fatal(err)
 		}
 		// A durable primary serves under a fencing token. The very first
 		// term is 1; recovery keeps the recovered epoch (a restart is not a
 		// new term — only promotion opens one).
-		if eng.Epoch() == 0 {
-			if err := eng.BeginEpoch(1); err != nil {
+		if b.eng.Epoch() == 0 {
+			if err := b.eng.BeginEpoch(1); err != nil {
 				fatal(fmt.Errorf("opening epoch 1: %w", err))
 			}
 		}
 	}
-	startServer(eng, inst, c, log, nil)
+	startServer(b.eng, &c, b.log, fol)
 }
 
-// memberize wraps a checkpoint-recovered engine as a shard member. The
-// checkpoint holds one shard's partition (a member's WAL only ever logged
-// its own mutations); the topology parameters come from the flags, which
-// must match what the rest of the topology runs.
-func memberize(c *config, eng netclus.DurableEngine) (netclus.DurableEngine, error) {
-	se, ok := eng.(*netclus.Engine)
-	if !ok {
-		return nil, fmt.Errorf("-shard-index needs a single-index checkpoint; this checkpoint holds an in-process sharded topology")
-	}
-	member, err := netclus.NewShardMember(se, c.shards, c.shardIndex, c.partitioner)
+// Where a boot's starting state comes from, in precedence order.
+const (
+	fromRecovery = "recovery" // -wal-dir's checkpoint
+	fromLoad     = "-load"
+	fromPrimary  = "primary" // a follower that cannot replay from LSN 1
+	fromCache    = "cache"
+)
+
+// source is a starting checkpoint: its kind, where it is, and how to read it.
+type source struct {
+	kind, where string
+	open        func() (io.ReadCloser, error)
+}
+
+// booted is a started engine, before it takes its role.
+type booted struct {
+	eng  netclus.DurableEngine
+	log  *netclus.WAL // nil without -wal-dir
+	from string       // the kind of checkpoint the state started from; "" after a cold build
+}
+
+// boot is the start-up path of every mode: materialize the dataset, open
+// the log, load the starting checkpoint (see start) or build cold — storing
+// the build under -cache — join the shard topology under -shard-index, and
+// replay the log tail.
+func boot(c *config) (*booted, error) {
+	t0 := time.Now()
+	d, err := netclus.LoadDataset(dataset.Preset(c.preset), netclus.DatasetConfig{Scale: c.scale, Seed: c.seed})
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("serving as shard member %d of %d (partitioner %s)\n", c.shardIndex, c.shards, c.partitioner)
-	return member, nil
+	fmt.Println(d.Summary())
+	inst := d.Instance
+	b := &booted{}
+	if c.walDir != "" {
+		if b.log, err = netclus.OpenWAL(c.walDir, netclus.WALOptions{Policy: c.fsync, Interval: c.fsyncInterval}); err != nil {
+			return nil, err
+		}
+	}
+	src, err := c.start(b.log, inst)
+	if err != nil {
+		return nil, err
+	}
+	if src != nil {
+		var r io.ReadCloser
+		if r, err = src.open(); err == nil {
+			b.eng, err = netclus.LoadCheckpoint(r, inst.G, netclus.EngineOptions{})
+			r.Close()
+		}
+		switch {
+		case err == nil:
+			b.from = src.kind
+			fmt.Printf("started from %s checkpoint %s (%s) at LSN %d in %.3fs\n",
+				src.kind, src.where, topology(b.eng), b.eng.LSN(), time.Since(t0).Seconds())
+		case src.kind == fromCache:
+			// A missing entry is a cache miss. A corrupt or foreign one: say
+			// why before the cold build overwrites the evidence.
+			if !errors.Is(err, fs.ErrNotExist) {
+				fmt.Fprintf(os.Stderr, "cache entry %s unusable (%v); building cold\n", src.where, err)
+			}
+		default:
+			return nil, fmt.Errorf("loading %s checkpoint %s: %w", src.kind, src.where, err)
+		}
+	}
+	// While the state is the preset's, the router may seed its dense site
+	// ids from the preset's site order; a recovered member no longer knows it.
+	initial := inst.Sites
+	if b.eng == nil {
+		if b.eng, err = coldBuild(c, inst); err != nil {
+			return nil, err
+		}
+		how := "cold build"
+		if src != nil {
+			// Only the -cache entry falls through to a cold build; store the
+			// build there, best-effort: an unwritable cache never fails the
+			// boot.
+			if err := netclus.SaveCheckpointFile(b.eng, src.where); err != nil {
+				fmt.Fprintf(os.Stderr, "cache entry not written: %v\n", err)
+			} else {
+				how += " + cache " + src.where
+			}
+		}
+		fmt.Printf("%s (%s) in %.1fs\n", how, topology(b.eng), time.Since(t0).Seconds())
+	} else if b.from != fromCache {
+		initial = nil
+	}
+	if b.eng, err = memberize(c, b.eng, initial); err != nil {
+		return nil, err
+	}
+	if b.log != nil {
+		if err := reconcileLog(b.eng, b.log, c.walDir, b.from == fromPrimary); err != nil {
+			return nil, err
+		}
+		n, err := netclus.ReplayWAL(b.log, b.eng)
+		if err != nil {
+			return nil, fmt.Errorf("replaying WAL tail: %w", err)
+		}
+		if n > 0 {
+			fmt.Printf("replayed %d WAL records to LSN %d\n", n, b.eng.LSN())
+		}
+	}
+	return b, nil
 }
 
-// reconcileLog handles a checkpoint stamped ahead of the log: under
-// group-commit fsync a crash can lose the log's acknowledged tail from the
-// page cache while the (always-fsynced) checkpoint survives. Everything
-// the log lost is covered by the checkpoint, so the stale log is discarded
-// and AttachWAL rebases it at the checkpoint's LSN — the alternative is a
-// boot failure an operator can only fix by deleting segment files.
-func reconcileLog(eng netclus.DurableEngine, log *netclus.WAL, dir string) {
-	if head := log.HeadLSN(); eng.LSN() > head {
+// start picks the starting checkpoint in the one precedence order: the
+// -wal-dir recovery checkpoint, the -load file, the primary's checkpoint (a
+// follower only, and only when replay from LSN 1 is impossible), the -cache
+// entry (absent until a cold build stores it). nil means build cold.
+func (c *config) start(log *netclus.WAL, inst *netclus.Instance) (*source, error) {
+	file := func(kind, path string) *source {
+		return &source{kind, path, func() (io.ReadCloser, error) { return os.Open(path) }}
+	}
+	switch {
+	case log != nil && fileExists(c.checkpointPath()):
+		return file(fromRecovery, c.checkpointPath()), nil
+	case c.loadPath != "":
+		return file(fromLoad, c.loadPath), nil
+	}
+	if c.follow != "" {
+		// An engine built from the preset (LSN 0) catches up only by
+		// replaying history from LSN 1: the local log must start there (or
+		// be empty) and the primary must stream the rest.
+		var first, head uint64
+		if log != nil {
+			first, head = log.FirstLSN(), log.HeadLSN()
+		}
+		from := uint64(1)
+		if first <= 1 && head > 0 {
+			from = head + 1
+		}
+		ok, err := netclus.LogAvailableFrom(context.Background(), nil, c.follow, from)
+		if err != nil {
+			return nil, fmt.Errorf("probing primary %s: %w", c.follow, err)
+		}
+		if !ok || first > 1 {
+			fmt.Printf("replay from LSN 1 unavailable (primary serves from %d: %v, local log covers [%d,%d]); bootstrapping from the primary's checkpoint\n",
+				from, ok, first, head)
+			return &source{fromPrimary, c.follow, func() (io.ReadCloser, error) {
+				return netclus.FetchCheckpoint(context.Background(), nil, c.follow)
+			}}, nil
+		}
+	}
+	if c.cacheDir != "" {
+		return file(fromCache, c.cachePath(inst)), nil
+	}
+	return nil, nil
+}
+
+// coldBuild indexes the preset in the topology the flags ask for, at
+// core.Build's default parallelism.
+func coldBuild(c *config, inst *netclus.Instance) (netclus.DurableEngine, error) {
+	sopts := netclus.ShardedOptions{Shards: c.shards, Partitioner: c.partitioner}
+	switch {
+	case c.shardIndex >= 0:
+		return netclus.BuildShardMember(inst, c.shardIndex, sopts)
+	case c.shards > 1:
+		return netclus.NewShardedEngine(inst, sopts)
+	}
+	idx, err := netclus.Build(inst, netclus.BuildOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return netclus.NewEngine(idx, netclus.EngineOptions{})
+}
+
+// topology names an engine's shape for the boot log.
+func topology(eng netclus.DurableEngine) string {
+	switch e := eng.(type) {
+	case *netclus.ShardedEngine:
+		return fmt.Sprintf("%d shards", e.Shards())
+	case *netclus.ShardMember:
+		return fmt.Sprintf("shard member %d", e.ShardIndex())
+	}
+	return "single index"
+}
+
+// memberize makes the engine shard member c.shardIndex of a -shards-wide
+// topology; outside member mode it passes the engine through. A cold build
+// already is a member. A checkpoint holds one shard's partition as a single
+// index (a member's WAL only ever logged its own mutations), joined to the
+// topology the flags name, which must match what the rest of the topology
+// runs; initial is the preset's site order when the state is still the
+// preset's.
+func memberize(c *config, eng netclus.DurableEngine, initial []netclus.NodeID) (netclus.DurableEngine, error) {
+	if c.shardIndex < 0 {
+		return eng, nil
+	}
+	switch e := eng.(type) {
+	case *netclus.ShardMember:
+	case *netclus.Engine:
+		m, err := netclus.NewShardMember(e, c.shards, c.shardIndex, c.partitioner, initial)
+		if err != nil {
+			return nil, err
+		}
+		eng = m
+	default:
+		return nil, fmt.Errorf("-shard-index needs a single-index checkpoint; this checkpoint holds an in-process sharded topology")
+	}
+	fmt.Printf("serving as shard member %d of %d (partitioner %s)\n", c.shardIndex, c.shards, c.partitioner)
+	return eng, nil
+}
+
+// reconcileLog discards a local log that cannot extend the starting
+// checkpoint; AttachWAL (or the follower) then rebases it at the
+// checkpoint's LSN.
+//   - A checkpoint stamped ahead of the log: under group-commit fsync a
+//     crash can lose the log's acknowledged tail from the page cache while
+//     the (always-fsynced) checkpoint survives. The checkpoint covers every
+//     lost record; the alternative is a boot failure an operator can only
+//     fix by deleting segment files.
+//   - A follower that bootstrapped from its primary's checkpoint: its log
+//     is a cache of the primary's stream, so one that does not end exactly
+//     at the checkpoint is discarded rather than left to wedge replay.
+func reconcileLog(eng netclus.DurableEngine, log *netclus.WAL, dir string, fromPrimary bool) error {
+	head := log.HeadLSN()
+	switch {
+	case fromPrimary && !log.IsEmpty() && head != eng.LSN():
+		fmt.Fprintf(os.Stderr, "local WAL at LSN %d does not line up with the checkpoint; resetting %s\n", head, dir)
+	case eng.LSN() > head:
 		if head > 0 {
 			fmt.Fprintf(os.Stderr, "log head LSN %d behind checkpoint LSN %d (tail lost in a crash); resetting %s — the checkpoint covers every lost record\n",
 				head, eng.LSN(), dir)
 		}
-		if err := log.Reset(); err != nil {
-			fatal(fmt.Errorf("resetting stale WAL: %w", err))
-		}
-	}
-}
-
-// buildEngine materializes the dataset and its serving engine from the
-// preset — warm from the snapshot cache when possible — exactly as a
-// WAL-less boot always has.
-func buildEngine(c *config, t0 time.Time) (netclus.DurableEngine, *netclus.Instance, error) {
-	if c.shardIndex >= 0 {
-		d, err := netclus.LoadDataset(dataset.Preset(c.preset), netclus.DatasetConfig{Scale: c.scale, Seed: c.seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Println(d.Summary())
-		member, err := netclus.BuildShardMember(d.Instance, c.shardIndex, netclus.ShardedOptions{
-			Shards:      c.shards,
-			Partitioner: c.partitioner,
-			Build:       netclus.BuildOptions{Workers: c.workers},
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Printf("built shard member %d of %d (partitioner %s) in %.1fs\n",
-			c.shardIndex, c.shards, c.partitioner, time.Since(t0).Seconds())
-		return member, d.Instance, nil
-	}
-	if c.shards > 1 {
-		d, err := netclus.LoadDataset(dataset.Preset(c.preset), netclus.DatasetConfig{Scale: c.scale, Seed: c.seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		inst := d.Instance
-		fmt.Println(d.Summary())
-		sopts := netclus.ShardedOptions{
-			Shards:      c.shards,
-			Partitioner: c.partitioner,
-			Build:       netclus.BuildOptions{Workers: c.workers},
-		}
-		var sh *netclus.ShardedEngine
-		dir := ""
-		if c.cacheDir != "" {
-			dir = shardedCacheDir(c.cacheDir, c.preset, c.scale, c.seed, c.shards, c.partitioner)
-			warm, err := netclus.LoadShardedDir(dir, inst, sopts)
-			switch {
-			case err == nil:
-				sh = warm
-				fmt.Printf("sharded warm load (%d shards) from %s in %.3fs\n", c.shards, dir, time.Since(t0).Seconds())
-			case fileExists(filepath.Join(dir, netclus.ShardedManifestName)):
-				// A manifest exists but would not load (corrupt file,
-				// dataset/generator drift): say why before the expensive
-				// cold rebuild overwrites the evidence.
-				fmt.Fprintf(os.Stderr, "sharded cache at %s unusable (%v); rebuilding cold\n", dir, err)
-			}
-		}
-		if sh == nil {
-			sh, err = netclus.NewShardedEngine(inst, sopts)
-			if err != nil {
-				return nil, nil, err
-			}
-			how := "sharded cold build"
-			if dir != "" {
-				// Best-effort cache population, mirroring LoadIndexedDataset:
-				// an unwritable cache never fails the boot.
-				if err := netclus.SaveShardedDir(sh, dir); err != nil {
-					fmt.Fprintf(os.Stderr, "sharded snapshot cache not written: %v\n", err)
-				} else {
-					how += " + cache"
-				}
-			}
-			fmt.Printf("%s (%d shards, partitioner %s) in %.1fs\n", how, c.shards, c.partitioner, time.Since(t0).Seconds())
-		}
-		return sh, inst, nil
-	}
-	var inst *netclus.Instance
-	var idx *netclus.Index
-	switch {
-	case c.cacheDir != "":
-		di, err := netclus.LoadIndexedDataset(dataset.Preset(c.preset),
-			netclus.DatasetConfig{Scale: c.scale, Seed: c.seed, CacheDir: c.cacheDir},
-			netclus.BuildOptions{Workers: c.workers})
-		if err != nil {
-			return nil, nil, err
-		}
-		inst, idx = di.Instance, di.Index
-		how := "cold build + cache"
-		if di.WarmLoaded {
-			how = "warm load"
-		}
-		fmt.Printf("%s\nindex via %s (%s) in %.3fs\n", di.Summary(), how, di.SnapshotPath, time.Since(t0).Seconds())
 	default:
-		d, err := netclus.LoadDataset(dataset.Preset(c.preset), netclus.DatasetConfig{Scale: c.scale, Seed: c.seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		inst = d.Instance
-		fmt.Println(d.Summary())
-		if c.loadPath != "" {
-			idx, err = netclus.LoadFile(c.loadPath, inst)
-			if err != nil {
-				return nil, nil, err
-			}
-			fmt.Printf("warm-started from %s in %.3fs\n", c.loadPath, time.Since(t0).Seconds())
-		} else {
-			idx, err = netclus.Build(inst, netclus.BuildOptions{Workers: c.workers})
-			if err != nil {
-				return nil, nil, err
-			}
-			fmt.Printf("cold build in %.1fs (%d instances, %.1f MB)\n",
-				time.Since(t0).Seconds(), len(idx.Instances), float64(idx.MemoryBytes())/(1<<20))
-		}
+		return nil
 	}
-	eng, err := netclus.NewEngine(idx, netclus.EngineOptions{})
-	if err != nil {
-		return nil, nil, err
+	if err := log.Reset(); err != nil {
+		return fmt.Errorf("resetting stale WAL: %w", err)
 	}
-	return eng, inst, nil
-}
-
-// followerMain boots a read-replica: recover local state (checkpoint +
-// local log) when -wal-dir is set, bootstrap from the primary's log or
-// checkpoint otherwise, then tail /v1/log forever.
-func followerMain(c *config) {
-	t0 := time.Now()
-	ctx := context.Background()
-	// The dataset is only materialized on the paths that need it directly
-	// (checkpoint loads want just the immutable graph); the buildEngine
-	// path loads it itself, so loading eagerly here would do the
-	// multi-second generation twice per boot.
-	var inst *netclus.Instance
-	loadInst := func() *netclus.Instance {
-		if inst == nil {
-			d, err := netclus.LoadDataset(dataset.Preset(c.preset), netclus.DatasetConfig{Scale: c.scale, Seed: c.seed})
-			if err != nil {
-				fatal(err)
-			}
-			inst = d.Instance
-			fmt.Println(d.Summary())
-		}
-		return inst
-	}
-
-	var log *netclus.WAL
-	var err error
-	if c.walDir != "" {
-		log, err = netclus.OpenWAL(c.walDir, c.walOptions())
-		if err != nil {
-			fatal(err)
-		}
-	}
-	var eng netclus.DurableEngine
-	if log != nil && fileExists(c.checkpointPath()) {
-		eng, err = netclus.LoadCheckpointFile(c.checkpointPath(), loadInst().G, netclus.EngineOptions{})
-		if err != nil {
-			fatal(fmt.Errorf("recovering local checkpoint: %w", err))
-		}
-		if c.shardIndex >= 0 {
-			if eng, err = memberize(c, eng); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("recovered local checkpoint at LSN %d in %.3fs\n", eng.LSN(), time.Since(t0).Seconds())
-	}
-	if eng == nil {
-		// No local checkpoint. A preset-built engine (LSN 0) can only
-		// catch up by replaying the history from LSN 1, so that path needs
-		// the local log to start at 1 (or be empty) AND the primary to
-		// stream the rest; otherwise bootstrap from a checkpoint.
-		localFirst := uint64(0)
-		localHead := uint64(0)
-		if log != nil {
-			localFirst, localHead = log.FirstLSN(), log.HeadLSN()
-		}
-		localComplete := localFirst <= 1 // empty (0) or history from 1
-		probeFrom := uint64(1)
-		if localComplete && localHead > 0 {
-			probeFrom = localHead + 1
-		}
-		ok, err := netclus.LogAvailableFrom(ctx, nil, c.follow, probeFrom)
-		if err != nil {
-			fatal(fmt.Errorf("probing primary %s: %w", c.follow, err))
-		}
-		if ok && localComplete {
-			eng, inst, err = buildEngine(c, t0)
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			fmt.Printf("replay from LSN 1 unavailable (primary serves from %d: %v, local log covers [%d,%d]); bootstrapping from the primary's checkpoint\n",
-				probeFrom, ok, localFirst, localHead)
-			if c.shards > 1 && c.shardIndex < 0 {
-				fmt.Fprintln(os.Stderr, "note: -shards is ignored when bootstrapping from a primary checkpoint (its topology applies)")
-			}
-			body, err := netclus.FetchCheckpoint(ctx, nil, c.follow)
-			if err != nil {
-				fatal(err)
-			}
-			eng, err = netclus.LoadCheckpoint(body, loadInst().G, netclus.EngineOptions{})
-			body.Close()
-			if err != nil {
-				fatal(fmt.Errorf("loading primary checkpoint: %w", err))
-			}
-			if c.shardIndex >= 0 {
-				if eng, err = memberize(c, eng); err != nil {
-					fatal(err)
-				}
-			}
-			fmt.Printf("bootstrapped from primary checkpoint at LSN %d in %.3fs\n", eng.LSN(), time.Since(t0).Seconds())
-			// A stale local log that does not end exactly at the
-			// checkpoint cannot extend it; it is a cache of the primary's
-			// stream, so discard it rather than wedge.
-			if log != nil && !log.IsEmpty() && log.HeadLSN() != eng.LSN() {
-				fmt.Fprintf(os.Stderr, "local WAL at LSN %d does not line up with the checkpoint; resetting %s\n", log.HeadLSN(), c.walDir)
-				if err := log.Reset(); err != nil {
-					fatal(fmt.Errorf("resetting local WAL: %w", err))
-				}
-			}
-		}
-	}
-	if log != nil {
-		reconcileLog(eng, log, c.walDir)
-		n, err := netclus.ReplayWAL(log, eng)
-		if err != nil {
-			fatal(fmt.Errorf("replaying local WAL tail: %w", err))
-		}
-		if n > 0 {
-			fmt.Printf("replayed %d local WAL records to LSN %d\n", n, eng.LSN())
-		}
-	}
-	wait := c.followWait
-	if wait <= 0 {
-		wait = -1 // follower convention: negative disables long-polling
-	}
-	fol, err := netclus.NewFollower(c.follow, eng, log, netclus.FollowerOptions{Poll: c.followPoll, Wait: wait})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("following %s from LSN %d (poll %v, long-poll %v)\n", c.follow, eng.LSN(), c.followPoll, c.followWait)
-	startServer(eng, inst, c, log, fol)
+	return nil
 }
 
 // startServer mounts the HTTP layer over any serving engine, runs the
 // optional checkpoint timer and follower loop, waits for SIGTERM/SIGINT,
 // drains, and writes final checkpoints.
-func startServer(eng netclus.DurableEngine, inst *netclus.Instance, c *config, log *netclus.WAL, fol *netclus.Follower) {
+func startServer(eng netclus.DurableEngine, c *config, log *netclus.WAL, fol *netclus.Follower) {
 	sopts := netclus.ServeOptions{
 		DefaultTimeout: c.timeout,
 		Log:            log,
 		Quorum:         c.quorum,
 		QuorumTimeout:  c.quorumTimeout,
 		Ingest:         c.ingestOptions(),
-		Logger:         c.logger(),
+		Logger:         c.logger,
 		SlowQuery:      c.slowQuery,
 	}
 	if m, ok := eng.(*netclus.ShardMember); ok {
@@ -703,14 +622,7 @@ func startServer(eng netclus.DurableEngine, inst *netclus.Instance, c *config, l
 		if fol != nil {
 			role = "serving (read-replica)"
 		}
-		// A recovered engine's dataset has diverged from the preset
-		// instance by its replayed mutations, so the preset counts would
-		// be wrong; report the recovery LSN instead.
-		if lsn := eng.LSN(); lsn > 0 {
-			fmt.Printf("%s recovered state at LSN %d on %s\n", role, lsn, c.addr)
-		} else {
-			fmt.Printf("%s %d trajectories / %d sites on %s\n", role, inst.M(), inst.N(), c.addr)
-		}
+		fmt.Printf("%s at LSN %d on %s\n", role, eng.LSN(), c.addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -737,10 +649,10 @@ func startServer(eng netclus.DurableEngine, inst *netclus.Instance, c *config, l
 	}
 
 	if c.exitSnapshot != "" {
-		if err := writeStream(c.exitSnapshot, eng.Snapshot); err != nil {
-			fatal(fmt.Errorf("final snapshot: %w", err))
+		if err := netclus.SaveCheckpointFile(eng, c.exitSnapshot); err != nil {
+			fatal(fmt.Errorf("exit checkpoint: %w", err))
 		}
-		fmt.Printf("final snapshot written to %s\n", c.exitSnapshot)
+		fmt.Printf("exit checkpoint written to %s\n", c.exitSnapshot)
 	}
 	if c.checkpointEvery > 0 {
 		if err := checkpointOnce(eng, log, c.checkpointPath()); err != nil {
@@ -759,20 +671,16 @@ func startServer(eng netclus.DurableEngine, inst *netclus.Instance, c *config, l
 
 // servePprof exposes the runtime profiling endpoints on their own listener,
 // so profiles can be pulled from a production server without mixing the
-// debug surface into the query API's address (which may be public):
+// debug surface into the query API's address (which may be public). The
+// net/http/pprof import registers them on http.DefaultServeMux, which only
+// this listener serves:
 //
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 //	go tool pprof http://localhost:6060/debug/pprof/allocs
 //	curl -s localhost:6060/debug/pprof/heap -o heap.pb.gz
 func servePprof(addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	fmt.Printf("pprof on %s\n", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
+	if err := http.ListenAndServe(addr, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)
 	}
 }
@@ -809,15 +717,4 @@ func checkpointOnce(eng netclus.DurableEngine, log *netclus.WAL, path string) er
 		}
 	}
 	return nil
-}
-
-// writeStream checkpoints a stream-writing method atomically (temp file +
-// fsync + rename, via the WAL package's audited helper). A sharded
-// engine's Snapshot writes its container format; reload it with
-// netclus.LoadShardedSnapshot against the same full dataset.
-func writeStream(path string, fill func(io.Writer) (int64, error)) error {
-	return wal.AtomicWriteFile(path, func(w io.Writer) error {
-		_, err := fill(w)
-		return err
-	})
 }

@@ -20,9 +20,14 @@
 //
 // Index construction parallelizes across BuildOptions.Workers and is
 // deterministic for any worker count. Save/Load persist the index as a
-// versioned binary snapshot carrying a dataset fingerprint, so services
-// warm-start in milliseconds instead of re-clustering, and a snapshot can
-// never silently serve a mismatched dataset.
+// versioned binary snapshot carrying a dataset fingerprint, so a snapshot
+// can never silently serve a mismatched dataset. A served engine persists
+// as a checkpoint (SaveCheckpointFile / LoadCheckpoint): the dataset as
+// the updates left it plus the LSN-stamped snapshot, single-index or
+// sharded. It is the one artifact cmd/topsserve reads and writes — its
+// cache entries, -load and -snapshot-on-exit files, recovery checkpoints
+// and follower bootstraps — so services warm-start in milliseconds instead
+// of re-clustering.
 //
 // Updates have one write path. A §6 update is a Mutation value; an engine's
 // Apply applies it through a single transition function and, WAL-served,
@@ -64,8 +69,8 @@
 //	                     one, both embed the shell
 //	internal/shard       scatter-gather sharding (site partitioners,
 //	                     cluster ownership, the distributed greedy's one
-//	                     coordinator and per-shard session, manifest
-//	                     snapshots) — bit-exact vs the single engine
+//	                     coordinator and per-shard session, the NCSM
+//	                     container) — bit-exact vs the single engine
 //	internal/router      the same coordinator over HTTP: the stateless
 //	                     front tier of shard-per-process topologies
 //	internal/wal         durability: the Mutation value and its codec, and

@@ -19,18 +19,6 @@ import (
 // SnapshotExt is the file extension of cached index snapshots.
 const SnapshotExt = ".ncss"
 
-// IndexedDataset couples a dataset preset with its NETCLUS index and the
-// provenance of the index (cold build vs warm load).
-type IndexedDataset struct {
-	*Dataset
-	Index *core.Index
-	// WarmLoaded reports whether the index came from a snapshot instead of
-	// being clustered from scratch.
-	WarmLoaded bool
-	// SnapshotPath is the cache file consulted (empty when caching is off).
-	SnapshotPath string
-}
-
 // SnapshotKey names the cache file for one (preset, config, build options)
 // combination. Every parameter that changes the built index MUST appear
 // here: the load-time fingerprint only covers the dataset (graph, sites,
@@ -84,39 +72,10 @@ func CachedBuild(dir, key string, inst *tops.Instance, opts core.Options) (*core
 		if err != nil {
 			// Advisory cache: the build succeeded, so the write error must
 			// not fail the caller — but stay diagnosable, or an unwritable
-			// CacheDir silently costs a full cold build on every start.
+			// cache directory silently costs a full cold build on every start.
 			fmt.Fprintf(os.Stderr, "dataset: snapshot cache disabled this run: %v\n", err)
 		}
 		return idx, warm, nil
 	}
 	return nil, false, err
-}
-
-// LoadIndexed materializes the preset and its NETCLUS index in one call.
-// With cfg.CacheDir set, the index is served from the snapshot cache when a
-// valid entry exists and cached after a cold build otherwise; with it empty
-// the index is always built fresh.
-func LoadIndexed(name Preset, cfg Config, opts core.Options) (*IndexedDataset, error) {
-	d, err := Load(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &IndexedDataset{Dataset: d}
-	if cfg.CacheDir == "" {
-		idx, err := core.Build(d.Instance, opts)
-		if err != nil {
-			return nil, fmt.Errorf("dataset %q: building index: %w", name, err)
-		}
-		out.Index = idx
-		return out, nil
-	}
-	key := SnapshotKey(name, cfg, opts)
-	out.SnapshotPath = filepath.Join(cfg.CacheDir, key)
-	idx, warm, err := CachedBuild(cfg.CacheDir, key, d.Instance, opts)
-	if err != nil {
-		return nil, fmt.Errorf("dataset %q: %w", name, err)
-	}
-	out.Index = idx
-	out.WarmLoaded = warm
-	return out, nil
 }

@@ -9,36 +9,47 @@ import (
 	"netclus/internal/tops"
 )
 
-func TestLoadIndexedCachesSnapshots(t *testing.T) {
-	cfg := Config{Scale: 0.01, Seed: 7, CacheDir: t.TempDir()}
-	opts := core.Options{Gamma: 0.75, TauMin: 0.3, TauMax: 4.8}
-
-	cold, err := LoadIndexed(BeijingSmall, cfg, opts)
+// cachedBuild is the topsquery -cache path: a preset, its snapshot key, and
+// CachedBuild in dir.
+func cachedBuild(t *testing.T, dir string, opts core.Options) (*core.Index, bool, string) {
+	t.Helper()
+	cfg := Config{Scale: 0.01, Seed: 7}
+	d, err := Load(BeijingSmall, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.WarmLoaded {
+	key := SnapshotKey(BeijingSmall, cfg, opts)
+	idx, warm, err := CachedBuild(dir, key, d.Instance, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx, warm, filepath.Join(dir, key)
+}
+
+func TestCachedBuildCachesSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	opts := core.Options{Gamma: 0.75, TauMin: 0.3, TauMax: 4.8}
+
+	cold, warm, path := cachedBuild(t, dir, opts)
+	if warm {
 		t.Fatal("first load reported warm")
 	}
-	if _, err := os.Stat(cold.SnapshotPath); err != nil {
+	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cold build did not cache a snapshot: %v", err)
 	}
 
-	warm, err := LoadIndexed(BeijingSmall, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmLoaded {
+	hit, warm, _ := cachedBuild(t, dir, opts)
+	if !warm {
 		t.Fatal("second load did not hit the snapshot cache")
 	}
 
 	// Warm and cold indices must answer identically.
 	pref := tops.Binary(0.8)
-	a, err := cold.Index.Query(core.QueryOptions{K: 5, Pref: pref})
+	a, err := cold.Query(core.QueryOptions{K: 5, Pref: pref})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := warm.Index.Query(core.QueryOptions{K: 5, Pref: pref})
+	b, err := hit.Query(core.QueryOptions{K: 5, Pref: pref})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +63,15 @@ func TestLoadIndexedCachesSnapshots(t *testing.T) {
 	}
 
 	// A corrupted cache entry must fall back to a cold rebuild, not fail.
-	if err := os.WriteFile(warm.SnapshotPath, []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := LoadIndexed(BeijingSmall, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.WarmLoaded {
+	if _, warm, _ := cachedBuild(t, dir, opts); warm {
 		t.Fatal("corrupted snapshot served as warm load")
 	}
 }
 
-func TestLoadIndexedToleratesUnwritableCache(t *testing.T) {
+func TestCachedBuildToleratesUnwritableCache(t *testing.T) {
 	// The cache is best-effort: a read-only cache volume must not stop a
 	// process that has already built a perfectly good index.
 	dir := filepath.Join(t.TempDir(), "ro")
@@ -74,28 +81,17 @@ func TestLoadIndexedToleratesUnwritableCache(t *testing.T) {
 	if os.Getuid() == 0 {
 		t.Skip("root ignores directory write bits; cannot simulate a read-only cache")
 	}
-	cfg := Config{Scale: 0.01, Seed: 7, CacheDir: dir}
-	got, err := LoadIndexed(BeijingSmall, cfg, core.Options{Gamma: 0.75, TauMin: 0.3, TauMax: 4.8})
-	if err != nil {
-		t.Fatalf("read-only cache dir failed the load: %v", err)
-	}
-	if got.WarmLoaded || got.Index == nil {
-		t.Fatalf("unexpected result from cold build on read-only cache: %+v", got)
+	idx, warm, _ := cachedBuild(t, dir, core.Options{Gamma: 0.75, TauMin: 0.3, TauMax: 4.8})
+	if warm || idx == nil {
+		t.Fatalf("unexpected result from cold build on read-only cache: warm=%v idx=%v", warm, idx)
 	}
 }
 
-func TestLoadIndexedCacheKeySeparatesConfigs(t *testing.T) {
+func TestCachedBuildKeySeparatesConfigs(t *testing.T) {
 	dir := t.TempDir()
-	base := Config{Scale: 0.01, Seed: 7, CacheDir: dir}
-	if _, err := LoadIndexed(BeijingSmall, base, core.Options{Gamma: 0.75, TauMin: 0.3, TauMax: 4.8}); err != nil {
-		t.Fatal(err)
-	}
+	cachedBuild(t, dir, core.Options{Gamma: 0.75, TauMin: 0.3, TauMax: 4.8})
 	// A different γ must not collide with the cached entry.
-	other, err := LoadIndexed(BeijingSmall, base, core.Options{Gamma: 1.0, TauMin: 0.3, TauMax: 4.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.WarmLoaded {
+	if _, warm, _ := cachedBuild(t, dir, core.Options{Gamma: 1.0, TauMin: 0.3, TauMax: 4.8}); warm {
 		t.Fatal("different build options hit the same cache entry")
 	}
 	entries, err := filepath.Glob(filepath.Join(dir, "*"+SnapshotExt))

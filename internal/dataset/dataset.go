@@ -79,10 +79,6 @@ type Config struct {
 	Scale float64
 	// Seed drives all generation.
 	Seed int64
-	// CacheDir, when non-empty, is where LoadIndexed caches index
-	// snapshots so later loads of the same preset warm-start instead of
-	// re-clustering. Empty disables caching.
-	CacheDir string
 }
 
 // Load builds the named preset at the requested scale. Counts are floored

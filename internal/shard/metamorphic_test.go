@@ -154,29 +154,14 @@ func TestShardedDisableCoverCache(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip saves a sharded engine through both snapshot
-// carriers and verifies the reloaded engines answer identically — before
-// and after further §6 updates, which must keep working on a loaded engine.
+// TestManifestRoundTrip saves a sharded engine as an NCSM container and
+// verifies the reloaded engine answers identically — before and after
+// further §6 updates, which must keep working on a loaded engine.
 func TestManifestRoundTrip(t *testing.T) {
 	inst, city := buildFixture(t, 421)
 	s := shardedEngine(t, inst, 3, GridPartitioner)
 	ctx := context.Background()
 
-	// Directory carrier.
-	dir := t.TempDir()
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	dirInst, _ := buildFixture(t, 421)
-	fromDir, err := LoadDir(dir, dirInst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromDir.Shards() != 3 {
-		t.Fatalf("LoadDir shards = %d, want 3", fromDir.Shards())
-	}
-
-	// Stream carrier.
 	var buf bytes.Buffer
 	if _, err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -186,17 +171,15 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fromStream.Shards() != 3 {
+		t.Fatalf("LoadSharded shards = %d, want 3", fromStream.Shards())
+	}
 
 	for _, q := range queryGrid() {
 		want, err := s.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotDir, err := fromDir.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, "LoadDir round trip", gotDir, want)
 		gotStream, err := fromStream.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
@@ -210,13 +193,13 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, err := s.AddTrajectory(extra); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fromDir.AddTrajectory(extra); err != nil {
+	if _, err := fromStream.AddTrajectory(extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DeleteSite(inst.Sites[3]); err != nil {
 		t.Fatal(err)
 	}
-	if err := fromDir.DeleteSite(dirInst.Sites[3]); err != nil {
+	if err := fromStream.DeleteSite(streamInst.Sites[3]); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range queryGrid() {
@@ -224,7 +207,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fromDir.Query(ctx, q)
+		got, err := fromStream.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,10 +246,6 @@ func TestManifestRoundTripAfterUpdates(t *testing.T) {
 	if _, err := s.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := s.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
 
 	// The load-time dataset is the engine's CURRENT logical dataset: the
 	// mirror-ordered site list plus the update-extended trajectory store.
@@ -278,10 +257,6 @@ func TestManifestRoundTripAfterUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-update container load: %v", err)
 	}
-	fromDir, err := LoadDir(dir, curInst, Options{})
-	if err != nil {
-		t.Fatalf("post-update dir load: %v", err)
-	}
 	for _, q := range queryGrid() {
 		want, err := s.Query(ctx, q)
 		if err != nil {
@@ -292,11 +267,6 @@ func TestManifestRoundTripAfterUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameAnswer(t, "post-delete container round trip", gotS, want)
-		gotD, err := fromDir.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, "post-delete dir round trip", gotD, want)
 	}
 }
 
@@ -325,9 +295,5 @@ func TestManifestRejects(t *testing.T) {
 	corrupt[len(corrupt)-9] ^= 0x40 // flip a bit inside the last shard payload
 	if _, err := LoadSharded(bytes.NewReader(corrupt), same, Options{}); err == nil {
 		t.Fatal("corrupt shard payload accepted")
-	}
-
-	if _, err := LoadDir(t.TempDir(), same, Options{}); err == nil {
-		t.Fatal("empty directory accepted")
 	}
 }

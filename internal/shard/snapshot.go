@@ -6,25 +6,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"netclus/internal/core"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 	"netclus/internal/trajectory"
-	"netclus/internal/wal"
 )
 
-// Sharded snapshots: one manifest describing the partition plus one
-// core-format snapshot per shard. Two carriers share the format:
-//
-//   - SaveDir/LoadDir — a directory with manifest.json and shard-NNN.ncss
-//     files, the operational layout (topsserve's sharded cache);
-//   - Snapshot/LoadSharded — the same content as a single stream (magic
-//     "NCSM", manifest length + JSON, then length-prefixed shard
-//     snapshots), which is what keeps the engine-compatible Snapshot
-//     surface — and /v1/snapshot — working on a sharded server.
+// Sharded snapshots: the "NCSM" container, one stream holding a manifest
+// that describes the partition plus one core-format snapshot per shard
+// (magic, manifest length + JSON, then length-prefixed shard snapshots).
+// It is what keeps the engine-compatible Snapshot surface — /v1/snapshot —
+// working on a sharded server, and it is the inner payload of a sharded
+// checkpoint, the one file a sharded topsserve persists.
 //
 // A manifest pins the shard count, the partitioner name, and every shard's
 // site list in its exact (history-dependent) order; the full dataset
@@ -40,9 +34,6 @@ const manifestMinVersion = 1
 
 // containerMagic is "NCSM" (NetClus Sharded Manifest) read little-endian.
 const containerMagic uint32 = 0x4d53434e
-
-// ManifestName is the manifest file name inside a SaveDir directory.
-const ManifestName = "manifest.json"
 
 // Manifest describes a sharded snapshot.
 type Manifest struct {
@@ -64,12 +55,11 @@ type Manifest struct {
 	// computed over exactly these orders.
 	Sites      [][]int64 `json:"sites"`
 	SiteCounts []int     `json:"site_counts"`
-	Files      []string  `json:"files,omitempty"`
 }
 
 // manifest assembles the current manifest. Callers hold at least the read
 // lock.
-func (s *Sharded) manifest(withFiles bool) Manifest {
+func (s *Sharded) manifest() Manifest {
 	m := Manifest{
 		Version:            manifestVersion,
 		Shards:             len(s.shards),
@@ -84,9 +74,6 @@ func (s *Sharded) manifest(withFiles bool) Manifest {
 		m.Sites[j] = make([]int64, 0, sh.inst.N())
 		for _, v := range sh.inst.Sites {
 			m.Sites[j] = append(m.Sites[j], int64(v))
-		}
-		if withFiles {
-			m.Files = append(m.Files, fmt.Sprintf("shard-%03d.ncss", j))
 		}
 	}
 	return m
@@ -113,7 +100,7 @@ func (b backend) Dataset() ([]roadnet.NodeID, *trajectory.Store) {
 func (b backend) WriteSnapshot(w io.Writer) (int64, error) {
 	s := b.s
 	var n int64
-	man, err := json.Marshal(s.manifest(false))
+	man, err := json.Marshal(s.manifest())
 	if err != nil {
 		return 0, fmt.Errorf("shard: encoding manifest: %w", err)
 	}
@@ -257,71 +244,4 @@ func validateManifest(man *Manifest, inst *tops.Instance) (Partitioner, []*tops.
 		return nil, nil, fmt.Errorf("shard: manifest lists %d sites in total, dataset has %d", total, len(inst.Sites))
 	}
 	return part, insts, nil
-}
-
-// SaveDir writes the sharded engine as a manifest plus one snapshot file
-// per shard under dir (created if missing). Each file lands atomically
-// (temp + fsync + rename), and the manifest is written last, so a reader
-// that finds a manifest finds complete shard files.
-func (s *Sharded) SaveDir(dir string) (err error) {
-	s.View(func() { err = s.saveDir(dir) })
-	return err
-}
-
-func (s *Sharded) saveDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("shard: snapshot dir: %w", err)
-	}
-	man := s.manifest(true)
-	for j, sh := range s.shards {
-		if err := wal.AtomicWriteFile(filepath.Join(dir, man.Files[j]), func(w io.Writer) error {
-			_, err := sh.eng.Snapshot(w)
-			return err
-		}); err != nil {
-			return fmt.Errorf("shard: writing shard %d snapshot: %w", j, err)
-		}
-	}
-	raw, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shard: encoding manifest: %w", err)
-	}
-	if err := wal.AtomicWriteFile(filepath.Join(dir, ManifestName), func(w io.Writer) error {
-		_, err := w.Write(append(raw, '\n'))
-		return err
-	}); err != nil {
-		return fmt.Errorf("shard: writing manifest: %w", err)
-	}
-	return nil
-}
-
-// LoadDir reads a SaveDir layout from dir and re-attaches it to inst (the
-// full dataset). opts supplies engine options; shard count and partitioner
-// come from the manifest.
-func LoadDir(dir string, inst *tops.Instance, opts Options) (*Sharded, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading manifest: %w", err)
-	}
-	var man Manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("shard: decoding manifest: %w", err)
-	}
-	if len(man.Files) != man.Shards {
-		return nil, fmt.Errorf("shard: manifest lists %d files for %d shards", len(man.Files), man.Shards)
-	}
-	part, insts, err := validateManifest(&man, inst)
-	if err != nil {
-		return nil, err
-	}
-	idxs := make([]*core.Index, man.Shards)
-	for j := 0; j < man.Shards; j++ {
-		name := filepath.Base(man.Files[j]) // refuse path traversal out of dir
-		idxs[j], err = core.ReadIndexFile(filepath.Join(dir, name), insts[j])
-		if err != nil {
-			return nil, fmt.Errorf("shard: loading shard %d: %w", j, err)
-		}
-	}
-	opts.Shards = man.Shards
-	opts.Partitioner = man.Partitioner
-	return assemble(inst, part, insts, idxs, opts, man.LSN)
 }

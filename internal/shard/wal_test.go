@@ -226,18 +226,17 @@ func TestShardedWALRecoveryDifferential(t *testing.T) {
 	sameShardAnswers(t, "vs-sharded-twin", recovered, twin, qrng, 6)
 	sameShardAnswers(t, "vs-single-shard", recovered, single, qrng, 6)
 
-	// The manifest LSN also round-trips through the directory layout.
-	dir := t.TempDir()
-	if err := recovered.SaveDir(dir); err != nil {
+	// The manifest LSN also round-trips through the NCSM container.
+	var buf bytes.Buffer
+	if _, err := recovered.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dirInst := cloneInstance(recovered.fullInstance())
-	back, err := LoadDir(dir, dirInst, Options{})
+	back, err := LoadSharded(&buf, cloneInstance(recovered.fullInstance()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.LSN() != uint64(nOps) {
-		t.Fatalf("LoadDir LSN %d, want %d", back.LSN(), nOps)
+		t.Fatalf("LoadSharded LSN %d, want %d", back.LSN(), nOps)
 	}
 }
 

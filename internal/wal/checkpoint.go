@@ -175,8 +175,13 @@ func ReadCheckpoint(r io.Reader, g *roadnet.Graph) (*tops.Instance, uint64, *buf
 	if storeLen == 0 || storeLen > maxStore {
 		return nil, 0, nil, fmt.Errorf("wal: implausible checkpoint store length %d", storeLen)
 	}
-	raw := make([]byte, storeLen)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	// Read rather than preallocate: the length is not yet checksummed, and
+	// a few corrupt bytes must not ask for 4 GiB.
+	raw, err := io.ReadAll(io.LimitReader(r, int64(storeLen)))
+	if err == nil && uint64(len(raw)) != storeLen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, 0, nil, fmt.Errorf("wal: reading checkpoint store: %w", err)
 	}
 	sum.Write(raw)

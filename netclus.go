@@ -157,9 +157,9 @@ func NewEngine(idx *Index, opts EngineOptions) (*Engine, error) {
 // query by scatter-gather, bit-exact against the single-shard Engine (the
 // shard-differential oracle enforces the equality). Site updates route to
 // the owning shard — so only ~1/N of the memoized covering structures
-// invalidate per mutation — and trajectory updates broadcast. Snapshots
-// write one manifest plus one file per shard (SaveShardedDir) or a single
-// container stream (ShardedEngine.Snapshot).
+// invalidate per mutation — and trajectory updates broadcast. A sharded
+// engine snapshots as one "NCSM" container stream (ShardedEngine.Snapshot,
+// /v1/snapshot), which is also the inner payload of its checkpoints.
 type (
 	// ShardedEngine is the scatter-gather engine. It serves the same
 	// Query/QueryBatch/Stats/Snapshot surface as Engine, so NewServer
@@ -186,20 +186,11 @@ func NewShardedEngine(inst *Instance, opts ShardedOptions) (*ShardedEngine, erro
 	return shard.Build(inst, opts)
 }
 
-// LoadShardedDir warm-starts a sharded engine from a SaveShardedDir layout
-// (manifest.json plus per-shard snapshot files); inst must be the dataset
-// the engine was built from.
-func LoadShardedDir(dir string, inst *Instance, opts ShardedOptions) (*ShardedEngine, error) {
-	return shard.LoadDir(dir, inst, opts)
-}
-
-// SaveShardedDir writes s as a manifest plus per-shard snapshot files.
-func SaveShardedDir(s *ShardedEngine, dir string) error { return s.SaveDir(dir) }
-
-// LoadShardedSnapshot reads the single-stream container format that
-// ShardedEngine.Snapshot writes (and /v1/snapshot serves, and topsserve
-// -snapshot-on-exit stores for a sharded server) and re-attaches it to
-// inst, the full dataset the engine was built from.
+// LoadShardedSnapshot reads the "NCSM" container that ShardedEngine.Snapshot
+// writes (and a sharded server's /v1/snapshot serves) and re-attaches it to
+// inst, the full dataset the engine was built from. To persist a served
+// engine together with its mutated dataset, write a checkpoint instead
+// (SaveCheckpointFile / LoadCheckpoint).
 func LoadShardedSnapshot(r io.Reader, inst *Instance, opts ShardedOptions) (*ShardedEngine, error) {
 	return shard.LoadSharded(r, inst, opts)
 }
@@ -232,19 +223,18 @@ func BuildShardMember(inst *Instance, index int, opts ShardedOptions) (*ShardMem
 	return shard.BuildMember(inst, index, opts)
 }
 
-// NewShardMember wraps a recovered Engine as shard index of a
-// shards-wide topology (checkpoint recovery path; the build-time site
-// order is no longer known, so the router seeds dense ids per shard).
-func NewShardMember(eng *Engine, shards, index int, partitioner string) (*ShardMember, error) {
-	return shard.NewMember(eng, shards, index, partitioner, nil)
+// NewShardMember wraps a checkpoint-loaded Engine as shard index of a
+// shards-wide topology. initialSites is the full global site order the
+// topology was built from while the state is still that build's (the
+// router seeds its dense ids from it); nil once it is not known, and the
+// router seeds dense ids per shard.
+func NewShardMember(eng *Engine, shards, index int, partitioner string, initialSites []NodeID) (*ShardMember, error) {
+	return shard.NewMember(eng, shards, index, partitioner, initialSites)
 }
 
 // NewRouter connects to every shard member, validates the topology, and
 // returns the serving router.
 func NewRouter(opts RouterOptions) (*Router, error) { return router.New(opts) }
-
-// ShardedManifestName is the manifest file inside a SaveShardedDir layout.
-const ShardedManifestName = shard.ManifestName
 
 // Network serving layer.
 type (
@@ -386,9 +376,11 @@ func SaveCheckpointFile(eng ServerEngine, path string) error {
 }
 
 // LoadCheckpoint reads a checkpoint stream (Engine.Checkpoint,
-// /v1/checkpoint) over the given road network and returns the recovered
-// engine — single-index or sharded, as the checkpoint dictates — at the
-// checkpoint's LSN. Replay the log tail with ReplayWAL, then AttachWAL.
+// SaveCheckpointFile, /v1/checkpoint) over the given road network and
+// returns the recovered engine — single-index or sharded, as the checkpoint
+// dictates — at the checkpoint's LSN. Replay the log tail with ReplayWAL,
+// then AttachWAL. It is how every topsserve boot reads its starting state:
+// the recovery checkpoint, -load, a follower's bootstrap and -cache.
 func LoadCheckpoint(r io.Reader, g *Graph, eopts EngineOptions) (DurableEngine, error) {
 	inst, epoch, br, err := wal.ReadCheckpoint(r, g)
 	if err != nil {
@@ -543,18 +535,6 @@ const (
 // LoadDataset synthesizes (or retrieves) a named dataset preset.
 func LoadDataset(name DatasetPreset, cfg DatasetConfig) (*Dataset, error) {
 	return dataset.Load(name, cfg)
-}
-
-// IndexedDataset couples a dataset preset with its NETCLUS index and the
-// index's provenance (cold build vs snapshot warm load).
-type IndexedDataset = dataset.IndexedDataset
-
-// LoadIndexedDataset materializes a preset and its index in one call. With
-// cfg.CacheDir set, the index warm-starts from the on-disk snapshot cache
-// when a valid entry exists and is cached after a cold build otherwise
-// (best-effort: an unwritable cache never fails the load).
-func LoadIndexedDataset(name DatasetPreset, cfg DatasetConfig, opts BuildOptions) (*IndexedDataset, error) {
-	return dataset.LoadIndexed(name, cfg, opts)
 }
 
 // DatasetPresets lists all known presets.
