@@ -3,6 +3,8 @@ package netclus
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -36,13 +38,12 @@ func checkpointFixture(tb testing.TB) *Instance {
 // FuzzLoadCheckpoint holds the one on-disk format topsserve reads from
 // outside the program (-load, -cache, the recovery checkpoint, a follower's
 // bootstrap) to "reject, or load into an engine that answers a query" —
-// never a panic. Seeds: a single-index and a 2-shard checkpoint of a
-// mutated dataset, their truncations, and bit flips across the dataset
-// section, the inner snapshot and the sharded manifest.
+// never a panic. Seeds: a single-index checkpoint of a mutated dataset and
+// the same checkpoint with an NCSM payload (what an in-process sharded
+// engine used to write), each with its truncations and bit flips across the
+// dataset section and the inner snapshot.
 func FuzzLoadCheckpoint(f *testing.F) {
-	build := BuildOptions{Gamma: 0.75, TauMin: 0.8, TauMax: 1.2}
-	single := checkpointFixture(f)
-	idx, err := Build(single, build)
+	idx, err := Build(checkpointFixture(f), BuildOptions{Gamma: 0.75, TauMin: 0.8, TauMax: 1.2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -50,23 +51,35 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sharded, err := NewShardedEngine(checkpointFixture(f), ShardedOptions{Shards: 2, Build: build})
-	if err != nil {
+	inst := idx.TopsInstance()
+	g := inst.G
+	if err := eng.DeleteSite(inst.Sites[3]); err != nil {
 		f.Fatal(err)
 	}
-	g := single.G
-	for _, e := range []DurableEngine{eng, sharded} {
-		if err := e.DeleteSite(single.Sites[3]); err != nil {
-			f.Fatal(err)
-		}
-		if _, err := e.AddTrajectory(single.Trajs.Get(0)); err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := e.Checkpoint(&buf); err != nil {
-			f.Fatal(err)
-		}
-		valid := buf.Bytes()
+	if _, err := eng.AddTrajectory(inst.Trajs.Get(0)); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := eng.Checkpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	single := buf.Bytes()
+
+	// The NCSM payload sits where the NCSS one does: after the dataset
+	// section (magic, version, epoch, sites, store, crc).
+	nSites := int(binary.LittleEndian.Uint32(single[16:]))
+	storeLen := int(binary.LittleEndian.Uint64(single[20+4*nSites:]))
+	inner := 28 + 4*nSites + storeLen + 4
+	if string(single[inner:inner+4]) != "NCSS" {
+		f.Fatalf("no NCSS payload at offset %d", inner)
+	}
+	sharded := append([]byte(nil), single...)
+	copy(sharded[inner:], "NCSM")
+	if _, err := LoadCheckpoint(bytes.NewReader(sharded), g, EngineOptions{}); err == nil || !strings.Contains(err.Error(), "NCSM in-process sharded snapshot") {
+		f.Fatalf("an NCSM-payload checkpoint: err = %v, want the error that names it", err)
+	}
+
+	for _, valid := range [][]byte{single, sharded} {
 		f.Add(valid)
 		for _, n := range []int{0, 16, len(valid) / 2, len(valid) - 1} {
 			f.Add(valid[:n])

@@ -25,6 +25,7 @@ import (
 
 	"netclus"
 	"netclus/internal/dataset"
+	"netclus/internal/shard"
 )
 
 const (
@@ -178,7 +179,7 @@ func (u update) wire() string {
 	}
 }
 
-func (u update) applyTwin(t *testing.T, eng netclus.DurableEngine) {
+func (u update) applyTwin(t *testing.T, eng *shard.Sharded) {
 	t.Helper()
 	var err error
 	switch u.op {
@@ -242,7 +243,7 @@ func script(t *testing.T, inst *netclus.Instance, n int) []update {
 
 // queryBoth asserts the router and the in-process sharded twin answer a
 // query identically, bit for bit.
-func queryBoth(t *testing.T, url string, twin netclus.DurableEngine, k int, tau float64) {
+func queryBoth(t *testing.T, url string, twin *shard.Sharded, k int, tau float64) {
 	t.Helper()
 	status, raw := post(t, url+"/v1/query", fmt.Sprintf(`{"k":%d,"tau":%g}`, k, tau))
 	if status != http.StatusOK {
@@ -288,7 +289,7 @@ func TestRouterCrossProcessOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := netclus.NewShardedEngine(d.Instance, netclus.ShardedOptions{Shards: tShards})
+	twin, err := shard.Build(d.Instance, shard.Options{Shards: tShards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -38,12 +37,10 @@ func TestValidateModes(t *testing.T) {
 		{"follower", []string{"-follow", "http://primary:8080", "-wal-dir", "w"}, ""},
 		{"member", []string{"-shards", "3", "-shard-index", "2", "-wal-dir", "w"}, ""},
 		{"member-follower", []string{"-shards", "3", "-shard-index", "0", "-follow", "http://primary:8080"}, ""},
-		{"-shards N", []string{"-shards", "2", "-partitioner", "grid"}, ""},
 		{"-load", []string{"-load", "state.ncck"}, ""},
-		{"-load, sharded", []string{"-load", "state.ncck", "-shards", "2"}, ""},
 		{"-load, member", []string{"-load", "state.ncck", "-shards", "2", "-shard-index", "1"}, ""},
 		{"-cache", []string{"-cache", "c", "-wal-dir", "w"}, ""},
-		{"-cache, member", []string{"-cache", "c", "-shards", "4", "-shard-index", "3"}, ""},
+		{"-cache, member", []string{"-cache", "c", "-shards", "4", "-shard-index", "3", "-partitioner", "grid"}, ""},
 
 		{"-load with -wal-dir", []string{"-load", "state.ncck", "-wal-dir", "w"}, "-load is a starting state"},
 		{"-load with -follow", []string{"-load", "state.ncck", "-follow", "http://primary:8080"}, "-load is a starting state"},
@@ -53,6 +50,12 @@ func TestValidateModes(t *testing.T) {
 		{"-shard-index past -shards", []string{"-shards", "2", "-shard-index", "2"}, "-shard-index 2 outside [0, 2)"},
 		{"-shard-index with no shards", []string{"-shards", "0", "-shard-index", "0"}, "-shard-index 0 outside [0, 0)"},
 		{"bad -shards", []string{"-shards", "0"}, "positive shard count"},
+		// One process serves one index: more shards means members behind
+		// topsrouter, whatever the starting state.
+		{"-shards N", []string{"-shards", "2", "-partitioner", "grid"}, "behind topsrouter"},
+		{"-load, sharded", []string{"-load", "state.ncck", "-shards", "2"}, "behind topsrouter"},
+		{"bad -partitioner", []string{"-partitioner", "gird"}, `unknown -partitioner "gird"`},
+		{"bad -partitioner, member", []string{"-shards", "2", "-shard-index", "0", "-partitioner", "gird"}, `unknown -partitioner "gird"`},
 		{"bad -fsync", []string{"-fsync", "sometimes"}, "unknown fsync policy"},
 		{"bad -log-level", []string{"-log-level", "bogus"}, "unknown log level"},
 		{"bad -log-format", []string{"-log-format", "xml"}, "unknown log format"},
@@ -83,29 +86,36 @@ func TestCacheKeyCoversColdBuildInputs(t *testing.T) {
 	}
 	inst, other := load(tSeed), load(tSeed+1)
 	key := func(inst *netclus.Instance, args ...string) string {
-		c, err := parse(append([]string{"-cache", "c", "-shards", "2"}, args...)...)
+		c, err := parse(append([]string{"-preset", tPreset, "-cache", "c"}, args...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return filepath.Base(c.cachePath(inst))
 	}
-	base := key(inst)
-	for name, same := range map[string]string{
-		"listen address": key(inst, "-addr", ":9999"),
-		"log directory":  key(inst, "-wal-dir", "w"),
-		"follower":       key(inst, "-follow", "http://primary:8080"),
+	member := []string{"-shards", "2", "-shard-index", "1"}
+	base, baseMember := key(inst), key(inst, member...)
+	// The single engine's key is the one earlier versions wrote, so their
+	// cache entries still hit.
+	if want := fmt.Sprintf("%s-%016x-1xhash.ncck", tPreset, netclus.IndexFingerprint(inst)); base != want {
+		t.Errorf("single-engine key %s, want %s", base, want)
+	}
+	for name, same := range map[string][2]string{
+		"listen address": {key(inst, "-addr", ":9999"), key(inst, append(member, "-addr", ":9999")...)},
+		"log directory":  {key(inst, "-wal-dir", "w"), key(inst, append(member, "-wal-dir", "w")...)},
+		"follower":       {key(inst, "-follow", "http://primary:8080"), key(inst, append(member, "-follow", "http://primary:8080")...)},
 	} {
-		if same != base {
-			t.Errorf("%s changes the key: %s vs %s", name, same, base)
+		if same[0] != base || same[1] != baseMember {
+			t.Errorf("%s changes a key: %s vs %s, %s vs %s", name, same[0], base, same[1], baseMember)
 		}
 	}
 	seen := map[string]string{base: "base"}
 	for name, k := range map[string]string{
-		"dataset":     key(other),
-		"partitioner": key(inst, "-partitioner", "grid"),
-		"member 0":    key(inst, "-shard-index", "0"),
-		"member 1":    key(inst, "-shard-index", "1"),
-		"3 members":   key(inst, "-shards", "3", "-shard-index", "1"),
+		"member 1":          baseMember,
+		"dataset":           key(other),
+		"member 1, dataset": key(other, member...),
+		"member 0":          key(inst, "-shards", "2", "-shard-index", "0"),
+		"grid member 1":     key(inst, append(member, "-partitioner", "grid")...),
+		"3 members":         key(inst, "-shards", "3", "-shard-index", "1"),
 	} {
 		if prev, dup := seen[k]; dup {
 			t.Errorf("%s shares the key %s with %s", name, k, prev)
@@ -115,14 +125,11 @@ func TestCacheKeyCoversColdBuildInputs(t *testing.T) {
 }
 
 // TestCacheMissesOtherTopology boots in process: a cached cold build is
-// reused by the same topology, and a different shard count or partitioner
-// misses and builds its own instead of loading the wrong one.
+// reused by the same topology, and a different role, member, shard count or
+// partitioner misses and builds its own instead of loading the wrong one.
 func TestCacheMissesOtherTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold-builds four indexes; skipped under -short")
-	}
-	if runtime.NumCPU() < 2 {
-		t.Skip("-shards 2 is capped to one shard on a single core")
 	}
 	dir := t.TempDir()
 	boots := func(args ...string) *booted {
@@ -142,13 +149,13 @@ func TestCacheMissesOtherTopology(t *testing.T) {
 		from     string
 		topology string
 	}{
-		{[]string{"-shards", "2"}, "", "2 shards"},
-		{[]string{"-shards", "2"}, fromCache, "2 shards"},
-		{[]string{"-shards", "2", "-partitioner", "grid"}, "", "2 shards"},
 		{nil, "", "single index"},
 		{nil, fromCache, "single index"},
 		{[]string{"-shards", "2", "-shard-index", "1"}, "", "shard member 1"},
 		{[]string{"-shards", "2", "-shard-index", "1"}, fromCache, "shard member 1"},
+		{[]string{"-shards", "2", "-shard-index", "1", "-partitioner", "grid"}, "", "shard member 1"},
+		{[]string{"-shards", "3", "-shard-index", "1"}, "", "shard member 1"},
+		{[]string{"-shards", "3", "-shard-index", "1"}, fromCache, "shard member 1"},
 	} {
 		b := boots(step.args...)
 		if b.from != step.from || topology(b.eng) != step.topology {

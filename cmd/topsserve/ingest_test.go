@@ -146,7 +146,7 @@ func TestIngestKillRecoverDifferential(t *testing.T) {
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 	walDir := filepath.Join(t.TempDir(), "wal")
 
-	twin, inst := twinEngine(t, 1)
+	twin, inst := twinEngine(t)
 	matcher := netclus.NewMatcher(inst.G, netclus.MatchConfig{})
 	phase1 := ingestTraces(t, inst, 0, 10)
 	phase2 := ingestTraces(t, inst, 10, 14)

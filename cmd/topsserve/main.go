@@ -5,9 +5,11 @@
 // -cache entry — builds cold when there is none, joins the shard topology
 // under -shard-index, and replays the local log tail. Only then do the
 // roles differ: a primary attaches the log and opens its epoch, a
-// read-replica (-follow) tails its primary. The engine is single-index or
-// in-process sharded (-shards N), behind the internal/server JSON API with
-// per-request deadlines and graceful drain.
+// read-replica (-follow) tails its primary. A process serves one index,
+// behind the internal/server JSON API with per-request deadlines and
+// graceful drain. A sharded deployment is one process per shard: members
+// started with -shards N -shard-index j, fronted by topsrouter; -shards
+// without -shard-index is rejected.
 //
 // Every file topsserve reads or writes is one format, the NCCK checkpoint
 // (dataset state plus the LSN-stamped index): -cache keeps the cold build as
@@ -39,7 +41,7 @@
 //	topsserve -preset beijing -scale 0.02 -cache .ncache
 //	topsserve -preset beijing -scale 0.02 -wal-dir ./wal -fsync always
 //	topsserve -preset beijing -scale 0.02 -wal-dir ./wal -checkpoint-every 5m
-//	topsserve -preset beijing -scale 0.02 -shards 4 -wal-dir ./wal
+//	topsserve -preset beijing -scale 0.02 -shards 4 -shard-index 0 -wal-dir ./wal0   # behind topsrouter
 //	topsserve -preset beijing -scale 0.02 -follow http://primary:8080 -addr :8081
 //	topsserve -preset beijing -scale 0.02 -wal-dir ./wal -quorum 1
 //	topsserve -preset beijing -scale 0.02 -snapshot-on-exit state.ncck
@@ -148,8 +150,8 @@ func (c *config) flags(onError flag.ErrorHandling) *flag.FlagSet {
 	fs.DurationVar(&c.timeout, "timeout", 10*time.Second, "default per-request deadline")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 	fs.StringVar(&c.exitSnapshot, "snapshot-on-exit", "", "write a checkpoint here after draining (reload it with -load)")
-	fs.IntVar(&c.shards, "shards", 1, "number of engine shards; queries scatter-gather across them and site updates invalidate only the owning shard")
-	fs.StringVar(&c.partitioner, "partitioner", netclus.ShardByHash, "site partitioner for -shards > 1: hash or grid")
+	fs.IntVar(&c.shards, "shards", 1, "topology-wide shard count of a -shard-index member (each shard is its own process behind topsrouter)")
+	fs.StringVar(&c.partitioner, "partitioner", netclus.ShardByHash, "site partitioner of a -shard-index member's topology: hash or grid")
 	fs.IntVar(&c.shardIndex, "shard-index", -1, "serve as shard member N of a -shards-wide cross-process topology behind topsrouter (exposes /v1/shard/); -1 disables")
 	fs.StringVar(&c.walDir, "wal-dir", "", "write-ahead-log directory: log every update, recover on boot (checkpoint + tail replay)")
 	fs.StringVar(&c.fsyncName, "fsync", string(netclus.FsyncEveryInterval), "WAL fsync policy: always (durable acks), interval (group commit), none")
@@ -177,8 +179,8 @@ func (c *config) flags(onError flag.ErrorHandling) *flag.FlagSet {
 }
 
 // validate rejects the flag combinations that genuinely conflict and lowers
-// the named settings (fsync policy, structured logger, shard-count cap). It
-// is the one place a mode's preconditions live.
+// the named settings (fsync policy, structured logger). It is the one place
+// a mode's preconditions live.
 func (c *config) validate() error {
 	var err error
 	if c.fsync, err = netclus.ParseFsyncPolicy(c.fsyncName); err != nil {
@@ -202,23 +204,22 @@ func (c *config) validate() error {
 	if c.quorum > 0 && c.walDir == "" {
 		return fmt.Errorf("-quorum needs -wal-dir (followers acknowledge log positions)")
 	}
-	if c.shardIndex >= 0 {
-		// Member mode: -shards is the TOPOLOGY-wide shard count, not this
-		// host's in-process fan-out, so the NumCPU cap does not apply — a
+	if c.partitioner != netclus.ShardByHash && c.partitioner != netclus.ShardByGrid {
+		return fmt.Errorf("unknown -partitioner %q (want %s or %s)", c.partitioner, netclus.ShardByHash, netclus.ShardByGrid)
+	}
+	switch {
+	case c.shardIndex >= 0:
+		// Member mode: -shards is the topology-wide shard count, so a
 		// 16-shard topology boots fine on 4-core members.
 		if c.shardIndex >= c.shards {
 			return fmt.Errorf("-shard-index %d outside [0, %d) (-shards is the topology-wide shard count)", c.shardIndex, c.shards)
 		}
-		return nil
+	case c.shards < 1:
+		return fmt.Errorf("-shards %d: need a positive shard count", c.shards)
+	case c.shards > 1:
+		return fmt.Errorf("-shards %d without -shard-index: a topsserve process serves one index; run %d members (-shards %d -shard-index 0..%d) behind topsrouter",
+			c.shards, c.shards, c.shards, c.shards-1)
 	}
-	n, warn, err := netclus.ValidateShardCount(c.shards)
-	if err != nil {
-		return err
-	}
-	if warn != "" {
-		fmt.Fprintln(os.Stderr, warn)
-	}
-	c.shards = n
 	return nil
 }
 
@@ -337,14 +338,15 @@ func boot(c *config) (*booted, error) {
 		return nil, err
 	}
 	if src != nil {
+		var loaded *netclus.Engine
 		var r io.ReadCloser
 		if r, err = src.open(); err == nil {
-			b.eng, err = netclus.LoadCheckpoint(r, inst.G, netclus.EngineOptions{})
+			loaded, err = netclus.LoadCheckpoint(r, inst.G, netclus.EngineOptions{})
 			r.Close()
 		}
 		switch {
 		case err == nil:
-			b.from = src.kind
+			b.eng, b.from = loaded, src.kind
 			fmt.Printf("started from %s checkpoint %s (%s) at LSN %d in %.3fs\n",
 				src.kind, src.where, topology(b.eng), b.eng.LSN(), time.Since(t0).Seconds())
 		case src.kind == fromCache:
@@ -441,15 +443,11 @@ func (c *config) start(log *netclus.WAL, inst *netclus.Instance) (*source, error
 	return nil, nil
 }
 
-// coldBuild indexes the preset in the topology the flags ask for, at
-// core.Build's default parallelism.
+// coldBuild indexes the preset — the whole of it, or under -shard-index
+// this member's partition — at core.Build's default parallelism.
 func coldBuild(c *config, inst *netclus.Instance) (netclus.DurableEngine, error) {
-	sopts := netclus.ShardedOptions{Shards: c.shards, Partitioner: c.partitioner}
-	switch {
-	case c.shardIndex >= 0:
-		return netclus.BuildShardMember(inst, c.shardIndex, sopts)
-	case c.shards > 1:
-		return netclus.NewShardedEngine(inst, sopts)
+	if c.shardIndex >= 0 {
+		return netclus.BuildShardMember(inst, c.shardIndex, netclus.ShardedOptions{Shards: c.shards, Partitioner: c.partitioner})
 	}
 	idx, err := netclus.Build(inst, netclus.BuildOptions{})
 	if err != nil {
@@ -460,11 +458,8 @@ func coldBuild(c *config, inst *netclus.Instance) (netclus.DurableEngine, error)
 
 // topology names an engine's shape for the boot log.
 func topology(eng netclus.DurableEngine) string {
-	switch e := eng.(type) {
-	case *netclus.ShardedEngine:
-		return fmt.Sprintf("%d shards", e.Shards())
-	case *netclus.ShardMember:
-		return fmt.Sprintf("shard member %d", e.ShardIndex())
+	if m, ok := eng.(*netclus.ShardMember); ok {
+		return fmt.Sprintf("shard member %d", m.ShardIndex())
 	}
 	return "single index"
 }
@@ -480,16 +475,12 @@ func memberize(c *config, eng netclus.DurableEngine, initial []netclus.NodeID) (
 	if c.shardIndex < 0 {
 		return eng, nil
 	}
-	switch e := eng.(type) {
-	case *netclus.ShardMember:
-	case *netclus.Engine:
+	if e, ok := eng.(*netclus.Engine); ok {
 		m, err := netclus.NewShardMember(e, c.shards, c.shardIndex, c.partitioner, initial)
 		if err != nil {
 			return nil, err
 		}
 		eng = m
-	default:
-		return nil, fmt.Errorf("-shard-index needs a single-index checkpoint; this checkpoint holds an in-process sharded topology")
 	}
 	fmt.Printf("serving as shard member %d of %d (partitioner %s)\n", c.shardIndex, c.shards, c.partitioner)
 	return eng, nil

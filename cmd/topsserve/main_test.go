@@ -4,10 +4,10 @@ package main
 // middle of an acknowledged update stream and restarted on the same WAL
 // directory; the recovered process must serve query results bit-identical
 // to an in-process twin that applied exactly the recovered prefix and was
-// never interrupted — for both the single-index and the sharded topology.
-// A follower then tails the recovered primary and must converge to the
-// same answers. This is the process-level closure of the in-process
-// recovery differentials in internal/engine and internal/shard.
+// never interrupted. A follower then tails the recovered primary and must
+// converge to the same answers. This is the process-level closure of the
+// in-process recovery differentials in internal/engine and internal/shard;
+// cmd/topsrouter's oracle does the same for members behind the router.
 
 import (
 	"context"
@@ -264,18 +264,11 @@ func queryBoth(t *testing.T, url string, twin netclus.DurableEngine, k int, tau 
 	}
 }
 
-func twinEngine(t *testing.T, shards int) (netclus.DurableEngine, *netclus.Instance) {
+func twinEngine(t *testing.T) (netclus.DurableEngine, *netclus.Instance) {
 	t.Helper()
 	d, err := netclus.LoadDataset(dataset.Preset(tPreset), netclus.DatasetConfig{Scale: tScale, Seed: tSeed})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shards > 1 {
-		sh, err := netclus.NewShardedEngine(d.Instance, netclus.ShardedOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sh, d.Instance
 	}
 	idx, err := netclus.Build(d.Instance, netclus.BuildOptions{})
 	if err != nil {
@@ -293,150 +286,141 @@ func TestKillRecoverDifferential(t *testing.T) {
 		t.Skip("spawns real topsserve processes; skipped under -short")
 	}
 	bin := buildBinary(t)
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{
-		{"single", 1},
-		{"sharded", 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cacheDir := filepath.Join(t.TempDir(), "cache")
-			walDir := filepath.Join(t.TempDir(), "wal")
-			shardArgs := []string{"-shards", fmt.Sprint(tc.shards)}
+	t.Run("single", func(t *testing.T) {
+		cacheDir := filepath.Join(t.TempDir(), "cache")
+		walDir := filepath.Join(t.TempDir(), "wal")
 
-			// The twin also tells us which updates are valid.
-			twin, inst := twinEngine(t, tc.shards)
-			ups := script(t, inst, 30)
+		// The twin also tells us which updates are valid.
+		twin, inst := twinEngine(t)
+		ups := script(t, inst, 30)
 
-			// Phase 1: boot A, stream updates, SIGKILL mid-stream.
-			a := startChild(t, bin, freePort(t), append(shardArgs,
-				"-cache", cacheDir, "-wal-dir", walDir, "-fsync", "always")...)
-			a.waitHealthy(t, 5*time.Minute)
-			// The log is not all mutations: a fresh durable primary opens
-			// epoch 1 as its first record, so update counts are LSN-baseLSN.
-			baseLSN := a.statszLSN(t)
-			acked := 0
-			killAt := 12
-			for i, u := range ups {
-				resp, err := http.Post(a.url()+"/v1/update", "application/json", strings.NewReader(u.wire()))
-				if err != nil {
-					break // killed under us — acceptable only after killAt
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("update %d: status %d", i, resp.StatusCode)
-				}
-				acked++
-				if acked == killAt {
-					a.kill(t)
-					break
-				}
-			}
-			if acked < killAt {
-				t.Fatalf("only %d updates acknowledged before the kill", acked)
-			}
-
-			// Phase 2: boot B on the same WAL dir (with periodic
-			// checkpoints); it must recover every acknowledged update.
-			b := startChild(t, bin, freePort(t), append(shardArgs,
-				"-cache", cacheDir, "-wal-dir", walDir, "-fsync", "always",
-				"-checkpoint-every", "200ms")...)
-			b.waitHealthy(t, 2*time.Minute)
-			lsn := b.statszLSN(t)
-			muts := lsn - baseLSN
-			if muts < uint64(acked) {
-				t.Fatalf("recovered %d updates (LSN %d) < %d acknowledged (-fsync always lost an ack)", muts, lsn, acked)
-			}
-			if muts > uint64(len(ups)) {
-				t.Fatalf("recovered %d updates > %d sent", muts, len(ups))
-			}
-			for _, u := range ups[:muts] {
-				u.applyTwin(t, twin)
-			}
-			for _, q := range []struct {
-				k   int
-				tau float64
-			}{{3, 0.8}, {5, 1.6}, {8, 2.8}} {
-				queryBoth(t, b.url(), twin, q.k, q.tau)
-			}
-
-			// Phase 3: more acknowledged updates, wait for a checkpoint to
-			// land, SIGKILL again; C must recover from checkpoint + tail.
-			extra := ups[muts:]
-			if len(extra) > 5 {
-				extra = extra[:5]
-			}
-			for i, u := range extra {
-				resp, err := http.Post(b.url()+"/v1/update", "application/json", strings.NewReader(u.wire()))
-				if err != nil {
-					t.Fatalf("phase-3 update %d: %v", i, err)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("phase-3 update %d: status %d", i, resp.StatusCode)
-				}
-				u.applyTwin(t, twin)
-			}
-			lsn2 := b.statszLSN(t)
-			ckpt := filepath.Join(walDir, "checkpoint.ncck")
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				if _, err := os.Stat(ckpt); err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("periodic checkpoint never appeared")
-				}
-				time.Sleep(50 * time.Millisecond)
-			}
-			b.kill(t)
-
-			c := startChild(t, bin, freePort(t), append(shardArgs,
-				"-cache", cacheDir, "-wal-dir", walDir, "-fsync", "always")...)
-			c.waitHealthy(t, 2*time.Minute)
-			if got := c.statszLSN(t); got != lsn2 {
-				t.Fatalf("checkpoint recovery LSN %d, want %d", got, lsn2)
-			}
-			for _, q := range []struct {
-				k   int
-				tau float64
-			}{{4, 1.1}, {6, 2.2}} {
-				queryBoth(t, c.url(), twin, q.k, q.tau)
-			}
-
-			// Phase 4: a follower tails the recovered primary and converges
-			// to identical answers; its writes bounce with 403.
-			f := startChild(t, bin, freePort(t), append(shardArgs,
-				"-cache", cacheDir, "-follow", c.url(), "-follow-poll", "100ms")...)
-			f.waitHealthy(t, 2*time.Minute)
-			deadline = time.Now().Add(60 * time.Second)
-			for f.statszLSN(t) != lsn2 {
-				if time.Now().After(deadline) {
-					t.Fatalf("follower stuck at LSN %d, primary at %d", f.statszLSN(t), lsn2)
-				}
-				time.Sleep(100 * time.Millisecond)
-			}
-			for _, q := range []struct {
-				k   int
-				tau float64
-			}{{4, 1.1}, {6, 2.2}} {
-				queryBoth(t, f.url(), twin, q.k, q.tau)
-			}
-			resp, err := http.Post(f.url()+"/v1/update", "application/json",
-				strings.NewReader(`{"op":"add_site","node":2}`))
+		// Phase 1: boot A, stream updates, SIGKILL mid-stream.
+		a := startChild(t, bin, freePort(t),
+			"-cache", cacheDir, "-wal-dir", walDir, "-fsync", "always")
+		a.waitHealthy(t, 5*time.Minute)
+		// The log is not all mutations: a fresh durable primary opens
+		// epoch 1 as its first record, so update counts are LSN-baseLSN.
+		baseLSN := a.statszLSN(t)
+		acked := 0
+		killAt := 12
+		for i, u := range ups {
+			resp, err := http.Post(a.url()+"/v1/update", "application/json", strings.NewReader(u.wire()))
 			if err != nil {
-				t.Fatal(err)
+				break // killed under us — acceptable only after killAt
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusForbidden {
-				t.Fatalf("follower accepted a write: %d", resp.StatusCode)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("update %d: status %d", i, resp.StatusCode)
 			}
-		})
-	}
+			acked++
+			if acked == killAt {
+				a.kill(t)
+				break
+			}
+		}
+		if acked < killAt {
+			t.Fatalf("only %d updates acknowledged before the kill", acked)
+		}
+
+		// Phase 2: boot B on the same WAL dir (with periodic
+		// checkpoints); it must recover every acknowledged update.
+		b := startChild(t, bin, freePort(t),
+			"-cache", cacheDir, "-wal-dir", walDir, "-fsync", "always",
+			"-checkpoint-every", "200ms")
+		b.waitHealthy(t, 2*time.Minute)
+		lsn := b.statszLSN(t)
+		muts := lsn - baseLSN
+		if muts < uint64(acked) {
+			t.Fatalf("recovered %d updates (LSN %d) < %d acknowledged (-fsync always lost an ack)", muts, lsn, acked)
+		}
+		if muts > uint64(len(ups)) {
+			t.Fatalf("recovered %d updates > %d sent", muts, len(ups))
+		}
+		for _, u := range ups[:muts] {
+			u.applyTwin(t, twin)
+		}
+		for _, q := range []struct {
+			k   int
+			tau float64
+		}{{3, 0.8}, {5, 1.6}, {8, 2.8}} {
+			queryBoth(t, b.url(), twin, q.k, q.tau)
+		}
+
+		// Phase 3: more acknowledged updates, wait for a checkpoint to
+		// land, SIGKILL again; C must recover from checkpoint + tail.
+		extra := ups[muts:]
+		if len(extra) > 5 {
+			extra = extra[:5]
+		}
+		for i, u := range extra {
+			resp, err := http.Post(b.url()+"/v1/update", "application/json", strings.NewReader(u.wire()))
+			if err != nil {
+				t.Fatalf("phase-3 update %d: %v", i, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("phase-3 update %d: status %d", i, resp.StatusCode)
+			}
+			u.applyTwin(t, twin)
+		}
+		lsn2 := b.statszLSN(t)
+		ckpt := filepath.Join(walDir, "checkpoint.ncck")
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if _, err := os.Stat(ckpt); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("periodic checkpoint never appeared")
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		b.kill(t)
+
+		c := startChild(t, bin, freePort(t),
+			"-cache", cacheDir, "-wal-dir", walDir, "-fsync", "always")
+		c.waitHealthy(t, 2*time.Minute)
+		if got := c.statszLSN(t); got != lsn2 {
+			t.Fatalf("checkpoint recovery LSN %d, want %d", got, lsn2)
+		}
+		for _, q := range []struct {
+			k   int
+			tau float64
+		}{{4, 1.1}, {6, 2.2}} {
+			queryBoth(t, c.url(), twin, q.k, q.tau)
+		}
+
+		// Phase 4: a follower tails the recovered primary and converges
+		// to identical answers; its writes bounce with 403.
+		f := startChild(t, bin, freePort(t),
+			"-cache", cacheDir, "-follow", c.url(), "-follow-poll", "100ms")
+		f.waitHealthy(t, 2*time.Minute)
+		deadline = time.Now().Add(60 * time.Second)
+		for f.statszLSN(t) != lsn2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower stuck at LSN %d, primary at %d", f.statszLSN(t), lsn2)
+			}
+			time.Sleep(100 * time.Millisecond)
+		}
+		for _, q := range []struct {
+			k   int
+			tau float64
+		}{{4, 1.1}, {6, 2.2}} {
+			queryBoth(t, f.url(), twin, q.k, q.tau)
+		}
+		resp, err := http.Post(f.url()+"/v1/update", "application/json",
+			strings.NewReader(`{"op":"add_site","node":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusForbidden {
+			t.Fatalf("follower accepted a write: %d", resp.StatusCode)
+		}
+	})
 }
 
 // TestFailoverPromoteDifferential is the process-level failover drill: the
@@ -454,7 +438,7 @@ func TestFailoverPromoteDifferential(t *testing.T) {
 	walA := filepath.Join(t.TempDir(), "wal-a")
 	walF := filepath.Join(t.TempDir(), "wal-f")
 
-	twin, inst := twinEngine(t, 1)
+	twin, inst := twinEngine(t)
 	ups := script(t, inst, 15)
 
 	// Primary A and follower F, both durable; F long-polls A's log.

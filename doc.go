@@ -23,8 +23,8 @@
 // versioned binary snapshot carrying a dataset fingerprint, so a snapshot
 // can never silently serve a mismatched dataset. A served engine persists
 // as a checkpoint (SaveCheckpointFile / LoadCheckpoint): the dataset as
-// the updates left it plus the LSN-stamped snapshot, single-index or
-// sharded. It is the one artifact cmd/topsserve reads and writes — its
+// the updates left it plus the LSN-stamped snapshot of its one index. It
+// is the one artifact cmd/topsserve reads and writes — its
 // cache entries, -load and -snapshot-on-exit files, recovery checkpoints
 // and follower bootstraps — so services warm-start in milliseconds instead
 // of re-clustering.
@@ -48,6 +48,11 @@
 // token that makes a deposed primary reject writes (409 fenced). API.md
 // documents the complete HTTP surface, including the stable error codes.
 //
+// One process serves one index. A sharded deployment runs each shard as its
+// own process (a ShardMember, topsserve -shard-index) behind the stateless
+// router (NewRouter, cmd/topsrouter), which runs the distributed greedy
+// over HTTP bit-exactly against a single engine.
+//
 // Layout:
 //
 //	internal/roadnet     directed road networks, Dijkstra/A*, SCC
@@ -65,12 +70,15 @@
 //	                     deadlines, traffic stats, the one write path:
 //	                     Apply / ApplyRecord) over a Backend holding only
 //	                     what differs between engines — Engine is the
-//	                     single-index one, shard.Sharded the scatter-gather
+//	                     single-index one (and the one that snapshots and
+//	                     checkpoints), shard.Sharded the scatter-gather
 //	                     one, both embed the shell
 //	internal/shard       scatter-gather sharding (site partitioners,
 //	                     cluster ownership, the distributed greedy's one
-//	                     coordinator and per-shard session, the NCSM
-//	                     container) — bit-exact vs the single engine
+//	                     coordinator and per-shard session, the member a
+//	                     shard process serves, and Sharded, the in-process
+//	                     twin of a routed topology) — bit-exact vs the
+//	                     single engine
 //	internal/router      the same coordinator over HTTP: the stateless
 //	                     front tier of shard-per-process topologies
 //	internal/wal         durability: the Mutation value and its codec, and

@@ -11,10 +11,12 @@
 //
 // The layer itself is split in two. Front (front.go) is the shell: the
 // lock, the WAL sink, the counters, and the one Query / QueryBatch / Apply /
-// ApplyRecord / Snapshot written over a Backend. Engine (this file) is the
-// single-index Backend — the ladder lookup, the core cover fetch, the core
-// greedy, the core §6 calls — and shard.Sharded is the scatter-gather one;
-// both embed the shell, so the two serve one surface from one body.
+// ApplyRecord written over a Backend. Engine (this file) is the single-index
+// Backend — the ladder lookup, the core cover fetch, the core greedy, the
+// core §6 calls — plus the snapshot and checkpoint writers, which only a
+// served engine needs; shard.Sharded, the in-process twin of a
+// router-fronted topology, is the scatter-gather Backend. Both embed the
+// shell, so the two answer from one body.
 package engine
 
 import (
@@ -156,14 +158,31 @@ func (b backend) ApplyMutation(m wal.Mutation) ([]trajectory.ID, error) {
 
 func (b backend) CoverCacheStats() core.CoverCacheStats { return b.e.idx.CoverCacheStats() }
 
-func (b backend) Dataset() ([]roadnet.NodeID, *trajectory.Store) {
-	inst := b.e.idx.TopsInstance()
-	return inst.Sites, inst.Trajs
+// Snapshot serializes the served index under the read lock, so a live
+// service can checkpoint while serving queries: concurrent queries proceed,
+// mutations wait, and the written snapshot is always a consistent state
+// stamped with the LSN it reflects. Reload with core.ReadIndex. (Calling
+// core.Index.WriteTo directly on a served index races with updates; this is
+// the supported path.)
+func (e *Engine) Snapshot(w io.Writer) (int64, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.writeSnapshot(w)
 }
 
-// WriteSnapshot writes the index snapshot; reload with core.ReadIndex.
-func (b backend) WriteSnapshot(w io.Writer) (int64, error) {
-	return b.e.idx.WriteSnapshot(w, b.e.LSN())
+func (e *Engine) writeSnapshot(w io.Writer) (int64, error) {
+	return e.idx.WriteSnapshot(w, e.LSN())
+}
+
+// Checkpoint writes the recovery bundle under the read lock: the mutated
+// dataset state (site order, trajectory store) plus the LSN-stamped
+// snapshot, all mutually consistent because mutations hold the write lock
+// across apply+log. Reload with the netclus.LoadCheckpoint facade.
+func (e *Engine) Checkpoint(w io.Writer) (int64, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	inst := e.idx.TopsInstance()
+	return wal.WriteCheckpoint(w, inst.Sites, inst.Trajs, e.Epoch(), e.writeSnapshot)
 }
 
 // Sharding hooks. internal/shard runs one Engine per shard and drives the

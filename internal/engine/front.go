@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,11 +19,11 @@ import (
 
 // Backend is the half of an engine that differs between the single-index
 // Engine and shard.Sharded: which ladder instance serves τ, how the cover
-// for (instance, ψ) is obtained, how a query is answered on it, what a §6
-// mutation does to the data, and how the state is written out. C is the
-// engine's cover handle, opaque to the shell. Front calls every method with
-// its lock held — read for the query and snapshot half, write for
-// ApplyMutation — so implementations take none of their own.
+// for (instance, ψ) is obtained, how a query is answered on it, and what a
+// §6 mutation does to the data. C is the engine's cover handle, opaque to
+// the shell. Front calls every method with its lock held — read for the
+// query half, write for ApplyMutation — so implementations take none of
+// their own.
 type Backend[C any] interface {
 	// InstanceFor returns the ladder position serving threshold τ.
 	InstanceFor(tau float64) int
@@ -39,20 +38,13 @@ type Backend[C any] interface {
 	ApplyMutation(m wal.Mutation) ([]trajectory.ID, error)
 	// CoverCacheStats reports the cover-cache counters behind FetchCover.
 	CoverCacheStats() core.CoverCacheStats
-	// Dataset returns the mutated dataset state a checkpoint bundles beside
-	// the snapshot: the site list in dense-id order and the trajectory store.
-	Dataset() ([]roadnet.NodeID, *trajectory.Store)
-	// WriteSnapshot serializes the served state, stamped with the shell's
-	// LSN.
-	WriteSnapshot(w io.Writer) (int64, error)
 }
 
 // Front is the serving shell Engine and shard.Sharded embed: the
 // reader/writer lock, the WAL sink, the admission hook and the traffic
 // counters, and — written once for both — the query path, QueryBatch, the
-// write path and the durability surface, over a Backend. Queries share the
-// read lock; mutations take the write lock, so in-flight queries drain first
-// and a snapshot can never observe state ahead of its stamped LSN.
+// write path and the log surface, over a Backend. Queries share the read
+// lock; mutations take the write lock, so in-flight queries drain first.
 type Front[C any] struct {
 	mu sync.RWMutex
 	b  Backend[C]
@@ -83,15 +75,6 @@ type Front[C any] struct {
 func (f *Front[C]) Init(b Backend[C], lsn uint64) {
 	f.b = b
 	f.sink.SetLSN(lsn)
-}
-
-// View runs fn under the read lock: concurrent queries proceed, mutations
-// wait. It is how an embedding engine reads its own mutable state outside
-// the Backend calls.
-func (f *Front[C]) View(fn func()) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	fn()
 }
 
 // Stats is a snapshot of the engine's traffic counters. The json tags are
@@ -444,11 +427,10 @@ func (f *Front[C]) DeleteTrajectories(ids []trajectory.ID) error {
 	return err
 }
 
-// Durability and replication surface: the LSN the engine has reached, a
+// Durability and replication surface: the LSN the engine has reached and a
 // replay entry point that applies logged records without re-logging them
-// (crash recovery and follower tailing), and the snapshot and checkpoint
-// writers. The sink's LSN is the only one kept: Backend.WriteSnapshot stamps
-// it into what it writes.
+// (crash recovery and follower tailing). The sink's LSN is the only one
+// kept: Engine.Snapshot stamps it into what it writes.
 
 // LSN reports the last applied write-ahead-log sequence number.
 func (f *Front[C]) LSN() uint64 { return f.sink.LSN() }
@@ -498,26 +480,4 @@ func (f *Front[C]) ApplyRecord(rec wal.Record) error {
 		return fmt.Errorf("engine: %w", err)
 	}
 	return nil
-}
-
-// Snapshot serializes the served state under the read lock, so a live
-// service can checkpoint while serving queries: concurrent queries proceed,
-// mutations wait, and the written snapshot is always a consistent state
-// stamped with the LSN it reflects. (Calling core.Index.WriteTo directly on
-// a served index races with updates; this is the supported path.)
-func (f *Front[C]) Snapshot(w io.Writer) (int64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.b.WriteSnapshot(w)
-}
-
-// Checkpoint writes the recovery bundle under the read lock: the mutated
-// dataset state (site order, trajectory store) plus the LSN-stamped
-// snapshot, all mutually consistent because mutations hold the write lock
-// across apply+log. Reload with the netclus.LoadCheckpoint facade.
-func (f *Front[C]) Checkpoint(w io.Writer) (int64, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	sites, trajs := f.b.Dataset()
-	return wal.WriteCheckpoint(w, sites, trajs, f.sink.Epoch(), f.b.WriteSnapshot)
 }

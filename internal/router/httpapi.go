@@ -263,9 +263,9 @@ type wireUpdate struct {
 // which the stateless router tier does not load — and shipping raw traces
 // to one shard would ingest into that shard only, diverging the
 // replicated trajectory store. The supported story is single-process:
-// stream to a topsserve primary (engine or in-process sharded topology),
-// whose /v1/ingest matches locally and broadcasts the resulting
-// AddTrajectories mutations through the usual write path. Behind a
+// stream to a single-index topsserve primary, whose /v1/ingest matches
+// locally and applies the resulting AddTrajectories mutations through the
+// usual write path. Behind a
 // router, run the matcher client-side (netclus.Matcher) and POST the
 // matched walks as add_trajectory updates, which the router broadcasts.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {

@@ -90,16 +90,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ew.Family("netclus_engine_epoch", "Replication fencing epoch last observed.", "gauge")
 	ew.Uint("netclus_engine_epoch", "", eng.Epoch)
 
-	if len(st.Shards) > 0 {
-		ew.Family("netclus_shard_sites", "Live sites per in-process shard.", "gauge")
-		ew.Family("netclus_shard_scatter_calls_total", "Scatter rounds served per in-process shard.", "counter")
-		for _, sh := range st.Shards {
-			lbl := `idx="` + strconv.Itoa(sh.Shard) + `"`
-			ew.Sample("netclus_shard_sites", lbl, float64(sh.Sites))
-			ew.Uint("netclus_shard_scatter_calls_total", lbl, sh.Scatters)
-		}
-	}
-
 	if st.Ingest != nil {
 		in := st.Ingest
 		ew.Family("netclus_ingest_traces_total", "Ingested GPS trace lines by outcome.", "counter")

@@ -10,7 +10,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,7 +17,6 @@ import (
 	"time"
 
 	"netclus/internal/obs"
-	"netclus/internal/shard"
 )
 
 // lockedBuffer makes a bytes.Buffer safe to read from the test goroutine
@@ -81,72 +79,54 @@ func queryLatencySamples(t *testing.T, text string) uint64 {
 
 // TestMetricsExposition exercises the serving path and then asserts the
 // /metrics answer parses under the strict text-format grammar and carries
-// the families a dashboard needs (including a derivable latency histogram)
-// — over a single engine and over a sharded one, which must record the
-// query histogram exactly as the single engine does: one sample per
-// answered /v1/query.
+// the families a dashboard needs (including a derivable latency histogram
+// with one sample per answered /v1/query).
 func TestMetricsExposition(t *testing.T) {
 	single, _, _, _ := newTestServer(t, 331, Options{})
-	sh, err := shard.Build(buildInstance(t, 331), shard.Options{Shards: 2, Build: fixtureBuild})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sh, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := httptest.NewServer(srv)
-	t.Cleanup(sharded.Close)
+	t.Run("single", func(t *testing.T) {
+		ts, client := single, single.Client()
+		before := queryLatencySamples(t, scrapeMetrics(t, client, ts.URL))
 
-	for _, arm := range []struct {
-		name string
-		ts   *httptest.Server
-	}{{"single", single}, {"sharded", sharded}} {
-		t.Run(arm.name, func(t *testing.T) {
-			ts, client := arm.ts, arm.ts.Client()
-			before := queryLatencySamples(t, scrapeMetrics(t, client, ts.URL))
+		// Populate counters and the query histograms: two identical queries
+		// (miss then cover-cache hit) and one client error, which never
+		// reaches the engine.
+		const answered = 2
+		for i := 0; i < answered; i++ {
+			if code, data := postJSON(t, client, ts.URL+"/v1/query", `{"k":3,"tau":0.8}`); code != http.StatusOK {
+				t.Fatalf("query %d: status %d: %s", i, code, data)
+			}
+		}
+		postJSON(t, client, ts.URL+"/v1/query", `{"k":0}`)
 
-			// Populate counters and the query histograms: two identical queries
-			// (miss then cover-cache hit) and one client error, which never
-			// reaches the engine.
-			const answered = 2
-			for i := 0; i < answered; i++ {
-				if code, data := postJSON(t, client, ts.URL+"/v1/query", `{"k":3,"tau":0.8}`); code != http.StatusOK {
-					t.Fatalf("query %d: status %d: %s", i, code, data)
-				}
+		text := scrapeMetrics(t, client, ts.URL)
+		if err := obs.ValidateExposition(text); err != nil {
+			t.Fatalf("exposition does not parse: %v\n%s", err, text)
+		}
+		for _, want := range []string{
+			`netclus_build_info{`,
+			`netclus_uptime_seconds{`,
+			`netclus_http_requests_total{`,
+			`netclus_engine_queries_total{`,
+			`netclus_cover_cache_revalidations_total{`,
+			`netclus_cover_cache_rows_swept_total{`,
+			`netclus_query_seconds_bucket{`,
+			`netclus_query_seconds_count{`,
+			`netclus_query_seconds_sum{`,
+			`role="primary"`,
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("exposition is missing %q", want)
 			}
-			postJSON(t, client, ts.URL+"/v1/query", `{"k":0}`)
-
-			text := scrapeMetrics(t, client, ts.URL)
-			if err := obs.ValidateExposition(text); err != nil {
-				t.Fatalf("exposition does not parse: %v\n%s", err, text)
-			}
-			for _, want := range []string{
-				`netclus_build_info{`,
-				`netclus_uptime_seconds{`,
-				`netclus_http_requests_total{`,
-				`netclus_engine_queries_total{`,
-				`netclus_cover_cache_revalidations_total{`,
-				`netclus_cover_cache_rows_swept_total{`,
-				`netclus_query_seconds_bucket{`,
-				`netclus_query_seconds_count{`,
-				`netclus_query_seconds_sum{`,
-				`role="primary"`,
-			} {
-				if !strings.Contains(text, want) {
-					t.Errorf("exposition is missing %q", want)
-				}
-			}
-			// The histogram must have observed the queries above, so p50/p99 are
-			// derivable: a +Inf bucket, and a sample per answered query.
-			if !strings.Contains(text, `le="+Inf"`) {
-				t.Error("histogram exposition has no +Inf bucket")
-			}
-			if got := queryLatencySamples(t, text) - before; got != answered {
-				t.Errorf("query latency histogram recorded %d samples for %d answered queries", got, answered)
-			}
-		})
-	}
+		}
+		// The histogram must have observed the queries above, so p50/p99 are
+		// derivable: a +Inf bucket, and a sample per answered query.
+		if !strings.Contains(text, `le="+Inf"`) {
+			t.Error("histogram exposition has no +Inf bucket")
+		}
+		if got := queryLatencySamples(t, text) - before; got != answered {
+			t.Errorf("query latency histogram recorded %d samples for %d answered queries", got, answered)
+		}
+	})
 }
 
 // TestTraceIDRoundTrip asserts the edge contract: a valid client-supplied

@@ -325,7 +325,7 @@ func (s *Server) noteFencing(peer uint64) {
 }
 
 // engineEpoch reads the served engine's fencing token when it exposes one
-// (both engine.Engine and shard.Sharded do).
+// (engine.Engine and shard.Member do).
 func (s *Server) engineEpoch() uint64 {
 	if ep, ok := s.eng.(interface{ Epoch() uint64 }); ok {
 		return ep.Epoch()

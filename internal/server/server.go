@@ -48,14 +48,14 @@ import (
 	"netclus/internal/ingest"
 	"netclus/internal/obs"
 	"netclus/internal/roadnet"
-	"netclus/internal/shard"
 	"netclus/internal/wal"
 )
 
 // Engine is the serving surface the HTTP layer drives: queries, batches,
-// §6 updates, live checkpoints, and counters. Both the single-index engine
-// (engine.Engine) and the scatter-gather sharded engine (shard.Sharded)
-// satisfy it, so one server binary fronts either topology.
+// §6 updates, live checkpoints, and counters. The single-index engine
+// (engine.Engine) satisfies it, and so does a shard member (shard.Member)
+// embedding one: a process serves one index. shard.Sharded, which neither
+// snapshots nor checkpoints, does not.
 type Engine interface {
 	Query(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error)
 	QueryBatch(ctx context.Context, qs []core.QueryOptions) []engine.BatchItem
@@ -70,13 +70,6 @@ type Engine interface {
 	// lower to a wal.Mutation, and the engine applies it and — WAL-served —
 	// logs it under one lock, reporting the LSN that record was assigned.
 	Apply(m wal.Mutation) (wal.Applied, error)
-}
-
-// shardStatser is the optional per-shard metrics surface: when the served
-// engine is sharded, /statsz additionally exposes the per-shard counters
-// (sites, scatter calls, queue depths, cover-cache effectiveness).
-type shardStatser interface {
-	ShardStats() []shard.Stat
 }
 
 // Options configures a Server.
@@ -907,14 +900,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // statszResponse is the /statsz body: transport-level counters plus the
 // engine's own Stats block.
 type statszResponse struct {
-	UptimeSeconds float64       `json:"uptime_seconds"`
-	Draining      bool          `json:"draining"`
-	Build         obs.BuildInfo `json:"build_info"`
-	Engine        engine.Stats  `json:"engine"`
-	// Shards carries the per-shard counter blocks (scatter calls, queue
-	// depths, cover-cache effectiveness) when the served engine is sharded.
-	Shards []shard.Stat          `json:"shards,omitempty"`
-	Routes map[string]routeStats `json:"routes"`
+	UptimeSeconds float64               `json:"uptime_seconds"`
+	Draining      bool                  `json:"draining"`
+	Build         obs.BuildInfo         `json:"build_info"`
+	Engine        engine.Stats          `json:"engine"`
+	Routes        map[string]routeStats `json:"routes"`
 	// Ingest reports the live-ingestion pipeline (traces in, matched,
 	// rejected, raw points, batches, match vs apply time) when POST
 	// /v1/ingest is enabled.
@@ -977,9 +967,6 @@ func (s *Server) Stats() statszResponse {
 		},
 		SnapshotBytes: s.snapshotBytes.Load(),
 		Memory:        readMemStats(),
-	}
-	if ss, ok := s.eng.(shardStatser); ok {
-		resp.Shards = ss.ShardStats()
 	}
 	if s.ing != nil {
 		st := s.ing.Stats()

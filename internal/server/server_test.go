@@ -18,7 +18,6 @@ import (
 	"netclus/internal/engine"
 	"netclus/internal/gen"
 	"netclus/internal/roadnet"
-	"netclus/internal/shard"
 	"netclus/internal/tops"
 )
 
@@ -322,20 +321,19 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
-// coverCounts is one cover cache's counters. A single engine has one
-// cache, a sharded engine one per shard.
+// coverCounts is the served engine's cover-cache counters.
 type coverCounts struct {
 	hits, misses, swept uint64
 	entries             int
 }
 
-// lookalikeSeed is the fixture the served engines and their sequential twin
-// are all built over.
+// lookalikeSeed is the fixture the served engine and its sequential twin
+// are built over.
 const lookalikeSeed = 349
 
 // TestLookalikeQueriesShareOneCoverFill pins the property /v1/query leans
 // on for having no admission window: concurrent queries that differ only
-// in k pay for ONE cover fill per cache — the cover cache's singleflight
+// in k pay for ONE cover fill — the cover cache's singleflight
 // (core.coverFor) — whether that fill is a cold one after a trajectory
 // update emptied the cache or a one-row patch after a representative
 // moved, and every one of them still answers exactly what a sequential
@@ -347,33 +345,21 @@ func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkLookalikesShareCover(t, served, func() []coverCounts {
-			st := served.Stats()
-			return []coverCounts{{st.CoverHits, st.CoverMisses, st.CoverRowsSwept, st.CoverEntries}}
-		})
-	})
-	t.Run("sharded", func(t *testing.T) {
-		served, err := shard.Build(buildInstance(t, lookalikeSeed), shard.Options{Shards: 2, Build: fixtureBuild})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkLookalikesShareCover(t, served, func() []coverCounts {
-			var out []coverCounts
-			for _, st := range served.ShardStats() {
-				out = append(out, coverCounts{st.CoverHits, st.CoverMisses, st.CoverRowsSwept, st.CoverEntries})
-			}
-			return out
-		})
+		checkLookalikesShareCover(t, served)
 	})
 }
 
 // checkLookalikesShareCover serves `served` (built over lookalikeSeed) on
-// HTTP and fires two bursts of look-alike queries — one at cover caches a
+// HTTP and fires two bursts of look-alike queries — one at a cover cache a
 // trajectory update just emptied, one at covers a deleted representative
-// just made stale by one row — checking the counters of every cache that
-// caches() reports, and the answers against a sequential single engine
-// kept in step with the mutations.
-func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []coverCounts) {
+// just made stale by one row — checking the cache's counters, and the
+// answers against a sequential single engine kept in step with the
+// mutations.
+func checkLookalikesShareCover(t *testing.T, served *engine.Engine) {
+	caches := func() coverCounts {
+		st := served.Stats()
+		return coverCounts{st.CoverHits, st.CoverMisses, st.CoverRowsSwept, st.CoverEntries}
+	}
 	srv, err := New(served, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -399,9 +385,9 @@ func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []cove
 		return ack
 	}
 	// burst fires n concurrent queries that differ only in k and returns
-	// each cache's counter movement; every answer must be the twin's.
+	// the cache's counter movement; every answer must be the twin's.
 	const n = 32
-	burst := func(tau float64) []coverCounts {
+	burst := func(tau float64) coverCounts {
 		t.Helper()
 		before := caches()
 		bodies := make([][]byte, n)
@@ -430,11 +416,9 @@ func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []cove
 			assertSameAnswer(t, fmt.Sprintf("query %d (k=%d, tau=%v)", i, k, tau), body, want)
 		}
 		delta := caches()
-		for j := range delta {
-			delta[j].hits -= before[j].hits
-			delta[j].misses -= before[j].misses
-			delta[j].swept -= before[j].swept
-		}
+		delta.hits -= before.hits
+		delta.misses -= before.misses
+		delta.swept -= before.swept
 		return delta
 	}
 	warm := func(tau float64) {
@@ -444,14 +428,12 @@ func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []cove
 		}
 	}
 
-	// Cold: warm every cache, so that the trajectory update below has a
-	// cover to drop; a trajectory add + delete then empties every cache
-	// (site updates no longer do).
+	// Cold: warm the cache, so that the trajectory update below has a cover
+	// to drop; a trajectory add + delete then empties it (site updates no
+	// longer do).
 	warm(0.8)
-	for i, c := range caches() {
-		if c.entries == 0 {
-			t.Fatalf("cache %d holds no cover after the warm-up query: the fixture gives it nothing to own", i)
-		}
+	if caches().entries == 0 {
+		t.Fatal("the cache holds no cover after the warm-up query")
 	}
 	nodes, err := json.Marshal(inst.Trajs.Get(0).Nodes)
 	if err != nil {
@@ -466,23 +448,17 @@ func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []cove
 	if err := twin.DeleteTrajectory(tid); err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range caches() {
-		if c.entries != 0 {
-			t.Fatalf("a trajectory update left cover cache %d populated", i)
-		}
+	if caches().entries != 0 {
+		t.Fatal("a trajectory update left the cover cache populated")
 	}
-	for j, d := range burst(0.8) {
-		if d.misses != 1 || d.hits != n-1 {
-			t.Errorf("cold cache %d: %d concurrent look-alike queries cost %d cover fills and %d hits, want 1 and %d", j, n, d.misses, d.hits, n-1)
-		}
+	if d := burst(0.8); d.misses != 1 || d.hits != n-1 {
+		t.Errorf("cold cache: %d concurrent look-alike queries cost %d cover fills and %d hits, want 1 and %d", n, d.misses, d.hits, n-1)
 	}
 
 	// Patch: on a rung whose clusters hold several sites, delete one
 	// cluster's representative and leave it deleted. Its runner-up takes
-	// over at another RepDr, so exactly one row of one cache is stale: the
-	// burst costs that cache one miss sweeping one row, and nobody else
-	// anything (a shard that merely loses the cluster drops the row without
-	// sweeping).
+	// over at another RepDr, so exactly one row is stale: the burst costs
+	// one miss sweeping one row.
 	const tau = 3.0
 	warm(tau)
 	rep := roadnet.InvalidNode
@@ -505,15 +481,8 @@ func checkLookalikesShareCover(t *testing.T, served Engine, caches func() []cove
 	if err := twin.DeleteSite(rep); err != nil {
 		t.Fatal(err)
 	}
-	var misses uint64
-	for j, d := range burst(tau) {
-		if d.misses > 1 || d.swept != d.misses || d.hits != n-d.misses {
-			t.Errorf("patched cache %d: %d concurrent look-alike queries cost %d misses sweeping %d rows and %d hits, want at most one one-row miss", j, n, d.misses, d.swept, d.hits)
-		}
-		misses += d.misses
-	}
-	if misses != 1 {
-		t.Errorf("a moved representative cost %d one-row patches over all caches, want 1", misses)
+	if d := burst(tau); d.misses != 1 || d.swept != 1 || d.hits != n-1 {
+		t.Errorf("patched cache: %d concurrent look-alike queries cost %d misses sweeping %d rows and %d hits, want one one-row miss", n, d.misses, d.swept, d.hits)
 	}
 }
 

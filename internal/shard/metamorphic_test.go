@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -87,7 +86,7 @@ func TestGatherOrderInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := s.shards[0].eng.InstanceFor(q.Pref.Tau)
+		p := s.shards[0].InstanceFor(q.Pref.Tau)
 		own := s.ownership(p)
 		gs, err := s.scatter(ctx, p, q.Pref, own)
 		if err != nil {
@@ -151,149 +150,5 @@ func TestShardedDisableCoverCache(t *testing.T) {
 	st := uncached.Stats()
 	if st.CoverHits != 0 || st.CoverMisses != 0 || st.CoverEntries != 0 {
 		t.Fatalf("uncached sharded engine touched the cover cache: %+v", st)
-	}
-}
-
-// TestManifestRoundTrip saves a sharded engine as an NCSM container and
-// verifies the reloaded engine answers identically — before and after
-// further §6 updates, which must keep working on a loaded engine.
-func TestManifestRoundTrip(t *testing.T) {
-	inst, city := buildFixture(t, 421)
-	s := shardedEngine(t, inst, 3, GridPartitioner)
-	ctx := context.Background()
-
-	var buf bytes.Buffer
-	if _, err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	streamInst, _ := buildFixture(t, 421)
-	fromStream, err := LoadSharded(bytes.NewReader(buf.Bytes()), streamInst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromStream.Shards() != 3 {
-		t.Fatalf("LoadSharded shards = %d, want 3", fromStream.Shards())
-	}
-
-	for _, q := range queryGrid() {
-		want, err := s.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotStream, err := fromStream.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, "LoadSharded round trip", gotStream, want)
-	}
-
-	// A loaded engine stays live: the same update applied to origin and
-	// reload must keep them answering identically.
-	extra := extraTrajectories(t, city, 1, 5555)[0]
-	if _, err := s.AddTrajectory(extra); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fromStream.AddTrajectory(extra); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteSite(inst.Sites[3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromStream.DeleteSite(streamInst.Sites[3]); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queryGrid() {
-		want, err := s.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fromStream.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, "post-update round trip", got, want)
-	}
-}
-
-// TestManifestRoundTripAfterUpdates pins the regression the manifest's
-// per-shard site lists exist for: after §6 site deletions the per-shard
-// list orders diverge from anything re-partitioning can derive (each
-// shard's core swap-removes independently of the global mirror), so a
-// snapshot taken AFTER deletions must still reload — against the engine's
-// current logical dataset (Sites() order + current trajectory store).
-func TestManifestRoundTripAfterUpdates(t *testing.T) {
-	inst, city := buildFixture(t, 457)
-	s := shardedEngine(t, inst, 3, HashPartitioner)
-	ctx := context.Background()
-
-	// Churn: trajectory add plus several deletes across different shards,
-	// then an add — the delete of a site on a different shard than the
-	// global-last site is the order-divergence trigger.
-	extra := extraTrajectories(t, city, 2, 6001)
-	if _, err := s.AddTrajectory(extra[0]); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{2, 17, 40, 81} {
-		if err := s.DeleteSite(inst.Sites[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.AddSite(inst.Sites[2]); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if _, err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// The load-time dataset is the engine's CURRENT logical dataset: the
-	// mirror-ordered site list plus the update-extended trajectory store.
-	curTrajs := inst.Trajs.Clone()
-	curTrajs.Add(extra[0])
-	curInst := &tops.Instance{G: inst.G, Trajs: curTrajs, Sites: s.Sites()}
-
-	fromStream, err := LoadSharded(bytes.NewReader(buf.Bytes()), curInst, Options{})
-	if err != nil {
-		t.Fatalf("post-update container load: %v", err)
-	}
-	for _, q := range queryGrid() {
-		want, err := s.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotS, err := fromStream.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, "post-delete container round trip", gotS, want)
-	}
-}
-
-// TestManifestRejects pins the load-time validation: wrong dataset, corrupt
-// manifests, and truncated containers error instead of panicking or loading
-// silently wrong.
-func TestManifestRejects(t *testing.T) {
-	inst, _ := buildFixture(t, 431)
-	s := shardedEngine(t, inst, 2, HashPartitioner)
-	var buf bytes.Buffer
-	if _, err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	other, _ := buildFixture(t, 433) // different dataset
-	if _, err := LoadSharded(bytes.NewReader(buf.Bytes()), other, Options{}); err == nil {
-		t.Fatal("foreign dataset accepted")
-	}
-
-	same, _ := buildFixture(t, 431)
-	if _, err := LoadSharded(bytes.NewReader(buf.Bytes()[:40]), same, Options{}); err == nil {
-		t.Fatal("truncated container accepted")
-	}
-
-	corrupt := append([]byte(nil), buf.Bytes()...)
-	corrupt[len(corrupt)-9] ^= 0x40 // flip a bit inside the last shard payload
-	if _, err := LoadSharded(bytes.NewReader(corrupt), same, Options{}); err == nil {
-		t.Fatal("corrupt shard payload accepted")
 	}
 }

@@ -1,7 +1,11 @@
-// Package shard scales the NETCLUS serving stack across cores by
-// partitioning the candidate-site set over N engine shards and answering
-// queries with a scatter-gather protocol that is *bit-exact* against the
-// single-shard engine.
+// Package shard partitions the candidate-site set over N engine shards and
+// answers queries with a scatter-gather protocol that is *bit-exact*
+// against the single-shard engine. A sharded deployment is one process per
+// shard: each runs a Member (member.go) behind internal/router, which drives
+// the distributed greedy over HTTP. Sharded (shard.go) runs the same
+// protocol over N engines in one process; it is that topology's in-process
+// twin, the reference the router and cross-process oracles compare against,
+// not a serving mode — one process serves one index.
 //
 // The decomposition exploits a structural fact of the index: GDSP
 // clustering, trajectory lists, and neighbor lists depend only on the road
@@ -34,7 +38,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"netclus/internal/roadnet"
 )
@@ -42,10 +45,10 @@ import (
 // Partitioner maps a road-network node to the shard that owns it as a
 // candidate site. Implementations must be total (any int value in, a shard
 // index in [0, Shards()) out — adversarial ids must not panic) and
-// deterministic, because update routing and snapshot reloads re-derive the
+// deterministic, because every member and the router re-derive the
 // partition from scratch.
 type Partitioner interface {
-	// Name identifies the partitioner in snapshot manifests.
+	// Name identifies the partitioner in /v1/shard/meta.
 	Name() string
 	// Shards returns the number of shards the partitioner maps onto.
 	Shards() int
@@ -59,7 +62,7 @@ const (
 	GridPartitioner = "grid"
 )
 
-// NewPartitioner constructs a partitioner by manifest name. The graph is
+// NewPartitioner constructs a partitioner by name. The graph is
 // needed by the spatial partitioner for node coordinates; the hash
 // partitioner ignores it.
 func NewPartitioner(name string, n int, g *roadnet.Graph) (Partitioner, error) {
@@ -160,19 +163,4 @@ func (p *gridPart) Shard(v roadnet.NodeID) int {
 		row = 0
 	}
 	return (row*p.cols + col) % p.n
-}
-
-// ValidateShardCount applies the serving-CLI policy for -shards: reject
-// non-positive counts outright and cap at the machine's core count (more
-// shards than cores only multiplies build cost and memory without buying
-// parallelism). The returned warning is non-empty when the count was
-// capped.
-func ValidateShardCount(n int) (int, string, error) {
-	if n <= 0 {
-		return 0, "", fmt.Errorf("shard: -shards=%d must be a positive shard count", n)
-	}
-	if cpus := runtime.NumCPU(); n > cpus {
-		return cpus, fmt.Sprintf("shard: -shards=%d exceeds %d CPUs; capping at %d", n, cpus, cpus), nil
-	}
-	return n, "", nil
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"runtime"
 	"testing"
 
 	"netclus/internal/gen"
@@ -67,35 +66,11 @@ func TestPartitionersTotalAndDeterministic(t *testing.T) {
 
 func TestGridPartitionerNilGraph(t *testing.T) {
 	// A grid partitioner over no graph degrades to the hash route rather
-	// than crashing (defensive: manifests name the partitioner, and a
-	// hostile manifest must not panic the loader).
+	// than crashing.
 	p := newGridPart(3, nil)
 	for _, v := range []roadnet.NodeID{-5, 0, 1000} {
 		if j := p.Shard(v); j < 0 || j >= 3 {
 			t.Fatalf("nil-graph grid mapped %d to %d", v, j)
 		}
-	}
-}
-
-func TestValidateShardCount(t *testing.T) {
-	for _, bad := range []int{0, -1, -100} {
-		if _, _, err := ValidateShardCount(bad); err == nil {
-			t.Fatalf("shard count %d accepted", bad)
-		}
-	}
-	n, warn, err := ValidateShardCount(1)
-	if err != nil || warn != "" || n != 1 {
-		t.Fatalf("ValidateShardCount(1) = %d, %q, %v", n, warn, err)
-	}
-	cpus := runtime.NumCPU()
-	n, warn, err = ValidateShardCount(cpus + 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != cpus {
-		t.Fatalf("over-provisioned count capped to %d, want %d", n, cpus)
-	}
-	if warn == "" {
-		t.Fatal("capping produced no warning")
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"io"
 	"sync"
 	"testing"
 
@@ -13,8 +12,7 @@ import (
 )
 
 // TestShardedEndToEndRace hammers one sharded engine with concurrent
-// queries, batches, §6 updates, live snapshots, and stats polls — the
-// full serving surface — under the race detector. Afterwards the engine
+// queries, batches, §6 updates and stats polls under the race detector. Afterwards the engine
 // must agree with a mirror that saw the same mutation sequence
 // sequentially, and the counters must be coherent.
 func TestShardedEndToEndRace(t *testing.T) {
@@ -55,7 +53,7 @@ func TestShardedEndToEndRace(t *testing.T) {
 			}
 		}(r)
 	}
-	// Snapshot and stats pollers.
+	// Stats poller.
 	pollWG.Add(1)
 	go func() {
 		defer pollWG.Done()
@@ -65,12 +63,7 @@ func TestShardedEndToEndRace(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.Snapshot(io.Discard); err != nil {
-				errCh <- err
-				return
-			}
 			_ = s.Stats()
-			_ = s.ShardStats()
 		}
 	}()
 
@@ -121,17 +114,7 @@ func TestShardedEndToEndRace(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Queries == 0 || st.Batches == 0 || st.Updates == 0 {
+	if st.Queries == 0 || st.Batches == 0 || st.Updates == 0 || st.CoverHits+st.CoverMisses == 0 {
 		t.Fatalf("counters did not move: %+v", st)
-	}
-	var scatters uint64
-	for _, ss := range s.ShardStats() {
-		scatters += ss.Scatters
-		if ss.QueueDepth != 0 {
-			t.Fatalf("shard %d reports %d in-flight fetches after drain", ss.Shard, ss.QueueDepth)
-		}
-	}
-	if scatters == 0 {
-		t.Fatal("no scatter calls recorded")
 	}
 }

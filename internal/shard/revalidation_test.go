@@ -126,7 +126,7 @@ func shardedSubject(s *Sharded) revalSubject {
 			var out []revalCache
 			for j, sh := range s.shards {
 				if len(own.Masks[j]) > 0 {
-					out = append(out, revalCache{idx: sh.eng.Index(), masked: true, keep: own.Masks[j]})
+					out = append(out, revalCache{idx: sh.Index(), masked: true, keep: own.Masks[j]})
 				}
 			}
 			return out

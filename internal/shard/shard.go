@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"netclus/internal/core"
 	"netclus/internal/engine"
@@ -32,22 +31,15 @@ type Options struct {
 	Engine engine.Options
 }
 
-// shardState is one engine shard plus its serving gauges.
-type shardState struct {
-	eng  *engine.Engine
-	inst *tops.Instance // shard dataset: shared graph, cloned store, owned sites
-
-	scatters atomic.Uint64 // masked cover fetches served
-	inFlight atomic.Int64  // scatter fetches currently executing (queue depth)
-	updates  atomic.Uint64 // §6 mutations routed here
-}
-
-// Sharded is a scatter-gather engine over N site-partitioned shards: the
-// engine.Front shell — the surface engine.Engine serves, from the same body
-// — over the scatter-gather backend. It is bit-exact against the single
-// engine: for any sequential workload of queries and §6 updates, selected
-// sites, dense site ids, and estimated utilities are identical to a
-// single-shard engine over the same dataset (enforced by the
+// Sharded is a scatter-gather engine over N site-partitioned shards in one
+// process: the engine.Front shell over the scatter-gather backend. It is
+// the in-process twin of a router-fronted topology — what the router and
+// cross-process oracles compare the members behind topsrouter against, and
+// the shard rung of the benchmark ladder — not a serving mode: it neither
+// snapshots nor checkpoints, so it is not a server.Engine. It is bit-exact
+// against the single engine: for any sequential workload of queries and §6
+// updates, selected sites, dense site ids, and estimated utilities are
+// identical to a single-shard engine over the same dataset (enforced by the
 // shard-differential oracle).
 //
 // All exported methods are safe for concurrent use. Queries share the
@@ -56,13 +48,13 @@ type shardState struct {
 // cluster ownership tables in place (a site mutation can move only the
 // representative of its own cluster per instance). The shell's sink
 // receives the global mutation stream when a log is attached; the per-shard
-// engines never log — the Sharded layer is the system of record, so one
-// logical mutation is one record regardless of shard count.
+// engines never log, so one logical mutation is one record regardless of
+// shard count.
 type Sharded struct {
 	engine.Front[*gatherSet]
 	g      *roadnet.Graph
 	part   Partitioner
-	shards []*shardState
+	shards []*engine.Engine
 	opts   Options
 
 	// sites is the global dense site-id mirror, so QueryResult.SiteIDs
@@ -122,7 +114,30 @@ func Build(inst *tops.Instance, opts Options) (*Sharded, error) {
 			return nil, fmt.Errorf("shard: building shard %d: %w", j, err)
 		}
 	}
-	return assemble(inst, part, insts, idxs, opts, 0)
+
+	s := &Sharded{
+		g:     inst.G,
+		part:  part,
+		opts:  opts,
+		sites: NewSiteMirror(inst.Sites),
+		own:   make(map[int]*Ownership),
+	}
+	ladders := make([]Ladder, len(idxs))
+	for j, idx := range idxs {
+		ladders[j] = ladderOf(idx)
+	}
+	if err := CheckLadders(ladders); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	for j, idx := range idxs {
+		eng, err := engine.New(idx, opts.Engine)
+		if err != nil {
+			return nil, fmt.Errorf("shard: shard %d engine: %w", j, err)
+		}
+		s.shards = append(s.shards, eng)
+	}
+	s.Init(backend{s}, 0)
+	return s, nil
 }
 
 // shardInstances derives the per-shard problem instances: the shared graph,
@@ -143,49 +158,8 @@ func shardInstances(part Partitioner, inst *tops.Instance) []*tops.Instance {
 	return out
 }
 
-// assemble wires pre-built per-shard indexes into a Sharded engine at the
-// WAL LSN their state reflects, validating that all shards share one
-// ladder.
-func assemble(inst *tops.Instance, part Partitioner, insts []*tops.Instance, idxs []*core.Index, opts Options, lsn uint64) (*Sharded, error) {
-	s := &Sharded{
-		g:     inst.G,
-		part:  part,
-		opts:  opts,
-		sites: NewSiteMirror(inst.Sites),
-		own:   make(map[int]*Ownership),
-	}
-	ladders := make([]Ladder, len(idxs))
-	for j, idx := range idxs {
-		ladders[j] = ladderOf(idx)
-	}
-	if err := CheckLadders(ladders); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	for j, idx := range idxs {
-		eng, err := engine.New(idx, opts.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d engine: %w", j, err)
-		}
-		s.shards = append(s.shards, &shardState{eng: eng, inst: insts[j]})
-	}
-	s.Init(backend{s}, lsn)
-	return s, nil
-}
-
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // Graph returns the shared road network.
 func (s *Sharded) Graph() *roadnet.Graph { return s.g }
-
-// Sites returns a copy of the current global site list in dense-id order —
-// the site list a snapshot load must be presented with (together with the
-// trajectory store) after §6 mutations: as on the single engine, a snapshot
-// re-attaches only to the exact dataset it was taken from.
-func (s *Sharded) Sites() (sites []roadnet.NodeID) {
-	s.View(func() { sites = append(sites, s.sites.Sites()...) })
-	return sites
-}
 
 // ownership derives (or returns the cached) cluster ownership of instance
 // p from every shard's representatives.
@@ -197,7 +171,7 @@ func (s *Sharded) ownership(p int) *Ownership {
 	}
 	rows := make([][]core.RepInfo, len(s.shards))
 	for j, sh := range s.shards {
-		rows[j] = sh.eng.RepInfos(p)
+		rows[j] = sh.RepInfos(p)
 	}
 	o := ReduceOwnership(rows)
 	s.own[p] = o
@@ -215,14 +189,14 @@ func (s *Sharded) updateOwnershipAt(v roadnet.NodeID) {
 	s.ownMu.Lock()
 	defer s.ownMu.Unlock()
 	for p, own := range s.own {
-		ci := s.shards[0].eng.ClusterOf(p, v)
+		ci := s.shards[0].ClusterOf(p, v)
 		if ci == core.InvalidCluster {
 			continue
 		}
 		var best core.RepInfo
 		owner := int32(-1)
 		for j, sh := range s.shards {
-			if ri, ok := sh.eng.RepOfCluster(p, ci); ok && (owner < 0 || closerRep(ri, best)) {
+			if ri, ok := sh.RepOfCluster(p, ci); ok && (owner < 0 || closerRep(ri, best)) {
 				owner, best = int32(j), ri
 			}
 		}
@@ -249,43 +223,21 @@ type shardCover struct {
 	swept int
 }
 
-// scatter fetches every owning shard's masked cover for (p, ψ) — in
-// parallel when the machine has the cores for it, which is where
-// multi-core sharding earns its keep: a cover fill is milliseconds, a
-// greedy round microseconds.
+// scatter fetches every owning shard's masked cover for (p, ψ), one shard
+// after another on the query's goroutine.
 func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own *Ownership) (*gatherSet, error) {
 	gs := &gatherSet{own: own, covers: make([]shardCover, 0, len(s.shards))}
-	for j := range s.shards {
-		if len(own.Masks[j]) > 0 {
-			gs.covers = append(gs.covers, shardCover{shard: j})
+	for j, sh := range s.shards {
+		if len(own.Masks[j]) == 0 {
+			continue
 		}
-	}
-	errs := make([]error, len(gs.covers))
-	fetch := func(i int) {
-		sc := &gs.covers[i]
-		sh := s.shards[sc.shard]
-		sh.scatters.Add(1)
-		sh.inFlight.Add(1)
-		defer sh.inFlight.Add(-1)
-		sc.cs, sc.reps, sc.swept, errs[i] = sh.eng.CoverMasked(ctx, p, pref, own.Masks[sc.shard])
-	}
-	if runtime.GOMAXPROCS(0) > 1 && len(gs.covers) > 1 {
-		var wg sync.WaitGroup
-		for i := range gs.covers {
-			wg.Add(1)
-			go func() { defer wg.Done(); fetch(i) }()
-		}
-		wg.Wait()
-	} else {
-		for i := range gs.covers {
-			fetch(i)
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
+		sc := shardCover{shard: j}
+		var err error
+		if sc.cs, sc.reps, sc.swept, err = sh.CoverMasked(ctx, p, pref, own.Masks[j]); err != nil {
 			return nil, err
 		}
-		gs.swept += gs.covers[i].swept
+		gs.covers = append(gs.covers, sc)
+		gs.swept += sc.swept
 	}
 	return gs, nil
 }
@@ -295,7 +247,7 @@ func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own 
 // off Sharded's method set.
 type backend struct{ s *Sharded }
 
-func (b backend) InstanceFor(tau float64) int { return b.s.shards[0].eng.InstanceFor(tau) }
+func (b backend) InstanceFor(tau float64) int { return b.s.shards[0].InstanceFor(tau) }
 
 // FetchCover scatters under the current cluster ownership of instance p.
 func (b backend) FetchCover(ctx context.Context, p int, pref tops.Preference) (*gatherSet, int, error) {
@@ -435,7 +387,7 @@ func (s *Sharded) routeSites(m wal.Mutation) error {
 		if m.Kind == wal.KindAddSites {
 			sub.Nodes = group
 		}
-		if _, err := s.shards[j].eng.Apply(sub); err != nil {
+		if _, err := s.shards[j].Apply(sub); err != nil {
 			if m.Kind == wal.KindAddSites {
 				// Unreachable after checkSiteBatch; surface loudly if a shard
 				// still disagrees, because state has diverged.
@@ -443,7 +395,6 @@ func (s *Sharded) routeSites(m wal.Mutation) error {
 			}
 			return err
 		}
-		s.shards[j].updates.Add(1)
 	}
 	for _, v := range nodes {
 		if m.Kind == wal.KindDeleteSite {
@@ -487,7 +438,7 @@ func (s *Sharded) broadcast(m wal.Mutation) ([]trajectory.ID, error) {
 	}
 	var ids []trajectory.ID
 	for j, sh := range s.shards {
-		a, err := sh.eng.Apply(m)
+		a, err := sh.Apply(m)
 		if err == nil && j > 0 && !slices.Equal(a.IDs, ids) {
 			err = fmt.Errorf("assigned ids %v, expected %v", a.IDs, ids)
 		}
@@ -497,7 +448,6 @@ func (s *Sharded) broadcast(m wal.Mutation) ([]trajectory.ID, error) {
 			}
 			return nil, err
 		}
-		sh.updates.Add(1)
 		ids = a.IDs
 	}
 	return ids, nil
@@ -507,7 +457,7 @@ func (s *Sharded) broadcast(m wal.Mutation) ([]trajectory.ID, error) {
 func (b backend) CoverCacheStats() core.CoverCacheStats {
 	var st core.CoverCacheStats
 	for _, sh := range b.s.shards {
-		cc := sh.eng.Index().CoverCacheStats()
+		cc := sh.Index().CoverCacheStats()
 		st.Hits += cc.Hits
 		st.Misses += cc.Misses
 		st.Revalidated += cc.Revalidated
@@ -515,42 +465,4 @@ func (b backend) CoverCacheStats() core.CoverCacheStats {
 		st.Entries += cc.Entries
 	}
 	return st
-}
-
-// Stat is one shard's /statsz block: size, cover-cache effectiveness, and
-// the scatter queue depth (fetches currently in flight on the shard).
-type Stat struct {
-	Shard            int    `json:"shard"`
-	Sites            int    `json:"sites"`
-	Scatters         uint64 `json:"scatter_calls"`
-	QueueDepth       int64  `json:"queue_depth"`
-	Updates          uint64 `json:"updates"`
-	CoverHits        uint64 `json:"cover_hits"`
-	CoverMisses      uint64 `json:"cover_misses"`
-	CoverRevalidated uint64 `json:"cover_revalidated"`
-	CoverRowsSwept   uint64 `json:"cover_rows_swept"`
-	CoverEntries     int    `json:"cover_entries"`
-}
-
-// ShardStats reports per-shard counters (the /statsz "shards" array).
-func (s *Sharded) ShardStats() []Stat {
-	out := make([]Stat, len(s.shards))
-	s.View(func() {
-		for j, sh := range s.shards {
-			es := sh.eng.Stats()
-			out[j] = Stat{
-				Shard:            j,
-				Sites:            sh.inst.N(),
-				Scatters:         sh.scatters.Load(),
-				QueueDepth:       sh.inFlight.Load(),
-				Updates:          sh.updates.Load(),
-				CoverHits:        es.CoverHits,
-				CoverMisses:      es.CoverMisses,
-				CoverRevalidated: es.CoverRevalidated,
-				CoverRowsSwept:   es.CoverRowsSwept,
-				CoverEntries:     es.CoverEntries,
-			}
-		}
-	})
-	return out
 }

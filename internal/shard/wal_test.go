@@ -3,13 +3,11 @@ package shard
 import (
 	"bytes"
 	"context"
-	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"netclus/internal/core"
+	"netclus/internal/engine"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 	"netclus/internal/trajectory"
@@ -17,11 +15,12 @@ import (
 )
 
 // Durability differential for the sharded topology: a WAL-served sharded
-// engine is crashed, recovered from checkpoint + log-tail replay, and must
-// answer bit-identically to (a) an uninterrupted sharded twin and (b) the
-// single-shard reference engine driven through the same mutations — so the
-// recovery path preserves the scatter-gather bit-exactness the shard
-// oracle already proves for the live path.
+// engine is crashed, a fresh one is recovered by replaying the whole log
+// over the pristine dataset, and it must answer bit-identically to (a) an
+// uninterrupted sharded twin and (b) the single-shard reference engine
+// driven through the same mutations — so the replay path preserves the
+// scatter-gather bit-exactness the shard oracle already proves for the
+// live path.
 
 // walOps is one §6 mutation applied identically to every engine under
 // test (Sharded and engine.Engine share the mutation surface).
@@ -85,6 +84,7 @@ func sameShardAnswers(t *testing.T, label string, got *Sharded, want interface {
 
 func TestShardedWALRecoveryDifferential(t *testing.T) {
 	inst, city := buildFixture(t, 761)
+	pristine := cloneInstance(inst)
 	single := singleEngine(t, cloneInstance(inst))
 	primary, twin := shardedPair(t, inst, 3)
 
@@ -124,8 +124,6 @@ func TestShardedWALRecoveryDifferential(t *testing.T) {
 			}
 		}
 	}
-	ckptPath := filepath.Join(walDir, "checkpoint.ncck")
-	var ckptLSN uint64
 	nOps := 24
 	for i := 0; i < nOps; i++ {
 		switch rng.Intn(4) {
@@ -167,15 +165,6 @@ func TestShardedWALRecoveryDifferential(t *testing.T) {
 			liveIDs = liveIDs[:len(liveIDs)-1]
 			apply(func(m walOps) error { return m.DeleteTrajectory(tid) })
 		}
-		if i == nOps/2 {
-			if err := wal.AtomicWriteFile(ckptPath, func(w io.Writer) error {
-				_, err := primary.Checkpoint(w)
-				return err
-			}); err != nil {
-				t.Fatal(err)
-			}
-			ckptLSN = primary.LSN()
-		}
 	}
 	if primary.LSN() != uint64(nOps) {
 		t.Fatalf("primary LSN %d after %d mutations", primary.LSN(), nOps)
@@ -184,75 +173,38 @@ func TestShardedWALRecoveryDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash + recover: checkpoint reconstructs the mutated dataset over
-	// the immutable graph, LoadSharded re-attaches the container, the log
-	// tail replays through ApplyRecord.
+	// Crash + recover: a fresh engine over the pristine dataset replays the
+	// whole log through ApplyRecord.
 	log2, err := wal.Open(walDir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	if _, err := log2.Compact(ckptLSN); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(ckptPath)
+	recovered, err := Build(pristine, Options{Shards: 3, Build: fixtureBuild})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer f.Close()
-	rinst, _, br, err := wal.ReadCheckpoint(f, city.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := LoadSharded(br, rinst, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered.LSN() != ckptLSN {
-		t.Fatalf("checkpoint stamped LSN %d, want %d", recovered.LSN(), ckptLSN)
-	}
-	if recovered.Shards() != 3 {
-		t.Fatalf("recovered %d shards, want 3", recovered.Shards())
 	}
 	n, err := wal.Replay(log2, recovered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != nOps-int(ckptLSN) {
-		t.Fatalf("replayed %d records, want %d", n, nOps-int(ckptLSN))
+	if n != nOps || recovered.LSN() != uint64(nOps) {
+		t.Fatalf("replayed %d records to LSN %d, want %d", n, recovered.LSN(), nOps)
 	}
 
 	qrng := rand.New(rand.NewSource(101))
 	sameShardAnswers(t, "vs-sharded-twin", recovered, twin, qrng, 6)
 	sameShardAnswers(t, "vs-single-shard", recovered, single, qrng, 6)
-
-	// The manifest LSN also round-trips through the NCSM container.
-	var buf bytes.Buffer
-	if _, err := recovered.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadSharded(&buf, cloneInstance(recovered.fullInstance()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.LSN() != uint64(nOps) {
-		t.Fatalf("LoadSharded LSN %d, want %d", back.LSN(), nOps)
-	}
-}
-
-// fullInstance reassembles the primary's current logical dataset (shared
-// graph, extended store, mirror-ordered sites) for snapshot reloads.
-func (s *Sharded) fullInstance() *tops.Instance {
-	return &tops.Instance{G: s.g, Trajs: s.shards[0].inst.Trajs, Sites: s.sites.Sites()}
 }
 
 // TestEngineOwnsAddedTrajectories: an engine stores what the mutation value
 // carries, never the caller's objects, so a library caller that reuses its
 // slices after AddTrajectory / AddTrajectories cannot make live state differ
 // from what the log recovers (at the parent commit the live path kept the
-// caller's pointer while the log kept a copy). The in-process shards still
-// share one decoded object per trajectory — decoded once at the Sharded
-// level, live and on replay.
+// caller's pointer while the log kept a copy; the single engine's live and
+// recovered checkpoints are byte-equal). The in-process shards still share
+// one decoded object per trajectory — decoded once at the Sharded level,
+// live and on replay.
 func TestEngineOwnsAddedTrajectories(t *testing.T) {
 	inst, city := buildFixture(t, 769)
 	type durable interface {
@@ -260,7 +212,6 @@ func TestEngineOwnsAddedTrajectories(t *testing.T) {
 		wal.Applier
 		AttachWAL(l *wal.Log) error
 		AddTrajectories(trs []*trajectory.Trajectory) ([]trajectory.ID, error)
-		Checkpoint(w io.Writer) (int64, error)
 		Query(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error)
 	}
 	for name, build := range map[string]func() durable{
@@ -294,15 +245,17 @@ func TestEngineOwnsAddedTrajectories(t *testing.T) {
 		if n, err := wal.Replay(log, twin); err != nil || n != 2 {
 			t.Fatalf("%s: replay = %d, %v", name, n, err)
 		}
-		var a, b bytes.Buffer
-		if _, err := live.Checkpoint(&a); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := twin.Checkpoint(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("%s: live checkpoint differs from the one recovered from its own log", name)
+		if e, ok := live.(*engine.Engine); ok {
+			var a, b bytes.Buffer
+			if _, err := e.Checkpoint(&a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.(*engine.Engine).Checkpoint(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("%s: live checkpoint differs from the one recovered from its own log", name)
+			}
 		}
 		rng := rand.New(rand.NewSource(53))
 		for d := 0; d < 6; d++ {
@@ -322,9 +275,10 @@ func TestEngineOwnsAddedTrajectories(t *testing.T) {
 			if !ok {
 				continue
 			}
+			store := func(j int) *trajectory.Store { return s.shards[j].Index().TopsInstance().Trajs }
 			for id := first; id < first+3; id++ {
-				for j, sh := range s.shards {
-					if sh.inst.Trajs.Get(id) != s.shards[0].inst.Trajs.Get(id) {
+				for j := range s.shards {
+					if store(j).Get(id) != store(0).Get(id) {
 						t.Errorf("shard %d holds its own copy of trajectory %d", j, id)
 					}
 				}

@@ -34,7 +34,7 @@ import (
 //	u32 nSites | nSites * u32 node
 //	u64 storeLen | store (trajectory.Store.WriteTo)
 //	u32 crc32 over everything above
-//	inner snapshot (core "NCSS" stream or sharded "NCSM" container)
+//	inner snapshot (core "NCSS" stream)
 //
 // The inner snapshot carries its own integrity and fingerprint checks; the
 // CRC here covers the dataset section so checkpoint corruption reports as
@@ -101,8 +101,8 @@ func WriteCheckpoint(w io.Writer, sites []roadnet.NodeID, store *trajectory.Stor
 // instance the inner snapshot re-attaches to, over the given (immutable)
 // road network. It returns the instance, the checkpoint's replication
 // epoch (0 for v1 containers, which predate epochs), and a buffered reader
-// positioned at the inner snapshot — peek its magic to decide between
-// core.ReadIndex and shard.LoadSharded.
+// positioned at the inner snapshot — peek its magic before handing it to
+// core.ReadIndex, so a payload of another format is rejected by name.
 func ReadCheckpoint(r io.Reader, g *roadnet.Graph) (*tops.Instance, uint64, *bufio.Reader, error) {
 	if g == nil {
 		return nil, 0, nil, fmt.Errorf("wal: checkpoint needs the road network")

@@ -8,13 +8,15 @@ package netclus
 //	index              Index, BuildOptions, Build
 //	serving            Engine, EngineOptions, EngineStats, NewEngine
 //	network serving    Server, ServeOptions, ServeLimits, NewServer
+//	sharding           ShardMember, Router (one process per shard)
 //	data               Graph, TrajectoryStore, Dataset presets and loaders
 //
 // Applications hold one Index per dataset, wrap it in one Engine, and send
-// all traffic — queries and §6 updates — through the Engine. See
-// examples/quickstart for the end-to-end pattern.
+// all traffic — queries and §6 updates — through the Engine; a process
+// serves one index. See examples/quickstart for the end-to-end pattern.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -153,58 +155,16 @@ func NewEngine(idx *Index, opts EngineOptions) (*Engine, error) {
 	return engine.New(idx, opts)
 }
 
-// Sharded serving layer: N site-partitioned engine shards answering every
-// query by scatter-gather, bit-exact against the single-shard Engine (the
-// shard-differential oracle enforces the equality). Site updates route to
-// the owning shard — so only ~1/N of the memoized covering structures
-// invalidate per mutation — and trajectory updates broadcast. A sharded
-// engine snapshots as one "NCSM" container stream (ShardedEngine.Snapshot,
-// /v1/snapshot), which is also the inner payload of its checkpoints.
+// Sharding: one process serves one index. A sharded topology runs each
+// shard as its own topsserve process (-shard-index) holding one Engine over
+// its site partition, and a stateless router tier (cmd/topsrouter) speaks
+// the distributed-greedy round protocol against them over HTTP — answers
+// are bit-exact against a single-process engine over the same dataset.
+// Site updates route to the owning member; trajectory updates broadcast.
 type (
-	// ShardedEngine is the scatter-gather engine. It serves the same
-	// Query/QueryBatch/Stats/Snapshot surface as Engine, so NewServer
-	// accepts either.
-	ShardedEngine = shard.Sharded
-	// ShardedOptions configures shard count, partitioner, and the
-	// per-shard build/engine options.
+	// ShardedOptions configures a member's topology: shard count,
+	// partitioner, and the build/engine options.
 	ShardedOptions = shard.Options
-	// ShardStat is one shard's /statsz counter block.
-	ShardStat = shard.Stat
-)
-
-// Partitioner names for ShardedOptions.Partitioner.
-const (
-	// ShardByHash partitions sites uniformly by node-id hash (default).
-	ShardByHash = shard.HashPartitioner
-	// ShardByGrid partitions sites spatially over the graph's bounding box.
-	ShardByGrid = shard.GridPartitioner
-)
-
-// NewShardedEngine partitions inst's candidate sites and builds one index
-// per shard (concurrently, splitting ShardedOptions.Build.Workers).
-func NewShardedEngine(inst *Instance, opts ShardedOptions) (*ShardedEngine, error) {
-	return shard.Build(inst, opts)
-}
-
-// LoadShardedSnapshot reads the "NCSM" container that ShardedEngine.Snapshot
-// writes (and a sharded server's /v1/snapshot serves) and re-attaches it to
-// inst, the full dataset the engine was built from. To persist a served
-// engine together with its mutated dataset, write a checkpoint instead
-// (SaveCheckpointFile / LoadCheckpoint).
-func LoadShardedSnapshot(r io.Reader, inst *Instance, opts ShardedOptions) (*ShardedEngine, error) {
-	return shard.LoadSharded(r, inst, opts)
-}
-
-// ValidateShardCount applies the serving-CLI policy for shard counts:
-// reject non-positive, cap at the core count with a warning.
-var ValidateShardCount = shard.ValidateShardCount
-
-// Cross-process sharding: each shard of a topology runs as its own
-// topsserve process (-shard-index) holding one Engine over its site
-// partition, and a stateless router tier (cmd/topsrouter) speaks the
-// distributed-greedy round protocol against them over HTTP — answers are
-// bit-exact against a single-process engine over the same dataset.
-type (
 	// ShardMember is one process-local shard: an Engine plus the member
 	// side of the round protocol, served under /v1/shard/ by setting
 	// ServeOptions.Member.
@@ -214,6 +174,14 @@ type (
 	Router = router.Router
 	// RouterOptions configures the shard map and failure policy.
 	RouterOptions = router.Options
+)
+
+// Partitioner names for ShardedOptions.Partitioner.
+const (
+	// ShardByHash partitions sites uniformly by node-id hash (default).
+	ShardByHash = shard.HashPartitioner
+	// ShardByGrid partitions sites spatially over the graph's bounding box.
+	ShardByGrid = shard.GridPartitioner
 )
 
 // BuildShardMember builds shard index of an opts.Shards-wide topology
@@ -249,8 +217,8 @@ type (
 	// ServeLimits bounds what the server's request decoder accepts.
 	ServeLimits = server.Limits
 	// ServerEngine is the serving surface NewServer accepts: queries,
-	// snapshots, counters and one write method, Apply. Engine, ShardedEngine
-	// and ShardMember satisfy it.
+	// snapshots, counters and one write method, Apply. Engine and
+	// ShardMember satisfy it.
 	ServerEngine = server.Engine
 	// Mutation is one §6 update as a value — what ServerEngine.Apply takes,
 	// what the write-ahead log records, and what replay decodes back. The
@@ -261,7 +229,7 @@ type (
 	Applied = wal.Applied
 )
 
-// NewServer wraps an engine — single-index or sharded — in the HTTP
+// NewServer wraps an engine — a plain Engine or a ShardMember — in the HTTP
 // serving layer. The caller keeps ownership of the engine (e.g. for a
 // final snapshot after drain).
 func NewServer(eng ServerEngine, opts ServeOptions) (*Server, error) {
@@ -330,8 +298,8 @@ var ParseFsyncPolicy = wal.ParsePolicy
 // OpenWAL opens (or creates) a log directory, repairing a torn tail.
 func OpenWAL(dir string, opts WALOptions) (*WAL, error) { return wal.Open(dir, opts) }
 
-// DurableEngine is the serving surface plus what both Engine and
-// ShardedEngine add to it: the typed §6 methods (value constructors over
+// DurableEngine is the serving surface plus what Engine (and so
+// ShardMember) adds to it: the typed §6 methods (value constructors over
 // ServerEngine.Apply) and the durability hooks — replaying logged records
 // through the same function Apply applies them with, attaching a log for new
 // mutations, and reporting the applied LSN.
@@ -377,11 +345,11 @@ func SaveCheckpointFile(eng ServerEngine, path string) error {
 
 // LoadCheckpoint reads a checkpoint stream (Engine.Checkpoint,
 // SaveCheckpointFile, /v1/checkpoint) over the given road network and
-// returns the recovered engine — single-index or sharded, as the checkpoint
-// dictates — at the checkpoint's LSN. Replay the log tail with ReplayWAL,
-// then AttachWAL. It is how every topsserve boot reads its starting state:
-// the recovery checkpoint, -load, a follower's bootstrap and -cache.
-func LoadCheckpoint(r io.Reader, g *Graph, eopts EngineOptions) (DurableEngine, error) {
+// returns the recovered single-index engine at the checkpoint's LSN. Replay
+// the log tail with ReplayWAL, then AttachWAL. It is how every topsserve
+// boot reads its starting state: the recovery checkpoint, -load, a
+// follower's bootstrap and -cache.
+func LoadCheckpoint(r io.Reader, g *Graph, eopts EngineOptions) (*Engine, error) {
 	inst, epoch, br, err := wal.ReadCheckpoint(r, g)
 	if err != nil {
 		return nil, err
@@ -392,30 +360,26 @@ func LoadCheckpoint(r io.Reader, g *Graph, eopts EngineOptions) (DurableEngine, 
 	}
 	switch string(magic) {
 	case "NCSS":
-		idx, err := core.ReadIndex(br, inst)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := engine.New(idx, eopts)
-		if err != nil {
-			return nil, err
-		}
-		eng.RestoreEpoch(epoch)
-		return eng, nil
 	case "NCSM":
-		eng, err := shard.LoadSharded(br, inst, shard.Options{Engine: eopts})
-		if err != nil {
-			return nil, err
-		}
-		eng.RestoreEpoch(epoch)
-		return eng, nil
+		return nil, errors.New("netclus: checkpoint payload is an NCSM in-process sharded snapshot, which no longer loads: " +
+			"one process serves one index, so run the shards as topsserve -shard-index members behind topsrouter and build them from the dataset")
 	default:
 		return nil, fmt.Errorf("netclus: checkpoint payload has unknown magic %q", magic)
 	}
+	idx, err := core.ReadIndex(br, inst)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := engine.New(idx, eopts)
+	if err != nil {
+		return nil, err
+	}
+	eng.RestoreEpoch(epoch)
+	return eng, nil
 }
 
 // LoadCheckpointFile reads a checkpoint from path (see LoadCheckpoint).
-func LoadCheckpointFile(path string, g *Graph, eopts EngineOptions) (DurableEngine, error) {
+func LoadCheckpointFile(path string, g *Graph, eopts EngineOptions) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("netclus: opening checkpoint: %w", err)
