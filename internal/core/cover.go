@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -23,20 +24,27 @@ import (
 //     until a site mutation moves a representative of that instance.
 //   - the fill: evaluating Eq. 9 row by row (one row per representative)
 //     for a concrete ψ. The fill shards rows across workers, each with a
-//     dense epoch-stamped scratch array, and the result is memoized per
-//     (instance, ψ fingerprint) together with the plan rows it was computed
-//     from.
+//     dense scratch array and a bitmap of the trajectories the row reached,
+//     emits every row in ascending trajectory id, and the result is memoized
+//     per (instance, ψ fingerprint) together with the plan rows and the
+//     trajectory state it was computed from.
 //
-// A memoized cover is revalidated against those rows, not dropped, when
-// sites change. A site mutation bumps Instance.repGen only where some
-// cluster's representative presence or RepDr actually moved, and a lookup
-// (coverFor) serves in three steps under one singleflight per key:
+// A memoized cover is brought up to date, not dropped, when sites or
+// trajectories change. A site mutation bumps Instance.repGen only where some
+// cluster's representative presence or RepDr actually moved; a trajectory
+// add grows the store and a delete bumps Index.trajDels. A lookup (coverFor)
+// serves in four steps under one singleflight per key:
 //
-//  1. generation equal: hit, O(1), no allocation;
-//  2. generation moved: compare the entry's (cluster, RepDr) rows with the
+//  1. generation and trajectory state equal: hit, O(1), no allocation;
+//  2. trajectories changed: extend the cover over its own rows (extendCover)
+//     — each row keeps its entries, loses those of deleted trajectories and
+//     gains those of the trajectories added since, found by sweeping only
+//     the TL tails past the cover's horizon; no row is swept whole, so it is
+//     a hit;
+//  3. generation moved: compare the entry's (cluster, RepDr) rows with the
 //     current plan by value; equal (a delete-then-re-add, any update that
 //     nets out) adopts the generation and is a hit;
-//  3. rows differ: build a new CoverSets copy-on-write, borrowing every row
+//  4. rows differ: build a new CoverSets copy-on-write, borrowing every row
 //     whose (cluster, RepDr) is unchanged from the old flat arrays and
 //     sweeping only changed or inserted rows (fillCover — a cold fill is the
 //     same function with nothing to borrow from).
@@ -45,15 +53,20 @@ import (
 // Finalize derives everything else from the rows, so a patched cover is
 // byte-equal to a fresh one (TestCoverRevalidationDifferential).
 //
-// Trajectory mutations still drop every memoized cover. That is measured,
-// not assumed: a TC row lists trajectories in first-touch order of the sweep
-// (own cluster, then CL neighbours), not id order, so appending a new
-// trajectory to an old row is not bit-exact and a touched row must be swept
-// again whole; and on bangalore 0.01 a 64-trace ingest window touches a
-// cluster in the scan set of 88–100 % of the rows of the four rungs the
-// benchmark mix queries, landing an entry within τ in 62–100 % of them (one
-// trajectory: 8–60 % and 2–39 %), so row-granular refill would borrow next
-// to nothing there and still pay the Finalize.
+// Step 2 is bit-exact because rows are in ascending id: an added trajectory
+// has a larger id than every entry of the old row, so its entry goes at the
+// tail, and the site weight — Finalize's left-to-right sum of the row — goes
+// on from the old weight; no other trajectory's entry changes, since an
+// entry is that trajectory's minimum d̂r over the row's scan set.
+// tops.CoverSets.FinalizeAppend splices the new tails onto the old flat
+// arrays instead of re-deriving the CSR. On bangalore 0.01 a 64-trace ingest
+// window adds about 11 % of each probe cover's pairs (about 4 % by the end of
+// a 1 000-trace feed); the first query per cover after a window takes about
+// 0.55 ms against 0.9–1.3 ms with the cold fill it replaces (a hot query:
+// about 0.1 ms), and most of what is left is allocating and copying the CSR
+// arrays. Emitting rows in id order costs a cold fill a bitmap walk per row
+// (a sort of the reached ids when the row is too sparse for the walk):
+// about 7 % on BenchmarkCoverAfterSiteUpdate/refill.
 //
 // The Index alone does not serialize queries against mutations; the
 // concurrency protocol (readers query, writers mutate) is owned by
@@ -105,24 +118,35 @@ type coverEntry struct {
 
 // cachedCover is an immutable memoized cover that knows its inputs: the
 // plan rows it was filled from (and, in plan.gen, the instance generation
-// they were last found current at) and the mask it was requested under (a
-// private copy — the caller's is spliced in place on ownership moves).
+// they were last found current at), the mask it was requested under (a
+// private copy — the caller's is spliced in place on ownership moves), and
+// the trajectory state it was filled at — the store size, which is cs.M,
+// and dels, the index's trajectory-delete count.
 type cachedCover struct {
 	cs   *tops.CoverSets
 	plan *CoverPlan
 	keep []ClusterID
+	dels uint64
+}
+
+// trajsCurrent reports that no trajectory was added or deleted since c was
+// filled.
+func (idx *Index) trajsCurrent(c *cachedCover) bool {
+	return c.cs.M == idx.trajs.Len() && c.dels == idx.trajDels
 }
 
 // current is step 1 of coverFor: no representative row of the instance moved
-// since the cover was validated, and it was filled for this mask.
-func (c *cachedCover) current(gen uint64, keep []ClusterID) bool {
-	return c != nil && c.plan.gen == gen && slices.Equal(c.keep, keep)
+// and no trajectory op happened since the cover was validated, and it was
+// filled for this mask.
+func (idx *Index) current(c *cachedCover, gen uint64, keep []ClusterID) bool {
+	return c != nil && c.plan.gen == gen && idx.trajsCurrent(c) && slices.Equal(c.keep, keep)
 }
 
 // CoverCacheStats reports cover-cache effectiveness counters. A hit is a
-// lookup that swept no representative row (steps 1 and 2 of coverFor;
-// Revalidated counts the step-2 share), a miss one that swept at least one
-// (a patch or a cold fill); RowsSwept totals the rows.
+// lookup that swept no representative row whole (steps 1 to 3 of coverFor;
+// Revalidated counts the lookups that ran step 2 or 3 and swept none), a
+// miss one that swept at least one (a row patch or a cold fill); RowsSwept
+// totals the rows.
 type CoverCacheStats struct {
 	Hits        uint64
 	Misses      uint64
@@ -226,21 +250,23 @@ func appendPlanEntry(pl *CoverPlan, ins *Instance, ci ClusterID) {
 	pl.repDr = append(pl.repDr, cl.RepDr)
 }
 
-// fillScratch is one worker's dense scratch state: dist[t] is valid iff
-// gen[t] == cur, so advancing cur resets the whole array in O(1) per
-// representative instead of clearing a map. It also carries the worker's
-// result arena: the per-representative TC lists accumulate into two flat
-// parallel slices (struct-of-arrays, matching CoverSets' final layout) with
-// (start, end) segments recorded per representative, so a whole fill costs
-// the worker zero allocations once the arena has grown to steady state.
+// fillScratch is one worker's dense scratch state: dist[t] is the smallest
+// d̂r the current row has found for trajectory t, +Inf while it has found
+// none, and bit t of seen marks that it has found one. A row emits its
+// entries in ascending id from seen and resets each dist and seen word it
+// used as it goes, so between rows dist is all +Inf and seen all zero, and
+// nothing is reset per representative. It also carries the worker's result
+// arena: the per-representative TC lists accumulate into two flat parallel
+// slices (struct-of-arrays, matching CoverSets' final layout) with (start,
+// end) segments recorded per representative, so a whole fill costs the
+// worker zero allocations once the arena has grown to steady state.
 //
 // Scratches recycle through a package pool. The arena is borrowed by the
 // CoverSets staging until Finalize copies it into the flat CSR arrays, so
-// fillCover only returns scratches to the pool after finalizing.
+// sweepRows only returns scratches to the pool after sealing.
 type fillScratch struct {
 	dist    []float64
-	gen     []uint32
-	cur     uint32
+	seen    []uint64
 	touched []trajectory.ID
 
 	tcTraj  []int32
@@ -260,13 +286,15 @@ var fillScratchPool = sync.Pool{New: func() any {
 }}
 
 // prepare sizes the dense arrays for an m-trajectory universe and empties
-// the arena. The generation counter survives reuse: a larger universe
-// forces fresh (zeroed) arrays, a smaller one just narrows the index range.
+// the arena. A larger universe forces fresh arrays, a smaller one just
+// narrows the index range.
 func (s *fillScratch) prepare(m int) {
 	if len(s.dist) < m {
 		s.dist = make([]float64, m)
-		s.gen = make([]uint32, m)
-		s.cur = 0
+		for t := range s.dist {
+			s.dist[t] = math.Inf(1)
+		}
+		s.seen = make([]uint64, (m+63)/64)
 	}
 	s.touched = s.touched[:0]
 	s.tcTraj = s.tcTraj[:0]
@@ -274,112 +302,149 @@ func (s *fillScratch) prepare(m int) {
 	s.segs = s.segs[:0]
 }
 
-func (s *fillScratch) reset() {
-	s.cur++
-	if s.cur == 0 { // generation counter wrapped: hard-clear once per 2^32
-		for i := range s.gen {
-			s.gen[i] = 0
-		}
-		s.cur = 1
-	}
-	s.touched = s.touched[:0]
+// rowSweep is what every row of one sweepRows call shares: the instance,
+// the preference, the trajectory universe [from, m) the rows are restricted
+// to, and for a tail sweep (from > 0) each cluster's tail — the entries of
+// its TL with id >= from, packed in one slice for locality (most are empty).
+type rowSweep struct {
+	ins   *Instance
+	pref  tops.Preference
+	from  trajectory.ID
+	m     int
+	tails [][]TrajEntry
 }
 
-// fillCover builds the covering structure of plan pl under the given
-// preference: one TC row per representative, sharded across NumCPU workers.
-// A row is a pure function of (cluster, RepDr, ψ, trajectory state), so when
-// prev — a cover of the same key filled against the same trajectory state —
-// has a row with the same (cluster, RepDr), that row is borrowed from prev's
-// flat arrays instead of swept; a cold fill is the case prev == nil. Workers
-// write disjoint TC slots (tops.CoverSets.SetTCArrays); the CSR arrays and
-// the trajectory-side SC lists are derived by the single Finalize pass
-// afterwards, which copies borrowed rows too, so prev is never aliased by
-// the result. The second return counts the rows swept.
+// newRowSweep prepares the sweep of instance p's rows over ids >= from.
+// TL lists are ascending by id and list exactly the live trajectories
+// through their cluster, so a cluster's tail is its last n entries, n being
+// how many live ids >= from pass through it (deleted ids have no CC).
+func (idx *Index) newRowSweep(p int, pref tops.Preference, from trajectory.ID) *rowSweep {
+	rs := &rowSweep{ins: idx.Instances[p], pref: pref, from: from, m: idx.trajs.Len()}
+	if from > 0 {
+		n := make([]int32, len(rs.ins.Clusters))
+		for _, cc := range rs.ins.CC[from:rs.m] {
+			for _, c := range cc {
+				n[c]++
+			}
+		}
+		rs.tails = make([][]TrajEntry, len(rs.ins.Clusters))
+		for ci, k := range n {
+			if tl := rs.ins.Clusters[ci].TL; k > 0 {
+				rs.tails[ci] = tl[len(tl)-int(k):]
+			}
+		}
+	}
+	return rs
+}
+
+// sweepRow appends to the arena the TC row of the representative of cluster
+// ci at dr(c_i, r_i) = repDr, restricted to the trajectories of rs, in
+// ascending id.
+func (sc *fillScratch) sweepRow(rs *rowSweep, ci ClusterID, repDr float64) {
+	ins, pref, tau := rs.ins, rs.pref, rs.pref.Tau
+	// TL lists only live trajectories (deleteTrajectories drops the entries
+	// of the dead, and ReadIndex rejects any other TL).
+	sweep := func(tl []TrajEntry, base float64) {
+		for _, te := range tl {
+			dHat := te.Dr + base
+			if dHat > tau || dHat >= sc.dist[te.Traj] {
+				continue
+			}
+			if math.IsInf(sc.dist[te.Traj], 1) {
+				sc.seen[te.Traj>>6] |= 1 << (te.Traj & 63)
+				sc.touched = append(sc.touched, te.Traj)
+			}
+			sc.dist[te.Traj] = dHat
+		}
+	}
+	// Scan order matches the former materialized scan lists — own cluster
+	// (centerDr 0) first, then CL neighbors — with the identical float
+	// association, so fills are bit-stable across this representation change.
+	cl := &ins.Clusters[ci]
+	if rs.tails == nil {
+		sweep(cl.TL, 0+repDr)
+		for _, nb := range cl.CL {
+			sweep(ins.Clusters[nb.Cluster].TL, nb.Dr+repDr)
+		}
+	} else {
+		sweep(rs.tails[ci], 0+repDr)
+		for _, nb := range cl.CL {
+			sweep(rs.tails[nb.Cluster], nb.Dr+repDr)
+		}
+	}
+	// Put touched in ascending id: rewrite it from the bitmap when the words
+	// the row can have set are few next to its entries, else sort it.
+	if lo, hi := int(rs.from)>>6, (rs.m+63)>>6; hi-lo <= 8*len(sc.touched) {
+		k := 0
+		for w := lo; w < hi; w++ {
+			word := sc.seen[w]
+			if word == 0 {
+				continue
+			}
+			sc.seen[w] = 0
+			for ; word != 0; word &= word - 1 {
+				sc.touched[k] = trajectory.ID(w<<6 | bits.TrailingZeros64(word))
+				k++
+			}
+		}
+	} else {
+		slices.Sort(sc.touched)
+		for _, t := range sc.touched {
+			sc.seen[t>>6] = 0
+		}
+	}
+	for _, t := range sc.touched {
+		if score := pref.Score(sc.dist[t]); score != 0 || pref.F == nil {
+			sc.tcTraj = append(sc.tcTraj, int32(t))
+			sc.tcScore = append(sc.tcScore, score)
+		}
+		sc.dist[t] = math.Inf(1)
+	}
+	sc.touched = sc.touched[:0]
+}
+
+// sweepRows stages into cs the TC rows of plan pl restricted to trajectory
+// ids >= from, sharded across NumCPU workers, then runs seal (one of
+// CoverSets' two finalizers) before the worker arenas the staged rows point
+// into go back to the pool. borrow, when non-nil, may install row ri itself
+// and report true, and that row is not swept. The first return counts the
+// rows swept.
 //
 // The per-representative sweep is the expensive part of a query, so it is
 // also where request deadlines bite: every worker checks ctx between
-// representatives and the whole fill aborts with the context error once any
-// worker observes cancellation. A canceled fill is never returned (nor
-// memoized), so partially filled covers cannot leak into answers.
-func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops.Preference, prev *cachedCover) (*tops.CoverSets, int, error) {
-	ins := idx.Instances[p]
-	m := idx.trajs.Len()
-	cs := tops.NewCoverSets(len(pl.Reps), m)
+// representatives and the whole sweep aborts with the context error once any
+// worker observes cancellation, without sealing. A canceled cover is never
+// returned (nor memoized), so partially filled covers cannot leak into
+// answers.
+func (idx *Index) sweepRows(ctx context.Context, p int, pl *CoverPlan, pref tops.Preference, cs *tops.CoverSets, from trajectory.ID, borrow func(ri int) bool, seal func()) (int, error) {
+	rs := idx.newRowSweep(p, pref, from)
 	nReps := len(pl.Reps)
-	if nReps == 0 {
-		return cs, 0, nil
-	}
-	workers := runtime.NumCPU()
-	if workers > nReps {
-		workers = nReps
-	}
-	tau := pref.Tau
+	workers := min(runtime.NumCPU(), nReps)
 	var next atomic.Int64
 	var canceled atomic.Bool
 	var wg sync.WaitGroup
 	scratches := make([]*fillScratch, workers)
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			sc := fillScratchPool.Get().(*fillScratch)
-			sc.prepare(m)
+			sc.prepare(rs.m)
 			scratches[w] = sc
 			for {
 				ri := int(next.Add(1)) - 1
-				if ri >= nReps {
-					break
-				}
-				if canceled.Load() {
+				if ri >= nReps || canceled.Load() {
 					break
 				}
 				if ctx.Err() != nil {
 					canceled.Store(true)
 					break
 				}
-				repDr := pl.repDr[ri]
-				if prev != nil {
-					if pri, ok := slices.BinarySearch(prev.plan.Reps, pl.Reps[ri]); ok && prev.plan.repDr[pri] == repDr {
-						trajs, scores := prev.cs.TC(int32(pri))
-						cs.SetTCArrays(int32(ri), trajs, scores)
-						continue
-					}
-				}
-				sc.reset()
-				cl := &ins.Clusters[pl.Reps[ri]]
-				// Scan order matches the former materialized scan lists —
-				// own cluster (centerDr 0) first, then CL neighbors — with
-				// the identical float association, so fills are bit-stable
-				// across this representation change.
-				sweep := func(tl []TrajEntry, base float64) {
-					for _, te := range tl {
-						if !idx.alive[te.Traj] {
-							continue
-						}
-						dHat := te.Dr + base
-						if dHat > tau {
-							continue
-						}
-						if sc.gen[te.Traj] != sc.cur {
-							sc.gen[te.Traj] = sc.cur
-							sc.dist[te.Traj] = dHat
-							sc.touched = append(sc.touched, te.Traj)
-						} else if dHat < sc.dist[te.Traj] {
-							sc.dist[te.Traj] = dHat
-						}
-					}
-				}
-				sweep(cl.TL, 0+repDr)
-				for _, nb := range cl.CL {
-					sweep(ins.Clusters[nb.Cluster].TL, nb.Dr+repDr)
+				if borrow != nil && borrow(ri) {
+					continue
 				}
 				start := int32(len(sc.tcTraj))
-				for _, t := range sc.touched {
-					if score := pref.Score(sc.dist[t]); score != 0 || pref.F == nil {
-						sc.tcTraj = append(sc.tcTraj, int32(t))
-						sc.tcScore = append(sc.tcScore, score)
-					}
-				}
+				sc.sweepRow(rs, pl.Reps[ri], pl.repDr[ri])
 				sc.segs = append(sc.segs, fillSeg{ri: int32(ri), start: start, end: int32(len(sc.tcTraj))})
 			}
 			// Install the arena segments. Segments index the arena instead
@@ -390,14 +455,12 @@ func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops
 			for _, seg := range sc.segs {
 				cs.SetTCArrays(seg.ri, sc.tcTraj[seg.start:seg.end], sc.tcScore[seg.start:seg.end])
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	// Finalize copies the borrowed segments (arena and prev alike) into the
-	// CSR arrays, so the scratches only recycle afterwards.
 	aborted := canceled.Load()
 	if !aborted {
-		cs.Finalize()
+		seal()
 	}
 	swept := 0
 	for _, sc := range scratches {
@@ -405,9 +468,63 @@ func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops
 		fillScratchPool.Put(sc)
 	}
 	if aborted {
-		return nil, 0, ctx.Err()
+		return 0, ctx.Err()
+	}
+	return swept, nil
+}
+
+// fillCover builds the covering structure of plan pl under the given
+// preference: one TC row per representative. A row is a pure function of
+// (cluster, RepDr, ψ, trajectory state), so when prev — a cover of the same
+// key at the current trajectory state — has a row with the same (cluster,
+// RepDr), that row is borrowed from prev's flat arrays instead of swept; a
+// cold fill is the case prev == nil. Finalize then derives the CSR arrays and
+// the trajectory-side SC lists, copying borrowed rows too, so prev is never
+// aliased by the result. The second return counts the rows swept.
+func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops.Preference, prev *cachedCover) (*tops.CoverSets, int, error) {
+	cs := tops.NewCoverSets(len(pl.Reps), idx.trajs.Len())
+	var borrow func(ri int) bool
+	if prev != nil {
+		borrow = func(ri int) bool {
+			pri, ok := slices.BinarySearch(prev.plan.Reps, pl.Reps[ri])
+			if !ok || prev.plan.repDr[pri] != pl.repDr[ri] {
+				return false
+			}
+			trajs, scores := prev.cs.TC(int32(pri))
+			cs.SetTCArrays(int32(ri), trajs, scores)
+			return true
+		}
+	}
+	swept, err := idx.sweepRows(ctx, p, pl, pref, cs, 0, borrow, cs.Finalize)
+	if err != nil {
+		return nil, 0, err
 	}
 	return cs, swept, nil
+}
+
+// extendCover brings cover c, filled at an earlier trajectory state, to the
+// current one over its own plan rows. Every id the store gained since is
+// larger than every id in c, and every surviving trajectory's entries are
+// unchanged, so a row at the current state is c's row without the deleted
+// trajectories followed by a sweep of only the TL tails past c's horizon —
+// rows are in ascending id, which makes that exactly what a fresh fill
+// produces. tops.CoverSets.FinalizeAppend splices the tails onto c's flat
+// arrays. No row is swept whole.
+func (idx *Index) extendCover(ctx context.Context, p int, c *cachedCover, pref tops.Preference) (*tops.CoverSets, error) {
+	cs := tops.NewCoverSets(len(c.plan.Reps), idx.trajs.Len())
+	var live []bool
+	if c.dels != idx.trajDels {
+		live = idx.alive
+	}
+	seal := func() { cs.FinalizeAppend(c.cs, live) }
+	if cs.M == c.cs.M {
+		seal()
+		return cs, nil
+	}
+	if _, err := idx.sweepRows(ctx, p, c.plan, pref, cs, trajectory.ID(c.cs.M), nil, seal); err != nil {
+		return nil, err
+	}
+	return cs, nil
 }
 
 // CoverFor returns the §5.1 covering structure of instance p under pref,
@@ -433,8 +550,8 @@ func (idx *Index) CoverForCtx(ctx context.Context, p int, pref tops.Preference) 
 }
 
 // coverFor is the memoized cover lookup behind CoverForCtx (keep unused)
-// and CoverForMaskedCtx, serving in the three steps of the file comment.
-// Step 1 is lock-free on the entry; steps 2 and 3 run under the entry's
+// and CoverForMaskedCtx, serving in the four steps of the file comment.
+// Step 1 is lock-free on the entry; steps 2 to 4 run under the entry's
 // singleflight. This is the one place concurrent look-alike queries
 // coalesce — the serving layers above call straight through to it.
 func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, int, error) {
@@ -451,7 +568,7 @@ func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preferen
 	idx.coverMu.Unlock()
 
 	c, swept := e.cur.Load(), 0
-	if !c.current(gen, keep) {
+	if !idx.current(c, gen, keep) {
 		var err error
 		if c, swept, err = idx.refreshCover(ctx, e, key, gen, pref, keep); err != nil {
 			return nil, nil, 0, err
@@ -466,14 +583,16 @@ func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preferen
 	return c.cs, c.plan.Reps, swept, nil
 }
 
-// refreshCover brings entry e up to generation gen and mask keep: steps 2
-// and 3 of coverFor, and the wait of a caller that lost the race to run
-// them. On a canceled fill e keeps its previous cover.
+// refreshCover brings entry e up to generation gen, mask keep and the
+// current trajectory state: steps 2 to 4 of coverFor (step 2 first, so the
+// row comparison of steps 3 and 4 runs against the extended cover), and the
+// wait of a caller that lost the race to run them. On a canceled fill e
+// keeps its previous cover.
 func (idx *Index) refreshCover(ctx context.Context, e *coverEntry, key coverKey, gen uint64, pref tops.Preference, keep []ClusterID) (*cachedCover, int, error) {
 	e.fill.Lock()
 	defer e.fill.Unlock()
 	prev := e.cur.Load()
-	if prev.current(gen, keep) {
+	if idx.current(prev, gen, keep) {
 		return prev, 0, nil
 	}
 	var pl *CoverPlan
@@ -482,7 +601,14 @@ func (idx *Index) refreshCover(ctx context.Context, e *coverEntry, key coverKey,
 	} else {
 		pl = idx.coverPlan(key.p)
 	}
-	next := &cachedCover{plan: pl, keep: slices.Clone(keep)}
+	if prev != nil && !idx.trajsCurrent(prev) {
+		cs, err := idx.extendCover(ctx, key.p, prev, pref)
+		if err != nil {
+			return nil, 0, err
+		}
+		prev = &cachedCover{cs: cs, plan: prev.plan, keep: prev.keep, dels: idx.trajDels}
+	}
+	next := &cachedCover{plan: pl, keep: slices.Clone(keep), dels: idx.trajDels}
 	swept := 0
 	if prev != nil && prev.plan.sameRows(pl) {
 		next.cs = prev.cs
@@ -594,19 +720,6 @@ func (idx *Index) RepCoverMaskedCtx(ctx context.Context, p int, pref tops.Prefer
 // CoverForCtx's returns.
 func (idx *Index) CoverForMaskedCtx(ctx context.Context, p int, pref tops.Preference, keep []ClusterID) (*tops.CoverSets, []ClusterID, int, error) {
 	return idx.coverFor(ctx, coverKey{p: p, fp: PrefFingerprint(pref), masked: true}, pref, keep)
-}
-
-// invalidateCovers drops every memoized cover. Trajectory mutations call it
-// (see the file comment for why rows are not patched there); the plans stay,
-// because trajectories only change TL contents, which live in the fill. Site
-// mutations do not call it: they bump Instance.repGen where a representative
-// moved, and lookups revalidate against that.
-func (idx *Index) invalidateCovers() {
-	idx.coverMu.Lock()
-	defer idx.coverMu.Unlock()
-	if len(idx.coverCache) > 0 {
-		idx.coverCache = make(map[coverKey]*coverEntry, len(idx.coverCache))
-	}
 }
 
 // CoverCacheStats returns cumulative cover-cache counters. Entries counts

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"netclus/internal/tops"
+	"netclus/internal/trajectory"
 )
 
 // TestQueryCtxCancellation covers the request-deadline path: a canceled
@@ -86,9 +87,10 @@ func TestCoverForCtxWaiterSurvivesCanceledFiller(t *testing.T) {
 }
 
 // TestCanceledPatchKeepsPreviousCover extends the rule above to a memoized
-// cover one site update behind: a patch canceled by its filler's context
-// publishes nothing and leaves the previous cover in place, so the next
-// caller patches the one stale row from it instead of paying a cold fill.
+// cover one site update, then one trajectory window, behind: a patch
+// canceled by its filler's context publishes nothing and leaves the
+// previous cover in place, so the next caller patches it (one stale row,
+// then the window's tail) instead of paying a cold fill.
 func TestCanceledPatchKeepsPreviousCover(t *testing.T) {
 	idx, _ := buildTestIndex(t, 139, false)
 	pref := tops.Linear(3.0)
@@ -149,4 +151,37 @@ func TestCanceledPatchKeepsPreviousCover(t *testing.T) {
 			t.Fatalf("patched cover's weight of row %d differs from a fresh fill", s)
 		}
 	}
+
+	// The same for a trajectory patch: a window of adds and a delete, a
+	// canceled lookup that publishes nothing, then a retry that appends to
+	// the kept cover without sweeping a row.
+	var window []*trajectory.Trajectory
+	for i := 0; i < 8; i++ {
+		window = append(window, idx.trajs.Get(trajectory.ID(i)))
+	}
+	if _, err := idx.AddTrajectories(window); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.DeleteTrajectory(1); err != nil {
+		t.Fatal(err)
+	}
+	before := idx.CoverCacheStats()
+	if _, _, _, err := idx.CoverForCtx(canceled, p, pref); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled trajectory patch returned %v, want context.Canceled", err)
+	}
+	if st := idx.CoverCacheStats(); st.Entries != 1 || st.Misses != before.Misses || st.Revalidated != before.Revalidated {
+		t.Fatalf("canceled trajectory patch left %d entries, %d misses, %d revalidations; want the previous cover and no count", st.Entries, st.Misses-before.Misses, st.Revalidated-before.Revalidated)
+	}
+	got, _, swept, err = idx.CoverForCtx(context.Background(), p, pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := idx.CoverCacheStats(); swept != 0 || st.Revalidated != before.Revalidated+1 {
+		t.Fatalf("retry after a canceled trajectory patch swept %d rows and revalidated %d times, want one patch sweeping none", swept, st.Revalidated-before.Revalidated)
+	}
+	want, _, err = idx.RepCoverCtx(context.Background(), p, pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCoverBits(t, "trajectory patch after a canceled one", got, want)
 }

@@ -49,7 +49,7 @@ type Cluster struct {
 	Members []roadnet.NodeID
 	// MemberDr[i] is dr(Members[i], c_i) <= 2R.
 	MemberDr []float64
-	// TL is the trajectory list, ordered by trajectory id.
+	// TL is the trajectory list, strictly ascending by trajectory id.
 	TL []TrajEntry
 	// CL is the neighbor list, ascending by distance.
 	CL []NeighborEntry
@@ -123,6 +123,9 @@ type Index struct {
 	// deletions.
 	trajs *trajectory.Store
 	alive []bool
+	// trajDels counts trajectory-delete ops. With trajs.Len(), which every
+	// add grows, it is the trajectory state a memoized cover was filled at.
+	trajDels uint64
 
 	// walLSN is the write-ahead-log sequence number stamped in the snapshot
 	// this index was loaded from (0 for a fresh build): where log replay

@@ -117,8 +117,9 @@ func AcquireQueryResult() *QueryResult {
 // The computation is split in two (cover.go): a CoverPlan holding the
 // representative list and per-representative scan order, built once per
 // instance and reused across preference functions, and a parallel fill that
-// shards representatives across workers with dense epoch-stamped scratch
-// arrays. RepCover always runs the fill; CoverFor memoizes the result.
+// shards representatives across workers with dense scratch arrays and emits
+// each row in ascending trajectory id. RepCover always runs the fill;
+// CoverFor memoizes the result.
 func (idx *Index) RepCover(p int, pref tops.Preference) (*tops.CoverSets, []ClusterID) {
 	cs, reps, _ := idx.RepCoverCtx(context.Background(), p, pref)
 	return cs, reps

@@ -459,6 +459,14 @@ func ReadIndex(r io.Reader, inst *tops.Instance) (*Index, error) {
 				if tid < 0 || uint32(tid) >= nTrajs {
 					return nil, fmt.Errorf("core: cluster %d TL trajectory %d out of range", ci, tid)
 				}
+				// The cover fill relies on both: it sweeps TL tails past a
+				// cover's horizon and does not re-check liveness.
+				if i > 0 && trajectory.ID(tid) <= cl.TL[i-1].Traj {
+					return nil, fmt.Errorf("core: cluster %d TL is not strictly ascending at trajectory %d", ci, tid)
+				}
+				if !idx.alive[tid] {
+					return nil, fmt.Errorf("core: cluster %d TL lists deleted trajectory %d", ci, tid)
+				}
 				cl.TL[i].Traj = trajectory.ID(tid)
 				if err := get(&cl.TL[i].Dr); err != nil {
 					return nil, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -302,9 +303,10 @@ func TestSnapshotByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestLoadedIndexInvalidatesCoverCacheOnUpdate(t *testing.T) {
-	// A warm-started index must keep the §6 invalidation contract: a
-	// mutation after load drops every memoized cover so no stale covering
-	// structure can serve a post-update query.
+	// A warm-started index must keep the §6 cover contract: a trajectory
+	// add after load keeps the memoized cover, and the next lookup patches
+	// it (no row swept) into exactly what a fresh fill produces, so no stale
+	// covering structure can serve a post-update query.
 	idx, inst := buildTestIndex(t, 341, false)
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
@@ -332,12 +334,25 @@ func TestLoadedIndexInvalidatesCoverCacheOnUpdate(t *testing.T) {
 	if _, err := loaded.AddTrajectory(tr); err != nil {
 		t.Fatal(err)
 	}
-	if st := loaded.CoverCacheStats(); st.Entries != 0 {
-		t.Fatalf("update left %d stale cover entries", st.Entries)
+	before := loaded.CoverCacheStats()
+	if before.Entries != 1 {
+		t.Fatalf("update left %d cover entries, want the memoized one", before.Entries)
 	}
-	if _, _, hit := loaded.CoverFor(p, pref); hit {
-		t.Fatal("post-update cover served from stale cache")
+	got, _, swept, err := loaded.CoverForCtx(context.Background(), p, pref)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if after := loaded.CoverCacheStats(); swept != 0 || after.Revalidated != before.Revalidated+1 {
+		t.Fatalf("post-update lookup swept %d rows and revalidated %d times, want one patch sweeping none", swept, after.Revalidated-before.Revalidated)
+	}
+	if got.M != inst.M() {
+		t.Fatalf("post-update cover spans %d trajectories, the store %d", got.M, inst.M())
+	}
+	want, _, err := loaded.RepCoverCtx(context.Background(), p, pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCoverBits(t, "post-update cover", got, want)
 }
 
 func FuzzLoadSnapshot(f *testing.F) {

@@ -167,7 +167,6 @@ func (idx *Index) addTrajectories(op string, trs []*trajectory.Trajectory) ([]tr
 			registerTrajectory(ins, ids[i], tr)
 		}
 	}
-	idx.invalidateCovers()
 	return ids, nil
 }
 
@@ -201,9 +200,12 @@ func (idx *Index) deleteTrajectories(op string, ids []trajectory.ID) error {
 	for _, tid := range ids {
 		idx.alive[tid] = false
 	}
+	idx.trajDels++
 	// One pass per instance: drop all dead entries of each touched cluster
-	// at once, in place, so the surviving TL entries keep their order (the
-	// cover fill sums in TL order; memoized covers are compared bit for bit).
+	// at once, in place, so the surviving TL entries stay ascending by
+	// trajectory id and TL keeps listing only live trajectories — a cached
+	// cover's patch (extendCover) takes a TL's entries past the cover's
+	// horizon as its last n, counting n from CC.
 	for _, ins := range idx.Instances {
 		touched := map[ClusterID]bool{}
 		for _, tid := range ids {
@@ -225,7 +227,6 @@ func (idx *Index) deleteTrajectories(op string, ids []trajectory.ID) error {
 			ins.Clusters[ci].TL = kept
 		}
 	}
-	idx.invalidateCovers()
 	return nil
 }
 
@@ -271,14 +272,15 @@ func (idx *Index) validateInstance(p int) error {
 		if cl.Rep != want {
 			return fmt.Errorf("cluster %d representative %d is not the canonical argmin %d", ci, cl.Rep, want)
 		}
-		// TL sorted-unique per trajectory id is not required, but entries
-		// must be alive-or-dead consistent and unique.
-		tlSeen := make(map[trajectory.ID]bool, len(cl.TL))
-		for _, te := range cl.TL {
-			if tlSeen[te.Traj] {
-				return fmt.Errorf("cluster %d lists trajectory %d twice", ci, te.Traj)
+		// TL is strictly ascending by trajectory id (unique entries) and
+		// lists only live trajectories: the cover fill relies on both.
+		for i, te := range cl.TL {
+			if i > 0 && te.Traj <= cl.TL[i-1].Traj {
+				return fmt.Errorf("cluster %d TL is not strictly ascending at trajectory %d", ci, te.Traj)
 			}
-			tlSeen[te.Traj] = true
+			if !idx.alive[te.Traj] {
+				return fmt.Errorf("cluster %d lists deleted trajectory %d", ci, te.Traj)
+			}
 		}
 	}
 	for v, ok := range seen {

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +18,12 @@ import (
 // enough that cover construction dominates an uncached query, as it does at
 // city scale.
 func benchIndex(b *testing.B) *core.Index {
+	idx, _ := benchData(b)
+	return idx
+}
+
+// benchData is benchIndex with the city it was built over.
+func benchData(b *testing.B) (*core.Index, *gen.City) {
 	b.Helper()
 	city, err := gen.GenerateCity(gen.CityConfig{
 		Topology: gen.GridMesh, Nodes: 2500, SpanKm: 14, Jitter: 0.2, Seed: 941,
@@ -38,7 +47,7 @@ func benchIndex(b *testing.B) *core.Index {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return idx
+	return idx, city
 }
 
 // BenchmarkEngineQPS measures sustained concurrent mixed-τ query throughput
@@ -163,4 +172,81 @@ func BenchmarkCoverAfterSiteUpdate(b *testing.B) {
 	b.Run("moved_rep", func(b *testing.B) { run(b, Options{}, rep) })
 	b.Run("bystander", func(b *testing.B) { run(b, Options{}, other) })
 	b.Run("refill", func(b *testing.B) { run(b, Options{DisableCoverCache: true}, rep) })
+}
+
+// BenchmarkCoverAfterTrajectoryWindow times one query per ladder rung right
+// after EACH 64-trajectory ingest window (the window itself is outside the
+// timer): the probe side of the ingest_stream workload. append keeps the
+// cover cache, so every query finds its cover one window behind and appends
+// the window's entries to it without sweeping a row; refill is the same
+// without the cover cache, a cold fill per query — what each window cost
+// every cached cover while trajectory ops emptied the cache. The feed is 16
+// windows (1 024 trajectories) over the 800 base ones, as ingest_stream
+// feeds 1 000 traces over 500; then the index is reloaded from a snapshot
+// and every rung's cover filled again, outside the timer. CI gates append
+// calibrated by refill against BENCH_BASELINE.txt.
+func BenchmarkCoverAfterTrajectoryWindow(b *testing.B) {
+	idx, city := benchData(b)
+	var snap bytes.Buffer
+	if _, err := idx.WriteTo(&snap); err != nil {
+		b.Fatal(err)
+	}
+	base := idx.TopsInstance()
+	store, sites := base.Trajs.Clone(), slices.Clone(base.Sites)
+	const window, windows = 64, 16
+	feed := extraTrajectories(b, city, window*windows, 947)
+	// One τ in the middle of each rung.
+	tauMin, _ := idx.TauRange()
+	var qs []core.QueryOptions
+	for p := range idx.Instances {
+		tau := tauMin * math.Pow(1+idx.Gamma(), float64(p)+0.5)
+		qs = append(qs, core.QueryOptions{K: 5, Pref: tops.Binary(tau)})
+	}
+	run := func(b *testing.B, opts Options) {
+		var eng *Engine
+		queryAll := func() {
+			for _, q := range qs {
+				res, err := eng.Query(context.Background(), q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Release()
+			}
+		}
+		reset := func() {
+			inst, err := tops.NewInstance(city.Graph, store.Clone(), slices.Clone(sites))
+			if err != nil {
+				b.Fatal(err)
+			}
+			loaded, err := core.ReadIndex(bytes.NewReader(snap.Bytes()), inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if eng, err = New(loaded, opts); err != nil {
+				b.Fatal(err)
+			}
+			queryAll()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w := i % windows
+			if w == 0 {
+				reset()
+			}
+			if _, err := eng.AddTrajectories(feed[w*window : (w+1)*window]); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			queryAll()
+		}
+		b.StopTimer()
+		// The last engine's misses are the fills that warmed it.
+		if st := eng.Stats(); !opts.DisableCoverCache && st.CoverMisses != uint64(len(qs)) {
+			b.Fatalf("windows cost %d cover misses past the warm-up fills, want none", st.CoverMisses-uint64(len(qs)))
+		}
+	}
+	b.Run("append", func(b *testing.B) { run(b, Options{}) })
+	b.Run("refill", func(b *testing.B) { run(b, Options{DisableCoverCache: true}) })
 }

@@ -175,6 +175,13 @@ type mutator interface {
 
 func applyMutations(t testing.TB, m mutator, inst *tops.Instance, extra []*trajectory.Trajectory) {
 	t.Helper()
+	applyTrajectoryMutations(t, m, extra)
+	applySiteMutations(t, m, inst)
+}
+
+// applyTrajectoryMutations is the trajectory half of applyMutations.
+func applyTrajectoryMutations(t testing.TB, m mutator, extra []*trajectory.Trajectory) {
+	t.Helper()
 	ids, err := m.AddTrajectories(extra)
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +189,11 @@ func applyMutations(t testing.TB, m mutator, inst *tops.Instance, extra []*traje
 	if err := m.DeleteTrajectories([]trajectory.ID{0, 3, ids[0]}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// applySiteMutations is the site half of applyMutations.
+func applySiteMutations(t testing.TB, m mutator, inst *tops.Instance) {
+	t.Helper()
 	// Delete an existing site, then register a fresh one.
 	if err := m.DeleteSite(inst.Sites[7]); err != nil {
 		t.Fatal(err)
@@ -206,8 +218,10 @@ func applyMutations(t testing.TB, m mutator, inst *tops.Instance, extra []*traje
 
 func TestInvalidationMatchesColdIndex(t *testing.T) {
 	// Identical twin fixtures; one served (and cached) through an engine,
-	// one mutated bare and always queried cold. After the same mutation
-	// sequence the cached engine answers must equal the cold ones.
+	// one mutated bare and always queried cold. Trajectory ops keep every
+	// cached cover, and the next lookup of each patches it without sweeping
+	// a row; after the site ops too, the cached engine answers must equal
+	// the cold ones.
 	idx, inst, city := buildFixture(t, 911)
 	mirrorIdx, mirrorInst, _ := buildFixture(t, 911)
 	eng, err := New(idx, Options{})
@@ -225,23 +239,42 @@ func TestInvalidationMatchesColdIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checkGrid := func(label string) {
+		t.Helper()
+		for _, q := range grid {
+			got, err := eng.Query(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := mirrorIdx.QueryCtx(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.EstimatedUtility != want.EstimatedUtility {
+				t.Fatalf("%s: utility %v, cold index %v", label, got.EstimatedUtility, want.EstimatedUtility)
+			}
+			sameResult(t, got, want, label)
+		}
+	}
+
 	extra := extraTrajectories(t, city, 10, 99)
-	applyMutations(t, eng, inst, extra)
-	applyMutations(t, mirrorIdx, mirrorInst, extra)
-	if eng.Stats().CoverEntries != 0 {
-		t.Fatalf("mutations left %d cached covers", eng.Stats().CoverEntries)
+	applyTrajectoryMutations(t, eng, extra)
+	applyTrajectoryMutations(t, mirrorIdx, extra)
+	before := eng.Stats()
+	if before.CoverEntries != len(grid) {
+		t.Fatalf("trajectory ops left %d cached covers, want all %d", before.CoverEntries, len(grid))
 	}
-	for _, q := range grid {
-		got, err := eng.Query(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := mirrorIdx.QueryCtx(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, got, want, "post-mutation grid entry")
+	checkGrid("after trajectory ops")
+	after := eng.Stats()
+	if after.CoverMisses != before.CoverMisses || after.CoverRowsSwept != before.CoverRowsSwept ||
+		after.CoverRevalidated != before.CoverRevalidated+uint64(len(grid)) {
+		t.Fatalf("after trajectory ops: misses %d -> %d, rows swept %d -> %d, revalidated %d -> %d; want one patch per cover sweeping no row",
+			before.CoverMisses, after.CoverMisses, before.CoverRowsSwept, after.CoverRowsSwept, before.CoverRevalidated, after.CoverRevalidated)
 	}
+
+	applySiteMutations(t, eng, inst)
+	applySiteMutations(t, mirrorIdx, mirrorInst)
+	checkGrid("after site ops")
 }
 
 func TestConcurrentQueriesAndUpdates(t *testing.T) {

@@ -18,17 +18,19 @@ import (
 // agree. Three oracles run against each random (k, ψ, τ) draw:
 //
 //  1. Cover oracle — the §5.1 covering structure the engine serves
-//     (parallel epoch-stamped fill, memoized) is compared entry-by-entry
-//     and bit-for-bit against a naive reconstruction through
-//     Index.EstimatedDetour, which walks the TL/CL lists independently.
+//     (parallel fill, memoized and patched across updates) is compared
+//     entry-by-entry, in order and bit-for-bit, weights included, against a
+//     naive reconstruction through Index.EstimatedDetour, which walks the
+//     TL/CL lists independently.
 //  2. Greedy oracle — tops.IncGreedy over the naive cover must reproduce
-//     the engine's estimated utility (tolerance covers summation order).
+//     the engine's estimated utility exactly: both covers are equal bit for
+//     bit, so the greedy does the same float operations on both.
 //  3. Exact bound oracle — because d̂r over-estimates dr (Eq. 9), the
 //     engine's estimated utility can never exceed the exact utility of its
 //     own answer under a full tops.DistanceIndex.
 //
 // The whole battery repeats after random §6 update sequences driven
-// through the Engine, so cover invalidation, swap-remove site deletion and
+// through the Engine, so cover patching, swap-remove site deletion and
 // trajectory liveness all sit inside the differential loop.
 
 // naiveCover rebuilds the covering structure of instance p from scratch:
@@ -60,30 +62,29 @@ func naiveCover(idx *core.Index, p int, pref tops.Preference) (*tops.CoverSets, 
 	return cs, reps
 }
 
-// sameCover asserts entry-wise, bit-exact equality of two covering
-// structures (order inside a TC list is not significant).
+// sameCover asserts bit-exact equality of two covering structures, order
+// included: the fill emits every TC list in ascending trajectory id, as the
+// naive rebuild adds them, so each site weight is the same left-to-right sum.
 func sameCover(t *testing.T, label string, got, want *tops.CoverSets) {
 	t.Helper()
 	if got.N() != want.N() || got.M != want.M {
 		t.Fatalf("%s: cover shape (%d sites, %d trajs) != (%d, %d)", label, got.N(), got.M, want.N(), want.M)
 	}
 	for s := 0; s < got.N(); s++ {
-		gTrajs, gScores := got.TC(int32(s))
-		gm := make(map[int32]float64, len(gTrajs))
-		for i, tr := range gTrajs {
-			gm[tr] = gScores[i]
+		if math.Float64bits(got.Weights[s]) != math.Float64bits(want.Weights[s]) {
+			t.Fatalf("%s: rep %d weight %v != oracle %v", label, s, got.Weights[s], want.Weights[s])
 		}
+		gTrajs, gScores := got.TC(int32(s))
 		wTrajs, wScores := want.TC(int32(s))
-		if len(gm) != len(wTrajs) {
-			t.Fatalf("%s: rep %d covers %d trajectories, oracle says %d", label, s, len(gm), len(wTrajs))
+		if len(gTrajs) != len(wTrajs) {
+			t.Fatalf("%s: rep %d covers %d trajectories, oracle says %d", label, s, len(gTrajs), len(wTrajs))
 		}
 		for i, tr := range wTrajs {
-			g, ok := gm[tr]
-			if !ok {
-				t.Fatalf("%s: rep %d misses trajectory %d", label, s, tr)
+			if gTrajs[i] != tr {
+				t.Fatalf("%s: rep %d entry %d is trajectory %d, oracle %d", label, s, i, gTrajs[i], tr)
 			}
-			if g != wScores[i] {
-				t.Fatalf("%s: rep %d trajectory %d score %v != oracle %v", label, s, tr, g, wScores[i])
+			if math.Float64bits(gScores[i]) != math.Float64bits(wScores[i]) {
+				t.Fatalf("%s: rep %d trajectory %d score %v != oracle %v", label, s, tr, gScores[i], wScores[i])
 			}
 		}
 	}
@@ -102,10 +103,6 @@ func drawPref(rng *rand.Rand) tops.Preference {
 	default:
 		return tops.ExpDecay(tau, 0.5+rng.Float64()*1.5)
 	}
-}
-
-func almostEqual(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
 // checkDraw runs the three oracles for one (k, ψ, τ) draw.
@@ -148,7 +145,7 @@ func checkDraw(t *testing.T, eng *Engine, idx *core.Index, distIdx *tops.Distanc
 	if err != nil {
 		t.Fatalf("reference greedy: %v", err)
 	}
-	if !almostEqual(res.EstimatedUtility, ref.Utility) {
+	if res.EstimatedUtility != ref.Utility {
 		t.Fatalf("engine utility %v != oracle greedy %v (k=%d, ψ=%s, τ=%.3f)",
 			res.EstimatedUtility, ref.Utility, k, pref.Name, pref.Tau)
 	}

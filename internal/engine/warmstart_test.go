@@ -11,8 +11,8 @@ import (
 
 // TestEngineWarmStart exercises the full warm-start path: build → snapshot
 // → load → serve through a fresh Engine. The loaded engine must answer
-// exactly like the cold one, and a §6 mutation through it must re-arm the
-// cover-cache invalidation (no stale cover can serve a post-update query).
+// exactly like the cold one, and a §6 mutation through it must reach the
+// loaded index's cover cache (no stale cover can serve a post-update query).
 func TestEngineWarmStart(t *testing.T) {
 	idx, inst, city := buildFixture(t, 71)
 	var buf bytes.Buffer
@@ -51,8 +51,9 @@ func TestEngineWarmStart(t *testing.T) {
 		}
 	}
 
-	// The first query memoized a cover; a mutation must drop it and the
-	// next query must rebuild (miss), reflecting the new trajectory.
+	// The first query memoized a cover; a trajectory add keeps it, and the
+	// next query appends the new trajectory's entries to it without sweeping
+	// a row, answering what a fresh fill answers.
 	st := warm.Stats()
 	if st.CoverEntries == 0 {
 		t.Fatal("warm engine did not memoize a cover")
@@ -61,16 +62,24 @@ func TestEngineWarmStart(t *testing.T) {
 	if _, err := warm.AddTrajectory(extra[0]); err != nil {
 		t.Fatal(err)
 	}
-	if st := warm.Stats(); st.CoverEntries != 0 {
-		t.Fatalf("update through warm engine left %d stale covers", st.CoverEntries)
+	if st := warm.Stats(); st.CoverEntries != 1 {
+		t.Fatalf("update through warm engine left %d covers, want the memoized one", st.CoverEntries)
 	}
-	missesBefore := warm.Stats().CoverMisses
-	if _, err := warm.Query(context.Background(), q); err != nil {
+	before := warm.Stats()
+	got, err := warm.Query(context.Background(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := warm.Stats(); st.CoverMisses != missesBefore+1 {
-		t.Fatalf("post-update query did not rebuild the cover (misses %d -> %d)", missesBefore, st.CoverMisses)
+	after := warm.Stats()
+	if after.CoverMisses != before.CoverMisses || after.CoverRowsSwept != before.CoverRowsSwept || after.CoverRevalidated != before.CoverRevalidated+1 {
+		t.Fatalf("post-update query: misses %d -> %d, rows swept %d -> %d, revalidated %d -> %d; want one patch sweeping no row",
+			before.CoverMisses, after.CoverMisses, before.CoverRowsSwept, after.CoverRowsSwept, before.CoverRevalidated, after.CoverRevalidated)
 	}
+	want, err := loaded.QueryCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, got, want, "patched cover vs fresh fill")
 }
 
 // TestEngineSnapshotDuringTraffic checkpoints a served index while queries

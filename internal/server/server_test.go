@@ -323,8 +323,8 @@ func TestHealthzDraining(t *testing.T) {
 
 // coverCounts is the served engine's cover-cache counters.
 type coverCounts struct {
-	hits, misses, swept uint64
-	entries             int
+	hits, misses, swept, revalidated uint64
+	entries                          int
 }
 
 // lookalikeSeed is the fixture the served engine and its sequential twin
@@ -333,11 +333,11 @@ const lookalikeSeed = 349
 
 // TestLookalikeQueriesShareOneCoverFill pins the property /v1/query leans
 // on for having no admission window: concurrent queries that differ only
-// in k pay for ONE cover fill — the cover cache's singleflight
-// (core.coverFor) — whether that fill is a cold one after a trajectory
-// update emptied the cache or a one-row patch after a representative
-// moved, and every one of them still answers exactly what a sequential
-// reference engine answers.
+// in k pay for ONE cover refresh — the cover cache's singleflight
+// (core.coverFor) — whether that refresh appends a trajectory update to
+// the cached cover or re-sweeps the one row of a moved representative,
+// and every one of them still answers exactly what a sequential reference
+// engine answers.
 func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
 	t.Run("engine", func(t *testing.T) {
 		idx, _ := buildFixture(t, lookalikeSeed)
@@ -350,15 +350,15 @@ func TestLookalikeQueriesShareOneCoverFill(t *testing.T) {
 }
 
 // checkLookalikesShareCover serves `served` (built over lookalikeSeed) on
-// HTTP and fires two bursts of look-alike queries — one at a cover cache a
-// trajectory update just emptied, one at covers a deleted representative
-// just made stale by one row — checking the cache's counters, and the
-// answers against a sequential single engine kept in step with the
-// mutations.
+// HTTP and fires two bursts of look-alike queries — one at a cover a
+// trajectory add and delete just left behind, one at covers a deleted
+// representative just made stale by one row — checking the cache's
+// counters, and the answers against a sequential single engine kept in
+// step with the mutations.
 func checkLookalikesShareCover(t *testing.T, served *engine.Engine) {
 	caches := func() coverCounts {
 		st := served.Stats()
-		return coverCounts{st.CoverHits, st.CoverMisses, st.CoverRowsSwept, st.CoverEntries}
+		return coverCounts{st.CoverHits, st.CoverMisses, st.CoverRowsSwept, st.CoverRevalidated, st.CoverEntries}
 	}
 	srv, err := New(served, Options{})
 	if err != nil {
@@ -419,6 +419,7 @@ func checkLookalikesShareCover(t *testing.T, served *engine.Engine) {
 		delta.hits -= before.hits
 		delta.misses -= before.misses
 		delta.swept -= before.swept
+		delta.revalidated -= before.revalidated
 		return delta
 	}
 	warm := func(tau float64) {
@@ -428,9 +429,9 @@ func checkLookalikesShareCover(t *testing.T, served *engine.Engine) {
 		}
 	}
 
-	// Cold: warm the cache, so that the trajectory update below has a cover
-	// to drop; a trajectory add + delete then empties it (site updates no
-	// longer do).
+	// Append: warm the cache, then add and delete a trajectory. The cover
+	// stays, and the burst patches it once — the added id's entries appended
+	// and dropped again, no row swept — while every other query hits.
 	warm(0.8)
 	if caches().entries == 0 {
 		t.Fatal("the cache holds no cover after the warm-up query")
@@ -448,11 +449,12 @@ func checkLookalikesShareCover(t *testing.T, served *engine.Engine) {
 	if err := twin.DeleteTrajectory(tid); err != nil {
 		t.Fatal(err)
 	}
-	if caches().entries != 0 {
-		t.Fatal("a trajectory update left the cover cache populated")
+	if caches().entries == 0 {
+		t.Fatal("a trajectory update emptied the cover cache")
 	}
-	if d := burst(0.8); d.misses != 1 || d.hits != n-1 {
-		t.Errorf("cold cache: %d concurrent look-alike queries cost %d cover fills and %d hits, want 1 and %d", n, d.misses, d.hits, n-1)
+	if d := burst(0.8); d.misses != 0 || d.swept != 0 || d.hits != n || d.revalidated != 1 {
+		t.Errorf("after a trajectory update: %d concurrent look-alike queries cost %d misses sweeping %d rows, %d hits and %d patches, want %d hits sharing one patch",
+			n, d.misses, d.swept, d.hits, d.revalidated, n)
 	}
 
 	// Patch: on a rung whose clusters hold several sites, delete one

@@ -20,11 +20,12 @@ import (
 )
 
 // The cover-revalidation differential: the licence for core's cover cache
-// to keep memoized covers across site mutations (revalidate, or patch row
-// by row) instead of dropping them. After EVERY mutation of a §6 stream,
-// every cover the cache returns must be byte-equal to a fresh fill, and
-// every answer equal to a twin that never caches — for the single engine
-// and for the masked covers of a sharded one.
+// to keep memoized covers across §6 mutations — revalidate or re-sweep
+// moved rows after site ops, append the new ids' entries and drop the
+// deleted ones after trajectory ops — instead of dropping them. After EVERY
+// mutation of a §6 stream, every cover the cache returns must be byte-equal
+// to a fresh fill, and every answer equal to a twin that never caches — for
+// the single engine and for the masked covers of a sharded one.
 
 // revalDataset is the immutable input of one differential run. The grid has
 // no jitter, so distinct nodes at exactly equal round-trip distance from a
@@ -359,6 +360,19 @@ func (h *revalHarness) isSite(v roadnet.NodeID) bool {
 
 func addSite(v roadnet.NodeID) wal.Mutation { return wal.Mutation{Kind: wal.KindAddSite, Node: v} }
 func delSite(v roadnet.NodeID) wal.Mutation { return wal.Mutation{Kind: wal.KindDeleteSite, Node: v} }
+func delTrajs(ids ...trajectory.ID) wal.Mutation {
+	return wal.Mutation{Kind: wal.KindDeleteTrajectories, IDs: ids}
+}
+
+// window is an ingest window: n trajectories in one batch, cycling through
+// the dataset's extras from position from.
+func (h *revalHarness) window(n, from int) wal.Mutation {
+	trs := make([]wal.TrajData, n)
+	for i := range trs {
+		trs[i] = wal.FromTrajectory(h.d.extras[(from+i)%len(h.d.extras)])
+	}
+	return wal.Mutation{Kind: wal.KindAddTrajectories, Trajs: trs}
+}
 
 // eachCluster calls fn for every cluster of every multi-member rung until
 // it returns true, and reports whether it did.
@@ -397,6 +411,91 @@ func (h *revalHarness) quiet(what string, strict bool, lookups func() int) {
 	}
 	if strict && after.CoverRevalidated != before.CoverRevalidated {
 		h.t.Fatalf("%s: %d lookups revalidated, want plain hits", what, after.CoverRevalidated-before.CoverRevalidated)
+	}
+}
+
+// appended asserts the contract of a trajectory op: the next lookup of
+// every cached cover of prefs, on every rung and cache, patches it exactly
+// once and sweeps no row (and checkCovers, which it runs, finds each
+// patched cover byte-equal to a fresh fill).
+func (h *revalHarness) appended(what string, prefs []tops.Preference) {
+	h.t.Helper()
+	keys := 0
+	for range prefs {
+		for p := 0; p < h.rungs(); p++ {
+			keys += len(h.sub.caches(p))
+		}
+	}
+	before := h.sub.stats()
+	h.quiet(what, false, func() int { return h.checkCovers(prefs) })
+	if got := h.sub.stats().CoverRevalidated - before.CoverRevalidated; got != uint64(keys) {
+		h.t.Fatalf("%s: %d of %d cached covers were patched, want each exactly once", what, got, keys)
+	}
+}
+
+// trajScenarios drives the trajectory-op cases by construction: ingest-sized
+// windows, deletes between them (of ids the covers hold, and of ids added
+// after the lazy ψ's covers were filled, gone before they are read again),
+// a window and a moved representative between two reads of one key, and a
+// custom ψ whose covers hold non-positive scores throughout.
+func (h *revalHarness) trajScenarios() {
+	t := h.t
+	t.Helper()
+	h.checkCovers([]tops.Preference{h.lazy})
+	first := trajectory.ID(h.twinInst.M())
+	h.step(h.window(64, 0), func() { h.appended("a 64-trace window", h.eager) })
+
+	// Two base ids that some cached cover lists, and two window ids.
+	var held []trajectory.ID
+	for p := h.rungs() - 1; p >= 0 && len(held) < 2; p-- {
+		cs, _, _, err := h.sub.caches(p)[0].cached(p, h.eager[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tid := trajectory.ID(0); tid < first && len(held) < 2; tid++ {
+			if cs.SCLen(int32(tid)) > 0 && !slices.Contains(held, tid) {
+				held = append(held, tid)
+			}
+		}
+	}
+	if len(held) < 2 {
+		t.Fatal("no cached cover lists two base trajectories")
+	}
+	h.step(delTrajs(held[0], first+1, held[1], first+63), func() { h.appended("deletes after a window", h.eager) })
+	h.step(h.window(64, 5), func() { h.appended("a second 64-trace window", h.eager) })
+	h.step(delTrajs(first+64+7), func() { h.appended("a delete of the newest window", h.eager) })
+	h.appended("the lazy ψ, two windows and two deletes behind", []tops.Preference{h.lazy})
+
+	custom := h.eager[2]
+	if !slices.ContainsFunc(h.sub.caches(h.rungs()-1), func(c revalCache) bool {
+		cs, _, _, err := c.cached(h.rungs()-1, custom)
+		return err == nil && !cs.AllPositiveScores()
+	}) {
+		t.Fatalf("ψ=%s: no cover on the coarsest rung has a non-positive score; the custom case is not exercised", custom.Name)
+	}
+
+	// A window and a moved representative between two reads of the lazy ψ:
+	// its lookups extend every row, then re-sweep the moved ones. The
+	// runner-up must sit farther out, so that the row really moves.
+	if !h.eachCluster(func(p int, ci core.ClusterID, cl *core.Cluster) bool {
+		runnerUp := math.Inf(1)
+		for i, v := range cl.Members {
+			if v != cl.Rep && h.isSite(v) {
+				runnerUp = min(runnerUp, cl.MemberDr[i])
+			}
+		}
+		if math.IsInf(runnerUp, 1) || runnerUp == cl.RepDr {
+			return false
+		}
+		h.checkCovers([]tops.Preference{h.lazy})
+		h.step(h.window(64, 9), nil)
+		h.step(delSite(cl.Rep), nil)
+		if swept := h.checkCovers([]tops.Preference{h.lazy}); swept == 0 {
+			t.Fatal("a window plus a moved representative swept no row of the lazy ψ's covers")
+		}
+		return true
+	}) {
+		t.Fatal("dataset has no cluster with two sites")
 	}
 }
 
@@ -634,7 +733,12 @@ func (h *revalHarness) stream(data []byte) {
 		case wal.KindDeleteTrajectory:
 			m = wal.Mutation{Kind: wal.KindDeleteTrajectory, ID: tid()}
 		case wal.KindAddTrajectories:
-			m = wal.Mutation{Kind: wal.KindAddTrajectories, Trajs: []wal.TrajData{extra(), extra()}}
+			// One batch in four is an ingest-sized window.
+			if next()%4 == 0 {
+				m = h.window(64, next())
+			} else {
+				m = wal.Mutation{Kind: wal.KindAddTrajectories, Trajs: []wal.TrajData{extra(), extra()}}
+			}
 		case wal.KindDeleteTrajectories:
 			m = wal.Mutation{Kind: wal.KindDeleteTrajectories, IDs: []trajectory.ID{tid(), tid()}}
 		}
@@ -642,10 +746,11 @@ func (h *revalHarness) stream(data []byte) {
 	}
 }
 
-// TestCoverRevalidationDifferential: the scripted scenarios, then a seeded
-// random stream of all seven mutation kinds, against the single engine and
-// 2- and 4-shard engines. Run it under -race: every check races concurrent
-// readers against the lookups that patch.
+// TestCoverRevalidationDifferential: the scripted site and trajectory
+// scenarios, then a seeded random stream of all seven mutation kinds (with
+// ingest-sized windows), against the single engine and 2- and 4-shard
+// engines. Run it under -race: every check races concurrent readers against
+// the lookups that patch.
 func TestCoverRevalidationDifferential(t *testing.T) {
 	d := newRevalDataset(t, 500, 60, 120, 821)
 	ops := 60
@@ -657,6 +762,7 @@ func TestCoverRevalidationDifferential(t *testing.T) {
 			h := newRevalHarness(t, d, shards)
 			h.check(append(h.eager, h.lazy))
 			h.scenarios()
+			h.trajScenarios()
 
 			rng := rand.New(rand.NewSource(823 + int64(shards)))
 			data := make([]byte, 5*ops)
@@ -685,6 +791,7 @@ func FuzzCoverRevalidation(f *testing.F) {
 	f.Add([]byte{1, 7, 0, 0, 7, 0})                                           // delete a site, add one
 	f.Add([]byte{2, 3, 0, 0, 9, 0, 3, 12, 0})                                 // trajectory ops around a site add
 	f.Add([]byte{4, 1, 0, 2, 0, 4, 1, 0, 1, 0, 5, 0, 0, 1, 0, 6, 0, 0, 0, 0}) // batches, two with a duplicate
+	f.Add([]byte{5, 0, 0, 3, 0, 6, 3, 0, 40, 0, 5, 4, 0, 7, 0, 1, 0, 0})      // window, deletes before and in it, window, site delete
 	var d *revalDataset
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if d == nil {
@@ -695,8 +802,10 @@ func FuzzCoverRevalidation(f *testing.F) {
 		}
 		for _, shards := range []int{0, 2} {
 			h := newRevalHarness(t, d, shards)
-			h.check(h.eager)
+			h.check(append(h.eager, h.lazy))
 			h.stream(data)
+			// The lazy ψ has sat out the whole stream.
+			h.check(append(h.eager, h.lazy))
 		}
 	})
 }

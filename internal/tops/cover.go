@@ -176,6 +176,158 @@ func (cs *CoverSets) Finalize() {
 	cs.final = true
 }
 
+// FinalizeAppend seals cs as prev grown by new trajectories, without
+// re-deriving the rows prev already has. cs must have prev's sites, M no
+// smaller than prev.M, and every staged row must list only trajectories
+// >= prev.M, in ascending id. Row s of the result is prev's row s without the
+// trajectories t < prev.M for which live[t] is false (nil keeps them all),
+// followed by the staged row s.
+//
+// When prev's rows are in ascending trajectory order, the result is exactly
+// what Finalize would produce from those concatenated rows: a weight goes on
+// with the left-to-right sum of its row where prev's stopped, and every SC
+// list stays in ascending site order. The row spans and SC spans prev
+// already has are block copies; only rows holding a dead trajectory are
+// filtered entry by entry.
+func (cs *CoverSets) FinalizeAppend(prev *CoverSets, live []bool) {
+	cs.mutable()
+	prev.ensure()
+	n, base := len(cs.Weights), prev.M
+	if prev.N() != n || base > cs.M {
+		panic(fmt.Sprintf("tops: cannot append %d sites x %d trajectories onto %d x %d", n, cs.M, prev.N(), base))
+	}
+	// The trajectories of prev that died, and the rows listing them.
+	var dirty []bool
+	dropped := 0
+	if live != nil {
+		for t := 0; t < base; t++ {
+			if lo, hi := prev.scOff[t], prev.scOff[t+1]; !live[t] && lo < hi {
+				if dirty == nil {
+					dirty = make([]bool, n)
+				}
+				for _, s := range prev.scSite[lo:hi] {
+					dirty[s] = true
+				}
+				dropped += int(hi - lo)
+			}
+		}
+	}
+	total := len(prev.tcTraj) - dropped
+	for s := range cs.stTraj {
+		total += len(cs.stTraj[s])
+	}
+	if total > math.MaxInt32 {
+		panic(fmt.Sprintf("tops: %d covering pairs overflow the int32 offset table", total))
+	}
+
+	cs.tcOff = make([]int32, n+1)
+	cs.tcTraj = make([]int32, total)
+	cs.tcScore = make([]float64, total)
+	counts := make([]int32, cs.M-base)
+	allPos := prev.allPositive
+	if !allPos && dirty != nil {
+		// The entries that made prev non-positive may be the dropped ones.
+		allPos = true
+		for i, t := range prev.tcTraj {
+			if live[t] && prev.tcScore[i] <= 0 {
+				allPos = false
+				break
+			}
+		}
+	}
+	off := int32(0)
+	for s := 0; s < n; s++ {
+		cs.tcOff[s] = off
+		lo, hi := prev.tcOff[s], prev.tcOff[s+1]
+		w := prev.Weights[s]
+		if dirty != nil && dirty[s] {
+			w = 0
+			for i := lo; i < hi; i++ {
+				if t := prev.tcTraj[i]; live[t] {
+					cs.tcTraj[off], cs.tcScore[off] = t, prev.tcScore[i]
+					w += prev.tcScore[i]
+					off++
+				}
+			}
+		} else {
+			copy(cs.tcTraj[off:], prev.tcTraj[lo:hi])
+			copy(cs.tcScore[off:], prev.tcScore[lo:hi])
+			off += hi - lo
+		}
+		tr, sv := cs.stTraj[s], cs.stScore[s]
+		copy(cs.tcTraj[off:], tr)
+		copy(cs.tcScore[off:], sv)
+		for i, t := range tr {
+			counts[t-int32(base)]++
+			w += sv[i]
+			if sv[i] <= 0 {
+				allPos = false
+			}
+		}
+		off += int32(len(tr))
+		cs.Weights[s] = w
+	}
+	cs.tcOff[n] = off
+	cs.allPositive = allPos
+
+	// SC side: prev's lists for the trajectories below base (emptied where
+	// they died), then the new trajectories' lists filled in ascending site
+	// order as Finalize does.
+	cs.scOff = make([]int32, cs.M+1)
+	var acc int32
+	if dirty == nil {
+		copy(cs.scOff, prev.scOff)
+		acc = prev.scOff[base]
+	} else {
+		for t := 0; t < base; t++ {
+			cs.scOff[t] = acc
+			if live[t] {
+				acc += prev.scOff[t+1] - prev.scOff[t]
+			}
+		}
+	}
+	for t := base; t < cs.M; t++ {
+		cs.scOff[t] = acc
+		acc += counts[t-base]
+	}
+	cs.scOff[cs.M] = acc
+	cs.scSite = make([]int32, acc)
+	cs.scScore = make([]float64, acc)
+	if dirty == nil {
+		copy(cs.scSite, prev.scSite)
+		copy(cs.scScore, prev.scScore)
+	} else {
+		// Copy each run of consecutive live trajectories as one block.
+		for t := 0; t < base; {
+			if !live[t] {
+				t++
+				continue
+			}
+			run := t
+			for t < base && live[t] {
+				t++
+			}
+			lo, hi := prev.scOff[run], prev.scOff[t]
+			copy(cs.scSite[cs.scOff[run]:], prev.scSite[lo:hi])
+			copy(cs.scScore[cs.scOff[run]:], prev.scScore[lo:hi])
+		}
+	}
+	next := counts // reuse as write cursors
+	for t := base; t < cs.M; t++ {
+		next[t-base] = cs.scOff[t]
+	}
+	for s := 0; s < n; s++ {
+		for i, t := range cs.stTraj[s] {
+			j := next[t-int32(base)]
+			next[t-int32(base)]++
+			cs.scSite[j] = int32(s)
+			cs.scScore[j] = cs.stScore[s][i]
+		}
+	}
+	cs.stTraj, cs.stScore = nil, nil
+	cs.final = true
+}
+
 func (cs *CoverSets) ensure() {
 	if !cs.final {
 		cs.Finalize()

@@ -213,3 +213,83 @@ func TestCoverSetsMemoryBytesMonotone(t *testing.T) {
 }
 
 var _ = trajectory.ID(0) // keep import for helper signatures
+
+// TestFinalizeAppendMatchesFinalize is FinalizeAppend's contract as a
+// property: over random id-ascending rows (scores of both signs, so
+// AllPositiveScores flips with the deletes) grown by random tails and
+// filtered by random deletes, the splice is byte-equal to Finalize over the
+// concatenated rows — Weights by bit pattern, every TC and SC row in order.
+func TestFinalizeAppendMatchesFinalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	score := func(neg bool) float64 {
+		if neg && rng.Intn(40) == 0 {
+			return -rng.Float64()
+		}
+		return 0.1 + rng.Float64()
+	}
+	for iter := 0; iter < 300; iter++ {
+		n, m0 := 1+rng.Intn(12), rng.Intn(150)
+		m1 := m0 + rng.Intn(80)
+		neg := rng.Intn(2) == 0
+		prev, want := NewCoverSets(n, m0), NewCoverSets(n, m1)
+		grown := NewCoverSets(n, m1)
+		live := make([]bool, m1)
+		for t := range live {
+			live[t] = iter%3 == 0 || rng.Intn(6) != 0
+		}
+		for s := int32(0); int(s) < n; s++ {
+			for tr := int32(0); int(tr) < m1; tr++ {
+				if rng.Intn(3) != 0 {
+					continue
+				}
+				sc := score(neg)
+				if int(tr) < m0 {
+					prev.AddPair(s, tr, sc)
+				} else {
+					grown.AddPair(s, tr, sc)
+				}
+				if live[tr] || int(tr) >= m0 {
+					want.AddPair(s, tr, sc)
+				}
+			}
+		}
+		prev.Finalize()
+		want.Finalize()
+		if iter%3 == 0 {
+			live = nil // nothing died: the all-block-copy path
+		}
+		grown.FinalizeAppend(prev, live)
+		if grown.AllPositiveScores() != want.AllPositiveScores() {
+			t.Fatalf("iter %d: AllPositiveScores %v, want %v", iter, grown.AllPositiveScores(), want.AllPositiveScores())
+		}
+		for s := int32(0); int(s) < n; s++ {
+			if math.Float64bits(grown.Weights[s]) != math.Float64bits(want.Weights[s]) {
+				t.Fatalf("iter %d: weight of site %d is %v, want %v", iter, s, grown.Weights[s], want.Weights[s])
+			}
+			gt, gs := grown.TC(s)
+			wt, ws := want.TC(s)
+			if !equalRows(gt, gs, wt, ws) {
+				t.Fatalf("iter %d: TC(%d) = %v %v, want %v %v", iter, s, gt, gs, wt, ws)
+			}
+		}
+		for tr := int32(0); int(tr) < m1; tr++ {
+			gt, gs := grown.SC(tr)
+			wt, ws := want.SC(tr)
+			if !equalRows(gt, gs, wt, ws) {
+				t.Fatalf("iter %d: SC(%d) = %v %v, want %v %v", iter, tr, gt, gs, wt, ws)
+			}
+		}
+	}
+}
+
+func equalRows(gotIDs []int32, gotScores []float64, wantIDs []int32, wantScores []float64) bool {
+	if len(gotIDs) != len(wantIDs) || len(gotScores) != len(wantScores) {
+		return false
+	}
+	for i := range gotIDs {
+		if gotIDs[i] != wantIDs[i] || math.Float64bits(gotScores[i]) != math.Float64bits(wantScores[i]) {
+			return false
+		}
+	}
+	return true
+}
