@@ -1,8 +1,11 @@
 // Command topsrouter fronts a shard-per-process NETCLUS topology: each
-// shard is its own topsserve process started with -shard-index, and the
-// router scatter-gathers the distributed-greedy round protocol across
-// them over HTTP, so /v1/query answers are bit-exact against a
-// single-process engine over the same dataset.
+// shard is its own topsserve process started with -shard-index. Per query
+// the router fetches every owning member's masked cover at once
+// (POST /v1/shard/cover, one binary body each) and runs the distributed
+// greedy itself, the same gather the in-process twin runs, so /v1/query
+// answers are bit-exact against a single-process engine over the same
+// dataset. It decodes /v1/query bodies with topsserve's own decoder, so
+// both accept the same queries, fm ones included.
 //
 // The router is stateless (no index, no WAL): it holds only the shard
 // map, a dense site-id mirror, and cached cluster-ownership tables it can
@@ -16,7 +19,7 @@
 //	topsrouter -addr :8080 -shard http://localhost:8081 -shard http://localhost:8082
 //
 // With per-shard replication, list the followers too; a member failure
-// mid-query fails over to the next URL (the round protocol is read-only,
+// mid-query fails over to the next URL (the cover endpoint is read-only,
 // so an un-promoted follower can serve it):
 //
 //	topsrouter -addr :8080 \

@@ -334,7 +334,7 @@ func TestRouterCrossProcessOracle(t *testing.T) {
 	// Phase 2: SIGKILL shard 0's primary. The follower must first drain
 	// the full stream (its LSN matches the primary's), then reads keep
 	// flowing through the router via automatic failover to the follower —
-	// the round protocol is read-only, so no promotion is needed yet.
+	// the cover endpoint is read-only, so no promotion is needed yet.
 	target := m0.statszLSN(t)
 	deadline := time.Now().Add(60 * time.Second)
 	for f0.statszLSN(t) != target {

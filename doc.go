@@ -50,8 +50,9 @@
 //
 // One process serves one index. A sharded deployment runs each shard as its
 // own process (a ShardMember, topsserve -shard-index) behind the stateless
-// router (NewRouter, cmd/topsrouter), which runs the distributed greedy
-// over HTTP bit-exactly against a single engine.
+// router (NewRouter, cmd/topsrouter), which fetches the members' masked
+// covers over HTTP and runs the distributed greedy on them bit-exactly
+// against a single engine.
 //
 // Layout:
 //
@@ -74,13 +75,15 @@
 //	                     checkpoints), shard.Sharded the scatter-gather
 //	                     one, both embed the shell
 //	internal/shard       scatter-gather sharding (site partitioners,
-//	                     cluster ownership, the distributed greedy's one
-//	                     coordinator and per-shard session, the member a
-//	                     shard process serves, and Sharded, the in-process
-//	                     twin of a routed topology) — bit-exact vs the
-//	                     single engine
-//	internal/router      the same coordinator over HTTP: the stateless
-//	                     front tier of shard-per-process topologies
+//	                     cluster ownership, the one gather — Answer, the
+//	                     distributed greedy's coordinator and per-shard
+//	                     session — the member a shard process serves and
+//	                     its binary cover codec, and Sharded, the
+//	                     in-process twin of a routed topology) — bit-exact
+//	                     vs the single engine
+//	internal/router      the same gather over covers fetched by HTTP: the
+//	                     stateless front tier of shard-per-process
+//	                     topologies
 //	internal/wal         durability: the Mutation value and its codec, and
 //	                     the segmented CRC-framed write-ahead log
 //	                     (LSN-stamped snapshots, checkpoint + tail-replay

@@ -185,8 +185,8 @@ var (
 	// FollowerTail times one follower tail round (fetch + apply),
 	// long-poll park included.
 	FollowerTail = &Histogram{}
-	// RouterScatter times one router scatter round (start or step
-	// fan-out across the shard members, slowest member gating).
+	// RouterScatter times one router scatter: a query attempt's cover
+	// fetch across the owning shard members, slowest member gating.
 	RouterScatter = &Histogram{}
 )
 
@@ -210,6 +210,6 @@ func WriteLatencyHistograms(ew *ExpoWriter) {
 	ew.Histogram("netclus_wal_fsync_seconds", "", WALFsync.Snapshot())
 	ew.Family("netclus_follower_tail_seconds", "One follower tail round (fetch + apply), long-poll park included.", "histogram")
 	ew.Histogram("netclus_follower_tail_seconds", "", FollowerTail.Snapshot())
-	ew.Family("netclus_router_scatter_seconds", "One router scatter round across shard members.", "histogram")
+	ew.Family("netclus_router_scatter_seconds", "One router scatter: a query attempt's cover fetch across shard members.", "histogram")
 	ew.Histogram("netclus_router_scatter_seconds", "", RouterScatter.Snapshot())
 }

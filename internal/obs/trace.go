@@ -8,8 +8,8 @@ import (
 // TraceHeader is the end-to-end request correlation header. The edge
 // process (router or server) generates an id when the client did not
 // supply one, echoes it on the response, stamps it into error
-// envelopes, and propagates it on every internal hop — scatter rounds
-// to shard members, relayed updates, follower tail rounds — so one
+// envelopes, and propagates it on every internal hop — cover fetches
+// from shard members, relayed updates, follower tail rounds — so one
 // request's appearances across process logs correlate.
 const TraceHeader = "X-Netclus-Trace-Id"
 

@@ -13,6 +13,7 @@ import (
 
 	"netclus/internal/obs"
 	"netclus/internal/roadnet"
+	"netclus/internal/server"
 	"netclus/internal/wal"
 )
 
@@ -123,15 +124,14 @@ func (r *Router) methodGate(method string, h http.HandlerFunc) http.HandlerFunc 
 	}
 }
 
-// requestCtx bounds one request end-to-end: the client's timeout_ms when
-// given, else one minute (each member call is separately bounded by
+// requestCtx bounds one request end-to-end: the client's decoded timeout
+// when given, else one minute (each member call is separately bounded by
 // ShardTimeout).
-func requestCtx(req *http.Request, timeoutMs int64) (context.Context, context.CancelFunc) {
-	t := time.Minute
-	if timeoutMs > 0 {
-		t = time.Duration(timeoutMs) * time.Millisecond
+func requestCtx(req *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout <= 0 {
+		timeout = time.Minute
 	}
-	return context.WithTimeout(req.Context(), t)
+	return context.WithTimeout(req.Context(), timeout)
 }
 
 // queryError maps a query failure to the wire: terminal member answers
@@ -165,20 +165,15 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	var q wireQuery
-	if err := strictUnmarshal(raw, &q); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
-		return
-	}
-	pref, err := q.validate(r.opts.MaxK)
+	q, err := server.DecodeQuery(raw, server.Limits{})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	ctx, cancel := requestCtx(req, q.TimeoutMs)
+	ctx, cancel := requestCtx(req, q.Timeout)
 	defer cancel()
 	r.queries.Add(1)
-	res, err := r.query(ctx, q, pref)
+	res, err := r.query(ctx, q)
 	if err != nil {
 		r.queryError(w, err)
 		return
@@ -186,67 +181,38 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, res)
 }
 
-// wireBatch mirrors the serving tier's /v1/query/batch body.
-type wireBatch struct {
-	Queries   []wireQuery `json:"queries"`
-	TimeoutMs int64       `json:"timeout_ms,omitempty"`
-}
-
-type batchItem struct {
-	Result *queryResult `json:"result,omitempty"`
-	Error  string       `json:"error,omitempty"`
-}
-
-// handleBatch answers each query in order (sessions serialize per query;
-// the round protocol gains nothing from interleaving whole queries). One
-// bad item degrades only its own slot, as in the serving tier.
+// handleBatch answers each query in order: a routed query holds the read
+// lock and the members' connections for one scatter, so interleaving whole
+// queries gains nothing. One bad item degrades only its own slot, as in the
+// serving tier.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	var b wireBatch
-	if err := strictUnmarshal(raw, &b); err != nil {
+	qs, itemErrs, timeout, err := server.DecodeBatch(raw, server.Limits{})
+	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	if len(b.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("empty batch"))
-		return
-	}
-	if len(b.Queries) > r.opts.MaxBatch {
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(b.Queries), r.opts.MaxBatch))
-		return
-	}
-	if b.TimeoutMs < 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("timeout_ms = %d must be non-negative", b.TimeoutMs))
-		return
-	}
-	ctx, cancel := requestCtx(req, b.TimeoutMs)
+	ctx, cancel := requestCtx(req, timeout)
 	defer cancel()
 	r.batches.Add(1)
-	out := make([]batchItem, len(b.Queries))
-	for i, q := range b.Queries {
-		if q.TimeoutMs != 0 {
-			out[i].Error = "set timeout_ms on the batch, not its items"
+	out := server.BatchResponse{Results: make([]server.BatchItemResponse, len(qs))}
+	for i, q := range qs {
+		if itemErrs[i] != nil {
+			out.Results[i].Error = itemErrs[i].Error()
 			continue
 		}
-		pref, err := q.validate(r.opts.MaxK)
+		res, err := r.query(ctx, q)
 		if err != nil {
-			out[i].Error = err.Error()
+			out.Results[i].Error = err.Error()
 			continue
 		}
-		res, err := r.query(ctx, q, pref)
-		if err != nil {
-			out[i].Error = err.Error()
-			continue
-		}
-		out[i].Result = res
+		out.Results[i].Result = &res
 	}
-	writeJSON(w, struct {
-		Results []batchItem `json:"results"`
-	}{Results: out})
+	writeJSON(w, out)
 }
 
 // wireUpdate mirrors the serving tier's /v1/update body; the router

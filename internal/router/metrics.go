@@ -1,7 +1,8 @@
 // /metrics: the router tier's Prometheus exposition. Everything /statsz
 // reports — topology, route counters, failover/retry counters — plus the
-// shared obs latency histograms (of which only the scatter-round family is
-// populated on a router; the serving families stay empty).
+// shared obs latency histograms (of which only the scatter family — one
+// observation per query attempt's cover fetch — is populated on a router;
+// the serving families stay empty).
 
 package router
 

@@ -93,7 +93,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 // TestRouterTracePropagation supplies a trace id at the router edge and
 // follows it down the stack: echoed on the router's response and error
 // envelope, and visible in the shard member's structured debug log for the
-// scatter round the router fanned out.
+// cover fetch the router fanned out.
 func TestRouterTracePropagation(t *testing.T) {
 	const seed, n = 1607, 2
 	var memberLogs lockedBuffer
@@ -139,10 +139,10 @@ func TestRouterTracePropagation(t *testing.T) {
 		t.Fatalf("router trace header = %q, want the supplied %q", got, supplied)
 	}
 
-	// The member's "shard query start" debug record must carry the same id.
+	// The member's "shard cover" debug record must carry the same id.
 	found := false
 	for _, line := range strings.Split(memberLogs.String(), "\n") {
-		if !strings.Contains(line, "shard query start") {
+		if !strings.Contains(line, "shard cover") {
 			continue
 		}
 		var rec map[string]any

@@ -27,11 +27,12 @@ func (e *capturingEngine) Query(_ context.Context, opts core.QueryOptions) (*cor
 
 // TestPreferenceLoweringAgreesAcrossTiers pins the one name → function
 // table (tops.PreferenceByName) from each of its wire entry points: a
-// /v1/query body decoded by topsserve, the same body validated by the
-// router, and the WirePref the router then ships to a member must all
-// name the same function — same cover-cache fingerprint — as the
-// constructor the name stands for. A tier that lowered "exp" with another
-// default λ, say, would answer from a different cover than its peers.
+// /v1/query body decoded by topsserve, the same body decoded by the router
+// (server.DecodeQuery, the one decoder), and the WirePref the router then
+// ships to a member in its cover request must all name the same function —
+// same cover-cache fingerprint — as the constructor the name stands for. A
+// tier that lowered "exp" with another default λ, say, would answer from a
+// different cover than its peers.
 func TestPreferenceLoweringAgreesAcrossTiers(t *testing.T) {
 	inst, _ := buildFixture(t, 1601)
 	m, err := shard.BuildMember(inst, 0, shard.Options{Shards: 1, Build: fixtureBuild})
@@ -66,17 +67,16 @@ func TestPreferenceLoweringAgreesAcrossTiers(t *testing.T) {
 			t.Errorf("%s: topsserve lowered to %q (fingerprint %x), want %q (%x)", tc.body, eng.got.Name, got, tc.want.Name, want)
 		}
 
-		var q wireQuery
-		if err := strictUnmarshal([]byte(tc.body), &q); err != nil {
-			t.Fatal(err)
-		}
-		wp, err := q.validate(10)
+		q, err := server.DecodeQuery([]byte(tc.body), server.Limits{})
 		if err != nil {
-			t.Fatalf("%s: router validate: %v", tc.body, err)
+			t.Fatalf("%s: router decode: %v", tc.body, err)
 		}
-		pref, err := wp.Preference()
+		if got := core.PrefFingerprint(q.Opts.Pref); got != want {
+			t.Errorf("%s: router lowered to %q (fingerprint %x), want %q (%x)", tc.body, q.Opts.Pref.Name, got, tc.want.Name, want)
+		}
+		pref, err := q.Pref.Preference()
 		if err != nil {
-			t.Fatalf("%s: member lowering of %+v: %v", tc.body, wp, err)
+			t.Fatalf("%s: member lowering of %+v: %v", tc.body, q.Pref, err)
 		}
 		if got := core.PrefFingerprint(pref); got != want {
 			t.Errorf("%s: router → member lowered to %q (fingerprint %x), want %q (%x)", tc.body, pref.Name, got, tc.want.Name, want)
@@ -94,12 +94,8 @@ func TestPreferenceLoweringAgreesAcrossTiers(t *testing.T) {
 		if status, resp := postJSON(t, ts.Client(), ts.URL+"/v1/query", body); status != http.StatusBadRequest || eng.got.Name != "" {
 			t.Errorf("%s: topsserve answered %d %s (engine reached with %q), want a decoder 400", body, status, resp, eng.got.Name)
 		}
-		var q wireQuery
-		if err := strictUnmarshal([]byte(body), &q); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := q.validate(10); err == nil {
-			t.Errorf("%s: router validate accepted", body)
+		if _, err := server.DecodeQuery([]byte(body), server.Limits{}); err == nil {
+			t.Errorf("%s: router decode accepted", body)
 		}
 	}
 }

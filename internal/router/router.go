@@ -1,21 +1,23 @@
 // Package router is the stateless front tier of a shard-per-process
 // NETCLUS topology: each shard runs as its own topsserve process (with its
-// own WAL, snapshots, and followers), and the router is the HTTP transport
-// of internal/shard's distributed greedy — it reduces the members'
-// representative rows with shard.ReduceOwnership and hands shard.Gather
-// (the one coordinator, the same code shard.Sharded runs in process) one
-// handle per owning member, each speaking the round protocol of
-// shard/protocol.go, so answers stay float-op-for-float-op identical to a
+// own WAL, snapshots, and followers), and the router answers queries by
+// doing across processes what shard.Sharded does in one: it reduces the
+// members' representative rows with shard.ReduceOwnership, fetches every
+// owning member's masked cover at once (POST /v1/shard/cover, one binary
+// body each), and runs shard.Answer — the one gather both tiers call — over
+// the decoded covers, so answers stay float-op-for-float-op identical to a
 // single-process engine over the same dataset (the cross-process
-// differential oracle enforces it). What lives here is everything a
-// network adds: the shard map, timeouts, failover and retry, and the
-// per-round goroutine fan-out a network hop is worth.
+// differential oracle enforces it). /v1/query and /v1/query/batch bodies
+// decode and answers encode through the serving tier's own codec
+// (server.DecodeQuery, server.NewQueryResponse), so both tiers accept and
+// answer the same bytes. What lives here is everything a network adds: the
+// shard map, timeouts, failover and retry.
 //
 // The router owns the shard map: per shard an ordered list of member URLs
-// (primary first, then followers) with an active cursor. The round
-// protocol is read-only, so when a member fails mid-query the router
-// advances that shard's cursor to the next URL — a follower serves the
-// retry without any promotion — and restarts the query from scratch.
+// (primary first, then followers) with an active cursor. The cover endpoint
+// is read-only, so when a member fails mid-query the router advances that
+// shard's cursor to the next URL — a follower serves the retry without any
+// promotion — and restarts the query from scratch.
 // Updates require the shard's primary: site mutations route to the owning
 // shard (the partitioner evaluated locally when it is graph-free, or via
 // the members' /v1/shard/owner otherwise), trajectory mutations broadcast
@@ -25,8 +27,8 @@
 // Consistency: the router serializes its own queries against its own
 // updates (queries share a read lock, updates take the write lock —
 // the same discipline as shard.Sharded), but it cannot serialize against
-// mutations sent directly to a member. Each query's per-shard cover
-// snapshots are taken at round 0, so even then a query sees a consistent
+// mutations sent directly to a member. Each member's cover is an immutable
+// snapshot taken when it answers, so even then a query sees a consistent
 // per-shard view; route all updates through the router to get the
 // in-process engine's sequential semantics.
 package router
@@ -66,17 +68,12 @@ type Options struct {
 	// failure (advancing the failed shard's cursor between attempts)
 	// before giving up. Zero selects 3.
 	QueryAttempts int
-	// MaxK rejects queries asking for more sites than any deployment
-	// plausibly serves (default 10000, the serving-tier default).
-	MaxK int
-	// MaxBatch bounds /v1/query/batch (default 1024).
-	MaxBatch int
 	// Logger receives topology events (boot, failover, re-point) and
 	// slow-query records as structured logs. Nil discards them.
 	Logger *slog.Logger
 	// SlowQuery, when > 0, emits one structured record for every query
 	// whose end-to-end handling (attempts included) exceeds it: trace id,
-	// k, τ, rounds, per-shard round time. Zero disables.
+	// k, τ, per-shard cover-fetch time. Zero disables.
 	SlowQuery time.Duration
 }
 
@@ -89,12 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueryAttempts <= 0 {
 		o.QueryAttempts = 3
-	}
-	if o.MaxK <= 0 {
-		o.MaxK = 10_000
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
 	}
 	if o.Logger == nil {
 		o.Logger = obs.NopLogger()
@@ -137,7 +128,6 @@ type Router struct {
 	own        map[int]*shard.Ownership
 	ownerCache map[int64]int
 
-	qidSeq    atomic.Uint64
 	queries   atomic.Uint64
 	batches   atomic.Uint64
 	updates   atomic.Uint64
@@ -437,23 +427,33 @@ func (e *httpError) Error() string {
 	return fmt.Sprintf("member answered %d (%s): %s", e.status, e.code, e.msg)
 }
 
-// call issues one member request with the per-call timeout: JSON in (when
-// in is non-nil), JSON out (when out is non-nil). Non-2xx answers decode
-// the serving tier's error envelope into an httpError.
+// call issues one member request with do and decodes the JSON answer
+// into out (when out is non-nil).
 func (r *Router) call(ctx context.Context, method, u string, in, out any) error {
+	raw, err := r.do(ctx, method, u, in)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// do issues one member request with the per-call timeout, JSON in (when in
+// is non-nil), and returns the response body. Non-2xx answers decode the
+// serving tier's error envelope into an httpError.
+func (r *Router) do(ctx context.Context, method, u string, in any) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
 	defer cancel()
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -465,28 +465,17 @@ func (r *Router) call(ctx context.Context, method, u string, in, out any) error 
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		var env struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		_ = json.Unmarshal(raw, &env)
-		if env.Error == "" {
-			env.Error = string(raw)
-		}
-		return &httpError{status: resp.StatusCode, code: env.Code, msg: env.Error}
+		return nil, decodeEnvelope(resp.StatusCode, raw)
 	}
-	if out != nil {
-		return json.Unmarshal(raw, out)
-	}
-	return nil
+	return raw, nil
 }
 
 // Shards returns the shard count.

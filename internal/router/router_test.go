@@ -24,6 +24,13 @@ import (
 // the in-process sharded twin, the others the HTTP members.
 func buildFixture(t testing.TB, seed int64) (*tops.Instance, *gen.City) {
 	t.Helper()
+	return buildFixtureSites(t, seed, 120)
+}
+
+// buildFixtureSites is buildFixture with the given number of candidate
+// sites.
+func buildFixtureSites(t testing.TB, seed int64, count int) (*tops.Instance, *gen.City) {
+	t.Helper()
 	city, err := gen.GenerateCity(gen.CityConfig{
 		Topology: gen.GridMesh, Nodes: 500, SpanKm: 10, Jitter: 0.2,
 		OneWayFrac: 0.1, RemoveFrac: 0.05, Seed: seed,
@@ -35,7 +42,7 @@ func buildFixture(t testing.TB, seed int64) (*tops.Instance, *gen.City) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, err := gen.SampleSites(city.Graph, gen.SiteConfig{Count: 120, Seed: seed + 2})
+	sites, err := gen.SampleSites(city.Graph, gen.SiteConfig{Count: count, Seed: seed + 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +56,7 @@ func buildFixture(t testing.TB, seed int64) (*tops.Instance, *gen.City) {
 var fixtureBuild = core.Options{Gamma: 0.75, TauMin: 0.4, TauMax: 6.4}
 
 // memberServer builds shard j of an n-shard topology over inst and serves
-// it (round protocol mounted) from an httptest server.
+// it (member surface mounted) from an httptest server.
 func memberServer(t testing.TB, inst *tops.Instance, j, n int) (*httptest.Server, *shard.Member) {
 	t.Helper()
 	m, err := shard.BuildMember(inst, j, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
@@ -119,12 +126,12 @@ func sameAnswer(t *testing.T, label string, got wireAnswer, want *core.QueryResu
 	}
 }
 
-// drawQuery picks a random preference and its wire form plus the
-// in-process options for the twin.
+// drawQuery picks a random preference (or an FM-sketch query over the
+// binary one) and its wire form plus the in-process options for the twin.
 func drawQuery(rng *rand.Rand) (string, core.QueryOptions) {
 	k := 1 + rng.Intn(12)
 	tau := 0.3 + rng.Float64()*6.0
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return fmt.Sprintf(`{"k":%d,"tau":%v}`, k, tau),
 			core.QueryOptions{K: k, Pref: tops.Binary(tau)}
@@ -134,18 +141,22 @@ func drawQuery(rng *rand.Rand) (string, core.QueryOptions) {
 	case 2:
 		return fmt.Sprintf(`{"k":%d,"tau":%v,"pref":"convex"}`, k, tau),
 			core.QueryOptions{K: k, Pref: tops.ConvexQuadratic(tau)}
-	default:
+	case 3:
 		lambda := 0.5 + rng.Float64()*1.5
 		return fmt.Sprintf(`{"k":%d,"tau":%v,"pref":"exp","lambda":%v}`, k, tau, lambda),
 			core.QueryOptions{K: k, Pref: tops.ExpDecay(tau, lambda)}
+	default:
+		f, seed := 8*rng.Intn(5), rng.Uint64()>>12
+		return fmt.Sprintf(`{"k":%d,"tau":%v,"fm":true,"f":%d,"seed":%d}`, k, tau, f, seed),
+			core.QueryOptions{K: k, Pref: tops.Binary(tau), UseFM: true, F: f, Seed: seed}
 	}
 }
 
 // TestRouterDifferentialOracle is the cross-process gate run in-process:
-// an interleaved random workload of queries and §6 mutations through the
-// router tier (real HTTP members speaking the round protocol) must answer
-// bit-exactly what the in-process sharded engine answers over the same
-// history.
+// an interleaved random workload of queries (FM-sketch ones included) and
+// §6 mutations through the router tier (real HTTP members shipping their
+// covers) must answer bit-exactly what the in-process sharded engine
+// answers over the same history.
 func TestRouterDifferentialOracle(t *testing.T) {
 	const seed, n = 1201, 3
 	twinInst, city := buildFixture(t, seed)
@@ -189,7 +200,7 @@ func TestRouterDifferentialOracle(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	ctx := context.Background()
-	mutations, queries := 0, 0
+	mutations, queries, fms := 0, 0, 0
 	for round := 0; round < 60; round++ {
 		if round > 4 && rng.Float64() < 0.35 {
 			mutations++
@@ -264,6 +275,9 @@ func TestRouterDifferentialOracle(t *testing.T) {
 		}
 		queries++
 		wire, opts := drawQuery(rng)
+		if opts.UseFM {
+			fms++
+		}
 		status, body := postJSON(t, client, rts.URL+"/v1/query", wire)
 		if status != http.StatusOK {
 			t.Fatalf("round %d query %s: %d %s", round, wire, status, body)
@@ -279,8 +293,8 @@ func TestRouterDifferentialOracle(t *testing.T) {
 		sameAnswer(t, fmt.Sprintf("round %d (%s)", round, wire), got, want)
 		want.Release()
 	}
-	if mutations < 5 || queries < 20 {
-		t.Fatalf("workload drift: %d mutations, %d queries", mutations, queries)
+	if mutations < 5 || queries < 20 || fms < 3 {
+		t.Fatalf("workload drift: %d mutations, %d queries (%d fm)", mutations, queries, fms)
 	}
 }
 
@@ -360,8 +374,10 @@ func TestRouterFailoverToReplicaMidWorkload(t *testing.T) {
 }
 
 // TestRouterValidation pins the boot and request validation: mixed-up
-// shard maps are rejected, fm queries are refused, topology re-points are
-// verified against the member's own metadata.
+// shard maps are rejected, query bodies are judged by topsserve's own
+// decoder, an instance without representatives is refused as topsserve
+// refuses it, and topology re-points are verified against the member's own
+// metadata.
 func TestRouterValidation(t *testing.T) {
 	const seed, n = 1401, 2
 	var urls []string
@@ -387,27 +403,66 @@ func TestRouterValidation(t *testing.T) {
 	rts := httptest.NewServer(r)
 	defer rts.Close()
 
-	status, body := postJSON(t, rts.Client(), rts.URL+"/v1/query", `{"k":3,"tau":1.0,"fm":true}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("fm query status %d (%s), want 400", status, body)
+	// The router answers every body exactly as a member's own /v1/query
+	// does: the bodies topsserve refuses (τ = 0 and τ past the 10⁴ limit
+	// among them, which a router-side decoder once let through) are 400 at
+	// both tiers, and an fm query is answered at both.
+	for _, body := range []string{
+		`{"k":0,"tau":1.0}`,
+		`{"k":3,"tau":1.0,"bogus":1}`,
+		`{"k":3,"tau":0}`,
+		`{"k":3,"tau":20000}`,
+		`{"k":3,"tau":1.0,"pref":"linear","fm":true}`,
+		`{"k":3,"tau":1.0,"f":8}`,
+		`{"k":3,"tau":1.0,"fm":true,"f":32,"seed":5}`,
+	} {
+		status, resp := postJSON(t, rts.Client(), rts.URL+"/v1/query", body)
+		want, _ := postJSON(t, rts.Client(), urls[0]+"/v1/query", body)
+		if status != want {
+			t.Errorf("%s: router answered %d (%s), topsserve %d", body, status, resp, want)
+		}
 	}
-	status, _ = postJSON(t, rts.Client(), rts.URL+"/v1/query", `{"k":0,"tau":1.0}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("k=0 status %d, want 400", status)
-	}
-	status, _ = postJSON(t, rts.Client(), rts.URL+"/v1/query", `{"k":3,"tau":1.0,"bogus":1}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("unknown field status %d, want 400", status)
+
+	// An instance left without representatives is a client-resolvable
+	// error at every tier; the router used to answer it 200 with no sites.
+	{
+		const sites = 6
+		var few []string
+		for j := 0; j < n; j++ {
+			inst, _ := buildFixtureSites(t, seed, sites)
+			ts, _ := memberServer(t, inst, j, n)
+			few = append(few, ts.URL)
+		}
+		fr, err := New(Options{Shards: [][]string{{few[0]}, {few[1]}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frs := httptest.NewServer(fr)
+		defer frs.Close()
+		inst, _ := buildFixtureSites(t, seed, sites)
+		for _, v := range inst.Sites {
+			if status, body := postJSON(t, frs.Client(), frs.URL+"/v1/update", fmt.Sprintf(`{"op":"delete_site","node":%d}`, v)); status != http.StatusOK {
+				t.Fatalf("delete_site(%d): %d %s", v, status, body)
+			}
+		}
+		status, body := postJSON(t, frs.Client(), frs.URL+"/v1/query", `{"k":3,"tau":1.0}`)
+		want, wantBody := postJSON(t, frs.Client(), few[0]+"/v1/query", `{"k":3,"tau":1.0}`)
+		var got, ref errorResponse
+		_ = json.Unmarshal(body, &got)
+		_ = json.Unmarshal(wantBody, &ref)
+		if status != http.StatusBadRequest || status != want || got.Code != ref.Code {
+			t.Fatalf("query over no representatives: router %d %s, topsserve %d %s", status, body, want, wantBody)
+		}
 	}
 
 	// Re-point validation: shard 0 cannot be re-pointed at a member that
 	// serves shard 1.
-	status, _ = postJSON(t, rts.Client(), rts.URL+"/v1/topology", fmt.Sprintf(`{"shard":0,"primary":%q}`, urls[1]))
+	status, _ := postJSON(t, rts.Client(), rts.URL+"/v1/topology", fmt.Sprintf(`{"shard":0,"primary":%q}`, urls[1]))
 	if status != http.StatusBadRequest {
 		t.Fatalf("mismatched re-point status %d, want 400", status)
 	}
 	// A correct re-point is accepted and reflected in GET /v1/topology.
-	status, body = postJSON(t, rts.Client(), rts.URL+"/v1/topology", fmt.Sprintf(`{"shard":1,"primary":%q}`, urls[1]))
+	status, body := postJSON(t, rts.Client(), rts.URL+"/v1/topology", fmt.Sprintf(`{"shard":1,"primary":%q}`, urls[1]))
 	if status != http.StatusOK {
 		t.Fatalf("valid re-point status %d: %s", status, body)
 	}

@@ -14,17 +14,17 @@ func TestDecodeQueryAllocConstant(t *testing.T) {
 	body := []byte(`{"k":5,"tau":0.8,"timeout_ms":60000}`)
 	lim := Limits{}.withDefaults()
 	// Warm-up + correctness check outside the measured loop.
-	if _, _, err := decodeQueryRequest(body, lim); err != nil {
+	if _, err := DecodeQuery(body, lim); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, _, err := decodeQueryRequest(body, lim); err != nil {
+		if _, err := DecodeQuery(body, lim); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const maxAllocs = 24
 	if avg > maxAllocs {
-		t.Fatalf("decodeQueryRequest allocates %.1f objects per call, want <= %d", avg, maxAllocs)
+		t.Fatalf("DecodeQuery allocates %.1f objects per call, want <= %d", avg, maxAllocs)
 	}
 }
 
@@ -37,7 +37,7 @@ func TestDecodeBatchAllocConstant(t *testing.T) {
 		{"k":2,"tau":3.2},{"k":5,"tau":0.8},{"k":4,"tau":0.4},{"k":6,"tau":1.6}
 	],"timeout_ms":60000}`)
 	lim := Limits{}.withDefaults()
-	opts, itemErrs, _, err := decodeBatchRequest(body, lim)
+	opts, itemErrs, _, err := DecodeBatch(body, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestDecodeBatchAllocConstant(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := decodeBatchRequest(body, lim); err != nil {
+		if _, _, _, err := DecodeBatch(body, lim); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const maxAllocs = 120 // base + 8 items * small per-item constant
 	if avg > maxAllocs {
-		t.Fatalf("decodeBatchRequest allocates %.1f objects per call for 8 items, want <= %d", avg, maxAllocs)
+		t.Fatalf("DecodeBatch allocates %.1f objects per call for 8 items, want <= %d", avg, maxAllocs)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 	"netclus/internal/core"
 	"netclus/internal/roadnet"
-	"netclus/internal/tops"
+	"netclus/internal/shard"
 	"netclus/internal/trajectory"
 	"netclus/internal/wal"
 )
@@ -119,71 +119,84 @@ func strictUnmarshal(data []byte, v any) error {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// toOptions validates one wire query against the limits and lowers it to
-// engine options plus its effective deadline.
-func (q queryRequest) toOptions(lim Limits) (core.QueryOptions, time.Duration, error) {
-	var zero core.QueryOptions
+// Query is one decoded, validated /v1/query item: the engine options, the
+// preference as the client named it (what topsrouter ships to its members,
+// which lower it through the same tops.PreferenceByName), and the deadline
+// the client asked for (0: the server default).
+type Query struct {
+	Opts    core.QueryOptions
+	Pref    shard.WirePref
+	Timeout time.Duration
+}
+
+// toQuery validates one wire query against the limits and lowers it.
+func (q queryRequest) toQuery(lim Limits) (Query, error) {
 	if q.K <= 0 {
-		return zero, 0, fmt.Errorf("k = %d must be positive", q.K)
+		return Query{}, fmt.Errorf("k = %d must be positive", q.K)
 	}
 	if q.K > lim.MaxK {
-		return zero, 0, fmt.Errorf("k = %d exceeds limit %d", q.K, lim.MaxK)
+		return Query{}, fmt.Errorf("k = %d exceeds limit %d", q.K, lim.MaxK)
 	}
 	if !finite(q.Tau) || q.Tau <= 0 {
-		return zero, 0, fmt.Errorf("tau = %v must be a positive finite number", q.Tau)
+		return Query{}, fmt.Errorf("tau = %v must be a positive finite number", q.Tau)
 	}
 	if q.Tau > lim.MaxTau {
-		return zero, 0, fmt.Errorf("tau = %v exceeds limit %v", q.Tau, lim.MaxTau)
+		return Query{}, fmt.Errorf("tau = %v exceeds limit %v", q.Tau, lim.MaxTau)
 	}
-	pref, err := tops.PreferenceByName(q.Pref, q.Tau, q.Lambda)
+	wp := shard.WirePref{Name: q.Pref, Tau: q.Tau, Lambda: q.Lambda}
+	pref, err := wp.Preference()
 	if err != nil {
-		return zero, 0, err
+		return Query{}, err
 	}
 	if q.FM {
 		if q.Pref != "" && q.Pref != "binary" {
-			return zero, 0, fmt.Errorf("fm requires the binary preference")
+			return Query{}, fmt.Errorf("fm requires the binary preference")
 		}
 		if q.F < 0 || q.F > 1024 {
-			return zero, 0, fmt.Errorf("f = %d outside [0, 1024]", q.F)
+			return Query{}, fmt.Errorf("f = %d outside [0, 1024]", q.F)
 		}
 	} else if q.F != 0 {
-		return zero, 0, fmt.Errorf("f applies only to fm queries")
+		return Query{}, fmt.Errorf("f applies only to fm queries")
 	}
 	if q.TimeoutMs < 0 {
-		return zero, 0, fmt.Errorf("timeout_ms = %d must be non-negative", q.TimeoutMs)
+		return Query{}, fmt.Errorf("timeout_ms = %d must be non-negative", q.TimeoutMs)
 	}
 	timeout := time.Duration(q.TimeoutMs) * time.Millisecond
 	if timeout > lim.MaxTimeout {
 		timeout = lim.MaxTimeout
 	}
-	return core.QueryOptions{
-		K:     q.K,
-		Pref:  pref,
-		UseFM: q.FM,
-		F:     q.F,
-		Seed:  q.Seed,
-	}, timeout, nil
+	return Query{
+		Opts: core.QueryOptions{
+			K:     q.K,
+			Pref:  pref,
+			UseFM: q.FM,
+			F:     q.F,
+			Seed:  q.Seed,
+		},
+		Pref:    wp,
+		Timeout: timeout,
+	}, nil
 }
 
-// decodeQueryRequest parses and validates one /v1/query body. It is the
-// fuzz surface of the serving layer: for arbitrary bytes it must either
-// return an error (the request is answered 4xx) or produce options that
-// the engine accepts without panicking.
-func decodeQueryRequest(data []byte, lim Limits) (core.QueryOptions, time.Duration, error) {
+// DecodeQuery parses and validates one /v1/query body — for topsserve and
+// topsrouter alike. It is the fuzz surface of the serving layer: for
+// arbitrary bytes it must either return an error (the request is answered
+// 4xx) or produce options that the engine accepts without panicking.
+func DecodeQuery(data []byte, lim Limits) (Query, error) {
 	lim = lim.withDefaults()
 	var q queryRequest
 	if err := strictUnmarshal(data, &q); err != nil {
-		return core.QueryOptions{}, 0, err
+		return Query{}, err
 	}
-	return q.toOptions(lim)
+	return q.toQuery(lim)
 }
 
-// decodeBatchRequest parses one /v1/query/batch body. Structural problems
-// (bad JSON, empty or oversized batch, bad batch timeout) fail the whole
+// DecodeBatch parses one /v1/query/batch body. Structural problems (bad
+// JSON, empty or oversized batch, bad batch timeout) fail the whole
 // request; per-item validation failures come back in itemErrs — index-
-// aligned with opts — so one bad query degrades only its own slot,
-// mirroring Engine.QueryBatch semantics.
-func decodeBatchRequest(data []byte, lim Limits) (opts []core.QueryOptions, itemErrs []error, timeout time.Duration, err error) {
+// aligned with qs — so one bad query degrades only its own slot, mirroring
+// Engine.QueryBatch semantics.
+func DecodeBatch(data []byte, lim Limits) (qs []Query, itemErrs []error, timeout time.Duration, err error) {
 	lim = lim.withDefaults()
 	var b batchRequest
 	if err := strictUnmarshal(data, &b); err != nil {
@@ -202,16 +215,16 @@ func decodeBatchRequest(data []byte, lim Limits) (opts []core.QueryOptions, item
 	if timeout > lim.MaxTimeout {
 		timeout = lim.MaxTimeout
 	}
-	opts = make([]core.QueryOptions, len(b.Queries))
+	qs = make([]Query, len(b.Queries))
 	itemErrs = make([]error, len(b.Queries))
 	for i, q := range b.Queries {
 		if q.TimeoutMs != 0 {
 			itemErrs[i] = fmt.Errorf("set timeout_ms on the batch, not its items")
 			continue
 		}
-		opts[i], _, itemErrs[i] = q.toOptions(lim)
+		qs[i], itemErrs[i] = q.toQuery(lim)
 	}
-	return opts, itemErrs, timeout, nil
+	return qs, itemErrs, timeout, nil
 }
 
 // decodeUpdateRequest parses and validates one /v1/update body. Range

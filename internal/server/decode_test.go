@@ -5,31 +5,37 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netclus/internal/core"
+	"netclus/internal/shard"
 )
 
 func TestDecodeQueryRequestValid(t *testing.T) {
-	opts, timeout, err := decodeQueryRequest([]byte(`{"k":5,"tau":0.8,"pref":"exp","lambda":2,"timeout_ms":250}`), Limits{})
+	q, err := DecodeQuery([]byte(`{"k":5,"tau":0.8,"pref":"exp","lambda":2,"timeout_ms":250}`), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.K != 5 || opts.Pref.Tau != 0.8 || opts.Pref.Name != "exp-decay" {
-		t.Fatalf("decoded %+v", opts)
+	if q.Opts.K != 5 || q.Opts.Pref.Tau != 0.8 || q.Opts.Pref.Name != "exp-decay" {
+		t.Fatalf("decoded %+v", q.Opts)
 	}
-	if timeout != 250*time.Millisecond {
-		t.Fatalf("timeout %v", timeout)
+	if q.Pref != (shard.WirePref{Name: "exp", Tau: 0.8, Lambda: 2}) {
+		t.Fatalf("wire preference %+v", q.Pref)
+	}
+	if q.Timeout != 250*time.Millisecond {
+		t.Fatalf("timeout %v", q.Timeout)
 	}
 	// Default preference is binary; zero timeout means "server default".
-	opts, timeout, err = decodeQueryRequest([]byte(`{"k":1,"tau":2}`), Limits{})
+	q, err = DecodeQuery([]byte(`{"k":1,"tau":2}`), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Pref.Name != "binary" || timeout != 0 {
-		t.Fatalf("defaults: %+v timeout %v", opts, timeout)
+	if q.Opts.Pref.Name != "binary" || q.Timeout != 0 {
+		t.Fatalf("defaults: %+v timeout %v", q.Opts, q.Timeout)
 	}
 	// Client timeouts clamp to the limit instead of erroring.
-	_, timeout, err = decodeQueryRequest([]byte(`{"k":1,"tau":2,"timeout_ms":999999999}`), Limits{MaxTimeout: time.Second})
-	if err != nil || timeout != time.Second {
-		t.Fatalf("clamp: %v %v", timeout, err)
+	q, err = DecodeQuery([]byte(`{"k":1,"tau":2,"timeout_ms":999999999}`), Limits{MaxTimeout: time.Second})
+	if err != nil || q.Timeout != time.Second {
+		t.Fatalf("clamp: %v %v", q.Timeout, err)
 	}
 }
 
@@ -75,7 +81,8 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 	}
 	lim := Limits{}.withDefaults()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		opts, timeout, err := decodeQueryRequest(data, lim)
+		q, err := DecodeQuery(data, lim)
+		opts, timeout := q.Opts, q.Timeout
 		if err == nil {
 			if opts.K <= 0 || opts.K > lim.MaxK {
 				t.Fatalf("accepted k = %d outside (0, %d]", opts.K, lim.MaxK)
@@ -89,16 +96,19 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 			if opts.UseFM && opts.Pref.Name != "binary" {
 				t.Fatalf("accepted FM over %s", opts.Pref.Name)
 			}
+			if wp, werr := q.Pref.Preference(); werr != nil || core.PrefFingerprint(wp) != core.PrefFingerprint(opts.Pref) {
+				t.Fatalf("wire preference %+v lowers to another function than the options' %s (%v)", q.Pref, opts.Pref.Name, werr)
+			}
 			if timeout < 0 || timeout > lim.MaxTimeout {
 				t.Fatalf("accepted timeout %v outside [0, %v]", timeout, lim.MaxTimeout)
 			}
 		}
 		// The sibling decoders share strictUnmarshal and the same
 		// validators; drive them over the same corpus for free coverage.
-		if opts2, itemErrs, _, err := decodeBatchRequest(data, lim); err == nil {
-			for i := range opts2 {
-				if itemErrs[i] == nil && (opts2[i].K <= 0 || opts2[i].K > lim.MaxK) {
-					t.Fatalf("batch accepted k = %d", opts2[i].K)
+		if qs, itemErrs, _, err := DecodeBatch(data, lim); err == nil {
+			for i := range qs {
+				if itemErrs[i] == nil && (qs[i].Opts.K <= 0 || qs[i].Opts.K > lim.MaxK) {
+					t.Fatalf("batch accepted k = %d", qs[i].Opts.K)
 				}
 			}
 		}

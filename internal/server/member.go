@@ -2,28 +2,30 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
 	"netclus/internal/core"
 	"netclus/internal/obs"
+	"netclus/internal/roadnet"
 	"netclus/internal/shard"
+	"netclus/internal/tops"
 )
 
-// MemberEngine is the per-shard round-protocol surface the serving layer
-// exposes under /v1/shard/ when Options.Member is set (implemented by
-// shard.Member). The endpoints are read-only over index state — a
-// follower member serves them too, which is what lets the router retry a
-// query against a shard's replica before any promotion happens.
+// MemberEngine is the per-shard surface the serving layer exposes under
+// /v1/shard/ when Options.Member is set (implemented by shard.Member). The
+// endpoints are read-only over index state and hold nothing between
+// requests — a follower member serves them too, which is what lets the
+// router retry a query against a shard's replica before any promotion
+// happens.
 type MemberEngine interface {
 	Meta() shard.MemberMeta
+	ShardIndex() int
 	Reps(p int) ([]core.RepInfo, error)
-	Owner(v int64) int
-	Start(ctx context.Context, req *shard.StartRequest) (*shard.RoundReply, error)
-	Step(req *shard.StepRequest) (*shard.RoundReply, error)
-	End(qid string)
+	Owner(v roadnet.NodeID) int
+	Cover(ctx context.Context, req *shard.CoverRequest) (*tops.CoverSets, []core.ClusterID, error)
 }
 
 // handleShardMeta serves GET /v1/shard/meta.
@@ -63,15 +65,21 @@ func (s *Server) handleShardOwner(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("node must be an integer node id"))
 		return
 	}
-	writeJSON(w, ownerResponse{Node: node, Shard: s.opts.Member.Owner(node)})
+	if node < 0 || node > math.MaxInt32 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("node %d outside int32 range", node))
+		return
+	}
+	writeJSON(w, ownerResponse{Node: node, Shard: s.opts.Member.Owner(roadnet.NodeID(node))})
 }
 
-func (s *Server) handleShardStart(w http.ResponseWriter, r *http.Request) {
+// handleShardCover serves POST /v1/shard/cover: the member's masked cover
+// for one routed query, in shard's binary cover layout.
+func (s *Server) handleShardCover(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var req shard.StartRequest
+	var req shard.CoverRequest
 	err := strictUnmarshal(body.Bytes(), &req)
 	putBuf(body)
 	if err != nil {
@@ -81,60 +89,19 @@ func (s *Server) handleShardStart(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
 	// The trace id minted (or forwarded) at the router edge arrives here on
-	// the scatter request: logging it is what makes one distributed query
+	// the cover fetch: logging it is what makes one distributed query
 	// joinable across the router's and every member's logs.
-	s.log.Debug("shard query start",
-		"trace_id", obs.TraceID(ctx), "qid", req.QID, "p", req.P, "shard", s.opts.Member.Meta().Index)
-	reply, err := s.opts.Member.Start(ctx, &req)
+	s.log.Debug("shard cover",
+		"trace_id", obs.TraceID(ctx), "p", req.P, "mask", len(req.Mask), "shard", s.opts.Member.ShardIndex())
+	cs, reps, err := s.opts.Member.Cover(ctx, &req)
 	if err != nil {
 		status, code := queryStatus(err)
 		writeError(w, status, code, err)
 		return
 	}
-	writeJSON(w, reply)
-}
-
-func (s *Server) handleShardStep(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req shard.StepRequest
-	err := strictUnmarshal(body.Bytes(), &req)
-	putBuf(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	reply, err := s.opts.Member.Step(&req)
-	if err != nil {
-		// An unknown session is a state conflict (expired, or this process
-		// is not the one the query started on — a failover happened); the
-		// gather restarts the query from scratch.
-		if errors.Is(err, shard.ErrUnknownSession) {
-			writeError(w, http.StatusConflict, CodeConflict, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	writeJSON(w, reply)
-}
-
-func (s *Server) handleShardEnd(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req shard.EndRequest
-	err := strictUnmarshal(body.Bytes(), &req)
-	putBuf(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	s.opts.Member.End(req.QID)
-	writeJSON(w, struct {
-		OK bool `json:"ok"`
-	}{OK: true})
+	buf := getBuf()
+	buf.Write(shard.AppendCover(buf.AvailableBuffer(), cs, reps))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(buf.Bytes())
+	putBuf(buf)
 }

@@ -14,13 +14,13 @@ import (
 	"netclus/internal/wal"
 )
 
-// TestShardStartRejectsBadInstanceAndMask pins /v1/shard/query/start's
-// input validation through a real member server: a ladder instance outside
-// the ladder used to index past idx.Instances inside the cover cache's
-// sync.Once (a dropped connection for the caller and a poisoned cache
-// entry for the next), and a mask id past int32 used to wrap into a valid
-// cluster. Both are 400s now, and the member keeps serving.
-func TestShardStartRejectsBadInstanceAndMask(t *testing.T) {
+// TestShardCoverRejectsBadRequests pins /v1/shard/cover's input validation
+// through a real member server: a ladder instance outside the ladder would
+// index past idx.Instances inside the cover cache's sync.Once, a mask id
+// past int32 would wrap into a valid cluster, and a mask out of order or a
+// preference the decoder refuses would fill a cover for a query nobody
+// asked. All are 400 bad_request, and the member keeps serving.
+func TestShardCoverRejectsBadRequests(t *testing.T) {
 	m, err := shard.BuildMember(buildInstance(t, 977), 0, shard.Options{Shards: 2, Build: fixtureBuild})
 	if err != nil {
 		t.Fatal(err)
@@ -32,34 +32,78 @@ func TestShardStartRejectsBadInstanceAndMask(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	start := func(p int, mask string) (int, []byte) {
-		return postJSON(t, ts.Client(), ts.URL+"/v1/shard/query/start",
-			fmt.Sprintf(`{"qid":"q-%d","p":%d,"pref":{"name":"binary","tau":0.8},"mask":[%s],"mask_global":[0]}`, p, p, mask))
+	reps, err := m.Reps(1)
+	if err != nil || len(reps) < 2 {
+		t.Fatalf("member reps at instance 1: %d, %v", len(reps), err)
 	}
-	for _, tc := range []struct {
-		label string
-		p     int
-		mask  string
-	}{
-		{"p above the ladder", 99, "0"},
-		{"p below the ladder", -1, "0"},
-		{"mask id past int32", 1, "4294967296"},
+	c0, c1 := reps[0].Cluster, reps[1].Cluster
+	cover := func(body string) (int, []byte) {
+		return postJSON(t, ts.Client(), ts.URL+"/v1/shard/cover", body)
+	}
+	for _, tc := range []struct{ label, body string }{
+		{"p above the ladder", `{"p":99,"pref":{"name":"binary","tau":0.8},"mask":[0]}`},
+		{"p below the ladder", `{"p":-1,"pref":{"name":"binary","tau":0.8},"mask":[0]}`},
+		{"mask id past int32", `{"p":1,"pref":{"name":"binary","tau":0.8},"mask":[4294967296]}`},
+		{"negative mask id", `{"p":1,"pref":{"name":"binary","tau":0.8},"mask":[-1]}`},
+		{"mask out of order", fmt.Sprintf(`{"p":1,"pref":{"name":"binary","tau":0.8},"mask":[%d,%d]}`, c1, c0)},
+		{"mask repeats an id", fmt.Sprintf(`{"p":1,"pref":{"name":"binary","tau":0.8},"mask":[%d,%d]}`, c0, c0)},
+		{"unknown preference", fmt.Sprintf(`{"p":1,"pref":{"name":"nope","tau":0.8},"mask":[%d]}`, c0)},
+		{"negative tau", fmt.Sprintf(`{"p":1,"pref":{"name":"binary","tau":-1},"mask":[%d]}`, c0)},
+		{"lambda on linear", fmt.Sprintf(`{"p":1,"pref":{"name":"linear","tau":0.8,"lambda":2},"mask":[%d]}`, c0)},
+		{"unknown field", fmt.Sprintf(`{"p":1,"pref":{"name":"binary","tau":0.8},"mask":[%d],"qid":"x"}`, c0)},
 	} {
-		status, body := start(tc.p, tc.mask)
+		status, body := cover(tc.body)
 		var env errorResponse
 		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadRequest || env.Code != CodeBadRequest {
 			t.Fatalf("%s: status %d body %s, want 400 %s", tc.label, status, body, CodeBadRequest)
 		}
 	}
 
-	reps, err := m.Reps(1)
-	if err != nil || len(reps) == 0 {
-		t.Fatalf("member reps at instance 1: %d, %v", len(reps), err)
+	status, body := cover(fmt.Sprintf(`{"p":1,"pref":{"name":"binary","tau":0.8},"mask":[%d,%d]}`, c0, c1))
+	cs, got, err := shard.ReadCover(body)
+	if status != http.StatusOK || err != nil {
+		t.Fatalf("valid cover after the rejected ones: status %d, %v", status, err)
 	}
-	status, body := start(1, fmt.Sprint(reps[0].Cluster))
-	var reply shard.RoundReply
-	if err := json.Unmarshal(body, &reply); err != nil || status != http.StatusOK || reply.Cand == nil {
-		t.Fatalf("valid start after the rejected ones: status %d body %s", status, body)
+	if len(got) != 2 || got[0] != c0 || got[1] != c1 || cs.N() != 2 {
+		t.Fatalf("cover for mask [%d %d] stands for clusters %v (%d rows)", c0, c1, got, cs.N())
+	}
+}
+
+// TestShardOwnerRejectsNodesPastInt32 pins /v1/shard/owner's range check. A
+// node id past int32 used to wrap when converted to a roadnet.NodeID, so
+// node=4294967296 answered node 0's shard while echoing the large id.
+func TestShardOwnerRejectsNodesPastInt32(t *testing.T) {
+	m, err := shard.BuildMember(buildInstance(t, 977), 0, shard.Options{Shards: 2, Partitioner: shard.GridPartitioner, Build: fixtureBuild})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(m, Options{Member: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	owner := func(node string) (int, ownerResponse) {
+		resp, err := ts.Client().Get(ts.URL + "/v1/shard/owner?node=" + node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out ownerResponse
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+	for _, node := range []string{"4294967296", "2147483648", "-1", "x"} {
+		if status, _ := owner(node); status != http.StatusBadRequest {
+			t.Errorf("node=%s: status %d, want 400", node, status)
+		}
+	}
+	for _, v := range []roadnet.NodeID{0, 7, 123} {
+		status, out := owner(fmt.Sprint(v))
+		if status != http.StatusOK || out.Node != int64(v) || out.Shard != m.Owner(v) {
+			t.Fatalf("node=%d: status %d, %+v, want shard %d", v, status, out, m.Owner(v))
+		}
 	}
 }
 
@@ -92,7 +136,7 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 		if isSite[v] {
 			continue
 		}
-		if m.Owner(int64(v)) == 0 {
+		if m.Owner(v) == 0 {
 			mine = append(mine, v)
 		} else {
 			theirs = append(theirs, v)
@@ -100,7 +144,7 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 	}
 	var theirSite roadnet.NodeID
 	for _, v := range inst.Sites {
-		if m.Owner(int64(v)) == 1 {
+		if m.Owner(v) == 1 {
 			theirSite = v
 		}
 	}

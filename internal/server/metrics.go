@@ -29,7 +29,7 @@ func (s *Server) metricsBase() string {
 	}
 	base := `role="` + role + `"`
 	if s.opts.Member != nil {
-		base += `,shard="` + strconv.Itoa(s.opts.Member.Meta().Index) + `"`
+		base += `,shard="` + strconv.Itoa(s.opts.Member.ShardIndex()) + `"`
 	}
 	return base
 }

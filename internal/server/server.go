@@ -114,9 +114,9 @@ type Options struct {
 	// after a promotion: surviving followers re-point at the promoted
 	// node instead of being rebuilt.
 	Retarget func(primary string) error
-	// Member, when non-nil, serves the per-shard distributed-greedy round
-	// protocol under /v1/shard/ — this process is one shard of a
-	// router-fronted topology (see internal/router).
+	// Member, when non-nil, serves the per-shard member surface (meta,
+	// representatives, owner, masked covers) under /v1/shard/ — this process
+	// is one shard of a router-fronted topology (see internal/router).
 	Member MemberEngine
 	// Ingest, when non-nil, enables POST /v1/ingest: raw GPS traces are
 	// decoded from NDJSON, map-matched onto the engine's graph across a
@@ -125,7 +125,7 @@ type Options struct {
 	// internal/ingest for the pipeline and wire format.
 	Ingest *ingest.Options
 	// Logger receives the server's structured records (slow queries, shard
-	// round traces). Nil discards them.
+	// cover fetches). Nil discards them.
 	Logger *slog.Logger
 	// SlowQuery, when > 0, emits one structured log record for every
 	// /v1/query whose end-to-end handling exceeds it: trace id, k, ψ
@@ -280,9 +280,7 @@ func New(eng Engine, opts Options) (*Server, error) {
 		mux.HandleFunc("/v1/shard/meta", s.instrument(&s.mShard, http.MethodGet, s.handleShardMeta))
 		mux.HandleFunc("/v1/shard/reps", s.instrument(&s.mShard, http.MethodGet, s.handleShardReps))
 		mux.HandleFunc("/v1/shard/owner", s.instrument(&s.mShard, http.MethodGet, s.handleShardOwner))
-		mux.HandleFunc("/v1/shard/query/start", s.instrument(&s.mShard, http.MethodPost, s.handleShardStart))
-		mux.HandleFunc("/v1/shard/query/step", s.instrument(&s.mShard, http.MethodPost, s.handleShardStep))
-		mux.HandleFunc("/v1/shard/query/end", s.instrument(&s.mShard, http.MethodPost, s.handleShardEnd))
+		mux.HandleFunc("/v1/shard/cover", s.instrument(&s.mShard, http.MethodPost, s.handleShardCover))
 	}
 	mux.HandleFunc("/healthz", s.instrument(&s.mHealth, http.MethodGet, s.handleHealth))
 	mux.HandleFunc("/statsz", s.instrument(&s.mStats, http.MethodGet, s.handleStats))
@@ -435,8 +433,8 @@ func queryStatus(err error) (int, string) {
 	}
 }
 
-// queryResponse is the wire form of one answer.
-type queryResponse struct {
+// QueryResponse is the wire form of one answer, at both tiers.
+type QueryResponse struct {
 	Sites              []int64 `json:"sites"`
 	SiteIDs            []int32 `json:"site_ids"`
 	EstimatedUtility   float64 `json:"estimated_utility"`
@@ -446,8 +444,9 @@ type queryResponse struct {
 	ElapsedMs          float64 `json:"elapsed_ms"`
 }
 
-func toQueryResponse(res *core.QueryResult, elapsed time.Duration) queryResponse {
-	out := queryResponse{
+// NewQueryResponse encodes res, answered in elapsed, in wire form.
+func NewQueryResponse(res *core.QueryResult, elapsed time.Duration) QueryResponse {
+	out := QueryResponse{
 		Sites:              make([]int64, len(res.Sites)),
 		SiteIDs:            make([]int32, len(res.SiteIDs)),
 		EstimatedUtility:   res.EstimatedUtility,
@@ -499,13 +498,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	opts, timeout, err := decodeQueryRequest(body.Bytes(), s.opts.Limits)
+	q, err := DecodeQuery(body.Bytes(), s.opts.Limits)
 	putBuf(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, timeout)
+	opts := q.Opts
+	ctx, cancel := s.requestCtx(r, q.Timeout)
 	defer cancel()
 	t0 := time.Now()
 	res, err := s.eng.Query(ctx, opts)
@@ -515,7 +515,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	elapsed := time.Since(t0)
-	resp := toQueryResponse(res, elapsed)
+	resp := NewQueryResponse(res, elapsed)
 	coverHit, rowsSwept := res.CoverHit, res.CoverRowsSwept
 	res.Release()
 	if s.opts.SlowQuery > 0 && elapsed >= s.opts.SlowQuery {
@@ -534,14 +534,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// batchResponse is the wire form of /v1/query/batch: results and errors
-// are index-aligned with the request's queries.
-type batchResponse struct {
-	Results []batchItemResponse `json:"results"`
+// BatchResponse is the wire form of /v1/query/batch, at both tiers:
+// results and errors are index-aligned with the request's queries.
+type BatchResponse struct {
+	Results []BatchItemResponse `json:"results"`
 }
 
-type batchItemResponse struct {
-	Result *queryResponse `json:"result,omitempty"`
+// BatchItemResponse is one slot of a BatchResponse: an answer or an error.
+type BatchItemResponse struct {
+	Result *QueryResponse `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
 }
 
@@ -550,7 +551,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	qs, itemErrs, timeout, err := decodeBatchRequest(body.Bytes(), s.opts.Limits)
+	qs, itemErrs, timeout, err := DecodeBatch(body.Bytes(), s.opts.Limits)
 	putBuf(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
@@ -562,7 +563,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	slot := make([]int, 0, len(qs))
 	for i := range qs {
 		if itemErrs[i] == nil {
-			valid = append(valid, qs[i])
+			valid = append(valid, qs[i].Opts)
 			slot = append(slot, i)
 		}
 	}
@@ -571,7 +572,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	items := s.eng.QueryBatch(ctx, valid)
 	elapsed := time.Since(t0)
-	out := batchResponse{Results: make([]batchItemResponse, len(qs))}
+	out := BatchResponse{Results: make([]BatchItemResponse, len(qs))}
 	for i, err := range itemErrs {
 		if err != nil {
 			out.Results[i].Error = err.Error()
@@ -583,7 +584,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Results[i].Error = it.Err.Error()
 			continue
 		}
-		qr := toQueryResponse(it.Result, elapsed)
+		qr := NewQueryResponse(it.Result, elapsed)
 		it.Result.Release()
 		out.Results[i].Result = &qr
 	}

@@ -110,7 +110,7 @@ func TestQueryEndpointMatchesEngine(t *testing.T) {
 // bit for bit: sites, site ids, utility, coverage, instance, representatives.
 func assertSameAnswer(t *testing.T, label string, body []byte, want *core.QueryResult) {
 	t.Helper()
-	var got queryResponse
+	var got QueryResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatalf("%s: %v (%s)", label, err, body)
 	}
@@ -171,7 +171,7 @@ func TestBatchEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, data)
 	}
-	var out batchResponse
+	var out BatchResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBatchEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("mixed batch: %d %s", code, data)
 	}
-	out = batchResponse{}
+	out = BatchResponse{}
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -148,6 +150,43 @@ func FuzzShardRouter(f *testing.F) {
 					t.Fatalf("identical batch items diverged: %v vs %v", items[0].Err, items[1].Err)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadCover holds the cover codec to its contract for arbitrary bytes:
+// ReadCover returns an error or a valid cover, never panics, and whatever
+// it accepts re-encodes to the very same bytes and decodes again to an
+// equal cover, weights and SC side included.
+func FuzzReadCover(f *testing.F) {
+	cs := tops.NewCoverSets(3, 5)
+	cs.SetTCArrays(0, []int32{1, 4}, []float64{1, 0.5})
+	cs.SetTCArrays(2, []int32{0}, []float64{-0.25})
+	valid := AppendCover(nil, cs, []core.ClusterID{3, 17, 40})
+	f.Add(valid)
+	f.Add(AppendCover(nil, tops.NewCoverSets(0, 0), nil))
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(append([]byte(nil), valid[:4]...), 0xff, 0xff, 0xff, 0xff))
+	f.Add([]byte("NCCV"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cs, reps, err := ReadCover(data)
+		if err != nil {
+			return
+		}
+		if cs.N() != len(reps) {
+			t.Fatalf("%d rows for %d representatives", cs.N(), len(reps))
+		}
+		again := AppendCover(nil, cs, reps)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted cover re-encodes to other bytes:\n  %x\nwant\n  %x", again, data)
+		}
+		back, backReps, err := ReadCover(again)
+		if err != nil {
+			t.Fatalf("re-encoded cover does not decode: %v", err)
+		}
+		sameCover(t, "re-decoded cover", back, cs)
+		if !slices.Equal(backReps, reps) {
+			t.Fatalf("re-decoded cover stands for clusters %v, want %v", backReps, reps)
 		}
 	})
 }

@@ -3,26 +3,23 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"netclus/internal/tops"
 )
 
 // Coordinator unit tests over scripted sessions: what Gather.Run promises
-// its callers regardless of what sits behind a handle — every session
-// ended exactly once, failures named by shard and round, the last
-// winner's broadcast skipped, and an answer that does not depend on the
-// order the handles are enumerated in.
+// its callers regardless of what sits behind a session — every session
+// ended exactly once, the last winner's broadcast skipped, the context
+// honoured between rounds, and an answer that does not depend on the order
+// the sessions are enumerated in.
 
 // scriptedSession answers round r with script[r] (nothing once the script
-// runs out), fails at round failAt, and records what it was told.
+// runs out) and records what it was told.
 type scriptedSession struct {
-	script []*WireCand
+	script []*Candidate
 	m      int
-	failAt int // round whose Step fails; -1 never
 	onStep func(round int)
 
 	steps   int
@@ -30,33 +27,28 @@ type scriptedSession struct {
 	ends    int
 }
 
-var errScripted = errors.New("scripted failure")
-
-func (s *scriptedSession) Step(_ context.Context, winnerGI int32, _ []UtilDelta) (RoundReply, error) {
+func (s *scriptedSession) Step(winnerGI int32, _ []UtilDelta) RoundReply {
 	round := s.steps
 	s.steps++
 	s.winners = append(s.winners, winnerGI)
 	if s.onStep != nil {
 		s.onStep(round)
 	}
-	if round == s.failAt {
-		return RoundReply{}, errScripted
-	}
 	reply := RoundReply{M: s.m}
 	if round < len(s.script) {
 		reply.Cand = s.script[round]
 	}
-	return reply, nil
+	return reply
 }
 
 func (s *scriptedSession) End() { s.ends++ }
 
-func cand(gi int32, marg float64, trajs ...int32) *WireCand {
+func cand(gi int32, marg float64, trajs ...int32) *Candidate {
 	scores := make([]float64, len(trajs))
 	for i := range scores {
 		scores[i] = 1
 	}
-	return &WireCand{GI: gi, Marg: marg, Weight: marg, Trajs: trajs, Scores: scores}
+	return &Candidate{GI: gi, Marg: marg, Weight: marg, Trajs: trajs, Scores: scores}
 }
 
 // script3 is three shards' worth of scripted candidates over 8
@@ -65,18 +57,18 @@ func cand(gi int32, marg float64, trajs ...int32) *WireCand {
 // global index as tops.GreaterSite does.
 func script3() []*scriptedSession {
 	return []*scriptedSession{
-		{m: 6, failAt: -1, script: []*WireCand{cand(4, 2, 0, 1), cand(4, 2, 0, 1), cand(4, 1, 0, 1)}},
-		{m: 8, failAt: -1, script: []*WireCand{cand(1, 3, 2, 3, 7), cand(6, 1, 5), cand(6, 1, 5)}},
-		{m: 7, failAt: -1, script: []*WireCand{cand(8, 2, 1, 6), cand(8, 2, 1, 6), nil}},
+		{m: 6, script: []*Candidate{cand(4, 2, 0, 1), cand(4, 2, 0, 1), cand(4, 1, 0, 1)}},
+		{m: 8, script: []*Candidate{cand(1, 3, 2, 3, 7), cand(6, 1, 5), cand(6, 1, 5)}},
+		{m: 7, script: []*Candidate{cand(8, 2, 1, 6), cand(8, 2, 1, 6), nil}},
 	}
 }
 
-func handles(ss []*scriptedSession, shards ...int) []Handle {
-	hs := make([]Handle, len(ss))
+func sessions(ss []*scriptedSession) []Session {
+	out := make([]Session, len(ss))
 	for i, s := range ss {
-		hs[i] = Handle{Shard: shards[i], Session: s}
+		out[i] = s
 	}
-	return hs
+	return out
 }
 
 func assertEndedOnce(t *testing.T, label string, ss []*scriptedSession) {
@@ -91,9 +83,7 @@ func assertEndedOnce(t *testing.T, label string, ss []*scriptedSession) {
 func TestGatherRoundLoop(t *testing.T) {
 	ss := script3()
 	var g Gather
-	rounds := 0
-	fan := func(n int, fn func(int)) { rounds++; Inline(n, fn) }
-	res, err := g.Run(context.Background(), 3, handles(ss, 2, 5, 9), fan)
+	res, err := g.Run(context.Background(), 3, sessions(ss))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +95,7 @@ func TestGatherRoundLoop(t *testing.T) {
 		t.Fatalf("utility %v covered %d, want 6 and 6", res.Utility, res.Covered)
 	}
 	// k selections take k rounds: the last winner is never broadcast.
-	if rounds != 3 {
+	if rounds := ss[0].steps; rounds != 3 {
 		t.Fatalf("%d rounds for k=3, want 3", rounds)
 	}
 	for i, s := range ss {
@@ -118,31 +108,11 @@ func TestGatherRoundLoop(t *testing.T) {
 	// Exhaustion: asking for more than the sessions hold stops when no
 	// session has a candidate left.
 	ss = script3()
-	res, err = g.Run(context.Background(), 10, handles(ss, 2, 5, 9), Inline)
+	res, err = g.Run(context.Background(), 10, sessions(ss))
 	if err != nil || len(res.Selected) != 3 {
 		t.Fatalf("exhausted run: %v, selected %v", err, res.Selected)
 	}
 	assertEndedOnce(t, "exhausted", ss)
-}
-
-func TestGatherStepFailureNamesShard(t *testing.T) {
-	for failRound := 0; failRound < 3; failRound++ {
-		ss := script3()
-		ss[1].failAt = failRound
-		var g Gather
-		_, err := g.Run(context.Background(), 3, handles(ss, 2, 5, 9), Inline)
-		var se *StepError
-		if !errors.As(err, &se) || !errors.Is(err, errScripted) {
-			t.Fatalf("round %d failure: got %v, want a *StepError wrapping the session's error", failRound, err)
-		}
-		if se.Shard != 5 || se.Round != failRound || !strings.Contains(err.Error(), "shard 5") {
-			t.Fatalf("round %d failure reported as %q (shard %d, round %d)", failRound, err, se.Shard, se.Round)
-		}
-		assertEndedOnce(t, fmt.Sprintf("failure at round %d", failRound), ss)
-		if ss[0].steps != failRound+1 {
-			t.Fatalf("failure at round %d: healthy session stepped %d times", failRound, ss[0].steps)
-		}
-	}
 }
 
 func TestGatherContextCancel(t *testing.T) {
@@ -152,7 +122,7 @@ func TestGatherContextCancel(t *testing.T) {
 	cancel()
 	ss := script3()
 	var g Gather
-	if _, err := g.Run(ctx, 3, handles(ss, 2, 5, 9), Inline); !errors.Is(err, context.Canceled) {
+	if _, err := g.Run(ctx, 3, sessions(ss)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled run: %v", err)
 	}
 	assertEndedOnce(t, "pre-canceled", ss)
@@ -170,7 +140,7 @@ func TestGatherContextCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := g.Run(ctx, 3, handles(ss, 2, 5, 9), Inline); !errors.Is(err, context.Canceled) {
+	if _, err := g.Run(ctx, 3, sessions(ss)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-query cancel: %v", err)
 	}
 	assertEndedOnce(t, "mid-query cancel", ss)
@@ -180,16 +150,15 @@ func TestGatherContextCancel(t *testing.T) {
 }
 
 func TestGatherHandleOrderInvariance(t *testing.T) {
-	shards := []int{2, 5, 9}
 	var base tops.Result
 	for n, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 		ss := script3()
-		hs := make([]Handle, len(perm))
+		hs := make([]Session, len(perm))
 		for i, j := range perm {
-			hs[i] = Handle{Shard: shards[j], Session: ss[j]}
+			hs[i] = ss[j]
 		}
 		var g Gather
-		res, err := g.Run(context.Background(), 3, hs, Inline)
+		res, err := g.Run(context.Background(), 3, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +166,7 @@ func TestGatherHandleOrderInvariance(t *testing.T) {
 		if n == 0 {
 			base = res
 		} else if !reflect.DeepEqual(res, base) {
-			t.Fatalf("handle order %v answered %+v, order 0 1 2 answered %+v", perm, res, base)
+			t.Fatalf("session order %v answered %+v, order 0 1 2 answered %+v", perm, res, base)
 		}
 	}
 }

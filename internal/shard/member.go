@@ -2,11 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
 	"netclus/internal/core"
 	"netclus/internal/engine"
@@ -17,11 +14,11 @@ import (
 
 // Member is one shard of a router-fronted topology running in its own
 // process: a full engine.Engine (WAL, snapshots, followers, promotion all
-// unchanged) restricted to the sites its partitioner routes here, plus a
-// qid-keyed table of the query sessions (session.go) that the round
-// protocol (protocol.go) addresses. The serving layer exposes it under
-// /v1/shard/ when Options.Member is set; internal/router speaks the
-// protocol against N of these.
+// unchanged) restricted to the sites its partitioner routes here. The
+// serving layer exposes its member surface (protocol.go) under /v1/shard/
+// when Options.Member is set; internal/router fetches masked covers from N
+// of these and gathers them itself. The surface is read-only over index
+// state and holds no per-query state, so a follower member serves it too.
 //
 // Site mutations are validated against ownership (admit): a node another
 // shard owns is rejected, because applying it here would diverge this
@@ -36,20 +33,7 @@ type Member struct {
 	// member recovered from a checkpoint, which no longer knows it); the
 	// router seeds its dense-id mirror from it.
 	initialSites []roadnet.NodeID
-
-	sesMu     sync.Mutex
-	sessions  map[string]*memberSession
-	lastSweep time.Time
-	now       func() time.Time // the session clock; tests substitute it
 }
-
-// sessionTTL expires sessions a crashed or partitioned gather never ended.
-const sessionTTL = 2 * time.Minute
-
-// ErrUnknownSession reports a step or end against a session this member
-// does not hold (expired, never started here, or started on a different
-// process after a failover) — the gather aborts and restarts the query.
-var ErrUnknownSession = errors.New("shard: unknown query session")
 
 // NewMember wraps an engine as shard index of shards under the named
 // partitioner. initialSites, when known, is the full global site order
@@ -75,8 +59,6 @@ func newMember(eng *engine.Engine, part Partitioner, index int, initialSites []r
 		part:         part,
 		index:        index,
 		initialSites: initialSites,
-		sessions:     make(map[string]*memberSession),
-		now:          time.Now,
 	}
 	eng.SetAdmission(m.admit)
 	return m
@@ -158,7 +140,7 @@ func (m *Member) Reps(p int) ([]core.RepInfo, error) {
 // Owner reports the shard the partitioner routes node v to — the router's
 // remote routing oracle for partitioners it cannot evaluate without the
 // graph (grid).
-func (m *Member) Owner(v int64) int { return m.part.Shard(roadnet.NodeID(v)) }
+func (m *Member) Owner(v roadnet.NodeID) int { return m.part.Shard(v) }
 
 // admit is the engine's live-path admission check (engine.SetAdmission):
 // a site mutation naming a node another shard owns must fail loudly, not
@@ -178,88 +160,26 @@ func (m *Member) admit(mut wal.Mutation) error {
 	return nil
 }
 
-// Start opens a query session: fill the masked cover for (p, ψ), open the
-// round state over it, and answer the round-0 candidate. The cover
-// snapshot is immutable (finalized CoverSets), so the session stays
-// consistent even if mutations land between rounds.
-func (m *Member) Start(ctx context.Context, req *StartRequest) (*RoundReply, error) {
-	if req.QID == "" {
-		return nil, fmt.Errorf("shard: start needs a qid")
-	}
+// Cover answers a CoverRequest: the masked cover of instance req.P under
+// req.Pref, restricted to the clusters in req.Mask, and the clusters its
+// rows stand for — served from the member's cover cache like any other
+// cover fetch. The cover is finalized and immutable.
+func (m *Member) Cover(ctx context.Context, req *CoverRequest) (*tops.CoverSets, []core.ClusterID, error) {
 	if err := m.checkInstance(req.P); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(req.Mask) != len(req.MaskGlobal) {
-		return nil, fmt.Errorf("shard: mask (%d) and mask_global (%d) lengths differ", len(req.Mask), len(req.MaskGlobal))
-	}
-	for i := 1; i < len(req.Mask); i++ {
-		if req.Mask[i] <= req.Mask[i-1] {
-			return nil, fmt.Errorf("shard: mask must be strictly ascending")
+	for i, ci := range req.Mask {
+		if ci < 0 || (i > 0 && ci <= req.Mask[i-1]) {
+			return nil, nil, fmt.Errorf("shard: mask must be strictly ascending non-negative cluster ids")
 		}
 	}
 	pref, err := req.Pref.Preference()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := pref.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cs, reps, _, err := m.CoverMasked(ctx, req.P, pref, req.Mask)
-	if err != nil {
-		return nil, err
-	}
-	ses := openSession(cs, reps, req.Mask, req.MaskGlobal, false)
-	ses.touched = m.now()
-	reply := &RoundReply{M: cs.M}
-	if c, ok := ses.step(-1, nil); ok {
-		reply.Cand = &c
-	}
-	m.sesMu.Lock()
-	m.sweepLocked()
-	m.sessions[req.QID] = ses
-	m.sesMu.Unlock()
-	return reply, nil
-}
-
-// Step advances a session one round.
-func (m *Member) Step(req *StepRequest) (*RoundReply, error) {
-	m.sesMu.Lock()
-	ses := m.sessions[req.QID]
-	m.sesMu.Unlock()
-	if ses == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, req.QID)
-	}
-	ses.mu.Lock()
-	defer ses.mu.Unlock()
-	ses.touched = m.now()
-	reply := &RoundReply{}
-	if c, ok := ses.step(req.WinnerGI, req.Deltas); ok {
-		reply.Cand = &c
-	}
-	return reply, nil
-}
-
-// End releases a session. Missing sessions are fine: End is best-effort
-// cleanup from the gather (expiry handles the rest).
-func (m *Member) End(qid string) {
-	m.sesMu.Lock()
-	delete(m.sessions, qid)
-	m.sesMu.Unlock()
-}
-
-// sweepLocked drops sessions idle past sessionTTL, at most once per 30s.
-func (m *Member) sweepLocked() {
-	now := m.now()
-	if now.Sub(m.lastSweep) < 30*time.Second {
-		return
-	}
-	m.lastSweep = now
-	for qid, ses := range m.sessions {
-		ses.mu.Lock()
-		stale := now.Sub(ses.touched) > sessionTTL
-		ses.mu.Unlock()
-		if stale {
-			delete(m.sessions, qid)
-		}
-	}
+	return cs, reps, err
 }

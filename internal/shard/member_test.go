@@ -2,12 +2,12 @@ package shard
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"netclus/internal/core"
 	"netclus/internal/roadnet"
@@ -34,37 +34,13 @@ func buildMembers(t testing.TB, seed int64, n int) []*Member {
 	return ms
 }
 
-// directSession is a Session over a Member called directly: the router's
-// memberHandle minus the wire.
-type directSession struct {
-	m     *Member
-	start *StartRequest
-	qid   string
-}
-
-func (d *directSession) Step(ctx context.Context, winnerGI int32, deltas []UtilDelta) (RoundReply, error) {
-	var reply *RoundReply
-	var err error
-	if req := d.start; req != nil {
-		d.start = nil
-		reply, err = d.m.Start(ctx, req)
-	} else {
-		reply, err = d.m.Step(&StepRequest{QID: d.qid, WinnerGI: winnerGI, Deltas: deltas})
-	}
-	if err != nil {
-		return RoundReply{}, err
-	}
-	return *reply, nil
-}
-
-func (d *directSession) End() { d.m.End(d.qid) }
-
 // memberSet is a gather tier over in-process members: what internal/router
-// is over HTTP ones.
+// is over HTTP ones. Every cover crosses the binary codec on its way from
+// member to gather, and must come out of it equal to what the member
+// filled.
 type memberSet struct {
 	ms    []*Member
 	sites *SiteMirror
-	seq   int
 }
 
 func newMemberSet(ms []*Member) *memberSet {
@@ -73,6 +49,7 @@ func newMemberSet(ms []*Member) *memberSet {
 
 func (s *memberSet) query(t testing.TB, q core.QueryOptions, wp WirePref) *core.QueryResult {
 	t.Helper()
+	ctx := context.Background()
 	l := s.ms[0].Meta().Ladder
 	p := core.InstanceForTau(l.TauMin, l.Gamma, l.Rungs, q.Pref.Tau)
 	rows := make([][]core.RepInfo, len(s.ms))
@@ -83,33 +60,29 @@ func (s *memberSet) query(t testing.TB, q core.QueryOptions, wp WirePref) *core.
 		}
 	}
 	own := ReduceOwnership(rows)
-	s.seq++
-	qid := fmt.Sprintf("t%d", s.seq)
-	var hs []Handle
+	var covers []Cover
 	for j, m := range s.ms {
-		if len(own.Masks[j]) > 0 {
-			hs = append(hs, Handle{Shard: j, Session: &directSession{m: m, qid: qid,
-				start: &StartRequest{QID: qid, P: p, Pref: wp, Mask: own.Masks[j], MaskGlobal: own.MasksGI[j]}}})
+		if len(own.Masks[j]) == 0 {
+			continue
 		}
+		cs, reps, err := m.Cover(ctx, &CoverRequest{P: p, Pref: wp, Mask: own.Masks[j]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotReps, err := ReadCover(AppendCover(nil, cs, reps))
+		if err != nil {
+			t.Fatalf("member %d, p=%d, %s τ=%v: shipped cover does not decode: %v", j, p, wp.Name, wp.Tau, err)
+		}
+		label := fmt.Sprintf("member %d, p=%d, %s τ=%v: decoded cover", j, p, wp.Name, wp.Tau)
+		sameCover(t, label, got, cs)
+		if !slices.Equal(gotReps, reps) {
+			t.Fatalf("%s stands for clusters %v, the member's for %v", label, gotReps, reps)
+		}
+		covers = append(covers, Cover{Shard: j, CS: got, Reps: gotReps})
 	}
-	var g Gather
-	res, err := g.Run(context.Background(), min(q.K, len(own.Winners)), hs, Inline)
+	out, err := Answer(ctx, p, own, covers, s.sites, q, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := &core.QueryResult{
-		EstimatedUtility: res.Utility, EstimatedCovered: res.Covered,
-		InstanceUsed: p, NumRepresentatives: len(own.Winners),
-	}
-	for _, gi := range res.Selected {
-		node := own.Winners[gi].Node
-		out.Sites = append(out.Sites, node)
-		out.SiteIDs = append(out.SiteIDs, s.sites.ID(node))
-	}
-	for j, m := range s.ms {
-		if n := len(m.sessions); n != 0 {
-			t.Fatalf("member %d holds %d sessions after the query ended", j, n)
-		}
 	}
 	return out
 }
@@ -155,7 +128,7 @@ func TestMembersMatchShardedAndEngine(t *testing.T) {
 		// One site flip routed the way the router routes it: to the owning
 		// member only, which must be the only one that accepts it.
 		v := refInst.Sites[3]
-		owner := set.ms[0].Owner(int64(v))
+		owner := set.ms[0].Owner(v)
 		for j, m := range set.ms {
 			err := m.DeleteSite(v)
 			if (err == nil) != (j == owner) {
@@ -187,9 +160,9 @@ func TestMembersMatchShardedAndEngine(t *testing.T) {
 	}
 }
 
-// validStart is a well-formed start for member m over everything it owns
-// alone (a one-member ownership reduce).
-func validStart(t testing.TB, m *Member, qid string) *StartRequest {
+// validCover is a well-formed cover request for member m over everything
+// it owns alone (a one-member ownership reduce).
+func validCover(t testing.TB, m *Member) *CoverRequest {
 	t.Helper()
 	rows, err := m.Reps(2)
 	if err != nil {
@@ -199,113 +172,42 @@ func validStart(t testing.TB, m *Member, qid string) *StartRequest {
 	if len(own.Masks[0]) < 3 {
 		t.Fatalf("fixture member owns only %d clusters at instance 2", len(own.Masks[0]))
 	}
-	return &StartRequest{QID: qid, P: 2, Pref: WirePref{Name: "linear", Tau: 1.2}, Mask: own.Masks[0], MaskGlobal: own.MasksGI[0]}
+	return &CoverRequest{P: 2, Pref: WirePref{Name: "linear", Tau: 1.2}, Mask: own.Masks[0]}
 }
 
-func TestMemberSessionLifecycle(t *testing.T) {
-	m := buildMembers(t, 617, 2)[1]
-	ctx := context.Background()
-
-	if _, err := m.Step(&StepRequest{QID: "never-started"}); !errors.Is(err, ErrUnknownSession) {
-		t.Fatalf("step on an unknown qid: %v, want ErrUnknownSession", err)
-	}
-	m.End("never-started") // best-effort: not an error
-
-	first, err := m.Start(ctx, validStart(t, m, "a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.M == 0 || first.Cand == nil {
-		t.Fatalf("start reply %+v: want the cover's trajectory count and a round-0 candidate", first)
-	}
-	// Naming the reported candidate as the winner selects it: the next
-	// candidate is a different representative.
-	next, err := m.Step(&StepRequest{QID: "a", WinnerGI: first.Cand.GI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.M != 0 {
-		t.Fatalf("step reply carries m=%d; only start does", next.M)
-	}
-	if next.Cand == nil || next.Cand.GI == first.Cand.GI {
-		t.Fatalf("after winning, candidate %+v was offered again (first %+v)", next.Cand, first.Cand)
-	}
-	// Naming somebody else's winner leaves ours on offer.
-	again, err := m.Step(&StepRequest{QID: "a", WinnerGI: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cand == nil || again.Cand.GI != next.Cand.GI {
-		t.Fatalf("an unrelated winner changed our candidate: %+v then %+v", next.Cand, again.Cand)
-	}
-	m.End("a")
-	if _, err := m.Step(&StepRequest{QID: "a"}); !errors.Is(err, ErrUnknownSession) {
-		t.Fatalf("step after end: %v, want ErrUnknownSession", err)
-	}
-}
-
-func TestMemberSweepsIdleSessions(t *testing.T) {
+func TestMemberCoverRejectsBadRequests(t *testing.T) {
 	m := buildMembers(t, 617, 2)[0]
 	ctx := context.Background()
-	clock := time.Unix(1_700_000_000, 0)
-	m.now = func() time.Time { return clock }
-
-	for _, qid := range []string{"idle", "busy"} {
-		if _, err := m.Start(ctx, validStart(t, m, qid)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clock = clock.Add(sessionTTL - time.Second)
-	if _, err := m.Step(&StepRequest{QID: "busy", WinnerGI: -1}); err != nil {
-		t.Fatal(err)
-	}
-	// Past the TTL for "idle" but not for "busy", which was stepped since;
-	// the next start sweeps.
-	clock = clock.Add(2 * time.Second)
-	if _, err := m.Start(ctx, validStart(t, m, "fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Step(&StepRequest{QID: "idle", WinnerGI: -1}); !errors.Is(err, ErrUnknownSession) {
-		t.Fatalf("idle session survived the sweep: %v", err)
-	}
-	for _, qid := range []string{"busy", "fresh"} {
-		if _, err := m.Step(&StepRequest{QID: qid, WinnerGI: -1}); err != nil {
-			t.Fatalf("live session %q was swept: %v", qid, err)
-		}
-	}
-}
-
-func TestMemberStartRejectsBadRequests(t *testing.T) {
-	m := buildMembers(t, 617, 2)[0]
-	ctx := context.Background()
-	mutate := func(f func(*StartRequest)) *StartRequest {
-		req := *validStart(t, m, "bad")
+	mutate := func(f func(*CoverRequest)) *CoverRequest {
+		req := *validCover(t, m)
 		req.Mask = append([]core.ClusterID(nil), req.Mask...)
 		f(&req)
 		return &req
 	}
-	for name, req := range map[string]*StartRequest{
-		"no qid":             mutate(func(r *StartRequest) { r.QID = "" }),
-		"p below the ladder": mutate(func(r *StartRequest) { r.P = -1 }),
-		"p above the ladder": mutate(func(r *StartRequest) { r.P = 99 }),
-		"mask lengths":       mutate(func(r *StartRequest) { r.MaskGlobal = r.MaskGlobal[1:] }),
-		"mask order":         mutate(func(r *StartRequest) { r.Mask[1] = r.Mask[0] }),
-		"unknown preference": mutate(func(r *StartRequest) { r.Pref.Name = "nope" }),
-		"negative tau":       mutate(func(r *StartRequest) { r.Pref.Tau = -1 }),
+	for name, req := range map[string]*CoverRequest{
+		"p below the ladder": mutate(func(r *CoverRequest) { r.P = -1 }),
+		"p above the ladder": mutate(func(r *CoverRequest) { r.P = 99 }),
+		"mask order":         mutate(func(r *CoverRequest) { r.Mask[1] = r.Mask[0] }),
+		"negative mask id":   mutate(func(r *CoverRequest) { r.Mask[0] = -1 }),
+		"unknown preference": mutate(func(r *CoverRequest) { r.Pref.Name = "nope" }),
+		"negative tau":       mutate(func(r *CoverRequest) { r.Pref.Tau = -1 }),
 	} {
-		if _, err := m.Start(ctx, req); err == nil {
-			t.Errorf("%s: start accepted", name)
+		if _, _, err := m.Cover(ctx, req); err == nil {
+			t.Errorf("%s: cover served", name)
 		}
-	}
-	if len(m.sessions) != 0 {
-		t.Fatalf("%d sessions registered by rejected starts", len(m.sessions))
 	}
 	if _, err := m.Reps(99); err == nil {
 		t.Error("Reps(99) accepted")
 	}
-	// The member is unharmed: the same request, valid, succeeds.
-	if _, err := m.Start(ctx, validStart(t, m, "good")); err != nil {
-		t.Fatalf("valid start after the rejected ones: %v", err)
+	// The member is unharmed: the same request, valid, succeeds, and the
+	// cover stands for exactly the clusters asked for.
+	req := validCover(t, m)
+	cs, reps, err := m.Cover(ctx, req)
+	if err != nil {
+		t.Fatalf("valid cover after the rejected ones: %v", err)
+	}
+	if !slices.Equal(reps, req.Mask) || cs.N() != len(reps) {
+		t.Fatalf("cover for mask %v stands for clusters %v (%d rows)", req.Mask, reps, cs.N())
 	}
 }
 
@@ -327,8 +229,8 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 		t.Fatal("meta.InitialSites is not the build-time global site order")
 	}
 	for _, v := range meta.Sites {
-		if m.Owner(int64(v)) != 1 {
-			t.Fatalf("member 1 lists site %d, which its partitioner routes to shard %d", v, m.Owner(int64(v)))
+		if m.Owner(v) != 1 {
+			t.Fatalf("member 1 lists site %d, which its partitioner routes to shard %d", v, m.Owner(v))
 		}
 	}
 	if len(meta.Sites) == 0 || len(meta.Sites) >= len(want) {
@@ -368,10 +270,11 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 	}
 }
 
-// TestWireGolden pins the round protocol's JSON to the bytes the previous
-// release emits, so a member and a router built from different commits
-// interoperate. The strings below were produced by the pre-coordinator
-// code; a change to any of them is a wire break, not a refactor.
+// TestWireGolden pins the member surface's bytes, so a member and a router
+// built from different commits interoperate or fail loudly: the JSON of the
+// cover request and of the rows /v1/shard/reps and /v1/shard/meta answer,
+// and the binary cover body, written out here byte by byte from the layout
+// in codec.go. A change to any of them is a wire break, not a refactor.
 func TestWireGolden(t *testing.T) {
 	for _, tc := range []struct {
 		v    any
@@ -379,21 +282,10 @@ func TestWireGolden(t *testing.T) {
 		want string
 	}{
 		{
-			StartRequest{QID: "q7-1", P: 2, Pref: WirePref{Name: "exp", Tau: 0.8, Lambda: 1.5}, Mask: []core.ClusterID{0, 3, 17}, MaskGlobal: []int32{0, 2, 9}},
-			new(StartRequest),
-			`{"qid":"q7-1","p":2,"pref":{"name":"exp","tau":0.8,"lambda":1.5},"mask":[0,3,17],"mask_global":[0,2,9]}`,
+			CoverRequest{P: 2, Pref: WirePref{Name: "exp", Tau: 0.8, Lambda: 1.5}, Mask: []core.ClusterID{0, 3, 17}},
+			new(CoverRequest),
+			`{"p":2,"pref":{"name":"exp","tau":0.8,"lambda":1.5},"mask":[0,3,17]}`,
 		},
-		{
-			StepRequest{QID: "q7-1", WinnerGI: 9, Deltas: []UtilDelta{{Traj: 4, OldU: 0, NewU: 0.1}, {Traj: 11, OldU: 0.25, NewU: 1}}},
-			new(StepRequest),
-			`{"qid":"q7-1","winner_gi":9,"deltas":[{"t":4,"o":0,"n":0.1},{"t":11,"o":0.25,"n":1}]}`,
-		},
-		{
-			RoundReply{M: 60, Cand: &WireCand{GI: 2, Marg: 3.0000000000000004, Weight: 7.5, Trajs: []int32{1, 4}, Scores: []float64{1, 1e-7}}},
-			new(RoundReply),
-			`{"m":60,"cand":{"gi":2,"marg":3.0000000000000004,"w":7.5,"tc_t":[1,4],"tc_s":[1,1e-7]}}`,
-		},
-		{RoundReply{}, new(RoundReply), `{}`},
 		{
 			[]core.RepInfo{{Cluster: 3, Node: 41, Dr: 0.30000000000000004}},
 			new([]core.RepInfo),
@@ -418,7 +310,7 @@ func TestWireGolden(t *testing.T) {
 		if string(raw) != tc.want {
 			t.Errorf("%T encodes as\n  %s\nwant\n  %s", tc.v, raw, tc.want)
 		}
-		// And the previous release's bytes decode to the same value.
+		// And the golden bytes decode to the same value.
 		if err := json.Unmarshal([]byte(tc.want), tc.into); err != nil {
 			t.Fatalf("%T: decoding the golden bytes: %v", tc.v, err)
 		}
@@ -429,8 +321,36 @@ func TestWireGolden(t *testing.T) {
 	}
 	// A cluster id that does not fit the wire's int32 is refused at decode,
 	// not wrapped into a valid-looking one.
-	var req StartRequest
-	if err := json.Unmarshal([]byte(`{"qid":"q","p":0,"pref":{"name":"binary","tau":1},"mask":[4294967296],"mask_global":[0]}`), &req); err == nil {
+	var req CoverRequest
+	if err := json.Unmarshal([]byte(`{"p":0,"pref":{"name":"binary","tau":1},"mask":[4294967296]}`), &req); err == nil {
 		t.Fatalf("mask id 4294967296 decoded as cluster %d", req.Mask[0])
+	}
+
+	// The cover body: three rows standing for clusters 3, 17 and 40 over
+	// five trajectories, the middle row empty.
+	cs := tops.NewCoverSets(3, 5)
+	cs.SetTCArrays(0, []int32{1, 4}, []float64{1, 0.5})
+	cs.SetTCArrays(2, []int32{0}, []float64{0.25})
+	cs.Finalize()
+	reps := []core.ClusterID{3, 17, 40}
+	golden := strings.Join([]string{
+		"4e434356",                         // "NCCV"
+		"03000000", "05000000", "03000000", // n, m, pairs
+		"03000000", "11000000", "28000000", // reps
+		"00000000", "02000000", "02000000", "03000000", // row offsets
+		"01000000", "04000000", "00000000", // trajectory ids
+		"000000000000f03f", "000000000000e03f", "000000000000d03f", // 1, 0.5, 0.25
+	}, "")
+	if got := hex.EncodeToString(AppendCover(nil, cs, reps)); got != golden {
+		t.Fatalf("cover body encodes as\n  %s\nwant\n  %s", got, golden)
+	}
+	raw, _ := hex.DecodeString(golden)
+	back, backReps, err := ReadCover(raw)
+	if err != nil {
+		t.Fatalf("decoding the golden cover body: %v", err)
+	}
+	sameCover(t, "golden cover body", back, cs)
+	if !slices.Equal(backReps, reps) || back.Weights[0] != 1.5 {
+		t.Fatalf("golden cover body decodes to clusters %v, weights %v", backReps, back.Weights)
 	}
 }

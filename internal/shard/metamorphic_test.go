@@ -96,13 +96,13 @@ func TestGatherOrderInvariance(t *testing.T) {
 			t.Fatalf("only %d owning shards: the permutations below would prove nothing", len(gs.covers))
 		}
 		for trial := 0; trial < 4; trial++ {
-			hs := make([]Handle, len(gs.covers))
+			ss := make([]Session, len(gs.covers))
 			for i, j := range rng.Perm(len(gs.covers)) {
-				sc := gs.covers[j]
-				hs[i] = Handle{Shard: sc.shard, Session: openSession(sc.cs, sc.reps, own.Masks[sc.shard], own.MasksGI[sc.shard], true)}
+				c := gs.covers[j]
+				ss[i] = openSession(c.CS, c.Reps, own.Masks[c.Shard], own.MasksGI[c.Shard], true)
 			}
 			var g Gather
-			res, err := g.Run(ctx, q.K, hs, Inline)
+			res, err := g.Run(ctx, q.K, ss)
 			if err != nil {
 				t.Fatal(err)
 			}

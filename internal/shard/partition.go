@@ -1,9 +1,10 @@
 // Package shard partitions the candidate-site set over N engine shards and
 // answers queries with a scatter-gather protocol that is *bit-exact*
 // against the single-shard engine. A sharded deployment is one process per
-// shard: each runs a Member (member.go) behind internal/router, which drives
-// the distributed greedy over HTTP. Sharded (shard.go) runs the same
-// protocol over N engines in one process; it is that topology's in-process
+// shard: each runs a Member (member.go) behind internal/router, which
+// fetches the members' masked covers over HTTP (codec.go) and gathers them
+// with Answer (gather.go). Sharded (shard.go) runs the same Answer over
+// covers from N engines in one process; it is that topology's in-process
 // twin, the reference the router and cross-process oracles compare against,
 // not a serving mode — one process serves one index.
 //
@@ -18,10 +19,11 @@
 // of owned representatives across shards IS the single-shard representative
 // set, entry for entry. Each shard fills Eq. 9 covers only for its owned
 // clusters (a masked fill, memoized per shard), and the gather runs the
-// paper's Algorithm 1 greedy *distributed*: shards keep the marginals of
-// their own representatives, each round reduces per-shard argmax candidates
-// under the paper's (marginal, weight, index) tie-break, and the winner's
-// trajectory-score list is broadcast back as utility deltas. Every floating
+// paper's Algorithm 1 greedy *distributed* over one session per shard
+// cover: sessions keep the marginals of their shard's representatives, each
+// round reduces per-shard argmax candidates under the paper's (marginal,
+// weight, index) tie-break, and the winner's trajectory-score list is
+// broadcast back as utility deltas. Every floating
 // point operation matches tops.IncGreedy's plain path op for op, which is
 // what the shard-differential oracle (oracle_test.go) enforces.
 //

@@ -6,25 +6,15 @@ import (
 	"netclus/internal/tops"
 )
 
-// The distributed-greedy round protocol in wire-codable messages: the
-// HTTP transport of the one coordinator (gather.go) over the one per-shard
-// round state (session.go). In process, shard.Sharded hands the
-// coordinator its sessions directly; across processes, internal/router
-// hands it handles that speak these messages to N topsserve shard members,
-// each keeping the same sessions in a qid table (member.go).
-//
-// One query is a session per owning shard: a StartRequest carries the
-// ladder instance, the preference in wire form, and the shard's ownership
-// mask; the shard fills its masked cover, opens a session over it, and
-// answers with its local argmax candidate plus that candidate's
-// trajectory-score (TC) list. The coordinator reduces the candidates,
-// applies the winner's TC list to its utility vector, and broadcasts the
-// resulting utility deltas in a StepRequest; each shard absorbs them,
-// re-takes its argmax, and answers again. Go's encoding/json emits float64
-// with the shortest round-trip representation, so all values — marginals,
-// weights, scores, deltas — survive the wire bit-for-bit. That is what
-// keeps a router-tier answer float-op-for-float-op identical to the
-// single-process engine.
+// The member surface a router speaks, and the round state both gather
+// tiers share. A routed query ships covers, not rounds: the router asks
+// every owning member for its masked cover in one CoverRequest
+// (POST /v1/shard/cover), each member answers with the cover in the binary
+// layout of codec.go, and the router runs the same gather shard.Sharded
+// runs in process (Answer, gather.go) over the decoded covers. The codec
+// carries every float64 as its bits and every row in the member's order,
+// so a routed answer is float-op-for-float-op identical to the
+// single-process engine's.
 
 // WirePref is a preference in wire form: the serving layer's (name, τ, λ)
 // triple, re-lowered to a tops.Preference on the receiving side by the
@@ -40,67 +30,43 @@ func (w WirePref) Preference() (tops.Preference, error) {
 	return tops.PreferenceByName(w.Name, w.Tau, w.Lambda)
 }
 
+// CoverRequest asks a member for its masked cover of one query
+// (POST /v1/shard/cover): the ladder instance serving the query's τ, the
+// preference in wire form, and the clusters this shard owns (ascending).
+type CoverRequest struct {
+	P    int              `json:"p"`
+	Pref WirePref         `json:"pref"`
+	Mask []core.ClusterID `json:"mask"`
+}
+
 // UtilDelta is one trajectory's utility improvement from a selection
-// round, broadcast from the gather to the shards.
+// round, broadcast from the gather to the sessions.
 type UtilDelta struct {
-	Traj int32   `json:"t"`
-	OldU float64 `json:"o"`
-	NewU float64 `json:"n"`
+	Traj int32
+	OldU float64
+	NewU float64
 }
 
-// StartRequest opens a query session on one shard member
-// (POST /v1/shard/query/start).
-type StartRequest struct {
-	// QID names the session; the gather side picks it unique per (query,
-	// attempt) so an aborted query's late rounds cannot touch a retry.
-	QID string `json:"qid"`
-	// P is the ladder instance serving the query's τ.
-	P    int      `json:"p"`
-	Pref WirePref `json:"pref"`
-	// Mask lists the clusters this shard owns (ascending), and MaskGlobal
-	// the global dense representative index of each — the positions the
-	// shard's candidates occupy in the single-shard representative space.
-	Mask       []core.ClusterID `json:"mask"`
-	MaskGlobal []int32          `json:"mask_global"`
-}
-
-// StepRequest advances a session one round (POST /v1/shard/query/step):
-// the previous round's winner and the utility deltas it caused.
-type StepRequest struct {
-	QID string `json:"qid"`
-	// WinnerGI is the winning candidate's global dense index; the shard
-	// whose last candidate carried it marks that representative selected.
-	WinnerGI int32       `json:"winner_gi"`
-	Deltas   []UtilDelta `json:"deltas"`
-}
-
-// EndRequest releases a session (POST /v1/shard/query/end). Sessions also
-// expire on their own, so a crashed gather cannot leak them.
-type EndRequest struct {
-	QID string `json:"qid"`
-}
-
-// RoundReply is a shard's answer to a start or step: its current local
-// argmax candidate (nil once every owned representative is selected) and,
-// on start, the shard cover's trajectory universe size.
+// RoundReply is a session's answer to one round: its current local argmax
+// candidate (nil once every owned representative is selected) and the
+// shard cover's trajectory universe size.
 type RoundReply struct {
-	// M is the shard cover's trajectory count; the gather sizes its
-	// utility vector at the max over shards. Zero after the first round.
-	M    int       `json:"m,omitempty"`
-	Cand *WireCand `json:"cand,omitempty"`
+	// M is the shard cover's trajectory count; on the first round the
+	// gather sizes its utility vector at the max over shards.
+	M    int
+	Cand *Candidate
 }
 
-// WireCand is one shard's per-round argmax candidate together with its TC
-// list, shipped eagerly so the gather can apply a winning candidate
-// without another round trip.
-type WireCand struct {
-	GI     int32   `json:"gi"`
-	Marg   float64 `json:"marg"`
-	Weight float64 `json:"w"`
+// Candidate is one session's per-round argmax together with its TC list,
+// so the gather can apply a winning candidate without another round.
+type Candidate struct {
+	GI     int32
+	Marg   float64
+	Weight float64
 	// Trajs/Scores are the candidate's TC list (trajectory ids are global:
 	// every shard replicates the trajectory store).
-	Trajs  []int32   `json:"tc_t"`
-	Scores []float64 `json:"tc_s"`
+	Trajs  []int32
+	Scores []float64
 }
 
 // MemberMeta is GET /v1/shard/meta: everything the router needs to adopt
@@ -126,7 +92,7 @@ type MemberMeta struct {
 }
 
 // The round arithmetic: the float loops the sessions and the coordinator
-// run, whichever transport sits between them.
+// run.
 
 // seedLocalMarginals fills one shard's round-0 marginals: each owned
 // representative's initial marginal is its TC scores summed left to right

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"context"
 	"sync"
-	"time"
 
 	"netclus/internal/core"
 	"netclus/internal/tops"
@@ -13,22 +11,16 @@ import (
 // masked-cover snapshot it opened on, the local→global index map, the
 // marginals and selection mask the rounds evolve, and the last candidate
 // reported (so a step naming it as the winner can mark it selected). It is
-// the one implementation of the shard side of the round protocol: a
-// Member keeps them in a qid table behind /v1/shard/query/, and Sharded
-// hands them to the coordinator directly as Sessions.
+// the one implementation of the shard side of the rounds: Answer opens one
+// per owning shard's cover, whichever process the cover was filled in.
 type memberSession struct {
 	cs       *tops.CoverSets
 	g2l      []int32 // local rep index -> global dense index, -1 = not a winner
 	marg     []float64
 	selected []bool
 	lastLI   int // local index of the last reported candidate; -1 none
-	cand     WireCand
+	cand     Candidate
 	pooled   bool
-
-	// Member-table bookkeeping; untouched by an in-process gather, whose
-	// sessions have exactly one caller.
-	mu      sync.Mutex
-	touched time.Time
 }
 
 var sessionPool = sync.Pool{New: func() any { return &memberSession{pooled: true} }}
@@ -58,8 +50,7 @@ func localToGlobal(dst []int32, reps, mask []core.ClusterID, maskGI []int32) []i
 // reps as CoverMasked returned them for mask, maskGI the global dense index
 // of each mask entry. The marginals are seeded, so the first step (with no
 // winner to absorb) reports the round-0 candidate. pooled recycles the
-// session's buffers through End; a session some other goroutine may still
-// reach after End (a Member's) must not be pooled.
+// session's buffers through End.
 func openSession(cs *tops.CoverSets, reps, mask []core.ClusterID, maskGI []int32, pooled bool) *memberSession {
 	var ses *memberSession
 	if pooled {
@@ -84,39 +75,31 @@ func openSession(cs *tops.CoverSets, reps, mask []core.ClusterID, maskGI []int32
 	return ses
 }
 
-// step advances the session one round: mark our last candidate selected if
-// it won, absorb the winner's utility deltas, and report the new local
-// argmax with its TC list (aliasing the cover's arrays, so the gather can
-// apply a win without another round trip) — or false when every owned
-// representative is selected.
-func (ses *memberSession) step(winnerGI int32, deltas []UtilDelta) (WireCand, bool) {
+// Step implements Session: mark our last candidate selected if it won,
+// absorb the winner's utility deltas, and report the new local argmax with
+// its TC list (aliasing the cover's arrays, so the gather can apply a win
+// without another round) — or no candidate when every owned
+// representative is selected. The reply points into the session, valid
+// until the next Step.
+func (ses *memberSession) Step(winnerGI int32, deltas []UtilDelta) RoundReply {
 	if ses.lastLI >= 0 && ses.g2l[ses.lastLI] == winnerGI {
 		ses.selected[ses.lastLI] = true
 	}
 	applyWinnerDeltas(ses.cs, ses.marg, deltas)
 	best := argmaxLocal(ses.cs, ses.g2l, ses.marg, ses.selected)
 	ses.lastLI = best
-	if best < 0 {
-		return WireCand{}, false
-	}
-	trajs, scores := ses.cs.TC(int32(best))
-	return WireCand{GI: ses.g2l[best], Marg: ses.marg[best], Weight: ses.cs.Weights[best], Trajs: trajs, Scores: scores}, true
-}
-
-// Step implements Session for the in-process gather. The reply's candidate
-// points into the session, valid until the next Step.
-func (ses *memberSession) Step(_ context.Context, winnerGI int32, deltas []UtilDelta) (RoundReply, error) {
 	reply := RoundReply{M: ses.cs.M}
-	if c, ok := ses.step(winnerGI, deltas); ok {
-		ses.cand = c
+	if best >= 0 {
+		trajs, scores := ses.cs.TC(int32(best))
+		ses.cand = Candidate{GI: ses.g2l[best], Marg: ses.marg[best], Weight: ses.cs.Weights[best], Trajs: trajs, Scores: scores}
 		reply.Cand = &ses.cand
 	}
-	return reply, nil
+	return reply
 }
 
 // End implements Session: detach from the cover and recycle the buffers.
 func (ses *memberSession) End() {
-	ses.cs, ses.cand = nil, WireCand{}
+	ses.cs, ses.cand = nil, Candidate{}
 	if ses.pooled {
 		sessionPool.Put(ses)
 	}

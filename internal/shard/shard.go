@@ -206,38 +206,30 @@ func (s *Sharded) updateOwnershipAt(v roadnet.NodeID) {
 
 // gatherSet is one scatter's result: the owning shards' masked covers, in
 // ascending shard order, under the ownership they were fetched for, and the
-// rows the shards swept between them to produce the covers.
+// rows the shards swept between them to produce the covers (0: all served
+// from their cover caches).
 type gatherSet struct {
 	own    *Ownership
-	covers []shardCover
+	covers []Cover
 	swept  int
-}
-
-// shardCover is one shard's slice of the query: its masked cover, the
-// clusters its local dense representative indices stand for, and the rows
-// the shard swept to produce it (0: served from its cover cache).
-type shardCover struct {
-	shard int
-	cs    *tops.CoverSets
-	reps  []core.ClusterID
-	swept int
 }
 
 // scatter fetches every owning shard's masked cover for (p, ψ), one shard
 // after another on the query's goroutine.
 func (s *Sharded) scatter(ctx context.Context, p int, pref tops.Preference, own *Ownership) (*gatherSet, error) {
-	gs := &gatherSet{own: own, covers: make([]shardCover, 0, len(s.shards))}
+	gs := &gatherSet{own: own, covers: make([]Cover, 0, len(s.shards))}
 	for j, sh := range s.shards {
 		if len(own.Masks[j]) == 0 {
 			continue
 		}
-		sc := shardCover{shard: j}
+		c := Cover{Shard: j}
+		var swept int
 		var err error
-		if sc.cs, sc.reps, sc.swept, err = sh.CoverMasked(ctx, p, pref, own.Masks[j]); err != nil {
+		if c.CS, c.Reps, swept, err = sh.CoverMasked(ctx, p, pref, own.Masks[j]); err != nil {
 			return nil, err
 		}
-		gs.covers = append(gs.covers, sc)
-		gs.swept += sc.swept
+		gs.covers = append(gs.covers, c)
+		gs.swept += swept
 	}
 	return gs, nil
 }
@@ -258,98 +250,9 @@ func (b backend) FetchCover(ctx context.Context, p int, pref tops.Preference) (*
 	return gs, gs.swept, nil
 }
 
-var gatherPool = sync.Pool{New: func() any { return new(Gather) }}
-
-// Answer runs the gather phase. The common path is the distributed greedy:
-// the coordinator over one in-process session per fetched cover, rounds
-// inline, the context re-checked before each. Query modes with extra greedy
-// state (FM sketches, lazy evaluation, existing services, target coverage)
-// run on the merged cover instead.
+// Answer runs the gather phase the router runs too (shard.Answer).
 func (b backend) Answer(ctx context.Context, p int, gs *gatherSet, opts core.QueryOptions) (*core.QueryResult, error) {
-	s := b.s
-	n := len(gs.own.Winners)
-	if n == 0 {
-		return nil, fmt.Errorf("shard: instance %d has no cluster representatives (no candidate sites?)", p)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	k := min(opts.K, n)
-	pooled := !s.opts.Engine.DisablePooling
-	var res tops.Result
-	var err error
-	var g *Gather
-	switch {
-	case opts.UseFM:
-		res, err = tops.FMGreedy(gs.merged(), tops.FMGreedyOptions{K: k, F: opts.F, Seed: opts.Seed})
-	case opts.Greedy.Lazy || len(opts.Greedy.InitialSites) > 0 || opts.Greedy.TargetCoverage > 0:
-		gopts := opts.Greedy
-		gopts.K = k
-		if gopts.TargetCoverage > 0 {
-			gopts.K = n
-		}
-		res, err = tops.IncGreedy(gs.merged(), gopts)
-	default:
-		if pooled {
-			g = gatherPool.Get().(*Gather)
-		} else {
-			g = new(Gather)
-		}
-		hs := make([]Handle, len(gs.covers))
-		for i, sc := range gs.covers {
-			hs[i] = Handle{Shard: sc.shard, Session: openSession(sc.cs, sc.reps, gs.own.Masks[sc.shard], gs.own.MasksGI[sc.shard], pooled)}
-		}
-		res, err = g.Run(ctx, k, hs, Inline)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	var out *core.QueryResult
-	if pooled {
-		out = core.AcquireQueryResult()
-	} else {
-		out = &core.QueryResult{}
-	}
-	out.EstimatedUtility = res.Utility
-	out.EstimatedCovered = res.Covered
-	out.InstanceUsed = p
-	out.NumRepresentatives = n
-	for _, gi := range res.Selected {
-		node := gs.own.Winners[gi].Node
-		out.Sites = append(out.Sites, node)
-		out.SiteIDs = append(out.SiteIDs, s.sites.ID(node))
-	}
-	if g != nil && pooled {
-		// res.Selected (aliasing g) is fully consumed above.
-		gatherPool.Put(g)
-	}
-	return out, nil
-}
-
-// merged stitches the per-shard covers into one global CoverSets in the
-// single-shard dense representative space. TC slices are borrowed until
-// Finalize copies them (the shard covers are read-only for the query's
-// lifetime); weights recompute through the same left-to-right summation
-// the single-shard fill performs, so they carry identical bits.
-func (gs *gatherSet) merged() *tops.CoverSets {
-	m := 0
-	for _, sc := range gs.covers {
-		m = max(m, sc.cs.M)
-	}
-	cs := tops.NewCoverSets(len(gs.own.Winners), m)
-	var g2l []int32
-	for _, sc := range gs.covers {
-		g2l = localToGlobal(g2l, sc.reps, gs.own.Masks[sc.shard], gs.own.MasksGI[sc.shard])
-		for li, gi := range g2l {
-			if gi >= 0 {
-				trajs, scores := sc.cs.TC(int32(li))
-				cs.SetTCArrays(gi, trajs, scores)
-			}
-		}
-	}
-	cs.Finalize()
-	return cs
+	return Answer(ctx, p, gs.own, gs.covers, b.s.sites, opts, !b.s.opts.Engine.DisablePooling)
 }
 
 // ApplyMutation is the sharded transition function: site kinds route to

@@ -157,17 +157,18 @@ func NewEngine(idx *Index, opts EngineOptions) (*Engine, error) {
 
 // Sharding: one process serves one index. A sharded topology runs each
 // shard as its own topsserve process (-shard-index) holding one Engine over
-// its site partition, and a stateless router tier (cmd/topsrouter) speaks
-// the distributed-greedy round protocol against them over HTTP — answers
-// are bit-exact against a single-process engine over the same dataset.
+// its site partition, and a stateless router tier (cmd/topsrouter) fetches
+// their masked covers over HTTP and runs the distributed greedy on them —
+// answers are bit-exact against a single-process engine over the same
+// dataset.
 // Site updates route to the owning member; trajectory updates broadcast.
 type (
 	// ShardedOptions configures a member's topology: shard count,
 	// partitioner, and the build/engine options.
 	ShardedOptions = shard.Options
 	// ShardMember is one process-local shard: an Engine plus the member
-	// side of the round protocol, served under /v1/shard/ by setting
-	// ServeOptions.Member.
+	// surface a router reads (meta, representatives, owner, masked
+	// covers), served under /v1/shard/ by setting ServeOptions.Member.
 	ShardMember = shard.Member
 	// Router is the scatter-gather front tier over N shard members; it
 	// implements http.Handler.
