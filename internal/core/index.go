@@ -74,6 +74,8 @@ type Instance struct {
 	// representative presence or RepDr — the only site-set inputs of Eq. 9.
 	// Memoized covers and plans are validated against it (cover.go).
 	repGen uint64
+	// reg is registerTrajectory's scratch.
+	reg registerScratch
 }
 
 // Options configures index construction.
@@ -402,43 +404,51 @@ func (idx *Index) chooseRepresentative(ins *Instance, ci ClusterID) {
 // distance to a cluster center is the minimum round-trip distance over its
 // nodes inside the cluster.
 func registerTrajectory(ins *Instance, tid trajectory.ID, tr *trajectory.Trajectory) {
-	// Min distance per cluster visited.
-	best := make(map[ClusterID]float64, 8)
-	var seq []ClusterID
-	var last ClusterID = InvalidCluster
+	r := &ins.reg
+	if len(r.stamp) < len(ins.Clusters) {
+		r.stamp = make([]uint32, len(ins.Clusters))
+		r.best = make([]float64, len(ins.Clusters))
+		r.epoch = 0
+	}
+	if r.epoch++; r.epoch == 0 {
+		// Wrapped: a stamp from 2^32 calls ago would read as current.
+		clear(r.stamp)
+		r.epoch = 1
+	}
+	// Clusters in first-visit order (CC dedups re-entries), with the
+	// minimum distance over each cluster's visited nodes.
+	seq := r.seq[:0]
 	for _, v := range tr.Nodes {
 		c := ins.NodeCluster[v]
-		if c != last {
+		if r.stamp[c] != r.epoch {
+			r.stamp[c] = r.epoch
+			r.best[c] = math.Inf(1)
 			seq = append(seq, c)
-			last = c
 		}
-		if d := ins.nodeCenterDr[v]; d < bestOr(best, c) {
-			best[c] = d
-		}
-	}
-	// Dedup seq for CC (a trajectory can re-enter a cluster).
-	dedup := seq[:0]
-	seen := make(map[ClusterID]bool, len(seq))
-	for _, c := range seq {
-		if !seen[c] {
-			seen[c] = true
-			dedup = append(dedup, c)
+		if d := ins.nodeCenterDr[v]; d < r.best[c] {
+			r.best[c] = d
 		}
 	}
+	r.seq = seq
 	for int(tid) >= len(ins.CC) {
 		ins.CC = append(ins.CC, nil)
 	}
-	ins.CC[tid] = append([]ClusterID(nil), dedup...)
-	for _, c := range dedup {
-		ins.Clusters[c].TL = append(ins.Clusters[c].TL, TrajEntry{Traj: tid, Dr: best[c]})
+	ins.CC[tid] = append([]ClusterID(nil), seq...)
+	for _, c := range seq {
+		ins.Clusters[c].TL = append(ins.Clusters[c].TL, TrajEntry{Traj: tid, Dr: r.best[c]})
 	}
 }
 
-func bestOr(m map[ClusterID]float64, c ClusterID) float64 {
-	if d, ok := m[c]; ok {
-		return d
-	}
-	return math.Inf(1)
+// registerScratch is registerTrajectory's working memory, one per Instance
+// and sized lazily to its clusters: stamp[c] == epoch marks cluster c as
+// visited by the trajectory being registered, best[c] its distance so far.
+// The build registers into each instance from one goroutine, and updates
+// run under the engine's write lock, so it is never shared.
+type registerScratch struct {
+	stamp []uint32
+	best  []float64
+	epoch uint32
+	seq   []ClusterID
 }
 
 // buildNeighborLists computes CL(g) for every cluster: clusters whose

@@ -61,6 +61,7 @@ func GenerateTrajectories(city *City, cfg TrajConfig) (*trajectory.Store, error)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	grid := spatial.NewGrid(g, 0)
+	scratch := roadnet.NewScratch(g)
 	store := trajectory.NewStore(cfg.Count)
 
 	pickNode := func() roadnet.NodeID {
@@ -98,7 +99,7 @@ func GenerateTrajectories(city *City, cfg TrajConfig) (*trajectory.Store, error)
 			if sep < minLen || sep > maxLen {
 				continue
 			}
-			path := routeTrip(g, grid, rng, src, dst, cfg)
+			path := routeTrip(g, grid, scratch, rng, src, dst, cfg)
 			if path == nil {
 				continue
 			}
@@ -122,7 +123,7 @@ func GenerateTrajectories(city *City, cfg TrajConfig) (*trajectory.Store, error)
 
 // routeTrip routes src -> dst, optionally via a waypoint off the direct
 // corridor to emulate non-shortest-path behaviour.
-func routeTrip(g *roadnet.Graph, grid *spatial.Grid, rng *rand.Rand, src, dst roadnet.NodeID, cfg TrajConfig) []roadnet.NodeID {
+func routeTrip(g *roadnet.Graph, grid *spatial.Grid, scratch *roadnet.DijkstraScratch, rng *rand.Rand, src, dst roadnet.NodeID, cfg TrajConfig) []roadnet.NodeID {
 	if rng.Float64() < cfg.DeviationProb {
 		mid := geo.Lerp(g.Point(src), g.Point(dst), 0.3+rng.Float64()*0.4)
 		// Push the waypoint sideways off the corridor.
@@ -138,14 +139,14 @@ func routeTrip(g *roadnet.Graph, grid *spatial.Grid, rng *rand.Rand, src, dst ro
 		}
 		way, _ := grid.Nearest(mid)
 		if way != roadnet.InvalidNode && way != src && way != dst {
-			p1, d1 := roadnet.AStar(g, src, way)
-			p2, d2 := roadnet.AStar(g, way, dst)
+			p1, d1 := scratch.AStar(g, src, way, nil)
+			p2, d2 := scratch.AStar(g, way, dst, nil)
 			if !math.IsInf(d1, 1) && !math.IsInf(d2, 1) {
 				return append(p1, p2[1:]...)
 			}
 		}
 	}
-	path, d := roadnet.AStar(g, src, dst)
+	path, d := scratch.AStar(g, src, dst, nil)
 	if math.IsInf(d, 1) {
 		return nil
 	}

@@ -138,7 +138,7 @@ type Ingestor struct {
 
 // New builds an ingestor over g. The spatial grid is built once and
 // shared read-only by all workers; each worker owns a matcher (mutable
-// Dijkstra scratch).
+// Dijkstra scratch and lattice).
 func New(g *roadnet.Graph, opts Options) *Ingestor {
 	opts = opts.withDefaults()
 	grid := spatial.NewGrid(g, 0)

@@ -14,6 +14,26 @@
 //     that do not detour;
 //   - Viterbi decoding over the candidate lattice, followed by gap
 //     completion with shortest paths so the output is a connected node walk.
+//
+// A Matcher keeps all of its working memory between traces, so a matched
+// trace costs a handful of allocations (the returned trajectory's) instead
+// of a few thousand:
+//
+//   - the lattice is held in struct-of-arrays form (one flat slice per
+//     candidate field, layers delimited by offsets), together with the
+//     thinned points, the grid query buffer and the stitched walk;
+//   - the network distances a Viterbi layer needs come from one target
+//     search per previous candidate (roadnet.DijkstraScratch.DistancesTo):
+//     a Dijkstra over the scratch's dense arrays that writes one distance
+//     per next-layer candidate and stops once all of them are settled,
+//     rather than settling the whole corridor of radius
+//     3·gpsDist + 4·CandidateRadiusKm into a map;
+//   - gap completion runs roadnet.DijkstraScratch.AStar on the same
+//     scratch.
+//
+// Both searches replay the heap order of the map-based code they replaced,
+// so every matched walk is node-for-node the one that code found; a frozen
+// copy of it is the package's differential oracle (TestMatchDifferential).
 package mapmatch
 
 import (
@@ -67,6 +87,7 @@ type Matcher struct {
 	grid    *spatial.Grid
 	cfg     Config
 	scratch *roadnet.DijkstraScratch
+	lat     lattice
 }
 
 // NewMatcher builds a matcher over g. The grid index is constructed once
@@ -78,7 +99,7 @@ func NewMatcher(g *roadnet.Graph, cfg Config) *Matcher {
 // NewMatcherWithIndex builds a matcher over g reusing a prebuilt grid
 // index. The grid is read-only during matching, so a worker pool shares
 // one index while each worker keeps its own matcher (the Dijkstra scratch
-// is mutable — a Matcher must not be used concurrently).
+// and the lattice are mutable — a Matcher must not be used concurrently).
 func NewMatcherWithIndex(g *roadnet.Graph, grid *spatial.Grid, cfg Config) *Matcher {
 	return &Matcher{
 		g:       g,
@@ -88,13 +109,24 @@ func NewMatcherWithIndex(g *roadnet.Graph, grid *spatial.Grid, cfg Config) *Matc
 	}
 }
 
-// candidate is one lattice entry of the Viterbi decoding.
-type candidate struct {
-	node    roadnet.NodeID
-	emitLog float64
-	// viterbi state
-	score float64
-	prev  int // index into previous layer, -1 at the first layer
+// lattice is the Viterbi candidate lattice in struct-of-arrays form, plus
+// the per-trace buffers around it. Layer i holds candidates
+// start[i] ≤ j < start[i+1] of the per-candidate slices. Every slice is
+// reused across traces; nothing in it outlives one Match call.
+type lattice struct {
+	start []int
+	node  []roadnet.NodeID
+	emit  []float64 // emission log-score
+	score []float64 // Viterbi score
+	prev  []int     // position in the previous layer, -1 at a (re)start
+	// dist holds one layer's network distances, row p (a previous-layer
+	// candidate) by column c (a candidate of the layer): +Inf when c is not
+	// reached within the search radius.
+	dist []float64
+	pts  []trajectory.GPSPoint // thinned trace
+	ids  []roadnet.NodeID      // grid.Within results
+	best []roadnet.NodeID      // decoded node per layer
+	walk []roadnet.NodeID      // stitched walk, every segment back to back
 }
 
 // Match converts a GPS trace into a map-matched trajectory. It returns an
@@ -118,21 +150,21 @@ func (m *Matcher) MatchCtx(ctx context.Context, trace trajectory.GPSTrace) (*tra
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("mapmatch: empty trace")
 	}
-	layers, err := m.buildLattice(pts)
-	if err != nil {
+	if err := m.buildLattice(pts); err != nil {
 		return nil, err
 	}
-	best, err := m.viterbi(ctx, pts, layers)
+	best, err := m.viterbi(ctx, pts)
 	if err != nil {
 		return nil, err
 	}
 	if best == nil {
 		return nil, fmt.Errorf("mapmatch: no feasible path through candidate lattice")
 	}
-	nodes := longestSegment(m.stitch(best))
+	nodes := m.stitch(best)
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("mapmatch: stitching produced empty walk")
 	}
+	// trajectory.New copies nodes, so the walk buffer is free again.
 	return trajectory.New(m.g, nodes)
 }
 
@@ -147,43 +179,57 @@ func (m *Matcher) thin(trace trajectory.GPSTrace) []trajectory.GPSPoint {
 	if m.cfg.MinPointSpacingKm == 0 || len(trace.Points) == 0 {
 		return trace.Points
 	}
-	out := make([]trajectory.GPSPoint, 1, len(trace.Points))
-	out[0] = trace.Points[0]
+	out := append(m.lat.pts[:0], trace.Points[0])
 	for _, p := range trace.Points[1:] {
 		if p.Pos.Dist(out[len(out)-1].Pos) >= m.cfg.MinPointSpacingKm {
 			out = append(out, p)
 		}
 	}
+	m.lat.pts = out
 	return out
 }
 
 // buildLattice generates the candidate layers with emission scores.
-func (m *Matcher) buildLattice(pts []trajectory.GPSPoint) ([][]candidate, error) {
-	layers := make([][]candidate, len(pts))
+func (m *Matcher) buildLattice(pts []trajectory.GPSPoint) error {
+	l := &m.lat
+	l.start = append(l.start[:0], 0)
+	l.node, l.emit = l.node[:0], l.emit[:0]
 	sigma2 := 2 * m.cfg.SigmaKm * m.cfg.SigmaKm
 	for i, p := range pts {
-		ids := m.grid.Within(p.Pos, m.cfg.CandidateRadiusKm, nil)
+		ids := m.grid.Within(p.Pos, m.cfg.CandidateRadiusKm, l.ids[:0])
+		l.ids = ids
 		if len(ids) == 0 {
 			// Fall back to the single nearest node: traces may briefly
 			// leave the candidate radius in sparse areas.
 			v, d := m.grid.Nearest(p.Pos)
 			if v == roadnet.InvalidNode {
-				return nil, fmt.Errorf("mapmatch: point %d has no candidates (empty network?)", i)
+				return fmt.Errorf("mapmatch: point %d has no candidates (empty network?)", i)
 			}
-			layers[i] = []candidate{{node: v, emitLog: -d * d / sigma2}}
-			continue
+			l.node = append(l.node, v)
+			l.emit = append(l.emit, -d*d/sigma2)
+		} else {
+			if len(ids) > m.cfg.MaxCandidates {
+				ids = m.closestK(p, ids, m.cfg.MaxCandidates)
+			}
+			for _, v := range ids {
+				d := m.g.Point(v).Dist(p.Pos)
+				l.node = append(l.node, v)
+				l.emit = append(l.emit, -d*d/sigma2)
+			}
 		}
-		if len(ids) > m.cfg.MaxCandidates {
-			ids = m.closestK(p, ids, m.cfg.MaxCandidates)
-		}
-		layer := make([]candidate, 0, len(ids))
-		for _, v := range ids {
-			d := m.g.Point(v).Dist(p.Pos)
-			layer = append(layer, candidate{node: v, emitLog: -d * d / sigma2})
-		}
-		layers[i] = layer
+		l.start = append(l.start, len(l.node))
 	}
-	return layers, nil
+	l.score = resize(l.score, len(l.node))
+	l.prev = resize(l.prev, len(l.node))
+	return nil
+}
+
+// resize returns s with length n, reallocating only when it must grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // closestK selects the k candidates nearest the point (partial selection).
@@ -201,142 +247,131 @@ func (m *Matcher) closestK(p trajectory.GPSPoint, ids []roadnet.NodeID, k int) [
 }
 
 // viterbi decodes the maximum-score candidate path and returns the chosen
-// node of each layer. It checks ctx once per layer — each layer runs one
-// bounded Dijkstra per previous candidate, so that is the natural grain.
-func (m *Matcher) viterbi(ctx context.Context, pts []trajectory.GPSPoint, layers [][]candidate) ([]roadnet.NodeID, error) {
-	first := layers[0]
-	for i := range first {
-		first[i].score = first[i].emitLog
-		first[i].prev = -1
-	}
+// node of each layer, or nil when no final candidate has a score. It
+// checks ctx once per layer — each layer runs one target search per
+// previous candidate, so that is the natural grain.
+func (m *Matcher) viterbi(ctx context.Context, pts []trajectory.GPSPoint) ([]roadnet.NodeID, error) {
 	const negInf = math.MaxFloat64 * -1
-	for li := 1; li < len(layers); li++ {
+	l := &m.lat
+	layers := len(l.start) - 1
+	for i := l.start[0]; i < l.start[1]; i++ {
+		l.score[i] = l.emit[i]
+		l.prev[i] = -1
+	}
+	for li := 1; li < layers; li++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		prevLayer := layers[li-1]
+		p0, c0, c1 := l.start[li-1], l.start[li], l.start[li+1]
+		nc := c1 - c0
 		gpsDist := pts[li].Pos.Dist(pts[li-1].Pos)
 		searchRadius := gpsDist*3 + m.cfg.CandidateRadiusKm*4
-		// Network distances from every previous candidate, one bounded
-		// search each.
-		netDist := make([]map[roadnet.NodeID]float64, len(prevLayer))
-		for pi, pc := range prevLayer {
-			res := m.scratch.Bounded(m.g, pc.node, roadnet.Forward, searchRadius)
-			netDist[pi] = res.Dist
+		// Network distances from every scored previous candidate to this
+		// layer's candidates, one early-stopping search each.
+		l.dist = resize(l.dist, (c0-p0)*nc)
+		for pi := p0; pi < c0; pi++ {
+			if l.score[pi] != negInf {
+				row := l.dist[(pi-p0)*nc : (pi-p0+1)*nc]
+				m.scratch.DistancesTo(m.g, l.node[pi], searchRadius, l.node[c0:c1], row)
+			}
 		}
-		for ci := range layers[li] {
-			c := &layers[li][ci]
-			c.score = negInf
-			c.prev = -1
-			for pi := range prevLayer {
-				pScore := prevLayer[pi].score
+		broken := true
+		for ci := c0; ci < c1; ci++ {
+			score, prev := negInf, -1
+			for pi := p0; pi < c0; pi++ {
+				pScore := l.score[pi]
 				if pScore == negInf {
 					continue
 				}
-				nd, ok := netDist[pi][c.node]
-				if !ok {
+				nd := l.dist[(pi-p0)*nc+ci-c0]
+				if math.IsInf(nd, 1) {
 					continue // unreachable within the corridor
 				}
 				transLog := -math.Abs(nd-gpsDist) / m.cfg.BetaKm
-				if s := pScore + transLog + c.emitLog; s > c.score {
-					c.score = s
-					c.prev = pi
+				if s := pScore + transLog + l.emit[ci]; s > score {
+					score, prev = s, pi-p0
 				}
+			}
+			l.score[ci], l.prev[ci] = score, prev
+			if prev != -1 {
+				broken = false
 			}
 		}
 		// Lattice break: no candidate reachable. Restart scoring at this
 		// layer (standard practice for low-quality traces) rather than
 		// failing the whole trace.
-		broken := true
-		for ci := range layers[li] {
-			if layers[li][ci].prev != -1 {
-				broken = false
-				break
-			}
-		}
 		if broken {
-			for ci := range layers[li] {
-				layers[li][ci].score = layers[li][ci].emitLog
-				layers[li][ci].prev = -1
-			}
+			copy(l.score[c0:c1], l.emit[c0:c1])
 		}
 	}
 	// Backtrack from the best final candidate.
-	last := layers[len(layers)-1]
-	bestIdx, bestScore := -1, negInf
-	for i := range last {
-		if last[i].score > bestScore {
-			bestIdx, bestScore = i, last[i].score
-		}
-	}
+	bestIdx := argmax(l.score[l.start[layers-1]:l.start[layers]], -1)
 	if bestIdx < 0 {
 		return nil, nil
 	}
-	out := make([]roadnet.NodeID, len(layers))
+	l.best = resize(l.best, layers)
 	idx := bestIdx
-	for li := len(layers) - 1; li >= 0; li-- {
-		out[li] = layers[li][idx].node
-		idx = layers[li][idx].prev
+	for li := layers - 1; li >= 0; li-- {
+		l.best[li] = l.node[l.start[li]+idx]
+		idx = l.prev[l.start[li]+idx]
 		if idx < 0 && li > 0 {
 			// Restarted segment: greedily take the best-scored candidate
 			// of the previous layer.
-			prevBest, prevScore := 0, negInf
-			for i := range layers[li-1] {
-				if layers[li-1][i].score > prevScore {
-					prevBest, prevScore = i, layers[li-1][i].score
-				}
-			}
-			idx = prevBest
+			idx = argmax(l.score[l.start[li-1]:l.start[li]], 0)
 		}
 	}
-	return out, nil
+	return l.best, nil
 }
 
-// stitch expands the matched node-per-point sequence into connected node
-// walks by inserting shortest paths between consecutive distinct nodes.
-// Unbridgeable gaps split the walk — each returned segment is internally
-// connected, mirroring how production matchers handle tunnels and data
-// holes. Match keeps the longest segment.
-func (m *Matcher) stitch(matched []roadnet.NodeID) [][]roadnet.NodeID {
-	var segs [][]roadnet.NodeID
-	var cur []roadnet.NodeID
-	for _, v := range matched {
-		if len(cur) == 0 {
-			cur = append(cur, v)
-			continue
+// argmax returns the position of the first maximum of scores that is above
+// -MaxFloat64, or none when there is no such score.
+func argmax(scores []float64, none int) int {
+	best, bestScore := none, math.MaxFloat64*-1
+	for i, s := range scores {
+		if s > bestScore {
+			best, bestScore = i, s
 		}
-		prev := cur[len(cur)-1]
+	}
+	return best
+}
+
+// stitch expands the matched node-per-point sequence into a connected node
+// walk by inserting shortest paths between consecutive distinct nodes, and
+// returns the longest connected segment (earliest wins a tie) — the
+// best-supported connected piece of the matched walk. Unbridgeable gaps
+// split the walk, mirroring how production matchers handle tunnels and
+// data holes; trajectory.New would reject the disconnected pair. The
+// result aliases the matcher's walk buffer.
+func (m *Matcher) stitch(matched []roadnet.NodeID) []roadnet.NodeID {
+	w := append(m.lat.walk[:0], matched[0])
+	lo, bestLo, bestHi := 0, 0, 0 // current segment w[lo:], best w[bestLo:bestHi]
+	for _, v := range matched[1:] {
+		prev := w[len(w)-1]
 		if v == prev {
 			continue
 		}
 		if m.g.HasEdge(prev, v) {
-			cur = append(cur, v)
+			w = append(w, v)
 			continue
 		}
-		path, d := roadnet.AStar(m.g, prev, v)
+		// The path starts at prev, so append it over prev's own slot.
+		n := len(w)
+		var d float64
+		w, d = m.scratch.AStar(m.g, prev, v, w[:n-1])
 		if math.IsInf(d, 1) {
-			// Unbridgeable: close the walk here and continue from the far
-			// side. trajectory.New would reject the disconnected pair.
-			segs = append(segs, cur)
-			cur = []roadnet.NodeID{v}
-			continue
-		}
-		cur = append(cur, path[1:]...)
-	}
-	if len(cur) > 0 {
-		segs = append(segs, cur)
-	}
-	return segs
-}
-
-// longestSegment picks the segment with the most nodes (earliest wins a
-// tie) — the best-supported connected piece of the matched walk.
-func longestSegment(segs [][]roadnet.NodeID) []roadnet.NodeID {
-	var best []roadnet.NodeID
-	for _, s := range segs {
-		if len(s) > len(best) {
-			best = s
+			// Unbridgeable: AStar appended nothing, so w[:n] is intact.
+			// Close the segment here and continue from the far side.
+			w = w[:n]
+			if n-lo > bestHi-bestLo {
+				bestLo, bestHi = lo, n
+			}
+			lo = n
+			w = append(w, v)
 		}
 	}
-	return best
+	if len(w)-lo > bestHi-bestLo {
+		bestLo, bestHi = lo, len(w)
+	}
+	m.lat.walk = w
+	return w[bestLo:bestHi]
 }

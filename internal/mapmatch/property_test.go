@@ -66,8 +66,10 @@ func TestMatchRoundTripProperty(t *testing.T) {
 
 // FuzzMatch feeds adversarial traces to the matcher: arbitrary float
 // coordinates (NaN, ±Inf, huge magnitudes), empty and single-point traces,
-// points far off the network. The property is absence of panics — errors
-// are fine, crashes are not.
+// points far off the network. Errors are fine, crashes are not; and every
+// outcome must be the frozen reference matcher's (reference_test.go): the
+// same error-or-not, the same node walk. One Matcher serves every input,
+// so state a trace leaves in the pooled lattice or scratch is fuzzed too.
 func FuzzMatch(f *testing.F) {
 	f.Add([]byte{})                            // empty trace
 	f.Add(mkPoints(1.0, 1.0))                  // single on-network point
@@ -83,13 +85,17 @@ func FuzzMatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	m := NewMatcher(city.Graph, Config{MinPointSpacingKm: 0.05})
+	cfg := Config{MinPointSpacingKm: 0.05}
+	m, ref := NewMatcher(city.Graph, cfg), newRefMatcher(city.Graph, cfg)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		trace := decodeFuzzTrace(data)
+		if !sameMatch(t, "fuzz trace", m, ref, trace) {
+			return
+		}
 		tr, err := m.Match(trace)
 		if err != nil {
-			return
+			t.Fatalf("Match failed on a trace it matched a moment ago: %v", err)
 		}
 		if tr == nil {
 			t.Fatal("Match returned nil trajectory without error")

@@ -62,6 +62,17 @@ func twoComponentGraph(t *testing.T) *roadnet.Graph {
 	return g
 }
 
+// gapTrace runs along twoComponentGraph's west chain, then jumps to the
+// disconnected east chain.
+var gapTrace = trajectory.GPSTrace{Points: []trajectory.GPSPoint{
+	{Pos: geo.Point{X: 0.02, Y: 0.01}, Time: 0},
+	{Pos: geo.Point{X: 1.01, Y: -0.02}, Time: 1},
+	{Pos: geo.Point{X: 2.0, Y: 0.015}, Time: 2},
+	{Pos: geo.Point{X: 3.01, Y: 0.0}, Time: 3},
+	{Pos: geo.Point{X: 15.01, Y: 0.01}, Time: 4},
+	{Pos: geo.Point{X: 16.0, Y: -0.01}, Time: 5},
+}}
+
 // TestMatchSplitsAtUnbridgeableGap is the regression test for the stitch
 // contract bug: stitch documented "unbridgeable gaps are skipped" but
 // jumped across the gap, handing trajectory.New a disconnected node pair —
@@ -70,15 +81,7 @@ func twoComponentGraph(t *testing.T) *roadnet.Graph {
 func TestMatchSplitsAtUnbridgeableGap(t *testing.T) {
 	g := twoComponentGraph(t)
 	m := NewMatcher(g, Config{})
-	trace := trajectory.GPSTrace{Points: []trajectory.GPSPoint{
-		{Pos: geo.Point{X: 0.02, Y: 0.01}, Time: 0},
-		{Pos: geo.Point{X: 1.01, Y: -0.02}, Time: 1},
-		{Pos: geo.Point{X: 2.0, Y: 0.015}, Time: 2},
-		{Pos: geo.Point{X: 3.01, Y: 0.0}, Time: 3},
-		{Pos: geo.Point{X: 15.01, Y: 0.01}, Time: 4}, // jumps to the disconnected east chain
-		{Pos: geo.Point{X: 16.0, Y: -0.01}, Time: 5},
-	}}
-	tr, err := m.Match(trace)
+	tr, err := m.Match(gapTrace)
 	if err != nil {
 		t.Fatalf("Match must survive an unbridgeable gap by splitting, got error: %v", err)
 	}

@@ -11,69 +11,74 @@ import "math"
 // valid but may be suboptimal; callers that need exactness on arbitrary
 // weights should use ShortestPath.
 //
-// AStar exists because trajectory generation runs one point-to-point query
-// per synthetic trajectory; goal-directed search visits a small corridor of
-// the network instead of a full Dijkstra ball.
+// AStar is a convenience wrapper allocating fresh scratch, as
+// BoundedDijkstra is: loops that route many pairs over one graph (trajectory
+// generation, the map matcher's gap completion) hold a DijkstraScratch and
+// call its AStar, which is the one implementation.
 func AStar(g *Graph, src, dst NodeID) ([]NodeID, float64) {
+	return NewScratch(g).AStar(g, src, dst, nil)
+}
+
+// AStar appends a shortest path src -> dst (both ends included) to path and
+// returns it with the path's length, or returns path unchanged and +Inf when
+// dst is unreachable or either end is invalid. It is the package-level
+// AStar run on the scratch's dense arrays — the distance array holds the g
+// scores, the visited flags the closed set — so it allocates nothing once
+// path and the heap have grown. Goal-directed search visits a small
+// corridor of the network instead of a full Dijkstra ball.
+func (s *DijkstraScratch) AStar(g *Graph, src, dst NodeID, path []NodeID) ([]NodeID, float64) {
 	if !g.valid(src) || !g.valid(dst) {
-		return nil, math.Inf(1)
+		return path, math.Inf(1)
 	}
 	if src == dst {
-		return []NodeID{src}, 0
+		return append(path, src), 0
 	}
-	n := g.NumNodes()
-	gScore := make(map[NodeID]float64, 256)
-	prev := make(map[NodeID]NodeID, 256)
-	closed := make(map[NodeID]bool, 256)
+	s.grow(g.NumNodes())
+	s.reset()
 	target := g.Point(dst)
-	h := func(v NodeID) float64 { return g.Point(v).Dist(target) }
-
-	var open distHeap
-	gScore[src] = 0
-	open.push(pqItem{node: src, dist: h(src)})
-	for !open.empty() {
-		it := open.pop()
-		v := it.node
-		if closed[v] {
+	s.dist[src] = 0
+	s.touched = append(s.touched, src)
+	s.heap.push(pqItem{node: src, dist: g.Point(src).Dist(target)})
+	for !s.heap.empty() {
+		v := s.heap.pop().node
+		if s.visited[v] {
 			continue
 		}
 		if v == dst {
 			break
 		}
-		closed[v] = true
-		gv := gScore[v]
-		g.Neighbors(v, func(to NodeID, w float64) bool {
-			if closed[to] {
-				return true
+		s.visited[v] = true
+		gv := s.dist[v]
+		for _, e := range g.out[v] {
+			if s.visited[e.to] {
+				continue
 			}
-			ng := gv + w
-			if old, ok := gScore[to]; !ok || ng < old {
-				gScore[to] = ng
-				prev[to] = v
-				open.push(pqItem{node: to, dist: ng + h(to)})
+			if ng := gv + e.w; ng < s.dist[e.to] {
+				if math.IsInf(s.dist[e.to], 1) {
+					s.touched = append(s.touched, e.to)
+				}
+				s.dist[e.to] = ng
+				s.prev[e.to] = v
+				s.heap.push(pqItem{node: e.to, dist: ng + g.Point(e.to).Dist(target)})
 			}
-			return true
-		})
+		}
 	}
-	d, ok := gScore[dst]
-	if !ok {
-		return nil, math.Inf(1)
+	d := s.dist[dst]
+	if math.IsInf(d, 1) {
+		return path, d
 	}
-	var rev []NodeID
-	for v := dst; ; {
-		rev = append(rev, v)
+	// Walk the predecessor chain back from dst, then reverse it in place.
+	// Every node on the chain but src was relaxed in this run, so its prev
+	// entry is current.
+	base := len(path)
+	for v := dst; ; v = s.prev[v] {
+		path = append(path, v)
 		if v == src {
 			break
 		}
-		p, ok := prev[v]
-		if !ok || len(rev) > n {
-			return nil, math.Inf(1) // defensive: broken predecessor chain
-		}
-		v = p
 	}
-	path := make([]NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
+	for i, j := base, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
 	}
 	return path, d
 }

@@ -3,6 +3,7 @@ package roadnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netclus/internal/geo"
@@ -75,5 +76,27 @@ func TestAStarTrivialAndUnreachable(t *testing.T) {
 	}
 	if _, d := AStar(g, -1, b); !math.IsInf(d, 1) {
 		t.Error("invalid src accepted")
+	}
+}
+
+// TestScratchAStarReuse checks that one scratch, reused across A* runs and
+// interleaved with the other searches sharing its arrays, returns exactly
+// the fresh-scratch path, appended after whatever the buffer already held.
+func TestScratchAStarReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := euclidGraph(rng, 80)
+	s := NewScratch(g)
+	buf := []NodeID{-7}
+	out := make([]float64, 3)
+	for q := 0; q < 200; q++ {
+		src := NodeID(rng.Intn(g.NumNodes()))
+		dst := NodeID(rng.Intn(g.NumNodes()))
+		want, wantD := AStar(g, src, dst)
+		got, d := s.AStar(g, src, dst, buf[:1])
+		if d != wantD || !slices.Equal(got[1:], want) || got[0] != -7 {
+			t.Fatalf("query %d: scratch AStar(%d,%d) = %v %v, fresh %v %v", q, src, dst, got, d, want, wantD)
+		}
+		buf = got
+		s.DistancesTo(g, dst, 3, []NodeID{src, dst, 0}, out)
 	}
 }

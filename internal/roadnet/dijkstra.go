@@ -1,6 +1,9 @@
 package roadnet
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Direction selects which adjacency a shortest-path search follows.
 type Direction int
@@ -84,13 +87,25 @@ func (r *SearchResult) Get(v NodeID) float64 {
 	return math.Inf(1)
 }
 
-// DijkstraScratch is reusable working memory for repeated full searches over
-// the same graph, eliminating allocation in index-construction loops.
+// DijkstraScratch is reusable working memory for repeated searches over the
+// same graph, eliminating allocation in index-construction loops and in the
+// map matcher. A scratch must not be used concurrently.
 type DijkstraScratch struct {
 	dist    []float64
 	visited []bool
+	// prev is AStar's predecessor array. Only entries whose dist was set in
+	// the current run are meaningful, so reset leaves it alone.
+	prev    []NodeID
 	touched []NodeID
 	heap    distHeap
+	// The heap and touched headers are written on every push, and the
+	// scratches of a matcher pool or of build workers are allocated back
+	// to back. Padding the struct to 128 bytes, a size class whose objects
+	// are 128-byte aligned, keeps any two of them off a shared cache line
+	// (and off an adjacent-line prefetch pair). At 96 bytes two scratches
+	// could share a line, and a process then matched ≈ 1.5× slower for
+	// its whole life (EXPERIMENTS.md, the ingest pool bisect).
+	_ [8]byte
 }
 
 // NewScratch sizes scratch space for graph g.
@@ -99,6 +114,7 @@ func NewScratch(g *Graph) *DijkstraScratch {
 	s := &DijkstraScratch{
 		dist:    make([]float64, n),
 		visited: make([]bool, n),
+		prev:    make([]NodeID, n),
 	}
 	for i := range s.dist {
 		s.dist[i] = math.Inf(1)
@@ -111,6 +127,7 @@ func (s *DijkstraScratch) grow(n int) {
 	for len(s.dist) < n {
 		s.dist = append(s.dist, math.Inf(1))
 		s.visited = append(s.visited, false)
+		s.prev = append(s.prev, 0)
 	}
 }
 
@@ -168,6 +185,66 @@ func (s *DijkstraScratch) Bounded(g *Graph, src NodeID, dir Direction, radius fl
 		}
 	}
 	return res
+}
+
+// DistancesTo runs a forward Dijkstra from src bounded by radius, as
+// Bounded does, but reports only the given targets: out[i] becomes the
+// distance of targets[i], or +Inf when it is not settled within radius. It
+// stops as soon as every distinct target is settled. Up to that point the
+// heap sees exactly Bounded's pushes and pops, so every reported distance
+// is bit-identical to the one Bounded would map the target to. out must be
+// at least as long as targets. DistancesTo allocates nothing once the heap
+// and the touched list have grown.
+func (s *DijkstraScratch) DistancesTo(g *Graph, src NodeID, radius float64, targets []NodeID, out []float64) {
+	out = out[:len(targets)]
+	left := 0
+	for i, t := range targets {
+		out[i] = math.Inf(1)
+		if !slices.Contains(targets[:i], t) {
+			left++
+		}
+	}
+	s.grow(g.NumNodes())
+	s.reset()
+	if !g.valid(src) || left == 0 {
+		return
+	}
+	s.dist[src] = 0
+	s.touched = append(s.touched, src)
+	s.heap.push(pqItem{node: src, dist: 0})
+	for !s.heap.empty() {
+		it := s.heap.pop()
+		v := it.node
+		if s.visited[v] {
+			continue
+		}
+		s.visited[v] = true
+		hit := false
+		for i, t := range targets {
+			if t == v {
+				out[i] = it.dist
+				hit = true
+			}
+		}
+		if hit {
+			if left--; left == 0 {
+				return
+			}
+		}
+		for _, e := range g.out[v] {
+			nd := it.dist + e.w
+			if radius >= 0 && nd > radius {
+				continue
+			}
+			if nd < s.dist[e.to] {
+				if math.IsInf(s.dist[e.to], 1) {
+					s.touched = append(s.touched, e.to)
+				}
+				s.dist[e.to] = nd
+				s.heap.push(pqItem{node: e.to, dist: nd})
+			}
+		}
+	}
 }
 
 // BoundedDijkstra is a convenience wrapper allocating fresh scratch.

@@ -54,7 +54,10 @@ func New(g *roadnet.Graph, nodes []roadnet.NodeID) (*Trajectory, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("trajectory: empty node sequence")
 	}
-	t := &Trajectory{}
+	t := &Trajectory{
+		Nodes:   make([]roadnet.NodeID, 0, len(nodes)),
+		CumDist: make([]float64, 0, len(nodes)),
+	}
 	for i, v := range nodes {
 		if v < 0 || int(v) >= g.NumNodes() {
 			return nil, fmt.Errorf("trajectory: node %d at position %d outside graph", v, i)
