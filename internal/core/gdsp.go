@@ -6,8 +6,10 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"netclus/internal/fm"
@@ -105,6 +107,7 @@ func gdspExact(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 	covered := make([]bool, n)
 	remaining := n
 	var clusters []rawCluster
+	var dom []roadnet.NodeDr
 	var stamp int32 = 1
 	for remaining > 0 && h.Len() > 0 {
 		top := heap.Pop(&h).(domHeapItem)
@@ -112,10 +115,10 @@ func gdspExact(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 			continue
 		}
 		if top.stamp != stamp {
-			dom := roadnet.BoundedRoundTripsFrom(g, scratch, top.node, twoR)
+			dom = scratch.RoundTrips(g, top.node, twoR, dom)
 			cnt := 0
-			for u := range dom {
-				if !covered[u] {
+			for _, u := range dom {
+				if !covered[u.Node] {
 					cnt++
 				}
 			}
@@ -127,21 +130,13 @@ func gdspExact(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 			}
 		}
 		// Fresh top: select as a center.
-		dom := roadnet.BoundedRoundTripsFrom(g, scratch, top.node, twoR)
-		cl := rawCluster{center: top.node}
-		for u, rt := range dom {
-			if !covered[u] {
-				covered[u] = true
-				remaining--
-				cl.members = append(cl.members, u)
-				cl.dist = append(cl.dist, rt)
-			}
-		}
+		dom = scratch.RoundTrips(g, top.node, twoR, dom)
+		cl := clusterOf(top.node, dom, covered)
+		remaining -= len(cl.members)
 		if len(cl.members) == 0 {
 			// Possible only if the node was covered concurrently; skip.
 			continue
 		}
-		sortMembers(&cl)
 		clusters = append(clusters, cl)
 		stamp++
 	}
@@ -166,11 +161,12 @@ func gdspFM(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 	sketches := make([]*fm.Sketch, n)
 	own := make([]float64, n)
 	parallelSweep(g, n, opts.Workers, func(sc *roadnet.DijkstraScratch, lo, hi int) {
+		var dom []roadnet.NodeDr
 		for v := lo; v < hi; v++ {
 			sk := fm.NewSketchSeeded(f, opts.Seed+1)
-			dom := roadnet.BoundedRoundTripsFrom(g, sc, roadnet.NodeID(v), twoR)
-			for u := range dom {
-				sk.Add(uint64(u))
+			dom = sc.RoundTrips(g, roadnet.NodeID(v), twoR, dom)
+			for _, u := range dom {
+				sk.Add(uint64(u.Node))
 			}
 			sketches[v] = sk
 			own[v] = sk.Estimate()
@@ -192,6 +188,7 @@ func gdspFM(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 	covered := make([]bool, n)
 	remaining := n
 	var clusters []rawCluster
+	var dom []roadnet.NodeDr
 	for remaining > 0 {
 		best := -1
 		bestMarg := 0.0
@@ -216,18 +213,10 @@ func gdspFM(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 				}
 			}
 		}
-		dom := roadnet.BoundedRoundTripsFrom(g, scratch, roadnet.NodeID(best), twoR)
-		cl := rawCluster{center: roadnet.NodeID(best)}
-		for u, rt := range dom {
-			if !covered[u] {
-				covered[u] = true
-				remaining--
-				cl.members = append(cl.members, u)
-				cl.dist = append(cl.dist, rt)
-			}
-		}
+		dom = scratch.RoundTrips(g, roadnet.NodeID(best), twoR, dom)
+		cl := clusterOf(roadnet.NodeID(best), dom, covered)
+		remaining -= len(cl.members)
 		if len(cl.members) > 0 {
-			sortMembers(&cl)
 			clusters = append(clusters, cl)
 			coveredSketch.UnionWith(sketches[best])
 			coveredEst = coveredSketch.Estimate()
@@ -244,28 +233,35 @@ func sweepDomCounts(g *roadnet.Graph, twoR float64, workers int) []float64 {
 	n := g.NumNodes()
 	counts := make([]float64, n)
 	parallelSweep(g, n, workers, func(sc *roadnet.DijkstraScratch, lo, hi int) {
+		var dom []roadnet.NodeDr
 		for v := lo; v < hi; v++ {
-			dom := roadnet.BoundedRoundTripsFrom(g, sc, roadnet.NodeID(v), twoR)
+			dom = sc.RoundTrips(g, roadnet.NodeID(v), twoR, dom)
 			counts[v] = float64(len(dom))
 		}
 	})
 	return counts
 }
 
-// sortMembers orders cluster members by node id for determinism (map
-// iteration order is random).
-func sortMembers(cl *rawCluster) {
-	idx := make([]int, len(cl.members))
-	for i := range idx {
-		idx[i] = i
+// clusterOf forms the cluster centred at center from its dominating set:
+// every not-yet-covered node of dom joins (and is marked covered), with
+// members ordered by node id. It filters dom in place, so the caller's
+// buffer holds only the new members afterwards.
+func clusterOf(center roadnet.NodeID, dom []roadnet.NodeDr, covered []bool) rawCluster {
+	fresh := dom[:0]
+	for _, u := range dom {
+		if !covered[u.Node] {
+			covered[u.Node] = true
+			fresh = append(fresh, u)
+		}
 	}
-	sort.Slice(idx, func(a, b int) bool { return cl.members[idx[a]] < cl.members[idx[b]] })
-	members := make([]roadnet.NodeID, len(idx))
-	dist := make([]float64, len(idx))
-	for i, j := range idx {
-		members[i] = cl.members[j]
-		dist[i] = cl.dist[j]
+	slices.SortFunc(fresh, func(a, b roadnet.NodeDr) int { return cmp.Compare(a.Node, b.Node) })
+	cl := rawCluster{
+		center:  center,
+		members: make([]roadnet.NodeID, len(fresh)),
+		dist:    make([]float64, len(fresh)),
 	}
-	cl.members = members
-	cl.dist = dist
+	for i, u := range fresh {
+		cl.members[i], cl.dist[i] = u.Node, u.Dr
+	}
+	return cl
 }

@@ -286,20 +286,22 @@ func estimateTauRange(inst *tops.Instance) (float64, float64) {
 	sampleEvery := len(inst.Sites)/64 + 1
 	tmin := math.Inf(1)
 	tmax := 0.0
+	var ball []roadnet.NodeDr
 	for i := 0; i < len(inst.Sites); i += sampleEvery {
 		src := inst.Sites[i]
-		// Nearest other site: grow the search until one is found.
-		radius := 0.25
-		found := false
-		for !found && radius < 1e6 {
-			res := roadnet.BoundedRoundTripsFrom(g, scratch, src, radius)
-			for v, rt := range res {
-				if v != src && instIsSite(inst, v) && rt < tmin {
-					tmin = rt
+		// Nearest other site: grow the ball until it holds one. The ball
+		// only grows with the radius, so the first one holding another site
+		// holds the sample's nearest, and no larger radius can lower tmin.
+		for radius, found := 0.25, false; !found && radius < 1e6; radius *= 2 {
+			ball = scratch.RoundTrips(g, src, radius, ball)
+			for _, u := range ball {
+				if u.Node != src && instIsSite(inst, u.Node) {
 					found = true
+					if u.Dr < tmin {
+						tmin = u.Dr
+					}
 				}
 			}
-			radius *= 2
 		}
 		// Farthest site round trip (full searches, sampled sparsely).
 		if i%(sampleEvery*4) == 0 {
@@ -456,23 +458,20 @@ type registerScratch struct {
 // makes T̂C computable from neighbors only, §5.1). Each cluster's bounded
 // search is independent and writes only its own CL, so the clusters shard
 // across the build workers; the (distance, id) sort keeps every list
-// deterministic regardless of map iteration or worker interleaving.
+// deterministic regardless of search order or worker interleaving.
 func (idx *Index) buildNeighborLists(ins *Instance, workers int) {
 	g := idx.inst.G
 	reach := 4 * ins.Radius * (1 + idx.opts.Gamma)
-	// center node -> cluster id for O(1) membership tests.
-	centerOf := make(map[roadnet.NodeID]ClusterID, len(ins.Clusters))
-	for ci := range ins.Clusters {
-		centerOf[ins.Clusters[ci].Center] = ClusterID(ci)
-	}
 	parallelSweep(g, len(ins.Clusters), workers, func(scratch *roadnet.DijkstraScratch, lo, hi int) {
+		var rts []roadnet.NodeDr
 		for ci := lo; ci < hi; ci++ {
-			src := ins.Clusters[ci].Center
-			rts := roadnet.BoundedRoundTripsFrom(g, scratch, src, reach)
+			rts = scratch.RoundTrips(g, ins.Clusters[ci].Center, reach, rts)
 			var nbrs []NeighborEntry
-			for v, rt := range rts {
-				if cj, ok := centerOf[v]; ok && cj != ClusterID(ci) {
-					nbrs = append(nbrs, NeighborEntry{Cluster: cj, Dr: rt})
+			for _, u := range rts {
+				// Every center is a member of its own cluster, so a node
+				// is a center exactly when it is its own cluster's.
+				if cj := ins.NodeCluster[u.Node]; cj != ClusterID(ci) && ins.Clusters[cj].Center == u.Node {
+					nbrs = append(nbrs, NeighborEntry{Cluster: cj, Dr: u.Dr})
 				}
 			}
 			sort.Slice(nbrs, func(a, b int) bool {

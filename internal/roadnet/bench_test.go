@@ -31,9 +31,11 @@ func BenchmarkDijkstraBounded(b *testing.B) {
 func BenchmarkBoundedRoundTrips(b *testing.B) {
 	g := benchGraph(b, 5000)
 	s := NewScratch(g)
+	var out []NodeDr
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BoundedRoundTripsFrom(g, s, NodeID(i%g.NumNodes()), 2.0)
+		out = s.RoundTrips(g, NodeID(i%g.NumNodes()), 2.0, out)
 	}
 }
 

@@ -146,43 +146,14 @@ func (s *DijkstraScratch) reset() {
 // reported. A negative radius means unbounded. The result shares no state
 // with the scratch and remains valid after further searches.
 func (s *DijkstraScratch) Bounded(g *Graph, src NodeID, dir Direction, radius float64) SearchResult {
-	s.grow(g.NumNodes())
-	s.reset()
-	res := SearchResult{Dist: make(map[NodeID]float64)}
-	if !g.valid(src) {
-		return res
+	if radius < 0 {
+		radius = math.Inf(1)
 	}
-	s.dist[src] = 0
-	s.touched = append(s.touched, src)
-	s.heap.push(pqItem{node: src, dist: 0})
-	for !s.heap.empty() {
-		it := s.heap.pop()
-		v := it.node
-		if s.visited[v] {
-			continue
-		}
-		s.visited[v] = true
-		res.Nodes = append(res.Nodes, v)
-		res.Dist[v] = it.dist
-		relax := func(to NodeID, w float64) bool {
-			nd := it.dist + w
-			if radius >= 0 && nd > radius {
-				return true
-			}
-			if nd < s.dist[to] {
-				if math.IsInf(s.dist[to], 1) {
-					s.touched = append(s.touched, to)
-				}
-				s.dist[to] = nd
-				s.heap.push(pqItem{node: to, dist: nd})
-			}
-			return true
-		}
-		if dir == Forward {
-			g.Neighbors(v, relax)
-		} else {
-			g.InNeighbors(v, relax)
-		}
+	var res SearchResult
+	s.settle(g, src, dir, radius, &res.Nodes)
+	res.Dist = make(map[NodeID]float64, len(res.Nodes))
+	for _, v := range res.Nodes {
+		res.Dist[v] = s.dist[v]
 	}
 	return res
 }
@@ -364,19 +335,78 @@ func RoundTripsFrom(g *Graph, src NodeID) []float64 {
 	return out
 }
 
-// BoundedRoundTripsFrom returns the set of nodes v with dr(src,v) <= 2R in
-// sparse form, using two bounded searches of radius 2R. This is the
-// dominance relation of the GDSP clustering (Problem 2 in the paper).
-func BoundedRoundTripsFrom(g *Graph, scratch *DijkstraScratch, src NodeID, twoR float64) map[NodeID]float64 {
-	fwd := scratch.Bounded(g, src, Forward, twoR)
-	rev := scratch.Bounded(g, src, Reverse, twoR)
-	out := make(map[NodeID]float64, len(fwd.Nodes)/2+1)
-	for v, df := range fwd.Dist {
-		if db, ok := rev.Dist[v]; ok {
-			if rt := df + db; rt <= twoR {
-				out[v] = rt
+// NodeDr pairs a node with its round-trip distance dr to a search source.
+type NodeDr struct {
+	Node NodeID
+	Dr   float64
+}
+
+// RoundTrips appends to out[:0] every node v with dr(src,v) <= twoR, paired
+// with dr(src,v), and returns the extended slice. This is the dominance
+// relation of the GDSP clustering (Problem 2 in the paper). It runs a
+// forward and a reverse search of radius twoR on the scratch's arrays: the
+// forward pass is read off the touched list, and the reverse pass filters it
+// in place. Each dr is the sum of the distances Bounded maps v to in the two
+// directions. Nodes come in the forward search's discovery order.
+// RoundTrips allocates nothing once out, the heap and the touched list have
+// grown.
+func (s *DijkstraScratch) RoundTrips(g *Graph, src NodeID, twoR float64, out []NodeDr) []NodeDr {
+	out = out[:0]
+	s.settle(g, src, Forward, twoR, nil)
+	for _, v := range s.touched {
+		out = append(out, NodeDr{Node: v, Dr: s.dist[v]})
+	}
+	s.settle(g, src, Reverse, twoR, nil)
+	kept := out[:0]
+	for _, nd := range out {
+		// Untouched nodes read +Inf, so unreached ones drop out here too.
+		if rt := nd.Dr + s.dist[nd.Node]; rt <= twoR {
+			kept = append(kept, NodeDr{Node: nd.Node, Dr: rt})
+		}
+	}
+	return kept
+}
+
+// settle runs Dijkstra from src following dir until every node within
+// radius is settled, leaving the distances in s.dist and the reached nodes
+// in s.touched. Every touched node is settled, at its s.dist. A non-nil
+// order receives the nodes in the order they settle, which is
+// non-decreasing distance.
+func (s *DijkstraScratch) settle(g *Graph, src NodeID, dir Direction, radius float64, order *[]NodeID) {
+	s.grow(g.NumNodes())
+	s.reset()
+	if !g.valid(src) {
+		return
+	}
+	adj := g.out
+	if dir == Reverse {
+		adj = g.in
+	}
+	s.dist[src] = 0
+	s.touched = append(s.touched, src)
+	s.heap.push(pqItem{node: src, dist: 0})
+	for !s.heap.empty() {
+		it := s.heap.pop()
+		v := it.node
+		if s.visited[v] {
+			continue
+		}
+		s.visited[v] = true
+		if order != nil {
+			*order = append(*order, v)
+		}
+		for _, e := range adj[v] {
+			nd := it.dist + e.w
+			if nd > radius {
+				continue
+			}
+			if nd < s.dist[e.to] {
+				if math.IsInf(s.dist[e.to], 1) {
+					s.touched = append(s.touched, e.to)
+				}
+				s.dist[e.to] = nd
+				s.heap.push(pqItem{node: e.to, dist: nd})
 			}
 		}
 	}
-	return out
 }

@@ -408,7 +408,10 @@ func TestBoundedRoundTripsFrom(t *testing.T) {
 	s := NewScratch(g)
 	src := NodeID(4)
 	twoR := 3.5
-	got := BoundedRoundTripsFrom(g, s, src, twoR)
+	got := make(map[NodeID]float64)
+	for _, u := range s.RoundTrips(g, src, twoR, nil) {
+		got[u.Node] = u.Dr
+	}
 	oracle := RoundTripsFrom(g, src)
 	for v := 0; v < g.NumNodes(); v++ {
 		rt, ok := got[NodeID(v)]
