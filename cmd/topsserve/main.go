@@ -52,7 +52,6 @@
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/query -d '{"k":5,"tau":0.8}'
 //	curl -s -X POST localhost:8080/v1/update -d '{"op":"delete_site","node":17}'
-//	curl -s -X POST localhost:8080/v1/snapshot -o index.ncss
 //	curl -s -X POST localhost:8080/v1/checkpoint -o backup.ncck
 //	curl -s 'localhost:8080/v1/log?from=1' -o records.bin
 //	curl -s localhost:8080/statsz

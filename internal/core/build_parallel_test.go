@@ -37,9 +37,10 @@ func buildSpeedupInstance(t testing.TB) *tops.Instance {
 
 // TestParallelBuildSpeedup asserts the acceptance bar of the parallel build:
 // on a machine with >= 4 usable cores, building with all workers is at least
-// 2x faster than the sequential baseline. The per-node clustering sweeps,
-// the neighbor-list searches, and the ladder rungs all parallelize, so real
-// scaling is well above 2x; the margin absorbs scheduler noise.
+// 2x faster than the sequential baseline. The ladder-wide |Λ(v)| sweep,
+// most of the build, runs on every worker, and then the ladder rungs and
+// their neighbor-list searches parallelize, so real scaling is well above
+// 2x; the margin absorbs scheduler noise.
 func TestParallelBuildSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")

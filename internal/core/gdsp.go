@@ -29,9 +29,9 @@ type GDSPOptions struct {
 	F int
 	// Seed derives the sketch hash family.
 	Seed uint64
-	// Workers bounds the parallelism of the initial per-node dominating-set
-	// sweep (a build-time knob, not a clustering parameter: the clustering
-	// is identical for every value). <= 1 runs sequentially.
+	// Workers bounds the parallelism of greedyGDSP's own per-node sweep (a
+	// build-time knob: the clustering is identical for every value); <= 1
+	// runs sequentially. Build's exact rungs skip it (ladderDomCounts).
 	Workers int
 }
 
@@ -45,10 +45,10 @@ type rawCluster struct {
 // greedyGDSP partitions all nodes of g into clusters of radius R using the
 // greedy (largest incremental dominating set first) heuristic. Dominating
 // sets are never materialized globally: the initial sweep stores only the
-// count (exact mode) or an FM sketch (FM mode) per node, and membership is
-// recovered with one extra bounded search per chosen center. This keeps
-// memory at O(|V|) where the paper's description would need O(Σ|Λ(v)|),
-// while producing the same greedy selection rule.
+// count (exact mode: a one-rung ladderDomCounts) or an FM sketch (FM mode)
+// per node, and membership is recovered with one extra bounded search per
+// chosen center. This keeps memory at O(|V|) where the paper's description
+// would need O(Σ|Λ(v)|), while producing the same greedy selection rule.
 func greedyGDSP(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 	if opts.Radius <= 0 {
 		return nil, fmt.Errorf("core: non-positive cluster radius %v", opts.Radius)
@@ -56,7 +56,7 @@ func greedyGDSP(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 	if opts.UseFM {
 		return gdspFM(g, opts)
 	}
-	return gdspExact(g, opts)
+	return gdspExact(g, opts, ladderDomCounts(g, []float64{opts.Radius}, opts.Workers)[0])
 }
 
 // domHeapItem is a lazy-greedy heap entry: count is an upper bound of the
@@ -89,15 +89,13 @@ func (h *domHeap) Pop() any {
 // gdspExact runs lazy greedy with exact incremental counts. Dominance only
 // shrinks as nodes get covered, so stale heap counts are upper bounds and a
 // freshly re-evaluated top is the true argmax (same CELF argument as
-// IncGreedy's lazy mode).
-func gdspExact(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
+// IncGreedy's lazy mode). counts[v] is |Λ(v)| at opts.Radius, from
+// ladderDomCounts.
+func gdspExact(g *roadnet.Graph, opts GDSPOptions, counts []float64) ([]rawCluster, error) {
 	n := g.NumNodes()
 	scratch := roadnet.NewScratch(g)
 	twoR := 2 * opts.Radius
 
-	// Initial sweep: one bounded search per node, embarrassingly parallel
-	// (each worker owns a scratch and writes disjoint counts[v] slots).
-	counts := sweepDomCounts(g, twoR, opts.Workers)
 	h := make(domHeap, 0, n)
 	for v := 0; v < n; v++ {
 		h = append(h, domHeapItem{node: roadnet.NodeID(v), count: counts[v], stamp: 0})
@@ -225,18 +223,45 @@ func gdspFM(g *roadnet.Graph, opts GDSPOptions) ([]rawCluster, error) {
 	return clusters, nil
 }
 
-// sweepDomCounts computes |Λ(v)| (the size of each node's dominating set at
-// round-trip bound twoR) for every node, sharding the bounded searches across
-// workers. Each worker owns one scratch and writes disjoint slots, so the
-// result is identical for any worker count.
-func sweepDomCounts(g *roadnet.Graph, twoR float64, workers int) []float64 {
-	n := g.NumNodes()
-	counts := make([]float64, n)
-	parallelSweep(g, n, workers, func(sc *roadnet.DijkstraScratch, lo, hi int) {
-		var dom []roadnet.NodeDr
+// ladderDomCounts returns counts[p][v] = |Λ_p(v)|, node v's dominating-set
+// size at round-trip bound 2·radii[p], for every rung of an ascending
+// ladder, from ONE bounded search per node at the top rung's bound. The
+// sets nest (Λ_p(v) ⊆ Λ_{p+1}(v)), and a search at a larger bound reports
+// the same float distance for every node within a smaller one (its extra
+// relaxations all exceed it; no weight is negative), so bucketing each
+// reached node into the first rung whose bound (gdspExact's 2*radius float)
+// holds it and prefix-summing reproduces per-rung sweeps exactly. Each
+// worker owns one scratch and one result buffer and writes only its nodes'
+// counts[·][v] slots, so the result is identical for any worker count.
+func ladderDomCounts(g *roadnet.Graph, radii []float64, workers int) [][]float64 {
+	n, t := g.NumNodes(), len(radii)
+	twoRs := make([]float64, t)
+	for p, r := range radii {
+		twoRs[p] = 2 * r
+	}
+	counts := make([][]float64, t)
+	for p := range counts {
+		counts[p] = make([]float64, n)
+	}
+	type sweeper struct {
+		sc  *roadnet.DijkstraScratch
+		dom []roadnet.NodeDr
+	}
+	ws := make([]sweeper, effectiveWorkers(n, workers))
+	for w := range ws {
+		ws[w].sc = roadnet.NewScratch(g)
+	}
+	parallelFor(n, len(ws), func(w, lo, hi int) {
+		s := &ws[w]
 		for v := lo; v < hi; v++ {
-			dom = sc.RoundTrips(g, roadnet.NodeID(v), twoR, dom)
-			counts[v] = float64(len(dom))
+			s.dom = s.sc.RoundTrips(g, roadnet.NodeID(v), twoRs[t-1], s.dom)
+			for _, u := range s.dom {
+				p, _ := slices.BinarySearch(twoRs, u.Dr) // first p with u.Dr <= twoRs[p]
+				counts[p][v]++
+			}
+			for p := 1; p < t; p++ {
+				counts[p][v] += counts[p-1][v]
+			}
 		}
 	})
 	return counts

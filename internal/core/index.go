@@ -68,7 +68,8 @@ type Instance struct {
 	// CC maps each trajectory to the (deduplicated) clusters it passes
 	// through — the inverse of TL (§6 uses it for deletions).
 	CC [][]ClusterID
-	// BuildTime records how long this instance took to construct.
+	// BuildTime records how long this instance took to construct, without
+	// the build's shared |Λ(v)| sweep (Index.SweepTime).
 	BuildTime time.Duration
 	// repGen advances whenever a site mutation changes some cluster's
 	// representative presence or RepDr — the only site-set inputs of Eq. 9.
@@ -89,11 +90,11 @@ type Options struct {
 	// and maximum round-trip distance between candidate sites (estimated
 	// by sampling; exact pairwise computation is quadratic).
 	TauMin, TauMax float64
-	// Workers bounds build parallelism, both across ladder rungs and
-	// inside each rung (the per-node clustering sweeps and the neighbor-
-	// list searches). Zero means runtime.NumCPU(); 1 builds fully
-	// sequentially. The built index is identical — and its snapshot
-	// byte-identical — for every worker count.
+	// Workers bounds build parallelism: the ladder-wide |Λ(v)| sweep runs
+	// on all of them, then the rungs share them (across rungs, and inside
+	// each for the neighbor-list searches and FM sketches). Zero means
+	// runtime.NumCPU(); 1 builds fully sequentially. The built index is
+	// identical — and its snapshot byte-identical — for every worker count.
 	Workers int
 	// GDSP configures the clustering; Radius is overwritten per instance.
 	GDSP GDSPOptions
@@ -128,6 +129,9 @@ type Index struct {
 	// trajDels counts trajectory-delete ops. With trajs.Len(), which every
 	// add grows, it is the trajectory state a memoized cover was filled at.
 	trajDels uint64
+
+	// sweepTime is the wall time of Build's |Λ(v)| sweep (SweepTime).
+	sweepTime time.Duration
 
 	// walLSN is the write-ahead-log sequence number stamped in the snapshot
 	// this index was loaded from (0 for a fresh build): where log replay
@@ -200,20 +204,34 @@ func Build(inst *tops.Instance, opts Options) (*Index, error) {
 	if t < 1 || t > maxLadderRungs {
 		return nil, fmt.Errorf("core: γ=%v over τ∈[%v,%v) yields a %d-rung ladder (max %d); increase γ or narrow the τ range", opts.Gamma, opts.TauMin, opts.TauMax, t, maxLadderRungs)
 	}
-	r0 := opts.TauMin / 4
+	radii := make([]float64, t)
+	for p := range radii {
+		radii[p] = opts.TauMin / 4 * math.Pow(1+opts.Gamma, float64(p))
+	}
+	// Exact Greedy-GDSP needs |Λ_p(v)| for every rung and node: one sweep
+	// at the top radius yields them all, on every worker, before any rung
+	// starts — per-rung sweeps would leave the top rung's, the largest,
+	// running on its rung's share of the workers after the rest finish.
+	counts := make([][]float64, t) // FM mode leaves them nil
+	if !opts.GDSP.UseFM {
+		start := time.Now()
+		counts = ladderDomCounts(inst.G, radii, opts.Workers)
+		idx.sweepTime = time.Since(start)
+	}
 	// Ladder rungs are independent (each reads the shared immutable inputs
 	// and writes only its own Instance), so they build concurrently — and
 	// the Workers budget is split globally, not granted per rung: at most
-	// rungPar rungs run at once, each fanning its clustering sweeps over
-	// ~Workers/rungPar inner workers, so peak goroutines and O(|V|)
-	// Dijkstra scratches stay ~Workers rather than Workers². rungPar
-	// scales with the budget (Workers/4, floored at 2) because each rung
-	// also has sequential phases (greedy selection, trajectory
-	// registration) that only rung-level overlap can hide — on a big
-	// machine a whole ladder still runs at once, on 4 cores two rungs
-	// pipeline. Rung p depends only on its radius, and the slice assembly
-	// below is by position, so the merge order — and therefore the built
-	// index — is deterministic for every worker count.
+	// rungPar rungs run at once, each fanning its parallel phases (the
+	// neighbor-list searches, FM mode's sketch sweep) over ~Workers/rungPar
+	// inner workers, so peak goroutines and O(|V|) Dijkstra scratches stay
+	// ~Workers rather than Workers². rungPar scales with the budget
+	// (Workers/4, floored at 2) because each rung also has sequential
+	// phases (greedy selection, trajectory registration) that only
+	// rung-level overlap can hide — on a big machine a whole ladder still
+	// runs at once, on 4 cores two rungs pipeline. Rung p depends only on
+	// its radius, and the slice assembly below is by position, so the
+	// merge order — and therefore the built index — is deterministic for
+	// every worker count.
 	rungPar := opts.Workers / 4
 	if rungPar < 2 {
 		rungPar = 2
@@ -235,10 +253,9 @@ func Build(inst *tops.Instance, opts Options) (*Index, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			radius := r0 * math.Pow(1+opts.Gamma, float64(p))
-			ins, err := idx.buildInstance(radius, innerWorkers)
+			ins, err := idx.buildInstance(radii[p], counts[p], innerWorkers)
 			if err != nil {
-				errs[p] = fmt.Errorf("core: instance %d (R=%v): %w", p, radius, err)
+				errs[p] = fmt.Errorf("core: instance %d (R=%v): %w", p, radii[p], err)
 				return
 			}
 			idx.Instances[p] = ins
@@ -341,14 +358,21 @@ func instIsSite(inst *tops.Instance, v roadnet.NodeID) bool {
 
 // buildInstance clusters the network at the given radius and derives all
 // §4.3 cluster information, fanning its parallel phases over the given
-// share of the build's worker budget.
-func (idx *Index) buildInstance(radius float64, workers int) (*Instance, error) {
+// share of the build's worker budget. counts are exact mode's |Λ(v)| at
+// radius from the ladder-wide sweep (nil in FM mode).
+func (idx *Index) buildInstance(radius float64, counts []float64, workers int) (*Instance, error) {
 	start := time.Now()
 	g := idx.inst.G
 	gopts := idx.opts.GDSP
 	gopts.Radius = radius
 	gopts.Workers = workers
-	raw, err := greedyGDSP(g, gopts)
+	var raw []rawCluster
+	var err error
+	if counts != nil && radius > 0 {
+		raw, err = gdspExact(g, gopts, counts)
+	} else { // FM mode, or a bad radius for greedyGDSP to reject
+		raw, err = greedyGDSP(g, gopts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -560,8 +584,13 @@ type InstanceStats struct {
 	AvgMembers   float64 // mean |Λ| (cluster size)
 	AvgTL        float64 // mean trajectory-list length
 	AvgCL        float64 // mean neighbor count
-	BuildSeconds float64
+	BuildSeconds float64 // BuildTime: excludes the shared sweep (Index.SweepTime)
 }
+
+// SweepTime is the wall time of the build's shared |Λ(v)| sweep, which no
+// instance's BuildTime includes. It is zero for an FM-mode build and for an
+// index loaded from a snapshot.
+func (idx *Index) SweepTime() time.Duration { return idx.sweepTime }
 
 // Stats computes summary statistics of instance p.
 func (idx *Index) Stats(p int) InstanceStats {

@@ -98,14 +98,18 @@ type DijkstraScratch struct {
 	prev    []NodeID
 	touched []NodeID
 	heap    distHeap
+	// back holds RoundTrips' reverse distances while its forward search
+	// runs and is all +Inf otherwise; backTouched lists the entries set.
+	back        []float64
+	backTouched []NodeID
 	// The heap and touched headers are written on every push, and the
 	// scratches of a matcher pool or of build workers are allocated back
-	// to back. Padding the struct to 128 bytes, a size class whose objects
-	// are 128-byte aligned, keeps any two of them off a shared cache line
+	// to back. Padding the struct to 256 bytes, a size class whose objects
+	// are 256-byte aligned, keeps any two of them off a shared cache line
 	// (and off an adjacent-line prefetch pair). At 96 bytes two scratches
 	// could share a line, and a process then matched ≈ 1.5× slower for
 	// its whole life (EXPERIMENTS.md, the ingest pool bisect).
-	_ [8]byte
+	_ [88]byte
 }
 
 // NewScratch sizes scratch space for graph g.
@@ -150,7 +154,7 @@ func (s *DijkstraScratch) Bounded(g *Graph, src NodeID, dir Direction, radius fl
 		radius = math.Inf(1)
 	}
 	var res SearchResult
-	s.settle(g, src, dir, radius, &res.Nodes)
+	s.settle(g, src, dir, radius, &res.Nodes, nil, 0)
 	res.Dist = make(map[NodeID]float64, len(res.Nodes))
 	for _, v := range res.Nodes {
 		res.Dist[v] = s.dist[v]
@@ -343,36 +347,62 @@ type NodeDr struct {
 
 // RoundTrips appends to out[:0] every node v with dr(src,v) <= twoR, paired
 // with dr(src,v), and returns the extended slice. This is the dominance
-// relation of the GDSP clustering (Problem 2 in the paper). It runs a
-// forward and a reverse search of radius twoR on the scratch's arrays: the
-// forward pass is read off the touched list, and the reverse pass filters it
-// in place. Each dr is the sum of the distances Bounded maps v to in the two
-// directions. Nodes come in the forward search's discovery order.
-// RoundTrips allocates nothing once out, the heap and the touched list have
-// grown.
+// relation of the GDSP clustering (Problem 2 in the paper). A reverse search
+// records every distance back to src; the forward search of radius twoR then
+// skips each relaxation whose distance plus the target's way back exceeds
+// limit, a hair above twoR, so it enters little more than the nodes it
+// reports instead of the whole ball of radius twoR. Each dr is the sum of
+// the distances Bounded maps v to in the two directions; nodes come in no
+// particular order. RoundTrips allocates nothing once out, the heap, the
+// touched lists and the reverse-distance array have grown.
+//
+// The pruning changes no dr. Let p be v's parent in an unpruned forward
+// search, so F(v) = fl(F(p)+w); the reverse search offers p fl(B(v)+w).
+// Both round trips are the same exact sum rounded twice, so
+// fl(F(p)+B(p)) ≤ fl(F(v)+B(v))·ρ with ρ = ((1+ε)/(1−ε))², ε = 2⁻⁵³. Every
+// node on the tree path to a kept v is thus within twoR·ρ^|V| ≤ limit, the
+// pruned search relaxes that path with the same floats, and v gets the same
+// F(v); a node it never enters has a round trip above twoR anyway. Running
+// the reverse search to limit rather than twoR changes no distance within
+// twoR: its extra relaxations all exceed twoR.
 func (s *DijkstraScratch) RoundTrips(g *Graph, src NodeID, twoR float64, out []NodeDr) []NodeDr {
 	out = out[:0]
-	s.settle(g, src, Forward, twoR, nil)
-	for _, v := range s.touched {
-		out = append(out, NodeDr{Node: v, Dr: s.dist[v]})
+	n := g.NumNodes()
+	// (1+ε)/(1−ε) < 1+2.0000001ε, so ρ^n < exp(4.0000002εn) ≤ 1+8εn for
+	// εn ≤ 1/4; the factor 16 absorbs the rounding of limit itself.
+	limit := twoR * (1 + 16*0x1p-53*float64(n))
+	if len(s.back) < n {
+		s.back = make([]float64, n)
+		for i := range s.back {
+			s.back[i] = math.Inf(1)
+		}
+		s.backTouched = make([]NodeID, 0, n)
 	}
-	s.settle(g, src, Reverse, twoR, nil)
-	kept := out[:0]
-	for _, nd := range out {
-		// Untouched nodes read +Inf, so unreached ones drop out here too.
-		if rt := nd.Dr + s.dist[nd.Node]; rt <= twoR {
-			kept = append(kept, NodeDr{Node: nd.Node, Dr: rt})
+	s.settle(g, src, Reverse, limit, nil, nil, 0)
+	for _, v := range s.touched {
+		s.back[v] = s.dist[v]
+	}
+	s.backTouched = append(s.backTouched[:0], s.touched...)
+	s.settle(g, src, Forward, twoR, nil, s.back, limit)
+	for _, v := range s.touched {
+		// Unreached nodes read +Inf in back, so they drop out here too.
+		if rt := s.dist[v] + s.back[v]; rt <= twoR {
+			out = append(out, NodeDr{Node: v, Dr: rt})
 		}
 	}
-	return kept
+	for _, v := range s.backTouched {
+		s.back[v] = math.Inf(1)
+	}
+	return out
 }
 
 // settle runs Dijkstra from src following dir until every node within
 // radius is settled, leaving the distances in s.dist and the reached nodes
 // in s.touched. Every touched node is settled, at its s.dist. A non-nil
 // order receives the nodes in the order they settle, which is
-// non-decreasing distance.
-func (s *DijkstraScratch) settle(g *Graph, src NodeID, dir Direction, radius float64, order *[]NodeID) {
+// non-decreasing distance. A non-nil back also skips every relaxation to a
+// node u whose distance plus back[u] exceeds limit.
+func (s *DijkstraScratch) settle(g *Graph, src NodeID, dir Direction, radius float64, order *[]NodeID, back []float64, limit float64) {
 	s.grow(g.NumNodes())
 	s.reset()
 	if !g.valid(src) {
@@ -397,7 +427,7 @@ func (s *DijkstraScratch) settle(g *Graph, src NodeID, dir Direction, radius flo
 		}
 		for _, e := range adj[v] {
 			nd := it.dist + e.w
-			if nd > radius {
+			if nd > radius || back != nil && nd+back[e.to] > limit {
 				continue
 			}
 			if nd < s.dist[e.to] {

@@ -206,6 +206,31 @@ func TestRoundTripsInvalidSourceAndNegativeRadius(t *testing.T) {
 	}
 }
 
+// TestRoundTripsPruningAllowsForRounding: the two directions sum the same
+// edges in different orders, so a node on the way to a kept node can read a
+// round trip, and even a reverse distance, just above the bound. On the
+// cycle 0 → 1 → 2 → 3 → 0, dr(0,3) = fl(fl(fl(a+w₁)+w₂)+b) = 1 sits on the
+// bound, while node 1, the only way to node 3, has reverse distance
+// fl(fl(b+w₂)+w₁) = 1+2⁻⁵². A forward search pruned against the bound
+// itself, or a reverse search stopped at it, loses node 3.
+func TestRoundTripsPruningAllowsForRounding(t *testing.T) {
+	g := New(4)
+	for i := 0; i < 4; i++ {
+		g.AddNode(geo.Point{})
+	}
+	a, w1, w2, b := 0x1p-70, 0x1p-53+0x1p-60, 0x1p-54, 1-0x1p-53
+	for _, e := range []struct {
+		u, v NodeID
+		w    float64
+	}{{0, 1, a}, {1, 2, w1}, {2, 3, w2}, {3, 0, b}} {
+		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := NewScratch(g).RoundTrips(g, 0, 1, nil)
+	checkRoundTrips(t, g, 0, 1, got) // nodes 0 and 3
+}
+
 // TestRoundTripsZeroAllocs gates RoundTrips' steady state: once the output
 // buffer, the heap and the touched list have grown, a search allocates
 // nothing.

@@ -100,7 +100,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"log bad wait", http.MethodGet, "/v1/log?from=1&wait=banana", "", http.StatusBadRequest, CodeBadRequest},
 		{"log beyond head", http.MethodGet, fmt.Sprintf("/v1/log?from=%d", head+2), "", http.StatusBadRequest, CodeBadRequest},
 		{"replication wrong method", http.MethodPost, "/v1/replication", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"snapshot wrong method", http.MethodGet, "/v1/snapshot", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"checkpoint wrong method", http.MethodGet, "/v1/checkpoint", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"health wrong method", http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 	}
 	for _, tc := range cases {

@@ -7,7 +7,6 @@
 //	POST /v1/query        one TOPS query (a direct Engine.Query call)
 //	POST /v1/query/batch  many queries in one engine call
 //	POST /v1/update       §6 dynamic updates (site/trajectory add/delete)
-//	POST /v1/snapshot     stream a consistent checkpoint of the live index
 //	POST /v1/checkpoint   stream the recovery bundle (dataset + snapshot)
 //	GET  /v1/log          stream WAL records from ?from=<lsn>; ?wait=<dur>
 //	                      long-polls until new records arrive
@@ -54,13 +53,12 @@ import (
 // Engine is the serving surface the HTTP layer drives: queries, batches,
 // §6 updates, live checkpoints, and counters. The single-index engine
 // (engine.Engine) satisfies it, and so does a shard member (shard.Member)
-// embedding one: a process serves one index. shard.Sharded, which neither
-// snapshots nor checkpoints, does not.
+// embedding one: a process serves one index. shard.Sharded, which does not
+// checkpoint, does not.
 type Engine interface {
 	Query(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error)
 	QueryBatch(ctx context.Context, qs []core.QueryOptions) []engine.BatchItem
 	Stats() engine.Stats
-	Snapshot(w io.Writer) (int64, error)
 	// Checkpoint streams the recovery bundle: the mutated dataset state
 	// plus the LSN-stamped snapshot (see wal.WriteCheckpoint). A follower
 	// bootstraps from it when the primary's log no longer reaches LSN 1.
@@ -225,7 +223,6 @@ type Server struct {
 	mBatch       routeMetrics
 	mUpdate      routeMetrics
 	mIngest      routeMetrics
-	mSnapshot    routeMetrics
 	mCheckpoint  routeMetrics
 	mLog         routeMetrics
 	mReplication routeMetrics
@@ -264,7 +261,6 @@ func New(eng Engine, opts Options) (*Server, error) {
 		// consumes the NDJSON incrementally, never buffering it whole.
 		mux.HandleFunc("/v1/ingest", s.instrumentBody(&s.mIngest, http.MethodPost, opts.Limits.MaxIngestBytes, s.handleIngest))
 	}
-	mux.HandleFunc("/v1/snapshot", s.instrument(&s.mSnapshot, http.MethodPost, s.handleSnapshot))
 	mux.HandleFunc("/v1/checkpoint", s.instrument(&s.mCheckpoint, http.MethodPost, s.handleCheckpoint))
 	if opts.Log != nil {
 		mux.HandleFunc("/v1/log", s.instrument(&s.mLog, http.MethodGet, s.handleLog))
@@ -661,26 +657,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleSnapshot streams a consistent checkpoint of the live index. The
-// engine takes its read lock for the duration, so concurrent queries
-// proceed and updates wait — the §6 lifecycle's live-checkpoint story over
-// HTTP.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="index.ncss"`)
-	n, err := s.eng.Snapshot(w)
-	s.snapshotBytes.Add(n)
-	if err != nil {
-		// Headers are already on the wire; aborting the connection is the
-		// only honest failure signal left. Mark the metrics status first so
-		// the abort shows up as a 5xx on /statsz.
-		if sw, ok := w.(*statusWriter); ok {
-			sw.status = http.StatusInternalServerError
-		}
-		panic(http.ErrAbortHandler)
-	}
-}
-
 // handleCheckpoint streams the recovery bundle — the mutated dataset plus
 // the LSN-stamped snapshot — under the engine read lock. Followers
 // bootstrap from it when the primary's log has been compacted past LSN 1;
@@ -692,6 +668,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	n, err := s.eng.Checkpoint(w)
 	s.snapshotBytes.Add(n)
 	if err != nil {
+		// Headers are already on the wire; aborting the connection is the
+		// only honest failure signal left. Mark the metrics status first so
+		// the abort shows up as a 5xx on /statsz.
 		if sw, ok := w.(*statusWriter); ok {
 			sw.status = http.StatusInternalServerError
 		}
@@ -909,8 +888,9 @@ type statszResponse struct {
 	// Ingest reports the live-ingestion pipeline (traces in, matched,
 	// rejected, raw points, batches, match vs apply time) when POST
 	// /v1/ingest is enabled.
-	Ingest        *ingest.Stats `json:"ingest,omitempty"`
-	SnapshotBytes int64         `json:"snapshot_bytes"`
+	Ingest *ingest.Stats `json:"ingest,omitempty"`
+	// SnapshotBytes counts the checkpoint bytes streamed by /v1/checkpoint.
+	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// WAL reports the primary's log (head/first LSN, segments, fsync
 	// policy); Replication reports follower lag. LogRecordsServed counts
 	// records streamed to followers over /v1/log.
@@ -959,7 +939,6 @@ func (s *Server) Stats() statszResponse {
 			"/v1/query":       s.mQuery.stats(),
 			"/v1/query/batch": s.mBatch.stats(),
 			"/v1/update":      s.mUpdate.stats(),
-			"/v1/snapshot":    s.mSnapshot.stats(),
 			"/v1/checkpoint":  s.mCheckpoint.stats(),
 			"/v1/replication": s.mReplication.stats(),
 			"/healthz":        s.mHealth.stats(),

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"netclus/internal/gen"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
+	"netclus/internal/wal"
 )
 
 // buildInstance generates a small deterministic dataset (same shape as the
@@ -261,26 +263,35 @@ func TestUpdateEndpoints(t *testing.T) {
 	}
 }
 
-func TestSnapshotEndpointRoundTrip(t *testing.T) {
+// TestCheckpointEndpointRoundTrip downloads /v1/checkpoint from a server
+// whose site set a delete_site has changed and loads it against the graph
+// alone: the checkpoint carries the mutated dataset the index was stamped
+// with, so it reloads and answers as the live engine does.
+func TestCheckpointEndpointRoundTrip(t *testing.T) {
 	ts, _, eng, idx := newTestServer(t, 337, Options{})
-	resp, err := ts.Client().Post(ts.URL+"/v1/snapshot", "", nil)
+	site := idx.TopsInstance().Sites[0]
+	if code, data := postJSON(t, ts.Client(), ts.URL+"/v1/update", fmt.Sprintf(`{"op":"delete_site","node":%d}`, site)); code != http.StatusOK {
+		t.Fatalf("delete_site: %d %s", code, data)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/checkpoint", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot status %d", resp.StatusCode)
+		t.Fatalf("checkpoint status %d", resp.StatusCode)
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Fatal("empty snapshot")
-	}
-	loaded, err := core.ReadIndex(bytes.NewReader(data), idx.TopsInstance())
+	inst, _, br, err := wal.ReadCheckpoint(bytes.NewReader(data), idx.TopsInstance().G)
 	if err != nil {
-		t.Fatalf("downloaded snapshot does not load: %v", err)
+		t.Fatalf("downloaded checkpoint does not read: %v", err)
+	}
+	loaded, err := core.ReadIndex(br, inst)
+	if err != nil {
+		t.Fatalf("downloaded checkpoint does not load: %v", err)
 	}
 	q := core.QueryOptions{K: 5, Pref: tops.Binary(0.8)}
 	a, err := eng.Query(context.Background(), q)
@@ -291,8 +302,8 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.EstimatedUtility != b.EstimatedUtility {
-		t.Fatalf("snapshot answers differently: %v vs %v", a.EstimatedUtility, b.EstimatedUtility)
+	if a.EstimatedUtility != b.EstimatedUtility || !slices.Equal(a.Sites, b.Sites) {
+		t.Fatalf("checkpoint answers differently: %v %v vs %v %v", a.Sites, a.EstimatedUtility, b.Sites, b.EstimatedUtility)
 	}
 }
 
@@ -545,7 +556,7 @@ func TestQueryDeadlineReachesEngine(t *testing.T) {
 }
 
 // TestServeEndToEndRace is the whole-stack adversarial test: concurrent
-// queries (single and batch), §6 updates, live snapshots and stats polls
+// queries (single and batch), §6 updates, live checkpoints and stats polls
 // hammer one in-process server while the race detector watches, and every
 // stats sample must be monotone against the previous one.
 func TestServeEndToEndRace(t *testing.T) {
@@ -625,20 +636,20 @@ func TestServeEndToEndRace(t *testing.T) {
 			}
 		}
 	}()
-	// Snapshot worker: live checkpoints must stream while traffic runs.
+	// Checkpoint worker: live checkpoints must stream while traffic runs.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			resp, err := client.Post(ts.URL+"/v1/snapshot", "", nil)
+			resp, err := client.Post(ts.URL+"/v1/checkpoint", "", nil)
 			if err != nil {
-				t.Errorf("snapshot: %v", err)
+				t.Errorf("checkpoint: %v", err)
 				return
 			}
 			n, err := io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if err != nil || n == 0 {
-				t.Errorf("snapshot stream: %d bytes, %v", n, err)
+				t.Errorf("checkpoint stream: %d bytes, %v", n, err)
 			}
 		}
 	}()

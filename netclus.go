@@ -208,7 +208,7 @@ func NewRouter(opts RouterOptions) (*Router, error) { return router.New(opts) }
 // Network serving layer.
 type (
 	// Server exposes an Engine over an HTTP JSON API: /v1/query,
-	// /v1/query/batch, /v1/update, /v1/snapshot, /healthz and /statsz. It
+	// /v1/query/batch, /v1/update, /v1/checkpoint, /healthz and /statsz. It
 	// implements http.Handler; mount it on an http.Server. cmd/topsserve is
 	// the reference deployment.
 	Server = server.Server
