@@ -2,9 +2,9 @@
 // shard is its own topsserve process started with -shard-index. Per query
 // the router fetches every owning member's masked cover at once
 // (POST /v1/shard/cover, one binary body each) and runs the distributed
-// greedy itself, the same gather the in-process twin runs, so /v1/query
-// answers are bit-exact against a single-process engine over the same
-// dataset. It decodes /v1/query bodies with topsserve's own decoder, so
+// greedy itself — the routing core (shard.Sharded) an in-process topology
+// runs, over HTTP — so /v1/query answers are bit-exact against a
+// single-process engine over the same dataset. It decodes /v1/query bodies with topsserve's own decoder, so
 // both accept the same queries, fm ones included.
 //
 // The router is stateless (no index, no WAL): it holds only the shard

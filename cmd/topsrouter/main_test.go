@@ -2,7 +2,7 @@ package main
 
 // Cross-process differential oracle for the router tier: real topsserve
 // shard-member children behind a real topsrouter child must answer
-// queries bit-identically to an in-process sharded twin across an update
+// queries bit-identically to a single-engine twin across an update
 // stream — including after one shard's primary is SIGKILLed, its tailing
 // follower is promoted, and the router is re-pointed at it. This is the
 // process-level closure of the in-process differential in
@@ -25,7 +25,6 @@ import (
 
 	"netclus"
 	"netclus/internal/dataset"
-	"netclus/internal/shard"
 )
 
 const (
@@ -179,7 +178,7 @@ func (u update) wire() string {
 	}
 }
 
-func (u update) applyTwin(t *testing.T, eng *shard.Sharded) {
+func (u update) applyTwin(t *testing.T, eng *netclus.Engine) {
 	t.Helper()
 	var err error
 	switch u.op {
@@ -241,9 +240,9 @@ func script(t *testing.T, inst *netclus.Instance, n int) []update {
 	return ups
 }
 
-// queryBoth asserts the router and the in-process sharded twin answer a
+// queryBoth asserts the router and the single-engine twin answer a
 // query identically, bit for bit.
-func queryBoth(t *testing.T, url string, twin *shard.Sharded, k int, tau float64) {
+func queryBoth(t *testing.T, url string, twin *netclus.Engine, k int, tau float64) {
 	t.Helper()
 	status, raw := post(t, url+"/v1/query", fmt.Sprintf(`{"k":%d,"tau":%g}`, k, tau))
 	if status != http.StatusOK {
@@ -283,13 +282,18 @@ func TestRouterCrossProcessOracle(t *testing.T) {
 	serveBin := buildBinary(t, "../topsserve", "topsserve")
 	routeBin := buildBinary(t, ".", "topsrouter")
 
-	// The in-process twin: the same dataset under the same 2-shard hash
-	// topology, never interrupted.
+	// The twin: one engine over the same dataset, never interrupted; the
+	// members derive their shared ladder from the full site set, as its
+	// build does.
 	d, err := netclus.LoadDataset(dataset.Preset(tPreset), netclus.DatasetConfig{Scale: tScale, Seed: tSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := shard.Build(d.Instance, shard.Options{Shards: tShards})
+	idx, err := netclus.Build(d.Instance, netclus.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := netclus.NewEngine(idx, netclus.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

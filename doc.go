@@ -66,24 +66,21 @@
 //	internal/tops        the TOPS problem and all non-indexed algorithms
 //	internal/core        the NETCLUS index (paper's contribution) plus
 //	                     cached covering structures (CoverPlan / CoverFor)
-//	internal/engine      the concurrent serving layer: the Front shell
-//	                     (RWMutex protocol, QueryBatch grouping, context
-//	                     deadlines, traffic stats, the one write path:
-//	                     Apply / ApplyRecord) over a Backend holding only
-//	                     what differs between engines — Engine is the
-//	                     single-index one (and the one that snapshots and
-//	                     checkpoints), shard.Sharded the scatter-gather
-//	                     one, both embed the shell
-//	internal/shard       scatter-gather sharding (site partitioners,
-//	                     cluster ownership, the one gather — Answer, the
-//	                     distributed greedy's coordinator and per-shard
-//	                     session — the member a shard process serves and
-//	                     its binary cover codec, and Sharded, the
-//	                     in-process twin of a routed topology) — bit-exact
-//	                     vs the single engine
-//	internal/router      the same gather over covers fetched by HTTP: the
-//	                     stateless front tier of shard-per-process
-//	                     topologies
+//	internal/engine      the concurrent serving layer: Engine, one concrete
+//	                     type (RWMutex protocol, QueryBatch grouping,
+//	                     context deadlines, traffic stats, the one write
+//	                     path: Apply / ApplyRecord, snapshots and
+//	                     checkpoints)
+//	internal/shard       scatter-gather sharding: site partitioners, the
+//	                     member a shard process serves, and the one
+//	                     routing core, Sharded, over a five-call member
+//	                     interface (Conn) — cluster ownership, masked cover
+//	                     fetch, the one gather (Answer: the distributed
+//	                     greedy's coordinator and per-shard session),
+//	                     update routing — bit-exact vs the single engine
+//	internal/router      that core over HTTP member conns: the stateless
+//	                     front tier of shard-per-process topologies
+//	                     (handlers, shard map, failover and retry)
 //	internal/wal         durability: the Mutation value and its codec, and
 //	                     the segmented CRC-framed write-ahead log
 //	                     (LSN-stamped snapshots, checkpoint + tail-replay

@@ -9,20 +9,20 @@
 // accounting in a thin layer above it. core stays a synchronous library;
 // engine turns it into something that can sustain query traffic.
 //
-// The layer itself is split in two. Front (front.go) is the shell: the
-// lock, the WAL sink, the counters, and the one Query / QueryBatch / Apply /
-// ApplyRecord written over a Backend. Engine (this file) is the single-index
-// Backend — the ladder lookup, the core cover fetch, the core greedy, the
-// core §6 calls — plus the snapshot and checkpoint writers, which only a
-// served engine needs; shard.Sharded, the in-process twin of a
-// router-fronted topology, is the scatter-gather Backend. Both embed the
-// shell, so the two answer from one body.
+// The layer is one concrete type in two files: front.go is the serving
+// shell — the lock, the WAL sink, the counters, and the one Query /
+// QueryBatch / Apply / ApplyRecord — and this file is what it wraps: the
+// ladder lookup, the core cover fetch, the snapshot and checkpoint writers,
+// and the read-locked hooks a shard member (internal/shard) serves the
+// router from.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"netclus/internal/core"
@@ -47,14 +47,35 @@ type Options struct {
 	DisablePooling bool
 }
 
-// Engine wraps a *core.Index for concurrent serving: the Front shell over
-// the single-index backend. All exported methods are safe for concurrent
-// use; an Index must be driven through at most one Engine (mutating the
-// Index directly while an Engine serves it breaks the locking protocol).
+// Engine wraps a *core.Index for concurrent serving. All exported methods
+// are safe for concurrent use; an Index must be driven through at most one
+// Engine (mutating the Index directly while an Engine serves it breaks the
+// locking protocol). Queries share the read lock; mutations take the write
+// lock, so in-flight queries drain first.
 type Engine struct {
-	Front[cover]
+	mu   sync.RWMutex
 	idx  *core.Index
 	opts Options
+
+	// sink owns the attached log, the engine LSN, and the broken latch (see
+	// wal.Sink); every successful mutation commits a typed record through it
+	// before the caller is acknowledged. After an append failure the sink
+	// refuses further mutations until the process restarts and recovers
+	// (queries keep serving).
+	sink wal.Sink
+
+	// admit, when set, vets every live mutation before it is applied (see
+	// SetAdmission). Replay trusts the log and skips it.
+	admit func(wal.Mutation) error
+
+	queries      atomic.Uint64
+	batchQueries atomic.Uint64
+	batches      atomic.Uint64
+	updates      updateCounters
+	errors       atomic.Uint64
+	canceled     atomic.Uint64
+	coverNanos   atomic.Int64
+	greedyNanos  atomic.Int64
 }
 
 // New wraps idx. The Engine takes ownership of the index's mutation
@@ -64,7 +85,7 @@ func New(idx *core.Index, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("engine: nil index")
 	}
 	e := &Engine{idx: idx, opts: opts}
-	e.Init(backend{e}, idx.WalLSN())
+	e.sink.SetLSN(idx.WalLSN())
 	return e, nil
 }
 
@@ -73,60 +94,44 @@ func New(idx *core.Index, opts Options) (*Engine, error) {
 // Engine's locking — use the Engine's update methods instead.
 func (e *Engine) Index() *core.Index { return e.idx }
 
-// cover is the single engine's cover handle: one covering structure and the
-// clusters its dense representative indices stand for.
-type cover struct {
-	cs   *tops.CoverSets
-	reps []core.ClusterID
-}
-
 // fetch gets the covering structure of instance p under pref — restricted
-// to the clusters in keep (sorted ascending) when keep is non-nil — under
-// the engine's caching policy: memoized in the index's cover cache, or
-// filled fresh per call (the paper's RepCover behaviour) when the cache is
-// disabled. The int is the number of representative rows swept (0: the
-// cache served it). The context cancels the sweep between representatives.
-func (e *Engine) fetch(ctx context.Context, p int, pref tops.Preference, keep []core.ClusterID) (c cover, swept int, err error) {
+// to the clusters in keep (sorted ascending) when keep is non-nil — and the
+// clusters its dense representative indices stand for, under the engine's
+// caching policy: memoized in the index's cover cache, or filled fresh per
+// call (the paper's RepCover behaviour) when the cache is disabled. The int
+// is the number of representative rows swept (0: the cache served it). The
+// context cancels the sweep between representatives.
+func (e *Engine) fetch(ctx context.Context, p int, pref tops.Preference, keep []core.ClusterID) (cs *tops.CoverSets, reps []core.ClusterID, swept int, err error) {
 	switch {
 	case !e.opts.DisableCoverCache && keep == nil:
-		c.cs, c.reps, swept, err = e.idx.CoverForCtx(ctx, p, pref)
+		return e.idx.CoverForCtx(ctx, p, pref)
 	case !e.opts.DisableCoverCache:
-		c.cs, c.reps, swept, err = e.idx.CoverForMaskedCtx(ctx, p, pref, keep)
+		return e.idx.CoverForMaskedCtx(ctx, p, pref, keep)
 	case keep == nil:
-		c.cs, c.reps, err = e.idx.RepCoverCtx(ctx, p, pref)
-		swept = len(c.reps)
+		cs, reps, err = e.idx.RepCoverCtx(ctx, p, pref)
 	default:
-		c.cs, c.reps, err = e.idx.RepCoverMaskedCtx(ctx, p, pref, keep)
-		swept = len(c.reps)
+		cs, reps, err = e.idx.RepCoverMaskedCtx(ctx, p, pref, keep)
 	}
-	return c, swept, err
+	return cs, reps, len(reps), err
 }
 
-// backend is Engine as the shell's Backend. A type of its own so that these
-// methods, which run under a lock the shell already holds, stay off
-// Engine's method set.
-type backend struct{ e *Engine }
-
-func (b backend) InstanceFor(tau float64) int { return b.e.idx.InstanceFor(tau) }
-
-func (b backend) FetchCover(ctx context.Context, p int, pref tops.Preference) (cover, int, error) {
-	return b.e.fetch(ctx, p, pref, nil)
-}
-
-// Answer runs the greedy phase under the engine's pooling policy: pooled
+// greedy runs the greedy phase under the engine's pooling policy: pooled
 // scratch by default (the caller may Release the result), fresh allocations
 // under DisablePooling.
-func (b backend) Answer(ctx context.Context, p int, c cover, opts core.QueryOptions) (*core.QueryResult, error) {
-	if b.e.opts.DisablePooling {
-		return b.e.idx.QueryOnCoverCtx(ctx, p, c.cs, c.reps, opts)
+func (e *Engine) greedy(ctx context.Context, p int, cs *tops.CoverSets, reps []core.ClusterID, opts core.QueryOptions) (*core.QueryResult, error) {
+	if e.opts.DisablePooling {
+		return e.idx.QueryOnCoverCtx(ctx, p, cs, reps, opts)
 	}
-	return b.e.idx.QueryOnCoverPooledCtx(ctx, p, c.cs, c.reps, opts)
+	return e.idx.QueryOnCoverPooledCtx(ctx, p, cs, reps, opts)
 }
 
-// ApplyMutation makes the core call m stands for.
-func (b backend) ApplyMutation(m wal.Mutation) ([]trajectory.ID, error) {
-	idx := b.e.idx
-	trs, err := m.Trajectories(b.e.Graph())
+// applyMutation is the engine's one transition function over mutations,
+// reached by Apply (live) and ApplyRecord (replay) alike: it makes the core
+// call m stands for and returns the ids an add kind assigned. Caller holds
+// the write lock.
+func (e *Engine) applyMutation(m wal.Mutation) ([]trajectory.ID, error) {
+	idx := e.idx
+	trs, err := m.Trajectories(e.Graph())
 	if err != nil {
 		return nil, err
 	}
@@ -156,8 +161,6 @@ func (b backend) ApplyMutation(m wal.Mutation) ([]trajectory.ID, error) {
 	return ids, nil
 }
 
-func (b backend) CoverCacheStats() core.CoverCacheStats { return b.e.idx.CoverCacheStats() }
-
 // Snapshot serializes the served index under the read lock, so a live
 // service can checkpoint while serving queries: concurrent queries proceed,
 // mutations wait, and the written snapshot is always a consistent state
@@ -185,23 +188,15 @@ func (e *Engine) Checkpoint(w io.Writer) (int64, error) {
 	return wal.WriteCheckpoint(w, inst.Sites, inst.Trajs, e.Epoch(), e.writeSnapshot)
 }
 
-// Sharding hooks. internal/shard runs one Engine per shard and drives the
-// scatter phase through these read-locked accessors: ladder selection,
-// per-cluster representative summaries (for the cross-shard winner
-// reduction), and masked cover fills restricted to the clusters the shard
-// currently owns. They are exported for the shard layer, not for general
-// use — applications query through Query/QueryBatch.
+// Sharding hooks. A shard member (internal/shard) is an Engine that serves
+// the router through these read-locked accessors: per-cluster
+// representative summaries (for the cross-shard winner reduction) and
+// masked cover fills restricted to the clusters the shard currently owns.
+// They are exported for the shard layer, not for general use —
+// applications query through Query/QueryBatch.
 
 // Graph returns the road network the served index is built over.
 func (e *Engine) Graph() *roadnet.Graph { return e.idx.TopsInstance().G }
-
-// InstanceFor returns the ladder position serving threshold τ, under the
-// read lock so it cannot interleave with a mutation.
-func (e *Engine) InstanceFor(tau float64) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.idx.InstanceFor(tau)
-}
 
 // RepInfos summarizes instance p's cluster representatives (cluster, node,
 // dr) under the read lock.
@@ -209,22 +204,6 @@ func (e *Engine) RepInfos(p int) []core.RepInfo {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.idx.RepInfos(p)
-}
-
-// ClusterOf returns node v's cluster at instance p (InvalidCluster when v
-// is outside the graph), under the read lock.
-func (e *Engine) ClusterOf(p int, v roadnet.NodeID) core.ClusterID {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.idx.ClusterOf(p, v)
-}
-
-// RepOfCluster returns cluster ci's representative at instance p, under the
-// read lock.
-func (e *Engine) RepOfCluster(p int, ci core.ClusterID) (core.RepInfo, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.idx.RepOfCluster(p, ci)
 }
 
 // CoverMasked fetches the covering structure of instance p under pref
@@ -238,10 +217,10 @@ func (e *Engine) CoverMasked(ctx context.Context, p int, pref tops.Preference, k
 		keep = []core.ClusterID{}
 	}
 	t0 := time.Now()
-	c, swept, err := e.fetch(ctx, p, pref, keep)
+	cs, reps, swept, err := e.fetch(ctx, p, pref, keep)
 	e.coverNanos.Add(time.Since(t0).Nanoseconds())
 	if err != nil {
 		return nil, nil, 0, e.accountErr(err)
 	}
-	return c.cs, c.reps, swept, nil
+	return cs, reps, swept, nil
 }

@@ -7,13 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"time"
 
 	"netclus/internal/obs"
-	"netclus/internal/roadnet"
 	"netclus/internal/server"
+	"netclus/internal/shard"
 	"netclus/internal/wal"
 )
 
@@ -134,29 +133,33 @@ func requestCtx(req *http.Request, timeout time.Duration) (context.Context, cont
 	return context.WithTimeout(req.Context(), timeout)
 }
 
-// queryError maps a query failure to the wire: terminal member answers
-// relay their status and code; an exhausted attempt budget is 503.
-func (r *Router) queryError(w http.ResponseWriter, err error) {
+// failure maps a query or update failure to the wire: a trajectory update
+// that committed on part of the topology is 502 topology_diverged; a query
+// out of attempts is 503; a member's own verdict is re-emitted with its
+// status and code; any other member failure is 503.
+func (r *Router) failure(w http.ResponseWriter, err error) {
 	r.errs.Add(1)
-	var me *memberError
-	if errors.As(err, &me) {
-		writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, err)
-		return
-	}
+	var ua *unavailable
+	var se *shard.ShardError
 	var he *httpError
-	if errors.As(err, &he) {
+	switch {
+	case errors.Is(err, shard.ErrDiverged):
+		writeError(w, http.StatusBadGateway, codeTopologyDiverged, err)
+	case errors.As(err, &ua):
+		writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, err)
+	case errors.As(err, &he):
 		code := he.code
 		if code == "" {
 			code = codeBadRequest
 		}
-		writeError(w, he.status, code, err)
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
+		writeError(w, he.status, code, errors.New(he.msg))
+	case errors.As(err, &se):
+		writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, err)
+	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "timeout", err)
-		return
+	default:
+		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 	}
-	writeError(w, http.StatusBadRequest, codeBadRequest, err)
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
@@ -175,7 +178,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	r.queries.Add(1)
 	res, err := r.query(ctx, q)
 	if err != nil {
-		r.queryError(w, err)
+		r.failure(w, err)
 		return
 	}
 	writeJSON(w, res)
@@ -215,15 +218,6 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, out)
 }
 
-// wireUpdate mirrors the serving tier's /v1/update body; the router
-// decodes it only to route, then forwards the re-encoded form.
-type wireUpdate struct {
-	Op    string  `json:"op"`
-	Node  int64   `json:"node,omitempty"`
-	Nodes []int64 `json:"nodes,omitempty"`
-	ID    int64   `json:"id,omitempty"`
-}
-
 // handleIngest: the router deliberately does not serve live GPS
 // ingestion. Map-matching needs the road network and its spatial index,
 // which the stateless router tier does not load — and shipping raw traces
@@ -239,133 +233,32 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		fmt.Errorf("the router tier does not map-match: stream raw traces to a single-process topsserve /v1/ingest, or match client-side and broadcast add_trajectory updates via /v1/update"))
 }
 
-// handleUpdate routes one mutation by its kind's wal.Kind.Routed: site ops
-// to the owning shard's primary, trajectory ops broadcast to every shard
-// (member 0 first — it validates the request before the others commit). The
-// write lock serializes against in-flight queries, so a router-routed
-// history has the in-process engine's sequential semantics.
+// handleUpdate hands one mutation, decoded by the serving tier's own
+// decoder, to the core's router (shard.Sharded.Update: site ops to the
+// owning shard's primary, trajectory ops to every shard, member 0 first)
+// and answers with the member's ack. The core's write lock serializes it
+// against in-flight queries, so a router-routed history has the in-process
+// engine's sequential semantics.
 func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	var u wireUpdate
-	if err := strictUnmarshal(raw, &u); err != nil {
+	u, err := wal.DecodeUpdate(raw)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
 	ctx, cancel := requestCtx(req, 0)
 	defer cancel()
 	r.updates.Add(1)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	kind, ok := wal.KindByName(u.Op)
-	switch {
-	case u.Op == "":
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("missing op"))
-	case !ok || !kind.Single():
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("unknown op %q (want add_site, delete_site, add_trajectory or delete_trajectory)", u.Op))
-	case kind.Routed():
-		if u.Node < 0 || u.Node > math.MaxInt32 {
-			writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("node %d outside int32 range", u.Node))
-			return
-		}
-		j, err := r.ownerOf(ctx, u.Node)
-		if err != nil {
-			r.errs.Add(1)
-			writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, err)
-			return
-		}
-		status, body, err := r.relay(ctx, j, raw)
-		if err != nil {
-			r.errs.Add(1)
-			writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, &memberError{shard: j, err: err})
-			return
-		}
-		if status/100 == 2 {
-			if kind == wal.KindAddSite {
-				r.sites.Add(roadnet.NodeID(u.Node))
-			} else {
-				r.sites.Delete(roadnet.NodeID(u.Node))
-			}
-			r.dropOwnership()
-		}
-		relayResponse(w, status, body)
-	default:
-		var status int
-		var body []byte
-		for j := 0; j < r.n; j++ {
-			st, b, err := r.relay(ctx, j, raw)
-			if err != nil || st/100 != 2 {
-				if err == nil {
-					err = decodeEnvelope(st, b)
-				}
-				r.errs.Add(1)
-				if j == 0 {
-					// Nothing committed anywhere yet: relay the first member's
-					// verdict (or report it unreachable) and stay consistent.
-					if b != nil {
-						relayResponse(w, st, b)
-					} else {
-						writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, &memberError{shard: j, err: err})
-					}
-					return
-				}
-				writeError(w, http.StatusBadGateway, codeTopologyDiverged,
-					fmt.Errorf("%s committed on shards [0,%d) but failed on shard %d: %v; repair the shard from its peers' WALs before trusting answers", u.Op, j, j, err))
-				return
-			}
-			if j == 0 {
-				status, body = st, b
-			}
-		}
-		relayResponse(w, status, body)
-	}
-}
-
-// relay forwards the raw update body to shard j's active member.
-func (r *Router) relay(ctx context.Context, j int, body []byte) (int, []byte, error) {
-	cctx, cancel := context.WithTimeout(ctx, r.opts.ShardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, r.activeURL(j)+"/v1/update", bytes.NewReader(body))
+	ack, err := r.core.Update(ctx, u)
 	if err != nil {
-		return 0, nil, err
+		r.failure(w, err)
+		return
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if tr := obs.TraceID(ctx); tr != "" {
-		req.Header.Set(obs.TraceHeader, tr)
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, raw, nil
-}
-
-func relayResponse(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// decodeEnvelope turns a member's error envelope into an error.
-func decodeEnvelope(status int, body []byte) error {
-	var env errorResponse
-	_ = json.Unmarshal(body, &env)
-	if env.Error == "" {
-		env.Error = string(body)
-	}
-	return &httpError{status: status, code: env.Code, msg: env.Error}
+	writeJSON(w, ack)
 }
 
 // topologyRequest is POST /v1/topology: make primary shard j's active
@@ -381,7 +274,7 @@ func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, struct {
 			Shards      []topologyShard `json:"shards"`
 			Partitioner string          `json:"partitioner"`
-		}{Shards: r.topology(), Partitioner: r.partName})
+		}{Shards: r.topology(), Partitioner: r.core.Status().Partitioner})
 	case http.MethodPost:
 		raw, err := io.ReadAll(io.LimitReader(req.Body, 1<<16))
 		if err != nil {
@@ -413,41 +306,29 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 		Status        string  `json:"status"`
 		Shards        int     `json:"shards"`
 		UptimeSeconds float64 `json:"uptime_seconds"`
-	}{Status: "ok", Shards: r.n, UptimeSeconds: time.Since(r.start).Seconds()})
+	}{Status: "ok", Shards: len(r.slots), UptimeSeconds: time.Since(r.start).Seconds()})
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	r.mu.RLock()
-	sites := len(r.sites.Sites())
-	warn := r.siteWarn
-	r.mu.RUnlock()
 	writeJSON(w, struct {
-		Shards             int             `json:"shards"`
-		Partitioner        string          `json:"partitioner"`
-		UptimeSeconds      float64         `json:"uptime_seconds"`
-		Queries            uint64          `json:"queries"`
-		Batches            uint64          `json:"batches"`
-		Updates            uint64          `json:"updates"`
-		Retries            uint64          `json:"retries"`
-		Failovers          uint64          `json:"failovers"`
-		Errors             uint64          `json:"errors"`
-		Sites              int             `json:"sites"`
-		SiteIDWarning      string          `json:"site_id_warning,omitempty"`
-		OwnershipInstances []int           `json:"ownership_instances"`
-		Topology           []topologyShard `json:"topology"`
+		shard.Status
+		UptimeSeconds float64         `json:"uptime_seconds"`
+		Queries       uint64          `json:"queries"`
+		Batches       uint64          `json:"batches"`
+		Updates       uint64          `json:"updates"`
+		Retries       uint64          `json:"retries"`
+		Failovers     uint64          `json:"failovers"`
+		Errors        uint64          `json:"errors"`
+		Topology      []topologyShard `json:"topology"`
 	}{
-		Shards:             r.n,
-		Partitioner:        r.partName,
-		UptimeSeconds:      time.Since(r.start).Seconds(),
-		Queries:            r.queries.Load(),
-		Batches:            r.batches.Load(),
-		Updates:            r.updates.Load(),
-		Retries:            r.retries.Load(),
-		Failovers:          r.failovers.Load(),
-		Errors:             r.errs.Load(),
-		Sites:              sites,
-		SiteIDWarning:      warn,
-		OwnershipInstances: r.sortedInstances(),
-		Topology:           r.topology(),
+		Status:        r.core.Status(),
+		UptimeSeconds: time.Since(r.start).Seconds(),
+		Queries:       r.queries.Load(),
+		Batches:       r.batches.Load(),
+		Updates:       r.updates.Load(),
+		Retries:       r.retries.Load(),
+		Failovers:     r.failovers.Load(),
+		Errors:        r.errs.Load(),
+		Topology:      r.topology(),
 	})
 }

@@ -24,8 +24,9 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	ew.Family("netclus_uptime_seconds", "Seconds since process start.", "gauge")
 	ew.Sample("netclus_uptime_seconds", "", obs.Uptime().Seconds())
 
+	st := r.core.Status()
 	ew.Family("netclus_router_shards", "Shards in the routed topology.", "gauge")
-	ew.Sample("netclus_router_shards", "", float64(r.n))
+	ew.Sample("netclus_router_shards", "", float64(st.Shards))
 	ew.Family("netclus_router_queries_total", "Queries accepted (batch items counted via batches).", "counter")
 	ew.Uint("netclus_router_queries_total", "", r.queries.Load())
 	ew.Family("netclus_router_batches_total", "Batch requests accepted.", "counter")
@@ -40,20 +41,19 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	ew.Uint("netclus_router_errors_total", "", r.errs.Load())
 
 	r.mu.RLock()
-	sites := len(r.sites.Sites())
 	type shardRow struct {
 		j      int
 		active int
 		urls   int
 		failed bool
 	}
-	rows := make([]shardRow, r.n)
+	rows := make([]shardRow, len(r.slots))
 	for j, s := range r.slots {
 		rows[j] = shardRow{j: j, active: s.active, urls: len(s.urls), failed: s.lastErr != ""}
 	}
 	r.mu.RUnlock()
 	ew.Family("netclus_router_sites", "Sites in the dense-id mirror.", "gauge")
-	ew.Sample("netclus_router_sites", "", float64(sites))
+	ew.Sample("netclus_router_sites", "", float64(st.Sites))
 	ew.Family("netclus_router_shard_members", "Member URLs known per shard.", "gauge")
 	ew.Family("netclus_router_shard_active_cursor", "Index of the shard's active member URL.", "gauge")
 	ew.Family("netclus_router_shard_last_error", "1 when the shard's last member call failed.", "gauge")

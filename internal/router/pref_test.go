@@ -28,11 +28,11 @@ func (e *capturingEngine) Query(_ context.Context, opts core.QueryOptions) (*cor
 // TestPreferenceLoweringAgreesAcrossTiers pins the one name → function
 // table (tops.PreferenceByName) from each of its wire entry points: a
 // /v1/query body decoded by topsserve, the same body decoded by the router
-// (server.DecodeQuery, the one decoder), and the WirePref the router then
-// ships to a member in its cover request must all name the same function —
-// same cover-cache fingerprint — as the constructor the name stands for. A
-// tier that lowered "exp" with another default λ, say, would answer from a
-// different cover than its peers.
+// (server.DecodeQuery, the one decoder), and the WirePref the routing core
+// then ships to a member in its cover request must all name the same
+// function — same cover-cache fingerprint — as the constructor the name
+// stands for. A tier that lowered "exp" with another default λ, say, would
+// answer from a different cover than its peers.
 func TestPreferenceLoweringAgreesAcrossTiers(t *testing.T) {
 	inst, _ := buildFixture(t, 1601)
 	m, err := shard.BuildMember(inst, 0, shard.Options{Shards: 1, Build: fixtureBuild})
@@ -80,6 +80,16 @@ func TestPreferenceLoweringAgreesAcrossTiers(t *testing.T) {
 		}
 		if got := core.PrefFingerprint(pref); got != want {
 			t.Errorf("%s: router → member lowered to %q (fingerprint %x), want %q (%x)", tc.body, pref.Name, got, tc.want.Name, want)
+		}
+		// The routing core ships the decoded options' preference, lowered
+		// back to wire form (shard.WirePrefOf): it too must re-lower to the
+		// same function.
+		wp, err := shard.WirePrefOf(q.Opts.Pref)
+		if err != nil {
+			t.Fatalf("%s: core lowering of %q: %v", tc.body, q.Opts.Pref.Name, err)
+		}
+		if back, err := wp.Preference(); err != nil || core.PrefFingerprint(back) != want {
+			t.Errorf("%s: core ships %+v, which re-lowers to %q (%v), want %q", tc.body, wp, back.Name, err, tc.want.Name)
 		}
 	}
 

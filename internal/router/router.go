@@ -1,36 +1,33 @@
 // Package router is the stateless front tier of a shard-per-process
 // NETCLUS topology: each shard runs as its own topsserve process (with its
-// own WAL, snapshots, and followers), and the router answers queries by
-// doing across processes what shard.Sharded does in one: it reduces the
-// members' representative rows with shard.ReduceOwnership, fetches every
-// owning member's masked cover at once (POST /v1/shard/cover, one binary
-// body each), and runs shard.Answer — the one gather both tiers call — over
-// the decoded covers, so answers stay float-op-for-float-op identical to a
-// single-process engine over the same dataset (the cross-process
-// differential oracle enforces it). /v1/query and /v1/query/batch bodies
-// decode and answers encode through the serving tier's own codec
-// (server.DecodeQuery, server.NewQueryResponse), so both tiers accept and
-// answer the same bytes. What lives here is everything a network adds: the
-// shard map, timeouts, failover and retry.
+// own WAL, snapshots, and followers), and the router serves the one routing
+// core, shard.Sharded, over HTTP conns to them. The core reduces the
+// members' representative rows to cluster ownership, fetches every owning
+// member's masked cover at once (POST /v1/shard/cover, one binary body
+// each), answers through shard.Answer, and routes updates — the same code
+// an in-process topology runs, so answers stay float-op-for-float-op
+// identical to a single-process engine over the same dataset (the
+// cross-process differential oracle enforces it). /v1/query,
+// /v1/query/batch and /v1/update bodies decode, and answers encode, through
+// the serving tier's own codec, so both tiers accept and answer the same
+// bytes. What lives here is everything a network adds: the HTTP handlers,
+// the shard map, timeouts, failover and retry, /statsz, /metrics and the
+// slow-query record.
 //
 // The router owns the shard map: per shard an ordered list of member URLs
 // (primary first, then followers) with an active cursor. The cover endpoint
 // is read-only, so when a member fails mid-query the router advances that
 // shard's cursor to the next URL — a follower serves the retry without any
-// promotion — and restarts the query from scratch.
-// Updates require the shard's primary: site mutations route to the owning
-// shard (the partitioner evaluated locally when it is graph-free, or via
-// the members' /v1/shard/owner otherwise), trajectory mutations broadcast
-// to every shard. POST /v1/topology re-points a shard at a promoted
-// follower after a primary failure.
+// promotion — and restarts the query from scratch. Updates require the
+// shard's primary and are not retried. POST /v1/topology re-points a shard
+// at a promoted follower after a primary failure.
 //
-// Consistency: the router serializes its own queries against its own
-// updates (queries share a read lock, updates take the write lock —
-// the same discipline as shard.Sharded), but it cannot serialize against
-// mutations sent directly to a member. Each member's cover is an immutable
-// snapshot taken when it answers, so even then a query sees a consistent
-// per-shard view; route all updates through the router to get the
-// in-process engine's sequential semantics.
+// Consistency: the core serializes the router's own queries against its
+// own updates, but it cannot serialize against mutations sent directly to a
+// member. Each member's cover is an immutable snapshot taken when it
+// answers, so even then a query sees a consistent per-shard view; route all
+// updates through the router to get the in-process engine's sequential
+// semantics.
 package router
 
 import (
@@ -42,7 +39,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +47,8 @@ import (
 	"netclus/internal/obs"
 	"netclus/internal/roadnet"
 	"netclus/internal/shard"
+	"netclus/internal/tops"
+	"netclus/internal/wal"
 )
 
 // Options configures a Router.
@@ -105,28 +103,11 @@ type slot struct {
 type Router struct {
 	opts   Options
 	client *http.Client
+	core   *shard.Sharded
 
-	// mu serializes updates (write) against queries (read), covering the
-	// topology slots, the dense-id mirror, and — via ownMu under it — the
-	// ownership caches. The same discipline as shard.Sharded.
+	// mu guards the shard map: every slot's URL list and cursor.
 	mu    sync.RWMutex
 	slots []*slot
-
-	n        int
-	partName string
-	// part evaluates the partitioner locally when it is graph-free (hash);
-	// nil means owner lookups go to the members (grid needs the graph).
-	part   shard.Partitioner
-	ladder shard.Ladder
-
-	// sites is the global dense site-id mirror, so SiteIDs match the
-	// single-process index's.
-	sites    *shard.SiteMirror
-	siteWarn string // non-empty when the mirror was seeded from concatenation
-
-	ownMu      sync.Mutex
-	own        map[int]*shard.Ownership
-	ownerCache map[int64]int
 
 	queries   atomic.Uint64
 	batches   atomic.Uint64
@@ -140,131 +121,60 @@ type Router struct {
 	log   *slog.Logger
 }
 
-// New validates the shard map against the members' own metadata (every
-// member must agree on shard count, index, partitioner, and ladder
-// parameters — a mixed topology would silently produce wrong answers),
-// seeds the dense-id mirror, and returns a serving router.
+// New validates the shard map against the members' own metadata (the
+// core's shard.New: every member must agree on shard count, index,
+// partitioner, and ladder — a mixed topology would silently produce wrong
+// answers), seeds the dense-id mirror, and returns a serving router.
 func New(opts Options) (*Router, error) {
 	if len(opts.Shards) == 0 {
 		return nil, fmt.Errorf("router: empty shard map")
 	}
 	opts = opts.withDefaults()
 	r := &Router{
-		opts:       opts,
-		client:     opts.Client,
-		n:          len(opts.Shards),
-		own:        make(map[int]*shard.Ownership),
-		ownerCache: make(map[int64]int),
-		start:      time.Now(),
-		log:        opts.Logger.With("component", "router"),
+		opts:   opts,
+		client: opts.Client,
+		start:  time.Now(),
+		log:    opts.Logger.With("component", "router"),
 	}
+	conns := make([]shard.Conn, len(opts.Shards))
 	for j, urls := range opts.Shards {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no member URLs", j)
 		}
 		for _, u := range urls {
-			p, err := url.Parse(u)
-			if err != nil || p.Scheme == "" || p.Host == "" {
+			if !absolute(u) {
 				return nil, fmt.Errorf("router: shard %d: %q is not an absolute URL", j, u)
 			}
 		}
 		r.slots = append(r.slots, &slot{urls: append([]string(nil), urls...)})
+		conns[j] = member{r: r, j: j}
 	}
-
-	metas := make([]shard.MemberMeta, r.n)
-	for j := range r.slots {
-		meta, err := r.fetchMeta(j)
-		if err != nil {
-			return nil, err
-		}
-		metas[j] = meta
-	}
-	m0 := metas[0]
-	ladders := make([]shard.Ladder, r.n)
-	for j, m := range metas {
-		ladders[j] = m.Ladder
-		if m.Shards != r.n {
-			return nil, fmt.Errorf("router: shard %d reports a %d-shard topology, shard map has %d", j, m.Shards, r.n)
-		}
-		if m.Index != j {
-			return nil, fmt.Errorf("router: shard map position %d points at a member that is shard %d", j, m.Index)
-		}
-		if m.Partitioner != m0.Partitioner {
-			return nil, fmt.Errorf("router: shard %d partitioner %q differs from shard 0's %q", j, m.Partitioner, m0.Partitioner)
-		}
-	}
-	if err := shard.CheckLadders(ladders); err != nil {
+	var err error
+	if r.core, err = shard.New(context.Background(), conns); err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
-	r.partName, r.ladder = m0.Partitioner, m0.Ladder
-	if r.partName == shard.HashPartitioner {
-		part, err := shard.NewPartitioner(r.partName, r.n, nil)
-		if err != nil {
-			return nil, err
-		}
-		r.part = part
+	if warn := r.core.Status().SiteIDWarning; warn != "" {
+		r.log.Warn("site-id mirror inexact", "detail", warn)
 	}
-	r.seedMirror(metas)
 	r.routes()
 	return r, nil
 }
 
-// seedMirror builds the global dense site-id mirror. When every member
-// still knows the full build-time site order and the live site sets have
-// not drifted from it, that order is exact — SiteIDs match a
-// single-process engine with the same history. Otherwise (members
-// recovered from checkpoints, or mutations applied before this router
-// booted) the mirror concatenates the live per-shard lists: the nodes are
-// right, but dense ids may differ from a single-process history, which is
-// recorded in siteWarn and surfaced on /statsz.
-func (r *Router) seedMirror(metas []shard.MemberMeta) {
-	liveCount := 0
-	liveSet := make(map[roadnet.NodeID]bool)
-	for _, m := range metas {
-		liveCount += len(m.Sites)
-		for _, v := range m.Sites {
-			liveSet[v] = true
-		}
-	}
-	exact := len(metas[0].InitialSites) > 0
-	for _, m := range metas {
-		if len(m.InitialSites) != len(metas[0].InitialSites) {
-			exact = false
-			break
-		}
-	}
-	if exact && len(metas[0].InitialSites) == liveCount && len(liveSet) == liveCount {
-		for _, v := range metas[0].InitialSites {
-			if !liveSet[v] {
-				exact = false
-				break
-			}
-		}
-	} else {
-		exact = false
-	}
-	seed := metas[0].InitialSites
-	if !exact {
-		seed = nil
-		for _, m := range metas {
-			seed = append(seed, m.Sites...)
-		}
-		r.siteWarn = "dense site ids seeded from per-shard concatenation (members past their build-time site set); ids may differ from a single-process history"
-		r.log.Warn("site-id mirror inexact", "detail", r.siteWarn)
-	}
-	r.sites = shard.NewSiteMirror(seed)
+func absolute(u string) bool {
+	p, err := url.Parse(u)
+	return err == nil && p.Scheme != "" && p.Host != ""
 }
 
 // activeURL returns shard j's current target.
 func (r *Router) activeURL(j int) string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	s := r.slots[j]
 	return s.urls[s.active]
 }
 
-// failover advances shard j's cursor past a failed member. Caller may
-// hold only the read lock during queries, so the cursor moves under the
-// slot-independent write lock; a single-URL shard just retries the same
-// target.
+// failover advances shard j's cursor past a failed member; a single-URL
+// shard just retries the same target.
 func (r *Router) failover(j int, cause error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -280,23 +190,22 @@ func (r *Router) failover(j int, cause error) {
 }
 
 // Repoint makes u shard j's active target (appending it to the shard's
-// URL list if new), after verifying the member there really serves shard
-// j of this topology. The failover path after POST /v1/promote on a
-// surviving follower.
+// URL list if new), after the core verifies the member there serves shard
+// j of this very topology — shard count, partitioner and ladder included.
+// The failover path after POST /v1/promote on a surviving follower.
 func (r *Router) Repoint(j int, u string) error {
-	if j < 0 || j >= r.n {
-		return fmt.Errorf("router: shard %d outside [0, %d)", j, r.n)
+	if j < 0 || j >= len(r.slots) {
+		return fmt.Errorf("router: shard %d outside [0, %d)", j, len(r.slots))
 	}
-	p, err := url.Parse(u)
-	if err != nil || p.Scheme == "" || p.Host == "" {
+	if !absolute(u) {
 		return fmt.Errorf("router: %q is not an absolute URL", u)
 	}
 	var meta shard.MemberMeta
 	if err := r.call(context.Background(), http.MethodGet, u+"/v1/shard/meta", nil, &meta); err != nil {
 		return fmt.Errorf("router: probing %s: %w", u, err)
 	}
-	if meta.Shards != r.n || meta.Index != j {
-		return fmt.Errorf("router: %s serves shard %d of %d, not shard %d of %d", u, meta.Index, meta.Shards, j, r.n)
+	if err := r.core.CheckMember(j, meta); err != nil {
+		return fmt.Errorf("router: %s: %w", u, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -318,103 +227,68 @@ func (r *Router) Repoint(j int, u string) error {
 	return nil
 }
 
-// fetchMeta loads shard j's metadata, failing over through its URL list.
-func (r *Router) fetchMeta(j int) (shard.MemberMeta, error) {
-	s := r.slots[j]
+// member is shard j's shard.Conn: every call goes to the shard's active
+// URL, over the endpoints a topsserve member serves.
+type member struct {
+	r *Router
+	j int
+}
+
+// Meta probes the shard's URLs from the cursor on, advancing past each
+// that fails, so the router boots over whichever member of each shard
+// answers.
+func (m member) Meta(ctx context.Context) (shard.MemberMeta, error) {
 	var lastErr error
-	for range s.urls {
+	for range m.r.slots[m.j].urls {
 		var meta shard.MemberMeta
-		err := r.call(context.Background(), http.MethodGet, r.activeURL(j)+"/v1/shard/meta", nil, &meta)
+		err := m.r.call(ctx, http.MethodGet, m.r.activeURL(m.j)+"/v1/shard/meta", nil, &meta)
 		if err == nil {
 			return meta, nil
 		}
 		lastErr = err
+		m.r.mu.Lock()
+		s := m.r.slots[m.j]
 		s.active = (s.active + 1) % len(s.urls)
+		m.r.mu.Unlock()
 	}
-	return shard.MemberMeta{}, fmt.Errorf("router: no reachable member for shard %d: %w", j, lastErr)
+	return shard.MemberMeta{}, fmt.Errorf("no reachable member: %w", lastErr)
 }
 
-// ownership derives (or returns the cached) cluster ownership of ladder
-// instance p from every shard's /v1/shard/reps. Dropped whole on any site
-// mutation.
-func (r *Router) ownership(ctx context.Context, p int) (*shard.Ownership, error) {
-	r.ownMu.Lock()
-	defer r.ownMu.Unlock()
-	if o := r.own[p]; o != nil {
-		return o, nil
-	}
-	rows := make([][]core.RepInfo, r.n)
-	errs := make([]error, r.n)
-	var wg sync.WaitGroup
-	for j := range r.n {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var resp struct {
-				Reps []core.RepInfo `json:"reps"`
-			}
-			errs[j] = r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/reps?p=%d", r.activeURL(j), p), nil, &resp)
-			rows[j] = resp.Reps
-		}()
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			return nil, &memberError{shard: j, err: err}
-		}
-	}
-	o := shard.ReduceOwnership(rows)
-	r.own[p] = o
-	return o, nil
-}
-
-// dropOwnership invalidates the ownership and owner caches after a site
-// mutation (a site add/delete can move cluster representatives, and for
-// grid topologies the mutation may even have created the node's first
-// routing decision).
-func (r *Router) dropOwnership() {
-	r.ownMu.Lock()
-	r.own = make(map[int]*shard.Ownership)
-	r.ownMu.Unlock()
-}
-
-// ownerOf resolves which shard owns node v: locally when the partitioner
-// is graph-free, otherwise via a (cached) member lookup.
-func (r *Router) ownerOf(ctx context.Context, v int64) (int, error) {
-	if r.part != nil {
-		return r.part.Shard(roadnet.NodeID(v)), nil
-	}
-	r.ownMu.Lock()
-	j, ok := r.ownerCache[v]
-	r.ownMu.Unlock()
-	if ok {
-		return j, nil
-	}
+func (m member) Reps(ctx context.Context, p int) ([]core.RepInfo, error) {
 	var resp struct {
-		Node  int64 `json:"node"`
-		Shard int   `json:"shard"`
+		Reps []core.RepInfo `json:"reps"`
 	}
-	if err := r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/owner?node=%d", r.activeURL(0), v), nil, &resp); err != nil {
-		return 0, &memberError{shard: 0, err: err}
-	}
-	if resp.Shard < 0 || resp.Shard >= r.n {
-		return 0, fmt.Errorf("router: member reports shard %d for node %d, outside [0, %d)", resp.Shard, v, r.n)
-	}
-	r.ownMu.Lock()
-	r.ownerCache[v] = resp.Shard
-	r.ownMu.Unlock()
-	return resp.Shard, nil
+	err := m.r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/reps?p=%d", m.r.activeURL(m.j), p), nil, &resp)
+	return resp.Reps, err
 }
 
-// memberError marks a failure attributable to one shard's current target;
-// the query path fails that shard over and retries.
-type memberError struct {
-	shard int
-	err   error
+func (m member) Owner(ctx context.Context, v roadnet.NodeID) (int, error) {
+	var resp struct {
+		Shard int `json:"shard"`
+	}
+	err := m.r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/owner?node=%d", m.r.activeURL(m.j), v), nil, &resp)
+	return resp.Shard, err
 }
 
-func (e *memberError) Error() string { return fmt.Sprintf("shard %d: %v", e.shard, e.err) }
-func (e *memberError) Unwrap() error { return e.err }
+// Cover fetches and decodes the member's masked cover, recording the
+// fetch's time for the slow-query record.
+func (m member) Cover(ctx context.Context, req *shard.CoverRequest) (*tops.CoverSets, []core.ClusterID, error) {
+	t := time.Now()
+	body, err := m.r.do(ctx, http.MethodPost, m.r.activeURL(m.j)+"/v1/shard/cover", req)
+	if tm, ok := ctx.Value(timingKey{}).(*timings); ok {
+		tm.add(m.j, time.Since(t))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return shard.ReadCover(body)
+}
+
+func (m member) Update(ctx context.Context, u wal.Update) (wal.UpdateAck, error) {
+	var ack wal.UpdateAck
+	err := m.r.call(ctx, http.MethodPost, m.r.activeURL(m.j)+"/v1/update", u, &ack)
+	return ack, err
+}
 
 // httpError carries a member's error envelope (status + code) upstream.
 type httpError struct {
@@ -473,13 +347,18 @@ func (r *Router) do(ctx context.Context, method, u string, in any) ([]byte, erro
 		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return nil, decodeEnvelope(resp.StatusCode, raw)
+		var env errorResponse
+		_ = json.Unmarshal(raw, &env)
+		if env.Error == "" {
+			env.Error = string(raw)
+		}
+		return nil, &httpError{status: resp.StatusCode, code: env.Code, msg: env.Error}
 	}
 	return raw, nil
 }
 
 // Shards returns the shard count.
-func (r *Router) Shards() int { return r.n }
+func (r *Router) Shards() int { return len(r.slots) }
 
 // topologyShard is one row of GET /v1/topology.
 type topologyShard struct {
@@ -494,7 +373,7 @@ type topologyShard struct {
 func (r *Router) topology() []topologyShard {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]topologyShard, r.n)
+	out := make([]topologyShard, len(r.slots))
 	for j, s := range r.slots {
 		out[j] = topologyShard{
 			Shard:     j,
@@ -504,17 +383,5 @@ func (r *Router) topology() []topologyShard {
 			LastError: s.lastErr,
 		}
 	}
-	return out
-}
-
-// sortedInstances lists the cached ownership instances (statsz).
-func (r *Router) sortedInstances() []int {
-	r.ownMu.Lock()
-	defer r.ownMu.Unlock()
-	out := make([]int, 0, len(r.own))
-	for p := range r.own {
-		out = append(out, p)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -8,20 +8,23 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"netclus/internal/core"
+	"netclus/internal/engine"
 	"netclus/internal/gen"
 	"netclus/internal/roadnet"
 	"netclus/internal/server"
 	"netclus/internal/shard"
 	"netclus/internal/tops"
 	"netclus/internal/trajectory"
+	"netclus/internal/wal"
 )
 
 // buildFixture mirrors the shard package's differential fixture: two calls
 // with the same seed yield independent but identical instances — one feeds
-// the in-process sharded twin, the others the HTTP members.
+// the single-engine twin, the others the HTTP members.
 func buildFixture(t testing.TB, seed int64) (*tops.Instance, *gen.City) {
 	t.Helper()
 	return buildFixtureSites(t, seed, 120)
@@ -55,11 +58,33 @@ func buildFixtureSites(t testing.TB, seed int64, count int) (*tops.Instance, *ge
 
 var fixtureBuild = core.Options{Gamma: 0.75, TauMin: 0.4, TauMax: 6.4}
 
-// memberServer builds shard j of an n-shard topology over inst and serves
-// it (member surface mounted) from an httptest server.
+// engineTwin is the single engine over inst: the oracle a routed topology
+// over the same dataset answers bit-exactly.
+func engineTwin(t testing.TB, inst *tops.Instance) *engine.Engine {
+	t.Helper()
+	idx, err := core.Build(inst, fixtureBuild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(idx, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// memberServer builds shard j of an n-shard hash topology over inst and
+// serves it (member surface mounted) from an httptest server.
 func memberServer(t testing.TB, inst *tops.Instance, j, n int) (*httptest.Server, *shard.Member) {
 	t.Helper()
-	m, err := shard.BuildMember(inst, j, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
+	return serveMember(t, inst, j, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
+}
+
+// serveMember builds shard j of the topology opts describes over inst and
+// serves it from an httptest server.
+func serveMember(t testing.TB, inst *tops.Instance, j int, opts shard.Options) (*httptest.Server, *shard.Member) {
+	t.Helper()
+	m, err := shard.BuildMember(inst, j, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +122,7 @@ type wireAnswer struct {
 }
 
 // sameAnswer asserts BIT-exact equality between a router HTTP answer and
-// the in-process twin's — Go's JSON float64 encoding round-trips exactly,
+// the twin's — Go's JSON float64 encoding round-trips exactly,
 // so equality here is equality of the underlying float bits.
 func sameAnswer(t *testing.T, label string, got wireAnswer, want *core.QueryResult) {
 	t.Helper()
@@ -155,15 +180,12 @@ func drawQuery(rng *rand.Rand) (string, core.QueryOptions) {
 // TestRouterDifferentialOracle is the cross-process gate run in-process:
 // an interleaved random workload of queries (FM-sketch ones included) and
 // §6 mutations through the router tier (real HTTP members shipping their
-// covers) must answer bit-exactly what the in-process sharded engine
-// answers over the same history.
+// covers) must answer bit-exactly what a single engine answers over the
+// same history.
 func TestRouterDifferentialOracle(t *testing.T) {
 	const seed, n = 1201, 3
 	twinInst, city := buildFixture(t, seed)
-	twin, err := shard.Build(twinInst, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
-	if err != nil {
-		t.Fatal(err)
-	}
+	twin := engineTwin(t, twinInst)
 
 	shards := make([][]string, n)
 	for j := 0; j < n; j++ {
@@ -304,10 +326,7 @@ func TestRouterDifferentialOracle(t *testing.T) {
 func TestRouterFailoverToReplicaMidWorkload(t *testing.T) {
 	const seed, n = 1301, 2
 	twinInst, _ := buildFixture(t, seed)
-	twin, err := shard.Build(twinInst, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
-	if err != nil {
-		t.Fatal(err)
-	}
+	twin := engineTwin(t, twinInst)
 
 	shards := make([][]string, n)
 	var shard1Primary *httptest.Server
@@ -500,14 +519,11 @@ func TestRouterValidation(t *testing.T) {
 }
 
 // TestRouterBatch pins /v1/query/batch: per-item isolation and the same
-// bit-exact answers as the in-process twin.
+// bit-exact answers as the single-engine twin.
 func TestRouterBatch(t *testing.T) {
 	const seed, n = 1501, 2
 	twinInst, _ := buildFixture(t, seed)
-	twin, err := shard.Build(twinInst, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
-	if err != nil {
-		t.Fatal(err)
-	}
+	twin := engineTwin(t, twinInst)
 	shards := make([][]string, n)
 	for j := 0; j < n; j++ {
 		memInst, _ := buildFixture(t, seed)
@@ -559,5 +575,197 @@ func TestRouterBatch(t *testing.T) {
 		}
 		sameAnswer(t, fmt.Sprintf("batch item %d", i), *out.Results[i].Result, want)
 		want.Release()
+	}
+}
+
+// TestRepointRejectsOtherTopology: a re-point target must be shard j of
+// this very topology — the shard count and index, and also the partitioner
+// and the ladder, the check the router runs on every member at boot. Both
+// members below report shard 1 of 2, and the router used to accept either
+// (200) and then answer from a mismatched index.
+func TestRepointRejectsOtherTopology(t *testing.T) {
+	const seed, n = 1701, 2
+	var urls []string
+	for j := 0; j < n; j++ {
+		memInst, _ := buildFixture(t, seed)
+		ts, _ := memberServer(t, memInst, j, n)
+		urls = append(urls, ts.URL)
+	}
+	r, err := New(Options{Shards: [][]string{{urls[0]}, {urls[1]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(r)
+	defer rts.Close()
+	for name, opts := range map[string]shard.Options{
+		"another ladder":      {Shards: n, Partitioner: shard.HashPartitioner, Build: core.Options{Gamma: 0.5, TauMin: 0.3}},
+		"another partitioner": {Shards: n, Partitioner: shard.GridPartitioner, Build: fixtureBuild},
+	} {
+		inst, _ := buildFixture(t, seed)
+		ts, _ := serveMember(t, inst, 1, opts)
+		if status, body := postJSON(t, rts.Client(), rts.URL+"/v1/topology", fmt.Sprintf(`{"shard":1,"primary":%q}`, ts.URL)); status != http.StatusBadRequest {
+			t.Errorf("re-point at a shard-1 member with %s: %d %s, want 400", name, status, body)
+		}
+	}
+	if topo := r.topology(); topo[1].ActiveURL != urls[1] || len(topo[1].URLs) != 1 {
+		t.Fatalf("shard 1 after the refused re-points: %+v", topo[1])
+	}
+}
+
+// asWire is an in-process answer in the /v1/query response shape.
+func asWire(res *core.QueryResult) wireAnswer {
+	w := wireAnswer{
+		EstimatedUtility: res.EstimatedUtility, EstimatedCovered: res.EstimatedCovered,
+		InstanceUsed: res.InstanceUsed, NumRepresentatives: res.NumRepresentatives,
+	}
+	for i, v := range res.Sites {
+		w.Sites = append(w.Sites, int64(v))
+		w.SiteIDs = append(w.SiteIDs, int32(res.SiteIDs[i]))
+	}
+	return w
+}
+
+// TestInProcessCoreMatchesRouter drives one seeded op stream — queries of
+// every preference kind and fm ones, add_site, delete_site, add_trajectory
+// and delete_trajectory — through shard.Sharded over in-process members and
+// through the router over HTTP members, and holds both to a single engine
+// bit for bit, on a hash and on a grid topology: one routing core, two
+// kinds of conn. The grid partitioner needs the graph, so there every site
+// update asks member 0 for its owner (Conn.Owner; over HTTP, GET
+// /v1/shard/owner); the hash one never asks.
+func TestInProcessCoreMatchesRouter(t *testing.T) {
+	const seed, n = 1801, 3
+	for _, part := range []string{shard.HashPartitioner, shard.GridPartitioner} {
+		t.Run(part, func(t *testing.T) {
+			opts := shard.Options{Shards: n, Partitioner: part, Build: fixtureBuild}
+			refInst, city := buildFixture(t, seed)
+			ref := engineTwin(t, refInst)
+			inInst, _ := buildFixture(t, seed)
+			in, err := shard.Build(inInst, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ownerCalls atomic.Int64
+			shards := make([][]string, n)
+			for j := range shards {
+				inst, _ := buildFixture(t, seed)
+				m, err := shard.BuildMember(inst, j, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv, err := server.New(m, server.Options{Member: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+					if req.URL.Path == "/v1/shard/owner" {
+						ownerCalls.Add(1)
+					}
+					srv.ServeHTTP(w, req)
+				}))
+				t.Cleanup(ts.Close)
+				shards[j] = []string{ts.URL}
+			}
+			r, err := New(Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := httptest.NewServer(r)
+			defer rts.Close()
+
+			extraStore, err := gen.GenerateTrajectories(city, gen.TrajConfig{Count: 12, Seed: seed + 99})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var extras []*trajectory.Trajectory
+			extraStore.ForEach(func(_ trajectory.ID, tr *trajectory.Trajectory) { extras = append(extras, tr) })
+
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(seed))
+			kinds := make(map[string]int)
+			for round := 0; round < 70; round++ {
+				if round > 3 && rng.Float64() < 0.4 {
+					var u wal.Update
+					switch op := rng.Intn(4); {
+					case op == 0:
+						v := roadnet.NodeID(rng.Intn(refInst.G.NumNodes()))
+						for _, ok := refInst.SiteIDOf(v); ok; _, ok = refInst.SiteIDOf(v) {
+							v = (v + 1) % roadnet.NodeID(refInst.G.NumNodes())
+						}
+						u = wal.Update{Op: "add_site", Node: int64(v)}
+					case op == 1 && len(refInst.Sites) > 10:
+						u = wal.Update{Op: "delete_site", Node: int64(refInst.Sites[rng.Intn(len(refInst.Sites))])}
+					case op == 2 && len(extras) > 0:
+						u = wal.Update{Op: "add_trajectory"}
+						for _, v := range extras[0].Nodes {
+							u.Nodes = append(u.Nodes, int64(v))
+						}
+						extras = extras[1:]
+					default: // possibly a dead id: every tier must refuse it alike
+						u = wal.Update{Op: "delete_trajectory", ID: int64(rng.Intn(refInst.M()))}
+					}
+					raw, _ := json.Marshal(u)
+					status, body := postJSON(t, rts.Client(), rts.URL+"/v1/update", string(raw))
+					inAck, inErr := in.Update(ctx, u)
+					m, refErr := u.Mutation(ref.Graph())
+					var applied wal.Applied
+					if refErr == nil {
+						applied, refErr = ref.Apply(m)
+					}
+					if (refErr == nil) != (status == http.StatusOK) || (refErr == nil) != (inErr == nil) {
+						t.Fatalf("round %d %s: engine %v, router %d %s, in-process %v", round, raw, refErr, status, body, inErr)
+					}
+					if refErr != nil {
+						// The member's own verdict, re-emitted: 409 conflict.
+						var env errorResponse
+						if err := json.Unmarshal(body, &env); status != http.StatusConflict || err != nil || env.Code != "conflict" {
+							t.Fatalf("round %d %s: router answered %d %s, want the member's 409 conflict", round, raw, status, body)
+						}
+						continue
+					}
+					kinds[u.Op]++
+					if u.Op == "add_trajectory" {
+						var ack wal.UpdateAck
+						if err := json.Unmarshal(body, &ack); err != nil || ack.TrajectoryID == nil || inAck.TrajectoryID == nil ||
+							trajectory.ID(*ack.TrajectoryID) != applied.IDs[0] || trajectory.ID(*inAck.TrajectoryID) != applied.IDs[0] {
+							t.Fatalf("round %d: trajectory ids: engine %d, router %s, in-process %v", round, applied.IDs[0], body, inAck.TrajectoryID)
+						}
+					}
+					continue
+				}
+				wire, q := drawQuery(rng)
+				if q.UseFM {
+					kinds["fm"]++
+				} else {
+					kinds[q.Pref.Name]++
+				}
+				want, err := ref.Query(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := in.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("round %d in-process %s: %v", round, wire, err)
+				}
+				sameAnswer(t, fmt.Sprintf("round %d in-process %s", round, wire), asWire(got), want)
+				status, body := postJSON(t, rts.Client(), rts.URL+"/v1/query", wire)
+				if status != http.StatusOK {
+					t.Fatalf("round %d router %s: %d %s", round, wire, status, body)
+				}
+				var routed wireAnswer
+				if err := json.Unmarshal(body, &routed); err != nil {
+					t.Fatal(err)
+				}
+				sameAnswer(t, fmt.Sprintf("round %d router %s", round, wire), routed, want)
+			}
+			for _, k := range []string{"binary", "linear", "convex-quadratic", "exp-decay", "fm", "add_site", "delete_site", "add_trajectory", "delete_trajectory"} {
+				if kinds[k] == 0 {
+					t.Errorf("the stream never ran %s: %v", k, kinds)
+				}
+			}
+			if calls := ownerCalls.Load(); (part == shard.GridPartitioner) != (calls > 0) {
+				t.Errorf("%s topology: %d owner lookups at the members", part, calls)
+			}
+		})
 	}
 }

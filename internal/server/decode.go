@@ -9,10 +9,7 @@ import (
 	"time"
 
 	"netclus/internal/core"
-	"netclus/internal/roadnet"
 	"netclus/internal/shard"
-	"netclus/internal/trajectory"
-	"netclus/internal/wal"
 )
 
 // Limits bound what the request decoder accepts. Every bound exists to
@@ -79,22 +76,6 @@ type queryRequest struct {
 type batchRequest struct {
 	Queries   []queryRequest `json:"queries"`
 	TimeoutMs int64          `json:"timeout_ms,omitempty"`
-}
-
-// updateRequest is the wire form of /v1/update.
-type updateRequest struct {
-	// Op is one of add_site, delete_site, add_trajectory,
-	// delete_trajectory.
-	Op string `json:"op"`
-	// Node addresses add_site / delete_site.
-	Node int64 `json:"node,omitempty"`
-	// Nodes is the node sequence of add_trajectory.
-	Nodes []int64 `json:"nodes,omitempty"`
-	// ID addresses delete_trajectory.
-	ID int64 `json:"id,omitempty"`
-
-	// kind is Op lowered by decodeUpdateRequest.
-	kind wal.Kind
 }
 
 // strictUnmarshal decodes exactly one JSON value into v, rejecting unknown
@@ -225,72 +206,4 @@ func DecodeBatch(data []byte, lim Limits) (qs []Query, itemErrs []error, timeout
 		qs[i], itemErrs[i] = q.toQuery(lim)
 	}
 	return qs, itemErrs, timeout, nil
-}
-
-// decodeUpdateRequest parses and validates one /v1/update body. Range
-// checks against the live graph happen in the engine; here only structural
-// sanity is enforced.
-func decodeUpdateRequest(data []byte) (updateRequest, error) {
-	var u updateRequest
-	if err := strictUnmarshal(data, &u); err != nil {
-		return u, err
-	}
-	if u.Op == "" {
-		return u, fmt.Errorf("missing op")
-	}
-	var ok bool
-	if u.kind, ok = wal.KindByName(u.Op); !ok || !u.kind.Single() {
-		return u, fmt.Errorf("unknown op %q (want add_site, delete_site, add_trajectory or delete_trajectory)", u.Op)
-	}
-	switch u.kind {
-	case wal.KindAddSite, wal.KindDeleteSite:
-		if u.Node < 0 || u.Node > math.MaxInt32 {
-			return u, fmt.Errorf("node %d outside int32 range", u.Node)
-		}
-		if len(u.Nodes) != 0 || u.ID != 0 {
-			return u, fmt.Errorf("%s takes only the node field", u.Op)
-		}
-	case wal.KindAddTrajectory:
-		if len(u.Nodes) == 0 {
-			return u, fmt.Errorf("add_trajectory needs a non-empty nodes sequence")
-		}
-		if len(u.Nodes) > 1<<16 {
-			return u, fmt.Errorf("trajectory of %d nodes exceeds limit %d", len(u.Nodes), 1<<16)
-		}
-		for i, v := range u.Nodes {
-			if v < 0 || v > math.MaxInt32 {
-				return u, fmt.Errorf("nodes[%d] = %d outside int32 range", i, v)
-			}
-		}
-		if u.Node != 0 || u.ID != 0 {
-			return u, fmt.Errorf("add_trajectory takes only the nodes field")
-		}
-	case wal.KindDeleteTrajectory:
-		if u.ID < 0 || u.ID > math.MaxInt32 {
-			return u, fmt.Errorf("trajectory id %d outside int32 range", u.ID)
-		}
-		if u.Node != 0 || len(u.Nodes) != 0 {
-			return u, fmt.Errorf("delete_trajectory takes only the id field")
-		}
-	}
-	return u, nil
-}
-
-// mutation lowers a decoded request to the value the engine applies. An
-// add_trajectory's node sequence is priced over g here, outside the engine
-// lock (a hop without a direct edge costs a shortest-path search).
-func (u updateRequest) mutation(g *roadnet.Graph) (wal.Mutation, error) {
-	m := wal.Mutation{Kind: u.kind, Node: roadnet.NodeID(u.Node), ID: trajectory.ID(u.ID)}
-	if u.kind == wal.KindAddTrajectory {
-		nodes := make([]roadnet.NodeID, len(u.Nodes))
-		for i, v := range u.Nodes {
-			nodes[i] = roadnet.NodeID(v)
-		}
-		tr, err := trajectory.New(g, nodes)
-		if err != nil {
-			return m, err
-		}
-		m.Traj = wal.FromTrajectory(tr)
-	}
-	return m, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"netclus/internal/core"
 	"netclus/internal/shard"
+	"netclus/internal/wal"
 )
 
 func TestDecodeQueryRequestValid(t *testing.T) {
@@ -40,11 +41,11 @@ func TestDecodeQueryRequestValid(t *testing.T) {
 }
 
 func TestDecodeUpdateRequestValid(t *testing.T) {
-	u, err := decodeUpdateRequest([]byte(`{"op":"add_trajectory","nodes":[1,2,3]}`))
+	u, err := wal.DecodeUpdate([]byte(`{"op":"add_trajectory","nodes":[1,2,3]}`))
 	if err != nil || len(u.Nodes) != 3 {
 		t.Fatalf("%+v %v", u, err)
 	}
-	if _, err := decodeUpdateRequest([]byte(`{"op":"delete_site","node":7}`)); err != nil {
+	if _, err := wal.DecodeUpdate([]byte(`{"op":"delete_site","node":7}`)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,8 +104,9 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 				t.Fatalf("accepted timeout %v outside [0, %v]", timeout, lim.MaxTimeout)
 			}
 		}
-		// The sibling decoders share strictUnmarshal and the same
-		// validators; drive them over the same corpus for free coverage.
+		// The sibling decoders (the batch body, and the update body's
+		// wal.DecodeUpdate) are just as strict; drive them over the same
+		// corpus for free coverage.
 		if qs, itemErrs, _, err := DecodeBatch(data, lim); err == nil {
 			for i := range qs {
 				if itemErrs[i] == nil && (qs[i].Opts.K <= 0 || qs[i].Opts.K > lim.MaxK) {
@@ -112,7 +114,7 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 				}
 			}
 		}
-		if u, err := decodeUpdateRequest(data); err == nil {
+		if u, err := wal.DecodeUpdate(data); err == nil {
 			switch u.Op {
 			case "add_site", "delete_site", "add_trajectory", "delete_trajectory":
 			default:

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -11,26 +10,28 @@ import (
 	"netclus/internal/obs"
 	"netclus/internal/roadnet"
 	"netclus/internal/shard"
-	"netclus/internal/tops"
 )
 
 // MemberEngine is the per-shard surface the serving layer exposes under
-// /v1/shard/ when Options.Member is set (implemented by shard.Member). The
-// endpoints are read-only over index state and hold nothing between
+// /v1/shard/ when Options.Member is set: a shard.Conn (shard.Member is one)
+// that knows its own position. The read endpoints hold nothing between
 // requests — a follower member serves them too, which is what lets the
 // router retry a query against a shard's replica before any promotion
-// happens.
+// happens. Conn's Update is not served from here: /v1/update reaches the
+// member through the engine's own write path.
 type MemberEngine interface {
-	Meta() shard.MemberMeta
+	shard.Conn
 	ShardIndex() int
-	Reps(p int) ([]core.RepInfo, error)
-	Owner(v roadnet.NodeID) int
-	Cover(ctx context.Context, req *shard.CoverRequest) (*tops.CoverSets, []core.ClusterID, error)
 }
 
 // handleShardMeta serves GET /v1/shard/meta.
 func (s *Server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.opts.Member.Meta())
+	meta, err := s.opts.Member.Meta(r.Context())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		return
+	}
+	writeJSON(w, meta)
 }
 
 // repsResponse is GET /v1/shard/reps?p=.
@@ -45,7 +46,7 @@ func (s *Server) handleShardReps(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("p must be a ladder instance index"))
 		return
 	}
-	reps, err := s.opts.Member.Reps(p)
+	reps, err := s.opts.Member.Reps(r.Context(), p)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
@@ -69,7 +70,12 @@ func (s *Server) handleShardOwner(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("node %d outside int32 range", node))
 		return
 	}
-	writeJSON(w, ownerResponse{Node: node, Shard: s.opts.Member.Owner(roadnet.NodeID(node))})
+	j, err := s.opts.Member.Owner(r.Context(), roadnet.NodeID(node))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		return
+	}
+	writeJSON(w, ownerResponse{Node: node, Shard: j})
 }
 
 // handleShardCover serves POST /v1/shard/cover: the member's masked cover

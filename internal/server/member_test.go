@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,7 +33,7 @@ func TestShardCoverRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	reps, err := m.Reps(1)
+	reps, err := m.Reps(context.Background(), 1)
 	if err != nil || len(reps) < 2 {
 		t.Fatalf("member reps at instance 1: %d, %v", len(reps), err)
 	}
@@ -101,16 +102,17 @@ func TestShardOwnerRejectsNodesPastInt32(t *testing.T) {
 	}
 	for _, v := range []roadnet.NodeID{0, 7, 123} {
 		status, out := owner(fmt.Sprint(v))
-		if status != http.StatusOK || out.Node != int64(v) || out.Shard != m.Owner(v) {
-			t.Fatalf("node=%d: status %d, %+v, want shard %d", v, status, out, m.Owner(v))
+		if status != http.StatusOK || out.Node != int64(v) || out.Shard != routedTo(m, v) {
+			t.Fatalf("node=%d: status %d, %+v, want shard %d", v, status, out, routedTo(m, v))
 		}
 	}
 }
 
 // TestMemberRejectsMisroutedSiteKinds: a member refuses every site kind
 // naming a node another shard owns, by every exported route — the typed
-// methods (promoted from the embedded engine), Apply, and /v1/update —
-// because the check sits inside the engine's one live write path. At the
+// methods (promoted from the embedded engine), Apply, the routing core's
+// Conn.Update, and /v1/update — because the check sits inside the engine's
+// one live write path. At the
 // parent commit only AddSite/DeleteSite were shadowed on Member, so AddSites
 // landed foreign sites silently. Replay goes on trusting the log.
 func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
@@ -136,7 +138,7 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 		if isSite[v] {
 			continue
 		}
-		if m.Owner(v) == 0 {
+		if routedTo(m, v) == 0 {
 			mine = append(mine, v)
 		} else {
 			theirs = append(theirs, v)
@@ -144,11 +146,11 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 	}
 	var theirSite roadnet.NodeID
 	for _, v := range inst.Sites {
-		if m.Owner(v) == 1 {
+		if routedTo(m, v) == 1 {
 			theirSite = v
 		}
 	}
-	sites := func() int { return len(m.Meta().Sites) }
+	sites := func() int { return len(metaOf(m).Sites) }
 	before := sites()
 
 	update := func(op string, v roadnet.NodeID) error {
@@ -167,14 +169,18 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 		return err
 	}
 	for name, misrouted := range map[string]func() error{
-		"AddSite":             func() error { return m.AddSite(theirs[0]) },
-		"DeleteSite":          func() error { return m.DeleteSite(theirSite) },
-		"AddSites":            func() error { return m.AddSites([]roadnet.NodeID{mine[0], theirs[0]}) },
-		"Apply add_site":      func() error { return apply(wal.Mutation{Kind: wal.KindAddSite, Node: theirs[0]}) },
-		"Apply delete_site":   func() error { return apply(wal.Mutation{Kind: wal.KindDeleteSite, Node: theirSite}) },
-		"Apply add_sites":     func() error { return apply(wal.Mutation{Kind: wal.KindAddSites, Nodes: theirs}) },
-		"update add_site":     func() error { return update("add_site", theirs[0]) },
-		"update delete_site":  func() error { return update("delete_site", theirSite) },
+		"AddSite":            func() error { return m.AddSite(theirs[0]) },
+		"DeleteSite":         func() error { return m.DeleteSite(theirSite) },
+		"AddSites":           func() error { return m.AddSites([]roadnet.NodeID{mine[0], theirs[0]}) },
+		"Apply add_site":     func() error { return apply(wal.Mutation{Kind: wal.KindAddSite, Node: theirs[0]}) },
+		"Apply delete_site":  func() error { return apply(wal.Mutation{Kind: wal.KindDeleteSite, Node: theirSite}) },
+		"Apply add_sites":    func() error { return apply(wal.Mutation{Kind: wal.KindAddSites, Nodes: theirs}) },
+		"update add_site":    func() error { return update("add_site", theirs[0]) },
+		"update delete_site": func() error { return update("delete_site", theirSite) },
+		"Conn.Update": func() error {
+			_, err := m.Update(context.Background(), wal.Update{Op: "add_site", Node: int64(theirs[0])})
+			return err
+		},
 		"embedded Engine arm": func() error { return m.Engine.AddSites(theirs) },
 	} {
 		if err := misrouted(); err == nil || !strings.Contains(err.Error(), "belongs to shard 1") {
@@ -203,4 +209,16 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 	if got := sites(); got != before+2 {
 		t.Fatalf("site set %d after the accepted mutations, want %d", got, before+2)
 	}
+}
+
+// routedTo is m's partitioner verdict for node v.
+func routedTo(m *shard.Member, v roadnet.NodeID) int {
+	j, _ := m.Owner(context.Background(), v)
+	return j
+}
+
+// metaOf is m's /v1/shard/meta answer.
+func metaOf(m *shard.Member) shard.MemberMeta {
+	meta, _ := m.Meta(context.Background())
+	return meta
 }

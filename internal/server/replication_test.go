@@ -345,7 +345,7 @@ func TestQuorumAckRoundTrip(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("quorum update: %d %s", status, body)
 	}
-	var upd updateResponse
+	var upd wal.UpdateAck
 	if err := json.Unmarshal(body, &upd); err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestAckReportsOwnLSN(t *testing.T) {
 	// The one follower has durably acknowledged exactly the next record.
 	srv.acks.record("f1", 1)
 	status, body := postJSON(t, ts.Client(), ts.URL+"/v1/update", fmt.Sprintf(`{"op":"add_site","node":%d}`, freeNode(t, eng)))
-	var upd updateResponse
+	var upd wal.UpdateAck
 	if err := json.Unmarshal(body, &upd); err != nil || status != http.StatusOK {
 		t.Fatalf("update: status %d body %s", status, body)
 	}

@@ -53,8 +53,7 @@ import (
 // Engine is the serving surface the HTTP layer drives: queries, batches,
 // §6 updates, live checkpoints, and counters. The single-index engine
 // (engine.Engine) satisfies it, and so does a shard member (shard.Member)
-// embedding one: a process serves one index. shard.Sharded, which does not
-// checkpoint, does not.
+// embedding one: a process serves one index.
 type Engine interface {
 	Query(ctx context.Context, opts core.QueryOptions) (*core.QueryResult, error)
 	QueryBatch(ctx context.Context, qs []core.QueryOptions) []engine.BatchItem
@@ -587,19 +586,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// updateResponse acknowledges one mutation.
-type updateResponse struct {
-	OK bool `json:"ok"`
-	// TrajectoryID reports the id assigned by add_trajectory.
-	TrajectoryID *int32 `json:"trajectory_id,omitempty"`
-	// LSN is the sequence number of this mutation's own write-ahead-log
-	// record (0 when the server has no log).
-	LSN uint64 `json:"lsn,omitempty"`
-	// Quorum reports that the configured follower quorum durably
-	// acknowledged LSN before this response.
-	Quorum bool `json:"quorum,omitempty"`
-}
-
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.readOnly.Load() {
 		writeError(w, http.StatusForbidden, CodeReadOnly, errors.New("read-only replica: send updates to the primary (or promote this replica)"))
@@ -613,7 +599,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	u, err := decodeUpdateRequest(body.Bytes())
+	u, err := wal.DecodeUpdate(body.Bytes())
 	putBuf(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
@@ -623,7 +609,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// graph (unknown node, unreachable hop): a conflict, like any other
 	// mutation the engine refuses.
 	tApply := time.Now()
-	m, err := u.mutation(s.eng.Graph())
+	m, err := u.Mutation(s.eng.Graph())
 	var applied wal.Applied
 	if err == nil {
 		applied, err = s.eng.Apply(m)
@@ -641,11 +627,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := updateResponse{OK: true, LSN: applied.LSN}
-	if len(applied.IDs) > 0 {
-		id := int32(applied.IDs[0])
-		resp.TrajectoryID = &id
-	}
+	resp := wal.NewUpdateAck(applied)
 	// Semi-sync quorum: hold the ack until Quorum followers have durably
 	// persisted past this mutation's LSN. On timeout the mutation has
 	// still applied (and logged) locally — the envelope says so and the

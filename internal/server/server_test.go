@@ -242,7 +242,7 @@ func TestUpdateEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("add_trajectory: %d %s", code, data)
 	}
-	var ur updateResponse
+	var ur wal.UpdateAck
 	if err := json.Unmarshal(data, &ur); err != nil {
 		t.Fatal(err)
 	}
@@ -383,13 +383,13 @@ func checkLookalikesShareCover(t *testing.T, served *engine.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	update := func(body string) updateResponse {
+	update := func(body string) wal.UpdateAck {
 		t.Helper()
 		code, data := postJSON(t, client, ts.URL+"/v1/update", body)
 		if code != http.StatusOK {
 			t.Fatalf("update %s: %d %s", body, code, data)
 		}
-		var ack updateResponse
+		var ack wal.UpdateAck
 		if err := json.Unmarshal(data, &ack); err != nil {
 			t.Fatal(err)
 		}

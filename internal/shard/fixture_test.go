@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 	"netclus/internal/trajectory"
+	"netclus/internal/wal"
 )
 
 // buildFixture generates a deterministic dataset. Two calls with the same
@@ -66,6 +68,80 @@ func shardedEngine(t testing.TB, inst *tops.Instance, shards int, partitioner st
 		t.Fatal(err)
 	}
 	return s
+}
+
+// membersOf lists the in-process members s runs over.
+func membersOf(s *Sharded) []*Member {
+	out := make([]*Member, len(s.conns))
+	for j, c := range s.conns {
+		out[j] = c.(*Member)
+	}
+	return out
+}
+
+// metaOf is m's metadata.
+func metaOf(m *Member) MemberMeta {
+	meta, _ := m.Meta(context.Background())
+	return meta
+}
+
+// routedTo is m's partitioner verdict for node v.
+func routedTo(m *Member, v roadnet.NodeID) int {
+	j, _ := m.Owner(context.Background(), v)
+	return j
+}
+
+// memberStats sums the members' update and cover-cache counters.
+func memberStats(s *Sharded) engine.Stats {
+	var st engine.Stats
+	for _, m := range membersOf(s) {
+		ms := m.Stats()
+		st.Updates += ms.Updates
+		st.CoverHits += ms.CoverHits
+		st.CoverMisses += ms.CoverMisses
+		st.CoverRevalidated += ms.CoverRevalidated
+		st.CoverRowsSwept += ms.CoverRowsSwept
+		st.CoverEntries += ms.CoverEntries
+	}
+	return st
+}
+
+// memberCovers fetches the masked covers of instance p under pref from the
+// members owning clusters of own, in shard order — the scatter of Query,
+// for any preference, wire form or not.
+func memberCovers(ctx context.Context, s *Sharded, p int, pref tops.Preference, own *Ownership) ([]Cover, error) {
+	var covers []Cover
+	for j, m := range membersOf(s) {
+		if len(own.Masks[j]) > 0 {
+			cs, reps, _, err := m.CoverMasked(ctx, p, pref, own.Masks[j])
+			if err != nil {
+				return nil, err
+			}
+			covers = append(covers, Cover{Shard: j, CS: cs, Reps: reps})
+		}
+	}
+	return covers, nil
+}
+
+// wireTrajectory is the add_trajectory update carrying tr's node sequence.
+func wireTrajectory(tr *trajectory.Trajectory) wal.Update {
+	u := wal.Update{Op: wal.KindAddTrajectory.String()}
+	for _, v := range tr.Nodes {
+		u.Nodes = append(u.Nodes, int64(v))
+	}
+	return u
+}
+
+// applyBoth applies one wire update to the reference engine (lowered over
+// its graph, as topsserve lowers it) and to the sharded core, and reports
+// both outcomes.
+func applyBoth(ref *engine.Engine, s *Sharded, u wal.Update) (refErr, shErr error) {
+	m, refErr := u.Mutation(ref.Graph())
+	if refErr == nil {
+		_, refErr = ref.Apply(m)
+	}
+	_, shErr = s.Update(context.Background(), u)
+	return refErr, shErr
 }
 
 // extraTrajectories generates trajectories over the same city that are not

@@ -13,7 +13,7 @@ import (
 	"netclus/internal/gen"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
-	"netclus/internal/trajectory"
+	"netclus/internal/wal"
 )
 
 // fuzzState is one shared sharded engine for the fuzz battery. The engine
@@ -60,11 +60,11 @@ func fuzzFixture(t testing.TB) (*Sharded, Partitioner) {
 	return fuzzEng, fuzzGrid
 }
 
-// FuzzShardRouter holds the partitioner and scatter/merge path to a
-// "reject or serve, never panic" contract under adversarial site and
-// trajectory ids, hostile k/τ values, and arbitrary op interleavings. The
-// input is consumed as a little op stream: one op byte, then 4-byte
-// operands.
+// FuzzShardRouter holds the routing core — partitioner, update routing,
+// ownership reduce, scatter and gather — to a "reject or serve, never
+// panic" contract under adversarial site and trajectory ids, hostile k/τ
+// values, and arbitrary op interleavings. The input is consumed as a little
+// op stream: one op byte, then 4-byte operands.
 func FuzzShardRouter(f *testing.F) {
 	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0})
 	f.Add([]byte{2, 7, 0, 0, 0, 3, 200, 0, 0, 0, 4, 5, 0, 0, 0})
@@ -114,7 +114,7 @@ func FuzzShardRouter(f *testing.F) {
 				if !ok {
 					return
 				}
-				_ = s.DeleteTrajectory(trajectory.ID(int32(raw)))
+				_, _ = s.Update(ctx, wal.Update{Op: wal.KindDeleteTrajectory.String(), ID: int64(int32(raw))})
 			case 4: // ingest a two-node trajectory from raw ids
 				a, ok := next()
 				if !ok {
@@ -124,10 +124,7 @@ func FuzzShardRouter(f *testing.F) {
 				if !ok {
 					return
 				}
-				tr, err := trajectory.New(s.g, []roadnet.NodeID{roadnet.NodeID(int32(a) % 150), roadnet.NodeID(int32(b) % 150)})
-				if err == nil {
-					_, _ = s.AddTrajectory(tr)
-				}
+				_, _ = s.Update(ctx, wal.Update{Op: wal.KindAddTrajectory.String(), Nodes: []int64{int64(int32(a) % 150), int64(int32(b) % 150)}})
 			case 5: // query with hostile k and τ (NaN, ±Inf, huge, negative)
 				kraw, ok := next()
 				if !ok {
@@ -139,15 +136,19 @@ func FuzzShardRouter(f *testing.F) {
 				}
 				tau := float64(math.Float32frombits(traw))
 				_, _ = s.Query(ctx, core.QueryOptions{K: int(int32(kraw)), Pref: tops.Binary(tau)})
-			default: // batch with a duplicated hostile query
+			default: // the same hostile query twice: one verdict, one answer
 				kraw, ok := next()
 				if !ok {
 					return
 				}
 				q := core.QueryOptions{K: int(int32(kraw % 64)), Pref: tops.Linear(0.2 + float64(kraw%400)/100)}
-				items := s.QueryBatch(ctx, []core.QueryOptions{q, q})
-				if (items[0].Err == nil) != (items[1].Err == nil) {
-					t.Fatalf("identical batch items diverged: %v vs %v", items[0].Err, items[1].Err)
+				a, errA := s.Query(ctx, q)
+				b, errB := s.Query(ctx, q)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("identical queries diverged: %v vs %v", errA, errB)
+				}
+				if errA == nil {
+					sameAnswer(t, "repeated query", a, b)
 				}
 			}
 		}

@@ -28,9 +28,9 @@ import (
 // operation — the initial marginal sums in TC order, the
 // `marg -= oldGain - newGain` updates in the winner's TC order, the
 // utility accumulation — replays tops.plainGreedy's op for op, so
-// Selected/Utility/Covered carry identical bits. Both gather tiers reach it
-// through Answer: shard.Sharded over the covers its engines return,
-// internal/router over the covers its members ship.
+// Selected/Utility/Covered carry identical bits. The routing core reaches it
+// through Answer, over the covers its members return in process or ship
+// across one.
 
 // Session is the coordinator's handle on one shard's side of a query.
 type Session interface {
@@ -118,7 +118,7 @@ type Cover struct {
 
 var gatherPool = sync.Pool{New: func() any { return new(Gather) }}
 
-// Answer is a query's gather phase, the one both tiers run: given the
+// Answer is a query's gather phase, the one the routing core runs: given the
 // ownership of instance p, the owning shards' masked covers (ascending
 // shard order) and the global site-id mirror, it answers opts. The common
 // path is the distributed greedy: the coordinator over one session per

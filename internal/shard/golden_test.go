@@ -1,14 +1,15 @@
 package shard
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
-	"netclus/internal/engine"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 	"netclus/internal/trajectory"
@@ -23,7 +24,7 @@ import (
 const walGoldenSHA256 = "174c3137dab4429cef9f23f9ce01ee5c23ec8c54cbf8cc0fd19a57b62a43914b"
 
 // goldenEngine is the surface the golden script drives: all seven typed
-// mutations plus the epoch record, on either engine type.
+// mutations plus the epoch record.
 type goldenEngine interface {
 	AttachWAL(l *wal.Log) error
 	BeginEpoch(epoch uint64) error
@@ -105,66 +106,95 @@ func runGolden(t *testing.T, name string, eng goldenEngine, script func(goldenEn
 	return log
 }
 
-// TestWALGolden pins the log bytes: the hash depends on the record codec
-// and the commit discipline only — and it is the same for the single engine
-// and the sharded one, whose log carries one record per logical mutation
-// regardless of shard count.
-func TestWALGolden(t *testing.T) {
-	newInst, script := goldenFixture(t)
-	for name, eng := range map[string]goldenEngine{
-		"engine":  singleEngine(t, newInst()),
-		"sharded": shardedEngine(t, newInst(), 3, HashPartitioner),
-	} {
-		dir := t.TempDir()
-		if err := runGolden(t, name, eng, script, dir).Close(); err != nil {
+// hashSegments is the SHA-256 of a log directory's segments in name order.
+func hashSegments(t *testing.T, h hash.Hash, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("%s: segments %v, %v", dir, segs, err)
+	}
+	sort.Strings(segs)
+	for _, seg := range segs {
+		raw, err := os.ReadFile(seg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("%s: segments %v, %v", name, segs, err)
-		}
-		sort.Strings(segs)
-		h := sha256.New()
-		for _, seg := range segs {
-			raw, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Write(raw)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != walGoldenSHA256 {
-			t.Errorf("%s: log SHA-256 %s, want %s", name, got, walGoldenSHA256)
-		}
+		h.Write(raw)
 	}
 }
 
-// TestPerKindCounters is internal/engine's test of the same name for the
-// sharded engine: the golden script (all seven kinds) applied live, the log
-// it wrote replayed into a second sharded engine, and the script applied to
-// a single engine all leave the same per-kind counters — every path counts
-// in the one function that applies the mutation.
-func TestPerKindCounters(t *testing.T) {
+// memberGoldenSHA256 is the SHA-256 of the three members' logs (member 0's
+// segments, then member 1's, then member 2's) after memberScript is routed
+// over a 3-shard hash topology of the golden fixture, each member having
+// opened epoch 3 first. Recorded at the commit before the routing core
+// moved into this package, where internal/router routed the same wire
+// updates: a member logs what its engine applied, whoever routes to it.
+const memberGoldenSHA256 = "618f56766842dd5f121065dd91d92d0694465d055c10bbb40a3a596831c07116"
+
+// memberScript is the golden script in the form a router receives it: one
+// wire update per item (the batches split), trajectories as node sequences
+// the members price over the graph.
+func memberScript(next int64) []wal.Update {
+	site := func(op wal.Kind, v int64) wal.Update { return wal.Update{Op: op.String(), Node: v} }
+	traj := func(nodes ...int64) wal.Update { return wal.Update{Op: wal.KindAddTrajectory.String(), Nodes: nodes} }
+	del := func(id int64) wal.Update { return wal.Update{Op: wal.KindDeleteTrajectory.String(), ID: id} }
+	return []wal.Update{
+		site(wal.KindAddSite, 200),
+		site(wal.KindDeleteSite, 7),
+		site(wal.KindAddSite, 210), site(wal.KindAddSite, 211), site(wal.KindAddSite, 305),
+		site(wal.KindAddSite, 306), site(wal.KindAddSite, 307),
+		traj(12, 13, 14, 40),
+		del(4),
+		traj(99), traj(150, 3), traj(20, 21, 22),
+		del(next), del(9), del(next + 2),
+		site(wal.KindDeleteSite, 211),
+	}
+}
+
+// TestWALGolden pins the log bytes: the single engine's log for the golden
+// script depends on the record codec and the commit discipline only, and a
+// sharded topology's member logs for its wire form on those and on how
+// updates are routed.
+func TestWALGolden(t *testing.T) {
 	newInst, script := goldenFixture(t)
-	live := shardedEngine(t, newInst(), 3, HashPartitioner)
-	log := runGolden(t, "live", live, script, t.TempDir())
-	defer log.Close()
-	replayed := shardedEngine(t, newInst(), 3, HashPartitioner)
-	if _, err := wal.Replay(log, replayed); err != nil {
+	dir := t.TempDir()
+	if err := runGolden(t, "engine", singleEngine(t, newInst()), script, dir).Close(); err != nil {
 		t.Fatal(err)
 	}
-	single := singleEngine(t, newInst())
-	runGolden(t, "single", single, script, "")
-
-	counters := func(st engine.Stats) [5]uint64 {
-		return [5]uint64{st.Updates, st.SiteAdds, st.SiteDeletes, st.TrajAdds, st.TrajDeletes}
+	h := sha256.New()
+	hashSegments(t, h, dir)
+	if got := hex.EncodeToString(h.Sum(nil)); got != walGoldenSHA256 {
+		t.Errorf("engine: log SHA-256 %s, want %s", got, walGoldenSHA256)
 	}
-	want := [5]uint64{8, 6, 2, 4, 4}
-	for name, st := range map[string]engine.Stats{"live": live.Stats(), "replayed": replayed.Stats(), "single": single.Stats()} {
-		if got := counters(st); got != want {
-			t.Errorf("%s: {updates, site adds, site deletes, traj adds, traj deletes} = %v, want %v", name, got, want)
+
+	inst := newInst()
+	next := int64(inst.Trajs.Len())
+	s := shardedEngine(t, inst, 3, HashPartitioner)
+	var dirs []string
+	for j, m := range membersOf(s) {
+		dirs = append(dirs, t.TempDir())
+		log, err := wal.Open(dirs[j], wal.Options{Policy: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		if err := m.AttachWAL(log); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.BeginEpoch(3); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if live.LSN() != 9 || replayed.LSN() != 9 || replayed.Epoch() != 3 {
-		t.Errorf("LSN live %d replayed %d (want 9, the epoch record included), replayed epoch %d", live.LSN(), replayed.LSN(), replayed.Epoch())
+	for i, u := range memberScript(next) {
+		if _, err := s.Update(context.Background(), u); err != nil {
+			t.Fatalf("sharded: update %d (%s): %v", i, u.Op, err)
+		}
+	}
+	h = sha256.New()
+	for _, dir := range dirs {
+		hashSegments(t, h, dir)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != memberGoldenSHA256 {
+		t.Errorf("sharded: member logs SHA-256 %s, want %s", got, memberGoldenSHA256)
 	}
 }

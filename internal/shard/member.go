@@ -12,17 +12,17 @@ import (
 	"netclus/internal/wal"
 )
 
-// Member is one shard of a router-fronted topology running in its own
-// process: a full engine.Engine (WAL, snapshots, followers, promotion all
-// unchanged) restricted to the sites its partitioner routes here. The
-// serving layer exposes its member surface (protocol.go) under /v1/shard/
-// when Options.Member is set; internal/router fetches masked covers from N
-// of these and gathers them itself. The surface is read-only over index
-// state and holds no per-query state, so a follower member serves it too.
+// Member is one shard of a sharded topology: a full engine.Engine (WAL,
+// snapshots, followers, promotion all unchanged) restricted to the sites
+// its partitioner routes here. It is the in-process Conn: Sharded runs
+// directly over N of these, and the serving layer exposes the same five
+// calls under /v1/shard/ and /v1/update when Options.Member is set, for
+// internal/router's Conn to reach across processes. The read calls hold no
+// per-query state, so a follower member serves them too.
 //
 // Site mutations are validated against ownership (admit): a node another
 // shard owns is rejected, because applying it here would diverge this
-// member's partition from the topology the router derives from the
+// member's partition from the topology the routing core derives from the
 // partitioner.
 type Member struct {
 	*engine.Engine
@@ -31,14 +31,14 @@ type Member struct {
 
 	// initialSites is the full global site order at build time (nil on a
 	// member recovered from a checkpoint, which no longer knows it); the
-	// router seeds its dense-id mirror from it.
+	// routing core seeds its dense-id mirror from it.
 	initialSites []roadnet.NodeID
 }
 
 // NewMember wraps an engine as shard index of shards under the named
 // partitioner. initialSites, when known, is the full global site order
-// the topology was built from (reported in Meta for the router's dense-id
-// mirror).
+// the topology was built from (reported in Meta for the routing core's
+// dense-id mirror).
 func NewMember(eng *engine.Engine, shards, index int, partitioner string, initialSites []roadnet.NodeID) (*Member, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("shard: member needs an engine")
@@ -86,12 +86,21 @@ func BuildMember(inst *tops.Instance, index int, opts Options) (*Member, error) 
 	if err := deriveLadderRange(inst, &opts.Build); err != nil {
 		return nil, err
 	}
-	insts := shardInstances(part, inst)
+	// The shard's instance: the shared graph, its own clone of the
+	// trajectory store (so dynamic additions assign identical ids on every
+	// shard), and the sites the partitioner routes here, in their original
+	// relative order.
+	shardInst := &tops.Instance{G: inst.G, Trajs: inst.Trajs.Clone()}
+	for _, v := range inst.Sites {
+		if part.Shard(v) == index {
+			shardInst.Sites = append(shardInst.Sites, v)
+		}
+	}
 	bopts := opts.Build
 	if bopts.Workers <= 0 {
 		bopts.Workers = runtime.NumCPU()
 	}
-	idx, err := core.Build(insts[index], bopts)
+	idx, err := core.Build(shardInst, bopts)
 	if err != nil {
 		return nil, fmt.Errorf("shard: building member %d: %w", index, err)
 	}
@@ -106,7 +115,7 @@ func BuildMember(inst *tops.Instance, index int, opts Options) (*Member, error) 
 func (m *Member) ShardIndex() int { return m.index }
 
 // Meta assembles the /v1/shard/meta response.
-func (m *Member) Meta() MemberMeta {
+func (m *Member) Meta(context.Context) (MemberMeta, error) {
 	idx := m.Engine.Index()
 	return MemberMeta{
 		Shards:       m.part.Shards(),
@@ -117,7 +126,7 @@ func (m *Member) Meta() MemberMeta {
 		InitialSites: m.initialSites,
 		LSN:          m.LSN(),
 		Epoch:        m.Epoch(),
-	}
+	}, nil
 }
 
 // checkInstance rejects a ladder instance index this member does not hold.
@@ -128,19 +137,35 @@ func (m *Member) checkInstance(p int) error {
 	return nil
 }
 
-// Reps lists instance p's representatives for the router's ownership
-// reduce (GET /v1/shard/reps).
-func (m *Member) Reps(p int) ([]core.RepInfo, error) {
+// Reps lists instance p's representatives for the ownership reduce
+// (GET /v1/shard/reps).
+func (m *Member) Reps(_ context.Context, p int) ([]core.RepInfo, error) {
 	if err := m.checkInstance(p); err != nil {
 		return nil, err
 	}
 	return m.RepInfos(p), nil
 }
 
-// Owner reports the shard the partitioner routes node v to — the router's
-// remote routing oracle for partitioners it cannot evaluate without the
-// graph (grid).
-func (m *Member) Owner(v roadnet.NodeID) int { return m.part.Shard(v) }
+// Owner reports the shard the partitioner routes node v to — the routing
+// oracle for partitioners the core cannot evaluate without the graph
+// (grid).
+func (m *Member) Owner(_ context.Context, v roadnet.NodeID) (int, error) {
+	return m.part.Shard(v), nil
+}
+
+// Update applies one mutation through the engine's write path (admission,
+// log and all) and acknowledges it.
+func (m *Member) Update(_ context.Context, u wal.Update) (wal.UpdateAck, error) {
+	mut, err := u.Mutation(m.Graph())
+	if err != nil {
+		return wal.UpdateAck{}, err
+	}
+	a, err := m.Apply(mut)
+	if err != nil {
+		return wal.UpdateAck{}, err
+	}
+	return wal.NewUpdateAck(a), nil
+}
 
 // admit is the engine's live-path admission check (engine.SetAdmission):
 // a site mutation naming a node another shard owns must fail loudly, not

@@ -34,28 +34,28 @@ func buildMembers(t testing.TB, seed int64, n int) []*Member {
 	return ms
 }
 
-// memberSet is a gather tier over in-process members: what internal/router
-// is over HTTP ones. Every cover crosses the binary codec on its way from
-// member to gather, and must come out of it equal to what the member
-// filled.
+// memberSet is a gather over in-process members whose every cover crosses
+// the binary codec on its way from member to gather, as it does between a
+// member process and the router, and must come out of it equal to what the
+// member filled.
 type memberSet struct {
 	ms    []*Member
 	sites *SiteMirror
 }
 
 func newMemberSet(ms []*Member) *memberSet {
-	return &memberSet{ms: ms, sites: NewSiteMirror(ms[0].Meta().InitialSites)}
+	return &memberSet{ms: ms, sites: NewSiteMirror(metaOf(ms[0]).InitialSites)}
 }
 
 func (s *memberSet) query(t testing.TB, q core.QueryOptions, wp WirePref) *core.QueryResult {
 	t.Helper()
 	ctx := context.Background()
-	l := s.ms[0].Meta().Ladder
+	l := metaOf(s.ms[0]).Ladder
 	p := core.InstanceForTau(l.TauMin, l.Gamma, l.Rungs, q.Pref.Tau)
 	rows := make([][]core.RepInfo, len(s.ms))
 	for j, m := range s.ms {
 		var err error
-		if rows[j], err = m.Reps(p); err != nil {
+		if rows[j], err = m.Reps(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestMembersMatchShardedAndEngine(t *testing.T) {
 		// One site flip routed the way the router routes it: to the owning
 		// member only, which must be the only one that accepts it.
 		v := refInst.Sites[3]
-		owner := set.ms[0].Owner(v)
+		owner := routedTo(set.ms[0], v)
 		for j, m := range set.ms {
 			err := m.DeleteSite(v)
 			if (err == nil) != (j == owner) {
@@ -164,7 +164,7 @@ func TestMembersMatchShardedAndEngine(t *testing.T) {
 // it owns alone (a one-member ownership reduce).
 func validCover(t testing.TB, m *Member) *CoverRequest {
 	t.Helper()
-	rows, err := m.Reps(2)
+	rows, err := m.Reps(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMemberCoverRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: cover served", name)
 		}
 	}
-	if _, err := m.Reps(99); err == nil {
+	if _, err := m.Reps(context.Background(), 99); err == nil {
 		t.Error("Reps(99) accepted")
 	}
 	// The member is unharmed: the same request, valid, succeeds, and the
@@ -218,7 +218,7 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := m.Meta()
+	meta := metaOf(m)
 	if meta.Shards != 2 || meta.Index != 1 || m.ShardIndex() != 1 || meta.Partitioner != GridPartitioner {
 		t.Fatalf("meta topology: %+v", meta)
 	}
@@ -229,8 +229,8 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 		t.Fatal("meta.InitialSites is not the build-time global site order")
 	}
 	for _, v := range meta.Sites {
-		if m.Owner(v) != 1 {
-			t.Fatalf("member 1 lists site %d, which its partitioner routes to shard %d", v, m.Owner(v))
+		if routedTo(m, v) != 1 {
+			t.Fatalf("member 1 lists site %d, which its partitioner routes to shard %d", v, routedTo(m, v))
 		}
 	}
 	if len(meta.Sites) == 0 || len(meta.Sites) >= len(want) {
@@ -242,7 +242,7 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw, _ := json.Marshal(rec.Meta()); strings.Contains(string(raw), "initial_sites") {
+	if raw, _ := json.Marshal(metaOf(rec)); strings.Contains(string(raw), "initial_sites") {
 		t.Fatalf("recovered member reports initial sites: %s", raw)
 	}
 

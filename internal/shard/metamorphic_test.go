@@ -86,19 +86,22 @@ func TestGatherOrderInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := s.shards[0].InstanceFor(q.Pref.Tau)
-		own := s.ownership(p)
-		gs, err := s.scatter(ctx, p, q.Pref, own)
+		p := core.InstanceForTau(s.ladder.TauMin, s.ladder.Gamma, s.ladder.Rungs, q.Pref.Tau)
+		own, err := s.ownership(ctx, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(gs.covers) < 3 {
-			t.Fatalf("only %d owning shards: the permutations below would prove nothing", len(gs.covers))
+		covers, err := memberCovers(ctx, s, p, q.Pref, own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(covers) < 3 {
+			t.Fatalf("only %d owning shards: the permutations below would prove nothing", len(covers))
 		}
 		for trial := 0; trial < 4; trial++ {
-			ss := make([]Session, len(gs.covers))
-			for i, j := range rng.Perm(len(gs.covers)) {
-				c := gs.covers[j]
+			ss := make([]Session, len(covers))
+			for i, j := range rng.Perm(len(covers)) {
+				c := covers[j]
 				ss[i] = openSession(c.CS, c.Reps, own.Masks[c.Shard], own.MasksGI[c.Shard], true)
 			}
 			var g Gather
@@ -147,7 +150,7 @@ func TestShardedDisableCoverCache(t *testing.T) {
 			sameAnswer(t, "uncached sharded", got, want)
 		}
 	}
-	st := uncached.Stats()
+	st := memberStats(uncached)
 	if st.CoverHits != 0 || st.CoverMisses != 0 || st.CoverEntries != 0 {
 		t.Fatalf("uncached sharded engine touched the cover cache: %+v", st)
 	}

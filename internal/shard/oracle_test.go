@@ -2,7 +2,9 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netclus/internal/core"
@@ -10,14 +12,15 @@ import (
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 	"netclus/internal/trajectory"
+	"netclus/internal/wal"
 )
 
 // The shard-differential oracle: for random (k, ψ, τ) draws and random §6
 // update sequences, the sharded engine's selected sites, dense site ids,
 // and estimated utilities must EXACTLY (bit-for-bit) match a single-shard
 // engine that absorbed the same workload — across shard counts,
-// partitioners, the distributed-greedy path, the merged-cover fallback
-// path, and the batch path. This extends the engine-level differential
+// partitioners, the distributed-greedy path and the merged-cover fallback
+// path. This extends the engine-level differential
 // oracle (internal/engine/oracle_test.go) one layer up: the engine oracle
 // proves the single-shard answer against brute force; this suite proves the
 // scatter-gather answer against the single-shard engine.
@@ -53,44 +56,18 @@ func checkDraw(t *testing.T, ref *engine.Engine, s *Sharded, k int, pref tops.Pr
 	sameAnswer(t, "merged-cover lazy", gotLazy, wantLazy)
 }
 
-// checkTraffic closes a scripted workload with the failure kinds — one
-// canceled query, one k = 0 batch item, one epoch — and asserts that the two
-// engines, having served the same calls, report the same traffic: every
-// Stats field but the cover-cache counters and phase times, which
-// legitimately differ (a sharded query touches one cover cache per owning
-// shard).
-func checkTraffic(t *testing.T, ref *engine.Engine, s *Sharded) {
+// checkCanceled: a canceled query fails with the context's error on both
+// engines.
+func checkCanceled(t *testing.T, ref *engine.Engine, s *Sharded) {
 	t.Helper()
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := core.QueryOptions{K: 3, Pref: tops.Binary(0.8)}
-	bad := []core.QueryOptions{{K: 0, Pref: tops.Binary(0.8)}}
-	for name, eng := range map[string]interface {
-		Query(context.Context, core.QueryOptions) (*core.QueryResult, error)
-		QueryBatch(context.Context, []core.QueryOptions) []engine.BatchItem
-		BeginEpoch(uint64) error
-	}{"reference": ref, "sharded": s} {
-		if _, err := eng.Query(canceled, q); err != context.Canceled {
-			t.Fatalf("%s: canceled query returned %v", name, err)
-		}
-		if items := eng.QueryBatch(context.Background(), bad); items[0].Err == nil {
-			t.Fatalf("%s: k = 0 batch item accepted", name)
-		}
-		if err := eng.BeginEpoch(3); err != nil {
-			t.Fatalf("%s: BeginEpoch: %v", name, err)
-		}
+	if _, err := ref.Query(canceled, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("reference: canceled query returned %v", err)
 	}
-	traffic := func(st engine.Stats) engine.Stats {
-		st.CoverHits, st.CoverMisses, st.CoverRevalidated, st.CoverRowsSwept, st.CoverEntries = 0, 0, 0, 0, 0
-		st.CoverTime, st.GreedyTime = 0, 0
-		return st
-	}
-	want, got := traffic(ref.Stats()), traffic(s.Stats())
-	if got != want {
-		t.Fatalf("traffic counters diverged:\nsharded   %+v\nreference %+v", got, want)
-	}
-	if want.Errors < 2 || want.Canceled < 1 || want.Epoch != 3 {
-		t.Fatalf("script did not exercise the counters: %+v", want)
+	if _, err := s.Query(canceled, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sharded: canceled query returned %v", err)
 	}
 }
 
@@ -133,8 +110,8 @@ func TestShardedDifferentialOracle(t *testing.T) {
 				}
 				extras = applyRandomUpdates(t, ref, s, refInst, rng, extras)
 			}
-			checkTraffic(t, ref, s)
-			if st := s.Stats(); st.Queries == 0 || st.Updates == 0 {
+			checkCanceled(t, ref, s)
+			if st := memberStats(s); st.CoverHits+st.CoverMisses == 0 || st.Updates == 0 {
 				t.Fatalf("script served no queries or no updates: %+v", st)
 			}
 		}
@@ -145,46 +122,39 @@ func TestShardedDifferentialOracle(t *testing.T) {
 // engines: site add/delete (exercising swap-remove mirroring, ownership
 // invalidation, and representative takeover inside the owning shard) and
 // trajectory add/delete (exercising the broadcast path and per-shard TL
-// surgery). refInst tracks the reference engine's live site set (core
-// mutates it in place).
+// surgery). The sharded core takes each as the wire update a router
+// receives; the reference takes the same update lowered as topsserve
+// lowers it, except that a two-site add goes in as one AddSites batch.
+// refInst tracks the reference engine's live site set (core mutates it in
+// place).
 func applyRandomUpdates(t *testing.T, ref *engine.Engine, s *Sharded, refInst *tops.Instance, rng *rand.Rand, extras []*trajectory.Trajectory) []*trajectory.Trajectory {
 	t.Helper()
 	g := refInst.G
+	site := func(op wal.Kind, v roadnet.NodeID) wal.Update { return wal.Update{Op: op.String(), Node: int64(v)} }
+	both := func(u wal.Update) {
+		t.Helper()
+		if errRef, errSh := applyBoth(ref, s, u); errRef != nil || errSh != nil {
+			t.Fatalf("%+v: ref %v, sharded %v", u, errRef, errSh)
+		}
+	}
 	for op := 0; op < 12; op++ {
 		switch rng.Intn(5) {
 		case 0: // add one site
 			if v, ok := nonSiteNode(g, refInst, rng); ok {
-				if err := ref.AddSite(v); err != nil {
-					t.Fatalf("ref AddSite(%d): %v", v, err)
-				}
-				if err := s.AddSite(v); err != nil {
-					t.Fatalf("sharded AddSite(%d): %v", v, err)
-				}
+				both(site(wal.KindAddSite, v))
 			}
 		case 1: // delete a random site, keeping a healthy pool
 			if len(refInst.Sites) > 60 {
-				v := refInst.Sites[rng.Intn(len(refInst.Sites))]
-				if err := ref.DeleteSite(v); err != nil {
-					t.Fatalf("ref DeleteSite(%d): %v", v, err)
-				}
-				if err := s.DeleteSite(v); err != nil {
-					t.Fatalf("sharded DeleteSite(%d): %v", v, err)
-				}
+				both(site(wal.KindDeleteSite, refInst.Sites[rng.Intn(len(refInst.Sites))]))
 			}
-		case 2: // batch-add two sites (routes to distinct shards sometimes)
+		case 2: // add two sites (routes to distinct shards sometimes)
 			var nodes []roadnet.NodeID
 			for len(nodes) < 2 {
 				v, ok := nonSiteNode(g, refInst, rng)
 				if !ok {
 					break
 				}
-				dup := false
-				for _, u := range nodes {
-					if u == v {
-						dup = true
-					}
-				}
-				if !dup {
+				if !slices.Contains(nodes, v) {
 					nodes = append(nodes, v)
 				}
 			}
@@ -192,74 +162,40 @@ func applyRandomUpdates(t *testing.T, ref *engine.Engine, s *Sharded, refInst *t
 				if err := ref.AddSites(nodes); err != nil {
 					t.Fatalf("ref AddSites: %v", err)
 				}
-				if err := s.AddSites(nodes); err != nil {
-					t.Fatalf("sharded AddSites: %v", err)
+				for _, v := range nodes {
+					if err := s.AddSite(v); err != nil {
+						t.Fatalf("sharded AddSite(%d): %v", v, err)
+					}
 				}
 			}
 		case 3: // ingest a fresh trajectory
 			if len(extras) > 0 {
-				tr := extras[0]
+				u := wireTrajectory(extras[0])
 				extras = extras[1:]
-				rid, err := ref.AddTrajectory(tr)
+				m, err := u.Mutation(g)
 				if err != nil {
-					t.Fatalf("ref AddTrajectory: %v", err)
+					t.Fatal(err)
 				}
-				sid, err := s.AddTrajectory(tr)
+				a, err := ref.Apply(m)
 				if err != nil {
-					t.Fatalf("sharded AddTrajectory: %v", err)
+					t.Fatalf("ref add_trajectory: %v", err)
 				}
-				if rid != sid {
-					t.Fatalf("trajectory id diverged: ref %d, sharded %d", rid, sid)
+				ack, err := s.Update(context.Background(), u)
+				if err != nil {
+					t.Fatalf("sharded add_trajectory: %v", err)
+				}
+				if ack.TrajectoryID == nil || trajectory.ID(*ack.TrajectoryID) != a.IDs[0] {
+					t.Fatalf("trajectory id diverged: ref %d, sharded %v", a.IDs[0], ack.TrajectoryID)
 				}
 			}
 		default: // delete a random live trajectory (dead draws are no-ops)
-			tid := trajectory.ID(rng.Intn(refInst.M()))
-			errRef := ref.DeleteTrajectory(tid)
-			errSh := s.DeleteTrajectory(tid)
-			if (errRef == nil) != (errSh == nil) {
-				t.Fatalf("DeleteTrajectory(%d) diverged: ref %v, sharded %v", tid, errRef, errSh)
+			u := wal.Update{Op: wal.KindDeleteTrajectory.String(), ID: int64(rng.Intn(refInst.M()))}
+			if errRef, errSh := applyBoth(ref, s, u); (errRef == nil) != (errSh == nil) {
+				t.Fatalf("delete_trajectory %d diverged: ref %v, sharded %v", u.ID, errRef, errSh)
 			}
 		}
 	}
 	return extras
-}
-
-// TestShardedBatchMatchesReference runs a mixed batch through both engines'
-// QueryBatch and compares item by item.
-func TestShardedBatchMatchesReference(t *testing.T) {
-	refInst, _ := buildFixture(t, 347)
-	shInst, _ := buildFixture(t, 347)
-	ref := singleEngine(t, refInst)
-	s := shardedEngine(t, shInst, 4, HashPartitioner)
-
-	var qs []core.QueryOptions
-	for _, tau := range []float64{0.4, 0.8, 1.6} {
-		for _, k := range []int{1, 3, 7} {
-			qs = append(qs, core.QueryOptions{K: k, Pref: tops.Binary(tau)})
-			qs = append(qs, core.QueryOptions{K: k, Pref: tops.Linear(tau)})
-		}
-	}
-	qs = append(qs, core.QueryOptions{K: 0, Pref: tops.Binary(0.8)}) // invalid
-
-	ctx := context.Background()
-	wantItems := ref.QueryBatch(ctx, qs)
-	gotItems := s.QueryBatch(ctx, qs)
-	if len(gotItems) != len(qs) || len(wantItems) != len(qs) {
-		t.Fatalf("item counts: got %d want %d over %d queries", len(gotItems), len(wantItems), len(qs))
-	}
-	for i := range qs {
-		if (gotItems[i].Err == nil) != (wantItems[i].Err == nil) {
-			t.Fatalf("item %d error divergence: sharded %v, reference %v", i, gotItems[i].Err, wantItems[i].Err)
-		}
-		if gotItems[i].Err == nil {
-			sameAnswer(t, "batch item", gotItems[i].Result, wantItems[i].Result)
-		}
-	}
-	st := s.Stats()
-	if st.Batches != 1 || st.BatchQueries != uint64(len(qs)-1) {
-		t.Fatalf("batch counters: %+v", st)
-	}
-	checkTraffic(t, ref, s)
 }
 
 // TestShardedExoticModes pins the merged-cover fallback against the

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sort"
-
 	"netclus/internal/core"
 	"netclus/internal/roadnet"
 )
@@ -12,9 +10,9 @@ import (
 // a site in it). The shard whose candidate has minimal (dr, node) owns the
 // cluster — the exact tie-break of the single-shard representative choice,
 // so the union of owned representatives IS the single-shard representative
-// set. Both gather tiers (shard.Sharded in process, internal/router across
-// processes) reduce their members' representative rows through
-// ReduceOwnership; nothing else decides who owns what.
+// set. The routing core (Sharded) reduces its members' representative rows
+// through ReduceOwnership, whether they sit in this process or behind a
+// router; nothing else decides who owns what.
 
 // Winner is one cluster's globally best representative: the shard holding
 // it and the representative node.
@@ -68,49 +66,28 @@ func ReduceOwnership(rows [][]core.RepInfo) *Ownership {
 			}
 		}
 	}
-	o := &Ownership{Masks: make([][]core.ClusterID, len(rows)), MasksGI: make([][]int32, len(rows))}
+	// Size everything exactly: the core re-reduces after every site update.
+	owned := make([]int, len(rows))
+	total := 0
+	for _, j := range owner {
+		if j >= 0 {
+			owned[j]++
+			total++
+		}
+	}
+	o := &Ownership{Winners: make([]Winner, 0, total), Masks: make([][]core.ClusterID, len(rows)), MasksGI: make([][]int32, len(rows))}
+	masks, gis := make([]core.ClusterID, total), make([]int32, total)
+	off := 0
+	for j, n := range owned {
+		o.Masks[j], o.MasksGI[j] = masks[off:off:off+n], gis[off:off:off+n]
+		off += n
+	}
 	for c, j := range owner {
 		if j >= 0 {
+			o.Masks[j] = append(o.Masks[j], core.ClusterID(c))
+			o.MasksGI[j] = append(o.MasksGI[j], int32(len(o.Winners)))
 			o.Winners = append(o.Winners, Winner{Cluster: core.ClusterID(c), Shard: j, Node: best[c].Node})
 		}
 	}
-	o.reindex()
 	return o
-}
-
-// reindex rebuilds the per-shard masks from Winners.
-func (o *Ownership) reindex() {
-	for j := range o.Masks {
-		o.Masks[j], o.MasksGI[j] = o.Masks[j][:0], o.MasksGI[j][:0]
-	}
-	for gi, w := range o.Winners {
-		o.Masks[w.Shard] = append(o.Masks[w.Shard], w.Cluster)
-		o.MasksGI[w.Shard] = append(o.MasksGI[w.Shard], int32(gi))
-	}
-}
-
-// setWinner records cluster ci's re-reduced winner — shard < 0 when no
-// shard fields a representative for it any more — splicing Winners in
-// place. The caller excludes in-flight queries (Sharded's write lock).
-func (o *Ownership) setWinner(ci core.ClusterID, shard int32, node roadnet.NodeID) {
-	pos := sort.Search(len(o.Winners), func(i int) bool { return o.Winners[i].Cluster >= ci })
-	had := pos < len(o.Winners) && o.Winners[pos].Cluster == ci
-	nw := Winner{Cluster: ci, Shard: shard, Node: node}
-	switch {
-	case shard >= 0 && !had:
-		o.Winners = append(o.Winners, Winner{})
-		copy(o.Winners[pos+1:], o.Winners[pos:])
-		o.Winners[pos] = nw
-	case shard >= 0:
-		old := o.Winners[pos]
-		o.Winners[pos] = nw
-		if old.Shard == shard {
-			return // same owner, same position: the masks stand
-		}
-	case had:
-		o.Winners = append(o.Winners[:pos], o.Winners[pos+1:]...)
-	default:
-		return
-	}
-	o.reindex()
 }

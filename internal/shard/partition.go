@@ -1,12 +1,13 @@
 // Package shard partitions the candidate-site set over N engine shards and
 // answers queries with a scatter-gather protocol that is *bit-exact*
-// against the single-shard engine. A sharded deployment is one process per
-// shard: each runs a Member (member.go) behind internal/router, which
-// fetches the members' masked covers over HTTP (codec.go) and gathers them
-// with Answer (gather.go). Sharded (shard.go) runs the same Answer over
-// covers from N engines in one process; it is that topology's in-process
-// twin, the reference the router and cross-process oracles compare against,
-// not a serving mode — one process serves one index.
+// against the single-shard engine. Each shard is a Member (member.go); the
+// one routing core, Sharded (shard.go), runs over N members through the
+// five-call Conn interface — ownership reduce, masked cover fetch, the
+// gather (Answer, gather.go), update routing. Over in-process members it is
+// the benchmark ladder's shard rung and the shard oracles' subject; a
+// sharded deployment is one process per member behind internal/router,
+// which runs the same core over HTTP conns (covers in the binary layout of
+// codec.go). One process serves one index.
 //
 // The decomposition exploits a structural fact of the index: GDSP
 // clustering, trajectory lists, and neighbor lists depend only on the road

@@ -1,20 +1,21 @@
 package shard
 
 import (
+	"fmt"
+
 	"netclus/internal/core"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
 )
 
-// The member surface a router speaks, and the round state both gather
-// tiers share. A routed query ships covers, not rounds: the router asks
-// every owning member for its masked cover in one CoverRequest
-// (POST /v1/shard/cover), each member answers with the cover in the binary
-// layout of codec.go, and the router runs the same gather shard.Sharded
-// runs in process (Answer, gather.go) over the decoded covers. The codec
-// carries every float64 as its bits and every row in the member's order,
-// so a routed answer is float-op-for-float-op identical to the
-// single-process engine's.
+// The member surface's wire types, and the round state of the gather. A
+// query ships covers, not rounds: the routing core asks every owning
+// member for its masked cover in one CoverRequest (POST /v1/shard/cover
+// across processes), each member answers with the cover (in the binary
+// layout of codec.go on the wire), and the core runs the gather (Answer,
+// gather.go) over them. The codec carries every float64 as its bits and
+// every row in the member's order, so a routed answer is
+// float-op-for-float-op identical to the single-process engine's.
 
 // WirePref is a preference in wire form: the serving layer's (name, τ, λ)
 // triple, re-lowered to a tops.Preference on the receiving side by the
@@ -28,6 +29,21 @@ type WirePref struct {
 // Preference lowers the wire form.
 func (w WirePref) Preference() (tops.Preference, error) {
 	return tops.PreferenceByName(w.Name, w.Tau, w.Lambda)
+}
+
+// wireNames maps the preference constructors' names to the wire names
+// tops.PreferenceByName lowers back to them.
+var wireNames = map[string]string{"binary": "binary", "linear": "linear", "convex-quadratic": "convex", "exp-decay": "exp"}
+
+// WirePrefOf is the inverse of Preference for the four wire families:
+// re-lowered, it yields the same function (same τ, same λ, same cover-cache
+// fingerprint). A preference built any other way has no wire form.
+func WirePrefOf(pref tops.Preference) (WirePref, error) {
+	name, ok := wireNames[pref.Name]
+	if !ok {
+		return WirePref{}, fmt.Errorf("shard: preference %q has no wire form", pref.Name)
+	}
+	return WirePref{Name: name, Tau: pref.Tau, Lambda: pref.Lambda}, nil
 }
 
 // CoverRequest asks a member for its masked cover of one query

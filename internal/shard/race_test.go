@@ -8,13 +8,13 @@ import (
 	"netclus/internal/core"
 	"netclus/internal/roadnet"
 	"netclus/internal/tops"
-	"netclus/internal/trajectory"
+	"netclus/internal/wal"
 )
 
-// TestShardedEndToEndRace hammers one sharded engine with concurrent
-// queries, batches, §6 updates and stats polls under the race detector. Afterwards the engine
-// must agree with a mirror that saw the same mutation sequence
-// sequentially, and the counters must be coherent.
+// TestShardedEndToEndRace hammers one sharded core with concurrent queries,
+// §6 updates and status and member-stats polls under the race detector.
+// Afterwards the core must agree with a mirror that saw the same mutation
+// sequence sequentially, and the counters must have moved.
 func TestShardedEndToEndRace(t *testing.T) {
 	inst, city := buildFixture(t, 503)
 	mirrorInst, _ := buildFixture(t, 503)
@@ -28,32 +28,25 @@ func TestShardedEndToEndRace(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Query hammers: a fixed iteration budget each, so the churn below is
-	// guaranteed to overlap live queries and batches.
+	// guaranteed to overlap live queries.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				tau := taus[(r+i)%len(taus)]
+				pref := tops.Binary(tau)
 				if i%3 == 0 {
-					items := s.QueryBatch(context.Background(), []core.QueryOptions{
-						{K: 2, Pref: tops.Binary(tau)},
-						{K: 4, Pref: tops.Linear(tau)},
-					})
-					for _, it := range items {
-						if it.Err != nil {
-							errCh <- it.Err
-							return
-						}
-					}
-				} else if _, err := s.Query(context.Background(), core.QueryOptions{K: 3, Pref: tops.Binary(tau)}); err != nil {
+					pref = tops.Linear(tau)
+				}
+				if _, err := s.Query(context.Background(), core.QueryOptions{K: 3, Pref: pref}); err != nil {
 					errCh <- err
 					return
 				}
 			}
 		}(r)
 	}
-	// Stats poller.
+	// Status and stats poller.
 	pollWG.Add(1)
 	go func() {
 		defer pollWG.Done()
@@ -63,27 +56,41 @@ func TestShardedEndToEndRace(t *testing.T) {
 				return
 			default:
 			}
-			_ = s.Stats()
+			_ = s.Status()
+			_ = memberStats(s)
 		}
 	}()
 
 	// One writer applies a fixed mutation sequence while the readers run.
 	extra := extraTrajectories(t, city, 10, 131)
 	applySequence := func(eng *Sharded, sites []roadnet.NodeID) error {
-		ids, err := eng.AddTrajectories(extra)
-		if err != nil {
-			return err
+		ctx := context.Background()
+		var first int64
+		for i, tr := range extra {
+			ack, err := eng.Update(ctx, wireTrajectory(tr))
+			if err != nil {
+				return err
+			}
+			if i == 0 {
+				first = int64(*ack.TrajectoryID)
+			}
 		}
-		if err := eng.DeleteTrajectories([]trajectory.ID{1, 4, ids[0]}); err != nil {
-			return err
+		for _, id := range []int64{1, 4, first} {
+			if _, err := eng.Update(ctx, wal.Update{Op: wal.KindDeleteTrajectory.String(), ID: id}); err != nil {
+				return err
+			}
 		}
-		if err := eng.DeleteSite(sites[7]); err != nil {
-			return err
+		for _, v := range []roadnet.NodeID{sites[7], sites[19]} {
+			if err := eng.DeleteSite(v); err != nil {
+				return err
+			}
 		}
-		if err := eng.DeleteSite(sites[19]); err != nil {
-			return err
+		for _, v := range []roadnet.NodeID{sites[7], sites[19]} {
+			if err := eng.AddSite(v); err != nil {
+				return err
+			}
 		}
-		return eng.AddSites([]roadnet.NodeID{sites[7], sites[19]})
+		return nil
 	}
 	origSites := append([]roadnet.NodeID(nil), inst.Sites...)
 	if err := applySequence(s, origSites); err != nil {
@@ -113,8 +120,8 @@ func TestShardedEndToEndRace(t *testing.T) {
 		sameAnswer(t, "post-churn", got, want)
 	}
 
-	st := s.Stats()
-	if st.Queries == 0 || st.Batches == 0 || st.Updates == 0 || st.CoverHits+st.CoverMisses == 0 {
+	st := memberStats(s)
+	if st.Updates == 0 || st.CoverHits+st.CoverMisses == 0 {
 		t.Fatalf("counters did not move: %+v", st)
 	}
 }

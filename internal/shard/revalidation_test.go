@@ -117,31 +117,87 @@ func engineSubject(eng *engine.Engine) revalSubject {
 	}
 }
 
+// shardedSubject drives the routing core over in-process members: site
+// kinds as the wire updates a router forwards, trajectory kinds — ingest
+// windows and id batches, which no router forwards — broadcast to the
+// members member 0 first, as the core broadcasts a single one. A ψ with no
+// wire form (the custom one) is gathered from the members' covers directly,
+// as Query gathers a wire one.
 func shardedSubject(s *Sharded) revalSubject {
+	ms := membersOf(s)
+	own := func(p int) *Ownership {
+		o, err := s.ownership(context.Background(), p)
+		if err != nil {
+			panic(err)
+		}
+		return o
+	}
 	return revalSubject{
-		apply: s.Apply,
-		query: s.Query,
-		stats: s.Stats,
+		apply: func(m wal.Mutation) (wal.Applied, error) {
+			if m.Kind == wal.KindAddSite || m.Kind == wal.KindDeleteSite {
+				ack, err := s.Update(context.Background(), wal.Update{Op: m.Kind.String(), Node: int64(m.Node)})
+				return wal.Applied{LSN: ack.LSN}, err
+			}
+			if m.Kind == wal.KindAddSites {
+				// No router forwards a batch either: judge it whole, as the
+				// single engine does, then add its sites one by one.
+				for i, v := range m.Nodes {
+					if v < 0 || int(v) >= ms[0].Graph().NumNodes() || s.sites.ID(v) != tops.InvalidSiteID || slices.Contains(m.Nodes[:i], v) {
+						return wal.Applied{}, fmt.Errorf("add_sites: node %d is not a free node of the graph", v)
+					}
+				}
+				for _, v := range m.Nodes {
+					if err := s.AddSite(v); err != nil {
+						return wal.Applied{}, err
+					}
+				}
+				return wal.Applied{}, nil
+			}
+			var first wal.Applied
+			for j, mem := range ms {
+				a, err := mem.Apply(m)
+				if err != nil {
+					return wal.Applied{}, err
+				}
+				if j == 0 {
+					first = a
+				}
+			}
+			return first, nil
+		},
+		query: func(ctx context.Context, q core.QueryOptions) (*core.QueryResult, error) {
+			if _, err := WirePrefOf(q.Pref); err == nil {
+				return s.Query(ctx, q)
+			}
+			p := core.InstanceForTau(s.ladder.TauMin, s.ladder.Gamma, s.ladder.Rungs, q.Pref.Tau)
+			o := own(p)
+			covers, err := memberCovers(ctx, s, p, q.Pref, o)
+			if err != nil {
+				return nil, err
+			}
+			return Answer(ctx, p, o, covers, s.sites, q, false)
+		},
+		stats: func() engine.Stats { return memberStats(s) },
 		caches: func(p int) []revalCache {
-			own := s.ownership(p)
+			o := own(p)
 			var out []revalCache
-			for j, sh := range s.shards {
-				if len(own.Masks[j]) > 0 {
-					out = append(out, revalCache{idx: sh.Index(), masked: true, keep: own.Masks[j]})
+			for j, mem := range ms {
+				if len(o.Masks[j]) > 0 {
+					out = append(out, revalCache{idx: mem.Index(), masked: true, keep: o.Masks[j]})
 				}
 			}
 			return out
 		},
 		shardOf: s.part.Shard,
 		owner: func(p int, ci core.ClusterID) int {
-			for _, w := range s.ownership(p).Winners {
+			for _, w := range own(p).Winners {
 				if w.Cluster == ci {
 					return int(w.Shard)
 				}
 			}
 			return -1
 		},
-		mask: func(p, j int) []core.ClusterID { return s.ownership(p).Masks[j] },
+		mask: func(p, j int) []core.ClusterID { return own(p).Masks[j] },
 	}
 }
 

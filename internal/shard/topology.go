@@ -85,17 +85,6 @@ func (l Ladder) String() string {
 	return fmt.Sprintf("γ=%v τ=[%v,%v) rungs=%d", l.Gamma, l.TauMin, l.TauMax, l.Rungs)
 }
 
-// CheckLadders rejects a topology whose shards disagree on the ladder (a
-// mixed topology would silently produce wrong answers).
-func CheckLadders(ladders []Ladder) error {
-	for j, l := range ladders {
-		if l != ladders[0] {
-			return fmt.Errorf("shard %d ladder (%v) differs from shard 0 (%v)", j, l, ladders[0])
-		}
-	}
-	return nil
-}
-
 // deriveLadderRange fills a zero TauMin/TauMax from the FULL site set,
 // exactly as core.Build would, so every shard — and a single-process engine
 // over the same dataset — shares one ladder.

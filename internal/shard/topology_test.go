@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -51,16 +52,50 @@ func TestSiteMirrorTracksSingleIndexIDs(t *testing.T) {
 	check("after the no-ops")
 }
 
+// metaConn is a member that only reports its metadata.
+type metaConn struct {
+	Conn
+	meta MemberMeta
+}
+
+func (c metaConn) Meta(context.Context) (MemberMeta, error) { return c.meta, nil }
+
 func TestLadderAgreementAndDerivation(t *testing.T) {
 	a := Ladder{TauMin: 0.4, TauMax: 6.4, Gamma: 0.75, Rungs: 11}
 	b := a
 	b.Rungs = 10
-	if err := CheckLadders([]Ladder{a, a, a}); err != nil {
-		t.Fatalf("agreeing ladders rejected: %v", err)
+	meta := func(j int, l Ladder, part string) MemberMeta {
+		return MemberMeta{Shards: 3, Index: j, Partitioner: part, Ladder: l}
 	}
-	err := CheckLadders([]Ladder{a, a, b})
+	topology := func(ms ...MemberMeta) (*Sharded, error) {
+		conns := make([]Conn, len(ms))
+		for j, m := range ms {
+			conns[j] = metaConn{meta: m}
+		}
+		return New(context.Background(), conns)
+	}
+	s, err := topology(meta(0, a, HashPartitioner), meta(1, a, HashPartitioner), meta(2, a, HashPartitioner))
+	if err != nil {
+		t.Fatalf("agreeing members rejected: %v", err)
+	}
+	_, err = topology(meta(0, a, HashPartitioner), meta(1, a, HashPartitioner), meta(2, b, HashPartitioner))
 	if err == nil || !strings.Contains(err.Error(), "shard 2") || !strings.Contains(err.Error(), "rungs=10") {
 		t.Fatalf("disagreeing ladder reported as %v, want shard 2 and its rungs named", err)
+	}
+	// The same check guards a re-point: only shard 1 of this very topology
+	// may stand in for shard 1.
+	if err := s.CheckMember(1, meta(1, a, HashPartitioner)); err != nil {
+		t.Fatalf("shard 1's twin refused: %v", err)
+	}
+	for name, m := range map[string]MemberMeta{
+		"another position":    meta(2, a, HashPartitioner),
+		"another shard count": {Shards: 2, Index: 1, Partitioner: HashPartitioner, Ladder: a},
+		"another partitioner": meta(1, a, GridPartitioner),
+		"another ladder":      meta(1, b, HashPartitioner),
+	} {
+		if err := s.CheckMember(1, m); err == nil {
+			t.Errorf("%s accepted as shard 1", name)
+		}
 	}
 
 	// A zero range derives from the FULL site set; explicit bounds stand.
@@ -76,5 +111,34 @@ func TestLadderAgreementAndDerivation(t *testing.T) {
 	}
 	if err := deriveLadderRange(inst, &core.Options{TauMin: 2, TauMax: 1}); err == nil {
 		t.Fatal("inverted range accepted")
+	}
+}
+
+// TestWirePrefOfRoundTrips: the core lowers each query's preference to the
+// wire form its members re-lower, so the pair must give back the very
+// function — every family, λ included — or members would fill and cache
+// covers under another fingerprint. A preference with no wire form is
+// refused, not approximated.
+func TestWirePrefOfRoundTrips(t *testing.T) {
+	for _, pref := range []tops.Preference{
+		tops.Binary(0.8), tops.Linear(1.3), tops.ConvexQuadratic(2.2),
+		tops.ExpDecay(1.1, 1), tops.ExpDecay(0.9, 0.7), tops.ExpDecay(3.3, 1.0/3),
+	} {
+		wp, err := WirePrefOf(pref)
+		if err != nil {
+			t.Fatalf("%s: %v", pref.Name, err)
+		}
+		back, err := wp.Preference()
+		if err != nil {
+			t.Fatalf("%s: %+v does not re-lower: %v", pref.Name, wp, err)
+		}
+		if core.PrefFingerprint(back) != core.PrefFingerprint(pref) || back.Name != pref.Name {
+			t.Errorf("%s τ=%v: re-lowered to %s τ=%v λ=%v", pref.Name, pref.Tau, back.Name, back.Tau, back.Lambda)
+		}
+	}
+	for _, pref := range []tops.Preference{tops.NegativeDistance(), {Name: "custom", Tau: 1, F: func(d float64) float64 { return 1 - d }}} {
+		if wp, err := WirePrefOf(pref); err == nil {
+			t.Errorf("%s lowered to %+v", pref.Name, wp)
+		}
 	}
 }

@@ -24,6 +24,9 @@ type Preference struct {
 	F func(dr float64) float64
 	// Name tags the function in experiment output.
 	Name string
+	// Lambda is the decay rate of ExpDecay (zero for the other families):
+	// what the wire form carries for it, since F cannot be inspected.
+	Lambda float64
 }
 
 // Score evaluates ψ for a detour distance.
@@ -99,9 +102,10 @@ func ConvexQuadratic(tau float64) Preference {
 // ExpDecay is exp(-λ·d) truncated at τ.
 func ExpDecay(tau, lambda float64) Preference {
 	return Preference{
-		Tau:  tau,
-		F:    func(d float64) float64 { return math.Exp(-lambda * d) },
-		Name: "exp-decay",
+		Tau:    tau,
+		F:      func(d float64) float64 { return math.Exp(-lambda * d) },
+		Name:   "exp-decay",
+		Lambda: lambda,
 	}
 }
 

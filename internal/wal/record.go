@@ -216,9 +216,6 @@ type Mutation struct {
 	Trajs []TrajData
 	// Epoch carries a KindEpoch record's fencing token.
 	Epoch uint64
-
-	// decoded caches Trajectories' result on the value.
-	decoded []*trajectory.Trajectory
 }
 
 // Sites returns the nodes a site kind addresses: the one node of add_site /
@@ -232,28 +229,23 @@ func (m Mutation) Sites() []roadnet.NodeID {
 
 // Trajectories returns the trajectories an add kind carries (nil for every
 // other kind), decoded over g into fresh objects the receiving index may
-// keep, and validated. The first call caches them on the value, so a
-// mutation handed on afterwards — a sharded engine's broadcast — gives every
-// receiver the same objects instead of one decode per shard.
-func (m *Mutation) Trajectories(g *roadnet.Graph) ([]*trajectory.Trajectory, error) {
+// keep, and validated.
+func (m Mutation) Trajectories(g *roadnet.Graph) ([]*trajectory.Trajectory, error) {
 	src := m.Trajs
 	if m.Kind == KindAddTrajectory {
 		src = []TrajData{m.Traj}
 	} else if m.Kind != KindAddTrajectories {
 		return nil, nil
 	}
-	if m.decoded == nil {
-		out := make([]*trajectory.Trajectory, len(src))
-		for i, d := range src {
-			tr, err := d.Trajectory(g)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = tr
+	out := make([]*trajectory.Trajectory, len(src))
+	for i, d := range src {
+		tr, err := d.Trajectory(g)
+		if err != nil {
+			return nil, err
 		}
-		m.decoded = out
+		out[i] = tr
 	}
-	return m.decoded, nil
+	return out, nil
 }
 
 // Body encodes the mutation as its record body, the exact inverse of

@@ -13,9 +13,9 @@ import (
 // already observed.
 var ErrFenced = errors.New("wal: fenced (stale epoch)")
 
-// Sink is the engine-side committer inside the serving shell (engine.Front)
-// that engine.Engine and shard.Sharded share: it owns the attached log, the engine's LSN, and the broken latch,
-// and it is where the two write disciplines are written, once — Apply
+// Sink is the engine-side committer inside engine.Engine's serving shell:
+// it owns the attached log, the engine's LSN, and the broken latch, and it
+// is where the two write disciplines are written, once — Apply
 // (live: guard, apply, log, acknowledge) and Replay (recovery and followers:
 // in-order, apply, stamp) — around whatever transition function the engine
 // hands them. All methods except LSN and Epoch must be called under the

@@ -789,8 +789,8 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Applier is the replay target: both engine.Engine and shard.Sharded apply
-// records through it during recovery and follower tailing.
+// Applier is the replay target: engine.Engine (a shard member's included)
+// applies records through it during recovery and follower tailing.
 type Applier interface {
 	// ApplyRecord applies one logged mutation; the record's LSN must be the
 	// applier's LSN plus one.
