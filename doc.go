@@ -75,8 +75,8 @@
 //	                     member a shard process serves, and the one
 //	                     routing core, Sharded, over a five-call member
 //	                     interface (Conn) — cluster ownership, masked cover
-//	                     fetch, the one gather (Answer: the distributed
-//	                     greedy's coordinator and per-shard session),
+//	                     fetch, the answer (Answer: the one greedy,
+//	                     tops.IncGreedyParts, over one part per cover),
 //	                     update routing — bit-exact vs the single engine
 //	internal/router      that core over HTTP member conns: the stateless
 //	                     front tier of shard-per-process topologies

@@ -94,7 +94,7 @@ func (r *QueryResult) Release() {
 
 // AcquireQueryResult returns an empty pooled QueryResult with its buffers
 // reset, for layers that assemble answers themselves (internal/shard's
-// gather). Pair with Release like any pooled result.
+// Answer). Pair with Release like any pooled result.
 func AcquireQueryResult() *QueryResult {
 	qs := queryScratchPool.Get().(*QueryScratch)
 	out := &qs.res

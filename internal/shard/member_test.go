@@ -80,7 +80,7 @@ func (s *memberSet) query(t testing.TB, q core.QueryOptions, wp WirePref) *core.
 		}
 		covers = append(covers, Cover{Shard: j, CS: got, Reps: gotReps})
 	}
-	out, err := Answer(ctx, p, own, covers, s.sites, q, false)
+	out, err := Answer(ctx, p, own, covers, s.sites, q)
 	if err != nil {
 		t.Fatal(err)
 	}

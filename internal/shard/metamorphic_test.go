@@ -10,10 +10,10 @@ import (
 	"netclus/internal/tops"
 )
 
-// Metamorphic properties of the gather: the answer is an invariant of the
-// decomposition. Shard count, partitioner, and the order the gather
-// enumerates shards in are all implementation detail; any visible
-// difference is a merge bug.
+// Metamorphic properties of the sharded answer: it is an invariant of the
+// decomposition. Shard count, partitioner, and the order of the greedy's
+// parts are all implementation detail; any visible difference is a merge
+// bug.
 
 // queryGrid is a fixed probe battery spanning ladder instances and
 // preference families.
@@ -73,14 +73,14 @@ func TestPartitionerInvariance(t *testing.T) {
 	}
 }
 
-func TestGatherOrderInvariance(t *testing.T) {
-	// The coordinator's reduce is a strict total order, so permuting the
-	// order it enumerates the shards' sessions in must not change any
-	// answer.
+func TestPartOrderInvariance(t *testing.T) {
+	// The greedy's reduce over the parts' winners is a strict total order,
+	// so permuting the parts must not change any answer.
 	inst, _ := buildFixture(t, 419)
 	s := shardedEngine(t, inst, 4, HashPartitioner)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
+	var a answerScratch
 	for _, q := range queryGrid() {
 		base, err := s.Query(ctx, q)
 		if err != nil {
@@ -98,26 +98,23 @@ func TestGatherOrderInvariance(t *testing.T) {
 		if len(covers) < 3 {
 			t.Fatalf("only %d owning shards: the permutations below would prove nothing", len(covers))
 		}
+		n := len(own.Winners)
 		for trial := 0; trial < 4; trial++ {
-			ss := make([]Session, len(covers))
-			for i, j := range rng.Perm(len(covers)) {
-				c := covers[j]
-				ss[i] = openSession(c.CS, c.Reps, own.Masks[c.Shard], own.MasksGI[c.Shard], true)
-			}
-			var g Gather
-			res, err := g.Run(ctx, q.K, ss)
+			parts := a.partsOf(own, covers)
+			rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+			res, err := tops.IncGreedyParts(parts, n, tops.GreedyOptions{K: min(q.K, n)}, &a.greedy)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := &core.QueryResult{
 				EstimatedUtility: res.Utility, EstimatedCovered: res.Covered,
-				InstanceUsed: p, NumRepresentatives: len(own.Winners),
+				InstanceUsed: p, NumRepresentatives: n,
 			}
 			for _, gi := range res.Selected {
 				got.Sites = append(got.Sites, own.Winners[gi].Node)
 				got.SiteIDs = append(got.SiteIDs, s.sites.ID(own.Winners[gi].Node))
 			}
-			sameAnswer(t, "gather-order invariance", got, base)
+			sameAnswer(t, "part-order invariance", got, base)
 		}
 	}
 }

@@ -28,8 +28,8 @@ type Winner struct {
 type Ownership struct {
 	Winners []Winner
 	// Masks lists, per shard, the clusters it owns (ascending) and MasksGI
-	// the position of each in Winners — the mask and mask→global map a
-	// shard's query session opens with.
+	// the position of each in Winners — the mask a shard's cover is filled
+	// for, and the map from its rows to the greedy's global indices.
 	Masks   [][]core.ClusterID
 	MasksGI [][]int32
 }

@@ -3,7 +3,7 @@
 // against the single-shard engine. Each shard is a Member (member.go); the
 // one routing core, Sharded (shard.go), runs over N members through the
 // five-call Conn interface — ownership reduce, masked cover fetch, the
-// gather (Answer, gather.go), update routing. Over in-process members it is
+// answer (Answer, answer.go), update routing. Over in-process members it is
 // the benchmark ladder's shard rung and the shard oracles' subject; a
 // sharded deployment is one process per member behind internal/router,
 // which runs the same core over HTTP conns (covers in the binary layout of
@@ -19,14 +19,14 @@
 // tie-break of core.chooseRepresentative) "owns" the cluster, and the union
 // of owned representatives across shards IS the single-shard representative
 // set, entry for entry. Each shard fills Eq. 9 covers only for its owned
-// clusters (a masked fill, memoized per shard), and the gather runs the
-// paper's Algorithm 1 greedy *distributed* over one session per shard
-// cover: sessions keep the marginals of their shard's representatives, each
-// round reduces per-shard argmax candidates under the paper's (marginal,
-// weight, index) tie-break, and the winner's trajectory-score list is
-// broadcast back as utility deltas. Every floating
-// point operation matches tops.IncGreedy's plain path op for op, which is
-// what the shard-differential oracle (oracle_test.go) enforces.
+// clusters (a masked fill, memoized per shard), and Answer runs the
+// paper's Algorithm 1 greedy over the shard covers as the parts of one
+// cover (tops.IncGreedyParts): marginals stay per part, each iteration
+// reduces the parts' argmax candidates under the paper's (marginal, weight,
+// index) tie-break, and the winner's utility update reaches every part's
+// covering sites. Every floating point operation matches tops.IncGreedy's
+// plain path op for op, which is what the shard-differential oracle
+// (oracle_test.go) enforces.
 //
 // §6 updates route by ownership: a site mutation goes to the one shard the
 // partitioner maps its node to (and re-derives cluster ownership), while

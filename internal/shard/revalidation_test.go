@@ -175,7 +175,7 @@ func shardedSubject(s *Sharded) revalSubject {
 			if err != nil {
 				return nil, err
 			}
-			return Answer(ctx, p, o, covers, s.sites, q, false)
+			return Answer(ctx, p, o, covers, s.sites, q)
 		},
 		stats: func() engine.Stats { return memberStats(s) },
 		caches: func(p int) []revalCache {

@@ -300,7 +300,7 @@ func (s *Sharded) Query(ctx context.Context, opts core.QueryOptions) (*core.Quer
 	if err != nil {
 		return nil, err
 	}
-	return Answer(ctx, p, own, covers, s.sites, opts, true)
+	return Answer(ctx, p, own, covers, s.sites, opts)
 }
 
 // Update applies one mutation: a site op on the member owning its node
