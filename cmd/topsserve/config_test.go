@@ -95,10 +95,14 @@ func TestCacheKeyCoversColdBuildInputs(t *testing.T) {
 	}
 	member := []string{"-shards", "2", "-shard-index", "1"}
 	base, baseMember := key(inst), key(inst, member...)
-	// The single engine's key is the one earlier versions wrote, so their
-	// cache entries still hit.
-	if want := fmt.Sprintf("%s-%016x-1xhash.ncck", tPreset, netclus.IndexFingerprint(inst)); base != want {
+	// The single engine's key names the τ-range rule, so an entry written
+	// before the rule capped τmax (key "…-1xhash.ncck", a longer ladder)
+	// misses instead of loading beside freshly built members.
+	if want := fmt.Sprintf("%s-%016x-1xhash-taucap20.ncck", tPreset, netclus.IndexFingerprint(inst)); base != want {
 		t.Errorf("single-engine key %s, want %s", base, want)
+	}
+	if want := fmt.Sprintf("%s-%016x-2xhash-member1-taucap20.ncck", tPreset, netclus.IndexFingerprint(inst)); baseMember != want {
+		t.Errorf("member key %s, want %s", baseMember, want)
 	}
 	for name, same := range map[string][2]string{
 		"listen address": {key(inst, "-addr", ":9999"), key(inst, append(member, "-addr", ":9999")...)},

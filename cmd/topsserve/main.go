@@ -246,14 +246,15 @@ func (c *config) checkpointPath() string { return filepath.Join(c.walDir, checkp
 
 // cachePath names the -cache entry for inst. The key covers everything a
 // cold build depends on — the dataset (by fingerprint, so generator drift
-// misses instead of failing), the shard count, the partitioner and the
-// member index — so a different topology never loads another's entry.
+// misses instead of failing), the shard count, the partitioner, the member
+// index and the rule that derives the τ range — so a different topology,
+// or a ladder derived another way, never loads another's entry.
 func (c *config) cachePath(inst *netclus.Instance) string {
 	name := fmt.Sprintf("%s-%016x-%dx%s", c.preset, netclus.IndexFingerprint(inst), c.shards, c.partitioner)
 	if c.shardIndex >= 0 {
 		name += fmt.Sprintf("-member%d", c.shardIndex)
 	}
-	return filepath.Join(c.cacheDir, name+".ncck")
+	return filepath.Join(c.cacheDir, name+"-"+netclus.TauRangeRule+".ncck")
 }
 
 func main() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,7 +89,10 @@ type Options struct {
 	// TauMin / TauMax bound the query coverage thresholds the index must
 	// serve. Zero values are derived from the data per §4.4: the minimum
 	// and maximum round-trip distance between candidate sites (estimated
-	// by sampling; exact pairwise computation is quadratic).
+	// by sampling; exact pairwise computation is quadratic), with the
+	// derived TauMax capped where a rung's 2R-ball would hold more than
+	// 1/20 of the network (see estimateTauRange). A τ above TauMax clamps
+	// to the top rung. Explicit values are used as given.
 	TauMin, TauMax float64
 	// Workers bounds build parallelism: the ladder-wide |Λ(v)| sweep runs
 	// on all of them, then the rungs share them (across rungs, and inside
@@ -283,20 +287,44 @@ func ladderRungs(gamma, tauMin, tauMax float64) int {
 }
 
 // EstimateTauRange exposes the §4.4 τ-range derivation Build applies when
-// Options leaves TauMin/TauMax zero. The sharded engine needs the estimate
-// up front: every shard must be built over the SAME ladder, so the range is
-// derived once from the full site set and passed to each shard explicitly —
-// which also makes a sharded build ladder-identical to a single-shard build
-// of the same dataset.
+// Options leaves TauMin/TauMax zero: the sampled minimum and maximum site
+// round trip, the maximum capped so that no rung's 2R-ball holds more than
+// 1/20 of the network on average (TauRangeRule names the rule). The
+// sharded engine needs the estimate up front: every shard must be built
+// over the SAME ladder, so the range is derived once from the full site set
+// and passed to each shard explicitly — which also makes a sharded build
+// ladder-identical to a single-shard build of the same dataset.
 func EstimateTauRange(inst *tops.Instance) (float64, float64) {
 	return estimateTauRange(inst)
 }
+
+// ladderBallShare caps the derived ladder: a rung is kept only while its
+// 2R-ball holds, averaged over the estimator's full-search samples, at most
+// 1/ladderBallShare of the network. §4.4's τmax, the largest site round
+// trip, puts the top rung's 2R near the network's round-trip diameter:
+// such rungs hold a handful of clusters, yet their |Λ(v)| sweep and
+// clustering search most of the graph from every node. The cap
+// is a property of the instance, not of a query mix: it drops only those
+// top rungs, and every kept rung is the one the uncapped ladder builds at
+// the same position, because R_p depends on τmin and γ alone.
+const ladderBallShare = 20
+
+// TauRangeRule names the rule estimateTauRange derives a zero TauMin/TauMax
+// by (τmax capped at 1/ladderBallShare of the network) and must change
+// whenever the rule does. A cache that keys a derived-range build must
+// carry it: an entry written under another rule holds another ladder over
+// the same dataset, and has to miss.
+const TauRangeRule = "taucap20"
 
 // estimateTauRange derives [τmin, τmax) per §4.4 as the min and max
 // round-trip distance between candidate sites, estimated from a sample of
 // sites (the exact values need quadratic work; the sampled bounds only
 // shift which ladder rung serves which τ, not correctness, because queries
-// clamp to the ladder).
+// clamp to the ladder). τmax is then capped at 2q, where q is the
+// 1/ladderBallShare quantile of the round trips from the full-search
+// samples to every node (unreachable ones count, as +Inf), so that the top
+// rung's 2R = τmin/2·(1+γ)^p stays within q; the cap applies only when it
+// lies strictly inside (τmin, τmax).
 func estimateTauRange(inst *tops.Instance) (float64, float64) {
 	g := inst.G
 	scratch := roadnet.NewScratch(g)
@@ -304,6 +332,7 @@ func estimateTauRange(inst *tops.Instance) (float64, float64) {
 	tmin := math.Inf(1)
 	tmax := 0.0
 	var ball []roadnet.NodeDr
+	var pooled []float64 // round trips of the full-search samples, all nodes
 	for i := 0; i < len(inst.Sites); i += sampleEvery {
 		src := inst.Sites[i]
 		// Nearest other site: grow the ball until it holds one. The ball
@@ -328,6 +357,7 @@ func estimateTauRange(inst *tops.Instance) (float64, float64) {
 					tmax = rt
 				}
 			}
+			pooled = append(pooled, rts...)
 		}
 	}
 	if math.IsInf(tmin, 1) || tmin <= 0 {
@@ -335,6 +365,12 @@ func estimateTauRange(inst *tops.Instance) (float64, float64) {
 	}
 	if tmax <= tmin {
 		tmax = tmin * 64
+	}
+	if len(pooled) > 0 {
+		slices.Sort(pooled)
+		if q2 := 2 * pooled[len(pooled)/ladderBallShare]; tmin < q2 && q2 < tmax {
+			tmax = q2
+		}
 	}
 	return tmin, tmax
 }

@@ -144,8 +144,10 @@ func (idx *Index) RepCoverCtx(ctx context.Context, p int, pref tops.Preference) 
 //
 // Extreme thresholds follow §4.4: τ < τmin degrades gracefully to the
 // finest instance (whose clusters approach single sites), and τ >= τmax
-// means every site covers every trajectory, so any k representatives of the
-// coarsest instance are returned.
+// clamps to the coarsest instance. A derived τmax is capped well below the
+// network's round-trip diameter (estimateTauRange), so a τ above it is
+// answered over the top kept rung's representatives, not over a rung where
+// every site covers every trajectory.
 func (idx *Index) Query(opts QueryOptions) (*QueryResult, error) {
 	return idx.QueryCtx(context.Background(), opts)
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"netclus/internal/core"
@@ -15,7 +16,9 @@ import (
 // referenceTauRange is the τ-range estimate as it was before the early stop,
 // frozen as the oracle: a sample's radius kept doubling, with full-graph
 // searches up to 1e6 km, until some site beat the global τmin, and round
-// trips came from joining two map-valued Bounded searches.
+// trips came from joining two map-valued Bounded searches. Its τmax is then
+// capped at twice the 5th percentile of the full-search samples' round
+// trips to every node, read off their sorted list.
 func referenceTauRange(inst *tops.Instance) (float64, float64) {
 	g := inst.G
 	scratch := roadnet.NewScratch(g)
@@ -26,6 +29,7 @@ func referenceTauRange(inst *tops.Instance) (float64, float64) {
 	sampleEvery := len(inst.Sites)/64 + 1
 	tmin := math.Inf(1)
 	tmax := 0.0
+	var all []float64
 	for i := 0; i < len(inst.Sites); i += sampleEvery {
 		src := inst.Sites[i]
 		radius := 0.25
@@ -52,6 +56,9 @@ func referenceTauRange(inst *tops.Instance) (float64, float64) {
 					tmax = rt
 				}
 			}
+			for v := 0; v < g.NumNodes(); v++ {
+				all = append(all, rts[v])
+			}
 		}
 	}
 	if math.IsInf(tmin, 1) || tmin <= 0 {
@@ -59,6 +66,12 @@ func referenceTauRange(inst *tops.Instance) (float64, float64) {
 	}
 	if tmax <= tmin {
 		tmax = tmin * 64
+	}
+	sort.Float64s(all)
+	if len(all) > 0 {
+		if twoQ := 2 * all[len(all)*5/100]; twoQ > tmin && twoQ < tmax {
+			tmax = twoQ
+		}
 	}
 	return tmin, tmax
 }

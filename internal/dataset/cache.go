@@ -28,8 +28,13 @@ const SnapshotExt = ".ncss"
 func SnapshotKey(name Preset, cfg Config, opts core.Options) string {
 	// Options.Workers is deliberately absent: worker count never changes
 	// the built index, so all worker settings share one cache entry.
-	return fmt.Sprintf("%s-s%g-seed%d-g%g-t%g-%g-fm%v-f%d-fs%d%s",
-		name, cfg.Scale, cfg.Seed, opts.Gamma, opts.TauMin, opts.TauMax,
+	tau := fmt.Sprintf("t%g-%g", opts.TauMin, opts.TauMax)
+	if opts.TauMin <= 0 || opts.TauMax <= 0 {
+		// A zero bound is derived at build time, by a rule the key must name.
+		tau += "-" + core.TauRangeRule
+	}
+	return fmt.Sprintf("%s-s%g-seed%d-g%g-%s-fm%v-f%d-fs%d%s",
+		name, cfg.Scale, cfg.Seed, opts.Gamma, tau,
 		opts.GDSP.UseFM, opts.GDSP.F, opts.GDSP.Seed, SnapshotExt)
 }
 

@@ -102,3 +102,23 @@ func TestCachedBuildKeySeparatesConfigs(t *testing.T) {
 		t.Fatalf("expected 2 cache entries, found %d: %v", len(entries), entries)
 	}
 }
+
+// TestSnapshotKeyNamesTauRule pins the snapshot keys: a build that derives
+// its τ range names the derivation rule, so an entry written under an
+// earlier rule (key "…-t0-0-fm…", a longer ladder) misses; an explicit
+// range names only the range.
+func TestSnapshotKeyNamesTauRule(t *testing.T) {
+	cfg := Config{Scale: 0.01, Seed: 7}
+	for _, tc := range []struct {
+		opts core.Options
+		want string
+	}{
+		{core.Options{}, "bangalore-s0.01-seed7-g0-t0-0-taucap20-fmfalse-f0-fs0.ncss"},
+		{core.Options{TauMin: 0.3}, "bangalore-s0.01-seed7-g0-t0.3-0-taucap20-fmfalse-f0-fs0.ncss"},
+		{core.Options{Gamma: 0.75, TauMin: 0.3, TauMax: 4.8}, "bangalore-s0.01-seed7-g0.75-t0.3-4.8-fmfalse-f0-fs0.ncss"},
+	} {
+		if got := SnapshotKey(Bangalore, cfg, tc.opts); got != tc.want {
+			t.Errorf("SnapshotKey(%+v) = %s, want %s", tc.opts, got, tc.want)
+		}
+	}
+}

@@ -22,6 +22,10 @@ func ledgerInstance(tb testing.TB) *tops.Instance {
 	return d.Instance
 }
 
+// ledgerFullTauMax is the ledger's derived τmax before the cap: the
+// largest sampled site round trip.
+const ledgerFullTauMax = 14.08418273798467
+
 // fmTestInstance is the instance core's buildTestIndex makes for seed 337:
 // a 500-node grid, 60 trajectories, 120 sites.
 func fmTestInstance(t testing.TB) *tops.Instance {
@@ -64,8 +68,9 @@ func snapshotSHA(t *testing.T, inst *tops.Instance, opts core.Options) string {
 
 // TestLedgerBuildGolden pins the bytes of the NCSS snapshot a cold build
 // writes: the ledger's default-options build (the index every topsserve
-// boot without a checkpoint serves, τ range estimated) and an FM-sketch
-// clustering build. A refactor of the build must keep both hashes. They
+// boot without a checkpoint serves, τ range estimated and τmax capped), the
+// same instance over the uncapped ladder, and an FM-sketch clustering
+// build. A refactor of the build must keep every hash. They
 // are amd64 values; other architectures may fuse multiply-adds and so
 // legally round some distances differently.
 func TestLedgerBuildGolden(t *testing.T) {
@@ -81,6 +86,14 @@ func TestLedgerBuildGolden(t *testing.T) {
 		{
 			name: "ledger",
 			inst: ledgerInstance,
+			want: "9fdf076cdee337ce8fe02c50a558dc4d2294db9e1c1d1388427f6c15d3d2f003",
+		},
+		{
+			// The uncapped §4.4 ladder: τmax is the largest sampled site
+			// round trip, as the derived range was before it was capped.
+			name: "ledger_full_ladder",
+			inst: ledgerInstance,
+			opts: core.Options{TauMin: 0.12766602441707325, TauMax: ledgerFullTauMax},
 			want: "c0c5f12a8e68aa2c5082164915861430ccf22b708841d5c0ef4beb5a70219638",
 		},
 		{

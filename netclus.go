@@ -137,6 +137,10 @@ func LoadFile(path string, inst *Instance) (*Index, error) {
 // IndexFingerprint returns the dataset fingerprint snapshots of inst carry.
 func IndexFingerprint(inst *Instance) uint64 { return core.DatasetFingerprint(inst) }
 
+// TauRangeRule names the rule a build derives a zero TauMin/TauMax by; a
+// cache key of a derived-range build must carry it.
+const TauRangeRule = core.TauRangeRule
+
 // Serving layer.
 type (
 	// Engine serves concurrent queries and updates over one Index.
