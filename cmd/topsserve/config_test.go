@@ -41,7 +41,7 @@ func TestValidateModes(t *testing.T) {
 		{"-load", []string{"-load", "state.ncck"}, ""},
 		{"-load, member", []string{"-load", "state.ncck", "-shards", "2", "-shard-index", "1"}, ""},
 		{"-cache", []string{"-cache", "c", "-wal-dir", "w"}, ""},
-		{"-cache, member", []string{"-cache", "c", "-shards", "4", "-shard-index", "3", "-partitioner", "grid"}, ""},
+		{"-cache, member", []string{"-cache", "c", "-shards", "4", "-shard-index", "3"}, ""},
 
 		{"-load with -wal-dir", []string{"-load", "state.ncck", "-wal-dir", "w"}, "-load is a starting state"},
 		{"-load with -follow", []string{"-load", "state.ncck", "-follow", "http://primary:8080"}, "-load is a starting state"},
@@ -53,10 +53,8 @@ func TestValidateModes(t *testing.T) {
 		{"bad -shards", []string{"-shards", "0"}, "positive shard count"},
 		// One process serves one index: more shards means members behind
 		// topsrouter, whatever the starting state.
-		{"-shards N", []string{"-shards", "2", "-partitioner", "grid"}, "behind topsrouter"},
+		{"-shards N", []string{"-shards", "2"}, "behind topsrouter"},
 		{"-load, sharded", []string{"-load", "state.ncck", "-shards", "2"}, "behind topsrouter"},
-		{"bad -partitioner", []string{"-partitioner", "gird"}, `unknown -partitioner "gird"`},
-		{"bad -partitioner, member", []string{"-shards", "2", "-shard-index", "0", "-partitioner", "gird"}, `unknown -partitioner "gird"`},
 		{"bad -fsync", []string{"-fsync", "sometimes"}, "unknown fsync policy"},
 		{"bad -log-level", []string{"-log-level", "bogus"}, "unknown log level"},
 		{"bad -log-format", []string{"-log-format", "xml"}, "unknown log format"},
@@ -119,7 +117,6 @@ func TestCacheKeyCoversColdBuildInputs(t *testing.T) {
 		"dataset":           key(other),
 		"member 1, dataset": key(other, member...),
 		"member 0":          key(inst, "-shards", "2", "-shard-index", "0"),
-		"grid member 1":     key(inst, append(member, "-partitioner", "grid")...),
 		"3 members":         key(inst, "-shards", "3", "-shard-index", "1"),
 	} {
 		if prev, dup := seen[k]; dup {
@@ -130,8 +127,8 @@ func TestCacheKeyCoversColdBuildInputs(t *testing.T) {
 }
 
 // TestCacheMissesOtherTopology boots in process: a cached cold build is
-// reused by the same topology, and a different role, member, shard count or
-// partitioner misses and builds its own instead of loading the wrong one.
+// reused by the same topology, and a different role, member or shard count
+// misses and builds its own instead of loading the wrong one.
 func TestCacheMissesOtherTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cold-builds four indexes; skipped under -short")
@@ -158,7 +155,6 @@ func TestCacheMissesOtherTopology(t *testing.T) {
 		{nil, fromCache, "single index"},
 		{[]string{"-shards", "2", "-shard-index", "1"}, "", "shard member 1"},
 		{[]string{"-shards", "2", "-shard-index", "1"}, fromCache, "shard member 1"},
-		{[]string{"-shards", "2", "-shard-index", "1", "-partitioner", "grid"}, "", "shard member 1"},
 		{[]string{"-shards", "3", "-shard-index", "1"}, "", "shard member 1"},
 		{[]string{"-shards", "3", "-shard-index", "1"}, fromCache, "shard member 1"},
 	} {

@@ -107,7 +107,6 @@ type config struct {
 	drainTimeout time.Duration
 	exitSnapshot string
 	shards       int
-	partitioner  string
 	shardIndex   int
 
 	walDir          string
@@ -150,7 +149,6 @@ func (c *config) flags(onError flag.ErrorHandling) *flag.FlagSet {
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 	fs.StringVar(&c.exitSnapshot, "snapshot-on-exit", "", "write a checkpoint here after draining (reload it with -load)")
 	fs.IntVar(&c.shards, "shards", 1, "topology-wide shard count of a -shard-index member (each shard is its own process behind topsrouter)")
-	fs.StringVar(&c.partitioner, "partitioner", netclus.ShardByHash, "site partitioner of a -shard-index member's topology: hash or grid")
 	fs.IntVar(&c.shardIndex, "shard-index", -1, "serve as shard member N of a -shards-wide cross-process topology behind topsrouter (exposes /v1/shard/); -1 disables")
 	fs.StringVar(&c.walDir, "wal-dir", "", "write-ahead-log directory: log every update, recover on boot (checkpoint + tail replay)")
 	fs.StringVar(&c.fsyncName, "fsync", string(netclus.FsyncEveryInterval), "WAL fsync policy: always (durable acks), interval (group commit), none")
@@ -203,9 +201,6 @@ func (c *config) validate() error {
 	if c.quorum > 0 && c.walDir == "" {
 		return fmt.Errorf("-quorum needs -wal-dir (followers acknowledge log positions)")
 	}
-	if c.partitioner != netclus.ShardByHash && c.partitioner != netclus.ShardByGrid {
-		return fmt.Errorf("unknown -partitioner %q (want %s or %s)", c.partitioner, netclus.ShardByHash, netclus.ShardByGrid)
-	}
 	switch {
 	case c.shardIndex >= 0:
 		// Member mode: -shards is the topology-wide shard count, so a
@@ -246,11 +241,11 @@ func (c *config) checkpointPath() string { return filepath.Join(c.walDir, checkp
 
 // cachePath names the -cache entry for inst. The key covers everything a
 // cold build depends on — the dataset (by fingerprint, so generator drift
-// misses instead of failing), the shard count, the partitioner, the member
-// index and the rule that derives the τ range — so a different topology,
-// or a ladder derived another way, never loads another's entry.
+// misses instead of failing), the shard count, the site partition rule, the
+// member index and the rule that derives the τ range — so a different
+// topology, or a ladder derived another way, never loads another's entry.
 func (c *config) cachePath(inst *netclus.Instance) string {
-	name := fmt.Sprintf("%s-%016x-%dx%s", c.preset, netclus.IndexFingerprint(inst), c.shards, c.partitioner)
+	name := fmt.Sprintf("%s-%016x-%dx%s", c.preset, netclus.IndexFingerprint(inst), c.shards, netclus.ShardPartitionRule)
 	if c.shardIndex >= 0 {
 		name += fmt.Sprintf("-member%d", c.shardIndex)
 	}
@@ -447,7 +442,7 @@ func (c *config) start(log *netclus.WAL, inst *netclus.Instance) (*source, error
 // this member's partition — at core.Build's default parallelism.
 func coldBuild(c *config, inst *netclus.Instance) (netclus.DurableEngine, error) {
 	if c.shardIndex >= 0 {
-		return netclus.BuildShardMember(inst, c.shardIndex, netclus.ShardedOptions{Shards: c.shards, Partitioner: c.partitioner})
+		return netclus.BuildShardMember(inst, c.shardIndex, netclus.ShardedOptions{Shards: c.shards})
 	}
 	idx, err := netclus.Build(inst, netclus.BuildOptions{})
 	if err != nil {
@@ -476,13 +471,13 @@ func memberize(c *config, eng netclus.DurableEngine, initial []netclus.NodeID) (
 		return eng, nil
 	}
 	if e, ok := eng.(*netclus.Engine); ok {
-		m, err := netclus.NewShardMember(e, c.shards, c.shardIndex, c.partitioner, initial)
+		m, err := netclus.NewShardMember(e, c.shards, c.shardIndex, initial)
 		if err != nil {
 			return nil, err
 		}
 		eng = m
 	}
-	fmt.Printf("serving as shard member %d of %d (partitioner %s)\n", c.shardIndex, c.shards, c.partitioner)
+	fmt.Printf("serving as shard member %d of %d\n", c.shardIndex, c.shards)
 	return eng, nil
 }
 

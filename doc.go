@@ -71,13 +71,14 @@
 //	                     context deadlines, traffic stats, the one write
 //	                     path: Apply / ApplyRecord, snapshots and
 //	                     checkpoints)
-//	internal/shard       scatter-gather sharding: site partitioners, the
-//	                     member a shard process serves, and the one
-//	                     routing core, Sharded, over a five-call member
-//	                     interface (Conn) — cluster ownership, masked cover
-//	                     fetch, the answer (Answer: the one greedy,
-//	                     tops.IncGreedyParts, over one part per cover),
-//	                     update routing — bit-exact vs the single engine
+//	internal/shard       scatter-gather sharding: the site partition (Of,
+//	                     by node-id hash), the member a shard process
+//	                     serves, and the one routing core, Sharded, over
+//	                     a four-call member interface (Conn) — cluster
+//	                     ownership, masked cover fetch, the answer
+//	                     (Answer: the one greedy, tops.IncGreedyParts,
+//	                     over one part per cover), update routing —
+//	                     bit-exact vs the single engine
 //	internal/router      that core over HTTP member conns: the stateless
 //	                     front tier of shard-per-process topologies
 //	                     (handlers, shard map, failover and retry)

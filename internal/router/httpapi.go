@@ -16,8 +16,9 @@ import (
 	"netclus/internal/wal"
 )
 
-// Error codes mirror the serving tier's envelope so clients see one
-// vocabulary regardless of tier; the last two are router-specific.
+// Error codes mirror the serving tier's envelope (server.Code* where the
+// tiers share a case) so clients see one vocabulary regardless of tier;
+// the last three are router-specific.
 const (
 	codeBadRequest = "bad_request"
 	// codeShardUnavailable: a shard had no reachable member within the
@@ -109,6 +110,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	tw := &traceWriter{ResponseWriter: w, trace: trace}
 	tw.Header().Set(obs.TraceHeader, trace)
 	req = req.WithContext(obs.WithTrace(req.Context(), trace))
+	req.Body = http.MaxBytesReader(tw, req.Body, server.DefaultMaxBodyBytes)
 	r.mux.ServeHTTP(tw, req)
 }
 
@@ -116,11 +118,27 @@ func (r *Router) methodGate(method string, h http.HandlerFunc) http.HandlerFunc 
 	return func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != method {
 			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, codeBadRequest, fmt.Errorf("%s requires %s", req.URL.Path, method))
+			writeError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, fmt.Errorf("%s requires %s", req.URL.Path, method))
 			return
 		}
 		h(w, req)
 	}
+}
+
+// readBody reads a request body, which ServeHTTP capped at the serving
+// tier's default: an overrun is 413 too_large, as a member answers it.
+func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	raw, err := io.ReadAll(req.Body)
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			writeError(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, err)
+		} else {
+			writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		}
+		return nil, false
+	}
+	return raw, true
 }
 
 // requestCtx bounds one request end-to-end: the client's decoded timeout
@@ -163,9 +181,8 @@ func (r *Router) failure(w http.ResponseWriter, err error) {
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(req.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+	raw, ok := readBody(w, req)
+	if !ok {
 		return
 	}
 	q, err := server.DecodeQuery(raw, server.Limits{})
@@ -189,9 +206,8 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 // queries gains nothing. One bad item degrades only its own slot, as in the
 // serving tier.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+	raw, ok := readBody(w, req)
+	if !ok {
 		return
 	}
 	qs, itemErrs, timeout, err := server.DecodeBatch(raw, server.Limits{})
@@ -240,9 +256,8 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 // against in-flight queries, so a router-routed history has the in-process
 // engine's sequential semantics.
 func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(req.Body, 8<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+	raw, ok := readBody(w, req)
+	if !ok {
 		return
 	}
 	u, err := wal.DecodeUpdate(raw)
@@ -272,13 +287,11 @@ func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodGet:
 		writeJSON(w, struct {
-			Shards      []topologyShard `json:"shards"`
-			Partitioner string          `json:"partitioner"`
-		}{Shards: r.topology(), Partitioner: r.core.Status().Partitioner})
+			Shards []topologyShard `json:"shards"`
+		}{Shards: r.topology()})
 	case http.MethodPost:
-		raw, err := io.ReadAll(io.LimitReader(req.Body, 1<<16))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		raw, ok := readBody(w, req)
+		if !ok {
 			return
 		}
 		var t topologyRequest
@@ -297,7 +310,7 @@ func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 		}{OK: true, Shard: t.Shard, Primary: t.Primary})
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, codeBadRequest, fmt.Errorf("/v1/topology requires GET or POST"))
+		writeError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, fmt.Errorf("/v1/topology requires GET or POST"))
 	}
 }
 

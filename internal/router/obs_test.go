@@ -104,7 +104,7 @@ func TestRouterTracePropagation(t *testing.T) {
 	var urls []string
 	for j := 0; j < n; j++ {
 		memInst, _ := buildFixture(t, seed)
-		m, err := shard.BuildMember(memInst, j, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
+		m, err := shard.BuildMember(memInst, j, shard.Options{Shards: n, Build: fixtureBuild})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,6 @@ import (
 
 	"netclus/internal/core"
 	"netclus/internal/obs"
-	"netclus/internal/roadnet"
 	"netclus/internal/shard"
 	"netclus/internal/tops"
 	"netclus/internal/wal"
@@ -123,7 +122,7 @@ type Router struct {
 
 // New validates the shard map against the members' own metadata (the
 // core's shard.New: every member must agree on shard count, index,
-// partitioner, and ladder — a mixed topology would silently produce wrong
+// partition rule, and ladder — a mixed topology would silently produce wrong
 // answers), seeds the dense-id mirror, and returns a serving router.
 func New(opts Options) (*Router, error) {
 	if len(opts.Shards) == 0 {
@@ -191,7 +190,7 @@ func (r *Router) failover(j int, cause error) {
 
 // Repoint makes u shard j's active target (appending it to the shard's
 // URL list if new), after the core verifies the member there serves shard
-// j of this very topology — shard count, partitioner and ladder included.
+// j of this very topology — shard count, partition rule and ladder included.
 // The failover path after POST /v1/promote on a surviving follower.
 func (r *Router) Repoint(j int, u string) error {
 	if j < 0 || j >= len(r.slots) {
@@ -260,14 +259,6 @@ func (m member) Reps(ctx context.Context, p int) ([]core.RepInfo, error) {
 	}
 	err := m.r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/reps?p=%d", m.r.activeURL(m.j), p), nil, &resp)
 	return resp.Reps, err
-}
-
-func (m member) Owner(ctx context.Context, v roadnet.NodeID) (int, error) {
-	var resp struct {
-		Shard int `json:"shard"`
-	}
-	err := m.r.call(ctx, http.MethodGet, fmt.Sprintf("%s/v1/shard/owner?node=%d", m.r.activeURL(m.j), v), nil, &resp)
-	return resp.Shard, err
 }
 
 // Cover fetches and decodes the member's masked cover, recording the

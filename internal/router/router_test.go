@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -73,11 +74,11 @@ func engineTwin(t testing.TB, inst *tops.Instance) *engine.Engine {
 	return eng
 }
 
-// memberServer builds shard j of an n-shard hash topology over inst and
+// memberServer builds shard j of an n-shard topology over inst and
 // serves it (member surface mounted) from an httptest server.
 func memberServer(t testing.TB, inst *tops.Instance, j, n int) (*httptest.Server, *shard.Member) {
 	t.Helper()
-	return serveMember(t, inst, j, shard.Options{Shards: n, Partitioner: shard.HashPartitioner, Build: fixtureBuild})
+	return serveMember(t, inst, j, shard.Options{Shards: n, Build: fixtureBuild})
 }
 
 // serveMember builds shard j of the topology opts describes over inst and
@@ -579,10 +580,12 @@ func TestRouterBatch(t *testing.T) {
 }
 
 // TestRepointRejectsOtherTopology: a re-point target must be shard j of
-// this very topology — the shard count and index, and also the partitioner
-// and the ladder, the check the router runs on every member at boot. Both
-// members below report shard 1 of 2, and the router used to accept either
-// (200) and then answer from a mismatched index.
+// this very topology — the shard count and index, and also the ladder, the
+// check the router runs on every member at boot (a member of another
+// partition rule is refused by the same check; see shard's
+// TestLadderAgreementAndDerivation). The member below reports shard 1 of 2,
+// and the router used to accept it (200) and then answer from a mismatched
+// index.
 func TestRepointRejectsOtherTopology(t *testing.T) {
 	const seed, n = 1701, 2
 	var urls []string
@@ -598,8 +601,7 @@ func TestRepointRejectsOtherTopology(t *testing.T) {
 	rts := httptest.NewServer(r)
 	defer rts.Close()
 	for name, opts := range map[string]shard.Options{
-		"another ladder":      {Shards: n, Partitioner: shard.HashPartitioner, Build: core.Options{Gamma: 0.5, TauMin: 0.3}},
-		"another partitioner": {Shards: n, Partitioner: shard.GridPartitioner, Build: fixtureBuild},
+		"another ladder": {Shards: n, Build: core.Options{Gamma: 0.5, TauMin: 0.3}},
 	} {
 		inst, _ := buildFixture(t, seed)
 		ts, _ := serveMember(t, inst, 1, opts)
@@ -629,143 +631,292 @@ func asWire(res *core.QueryResult) wireAnswer {
 // every preference kind and fm ones, add_site, delete_site, add_trajectory
 // and delete_trajectory — through shard.Sharded over in-process members and
 // through the router over HTTP members, and holds both to a single engine
-// bit for bit, on a hash and on a grid topology: one routing core, two
-// kinds of conn. The grid partitioner needs the graph, so there every site
-// update asks member 0 for its owner (Conn.Owner; over HTTP, GET
-// /v1/shard/owner); the hash one never asks.
+// bit for bit: one routing core, two kinds of conn.
 func TestInProcessCoreMatchesRouter(t *testing.T) {
 	const seed, n = 1801, 3
-	for _, part := range []string{shard.HashPartitioner, shard.GridPartitioner} {
-		t.Run(part, func(t *testing.T) {
-			opts := shard.Options{Shards: n, Partitioner: part, Build: fixtureBuild}
-			refInst, city := buildFixture(t, seed)
-			ref := engineTwin(t, refInst)
-			inInst, _ := buildFixture(t, seed)
-			in, err := shard.Build(inInst, opts)
+	t.Run(shard.PartitionRule, func(t *testing.T) {
+		opts := shard.Options{Shards: n, Build: fixtureBuild}
+		refInst, city := buildFixture(t, seed)
+		ref := engineTwin(t, refInst)
+		inInst, _ := buildFixture(t, seed)
+		in, err := shard.Build(inInst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := make([][]string, n)
+		for j := range shards {
+			inst, _ := buildFixture(t, seed)
+			m, err := shard.BuildMember(inst, j, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ownerCalls atomic.Int64
-			shards := make([][]string, n)
-			for j := range shards {
-				inst, _ := buildFixture(t, seed)
-				m, err := shard.BuildMember(inst, j, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv, err := server.New(m, server.Options{Member: m})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-					if req.URL.Path == "/v1/shard/owner" {
-						ownerCalls.Add(1)
-					}
-					srv.ServeHTTP(w, req)
-				}))
-				t.Cleanup(ts.Close)
-				shards[j] = []string{ts.URL}
-			}
-			r, err := New(Options{Shards: shards})
+			srv, err := server.New(m, server.Options{Member: m})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rts := httptest.NewServer(r)
-			defer rts.Close()
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+			shards[j] = []string{ts.URL}
+		}
+		r, err := New(Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rts := httptest.NewServer(r)
+		defer rts.Close()
 
-			extraStore, err := gen.GenerateTrajectories(city, gen.TrajConfig{Count: 12, Seed: seed + 99})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var extras []*trajectory.Trajectory
-			extraStore.ForEach(func(_ trajectory.ID, tr *trajectory.Trajectory) { extras = append(extras, tr) })
+		extraStore, err := gen.GenerateTrajectories(city, gen.TrajConfig{Count: 12, Seed: seed + 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var extras []*trajectory.Trajectory
+		extraStore.ForEach(func(_ trajectory.ID, tr *trajectory.Trajectory) { extras = append(extras, tr) })
 
-			ctx := context.Background()
-			rng := rand.New(rand.NewSource(seed))
-			kinds := make(map[string]int)
-			for round := 0; round < 70; round++ {
-				if round > 3 && rng.Float64() < 0.4 {
-					var u wal.Update
-					switch op := rng.Intn(4); {
-					case op == 0:
-						v := roadnet.NodeID(rng.Intn(refInst.G.NumNodes()))
-						for _, ok := refInst.SiteIDOf(v); ok; _, ok = refInst.SiteIDOf(v) {
-							v = (v + 1) % roadnet.NodeID(refInst.G.NumNodes())
-						}
-						u = wal.Update{Op: "add_site", Node: int64(v)}
-					case op == 1 && len(refInst.Sites) > 10:
-						u = wal.Update{Op: "delete_site", Node: int64(refInst.Sites[rng.Intn(len(refInst.Sites))])}
-					case op == 2 && len(extras) > 0:
-						u = wal.Update{Op: "add_trajectory"}
-						for _, v := range extras[0].Nodes {
-							u.Nodes = append(u.Nodes, int64(v))
-						}
-						extras = extras[1:]
-					default: // possibly a dead id: every tier must refuse it alike
-						u = wal.Update{Op: "delete_trajectory", ID: int64(rng.Intn(refInst.M()))}
+		ctx := context.Background()
+		rng := rand.New(rand.NewSource(seed))
+		kinds := make(map[string]int)
+		for round := 0; round < 70; round++ {
+			if round > 3 && rng.Float64() < 0.4 {
+				var u wal.Update
+				switch op := rng.Intn(4); {
+				case op == 0:
+					v := roadnet.NodeID(rng.Intn(refInst.G.NumNodes()))
+					for _, ok := refInst.SiteIDOf(v); ok; _, ok = refInst.SiteIDOf(v) {
+						v = (v + 1) % roadnet.NodeID(refInst.G.NumNodes())
 					}
-					raw, _ := json.Marshal(u)
-					status, body := postJSON(t, rts.Client(), rts.URL+"/v1/update", string(raw))
-					inAck, inErr := in.Update(ctx, u)
-					m, refErr := u.Mutation(ref.Graph())
-					var applied wal.Applied
-					if refErr == nil {
-						applied, refErr = ref.Apply(m)
+					u = wal.Update{Op: "add_site", Node: int64(v)}
+				case op == 1 && len(refInst.Sites) > 10:
+					u = wal.Update{Op: "delete_site", Node: int64(refInst.Sites[rng.Intn(len(refInst.Sites))])}
+				case op == 2 && len(extras) > 0:
+					u = wal.Update{Op: "add_trajectory"}
+					for _, v := range extras[0].Nodes {
+						u.Nodes = append(u.Nodes, int64(v))
 					}
-					if (refErr == nil) != (status == http.StatusOK) || (refErr == nil) != (inErr == nil) {
-						t.Fatalf("round %d %s: engine %v, router %d %s, in-process %v", round, raw, refErr, status, body, inErr)
-					}
-					if refErr != nil {
-						// The member's own verdict, re-emitted: 409 conflict.
-						var env errorResponse
-						if err := json.Unmarshal(body, &env); status != http.StatusConflict || err != nil || env.Code != "conflict" {
-							t.Fatalf("round %d %s: router answered %d %s, want the member's 409 conflict", round, raw, status, body)
-						}
-						continue
-					}
-					kinds[u.Op]++
-					if u.Op == "add_trajectory" {
-						var ack wal.UpdateAck
-						if err := json.Unmarshal(body, &ack); err != nil || ack.TrajectoryID == nil || inAck.TrajectoryID == nil ||
-							trajectory.ID(*ack.TrajectoryID) != applied.IDs[0] || trajectory.ID(*inAck.TrajectoryID) != applied.IDs[0] {
-							t.Fatalf("round %d: trajectory ids: engine %d, router %s, in-process %v", round, applied.IDs[0], body, inAck.TrajectoryID)
-						}
+					extras = extras[1:]
+				default: // possibly a dead id: every tier must refuse it alike
+					u = wal.Update{Op: "delete_trajectory", ID: int64(rng.Intn(refInst.M()))}
+				}
+				raw, _ := json.Marshal(u)
+				status, body := postJSON(t, rts.Client(), rts.URL+"/v1/update", string(raw))
+				inAck, inErr := in.Update(ctx, u)
+				m, refErr := u.Mutation(ref.Graph())
+				var applied wal.Applied
+				if refErr == nil {
+					applied, refErr = ref.Apply(m)
+				}
+				if (refErr == nil) != (status == http.StatusOK) || (refErr == nil) != (inErr == nil) {
+					t.Fatalf("round %d %s: engine %v, router %d %s, in-process %v", round, raw, refErr, status, body, inErr)
+				}
+				if refErr != nil {
+					// The member's own verdict, re-emitted: 409 conflict.
+					var env errorResponse
+					if err := json.Unmarshal(body, &env); status != http.StatusConflict || err != nil || env.Code != "conflict" {
+						t.Fatalf("round %d %s: router answered %d %s, want the member's 409 conflict", round, raw, status, body)
 					}
 					continue
 				}
-				wire, q := drawQuery(rng)
-				if q.UseFM {
-					kinds["fm"]++
-				} else {
-					kinds[q.Pref.Name]++
+				kinds[u.Op]++
+				if u.Op == "add_trajectory" {
+					var ack wal.UpdateAck
+					if err := json.Unmarshal(body, &ack); err != nil || ack.TrajectoryID == nil || inAck.TrajectoryID == nil ||
+						trajectory.ID(*ack.TrajectoryID) != applied.IDs[0] || trajectory.ID(*inAck.TrajectoryID) != applied.IDs[0] {
+						t.Fatalf("round %d: trajectory ids: engine %d, router %s, in-process %v", round, applied.IDs[0], body, inAck.TrajectoryID)
+					}
 				}
-				want, err := ref.Query(ctx, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := in.Query(ctx, q)
-				if err != nil {
-					t.Fatalf("round %d in-process %s: %v", round, wire, err)
-				}
-				sameAnswer(t, fmt.Sprintf("round %d in-process %s", round, wire), asWire(got), want)
-				status, body := postJSON(t, rts.Client(), rts.URL+"/v1/query", wire)
-				if status != http.StatusOK {
-					t.Fatalf("round %d router %s: %d %s", round, wire, status, body)
-				}
-				var routed wireAnswer
-				if err := json.Unmarshal(body, &routed); err != nil {
-					t.Fatal(err)
-				}
-				sameAnswer(t, fmt.Sprintf("round %d router %s", round, wire), routed, want)
+				continue
 			}
-			for _, k := range []string{"binary", "linear", "convex-quadratic", "exp-decay", "fm", "add_site", "delete_site", "add_trajectory", "delete_trajectory"} {
-				if kinds[k] == 0 {
-					t.Errorf("the stream never ran %s: %v", k, kinds)
-				}
+			wire, q := drawQuery(rng)
+			if q.UseFM {
+				kinds["fm"]++
+			} else {
+				kinds[q.Pref.Name]++
 			}
-			if calls := ownerCalls.Load(); (part == shard.GridPartitioner) != (calls > 0) {
-				t.Errorf("%s topology: %d owner lookups at the members", part, calls)
+			want, err := ref.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			got, err := in.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("round %d in-process %s: %v", round, wire, err)
+			}
+			sameAnswer(t, fmt.Sprintf("round %d in-process %s", round, wire), asWire(got), want)
+			status, body := postJSON(t, rts.Client(), rts.URL+"/v1/query", wire)
+			if status != http.StatusOK {
+				t.Fatalf("round %d router %s: %d %s", round, wire, status, body)
+			}
+			var routed wireAnswer
+			if err := json.Unmarshal(body, &routed); err != nil {
+				t.Fatal(err)
+			}
+			sameAnswer(t, fmt.Sprintf("round %d router %s", round, wire), routed, want)
+		}
+		for _, k := range []string{"binary", "linear", "convex-quadratic", "exp-decay", "fm", "add_site", "delete_site", "add_trajectory", "delete_trajectory"} {
+			if kinds[k] == 0 {
+				t.Errorf("the stream never ran %s: %v", k, kinds)
+			}
+		}
+	})
+}
+
+// TestRouterErrorsMatchMember sends the same bad requests to a member and
+// to the router over it: both tiers must answer the same status and code,
+// the envelope API.md documents for any endpoint. The router once answered
+// a wrong method with code bad_request, and silently cut an oversized body
+// to its prefix and answered it 200.
+func TestRouterErrorsMatchMember(t *testing.T) {
+	const seed, n = 1401, 2
+	var urls []string
+	for j := 0; j < n; j++ {
+		memInst, _ := buildFixture(t, seed)
+		ts, _ := memberServer(t, memInst, j, n)
+		urls = append(urls, ts.URL)
+	}
+	r, err := New(Options{Shards: [][]string{{urls[0]}, {urls[1]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(r)
+	defer rts.Close()
+
+	// A well-formed query followed by 2 MiB of JSON whitespace: a reader
+	// that truncates at 1 MiB sees a valid body.
+	big := `{"k":3,"tau":1.0}` + strings.Repeat(" ", 2<<20)
+	send := func(base, method, path, body string) (int, string) {
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rts.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, base+path, err)
+		}
+		defer resp.Body.Close()
+		var env errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return resp.StatusCode, env.Code
+	}
+	for _, tc := range []struct {
+		method, path, body string
+		status             int
+		code               string
+	}{
+		{http.MethodGet, "/v1/query", "", http.StatusMethodNotAllowed, server.CodeMethodNotAllowed},
+		{http.MethodGet, "/v1/query/batch", "", http.StatusMethodNotAllowed, server.CodeMethodNotAllowed},
+		{http.MethodGet, "/v1/update", "", http.StatusMethodNotAllowed, server.CodeMethodNotAllowed},
+		{http.MethodPost, "/v1/query", big, http.StatusRequestEntityTooLarge, server.CodeTooLarge},
+		{http.MethodPost, "/v1/query/batch", big, http.StatusRequestEntityTooLarge, server.CodeTooLarge},
+		{http.MethodPost, "/v1/update", big, http.StatusRequestEntityTooLarge, server.CodeTooLarge},
+	} {
+		label := tc.method + " " + tc.path
+		if len(tc.body) > 0 {
+			label += " (2 MiB)"
+		}
+		mStatus, mCode := send(urls[0], tc.method, tc.path, tc.body)
+		rStatus, rCode := send(rts.URL, tc.method, tc.path, tc.body)
+		if mStatus != tc.status || mCode != tc.code {
+			t.Errorf("%s: member answered %d %q, want %d %q", label, mStatus, mCode, tc.status, tc.code)
+		}
+		if rStatus != mStatus || rCode != mCode {
+			t.Errorf("%s: router answered %d %q, member %d %q", label, rStatus, rCode, mStatus, mCode)
+		}
+	}
+}
+
+// TestMemberOwningNothingGetsNoCoverFetch empties one member: every site it
+// owns is deleted through the routing core, so it holds no representative
+// at any rung and owns no cluster. Queries still answer bit-exactly, in
+// process and through the router, and the routing core skips the empty
+// member's cover fetch — it sees no /v1/shard/cover request at all.
+func TestMemberOwningNothingGetsNoCoverFetch(t *testing.T) {
+	const seed, n, empty = 1801, 3, 2
+	opts := shard.Options{Shards: n, Build: fixtureBuild}
+	refInst, _ := buildFixture(t, seed)
+	ref := engineTwin(t, refInst)
+	inInst, _ := buildFixture(t, seed)
+	in, err := shard.Build(inInst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covers := make([]atomic.Int64, n)
+	shards := make([][]string, n)
+	for j := range shards {
+		inst, _ := buildFixture(t, seed)
+		m, err := shard.BuildMember(inst, j, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(m, server.Options{Member: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/v1/shard/cover" {
+				covers[j].Add(1)
+			}
+			srv.ServeHTTP(w, req)
+		}))
+		t.Cleanup(ts.Close)
+		shards[j] = []string{ts.URL}
+	}
+	r, err := New(Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(r)
+	defer rts.Close()
+
+	ctx := context.Background()
+	var doomed []roadnet.NodeID
+	for _, v := range refInst.Sites {
+		if shard.Of(v, n) == empty {
+			doomed = append(doomed, v)
+		}
+	}
+	if len(doomed) == 0 || len(doomed) == len(refInst.Sites) {
+		t.Fatalf("member %d owns %d of %d sites", empty, len(doomed), len(refInst.Sites))
+	}
+	for _, v := range doomed {
+		u := wal.Update{Op: "delete_site", Node: int64(v)}
+		raw, _ := json.Marshal(u)
+		if status, body := postJSON(t, rts.Client(), rts.URL+"/v1/update", string(raw)); status != http.StatusOK {
+			t.Fatalf("router delete_site(%d): %d %s", v, status, body)
+		}
+		if _, err := in.Update(ctx, u); err != nil {
+			t.Fatalf("in-process delete_site(%d): %v", v, err)
+		}
+		if err := ref.DeleteSite(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := range covers {
+		covers[j].Store(0)
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	for round := 0; round < 24; round++ {
+		wire, q := drawQuery(rng)
+		want, err := ref.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := in.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("round %d in-process %s: %v", round, wire, err)
+		}
+		sameAnswer(t, fmt.Sprintf("round %d in-process %s", round, wire), asWire(got), want)
+		status, body := postJSON(t, rts.Client(), rts.URL+"/v1/query", wire)
+		if status != http.StatusOK {
+			t.Fatalf("round %d router %s: %d %s", round, wire, status, body)
+		}
+		var routed wireAnswer
+		if err := json.Unmarshal(body, &routed); err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer(t, fmt.Sprintf("round %d router %s", round, wire), routed, want)
+	}
+	for j := range covers {
+		if got := covers[j].Load(); (j == empty) != (got == 0) {
+			t.Errorf("member %d served %d cover fetches", j, got)
+		}
 	}
 }

@@ -26,7 +26,7 @@ type Limits struct {
 	MaxTau float64
 	// MaxBatch bounds the number of queries in one /v1/query/batch body.
 	MaxBatch int
-	// MaxBodyBytes bounds any request body.
+	// MaxBodyBytes bounds any request body (default DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// MaxIngestBytes bounds one /v1/ingest request body. Streams are
 	// consumed incrementally (never buffered whole), so the cap is a
@@ -35,6 +35,10 @@ type Limits struct {
 	// MaxTimeout caps the per-request deadline a client may ask for.
 	MaxTimeout time.Duration
 }
+
+// DefaultMaxBodyBytes is MaxBodyBytes' default, and the router's body cap
+// on every endpoint.
+const DefaultMaxBodyBytes = 1 << 20
 
 func (l Limits) withDefaults() Limits {
 	if l.MaxK <= 0 {
@@ -47,7 +51,7 @@ func (l Limits) withDefaults() Limits {
 		l.MaxBatch = 1024
 	}
 	if l.MaxBodyBytes <= 0 {
-		l.MaxBodyBytes = 1 << 20
+		l.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if l.MaxIngestBytes <= 0 {
 		l.MaxIngestBytes = 1 << 30

@@ -2,13 +2,11 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
 	"netclus/internal/core"
 	"netclus/internal/obs"
-	"netclus/internal/roadnet"
 	"netclus/internal/shard"
 )
 
@@ -52,30 +50,6 @@ func (s *Server) handleShardReps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, repsResponse{P: p, Reps: reps})
-}
-
-// ownerResponse is GET /v1/shard/owner?node=.
-type ownerResponse struct {
-	Node  int64 `json:"node"`
-	Shard int   `json:"shard"`
-}
-
-func (s *Server) handleShardOwner(w http.ResponseWriter, r *http.Request) {
-	node, err := strconv.ParseInt(r.URL.Query().Get("node"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("node must be an integer node id"))
-		return
-	}
-	if node < 0 || node > math.MaxInt32 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("node %d outside int32 range", node))
-		return
-	}
-	j, err := s.opts.Member.Owner(r.Context(), roadnet.NodeID(node))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	writeJSON(w, ownerResponse{Node: node, Shard: j})
 }
 
 // handleShardCover serves POST /v1/shard/cover: the member's masked cover

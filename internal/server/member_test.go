@@ -70,44 +70,6 @@ func TestShardCoverRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestShardOwnerRejectsNodesPastInt32 pins /v1/shard/owner's range check. A
-// node id past int32 used to wrap when converted to a roadnet.NodeID, so
-// node=4294967296 answered node 0's shard while echoing the large id.
-func TestShardOwnerRejectsNodesPastInt32(t *testing.T) {
-	m, err := shard.BuildMember(buildInstance(t, 977), 0, shard.Options{Shards: 2, Partitioner: shard.GridPartitioner, Build: fixtureBuild})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(m, Options{Member: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	owner := func(node string) (int, ownerResponse) {
-		resp, err := ts.Client().Get(ts.URL + "/v1/shard/owner?node=" + node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out ownerResponse
-		_ = json.NewDecoder(resp.Body).Decode(&out)
-		return resp.StatusCode, out
-	}
-	for _, node := range []string{"4294967296", "2147483648", "-1", "x"} {
-		if status, _ := owner(node); status != http.StatusBadRequest {
-			t.Errorf("node=%s: status %d, want 400", node, status)
-		}
-	}
-	for _, v := range []roadnet.NodeID{0, 7, 123} {
-		status, out := owner(fmt.Sprint(v))
-		if status != http.StatusOK || out.Node != int64(v) || out.Shard != routedTo(m, v) {
-			t.Fatalf("node=%d: status %d, %+v, want shard %d", v, status, out, routedTo(m, v))
-		}
-	}
-}
-
 // TestMemberRejectsMisroutedSiteKinds: a member refuses every site kind
 // naming a node another shard owns, by every exported route — the typed
 // methods (promoted from the embedded engine), Apply, the routing core's
@@ -211,11 +173,8 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 	}
 }
 
-// routedTo is m's partitioner verdict for node v.
-func routedTo(m *shard.Member, v roadnet.NodeID) int {
-	j, _ := m.Owner(context.Background(), v)
-	return j
-}
+// routedTo is the shard of m's topology that owns node v.
+func routedTo(m *shard.Member, v roadnet.NodeID) int { return shard.Of(v, metaOf(m).Shards) }
 
 // metaOf is m's /v1/shard/meta answer.
 func metaOf(m *shard.Member) shard.MemberMeta {

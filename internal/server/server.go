@@ -112,7 +112,7 @@ type Options struct {
 	// node instead of being rebuilt.
 	Retarget func(primary string) error
 	// Member, when non-nil, serves the per-shard member surface (meta,
-	// representatives, owner, masked covers) under /v1/shard/ — this process
+	// representatives, masked covers) under /v1/shard/ — this process
 	// is one shard of a router-fronted topology (see internal/router).
 	Member MemberEngine
 	// Ingest, when non-nil, enables POST /v1/ingest: raw GPS traces are
@@ -218,19 +218,9 @@ type Server struct {
 	// Options.Ingest is nil).
 	ing *ingest.Ingestor
 
-	mQuery       routeMetrics
-	mBatch       routeMetrics
-	mUpdate      routeMetrics
-	mIngest      routeMetrics
-	mCheckpoint  routeMetrics
-	mLog         routeMetrics
-	mReplication routeMetrics
-	mPromote     routeMetrics
-	mFollow      routeMetrics
-	mShard       routeMetrics
-	mHealth      routeMetrics
-	mStats       routeMetrics
-	mMetrics     routeMetrics
+	// routes lists every mounted route's metrics block once (track), in
+	// mount order; /statsz and /metrics report exactly these.
+	routes []route
 
 	snapshotBytes atomic.Int64
 	logRecords    atomic.Uint64
@@ -251,37 +241,55 @@ func New(eng Engine, opts Options) (*Server, error) {
 	s.log = s.log.With("component", "server")
 	s.readOnly.Store(opts.ReadOnly)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.instrument(&s.mQuery, http.MethodPost, s.handleQuery))
-	mux.HandleFunc("/v1/query/batch", s.instrument(&s.mBatch, http.MethodPost, s.handleBatch))
-	mux.HandleFunc("/v1/update", s.instrument(&s.mUpdate, http.MethodPost, s.handleUpdate))
+	handle := func(path, method string, h http.HandlerFunc) {
+		mux.HandleFunc(path, s.instrument(s.track(path), method, h))
+	}
+	handle("/v1/query", http.MethodPost, s.handleQuery)
+	handle("/v1/query/batch", http.MethodPost, s.handleBatch)
+	handle("/v1/update", http.MethodPost, s.handleUpdate)
 	if opts.Ingest != nil {
 		s.ing = ingest.New(eng.Graph(), *opts.Ingest)
 		// Streams get their own (much larger) body cap: the pipeline
 		// consumes the NDJSON incrementally, never buffering it whole.
-		mux.HandleFunc("/v1/ingest", s.instrumentBody(&s.mIngest, http.MethodPost, opts.Limits.MaxIngestBytes, s.handleIngest))
+		mux.HandleFunc("/v1/ingest", s.instrumentBody(s.track("/v1/ingest"), http.MethodPost, opts.Limits.MaxIngestBytes, s.handleIngest))
 	}
-	mux.HandleFunc("/v1/checkpoint", s.instrument(&s.mCheckpoint, http.MethodPost, s.handleCheckpoint))
+	handle("/v1/checkpoint", http.MethodPost, s.handleCheckpoint)
 	if opts.Log != nil {
-		mux.HandleFunc("/v1/log", s.instrument(&s.mLog, http.MethodGet, s.handleLog))
+		handle("/v1/log", http.MethodGet, s.handleLog)
 	}
-	mux.HandleFunc("/v1/replication", s.instrument(&s.mReplication, http.MethodGet, s.handleReplication))
+	handle("/v1/replication", http.MethodGet, s.handleReplication)
 	if opts.Promote != nil {
-		mux.HandleFunc("/v1/promote", s.instrument(&s.mPromote, http.MethodPost, s.handlePromote))
+		handle("/v1/promote", http.MethodPost, s.handlePromote)
 	}
 	if opts.Retarget != nil {
-		mux.HandleFunc("/v1/follow", s.instrument(&s.mFollow, http.MethodPost, s.handleFollow))
+		handle("/v1/follow", http.MethodPost, s.handleFollow)
 	}
 	if opts.Member != nil {
-		mux.HandleFunc("/v1/shard/meta", s.instrument(&s.mShard, http.MethodGet, s.handleShardMeta))
-		mux.HandleFunc("/v1/shard/reps", s.instrument(&s.mShard, http.MethodGet, s.handleShardReps))
-		mux.HandleFunc("/v1/shard/owner", s.instrument(&s.mShard, http.MethodGet, s.handleShardOwner))
-		mux.HandleFunc("/v1/shard/cover", s.instrument(&s.mShard, http.MethodPost, s.handleShardCover))
+		// The member surface shares one block.
+		m := s.track("/v1/shard/")
+		mux.HandleFunc("/v1/shard/meta", s.instrument(m, http.MethodGet, s.handleShardMeta))
+		mux.HandleFunc("/v1/shard/reps", s.instrument(m, http.MethodGet, s.handleShardReps))
+		mux.HandleFunc("/v1/shard/cover", s.instrument(m, http.MethodPost, s.handleShardCover))
 	}
-	mux.HandleFunc("/healthz", s.instrument(&s.mHealth, http.MethodGet, s.handleHealth))
-	mux.HandleFunc("/statsz", s.instrument(&s.mStats, http.MethodGet, s.handleStats))
-	mux.HandleFunc("/metrics", s.instrument(&s.mMetrics, http.MethodGet, s.handleMetrics))
+	handle("/healthz", http.MethodGet, s.handleHealth)
+	handle("/statsz", http.MethodGet, s.handleStats)
+	handle("/metrics", http.MethodGet, s.handleMetrics)
 	s.mux = mux
 	return s, nil
+}
+
+// route is one metrics block and the route name /statsz and /metrics
+// report it under.
+type route struct {
+	name string
+	m    *routeMetrics
+}
+
+// track adds a metrics block reported under name.
+func (s *Server) track(name string) *routeMetrics {
+	m := new(routeMetrics)
+	s.routes = append(s.routes, route{name: name, m: m})
+	return m
 }
 
 // ServeHTTP implements http.Handler.
@@ -917,38 +925,21 @@ func (s *Server) Stats() statszResponse {
 		Draining:      s.draining.Load(),
 		Build:         obs.ReadBuildInfo(),
 		Engine:        s.eng.Stats(),
-		Routes: map[string]routeStats{
-			"/v1/query":       s.mQuery.stats(),
-			"/v1/query/batch": s.mBatch.stats(),
-			"/v1/update":      s.mUpdate.stats(),
-			"/v1/checkpoint":  s.mCheckpoint.stats(),
-			"/v1/replication": s.mReplication.stats(),
-			"/healthz":        s.mHealth.stats(),
-			"/statsz":         s.mStats.stats(),
-			"/metrics":        s.mMetrics.stats(),
-		},
+		Routes:        make(map[string]routeStats, len(s.routes)),
 		SnapshotBytes: s.snapshotBytes.Load(),
 		Memory:        readMemStats(),
+	}
+	for _, r := range s.routes {
+		resp.Routes[r.name] = r.m.stats()
 	}
 	if s.ing != nil {
 		st := s.ing.Stats()
 		resp.Ingest = &st
-		resp.Routes["/v1/ingest"] = s.mIngest.stats()
 	}
 	if s.opts.Log != nil {
 		st := s.opts.Log.Stats()
 		resp.WAL = &st
-		resp.Routes["/v1/log"] = s.mLog.stats()
 		resp.LogRecordsServed = s.logRecords.Load()
-	}
-	if s.opts.Promote != nil {
-		resp.Routes["/v1/promote"] = s.mPromote.stats()
-	}
-	if s.opts.Retarget != nil {
-		resp.Routes["/v1/follow"] = s.mFollow.stats()
-	}
-	if s.opts.Member != nil {
-		resp.Routes["/v1/shard/"] = s.mShard.stats()
 	}
 	if s.opts.Replication != nil {
 		st := s.opts.Replication()

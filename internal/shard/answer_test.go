@@ -15,7 +15,7 @@ import (
 func prefetched(t *testing.T) (*Sharded, int, *Ownership, []Cover, core.QueryOptions) {
 	t.Helper()
 	inst, _ := buildFixture(t, 421)
-	s := shardedEngine(t, inst, 4, HashPartitioner)
+	s := shardedEngine(t, inst, 4)
 	ctx := context.Background()
 	q := core.QueryOptions{K: 5, Pref: tops.Binary(0.9)}
 	p := core.InstanceForTau(s.ladder.TauMin, s.ladder.Gamma, s.ladder.Rungs, q.Pref.Tau)

@@ -248,7 +248,7 @@ func TestShardedConcurrentQPSSmoke(t *testing.T) {
 		t.Skip("smoke skipped in -short")
 	}
 	inst, _ := buildFixture(t, 733)
-	s := shardedEngine(t, inst, 4, HashPartitioner)
+	s := shardedEngine(t, inst, 4)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for c := 0; c < 8; c++ {

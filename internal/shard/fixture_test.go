@@ -61,9 +61,9 @@ func singleEngine(t testing.TB, inst *tops.Instance) *engine.Engine {
 }
 
 // shardedEngine builds a sharded engine over inst.
-func shardedEngine(t testing.TB, inst *tops.Instance, shards int, partitioner string) *Sharded {
+func shardedEngine(t testing.TB, inst *tops.Instance, shards int) *Sharded {
 	t.Helper()
-	s, err := Build(inst, Options{Shards: shards, Partitioner: partitioner, Build: fixtureBuild})
+	s, err := Build(inst, Options{Shards: shards, Build: fixtureBuild})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,8 @@ func metaOf(m *Member) MemberMeta {
 	return meta
 }
 
-// routedTo is m's partitioner verdict for node v.
-func routedTo(m *Member, v roadnet.NodeID) int {
-	j, _ := m.Owner(context.Background(), v)
-	return j
-}
+// routedTo is the shard of m's topology that owns node v.
+func routedTo(m *Member, v roadnet.NodeID) int { return Of(v, m.shards) }
 
 // memberStats sums the members' update and cover-cache counters.
 func memberStats(s *Sharded) engine.Stats {

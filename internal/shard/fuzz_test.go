@@ -24,10 +24,9 @@ import (
 var (
 	fuzzOnce sync.Once
 	fuzzEng  *Sharded
-	fuzzGrid Partitioner
 )
 
-func fuzzFixture(t testing.TB) (*Sharded, Partitioner) {
+func fuzzFixture(t testing.TB) *Sharded {
 	t.Helper()
 	fuzzOnce.Do(func() {
 		city, err := gen.GenerateCity(gen.CityConfig{
@@ -52,15 +51,11 @@ func fuzzFixture(t testing.TB) (*Sharded, Partitioner) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fuzzGrid, err = NewPartitioner(GridPartitioner, 3, inst.G)
-		if err != nil {
-			t.Fatal(err)
-		}
 	})
-	return fuzzEng, fuzzGrid
+	return fuzzEng
 }
 
-// FuzzShardRouter holds the routing core — partitioner, update routing,
+// FuzzShardRouter holds the routing core — the partition, update routing,
 // ownership reduce, scatter and gather — to a "reject or serve, never
 // panic" contract under adversarial site and trajectory ids, hostile k/τ
 // values, and arbitrary op interleavings. The input is consumed as a little
@@ -71,7 +66,7 @@ func FuzzShardRouter(f *testing.F) {
 	f.Add([]byte{5, 0x00, 0x00, 0x80, 0x7f, 6, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 12, 0, 0, 0, 0, 12, 0, 0, 0, 2, 12, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, grid := fuzzFixture(t)
+		s := fuzzFixture(t)
 		ctx := context.Background()
 		pos := 0
 		next := func() (uint32, bool) {
@@ -86,16 +81,14 @@ func FuzzShardRouter(f *testing.F) {
 			op := data[pos]
 			pos++
 			switch op % 7 {
-			case 0: // partitioner probes with a raw id
+			case 0: // partition probes with a raw id
 				raw, ok := next()
 				if !ok {
 					return
 				}
 				v := roadnet.NodeID(int32(raw))
-				for _, p := range []Partitioner{s.part, grid} {
-					if j := p.Shard(v); j < 0 || j >= p.Shards() {
-						t.Fatalf("partitioner %s mapped node %d to shard %d of %d", p.Name(), v, j, p.Shards())
-					}
+				if n := len(s.conns); Of(v, n) < 0 || Of(v, n) >= n {
+					t.Fatalf("node %d mapped to shard %d of %d", v, Of(v, n), n)
 				}
 			case 1: // add a site at a raw id (errors allowed, panics not)
 				raw, ok := next()

@@ -169,7 +169,7 @@ func TestWALGolden(t *testing.T) {
 
 	inst := newInst()
 	next := int64(inst.Trajs.Len())
-	s := shardedEngine(t, inst, 3, HashPartitioner)
+	s := shardedEngine(t, inst, 3)
 	var dirs []string
 	for j, m := range membersOf(s) {
 		dirs = append(dirs, t.TempDir())

@@ -14,20 +14,19 @@ import (
 
 // Member is one shard of a sharded topology: a full engine.Engine (WAL,
 // snapshots, followers, promotion all unchanged) restricted to the sites
-// its partitioner routes here. It is the in-process Conn: Sharded runs
-// directly over N of these, and the serving layer exposes the same five
-// calls under /v1/shard/ and /v1/update when Options.Member is set, for
+// Of routes here. It is the in-process Conn: Sharded runs directly over N
+// of these, and the serving layer exposes the same four calls under
+// /v1/shard/ and /v1/update when Options.Member is set, for
 // internal/router's Conn to reach across processes. The read calls hold no
 // per-query state, so a follower member serves them too.
 //
 // Site mutations are validated against ownership (admit): a node another
 // shard owns is rejected, because applying it here would diverge this
-// member's partition from the topology the routing core derives from the
-// partitioner.
+// member's partition from the topology the routing core derives from Of.
 type Member struct {
 	*engine.Engine
-	part  Partitioner
-	index int
+	shards int
+	index  int
 
 	// initialSites is the full global site order at build time (nil on a
 	// member recovered from a checkpoint, which no longer knows it); the
@@ -35,28 +34,23 @@ type Member struct {
 	initialSites []roadnet.NodeID
 }
 
-// NewMember wraps an engine as shard index of shards under the named
-// partitioner. initialSites, when known, is the full global site order
-// the topology was built from (reported in Meta for the routing core's
-// dense-id mirror).
-func NewMember(eng *engine.Engine, shards, index int, partitioner string, initialSites []roadnet.NodeID) (*Member, error) {
+// NewMember wraps an engine as shard index of shards. initialSites, when
+// known, is the full global site order the topology was built from
+// (reported in Meta for the routing core's dense-id mirror).
+func NewMember(eng *engine.Engine, shards, index int, initialSites []roadnet.NodeID) (*Member, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("shard: member needs an engine")
 	}
 	if index < 0 || index >= shards {
 		return nil, fmt.Errorf("shard: member index %d outside [0, %d)", index, shards)
 	}
-	part, err := NewPartitioner(partitioner, shards, eng.Graph())
-	if err != nil {
-		return nil, err
-	}
-	return newMember(eng, part, index, initialSites), nil
+	return newMember(eng, shards, index, initialSites), nil
 }
 
-func newMember(eng *engine.Engine, part Partitioner, index int, initialSites []roadnet.NodeID) *Member {
+func newMember(eng *engine.Engine, shards, index int, initialSites []roadnet.NodeID) *Member {
 	m := &Member{
 		Engine:       eng,
-		part:         part,
+		shards:       shards,
 		index:        index,
 		initialSites: initialSites,
 	}
@@ -76,10 +70,6 @@ func BuildMember(inst *tops.Instance, index int, opts Options) (*Member, error) 
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d must be >= 1", opts.Shards)
 	}
-	part, err := NewPartitioner(opts.Partitioner, opts.Shards, inst.G)
-	if err != nil {
-		return nil, err
-	}
 	if index < 0 || index >= opts.Shards {
 		return nil, fmt.Errorf("shard: member index %d outside [0, %d)", index, opts.Shards)
 	}
@@ -88,11 +78,11 @@ func BuildMember(inst *tops.Instance, index int, opts Options) (*Member, error) 
 	}
 	// The shard's instance: the shared graph, its own clone of the
 	// trajectory store (so dynamic additions assign identical ids on every
-	// shard), and the sites the partitioner routes here, in their original
-	// relative order.
+	// shard), and the sites Of routes here, in their original relative
+	// order.
 	shardInst := &tops.Instance{G: inst.G, Trajs: inst.Trajs.Clone()}
 	for _, v := range inst.Sites {
-		if part.Shard(v) == index {
+		if Of(v, opts.Shards) == index {
 			shardInst.Sites = append(shardInst.Sites, v)
 		}
 	}
@@ -108,7 +98,7 @@ func BuildMember(inst *tops.Instance, index int, opts Options) (*Member, error) 
 	if err != nil {
 		return nil, fmt.Errorf("shard: member %d engine: %w", index, err)
 	}
-	return newMember(eng, part, index, append([]roadnet.NodeID(nil), inst.Sites...)), nil
+	return newMember(eng, opts.Shards, index, append([]roadnet.NodeID(nil), inst.Sites...)), nil
 }
 
 // ShardIndex returns which shard of the topology this member is.
@@ -118,9 +108,9 @@ func (m *Member) ShardIndex() int { return m.index }
 func (m *Member) Meta(context.Context) (MemberMeta, error) {
 	idx := m.Engine.Index()
 	return MemberMeta{
-		Shards:       m.part.Shards(),
+		Shards:       m.shards,
 		Index:        m.index,
-		Partitioner:  m.part.Name(),
+		Partitioner:  PartitionRule,
 		Ladder:       ladderOf(idx),
 		Sites:        append([]roadnet.NodeID{}, idx.TopsInstance().Sites...),
 		InitialSites: m.initialSites,
@@ -144,13 +134,6 @@ func (m *Member) Reps(_ context.Context, p int) ([]core.RepInfo, error) {
 		return nil, err
 	}
 	return m.RepInfos(p), nil
-}
-
-// Owner reports the shard the partitioner routes node v to — the routing
-// oracle for partitioners the core cannot evaluate without the graph
-// (grid).
-func (m *Member) Owner(_ context.Context, v roadnet.NodeID) (int, error) {
-	return m.part.Shard(v), nil
 }
 
 // Update applies one mutation through the engine's write path (admission,
@@ -178,7 +161,7 @@ func (m *Member) admit(mut wal.Mutation) error {
 		return nil
 	}
 	for _, v := range mut.Sites() {
-		if j := m.part.Shard(v); j != m.index {
+		if j := Of(v, m.shards); j != m.index {
 			return fmt.Errorf("shard: node %d belongs to shard %d, not this member (%d)", v, j, m.index)
 		}
 	}

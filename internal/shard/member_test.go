@@ -25,7 +25,7 @@ func buildMembers(t testing.TB, seed int64, n int) []*Member {
 	ms := make([]*Member, n)
 	for j := range ms {
 		inst, _ := buildFixture(t, seed)
-		m, err := BuildMember(inst, j, Options{Shards: n, Partitioner: HashPartitioner, Build: fixtureBuild})
+		m, err := BuildMember(inst, j, Options{Shards: n, Build: fixtureBuild})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestMembersMatchShardedAndEngine(t *testing.T) {
 		refInst, _ := buildFixture(t, seed)
 		shInst, _ := buildFixture(t, seed)
 		ref := singleEngine(t, refInst)
-		sharded := shardedEngine(t, shInst, n, HashPartitioner)
+		sharded := shardedEngine(t, shInst, n)
 		set := newMemberSet(buildMembers(t, seed, n))
 		ctx := context.Background()
 
@@ -214,12 +214,12 @@ func TestMemberCoverRejectsBadRequests(t *testing.T) {
 func TestMemberMetaAndConstruction(t *testing.T) {
 	inst, _ := buildFixture(t, 617)
 	want := append([]roadnet.NodeID(nil), inst.Sites...)
-	m, err := BuildMember(inst, 1, Options{Shards: 2, Partitioner: GridPartitioner, Build: fixtureBuild})
+	m, err := BuildMember(inst, 1, Options{Shards: 2, Build: fixtureBuild})
 	if err != nil {
 		t.Fatal(err)
 	}
 	meta := metaOf(m)
-	if meta.Shards != 2 || meta.Index != 1 || m.ShardIndex() != 1 || meta.Partitioner != GridPartitioner {
+	if meta.Shards != 2 || meta.Index != 1 || m.ShardIndex() != 1 || meta.Partitioner != PartitionRule {
 		t.Fatalf("meta topology: %+v", meta)
 	}
 	if meta.Ladder != ladderOf(m.Index()) || meta.TauMin != fixtureBuild.TauMin || meta.Rungs == 0 {
@@ -230,7 +230,7 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 	}
 	for _, v := range meta.Sites {
 		if routedTo(m, v) != 1 {
-			t.Fatalf("member 1 lists site %d, which its partitioner routes to shard %d", v, routedTo(m, v))
+			t.Fatalf("member 1 lists site %d, which Of routes to shard %d", v, routedTo(m, v))
 		}
 	}
 	if len(meta.Sites) == 0 || len(meta.Sites) >= len(want) {
@@ -238,7 +238,7 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 	}
 
 	// A member recovered from a checkpoint no longer knows the global order.
-	rec, err := NewMember(m.Engine, 2, 1, GridPartitioner, nil)
+	rec, err := NewMember(m.Engine, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,20 +246,16 @@ func TestMemberMetaAndConstruction(t *testing.T) {
 		t.Fatalf("recovered member reports initial sites: %s", raw)
 	}
 
-	if _, err := NewMember(nil, 2, 0, HashPartitioner, nil); err == nil {
+	if _, err := NewMember(nil, 2, 0, nil); err == nil {
 		t.Error("NewMember accepted a nil engine")
 	}
-	if _, err := NewMember(m.Engine, 2, 2, HashPartitioner, nil); err == nil {
+	if _, err := NewMember(m.Engine, 2, 2, nil); err == nil {
 		t.Error("NewMember accepted index 2 of 2")
-	}
-	if _, err := NewMember(m.Engine, 2, 0, "nope", nil); err == nil {
-		t.Error("NewMember accepted an unknown partitioner")
 	}
 	for name, build := range map[string]func() (*Member, error){
 		"nil instance": func() (*Member, error) { return BuildMember(nil, 0, Options{Shards: 2}) },
 		"zero shards":  func() (*Member, error) { return BuildMember(inst, 0, Options{}) },
 		"index range":  func() (*Member, error) { return BuildMember(inst, 2, Options{Shards: 2}) },
-		"partitioner":  func() (*Member, error) { return BuildMember(inst, 0, Options{Shards: 2, Partitioner: "nope"}) },
 		"inverted taus": func() (*Member, error) {
 			return BuildMember(inst, 0, Options{Shards: 2, Build: core.Options{TauMin: 2, TauMax: 1}})
 		},

@@ -11,9 +11,8 @@ import (
 )
 
 // Metamorphic properties of the sharded answer: it is an invariant of the
-// decomposition. Shard count, partitioner, and the order of the greedy's
-// parts are all implementation detail; any visible difference is a merge
-// bug.
+// decomposition. Shard count and the order of the greedy's parts are
+// implementation detail; any visible difference is a merge bug.
 
 // queryGrid is a fixed probe battery spanning ladder instances and
 // preference families.
@@ -36,7 +35,7 @@ func TestShardCountInvariance(t *testing.T) {
 	engines := make([]*Sharded, len(counts))
 	for i, n := range counts {
 		inst, _ := buildFixture(t, 401)
-		engines[i] = shardedEngine(t, inst, n, HashPartitioner)
+		engines[i] = shardedEngine(t, inst, n)
 	}
 	ctx := context.Background()
 	for _, q := range queryGrid() {
@@ -54,30 +53,11 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-func TestPartitionerInvariance(t *testing.T) {
-	hashInst, _ := buildFixture(t, 409)
-	gridInst, _ := buildFixture(t, 409)
-	h := shardedEngine(t, hashInst, 4, HashPartitioner)
-	g := shardedEngine(t, gridInst, 4, GridPartitioner)
-	ctx := context.Background()
-	for _, q := range queryGrid() {
-		a, err := h.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := g.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswer(t, "partitioner invariance", a, b)
-	}
-}
-
 func TestPartOrderInvariance(t *testing.T) {
 	// The greedy's reduce over the parts' winners is a strict total order,
 	// so permuting the parts must not change any answer.
 	inst, _ := buildFixture(t, 419)
-	s := shardedEngine(t, inst, 4, HashPartitioner)
+	s := shardedEngine(t, inst, 4)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	var a answerScratch
@@ -125,7 +105,7 @@ func TestPartOrderInvariance(t *testing.T) {
 func TestShardedDisableCoverCache(t *testing.T) {
 	cachedInst, _ := buildFixture(t, 439)
 	uncachedInst, _ := buildFixture(t, 439)
-	cached := shardedEngine(t, cachedInst, 3, HashPartitioner)
+	cached := shardedEngine(t, cachedInst, 3)
 	uncached, err := Build(uncachedInst, Options{
 		Shards: 3, Build: fixtureBuild,
 		Engine: engine.Options{DisableCoverCache: true},

@@ -77,23 +77,16 @@ func TestShardedDifferentialOracle(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		for _, cfg := range []struct {
-			shards      int
-			partitioner string
-		}{
-			{2, HashPartitioner},
-			{4, HashPartitioner},
-			{3, GridPartitioner},
-		} {
-			if testing.Short() && cfg.shards == 3 {
+		for _, shards := range []int{2, 4, 3} {
+			if testing.Short() && shards == 3 {
 				continue
 			}
 			refInst, city := buildFixture(t, seed)
 			shInst, _ := buildFixture(t, seed)
 			ref := singleEngine(t, refInst)
-			s := shardedEngine(t, shInst, cfg.shards, cfg.partitioner)
+			s := shardedEngine(t, shInst, shards)
 
-			rng := rand.New(rand.NewSource(seed*29 + int64(cfg.shards)))
+			rng := rand.New(rand.NewSource(seed*29 + int64(shards)))
 			extras := extraTrajectories(t, city, 24, seed+901)
 
 			rounds, draws := 3, 5
@@ -204,7 +197,7 @@ func TestShardedExoticModes(t *testing.T) {
 	refInst, _ := buildFixture(t, 353)
 	shInst, _ := buildFixture(t, 353)
 	ref := singleEngine(t, refInst)
-	s := shardedEngine(t, shInst, 3, HashPartitioner)
+	s := shardedEngine(t, shInst, 3)
 	ctx := context.Background()
 
 	for _, q := range []core.QueryOptions{

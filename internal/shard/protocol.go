@@ -59,7 +59,8 @@ type CoverRequest struct {
 // a shard process — topology parameters it must verify agree across
 // members, the ladder parameters that make instance selection local
 // (core.InstanceForTau), and the site lists that seed the router's global
-// dense-id mirror.
+// dense-id mirror. Partitioner is always PartitionRule; it stays on the
+// wire so a member or router of another rule is refused, not trusted.
 type MemberMeta struct {
 	Shards      int    `json:"shards"`
 	Index       int    `json:"index"`

@@ -18,8 +18,8 @@ import (
 func TestShardedEndToEndRace(t *testing.T) {
 	inst, city := buildFixture(t, 503)
 	mirrorInst, _ := buildFixture(t, 503)
-	s := shardedEngine(t, inst, 4, HashPartitioner)
-	mirror := shardedEngine(t, mirrorInst, 4, HashPartitioner)
+	s := shardedEngine(t, inst, 4)
+	mirror := shardedEngine(t, mirrorInst, 4)
 
 	taus := []float64{0.4, 0.8, 1.2, 1.6}
 	done := make(chan struct{})

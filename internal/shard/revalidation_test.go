@@ -188,7 +188,7 @@ func shardedSubject(s *Sharded) revalSubject {
 			}
 			return out
 		},
-		shardOf: s.part.Shard,
+		shardOf: func(v roadnet.NodeID) int { return Of(v, len(ms)) },
 		owner: func(p int, ci core.ClusterID) int {
 			for _, w := range own(p).Winners {
 				if w.Cluster == ci {

@@ -19,11 +19,8 @@ import (
 
 // Options configures the members of a sharded topology.
 type Options struct {
-	// Shards is the number of shards N (>= 1).
+	// Shards is the number of shards N (>= 1); Of partitions the sites.
 	Shards int
-	// Partitioner selects the site partitioner by name: "hash" (default)
-	// or "grid".
-	Partitioner string
 	// Build configures every per-shard index build. TauMin/TauMax are
 	// derived from the full site set when zero, so all shards share one
 	// ladder (and match a single-shard build of the same dataset).
@@ -34,14 +31,12 @@ type Options struct {
 
 // Conn is one shard member as the routing core sees it. *Member is the
 // in-process implementation; internal/router implements it over a member
-// process's /v1/shard/meta|reps|owner|cover and /v1/update endpoints.
+// process's /v1/shard/meta|reps|cover and /v1/update endpoints.
 type Conn interface {
 	// Meta reports the member's topology parameters and site lists.
 	Meta(ctx context.Context) (MemberMeta, error)
 	// Reps lists ladder instance p's cluster representatives.
 	Reps(ctx context.Context, p int) ([]core.RepInfo, error)
-	// Owner reports the shard the partitioner routes node v to.
-	Owner(ctx context.Context, v roadnet.NodeID) (int, error)
 	// Cover answers a CoverRequest with a finalized, immutable cover and
 	// the clusters its rows stand for.
 	Cover(ctx context.Context, req *CoverRequest) (*tops.CoverSets, []core.ClusterID, error)
@@ -78,12 +73,8 @@ var ErrDiverged = errors.New("topology diverged")
 // a single engine's sequential semantics (mutations sent to a member
 // directly bypass it).
 type Sharded struct {
-	conns    []Conn
-	ladder   Ladder
-	partName string
-	// part evaluates the partitioner locally when it is graph-free (hash);
-	// nil sends owner lookups to member 0 (grid needs the graph).
-	part Partitioner
+	conns  []Conn
+	ladder Ladder
 
 	mu sync.RWMutex
 	// sites is the global dense site-id mirror, so SiteIDs match the
@@ -106,7 +97,7 @@ type rung struct {
 }
 
 // New adopts conns as shards 0..N-1 of one topology: every member must
-// report this shard count, its own position, one partitioner and one
+// report this shard count, its own position, the partition rule and one
 // ladder (a mixed topology would silently answer wrong), and the dense-id
 // mirror is seeded from their site lists.
 func New(ctx context.Context, conns []Conn) (*Sharded, error) {
@@ -121,14 +112,11 @@ func New(ctx context.Context, conns []Conn) (*Sharded, error) {
 		}
 		metas[j] = m
 	}
-	s := &Sharded{conns: conns, ladder: metas[0].Ladder, partName: metas[0].Partitioner}
+	s := &Sharded{conns: conns, ladder: metas[0].Ladder}
 	for j, m := range metas {
 		if err := s.CheckMember(j, m); err != nil {
 			return nil, err
 		}
-	}
-	if s.partName == HashPartitioner {
-		s.part, _ = NewPartitioner(s.partName, len(conns), nil)
 	}
 	s.rungs = make([]atomic.Pointer[rung], s.ladder.Rungs)
 	s.sites, s.siteWarn = mirrorOf(metas)
@@ -156,8 +144,8 @@ func (s *Sharded) CheckMember(j int, m MemberMeta) error {
 	switch {
 	case m.Shards != len(s.conns) || m.Index != j:
 		return fmt.Errorf("shard: position %d of a %d-shard topology points at shard %d of %d", j, len(s.conns), m.Index, m.Shards)
-	case m.Partitioner != s.partName:
-		return fmt.Errorf("shard: shard %d partitioner %q differs from shard 0's %q", j, m.Partitioner, s.partName)
+	case m.Partitioner != PartitionRule:
+		return fmt.Errorf("shard: shard %d partitions sites by %q, not %q", j, m.Partitioner, PartitionRule)
 	case m.Ladder != s.ladder:
 		return fmt.Errorf("shard: shard %d ladder (%v) differs from shard 0's (%v)", j, m.Ladder, s.ladder)
 	}
@@ -303,9 +291,8 @@ func (s *Sharded) Query(ctx context.Context, opts core.QueryOptions) (*core.Quer
 	return Answer(ctx, p, own, covers, s.sites, opts)
 }
 
-// Update applies one mutation: a site op on the member owning its node
-// (the partitioner evaluated locally when graph-free, else asked of member
-// 0), then the dense-id mirror follows and the ownership cache drops; a
+// Update applies one mutation: a site op on the member Of routes its node
+// to, then the dense-id mirror follows and the ownership cache drops; a
 // trajectory op on every member, member 0 first — it judges the request
 // before any other commits. A member's failure comes back as a
 // *ShardError; a failure past member 0 of a trajectory op wraps
@@ -336,10 +323,7 @@ func (s *Sharded) Update(ctx context.Context, u wal.Update) (wal.UpdateAck, erro
 		return first, nil
 	}
 	v := roadnet.NodeID(u.Node)
-	j, err := s.owner(ctx, v)
-	if err != nil {
-		return wal.UpdateAck{}, err
-	}
+	j := Of(v, len(s.conns))
 	ack, err := s.conns[j].Update(ctx, u)
 	if err != nil {
 		return wal.UpdateAck{}, &ShardError{Shard: j, Err: err}
@@ -367,21 +351,6 @@ func trajID(a wal.UpdateAck) int64 {
 	return int64(*a.TrajectoryID)
 }
 
-// owner resolves the shard owning node v.
-func (s *Sharded) owner(ctx context.Context, v roadnet.NodeID) (int, error) {
-	if s.part != nil {
-		return s.part.Shard(v), nil
-	}
-	j, err := s.conns[0].Owner(ctx, v)
-	if err != nil {
-		return 0, &ShardError{Shard: 0, Err: err}
-	}
-	if j < 0 || j >= len(s.conns) {
-		return 0, fmt.Errorf("shard: member 0 reports shard %d for node %d, outside [0, %d)", j, v, len(s.conns))
-	}
-	return j, nil
-}
-
 // AddSite registers a new candidate site (an add_site Update).
 func (s *Sharded) AddSite(v roadnet.NodeID) error {
 	_, err := s.Update(context.Background(), wal.Update{Op: wal.KindAddSite.String(), Node: int64(v)})
@@ -396,8 +365,7 @@ func (s *Sharded) DeleteSite(v roadnet.NodeID) error {
 
 // Status is the core's part of a router's /statsz.
 type Status struct {
-	Shards      int    `json:"shards"`
-	Partitioner string `json:"partitioner"`
+	Shards int `json:"shards"`
 	// Sites is the live site count of the dense-id mirror; SiteIDWarning
 	// says why the mirror could not be seeded exactly, when it could not.
 	Sites         int    `json:"sites"`
@@ -411,7 +379,7 @@ type Status struct {
 func (s *Sharded) Status() Status {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := Status{Shards: len(s.conns), Partitioner: s.partName, Sites: len(s.sites.Sites()), SiteIDWarning: s.siteWarn, OwnershipInstances: []int{}}
+	st := Status{Shards: len(s.conns), Sites: len(s.sites.Sites()), SiteIDWarning: s.siteWarn, OwnershipInstances: []int{}}
 	for p := range s.rungs {
 		if c := s.rungs[p].Load(); c != nil && c.own != nil {
 			st.OwnershipInstances = append(st.OwnershipInstances, p)

@@ -64,8 +64,8 @@ func TestLadderAgreementAndDerivation(t *testing.T) {
 	a := Ladder{TauMin: 0.4, TauMax: 6.4, Gamma: 0.75, Rungs: 11}
 	b := a
 	b.Rungs = 10
-	meta := func(j int, l Ladder, part string) MemberMeta {
-		return MemberMeta{Shards: 3, Index: j, Partitioner: part, Ladder: l}
+	meta := func(j int, l Ladder) MemberMeta {
+		return MemberMeta{Shards: 3, Index: j, Partitioner: PartitionRule, Ladder: l}
 	}
 	topology := func(ms ...MemberMeta) (*Sharded, error) {
 		conns := make([]Conn, len(ms))
@@ -74,24 +74,31 @@ func TestLadderAgreementAndDerivation(t *testing.T) {
 		}
 		return New(context.Background(), conns)
 	}
-	s, err := topology(meta(0, a, HashPartitioner), meta(1, a, HashPartitioner), meta(2, a, HashPartitioner))
+	s, err := topology(meta(0, a), meta(1, a), meta(2, a))
 	if err != nil {
 		t.Fatalf("agreeing members rejected: %v", err)
 	}
-	_, err = topology(meta(0, a, HashPartitioner), meta(1, a, HashPartitioner), meta(2, b, HashPartitioner))
+	_, err = topology(meta(0, a), meta(1, a), meta(2, b))
 	if err == nil || !strings.Contains(err.Error(), "shard 2") || !strings.Contains(err.Error(), "rungs=10") {
 		t.Fatalf("disagreeing ladder reported as %v, want shard 2 and its rungs named", err)
 	}
+	// Members that agree on another partition rule (a build that still had
+	// the grid partitioner) are refused too: the core routes by Of alone.
+	grid := func(j int) MemberMeta { m := meta(j, a); m.Partitioner = "grid"; return m }
+	_, err = topology(grid(0), grid(1), grid(2))
+	if err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), `"grid"`) {
+		t.Fatalf("a grid topology reported as %v, want shard 0 and its rule named", err)
+	}
 	// The same check guards a re-point: only shard 1 of this very topology
 	// may stand in for shard 1.
-	if err := s.CheckMember(1, meta(1, a, HashPartitioner)); err != nil {
+	if err := s.CheckMember(1, meta(1, a)); err != nil {
 		t.Fatalf("shard 1's twin refused: %v", err)
 	}
 	for name, m := range map[string]MemberMeta{
-		"another position":    meta(2, a, HashPartitioner),
-		"another shard count": {Shards: 2, Index: 1, Partitioner: HashPartitioner, Ladder: a},
-		"another partitioner": meta(1, a, GridPartitioner),
-		"another ladder":      meta(1, b, HashPartitioner),
+		"another position":    meta(2, a),
+		"another shard count": {Shards: 2, Index: 1, Partitioner: PartitionRule, Ladder: a},
+		"another partitioner": grid(1),
+		"another ladder":      meta(1, b),
 	} {
 		if err := s.CheckMember(1, m); err == nil {
 			t.Errorf("%s accepted as shard 1", name)

@@ -165,14 +165,15 @@ func NewEngine(idx *Index, opts EngineOptions) (*Engine, error) {
 // their masked covers over HTTP and runs the distributed greedy on them —
 // answers are bit-exact against a single-process engine over the same
 // dataset.
-// Site updates route to the owning member; trajectory updates broadcast.
+// Site updates route to the member owning the node by id hash
+// (ShardPartitionRule); trajectory updates broadcast.
 type (
-	// ShardedOptions configures a member's topology: shard count,
-	// partitioner, and the build/engine options.
+	// ShardedOptions configures a member's topology: shard count and the
+	// build/engine options.
 	ShardedOptions = shard.Options
 	// ShardMember is one process-local shard: an Engine plus the member
-	// surface a router reads (meta, representatives, owner, masked
-	// covers), served under /v1/shard/ by setting ServeOptions.Member.
+	// surface a router reads (meta, representatives, masked covers),
+	// served under /v1/shard/ by setting ServeOptions.Member.
 	ShardMember = shard.Member
 	// Router is the scatter-gather front tier over N shard members; it
 	// implements http.Handler.
@@ -181,13 +182,9 @@ type (
 	RouterOptions = router.Options
 )
 
-// Partitioner names for ShardedOptions.Partitioner.
-const (
-	// ShardByHash partitions sites uniformly by node-id hash (default).
-	ShardByHash = shard.HashPartitioner
-	// ShardByGrid partitions sites spatially over the graph's bounding box.
-	ShardByGrid = shard.GridPartitioner
-)
+// ShardPartitionRule names the one site partition (FNV-1a of the node id,
+// mod the shard count) in member metadata and topsserve's -cache key.
+const ShardPartitionRule = shard.PartitionRule
 
 // BuildShardMember builds shard index of an opts.Shards-wide topology
 // from the full dataset (the ladder derives from the full site set, so
@@ -201,8 +198,8 @@ func BuildShardMember(inst *Instance, index int, opts ShardedOptions) (*ShardMem
 // topology was built from while the state is still that build's (the
 // router seeds its dense ids from it); nil once it is not known, and the
 // router seeds dense ids per shard.
-func NewShardMember(eng *Engine, shards, index int, partitioner string, initialSites []NodeID) (*ShardMember, error) {
-	return shard.NewMember(eng, shards, index, partitioner, initialSites)
+func NewShardMember(eng *Engine, shards, index int, initialSites []NodeID) (*ShardMember, error) {
+	return shard.NewMember(eng, shards, index, initialSites)
 }
 
 // NewRouter connects to every shard member, validates the topology, and
