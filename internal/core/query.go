@@ -174,18 +174,13 @@ func (idx *Index) QueryCtx(ctx context.Context, opts QueryOptions) (*QueryResult
 	return idx.QueryOnCoverCtx(ctx, p, cs, repClusters, opts)
 }
 
-// QueryOnCover runs the greedy phase of a query over an already-built
-// covering structure of instance p. It is the second half of Query, exposed
-// so that callers managing cover reuse themselves (internal/engine's batch
+// QueryOnCoverCtx runs the greedy phase of a query over an already-built
+// covering structure of instance p: the second half of Query, exposed so
+// that callers managing cover reuse themselves (internal/engine's batch
 // path, benchmarks) can time and share the two phases independently. cs is
-// not mutated.
-func (idx *Index) QueryOnCover(p int, cs *tops.CoverSets, repClusters []ClusterID, opts QueryOptions) (*QueryResult, error) {
-	return idx.QueryOnCoverCtx(context.Background(), p, cs, repClusters, opts)
-}
-
-// QueryOnCoverCtx is QueryOnCover with a pre-greedy cancellation
-// checkpoint. The greedy itself runs to completion once started — it is the
-// cheap phase and produces no partial answers.
+// not mutated. The context is checked once, before the greedy; the greedy
+// itself runs to completion once started — it is the cheap phase and
+// produces no partial answers.
 func (idx *Index) QueryOnCoverCtx(ctx context.Context, p int, cs *tops.CoverSets, repClusters []ClusterID, opts QueryOptions) (*QueryResult, error) {
 	return idx.queryOnCover(ctx, p, cs, repClusters, opts, nil)
 }

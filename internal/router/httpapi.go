@@ -1,145 +1,39 @@
 package router
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
-	"netclus/internal/obs"
 	"netclus/internal/server"
 	"netclus/internal/shard"
 	"netclus/internal/wal"
 )
 
-// Error codes mirror the serving tier's envelope (server.Code* where the
-// tiers share a case) so clients see one vocabulary regardless of tier;
-// the last three are router-specific.
-const (
-	codeBadRequest = "bad_request"
-	// codeShardUnavailable: a shard had no reachable member within the
-	// attempt budget; retryable after failover/promotion.
-	codeShardUnavailable = "shard_unavailable"
-	// codeNotImplemented: the endpoint exists in the single-process
-	// topologies but not behind the router.
-	codeNotImplemented = "not_implemented"
-	// codeTopologyDiverged: a broadcast mutation applied on some shards
-	// and failed on another — the topology needs repair (replay from the
-	// failed shard's WAL position) before it is trustworthy.
-	codeTopologyDiverged = "topology_diverged"
-)
-
-type errorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-	// TraceID echoes the request's trace id (client-supplied or minted at
-	// the router edge) so a failed call joins with router and member logs.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-// traceWriter carries the request's trace id to writeError.
-type traceWriter struct {
-	http.ResponseWriter
-	trace string
-}
-
-func (w *traceWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	resp := errorResponse{Error: err.Error(), Code: code}
-	if tw, ok := w.(*traceWriter); ok {
-		resp.TraceID = tw.trace
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// strictUnmarshal matches the serving tier's decode discipline: exactly
-// one JSON value, unknown fields rejected.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON body")
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after JSON body")
-	}
-	return nil
-}
-
-// routes mounts the router's HTTP surface.
+// routes mounts the router's HTTP surface, every route through the
+// serving tier's edge (server.Edge), so both tiers mint trace ids, gate
+// methods, cap bodies and answer errors alike. The router keeps no route
+// blocks: its /statsz and /metrics report its own counters.
 func (r *Router) routes() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", r.methodGate(http.MethodPost, r.handleQuery))
-	mux.HandleFunc("/v1/query/batch", r.methodGate(http.MethodPost, r.handleBatch))
-	mux.HandleFunc("/v1/update", r.methodGate(http.MethodPost, r.handleUpdate))
-	mux.HandleFunc("/v1/ingest", r.methodGate(http.MethodPost, r.handleIngest))
-	mux.HandleFunc("/v1/topology", r.handleTopology)
-	mux.HandleFunc("/healthz", r.methodGate(http.MethodGet, r.handleHealth))
-	mux.HandleFunc("/statsz", r.methodGate(http.MethodGet, r.handleStats))
-	mux.HandleFunc("/metrics", r.methodGate(http.MethodGet, r.handleMetrics))
+	handle := func(path, method string, h http.HandlerFunc) {
+		mux.HandleFunc(path, server.Edge(nil, method, server.DefaultMaxBodyBytes, h))
+	}
+	handle("/v1/query", http.MethodPost, r.handleQuery)
+	handle("/v1/query/batch", http.MethodPost, r.handleBatch)
+	handle("/v1/update", http.MethodPost, r.handleUpdate)
+	handle("/v1/ingest", http.MethodPost, r.handleIngest)
+	handle("/v1/topology", "", r.handleTopology)
+	handle("/healthz", http.MethodGet, r.handleHealth)
+	handle("/statsz", http.MethodGet, r.handleStats)
+	handle("/metrics", http.MethodGet, r.handleMetrics)
 	r.mux = mux
 }
 
-// ServeHTTP makes the Router an http.Handler. Every request enters with a
-// trace id — the client's when well-formed, a fresh one otherwise — echoed
-// on the response, stamped into error envelopes, and forwarded on every
-// member call the request fans out to.
-func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	trace := req.Header.Get(obs.TraceHeader)
-	if !obs.ValidTraceID(trace) {
-		trace = obs.NewTraceID()
-	}
-	tw := &traceWriter{ResponseWriter: w, trace: trace}
-	tw.Header().Set(obs.TraceHeader, trace)
-	req = req.WithContext(obs.WithTrace(req.Context(), trace))
-	req.Body = http.MaxBytesReader(tw, req.Body, server.DefaultMaxBodyBytes)
-	r.mux.ServeHTTP(tw, req)
-}
-
-func (r *Router) methodGate(method string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, fmt.Errorf("%s requires %s", req.URL.Path, method))
-			return
-		}
-		h(w, req)
-	}
-}
-
-// readBody reads a request body, which ServeHTTP capped at the serving
-// tier's default: an overrun is 413 too_large, as a member answers it.
-func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	raw, err := io.ReadAll(req.Body)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, codeBadRequest, err)
-		}
-		return nil, false
-	}
-	return raw, true
-}
+// ServeHTTP makes the Router an http.Handler.
+func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.ServeHTTP(w, req) }
 
 // requestCtx bounds one request end-to-end: the client's decoded timeout
 // when given, else one minute (each member call is separately bounded by
@@ -154,7 +48,8 @@ func requestCtx(req *http.Request, timeout time.Duration) (context.Context, cont
 // failure maps a query or update failure to the wire: a trajectory update
 // that committed on part of the topology is 502 topology_diverged; a query
 // out of attempts is 503; a member's own verdict is re-emitted with its
-// status and code; any other member failure is 503.
+// status and code; any other member failure is 503; the request context's
+// lapse and everything else map as at a member (server.QueryStatus).
 func (r *Router) failure(w http.ResponseWriter, err error) {
 	r.errs.Add(1)
 	var ua *unavailable
@@ -162,32 +57,32 @@ func (r *Router) failure(w http.ResponseWriter, err error) {
 	var he *httpError
 	switch {
 	case errors.Is(err, shard.ErrDiverged):
-		writeError(w, http.StatusBadGateway, codeTopologyDiverged, err)
+		server.WriteError(w, http.StatusBadGateway, server.CodeTopologyDiverged, err)
 	case errors.As(err, &ua):
-		writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, err)
+		server.WriteError(w, http.StatusServiceUnavailable, server.CodeShardUnavailable, err)
 	case errors.As(err, &he):
 		code := he.code
 		if code == "" {
-			code = codeBadRequest
+			code = server.CodeBadRequest
 		}
-		writeError(w, he.status, code, errors.New(he.msg))
+		server.WriteError(w, he.status, code, errors.New(he.msg))
 	case errors.As(err, &se):
-		writeError(w, http.StatusServiceUnavailable, codeShardUnavailable, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "timeout", err)
+		server.WriteError(w, http.StatusServiceUnavailable, server.CodeShardUnavailable, err)
 	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		status, code := server.QueryStatus(err)
+		server.WriteError(w, status, code, err)
 	}
 }
 
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	raw, ok := readBody(w, req)
+	body, ok := server.ReadBody(w, req)
 	if !ok {
 		return
 	}
-	q, err := server.DecodeQuery(raw, server.Limits{})
+	q, err := server.DecodeQuery(body.Bytes(), server.Limits{})
+	server.PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)
 		return
 	}
 	ctx, cancel := requestCtx(req, q.Timeout)
@@ -198,7 +93,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		r.failure(w, err)
 		return
 	}
-	writeJSON(w, res)
+	server.WriteJSON(w, res)
 }
 
 // handleBatch answers each query in order: a routed query holds the read
@@ -206,13 +101,14 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 // queries gains nothing. One bad item degrades only its own slot, as in the
 // serving tier.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	raw, ok := readBody(w, req)
+	body, ok := server.ReadBody(w, req)
 	if !ok {
 		return
 	}
-	qs, itemErrs, timeout, err := server.DecodeBatch(raw, server.Limits{})
+	qs, itemErrs, timeout, err := server.DecodeBatch(body.Bytes(), server.Limits{})
+	server.PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)
 		return
 	}
 	ctx, cancel := requestCtx(req, timeout)
@@ -231,7 +127,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		}
 		out.Results[i].Result = &res
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, out)
 }
 
 // handleIngest: the router deliberately does not serve live GPS
@@ -245,7 +141,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 // router, run the matcher client-side (netclus.Matcher) and POST the
 // matched walks as add_trajectory updates, which the router broadcasts.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	writeError(w, http.StatusNotImplemented, codeNotImplemented,
+	server.WriteError(w, http.StatusNotImplemented, server.CodeNotImplemented,
 		fmt.Errorf("the router tier does not map-match: stream raw traces to a single-process topsserve /v1/ingest, or match client-side and broadcast add_trajectory updates via /v1/update"))
 }
 
@@ -256,13 +152,14 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 // against in-flight queries, so a router-routed history has the in-process
 // engine's sequential semantics.
 func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	raw, ok := readBody(w, req)
+	body, ok := server.ReadBody(w, req)
 	if !ok {
 		return
 	}
-	u, err := wal.DecodeUpdate(raw)
+	u, err := wal.DecodeUpdate(body.Bytes())
+	server.PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)
 		return
 	}
 	ctx, cancel := requestCtx(req, 0)
@@ -273,7 +170,7 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		r.failure(w, err)
 		return
 	}
-	writeJSON(w, ack)
+	server.WriteJSON(w, ack)
 }
 
 // topologyRequest is POST /v1/topology: make primary shard j's active
@@ -286,36 +183,38 @@ type topologyRequest struct {
 func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodGet:
-		writeJSON(w, struct {
+		server.WriteJSON(w, struct {
 			Shards []topologyShard `json:"shards"`
 		}{Shards: r.topology()})
 	case http.MethodPost:
-		raw, ok := readBody(w, req)
+		body, ok := server.ReadBody(w, req)
 		if !ok {
 			return
 		}
 		var t topologyRequest
-		if err := strictUnmarshal(raw, &t); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		err := server.StrictUnmarshal(body.Bytes(), &t)
+		server.PutBuf(body)
+		if err != nil {
+			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)
 			return
 		}
 		if err := r.Repoint(t.Shard, t.Primary); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, err)
+			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)
 			return
 		}
-		writeJSON(w, struct {
+		server.WriteJSON(w, struct {
 			OK      bool   `json:"ok"`
 			Shard   int    `json:"shard"`
 			Primary string `json:"primary"`
 		}{OK: true, Shard: t.Shard, Primary: t.Primary})
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, fmt.Errorf("/v1/topology requires GET or POST"))
+		server.WriteError(w, http.StatusMethodNotAllowed, server.CodeMethodNotAllowed, fmt.Errorf("/v1/topology requires GET or POST"))
 	}
 }
 
 func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, struct {
+	server.WriteJSON(w, struct {
 		Status        string  `json:"status"`
 		Shards        int     `json:"shards"`
 		UptimeSeconds float64 `json:"uptime_seconds"`
@@ -323,7 +222,7 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, struct {
+	server.WriteJSON(w, struct {
 		shard.Status
 		UptimeSeconds float64         `json:"uptime_seconds"`
 		Queries       uint64          `json:"queries"`

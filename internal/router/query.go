@@ -29,7 +29,7 @@ func retryable(err error) bool {
 }
 
 // unavailable marks a query whose member failures were worth retrying
-// until its attempt budget or its deadline ran out.
+// until its attempt budget ran out.
 type unavailable struct{ error }
 
 func (u *unavailable) Unwrap() error { return u.error }
@@ -58,7 +58,9 @@ func (t *timings) add(j int, d time.Duration) {
 
 // query runs the attempt loop over the core: a retryable member failure
 // advances that shard's cursor (a follower serves the read-only cover
-// endpoint) and restarts the query from scratch.
+// endpoint) and restarts the query from scratch. Once the request context
+// is done, the failure is its error — the client's own deadline, not the
+// shard's — and no cursor moves.
 func (r *Router) query(ctx context.Context, q server.Query) (server.QueryResponse, error) {
 	t0 := time.Now()
 	tm := new(timings)
@@ -77,10 +79,11 @@ func (r *Router) query(ctx context.Context, q server.Query) (server.QueryRespons
 		if !errors.As(err, &se) || !retryable(se.Err) {
 			break
 		}
-		err = &unavailable{err}
 		if ctx.Err() != nil {
+			err = ctx.Err()
 			break
 		}
+		err = &unavailable{err}
 		r.failover(se.Shard, se.Err)
 	}
 	if err != nil {

@@ -9,10 +9,12 @@
 // identical to a single-process engine over the same dataset (the
 // cross-process differential oracle enforces it). /v1/query,
 // /v1/query/batch and /v1/update bodies decode, and answers encode, through
-// the serving tier's own codec, so both tiers accept and answer the same
-// bytes. What lives here is everything a network adds: the HTTP handlers,
-// the shard map, timeouts, failover and retry, /statsz, /metrics and the
-// slow-query record.
+// the serving tier's own codec, and every route is mounted through its
+// request edge (server.Edge: trace id, method gate, body cap, error
+// envelope), so both tiers accept, refuse and answer the same bytes. What
+// lives here is everything a network adds: the HTTP handlers, the shard
+// map, timeouts, failover and retry, /statsz, /metrics and the slow-query
+// record.
 //
 // The router owns the shard map: per shard an ordered list of member URLs
 // (primary first, then followers) with an active cursor. The cover endpoint
@@ -45,6 +47,7 @@ import (
 
 	"netclus/internal/core"
 	"netclus/internal/obs"
+	"netclus/internal/server"
 	"netclus/internal/shard"
 	"netclus/internal/tops"
 	"netclus/internal/wal"
@@ -338,7 +341,7 @@ func (r *Router) do(ctx context.Context, method, u string, in any) ([]byte, erro
 		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		var env errorResponse
+		var env server.ErrorResponse
 		_ = json.Unmarshal(raw, &env)
 		if env.Error == "" {
 			env.Error = string(raw)

@@ -11,10 +11,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"netclus/internal/core"
 	"netclus/internal/engine"
 	"netclus/internal/gen"
+	"netclus/internal/obs"
 	"netclus/internal/roadnet"
 	"netclus/internal/server"
 	"netclus/internal/shard"
@@ -467,7 +469,7 @@ func TestRouterValidation(t *testing.T) {
 		}
 		status, body := postJSON(t, frs.Client(), frs.URL+"/v1/query", `{"k":3,"tau":1.0}`)
 		want, wantBody := postJSON(t, frs.Client(), few[0]+"/v1/query", `{"k":3,"tau":1.0}`)
-		var got, ref errorResponse
+		var got, ref server.ErrorResponse
 		_ = json.Unmarshal(body, &got)
 		_ = json.Unmarshal(wantBody, &ref)
 		if status != http.StatusBadRequest || status != want || got.Code != ref.Code {
@@ -709,7 +711,7 @@ func TestInProcessCoreMatchesRouter(t *testing.T) {
 				}
 				if refErr != nil {
 					// The member's own verdict, re-emitted: 409 conflict.
-					var env errorResponse
+					var env server.ErrorResponse
 					if err := json.Unmarshal(body, &env); status != http.StatusConflict || err != nil || env.Code != "conflict" {
 						t.Fatalf("round %d %s: router answered %d %s, want the member's 409 conflict", round, raw, status, body)
 					}
@@ -791,8 +793,23 @@ func TestRouterErrorsMatchMember(t *testing.T) {
 			t.Fatalf("%s %s: %v", method, base+path, err)
 		}
 		defer resp.Body.Close()
-		var env errorResponse
+		var env server.ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&env)
+		// Both tiers' edge: a 405 names the method its route takes (each
+		// 405 row sends the other one), and the envelope's trace id is the
+		// one on the response header.
+		if resp.StatusCode == http.StatusMethodNotAllowed {
+			want := http.MethodPost
+			if method == http.MethodPost {
+				want = http.MethodGet
+			}
+			if got := resp.Header.Get("Allow"); got != want {
+				t.Errorf("%s %s: Allow %q, want %q", method, base+path, got, want)
+			}
+		}
+		if tr := resp.Header.Get(obs.TraceHeader); env.TraceID != tr || tr == "" {
+			t.Errorf("%s %s: envelope trace_id %q, header %q", method, base+path, env.TraceID, tr)
+		}
 		return resp.StatusCode, env.Code
 	}
 	for _, tc := range []struct {
@@ -806,9 +823,21 @@ func TestRouterErrorsMatchMember(t *testing.T) {
 		{http.MethodPost, "/v1/query", big, http.StatusRequestEntityTooLarge, server.CodeTooLarge},
 		{http.MethodPost, "/v1/query/batch", big, http.StatusRequestEntityTooLarge, server.CodeTooLarge},
 		{http.MethodPost, "/v1/update", big, http.StatusRequestEntityTooLarge, server.CodeTooLarge},
+		{http.MethodPost, "/v1/query", `{"k":3,`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/query/batch", `{"queries":[`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/update", `{"op":`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/query", `{"k":3,"tau":1.0,"bogus":1}`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/query/batch", `{"queries":[{"k":3,"tau":1.0}],"bogus":1}`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/update", `{"op":"add_site","node":1,"bogus":1}`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/query", `{"k":3,"tau":1.0} {}`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/query/batch", `{"queries":[{"k":3,"tau":1.0}]} x`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/v1/update", `{"op":"add_site","node":1} {}`, http.StatusBadRequest, server.CodeBadRequest},
+		{http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed, server.CodeMethodNotAllowed},
+		{http.MethodPost, "/statsz", "", http.StatusMethodNotAllowed, server.CodeMethodNotAllowed},
+		{http.MethodPost, "/metrics", "", http.StatusMethodNotAllowed, server.CodeMethodNotAllowed},
 	} {
 		label := tc.method + " " + tc.path
-		if len(tc.body) > 0 {
+		if len(tc.body) > 1<<20 {
 			label += " (2 MiB)"
 		}
 		mStatus, mCode := send(urls[0], tc.method, tc.path, tc.body)
@@ -818,6 +847,84 @@ func TestRouterErrorsMatchMember(t *testing.T) {
 		}
 		if rStatus != mStatus || rCode != mCode {
 			t.Errorf("%s: router answered %d %q, member %d %q", label, rStatus, rCode, mStatus, mCode)
+		}
+	}
+}
+
+// TestRouterDeadlineIsTimeout sends a query whose own timeout_ms lapses
+// while the router waits on its members' covers. The router answers what a
+// member answers to the same lapse — 504 timeout, with no Retry-After — and
+// neither retries, fails over nor marks a shard failed: the client's
+// deadline says nothing about the shards. The router once answered it 503
+// shard_unavailable.
+func TestRouterDeadlineIsTimeout(t *testing.T) {
+	const seed, n = 1401, 2
+	shards := make([][]string, n)
+	for j := range shards {
+		inst, _ := buildFixture(t, seed)
+		m, err := shard.BuildMember(inst, j, shard.Options{Shards: n, Build: fixtureBuild})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(m, server.Options{Member: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/v1/shard/cover" {
+				time.Sleep(300 * time.Millisecond)
+			}
+			srv.ServeHTTP(w, req)
+		}))
+		t.Cleanup(ts.Close)
+		shards[j] = []string{ts.URL}
+	}
+	r, err := New(Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(r)
+	defer rts.Close()
+
+	type counters struct {
+		Retries   uint64          `json:"retries"`
+		Failovers uint64          `json:"failovers"`
+		Topology  []topologyShard `json:"topology"`
+	}
+	statsz := func() counters {
+		t.Helper()
+		resp, err := rts.Client().Get(rts.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var c counters
+		if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	before := statsz()
+	resp, err := rts.Client().Post(rts.URL+"/v1/query", "application/json", strings.NewReader(`{"k":3,"tau":1.0,"timeout_ms":50}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env server.ErrorResponse
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusGatewayTimeout || env.Code != server.CodeTimeout {
+		t.Fatalf("lapsed query: %d %+v (%v), want 504 %s", resp.StatusCode, env, err, server.CodeTimeout)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Errorf("504 carries Retry-After %q", ra)
+	}
+	after := statsz()
+	if after.Retries != before.Retries || after.Failovers != before.Failovers {
+		t.Errorf("retries %d → %d, failovers %d → %d", before.Retries, after.Retries, before.Failovers, after.Failovers)
+	}
+	for j := range after.Topology {
+		if after.Topology[j].LastError != before.Topology[j].LastError {
+			t.Errorf("shard %d last_error %q → %q", j, before.Topology[j].LastError, after.Topology[j].LastError)
 		}
 	}
 }

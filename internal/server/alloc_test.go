@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"netclus/internal/engine"
 )
 
 // Decode-side allocation gates: the request decoders run on every HTTP
@@ -58,4 +63,37 @@ func TestDecodeBatchAllocConstant(t *testing.T) {
 	if avg > maxAllocs {
 		t.Fatalf("DecodeBatch allocates %.1f objects per call for 8 items, want <= %d", avg, maxAllocs)
 	}
+}
+
+// TestServeQueryAllocs gates the request edge on the serve_hot path: a
+// cached /v1/query through Server.ServeHTTP — trace id, method gate, body
+// cap, route block, decode, engine, encode — allocates at most 42 objects,
+// the recorder's and the request's own included.
+func TestServeQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	eng, err := engine.New(benchFixture(t), engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(eng, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"k":5,"tau":0.8,"timeout_ms":60000}`)
+	serve := func() {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	serve() // fills the cover
+	avg := testing.AllocsPerRun(200, serve)
+	const maxAllocs = 42
+	if avg > maxAllocs {
+		t.Fatalf("a cached /v1/query allocates %.1f objects, want <= %d", avg, maxAllocs)
+	}
+	t.Logf("%.1f allocs per cached /v1/query", avg)
 }

@@ -33,7 +33,7 @@ var (
 
 // benchFixture is larger than the test fixture so one cover sweep is
 // substantial next to the codec.
-func benchFixture(b *testing.B) *core.Index {
+func benchFixture(b testing.TB) *core.Index {
 	b.Helper()
 	benchOnce.Do(func() {
 		city, err := gen.GenerateCity(gen.CityConfig{

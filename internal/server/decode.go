@@ -82,12 +82,12 @@ type batchRequest struct {
 	TimeoutMs int64          `json:"timeout_ms,omitempty"`
 }
 
-// strictUnmarshal decodes exactly one JSON value into v, rejecting unknown
+// StrictUnmarshal decodes exactly one JSON value into v, rejecting unknown
 // fields and trailing garbage. encoding/json already rejects NaN/Inf
 // literals (they are not JSON) and out-of-range numbers like 1e999; the
 // validators behind this still guard the finite-range invariants so no
 // parser quirk can smuggle a non-finite float into the engine.
-func strictUnmarshal(data []byte, v any) error {
+func StrictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -170,7 +170,7 @@ func (q queryRequest) toQuery(lim Limits) (Query, error) {
 func DecodeQuery(data []byte, lim Limits) (Query, error) {
 	lim = lim.withDefaults()
 	var q queryRequest
-	if err := strictUnmarshal(data, &q); err != nil {
+	if err := StrictUnmarshal(data, &q); err != nil {
 		return Query{}, err
 	}
 	return q.toQuery(lim)
@@ -184,7 +184,7 @@ func DecodeQuery(data []byte, lim Limits) (Query, error) {
 func DecodeBatch(data []byte, lim Limits) (qs []Query, itemErrs []error, timeout time.Duration, err error) {
 	lim = lim.withDefaults()
 	var b batchRequest
-	if err := strictUnmarshal(data, &b); err != nil {
+	if err := StrictUnmarshal(data, &b); err != nil {
 		return nil, nil, 0, err
 	}
 	if len(b.Queries) == 0 {

@@ -25,11 +25,11 @@ import (
 // stream ends early.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.readOnly.Load() {
-		writeError(w, http.StatusForbidden, CodeReadOnly, errors.New("read-only replica: stream traces to the primary (or promote this replica)"))
+		WriteError(w, http.StatusForbidden, CodeReadOnly, errors.New("read-only replica: stream traces to the primary (or promote this replica)"))
 		return
 	}
 	if own := s.engineEpoch(); s.fencedBy.Load() > own {
-		writeError(w, http.StatusConflict, CodeFenced, fmt.Errorf("primary fenced: a peer opened epoch %d past ours (%d); this deposed node rejects writes", s.fencedBy.Load(), own))
+		WriteError(w, http.StatusConflict, CodeFenced, fmt.Errorf("primary fenced: a peer opened epoch %d past ours (%d); this deposed node rejects writes", s.fencedBy.Load(), own))
 		return
 	}
 
@@ -53,7 +53,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// body at the first response flush ("invalid Read on closed Body"
 	// mid-feed); HTTP/2 is always full-duplex and returns nil here.
 	if err := rc.EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
-		writeError(w, http.StatusInternalServerError, CodeInternal,
+		WriteError(w, http.StatusInternalServerError, CodeInternal,
 			fmt.Errorf("streaming ingest needs a full-duplex connection: %w", err))
 		return
 	}
@@ -84,12 +84,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	status, code := classifyIngestErr(err)
 	if !emitted {
-		writeError(w, status, code, err)
+		WriteError(w, status, code, err)
 		return
 	}
 	// Headers are on the wire: report the abort as a trailing error
 	// envelope (distinguishable from verdicts by the missing "line").
-	_ = enc.Encode(errorResponse{Error: err.Error(), Code: code})
+	_ = enc.Encode(ErrorResponse{Error: err.Error(), Code: code})
 	_ = rc.Flush()
 }
 

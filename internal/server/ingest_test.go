@@ -156,7 +156,7 @@ func TestIngestReadOnlyAndMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e errorResponse
+	var e ErrorResponse
 	json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden || e.Code != CodeReadOnly {

@@ -26,10 +26,10 @@ type MemberEngine interface {
 func (s *Server) handleShardMeta(w http.ResponseWriter, r *http.Request) {
 	meta, err := s.opts.Member.Meta(r.Context())
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	writeJSON(w, meta)
+	WriteJSON(w, meta)
 }
 
 // repsResponse is GET /v1/shard/reps?p=.
@@ -41,29 +41,29 @@ type repsResponse struct {
 func (s *Server) handleShardReps(w http.ResponseWriter, r *http.Request) {
 	p, err := strconv.Atoi(r.URL.Query().Get("p"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("p must be a ladder instance index"))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("p must be a ladder instance index"))
 		return
 	}
 	reps, err := s.opts.Member.Reps(r.Context(), p)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	writeJSON(w, repsResponse{P: p, Reps: reps})
+	WriteJSON(w, repsResponse{P: p, Reps: reps})
 }
 
 // handleShardCover serves POST /v1/shard/cover: the member's masked cover
 // for one routed query, in shard's binary cover layout.
 func (s *Server) handleShardCover(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
 	var req shard.CoverRequest
-	err := strictUnmarshal(body.Bytes(), &req)
-	putBuf(body)
+	err := StrictUnmarshal(body.Bytes(), &req)
+	PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r, 0)
@@ -75,13 +75,13 @@ func (s *Server) handleShardCover(w http.ResponseWriter, r *http.Request) {
 		"trace_id", obs.TraceID(ctx), "p", req.P, "mask", len(req.Mask), "shard", s.opts.Member.ShardIndex())
 	cs, reps, err := s.opts.Member.Cover(ctx, &req)
 	if err != nil {
-		status, code := queryStatus(err)
-		writeError(w, status, code, err)
+		status, code := QueryStatus(err)
+		WriteError(w, status, code, err)
 		return
 	}
 	buf := getBuf()
 	buf.Write(shard.AppendCover(buf.AvailableBuffer(), cs, reps))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(buf.Bytes())
-	putBuf(buf)
+	PutBuf(buf)
 }

@@ -54,7 +54,7 @@ func TestShardCoverRejectsBadRequests(t *testing.T) {
 		{"unknown field", fmt.Sprintf(`{"p":1,"pref":{"name":"binary","tau":0.8},"mask":[%d],"qid":"x"}`, c0)},
 	} {
 		status, body := cover(tc.body)
-		var env errorResponse
+		var env ErrorResponse
 		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadRequest || env.Code != CodeBadRequest {
 			t.Fatalf("%s: status %d body %s, want 400 %s", tc.label, status, body, CodeBadRequest)
 		}
@@ -120,7 +120,7 @@ func TestMemberRejectsMisroutedSiteKinds(t *testing.T) {
 		if status == http.StatusOK {
 			return nil
 		}
-		var env errorResponse
+		var env ErrorResponse
 		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusConflict || env.Code != CodeConflict {
 			t.Fatalf("%s %d: status %d body %s, want 409 %s", op, v, status, body, CodeConflict)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // Stable machine-readable error codes: the "code" field of every error
-// envelope (see errorResponse). Clients branch on these, never on the
+// envelope (see ErrorResponse). Clients branch on these, never on the
 // human-readable message. API.md documents where each one appears.
 const (
 	CodeBadRequest       = "bad_request"
@@ -29,6 +29,14 @@ const (
 	CodeTailStalled      = "tail_stalled"
 	CodeLogFailed        = "log_failed"
 	CodeInternal         = "internal"
+	// The router tier's own cases: a shard with no reachable member within
+	// the attempt budget (retryable once a follower is promoted or the shard
+	// re-pointed), an endpoint only a single-process topology serves, and a
+	// broadcast mutation applied on some shards and failed on another (the
+	// topology needs repair from the failed shard's WAL position).
+	CodeShardUnavailable = "shard_unavailable"
+	CodeNotImplemented   = "not_implemented"
+	CodeTopologyDiverged = "topology_diverged"
 )
 
 // retryAfterSeconds is the Retry-After hint attached to every 503: the
@@ -233,7 +241,7 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 			resp.CommittedLSN = st.LSN
 		}
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // promoteResponse acknowledges POST /v1/promote.
@@ -253,14 +261,14 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
 	if !s.readOnly.Load() {
-		writeError(w, http.StatusConflict, CodeConflict, errors.New("already primary"))
+		WriteError(w, http.StatusConflict, CodeConflict, errors.New("already primary"))
 		return
 	}
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
 	epoch, err := s.opts.Promote(ctx)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("promotion failed: %w", err))
+		WriteError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("promotion failed: %w", err))
 		return
 	}
 	s.readOnly.Store(false)
@@ -268,7 +276,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Log != nil {
 		resp.LSN = s.opts.Log.HeadLSN()
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // followRequest is POST /v1/follow: re-point this follower at a new
@@ -290,25 +298,25 @@ type followResponse struct {
 // still in the follower role re-points; a promoted primary answers 409.
 func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 	if !s.readOnly.Load() {
-		writeError(w, http.StatusConflict, CodeConflict, errors.New("not a follower: this node is the primary"))
+		WriteError(w, http.StatusConflict, CodeConflict, errors.New("not a follower: this node is the primary"))
 		return
 	}
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
 	var req followRequest
-	err := strictUnmarshal(body.Bytes(), &req)
-	putBuf(body)
+	err := StrictUnmarshal(body.Bytes(), &req)
+	PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	if err := s.opts.Retarget(req.Primary); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	writeJSON(w, followResponse{OK: true, Primary: req.Primary})
+	WriteJSON(w, followResponse{OK: true, Primary: req.Primary})
 }
 
 // noteFencing latches the highest epoch any peer has presented on the

@@ -54,7 +54,7 @@ func newReplServer(t *testing.T, seed int64, mutate func(*Options)) (*httptest.S
 
 // doReq issues one request and returns status, decoded error envelope (zero
 // when the body is not one), and the raw response.
-func doReq(t *testing.T, client *http.Client, method, url, body string) (int, errorResponse, *http.Response) {
+func doReq(t *testing.T, client *http.Client, method, url, body string) (int, ErrorResponse, *http.Response) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
@@ -69,7 +69,7 @@ func doReq(t *testing.T, client *http.Client, method, url, body string) (int, er
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env errorResponse
+	var env ErrorResponse
 	_ = json.Unmarshal(data, &env)
 	return resp.StatusCode, env, resp
 }
@@ -448,7 +448,7 @@ func TestPromoteAndFencing(t *testing.T) {
 	}
 	// A second promote answers conflict: this node is already primary.
 	status, body = postJSON(t, fts.Client(), fts.URL+"/v1/promote", "")
-	var env errorResponse
+	var env ErrorResponse
 	_ = json.Unmarshal(body, &env)
 	if status != http.StatusConflict || env.Code != CodeConflict {
 		t.Fatalf("double promote: %d %q", status, env.Code)

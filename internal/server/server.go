@@ -242,7 +242,7 @@ func New(eng Engine, opts Options) (*Server, error) {
 	s.readOnly.Store(opts.ReadOnly)
 	mux := http.NewServeMux()
 	handle := func(path, method string, h http.HandlerFunc) {
-		mux.HandleFunc(path, s.instrument(s.track(path), method, h))
+		mux.HandleFunc(path, Edge(s.track(path), method, opts.Limits.MaxBodyBytes, h))
 	}
 	handle("/v1/query", http.MethodPost, s.handleQuery)
 	handle("/v1/query/batch", http.MethodPost, s.handleBatch)
@@ -251,7 +251,7 @@ func New(eng Engine, opts Options) (*Server, error) {
 		s.ing = ingest.New(eng.Graph(), *opts.Ingest)
 		// Streams get their own (much larger) body cap: the pipeline
 		// consumes the NDJSON incrementally, never buffering it whole.
-		mux.HandleFunc("/v1/ingest", s.instrumentBody(s.track("/v1/ingest"), http.MethodPost, opts.Limits.MaxIngestBytes, s.handleIngest))
+		mux.HandleFunc("/v1/ingest", Edge(s.track("/v1/ingest"), http.MethodPost, opts.Limits.MaxIngestBytes, s.handleIngest))
 	}
 	handle("/v1/checkpoint", http.MethodPost, s.handleCheckpoint)
 	if opts.Log != nil {
@@ -267,9 +267,9 @@ func New(eng Engine, opts Options) (*Server, error) {
 	if opts.Member != nil {
 		// The member surface shares one block.
 		m := s.track("/v1/shard/")
-		mux.HandleFunc("/v1/shard/meta", s.instrument(m, http.MethodGet, s.handleShardMeta))
-		mux.HandleFunc("/v1/shard/reps", s.instrument(m, http.MethodGet, s.handleShardReps))
-		mux.HandleFunc("/v1/shard/cover", s.instrument(m, http.MethodPost, s.handleShardCover))
+		mux.HandleFunc("/v1/shard/meta", Edge(m, http.MethodGet, opts.Limits.MaxBodyBytes, s.handleShardMeta))
+		mux.HandleFunc("/v1/shard/reps", Edge(m, http.MethodGet, opts.Limits.MaxBodyBytes, s.handleShardReps))
+		mux.HandleFunc("/v1/shard/cover", Edge(m, http.MethodPost, opts.Limits.MaxBodyBytes, s.handleShardCover))
 	}
 	handle("/healthz", http.MethodGet, s.handleHealth)
 	handle("/statsz", http.MethodGet, s.handleStats)
@@ -322,7 +322,7 @@ func (s *Server) drainSignal() <-chan struct{} {
 func (s *Server) Close() {}
 
 // statusWriter captures the response code for metrics and carries the
-// request's trace id so writeError can stamp it into error envelopes.
+// request's trace id so WriteError can stamp it into error envelopes.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -338,26 +338,25 @@ func (w *statusWriter) WriteHeader(code int) {
 // Flush — the ingest stream flushes verdicts as they are produced.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// instrument wraps a handler with method filtering, body limiting and the
-// endpoint's metrics block.
-func (s *Server) instrument(m *routeMetrics, method string, h http.HandlerFunc) http.HandlerFunc {
-	return s.instrumentBody(m, method, s.opts.Limits.MaxBodyBytes, h)
-}
-
-// instrumentBody is instrument with an explicit body cap, for routes
-// (the ingest stream) whose bodies legitimately exceed MaxBodyBytes.
-func (s *Server) instrumentBody(m *routeMetrics, method string, maxBody int64, h http.HandlerFunc) http.HandlerFunc {
+// Edge wraps h in the request edge every route of both tiers is mounted
+// through (this package's Server, and internal/router over the shards). It
+// accepts the client's trace id when well-formed (router, upstream
+// service) and mints one otherwise; the id is echoed on the response,
+// stamped into error envelopes, carried down the request context to
+// shard/follower calls, and keyed on by the slow-query logs. It then gates
+// the method — 405 method_not_allowed with an Allow header; an empty method
+// leaves the gate to h — caps the body at maxBody, and, when m is non-nil,
+// observes the answer in that route's metrics block.
+func Edge(m *routeMetrics, method string, maxBody int64, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		// Deferred so a handler that aborts the connection (snapshot
-		// stream failure panics with http.ErrAbortHandler) is still
-		// counted; the panic continues unwinding afterwards.
-		defer func() { m.observe(sw.status, time.Since(t0)) }()
-		// Trace id: accept the client's (router, upstream service) when it
-		// is well-formed, mint one otherwise. It is echoed on the response,
-		// stamped into error envelopes, carried down the request context to
-		// shard/follower calls, and keyed on by the slow-query log.
+		if m != nil {
+			// Deferred so a handler that aborts the connection (snapshot
+			// stream failure panics with http.ErrAbortHandler) is still
+			// counted; the panic continues unwinding afterwards.
+			t0 := time.Now()
+			defer func() { m.observe(sw.status, time.Since(t0)) }()
+		}
 		trace := r.Header.Get(obs.TraceHeader)
 		if !obs.ValidTraceID(trace) {
 			trace = obs.NewTraceID()
@@ -365,8 +364,9 @@ func (s *Server) instrumentBody(m *routeMetrics, method string, maxBody int64, h
 		sw.trace = trace
 		sw.Header().Set(obs.TraceHeader, trace)
 		r = r.WithContext(obs.WithTrace(r.Context(), trace))
-		if r.Method != method {
-			writeError(sw, http.StatusMethodNotAllowed, CodeMethodNotAllowed, fmt.Errorf("%s requires %s", r.URL.Path, method))
+		if method != "" && r.Method != method {
+			sw.Header().Set("Allow", method)
+			WriteError(sw, http.StatusMethodNotAllowed, CodeMethodNotAllowed, fmt.Errorf("%s requires %s", r.URL.Path, method))
 			return
 		}
 		r.Body = http.MaxBytesReader(sw, r.Body, maxBody)
@@ -374,11 +374,11 @@ func (s *Server) instrumentBody(m *routeMetrics, method string, maxBody int64, h
 	}
 }
 
-// errorResponse is the uniform error body. Error is the human-readable
+// ErrorResponse is the uniform error body. Error is the human-readable
 // message (kept for backward compatibility); Code is the stable
 // machine-readable class clients should branch on (see the Code*
 // constants and API.md).
-type errorResponse struct {
+type ErrorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
 	// TraceID echoes the request's trace id (client-supplied or minted at
@@ -386,8 +386,10 @@ type errorResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	resp := errorResponse{Error: err.Error(), Code: code}
+// WriteError answers the uniform envelope, stamped with the request's trace
+// id when w came through Edge; every 503 carries Retry-After.
+func WriteError(w http.ResponseWriter, status int, code string, err error) {
+	resp := ErrorResponse{Error: err.Error(), Code: code}
 	if sw, ok := w.(*statusWriter); ok {
 		resp.TraceID = sw.trace
 	}
@@ -406,23 +408,26 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
 
-func putBuf(b *bytes.Buffer) {
+// PutBuf returns a buffer (ReadBody's, once its bytes are decoded) to the
+// pool.
+func PutBuf(b *bytes.Buffer) {
 	b.Reset()
 	bufPool.Put(b)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers v as JSON, encoded through a pooled buffer.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	buf := getBuf()
 	if err := json.NewEncoder(buf).Encode(v); err == nil {
 		_, _ = w.Write(buf.Bytes())
 	}
-	putBuf(buf)
+	PutBuf(buf)
 }
 
-// queryStatus maps an engine-side query failure to an HTTP status and
-// error code.
-func queryStatus(err error) (int, string) {
+// QueryStatus maps a query failure — the engine's, or the request
+// context's lapse at either tier — to an HTTP status and error code.
+func QueryStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, CodeTimeout
@@ -477,19 +482,19 @@ func (s *Server) requestCtx(r *http.Request, timeout time.Duration) (context.Con
 	return context.WithTimeout(r.Context(), timeout)
 }
 
-// readBody drains the request body into a pooled buffer. The caller owns
-// the buffer on success and must putBuf it when done with the bytes.
-func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+// ReadBody drains the request body into a pooled buffer. The caller owns
+// the buffer on success and must PutBuf it when done with the bytes.
+func ReadBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
 	buf := getBuf()
 	if _, err := io.Copy(buf, r.Body); err != nil {
-		putBuf(buf)
+		PutBuf(buf)
 		// Only genuine MaxBytesReader overruns are 413; a client that
 		// resets mid-upload is a plain bad request.
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err)
+			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err)
 		} else {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		}
 		return nil, false
 	}
@@ -497,14 +502,14 @@ func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
 	q, err := DecodeQuery(body.Bytes(), s.opts.Limits)
-	putBuf(body)
+	PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	opts := q.Opts
@@ -513,8 +518,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	res, err := s.eng.Query(ctx, opts)
 	if err != nil {
-		status, code := queryStatus(err)
-		writeError(w, status, code, err)
+		status, code := QueryStatus(err)
+		WriteError(w, status, code, err)
 		return
 	}
 	elapsed := time.Since(t0)
@@ -534,7 +539,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"elapsed_ms", float64(elapsed.Nanoseconds())/1e6,
 		)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // BatchResponse is the wire form of /v1/query/batch, at both tiers:
@@ -550,14 +555,14 @@ type BatchItemResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
 	qs, itemErrs, timeout, err := DecodeBatch(body.Bytes(), s.opts.Limits)
-	putBuf(body)
+	PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	// Only structurally valid items reach the engine; invalid ones keep
@@ -591,26 +596,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		it.Result.Release()
 		out.Results[i].Result = &qr
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.readOnly.Load() {
-		writeError(w, http.StatusForbidden, CodeReadOnly, errors.New("read-only replica: send updates to the primary (or promote this replica)"))
+		WriteError(w, http.StatusForbidden, CodeReadOnly, errors.New("read-only replica: send updates to the primary (or promote this replica)"))
 		return
 	}
 	if own := s.engineEpoch(); s.fencedBy.Load() > own {
-		writeError(w, http.StatusConflict, CodeFenced, fmt.Errorf("primary fenced: a peer opened epoch %d past ours (%d); this deposed node rejects writes", s.fencedBy.Load(), own))
+		WriteError(w, http.StatusConflict, CodeFenced, fmt.Errorf("primary fenced: a peer opened epoch %d past ours (%d); this deposed node rejects writes", s.fencedBy.Load(), own))
 		return
 	}
-	body, ok := readBody(w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
 	u, err := wal.DecodeUpdate(body.Bytes())
-	putBuf(body)
+	PutBuf(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	// Pricing a posted node sequence into a trajectory can fail on the live
@@ -629,9 +634,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// conflict (node already a site, id already deleted, node outside
 		// graph): the client's fault.
 		if errors.Is(err, wal.ErrLogFailed) {
-			writeError(w, http.StatusInternalServerError, CodeLogFailed, err)
+			WriteError(w, http.StatusInternalServerError, CodeLogFailed, err)
 		} else {
-			writeError(w, http.StatusConflict, CodeConflict, err)
+			WriteError(w, http.StatusConflict, CodeConflict, err)
 		}
 		return
 	}
@@ -641,10 +646,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// still applied (and logged) locally — the envelope says so and the
 	// client retries its read of the replicas, not the write.
 	if resp.Quorum, err = s.awaitQuorum(r.Context(), resp.LSN); err != nil {
-		writeError(w, http.StatusServiceUnavailable, CodeQuorumTimeout, err)
+		WriteError(w, http.StatusServiceUnavailable, CodeQuorumTimeout, err)
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleCheckpoint streams the recovery bundle — the mutated dataset plus
@@ -687,14 +692,14 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
 	if err != nil || from == 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("from must be a positive LSN"))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("from must be a positive LSN"))
 		return
 	}
 	maxN := 8192
 	if raw := q.Get("max"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 || v > 1<<16 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("max must be in 1..%d", 1<<16))
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("max must be in 1..%d", 1<<16))
 			return
 		}
 		maxN = v
@@ -703,7 +708,7 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("wait"); raw != "" {
 		wait, err = time.ParseDuration(raw)
 		if err != nil || wait < 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("wait must be a non-negative Go duration"))
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("wait must be a non-negative Go duration"))
 			return
 		}
 		if wait > s.opts.MaxLogWait {
@@ -762,9 +767,9 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Netclus-Epoch", strconv.FormatUint(s.engineEpoch(), 10))
 	if err != nil {
 		if errors.Is(err, wal.ErrCompacted) {
-			writeError(w, http.StatusGone, CodeLogCompacted, err)
+			WriteError(w, http.StatusGone, CodeLogCompacted, err)
 		} else {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, err)
 		}
 		return
 	}
@@ -864,7 +869,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(h)
 		return
 	}
-	writeJSON(w, h)
+	WriteJSON(w, h)
 }
 
 // statszResponse is the /statsz body: transport-level counters plus the
@@ -949,5 +954,5 @@ func (s *Server) Stats() statszResponse {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Stats())
+	WriteJSON(w, s.Stats())
 }
