@@ -1,14 +1,12 @@
 package ingest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"netclus/internal/geo"
 	"netclus/internal/trajectory"
+	"netclus/internal/wal"
 )
 
 // Wire format: one JSON object per NDJSON line.
@@ -52,7 +50,7 @@ func reject(id, code, format string, args ...any) decoded {
 // the accepted/rejected accounting unambiguous.
 func decodeLine(raw []byte, opts Options) decoded {
 	var wt wireTrace
-	if err := strictUnmarshal(raw, &wt); err != nil {
+	if err := wal.StrictUnmarshal(raw, &wt); err != nil {
 		return reject("", CodeBadJSON, "%v", err)
 	}
 	if len(wt.Points) == 0 {
@@ -101,21 +99,6 @@ func decodeLine(raw []byte, opts Options) decoded {
 		pts = append(pts, trajectory.GPSPoint{Pos: pos, Time: t})
 	}
 	return decoded{id: wt.ID, trace: trajectory.GPSTrace{Points: pts}, points: len(pts)}
-}
-
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON object")
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after JSON object")
-	}
-	return nil
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

@@ -24,16 +24,17 @@
 //     thinned points, the grid query buffer and the stitched walk;
 //   - the network distances a Viterbi layer needs come from one target
 //     search per previous candidate (roadnet.DijkstraScratch.DistancesTo):
-//     a Dijkstra over the scratch's dense arrays that writes one distance
-//     per next-layer candidate and stops once all of them are settled,
-//     rather than settling the whole corridor of radius
+//     a goal-directed search over the scratch's dense arrays that writes
+//     one distance per next-layer candidate and stops once all of them are
+//     settled, rather than settling the whole corridor of radius
 //     3·gpsDist + 4·CandidateRadiusKm into a map;
 //   - gap completion runs roadnet.DijkstraScratch.AStar on the same
 //     scratch.
 //
-// Both searches replay the heap order of the map-based code they replaced,
-// so every matched walk is node-for-node the one that code found; a frozen
-// copy of it is the package's differential oracle (TestMatchDifferential).
+// Both searches settle nodes in a different order from the map-based code
+// they replaced, but they find the same distances bit for bit, so every
+// matched walk is node-for-node the one that code found; a frozen copy of
+// it is the package's differential oracle (TestMatchDifferential).
 package mapmatch
 
 import (

@@ -3,13 +3,13 @@ package roadnet
 import "math"
 
 // AStar returns a shortest path src -> dst using the Euclidean straight-line
-// distance to dst as the heuristic. The heuristic is admissible whenever
-// every edge weight is at least the Euclidean distance between its endpoints
-// — which holds for all networks produced by internal/gen (edge weights are
-// Euclidean length times a curvature factor >= 1) — so the result is exact
-// on those graphs. On graphs violating the assumption the path remains
-// valid but may be suboptimal; callers that need exactness on arbitrary
-// weights should use ShortestPath.
+// distance to dst, scaled by min(1, the graph's slope), as the heuristic.
+// The slope is the least w(u,v)/|uv| over the graph's edges, taken a factor
+// (1 − 1e-9) lower when it is below 1, so the heuristic never overestimates
+// and the result is exact on any weights. On networks whose weights are at
+// least the Euclidean length of their edges — every network internal/gen
+// produces (Euclidean length times a curvature factor >= 1) — the factor is
+// exactly 1 and the heuristic is the plain straight-line distance.
 //
 // AStar is a convenience wrapper allocating fresh scratch, as
 // BoundedDijkstra is: loops that route many pairs over one graph (trajectory
@@ -36,9 +36,13 @@ func (s *DijkstraScratch) AStar(g *Graph, src, dst NodeID, path []NodeID) ([]Nod
 	s.grow(g.NumNodes())
 	s.reset()
 	target := g.Point(dst)
+	f := 1.0
+	if g.steep > 1 {
+		f = g.slope() // 0 with an edge at infinity: no heuristic
+	}
 	s.dist[src] = 0
 	s.touched = append(s.touched, src)
-	s.heap.push(pqItem{node: src, dist: g.Point(src).Dist(target)})
+	s.heap.push(pqItem{node: src, dist: 0})
 	for !s.heap.empty() {
 		v := s.heap.pop().node
 		if s.visited[v] {
@@ -59,7 +63,11 @@ func (s *DijkstraScratch) AStar(g *Graph, src, dst NodeID, path []NodeID) ([]Nod
 				}
 				s.dist[e.to] = ng
 				s.prev[e.to] = v
-				s.heap.push(pqItem{node: e.to, dist: ng + g.Point(e.to).Dist(target)})
+				key := ng
+				if f > 0 {
+					key += f * g.Point(e.to).Dist(target)
+				}
+				s.heap.push(pqItem{node: e.to, dist: key})
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"netclus/internal/geo"
@@ -98,5 +99,84 @@ func TestScratchAStarReuse(t *testing.T) {
 		}
 		buf = got
 		s.DistancesTo(g, dst, 3, []NodeID{src, dst, 0}, out)
+	}
+}
+
+// TestAStarExactOnAnyWeights routes over text networks that break the
+// plain straight-line heuristic. In the first the weights are far below
+// the straight-line length of their edges, as a loader may take them:
+// 0 → 1 is a direct 10 km street, and 0 → 2 → 1 detours 50 km out on two
+// 1 km links. The unscaled heuristic keys node 2 at 1 + 51 and settles 1
+// at 10 through the direct street; scaled by the graph's slope it finds
+// the 2 km path, as ShortestPath does. In the second, node 1 of the 2 km
+// path lies at infinity, so the graph has no slope and no heuristic.
+func TestAStarExactOnAnyWeights(t *testing.T) {
+	for _, text := range []string{`N 0 0 0
+N 1 10 0
+N 2 0 50
+N 3 13 4
+E 0 1 10
+E 0 2 1
+E 2 1 1
+B 1 3 5
+`, `N 0 0 0
+N 1 Inf 0
+N 2 1 0
+E 0 1 1
+E 1 2 1
+E 0 2 5
+`} {
+		g, err := ReadText(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScratch(g)
+		for src := NodeID(0); int(src) < g.NumNodes(); src++ {
+			for dst := NodeID(0); int(dst) < g.NumNodes(); dst++ {
+				_, want := ShortestPath(g, src, dst)
+				path, got := s.AStar(g, src, dst, nil)
+				if got != want {
+					t.Errorf("slope %v: AStar(%d,%d) = %v along %v, ShortestPath %v", g.slope(), src, dst, got, path, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSlopeTracksEdges pins the graph's slope bookkeeping: unset on the
+// zero-value graph and while every edge joins coincident nodes, the least
+// w/|uv| (less the slack) once one does not, copied by Clone, never raised
+// by SplitEdge, and 0 once an edge lies at infinity.
+func TestSlopeTracksEdges(t *testing.T) {
+	var g Graph
+	if a := g.slope(); a != 0 {
+		t.Fatalf("zero-value graph slope = %v, want 0", a)
+	}
+	a := g.AddNode(geo.Point{})
+	b := g.AddNode(geo.Point{})
+	c := g.AddNode(geo.Point{X: 3, Y: 4})
+	_ = g.AddBidirectional(a, b, 1)
+	if s := g.slope(); s != 0 {
+		t.Fatalf("slope with coincident ends only = %v, want 0", s)
+	}
+	_ = g.AddEdge(b, c, 10) // 2 per km
+	_ = g.AddEdge(c, a, 2.5)
+	want := 0.5 * (1 - slopeSlack)
+	if s := g.slope(); s != want {
+		t.Fatalf("slope = %v, want %v", s, want)
+	}
+	if s := g.Clone().slope(); s != want {
+		t.Fatalf("clone slope = %v, want %v", s, want)
+	}
+	if _, err := g.SplitEdge(b, c, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	if s := g.slope(); s > want {
+		t.Fatalf("slope after SplitEdge = %v, above %v", s, want)
+	}
+	far := g.AddNode(geo.Point{X: math.Inf(1)})
+	_ = g.AddEdge(c, far, 1)
+	if s := g.slope(); s != 0 {
+		t.Fatalf("slope with an edge to infinity = %v, want 0", s)
 	}
 }

@@ -3,6 +3,8 @@ package roadnet
 import (
 	"math"
 	"slices"
+
+	"netclus/internal/geo"
 )
 
 // Direction selects which adjacency a shortest-path search follows.
@@ -162,14 +164,37 @@ func (s *DijkstraScratch) Bounded(g *Graph, src NodeID, dir Direction, radius fl
 	return res
 }
 
-// DistancesTo runs a forward Dijkstra from src bounded by radius, as
-// Bounded does, but reports only the given targets: out[i] becomes the
-// distance of targets[i], or +Inf when it is not settled within radius. It
-// stops as soon as every distinct target is settled. Up to that point the
-// heap sees exactly Bounded's pushes and pops, so every reported distance
-// is bit-identical to the one Bounded would map the target to. out must be
-// at least as long as targets. DistancesTo allocates nothing once the heap
-// and the touched list have grown.
+// DistancesTo runs a forward search from src bounded by radius, as Bounded
+// does, but reports only the given targets: out[i] becomes the distance of
+// targets[i], or +Inf when it is not reached within radius. It stops as
+// soon as every distinct target is settled, and every reported distance is
+// bit-identical to the one Bounded maps the target to. out must be at
+// least as long as targets. DistancesTo allocates nothing once the heap and
+// the touched list have grown.
+//
+// The search is goal-directed (A*, Hart, Nilsson & Raphael 1968): the heap
+// is keyed on g(v) + h(v), where g(v) is the distance found so far and
+// h(v) = α·max(0, |v − c| − r), with c the targets' centroid, r their
+// largest distance from c and α the graph's slope (Graph.slope). The radius
+// still bounds g. Every target has h = 0 exactly, since r is the maximum
+// of the same floats, so a target pops at key g and the early stop after
+// the last one is Dijkstra's. h is consistent: max(0, |x − c| − r) changes
+// by at most |uv| along an edge u → v, and α·|uv| ≤ w(u,v), so
+// h(u) ≤ w(u,v) + h(v). Keys thus never decrease along a shortest path,
+// and every node pops with its final g, as in Dijkstra. The search finds
+// the same distances in a different order: it settles only the nodes whose
+// g plus straight-line remainder to the targets' disc stays under the
+// farthest target's distance, not the whole ball of that radius around src.
+//
+// That argument is exact arithmetic. In floats the lengths, the keys and
+// the left-to-right path sums that are the distances all round, and a key
+// an ulp too small could pop a node before the predecessor that gives it
+// its shortest float distance, changing a reported distance in its last
+// bit. The slope is therefore taken a factor (1 − 1e-9) below the graph's
+// least w/|uv|: each edge then leaves h(u) at least 1e-9·w(u,v) below
+// w(u,v) + h(v), more than the rounding of a key (a few ulps) whenever the
+// edge is longer than about a millionth of the distances searched. With no
+// slope (α = 0) the search is plain Dijkstra.
 func (s *DijkstraScratch) DistancesTo(g *Graph, src NodeID, radius float64, targets []NodeID, out []float64) {
 	out = out[:len(targets)]
 	left := 0
@@ -184,20 +209,21 @@ func (s *DijkstraScratch) DistancesTo(g *Graph, src NodeID, radius float64, targ
 	if !g.valid(src) || left == 0 {
 		return
 	}
+	a, c, r := targetDisc(g, targets)
 	s.dist[src] = 0
 	s.touched = append(s.touched, src)
 	s.heap.push(pqItem{node: src, dist: 0})
 	for !s.heap.empty() {
-		it := s.heap.pop()
-		v := it.node
+		v := s.heap.pop().node
 		if s.visited[v] {
 			continue
 		}
 		s.visited[v] = true
+		gv := s.dist[v]
 		hit := false
 		for i, t := range targets {
 			if t == v {
-				out[i] = it.dist
+				out[i] = gv
 				hit = true
 			}
 		}
@@ -207,7 +233,7 @@ func (s *DijkstraScratch) DistancesTo(g *Graph, src NodeID, radius float64, targ
 			}
 		}
 		for _, e := range g.out[v] {
-			nd := it.dist + e.w
+			nd := gv + e.w
 			if radius >= 0 && nd > radius {
 				continue
 			}
@@ -216,10 +242,47 @@ func (s *DijkstraScratch) DistancesTo(g *Graph, src NodeID, radius float64, targ
 					s.touched = append(s.touched, e.to)
 				}
 				s.dist[e.to] = nd
-				s.heap.push(pqItem{node: e.to, dist: nd})
+				key := nd
+				if a > 0 {
+					if x := g.pts[e.to].Dist(c) - r; x > 0 {
+						key += a * x
+					}
+				}
+				s.heap.push(pqItem{node: e.to, dist: key})
 			}
 		}
 	}
+}
+
+// targetDisc returns DistancesTo's heuristic: the slope a, the centroid c
+// of the valid targets and their largest distance r from it. a is 0 (no
+// heuristic) when the graph has no slope or no target is valid. A target
+// at infinity makes r NaN or +Inf, so that no |v − c| − r is positive and
+// the search runs as plain Dijkstra.
+func targetDisc(g *Graph, targets []NodeID) (a float64, c geo.Point, r float64) {
+	a = g.slope()
+	if a == 0 {
+		return 0, c, 0
+	}
+	n := 0
+	for _, t := range targets {
+		if g.valid(t) {
+			c.X += g.pts[t].X
+			c.Y += g.pts[t].Y
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, c, 0
+	}
+	c.X /= float64(n)
+	c.Y /= float64(n)
+	for _, t := range targets {
+		if g.valid(t) {
+			r = max(r, g.pts[t].Dist(c))
+		}
+	}
+	return a, c, r
 }
 
 // BoundedDijkstra is a convenience wrapper allocating fresh scratch.

@@ -15,6 +15,9 @@
 //     site located mid-segment so that S ⊆ V always holds;
 //   - forward and reverse Dijkstra, both unbounded and bounded by a radius
 //     (the workhorse of covering-set computation and GDSP clustering);
+//   - goal-directed (A*) searches, point to point and from one source to a
+//     few targets (the map matcher's), exact on any weights because their
+//     heuristic is scaled by the graph's slope;
 //   - round-trip distances dr(u,v) = d(u,v) + d(v,u);
 //   - Tarjan strongly-connected components, used to restrict synthetic
 //     networks to their largest strongly connected core so that round trips
@@ -50,6 +53,28 @@ type Graph struct {
 	out  [][]halfEdge
 	in   [][]halfEdge
 	nEdg int
+	// steep is the largest |uv|/w(u,v) over the edges AddEdge has taken,
+	// 0 while none has |uv| > 0 and +Inf once one has a NaN or infinite
+	// length; 1/steep is the graph's slope (see slope). Removing an edge
+	// leaves it alone, which can only make the slope smaller.
+	steep float64
+}
+
+// slopeSlack shrinks the slope the searches scale straight-line distance
+// by, so that the rounding of lengths, weights and heap keys cannot make a
+// heuristic overestimate.
+const slopeSlack = 1e-9
+
+// slope returns α = (1 − slopeSlack)·min w(u,v)/|uv| over the edges with
+// |uv| > 0, or 0 when there is none (or one lies at infinity): a lower bound
+// on a network distance per kilometre of straight line, so α·|xy| ≤ d(x,y)
+// for any nodes x, y. Loaders take weights as given, so α may be far below
+// 1; on generated networks it is at least 1.
+func (g *Graph) slope() float64 {
+	if g.steep == 0 {
+		return 0
+	}
+	return 1 / g.steep * (1 - slopeSlack)
 }
 
 // New returns an empty graph with capacity hints for n nodes.
@@ -99,6 +124,13 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	g.out[u] = append(g.out[u], halfEdge{to: v, w: w})
 	g.in[v] = append(g.in[v], halfEdge{to: u, w: w})
 	g.nEdg++
+	if d := g.pts[u].Dist(g.pts[v]); d != 0 {
+		r := d / w
+		if math.IsNaN(r) {
+			r = math.Inf(1)
+		}
+		g.steep = max(g.steep, r)
+	}
 	return nil
 }
 
@@ -258,10 +290,11 @@ func (g *Graph) Validate() error {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		pts:  append([]geo.Point(nil), g.pts...),
-		out:  make([][]halfEdge, len(g.out)),
-		in:   make([][]halfEdge, len(g.in)),
-		nEdg: g.nEdg,
+		pts:   append([]geo.Point(nil), g.pts...),
+		out:   make([][]halfEdge, len(g.out)),
+		in:    make([][]halfEdge, len(g.in)),
+		nEdg:  g.nEdg,
+		steep: g.steep,
 	}
 	for i := range g.out {
 		c.out[i] = append([]halfEdge(nil), g.out[i]...)

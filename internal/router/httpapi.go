@@ -192,7 +192,7 @@ func (r *Router) handleTopology(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		var t topologyRequest
-		err := server.StrictUnmarshal(body.Bytes(), &t)
+		err := wal.StrictUnmarshal(body.Bytes(), &t)
 		server.PutBuf(body)
 		if err != nil {
 			server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest, err)

@@ -1,15 +1,13 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
 	"netclus/internal/core"
 	"netclus/internal/shard"
+	"netclus/internal/wal"
 )
 
 // Limits bound what the request decoder accepts. Every bound exists to
@@ -82,26 +80,6 @@ type batchRequest struct {
 	TimeoutMs int64          `json:"timeout_ms,omitempty"`
 }
 
-// StrictUnmarshal decodes exactly one JSON value into v, rejecting unknown
-// fields and trailing garbage. encoding/json already rejects NaN/Inf
-// literals (they are not JSON) and out-of-range numbers like 1e999; the
-// validators behind this still guard the finite-range invariants so no
-// parser quirk can smuggle a non-finite float into the engine.
-func StrictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON body")
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after JSON body")
-	}
-	return nil
-}
-
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Query is one decoded, validated /v1/query item: the engine options, the
@@ -170,7 +148,7 @@ func (q queryRequest) toQuery(lim Limits) (Query, error) {
 func DecodeQuery(data []byte, lim Limits) (Query, error) {
 	lim = lim.withDefaults()
 	var q queryRequest
-	if err := StrictUnmarshal(data, &q); err != nil {
+	if err := wal.StrictUnmarshal(data, &q); err != nil {
 		return Query{}, err
 	}
 	return q.toQuery(lim)
@@ -184,7 +162,7 @@ func DecodeQuery(data []byte, lim Limits) (Query, error) {
 func DecodeBatch(data []byte, lim Limits) (qs []Query, itemErrs []error, timeout time.Duration, err error) {
 	lim = lim.withDefaults()
 	var b batchRequest
-	if err := StrictUnmarshal(data, &b); err != nil {
+	if err := wal.StrictUnmarshal(data, &b); err != nil {
 		return nil, nil, 0, err
 	}
 	if len(b.Queries) == 0 {

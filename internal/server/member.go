@@ -8,6 +8,7 @@ import (
 	"netclus/internal/core"
 	"netclus/internal/obs"
 	"netclus/internal/shard"
+	"netclus/internal/wal"
 )
 
 // MemberEngine is the per-shard surface the serving layer exposes under
@@ -60,7 +61,7 @@ func (s *Server) handleShardCover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req shard.CoverRequest
-	err := StrictUnmarshal(body.Bytes(), &req)
+	err := wal.StrictUnmarshal(body.Bytes(), &req)
 	PutBuf(body)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"netclus/internal/wal"
 )
 
 // Stable machine-readable error codes: the "code" field of every error
@@ -306,7 +308,7 @@ func (s *Server) handleFollow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req followRequest
-	err := StrictUnmarshal(body.Bytes(), &req)
+	err := wal.StrictUnmarshal(body.Bytes(), &req)
 	PutBuf(body)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, err)

@@ -54,16 +54,31 @@ func NewUpdateAck(a Applied) UpdateAck {
 // value, unknown fields rejected.
 func DecodeUpdate(data []byte) (Update, error) {
 	var u Update
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&u); err != nil {
+	if err := StrictUnmarshal(data, &u); err != nil {
 		return u, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return u, fmt.Errorf("trailing data after JSON body")
 	}
 	_, err := u.Kind()
 	return u, err
+}
+
+// StrictUnmarshal decodes exactly one JSON value from data into v,
+// rejecting unknown fields and trailing data. Both serving tiers decode
+// every JSON request body with it (/v1/update here; query, batch, cover,
+// follow and topology bodies), and internal/ingest each NDJSON line.
+// encoding/json already rejects NaN/Inf literals (they are not JSON) and
+// out-of-range numbers like 1e999; the validators behind it still guard
+// the finite-range invariants, so no parser quirk can smuggle a non-finite
+// float into the engine.
+func StrictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after JSON body")
+	}
+	return nil
 }
 
 // Kind lowers Op and checks the fields it names. Range checks against the
