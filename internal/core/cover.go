@@ -58,13 +58,18 @@ import (
 // tail, and the site weight — Finalize's left-to-right sum of the row — goes
 // on from the old weight; no other trajectory's entry changes, since an
 // entry is that trajectory's minimum d̂r over the row's scan set.
-// tops.CoverSets.FinalizeAppend splices the new tails onto the old flat
-// arrays instead of re-deriving the CSR. On bangalore 0.01 a 64-trace ingest
-// window adds about 11 % of each probe cover's pairs (about 4 % by the end of
-// a 1 000-trace feed); the first query per cover after a window takes about
-// 0.55 ms against 0.9–1.3 ms with the cold fill it replaces (a hot query:
-// about 0.1 ms), and most of what is left is allocating and copying the CSR
-// arrays. Emitting rows in id order costs a cold fill a bitmap walk per row
+// tops.CoverSets.FinalizeAppend writes the new tails into the old cover's
+// rows instead of re-deriving the CSR: the extended cover shares the old
+// one's arrays, each row takes its tail in the room past its end (or moves to
+// the arena's tail), and only when the arena runs out of room is every row
+// laid out again. On bangalore 0.01 a 64-trace ingest window adds about 11 %
+// of each probe cover's pairs (about 4 % by the end of a 1 000-trace feed).
+// BenchmarkQueryAfterIngestWindow/stale times the first query per cover
+// after a window at about 0.38 ms p50 on a 2-core host (0.48 ms when
+// FinalizeAppend copied the whole cover, 0.9–1.3 ms with a cold fill, a hot
+// query about 0.06 ms); most of what is left is the sweep of the TL tails
+// and the greedy.
+// Emitting rows in id order costs a cold fill a bitmap walk per row
 // (a sort of the reached ids when the row is too sparse for the walk):
 // about 7 % on BenchmarkCoverAfterSiteUpdate/refill.
 //
@@ -286,15 +291,18 @@ var fillScratchPool = sync.Pool{New: func() any {
 }}
 
 // prepare sizes the dense arrays for an m-trajectory universe and empties
-// the arena. A larger universe forces fresh arrays, a smaller one just
-// narrows the index range.
+// the arena. Between rows dist is +Inf and seen is zero throughout, so a
+// smaller universe just narrows the index range, and a larger one grows the
+// arrays to twice their size at least: the store grows by every ingest
+// window, and each extension would otherwise reallocate them.
 func (s *fillScratch) prepare(m int) {
 	if len(s.dist) < m {
-		s.dist = make([]float64, m)
+		n := max(m, 2*len(s.dist))
+		s.dist = make([]float64, n)
 		for t := range s.dist {
 			s.dist[t] = math.Inf(1)
 		}
-		s.seen = make([]uint64, (m+63)/64)
+		s.seen = make([]uint64, (n+63)/64)
 	}
 	s.touched = s.touched[:0]
 	s.tcTraj = s.tcTraj[:0]
@@ -508,8 +516,9 @@ func (idx *Index) fillCover(ctx context.Context, p int, pl *CoverPlan, pref tops
 // unchanged, so a row at the current state is c's row without the deleted
 // trajectories followed by a sweep of only the TL tails past c's horizon —
 // rows are in ascending id, which makes that exactly what a fresh fill
-// produces. tops.CoverSets.FinalizeAppend splices the tails onto c's flat
-// arrays. No row is swept whole.
+// produces. tops.CoverSets.FinalizeAppend writes the tails into c's rows,
+// in c's own arrays when c's room has not been claimed yet. No row is swept
+// whole.
 func (idx *Index) extendCover(ctx context.Context, p int, c *cachedCover, pref tops.Preference) (*tops.CoverSets, error) {
 	cs := tops.NewCoverSets(len(c.plan.Reps), idx.trajs.Len())
 	var live []bool

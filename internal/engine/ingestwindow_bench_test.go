@@ -18,14 +18,15 @@ import (
 // (`bangalore` at scale 0.01, dataset seed 7) and its ingest_stream query
 // mix. In stale, each iteration adds one window (outside the timer) and
 // times the first query after it, which finds its memoized cover one
-// window behind and extends it (core.extendCover, then
-// tops.CoverSets.FinalizeAppend's copy of the whole cover); the rest of
+// window behind and extends it (core.extendCover's sweep of the TL tails,
+// then tops.CoverSets.FinalizeAppend, which writes the window's entries into
+// the cover's rows); the rest of
 // the mix is then brought up to date untimed, as the workload's probe
 // does between windows. hit times the same queries with no window between
 // them. The windows are the dataset's own trajectories again, 1 024 of
 // them over its 500, as the workload's 1 000-trace feed re-matches them;
 // then the index is reloaded from a snapshot. p50-us is the median of the
-// timed queries.
+// timed queries; B/op and allocs/op count the timed queries alone.
 func BenchmarkQueryAfterIngestWindow(b *testing.B) {
 	d, err := dataset.Load(dataset.Bangalore, dataset.Config{Scale: 0.01, Seed: 7})
 	if err != nil {
@@ -60,6 +61,7 @@ func BenchmarkQueryAfterIngestWindow(b *testing.B) {
 			res.Release()
 		}
 		lat := make([]time.Duration, 0, b.N)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

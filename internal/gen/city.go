@@ -77,8 +77,9 @@ type CityConfig struct {
 	// RemoveFrac removes this fraction of segments to break the perfect
 	// lattice (applied before SCC restriction).
 	RemoveFrac float64
-	// Curvature scales edge weights relative to Euclidean length
-	// (>= 1; defaults to 1.2, a typical road-curvature factor).
+	// Curvature scales edge weights relative to Euclidean length. It must
+	// be at least 1 (a road is never shorter than its chord); zero means
+	// 1.2, a typical road-curvature factor.
 	Curvature float64
 	// Seed drives all randomness.
 	Seed int64
@@ -92,7 +93,7 @@ func (c CityConfig) withDefaults() CityConfig {
 	if c.SpanKm <= 0 {
 		c.SpanKm = 20
 	}
-	if c.Curvature < 1 {
+	if c.Curvature == 0 {
 		c.Curvature = 1.2
 	}
 	if c.Jitter < 0 {
@@ -115,8 +116,8 @@ type City struct {
 // paper operates on.
 func GenerateCity(cfg CityConfig) (*City, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Curvature < 1 {
-		return nil, fmt.Errorf("gen: curvature %v < 1 breaks A* admissibility", cfg.Curvature)
+	if !(cfg.Curvature >= 1) {
+		return nil, fmt.Errorf("gen: curvature %v is below 1: a road cannot be shorter than its chord", cfg.Curvature)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var g *roadnet.Graph

@@ -79,6 +79,30 @@ func TestGenerateCityEdgeWeightsAdmissible(t *testing.T) {
 	}
 }
 
+// TestGenerateCityCurvature: zero takes the default, anything else below 1
+// (NaN included) is refused rather than silently raised, and a valid
+// curvature is what the edge weights carry.
+func TestGenerateCityCurvature(t *testing.T) {
+	for _, c := range []float64{0.9, -1, math.NaN(), math.Inf(-1)} {
+		if _, err := GenerateCity(CityConfig{Nodes: 100, Curvature: c}); err == nil {
+			t.Errorf("curvature %v accepted", c)
+		}
+	}
+	for _, c := range []float64{0, 1, 1.5} {
+		city, err := GenerateCity(CityConfig{Nodes: 100, Curvature: c})
+		if err != nil {
+			t.Fatalf("curvature %v: %v", c, err)
+		}
+		want := c
+		if c == 0 {
+			want = 1.2
+		}
+		if city.Config.Curvature != want {
+			t.Errorf("curvature %v built at %v, want %v", c, city.Config.Curvature, want)
+		}
+	}
+}
+
 func TestGenerateCityUnknownTopology(t *testing.T) {
 	if _, err := GenerateCity(CityConfig{Topology: Topology(99)}); err == nil {
 		t.Error("unknown topology accepted")

@@ -101,6 +101,14 @@ func (g *Graph) AddNode(p geo.Point) NodeID {
 	return id
 }
 
+// finitePoint reports whether both coordinates are finite. The loaders
+// reject any other node: an edge at a NaN or infinite point has no length,
+// which leaves the graph without a slope and turns both goal-directed
+// searches into plain Dijkstra.
+func finitePoint(x, y float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
+}
+
 // Point returns the planar coordinate of node v.
 func (g *Graph) Point(v NodeID) geo.Point { return g.pts[v] }
 

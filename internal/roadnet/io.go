@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"netclus/internal/geo"
 )
@@ -98,8 +97,8 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 		if err := binary.Read(br, binary.LittleEndian, &y); err != nil {
 			return nil, fmt.Errorf("roadnet: node %d: %w", i, err)
 		}
-		if math.IsNaN(x) || math.IsNaN(y) {
-			return nil, fmt.Errorf("roadnet: node %d has NaN coordinate", i)
+		if !finitePoint(x, y) {
+			return nil, fmt.Errorf("roadnet: node %d has non-finite coordinate (%v, %v)", i, x, y)
 		}
 		g.AddNode(geo.Point{X: x, Y: y})
 	}

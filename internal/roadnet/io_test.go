@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"netclus/internal/geo"
@@ -65,5 +66,31 @@ func TestReadGraphRejectsImplausibleSizes(t *testing.T) {
 	data[4], data[5], data[6], data[7] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := ReadGraph(bytes.NewReader(data)); err == nil {
 		t.Error("implausible node count accepted")
+	}
+}
+
+// TestLoadersRejectNonFiniteCoordinates: a node at NaN or ±Inf gives its
+// edges no length, which leaves the graph without a slope and silently turns
+// the goal-directed searches into Dijkstra, so both loaders refuse it with
+// an error naming the node.
+func TestLoadersRejectNonFiniteCoordinates(t *testing.T) {
+	for _, bad := range []string{"N 1 Inf 0", "N 1 NaN 0", "N 1 -Inf 0", "N 1 0 +Inf", "N 1 0 nan"} {
+		_, err := ReadText(strings.NewReader("N 0 0 0\n" + bad + "\nB 0 1 1\n"))
+		if err == nil || !strings.Contains(err.Error(), "node 1") {
+			t.Errorf("ReadText(%q) = %v, want an error naming node 1", bad, err)
+		}
+	}
+	for _, bad := range []geo.Point{{X: math.Inf(1)}, {X: math.NaN()}, {Y: math.Inf(-1)}, {Y: math.NaN()}} {
+		g := New(2)
+		g.AddNode(geo.Point{})
+		g.AddNode(bad)
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadGraph(&buf)
+		if err == nil || !strings.Contains(err.Error(), "node 1") {
+			t.Errorf("ReadGraph of a node at %v = %v, want an error naming node 1", bad, err)
+		}
 	}
 }

@@ -54,6 +54,9 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad y: %v", lineNo, err)
 			}
+			if !finitePoint(x, y) {
+				return nil, fmt.Errorf("roadnet: line %d: node %d has non-finite coordinate (%v, %v)", lineNo, id, x, y)
+			}
 			g.AddNode(geo.Point{X: x, Y: y})
 			nextNode++
 		case "E", "B":

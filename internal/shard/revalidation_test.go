@@ -261,9 +261,10 @@ func newRevalHarness(t *testing.T, d *revalDataset, shards int) *revalHarness {
 func (h *revalHarness) rungs() int { return len(h.twin.Index().Instances) }
 
 // sameCover asserts byte equality of two finalized covers through the read
-// accessors: per-site TC rows and per-trajectory SC rows are views of the
-// flat CSR arrays, so equal rows mean equal tcOff/tcTraj/tcScore and
-// scOff/scSite/scScore.
+// accessors: every per-site TC row and per-trajectory SC row, in order. It
+// compares contents, not layouts: a cover extended in place keeps its rows
+// where it grew them, with room between, so equal rows no longer mean equal
+// tcOff or equal flat arrays.
 func sameCover(t testing.TB, label string, got, want *tops.CoverSets) {
 	t.Helper()
 	if got.M != want.M || got.N() != want.N() {

@@ -211,7 +211,7 @@ func partsGreedy(parts []Part, opts GreedyOptions, g *GreedyScratch) Result {
 			cs := parts[i].CS
 			if li := parts[i].local(int(s)); li >= 0 {
 				selected[off+li] = true
-				for j := cs.tcOff[li]; j < cs.tcOff[li+1]; j++ {
+				for j := cs.tcOff[li]; j < cs.tcEnd[li]; j++ {
 					if t := cs.tcTraj[j]; cs.tcScore[j] > util[t] {
 						util[t] = cs.tcScore[j]
 					}
@@ -248,7 +248,7 @@ func partsGreedy(parts []Part, opts GreedyOptions, g *GreedyScratch) Result {
 		} else {
 			for s := 0; s < n; s++ {
 				var m float64
-				for j := cs.tcOff[s]; j < cs.tcOff[s+1]; j++ {
+				for j := cs.tcOff[s]; j < cs.tcEnd[s]; j++ {
 					if d := cs.tcScore[j] - util[cs.tcTraj[j]]; d > 0 {
 						m += d
 					}
@@ -311,7 +311,7 @@ func partsGreedy(parts []Part, opts GreedyOptions, g *GreedyScratch) Result {
 		// each one the pick raised.
 		wcs := parts[bestPart].CS
 		li := best - bestOff
-		trajs := wcs.tcTraj[wcs.tcOff[li]:wcs.tcOff[li+1]]
+		trajs := wcs.tcTraj[wcs.tcOff[li]:wcs.tcEnd[li]]
 		tscores := wcs.tcScore[wcs.tcOff[li] : wcs.tcOff[li]+int32(len(trajs))]
 		up := g.raised[:0]
 		for i, t := range trajs {
@@ -398,11 +398,11 @@ func lazyGreedy(cs *CoverSets, opts GreedyOptions) Result {
 	cs.ensure()
 	n := cs.N()
 	util, base, existing := seedUtilities(cs, opts.InitialSites)
-	tcOff, tcTraj, tcScore := cs.tcOff, cs.tcTraj, cs.tcScore
+	tcOff, tcEnd, tcTraj, tcScore := cs.tcOff, cs.tcEnd, cs.tcTraj, cs.tcScore
 
 	evalMarg := func(s int32) float64 {
 		var m float64
-		for i := tcOff[s]; i < tcOff[s+1]; i++ {
+		for i := tcOff[s]; i < tcEnd[s]; i++ {
 			if g := tcScore[i] - util[tcTraj[i]]; g > 0 {
 				m += g
 			}
@@ -438,7 +438,7 @@ func lazyGreedy(cs *CoverSets, opts GreedyOptions) Result {
 		}
 		res.Selected = append(res.Selected, SiteID(top.site))
 		res.Utility += top.marg
-		for i := tcOff[top.site]; i < tcOff[top.site+1]; i++ {
+		for i := tcOff[top.site]; i < tcEnd[top.site]; i++ {
 			t := tcTraj[i]
 			if tcScore[i] > util[t] {
 				if util[t] == 0 {

@@ -18,8 +18,9 @@ type scoredPair struct {
 // global index with never-candidate (-1) slots of random TC lists mixed in,
 // every part but the first spans only a random prefix of the trajectory
 // universe it needs, and the parts come back in a random order. A single
-// part without -1 slots sometimes takes the identity (nil Global).
-func randomParts(rng *rand.Rand, tc [][]scoredPair, m int, score func() float64) []Part {
+// part without -1 slots sometimes takes the identity (nil Global). A part's
+// cover is built with AddPair, or by build when it is not nil.
+func randomParts(rng *rand.Rand, tc [][]scoredPair, m int, score func() float64, build func(lists [][]scoredPair, m int) *CoverSets) []Part {
 	np := 1 + rng.Intn(4)
 	owner := make([]int, len(tc))
 	for s := range owner {
@@ -53,10 +54,15 @@ func randomParts(rng *rand.Rand, tc [][]scoredPair, m int, score func() float64)
 			}
 			mp = hi + rng.Intn(m-hi+1)
 		}
-		cs := NewCoverSets(len(global), mp)
-		for li, l := range lists {
-			for _, p := range l {
-				cs.AddPair(int32(li), p.traj, p.score)
+		var cs *CoverSets
+		if build != nil {
+			cs = build(lists, mp)
+		} else {
+			cs = NewCoverSets(len(global), mp)
+			for li, l := range lists {
+				for _, p := range l {
+					cs.AddPair(int32(li), p.traj, p.score)
+				}
 			}
 		}
 		parts[pi] = Part{CS: cs, Global: global}
@@ -68,12 +74,45 @@ func randomParts(rng *rand.Rand, tc [][]scoredPair, m int, score func() float64)
 	return parts
 }
 
+// grownCover builds the cover of lists (each in ascending id) over m
+// trajectories the way a cover cache grows one: Finalize over a prefix of
+// the trajectories, then FinalizeAppends of windows of one to three, which
+// give the rows room (tcEnd[s] != tcOff[s+1]) and, as the rooms fill, move
+// some of them. It must equal its Finalize twin.
+func grownCover(t testing.TB, rng *rand.Rand, lists [][]scoredPair, m int) *CoverSets {
+	var cs *CoverSets
+	for lo, step := 0, 0; cs == nil || cs.M < m; step++ {
+		hi := rng.Intn(m/2 + 1)
+		if step > 0 {
+			hi = min(m, lo+1+rng.Intn(3))
+		}
+		next := NewCoverSets(len(lists), hi)
+		for s, l := range lists {
+			for _, p := range l {
+				if int(p.traj) >= lo && int(p.traj) < hi {
+					next.AddPair(int32(s), p.traj, p.score)
+				}
+			}
+		}
+		if cs == nil {
+			next.Finalize()
+		} else {
+			next.FinalizeAppend(cs, nil)
+		}
+		cs, lo = next, hi
+	}
+	requireSameCover(t, "grown part", cs, coverOf(lists, m))
+	return cs
+}
+
 // FuzzIncGreedyParts is the differential behind the partitioned greedy: a
 // random cover (with non-positive scores on some seeds, which turns off the
 // weights-as-marginals seeding) split at random into parts must select
 // exactly what IncGreedy selects on the whole cover, with bit-equal
 // utilities — plain, over existing services (where k may exceed the
-// candidates left, exhausting them), and to a target coverage.
+// candidates left, exhausting them), and to a target coverage. On half the
+// modes the TC lists ascend and every part is a grown cover (grownCover),
+// so the greedy reads rows that end before the next one starts.
 func FuzzIncGreedyParts(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed, uint8(seed))
@@ -92,18 +131,27 @@ func FuzzIncGreedyParts(f *testing.F) {
 				return rng.Float64()
 			}
 		}
+		grown := mode/3%2 == 1
 		tc := make([][]scoredPair, n)
 		whole := NewCoverSets(n, m)
 		for s := range tc {
 			for _, tr := range rng.Perm(m) { // TC lists in no particular order
 				if rng.Intn(3) == 0 {
-					p := scoredPair{int32(tr), score()}
-					tc[s] = append(tc[s], p)
-					whole.AddPair(int32(s), p.traj, p.score)
+					tc[s] = append(tc[s], scoredPair{int32(tr), score()})
 				}
 			}
+			if grown {
+				slices.SortFunc(tc[s], func(a, b scoredPair) int { return int(a.traj - b.traj) })
+			}
+			for _, p := range tc[s] {
+				whole.AddPair(int32(s), p.traj, p.score)
+			}
 		}
-		parts := randomParts(rng, tc, m, score)
+		var build func([][]scoredPair, int) *CoverSets
+		if grown {
+			build = func(lists [][]scoredPair, m int) *CoverSets { return grownCover(t, rng, lists, m) }
+		}
+		parts := randomParts(rng, tc, m, score, build)
 
 		opts := GreedyOptions{K: 1 + rng.Intn(n)}
 		switch mode % 3 {
