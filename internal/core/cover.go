@@ -667,33 +667,6 @@ func (idx *Index) RepInfos(p int) []RepInfo {
 	return out
 }
 
-// ClusterOf returns the cluster of node v at instance p, or InvalidCluster
-// when v is outside the graph. Site mutations change representatives only
-// inside this cluster, which is what lets the sharding layer maintain its
-// cluster-ownership tables incrementally instead of re-reducing every
-// cluster after each update.
-func (idx *Index) ClusterOf(p int, v roadnet.NodeID) ClusterID {
-	ins := idx.Instances[p]
-	if v < 0 || int(v) >= len(ins.NodeCluster) {
-		return InvalidCluster
-	}
-	return ins.NodeCluster[v]
-}
-
-// RepOfCluster returns cluster ci's representative at instance p, reporting
-// false when the cluster fields none (or ci is out of range).
-func (idx *Index) RepOfCluster(p int, ci ClusterID) (RepInfo, bool) {
-	ins := idx.Instances[p]
-	if ci < 0 || int(ci) >= len(ins.Clusters) {
-		return RepInfo{}, false
-	}
-	cl := &ins.Clusters[ci]
-	if cl.Rep == roadnet.InvalidNode {
-		return RepInfo{}, false
-	}
-	return RepInfo{Cluster: ci, Node: cl.Rep, Dr: cl.RepDr}, true
-}
-
 // maskedPlan assembles a cover plan for exactly the clusters in keep
 // (sorted ascending), straight from the instance — deliberately NOT via the
 // cached full plan, whose post-mutation rebuild costs O(all

@@ -88,8 +88,8 @@ func (h *domHeap) Pop() any {
 
 // gdspExact runs lazy greedy with exact incremental counts. Dominance only
 // shrinks as nodes get covered, so stale heap counts are upper bounds and a
-// freshly re-evaluated top is the true argmax (same CELF argument as
-// IncGreedy's lazy mode). counts[v] is |Λ(v)| at opts.Radius, from
+// freshly re-evaluated top is the true argmax (the CELF argument).
+// counts[v] is |Λ(v)| at opts.Radius, from
 // ladderDomCounts.
 func gdspExact(g *roadnet.Graph, opts GDSPOptions, counts []float64) ([]rawCluster, error) {
 	n := g.NumNodes()

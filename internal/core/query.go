@@ -23,8 +23,8 @@ type QueryOptions struct {
 	F int
 	// Seed derives FM hash families.
 	Seed uint64
-	// Greedy forwards extra options (existing services, lazy mode,
-	// TOPS4 target coverage) to the underlying IncGreedy. K and
+	// Greedy forwards extra options (existing services, TOPS4 target
+	// coverage) to the underlying IncGreedy. K and
 	// TargetCoverage inside are overridden by this struct's fields.
 	Greedy tops.GreedyOptions
 }

@@ -62,14 +62,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// NewRect returns the smallest Rect containing both p and q.
-func NewRect(p, q Point) Rect {
-	return Rect{
-		Min: Point{math.Min(p.X, q.X), math.Min(p.Y, q.Y)},
-		Max: Point{math.Max(p.X, q.X), math.Max(p.Y, q.Y)},
-	}
-}
-
 // EmptyRect returns a degenerate rectangle that contains nothing and expands
 // correctly under Extend.
 func EmptyRect() Rect {
@@ -95,12 +87,6 @@ func (r Rect) Extend(p Point) Rect {
 // Union returns the smallest Rect containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return r.Extend(s.Min).Extend(s.Max)
-}
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
 // Width returns the horizontal extent of r in kilometres.

@@ -57,10 +57,6 @@ func computeUpperEdges() [NumBuckets]float64 {
 	return edges
 }
 
-// BucketUpperSeconds returns bucket i's inclusive upper edge in seconds
-// (+Inf for the overflow bucket).
-func BucketUpperSeconds(i int) float64 { return bucketUpperSeconds[i] }
-
 // bucketOf maps a duration in nanoseconds to its bucket index: the
 // octave comes from the position of the most significant bit, the
 // sub-bucket from the next subBits bits — branch-light integer math,

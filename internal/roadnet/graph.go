@@ -161,12 +161,6 @@ func (g *Graph) AddEdgeEuclid(u, v NodeID, factor float64) error {
 	return g.AddEdge(u, v, w)
 }
 
-// OutDegree returns the number of outgoing edges of v.
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
-
-// InDegree returns the number of incoming edges of v.
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
-
 // Neighbors invokes fn for every outgoing edge (v -> to, w). Iteration stops
 // if fn returns false.
 func (g *Graph) Neighbors(v NodeID, fn func(to NodeID, w float64) bool) {

@@ -65,11 +65,11 @@ func TestAddEdgeValidation(t *testing.T) {
 
 func TestDegreesAndNeighbors(t *testing.T) {
 	g := buildDiamond(t)
-	if g.OutDegree(0) != 2 || g.InDegree(0) != 1 {
-		t.Errorf("node 0 degrees out=%d in=%d", g.OutDegree(0), g.InDegree(0))
+	if len(g.out[0]) != 2 || len(g.in[0]) != 1 {
+		t.Errorf("node 0 degrees out=%d in=%d", len(g.out[0]), len(g.in[0]))
 	}
-	if g.OutDegree(3) != 1 || g.InDegree(3) != 2 {
-		t.Errorf("node 3 degrees out=%d in=%d", g.OutDegree(3), g.InDegree(3))
+	if len(g.out[3]) != 1 || len(g.in[3]) != 2 {
+		t.Errorf("node 3 degrees out=%d in=%d", len(g.out[3]), len(g.in[3]))
 	}
 	var seen []NodeID
 	g.Neighbors(0, func(to NodeID, w float64) bool {

@@ -24,6 +24,10 @@ import (
 
 const graphMagic uint32 = 0x4e434731 // "NCG1"
 
+// maxPrealloc caps the node capacity ReadGraph reserves before reading the
+// nodes; a larger graph grows by append.
+const maxPrealloc = 1 << 12
+
 // WriteTo serializes g. It returns the byte count written.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -88,7 +92,7 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if nNodes > maxReasonable || nEdges > maxReasonable {
 		return nil, fmt.Errorf("roadnet: implausible sizes nodes=%d edges=%d", nNodes, nEdges)
 	}
-	g := New(int(nNodes))
+	g := New(min(int(nNodes), maxPrealloc))
 	for i := uint32(0); i < nNodes; i++ {
 		var x, y float64
 		if err := binary.Read(br, binary.LittleEndian, &x); err != nil {

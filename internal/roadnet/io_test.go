@@ -2,8 +2,10 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,6 +68,24 @@ func TestReadGraphRejectsImplausibleSizes(t *testing.T) {
 	data[4], data[5], data[6], data[7] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := ReadGraph(bytes.NewReader(data)); err == nil {
 		t.Error("implausible node count accepted")
+	}
+}
+
+// TestReadGraphSizesFromBytesRead: a 12-byte header that claims the cap's
+// 2^28 nodes fails at EOF without first reserving them (≈ 16 GiB).
+func TestReadGraphSizesFromBytesRead(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, graphMagic)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 1<<28)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadGraph(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header-only graph loaded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a header-only graph allocated %d bytes", grew)
 	}
 }
 

@@ -33,10 +33,10 @@ var answerPool = sync.Pool{New: func() any { return new(answerScratch) }}
 // the ownership of instance p, the owning shards' masked covers (ascending
 // shard order) and the global site-id mirror, it answers opts. The greedy
 // is tops.IncGreedyParts, one part per owning cover, so its answer carries
-// the bits the single-process engine's would. FM sketches and lazy
-// evaluation are other algorithms; they run on the merged cover. The
-// context is checked once, before the greedy, as core checks it. The
-// result is pooled; the caller may Release it.
+// the bits the single-process engine's would. FM sketches are another
+// algorithm; they run on the merged cover. The context is checked once,
+// before the greedy, as core checks it. The result is pooled; the caller
+// may Release it.
 func Answer(ctx context.Context, p int, own *Ownership, covers []Cover, sites *SiteMirror, opts core.QueryOptions) (*core.QueryResult, error) {
 	n := len(own.Winners)
 	if n == 0 {
@@ -52,12 +52,9 @@ func Answer(ctx context.Context, p int, own *Ownership, covers []Cover, sites *S
 	parts := a.partsOf(own, covers)
 	var res tops.Result
 	var err error
-	switch {
-	case opts.UseFM:
+	if opts.UseFM {
 		res, err = tops.FMGreedy(merged(parts, n), tops.FMGreedyOptions{K: gopts.K, F: opts.F, Seed: opts.Seed})
-	case gopts.Lazy:
-		res, err = tops.IncGreedy(merged(parts, n), gopts)
-	default:
+	} else {
 		res, err = tops.IncGreedyParts(parts, n, gopts, &a.greedy)
 	}
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 // proves the single-shard answer against brute force; this suite proves the
 // scatter-gather answer against the single-shard engine.
 
-// checkDraw compares one draw across every query path.
+// checkDraw compares one draw through the distributed greedy.
 func checkDraw(t *testing.T, ref *engine.Engine, s *Sharded, k int, pref tops.Preference) {
 	t.Helper()
 	ctx := context.Background()
@@ -39,21 +39,6 @@ func checkDraw(t *testing.T, ref *engine.Engine, s *Sharded, k int, pref tops.Pr
 		t.Fatalf("sharded query (k=%d, ψ=%s, τ=%.3f): %v", k, pref.Name, pref.Tau, err)
 	}
 	sameAnswer(t, "distributed greedy", got, want)
-
-	// The merged-cover fallback path must agree as well; lazy greedy
-	// (CELF) is a different traversal of the same submodular maximization,
-	// so it exercises the merged CoverSets' SC lists and weights too.
-	lazyQ := q
-	lazyQ.Greedy.Lazy = true
-	wantLazy, err := ref.Query(ctx, lazyQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLazy, err := s.Query(ctx, lazyQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswer(t, "merged-cover lazy", gotLazy, wantLazy)
 }
 
 // checkCanceled: a canceled query fails with the context's error on both
@@ -202,7 +187,6 @@ func TestShardedExoticModes(t *testing.T) {
 
 	for _, q := range []core.QueryOptions{
 		{K: 5, Pref: tops.Binary(0.8), UseFM: true, F: 12, Seed: 99},
-		{K: 4, Pref: tops.Linear(1.6), Greedy: tops.GreedyOptions{Lazy: true}},
 		{K: 3, Pref: tops.Binary(1.2), Greedy: tops.GreedyOptions{InitialSites: []tops.SiteID{0, 2}}},
 		{K: 1, Pref: tops.Binary(2.4), Greedy: tops.GreedyOptions{TargetCoverage: 0.5}},
 	} {

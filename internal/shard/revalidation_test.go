@@ -563,8 +563,7 @@ func (h *revalHarness) scenarios() {
 	t := h.t
 	t.Helper()
 	hasRep := func(p int, ci core.ClusterID) bool {
-		_, ok := h.twin.Index().RepOfCluster(p, ci)
-		return ok
+		return h.twin.Index().Instances[p].Clusters[ci].Rep != roadnet.InvalidNode
 	}
 
 	// A cluster loses its last site (row drop, indices shift down) and
@@ -630,8 +629,8 @@ func (h *revalHarness) scenarios() {
 				h.step(addSite(w), nil)
 				h.step(addSite(u), func() {
 					h.quiet("rung of a tie won on node id", true, func() int { return h.checkCovers(h.eager, p) })
-					if ri, _ := h.twin.Index().RepOfCluster(p, ci); ri.Node != u {
-						t.Fatalf("tie on RepDr: representative is %d, want the lower node id %d", ri.Node, u)
+					if rep := h.twin.Index().Instances[p].Clusters[ci].Rep; rep != u {
+						t.Fatalf("tie on RepDr: representative is %d, want the lower node id %d", rep, u)
 					}
 					res, err := h.sub.query(context.Background(), core.QueryOptions{K: 1 << 20, Pref: tops.Binary(h.twin.Index().Instances[p].Radius * 4)})
 					if err != nil {

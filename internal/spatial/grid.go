@@ -63,9 +63,6 @@ func NewGrid(g *roadnet.Graph, cellSize float64) *Grid {
 	return gr
 }
 
-// CellSize returns the side length of the grid cells in kilometres.
-func (gr *Grid) CellSize() float64 { return gr.cell }
-
 func (gr *Grid) cellCoords(p geo.Point) (int, int) {
 	cx := int((p.X - gr.bounds.Min.X) / gr.cell)
 	cy := int((p.Y - gr.bounds.Min.Y) / gr.cell)
@@ -140,43 +137,6 @@ func (gr *Grid) Within(p geo.Point, radius float64, dst []roadnet.NodeID) []road
 		}
 	}
 	return dst
-}
-
-// KNearest returns up to k nodes closest to p ordered by distance. It is a
-// convenience for candidate generation; k is expected to be small.
-func (gr *Grid) KNearest(p geo.Point, k int) []roadnet.NodeID {
-	if k <= 0 || gr.numNodes == 0 {
-		return nil
-	}
-	// Expand the radius geometrically until enough candidates are found,
-	// then sort by distance via selection (k is small).
-	radius := gr.cell
-	var found []roadnet.NodeID
-	for len(found) < k && radius < gr.cell*float64(gr.nx+gr.ny+2)*2 {
-		found = gr.Within(p, radius, found[:0])
-		radius *= 2
-	}
-	if len(found) == 0 {
-		v, _ := gr.Nearest(p)
-		if v == roadnet.InvalidNode {
-			return nil
-		}
-		return []roadnet.NodeID{v}
-	}
-	// Partial selection sort of the k best.
-	if k > len(found) {
-		k = len(found)
-	}
-	for i := 0; i < k; i++ {
-		min := i
-		for j := i + 1; j < len(found); j++ {
-			if gr.points[found[j]].DistSq(p) < gr.points[found[min]].DistSq(p) {
-				min = j
-			}
-		}
-		found[i], found[min] = found[min], found[i]
-	}
-	return append([]roadnet.NodeID(nil), found[:k]...)
 }
 
 // forEachCellInRing visits every cell at Chebyshev distance ring from

@@ -70,28 +70,6 @@ func sortIDs(ids []roadnet.NodeID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
-func TestKNearestOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomNodes(rng, 200, 5)
-	gr := NewGrid(g, 0)
-	q := geo.Point{X: 2.5, Y: 2.5}
-	k := 10
-	got := gr.KNearest(q, k)
-	if len(got) != k {
-		t.Fatalf("got %d results, want %d", len(got), k)
-	}
-	for i := 1; i < len(got); i++ {
-		if g.Point(got[i]).Dist(q) < g.Point(got[i-1]).Dist(q)-1e-12 {
-			t.Fatal("KNearest results out of order")
-		}
-	}
-	// First result must agree with Nearest.
-	n, _ := gr.Nearest(q)
-	if got[0] != n {
-		t.Errorf("KNearest[0] = %d, Nearest = %d", got[0], n)
-	}
-}
-
 func TestEmptyGrid(t *testing.T) {
 	g := roadnet.New(0)
 	gr := NewGrid(g, 0)
@@ -100,9 +78,6 @@ func TestEmptyGrid(t *testing.T) {
 	}
 	if got := gr.Within(geo.Point{}, 5, nil); len(got) != 0 {
 		t.Errorf("Within on empty grid = %v", got)
-	}
-	if got := gr.KNearest(geo.Point{}, 3); got != nil {
-		t.Errorf("KNearest on empty grid = %v", got)
 	}
 }
 

@@ -51,16 +51,6 @@ func BenchmarkIncGreedyPlain(b *testing.B) {
 	}
 }
 
-func BenchmarkIncGreedyLazy(b *testing.B) {
-	cs := benchCoverSets(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := IncGreedy(cs, GreedyOptions{K: 10, Lazy: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFMGreedy(b *testing.B) {
 	cs := benchCoverSets(b)
 	b.ResetTimer()

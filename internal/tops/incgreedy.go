@@ -1,9 +1,7 @@
 package tops
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -11,11 +9,6 @@ import (
 type GreedyOptions struct {
 	// K is the number of sites to select.
 	K int
-	// Lazy switches to lazy (CELF-style) marginal re-evaluation instead of
-	// the paper's incremental α-update scheme. Both return a greedy
-	// maximizer; Lazy trades the SC-side bookkeeping for on-demand TC
-	// scans and is benchmarked as an ablation.
-	Lazy bool
 	// InitialSites seeds the selection with existing service locations
 	// (§7.3). They contribute baseline utility but do not count towards K
 	// and are not reported in Selected.
@@ -98,18 +91,11 @@ func IncGreedy(cs *CoverSets, opts GreedyOptions) (Result, error) {
 }
 
 // IncGreedyScratch is IncGreedy running in caller-supplied scratch buffers:
-// with a non-nil scratch the plain (non-lazy) greedy performs no heap
-// allocation once the buffers have warmed to the instance size, and the
-// returned Result's Selected and UtilityPerIter alias the scratch. A nil
-// scratch behaves exactly like IncGreedy. The lazy variant ignores the
-// scratch (it is an ablation arm, not a hot path).
+// with a non-nil scratch the greedy performs no heap allocation once the
+// buffers have warmed to the instance size, and the returned Result's
+// Selected and UtilityPerIter alias the scratch. A nil scratch behaves
+// exactly like IncGreedy.
 func IncGreedyScratch(cs *CoverSets, opts GreedyOptions, scratch *GreedyScratch) (Result, error) {
-	if opts.Lazy {
-		if err := opts.check(cs.N()); err != nil {
-			return Result{}, err
-		}
-		return lazyGreedy(cs, opts), nil
-	}
 	if scratch == nil {
 		scratch = new(GreedyScratch)
 	}
@@ -119,17 +105,14 @@ func IncGreedyScratch(cs *CoverSets, opts GreedyOptions, scratch *GreedyScratch)
 	return res, err
 }
 
-// IncGreedyParts is the plain IncGreedy over a cover partitioned into
-// parts, n global sites in all, without merging them: Selected holds global
-// indices, and every field of the Result carries the bits IncGreedy would
-// return on the merged cover. The answer does not depend on the order of
-// parts. The scratch behaves as in IncGreedyScratch; Lazy is rejected.
+// IncGreedyParts is IncGreedy over a cover partitioned into parts, n
+// global sites in all, without merging them: Selected holds global indices,
+// and every field of the Result carries the bits IncGreedy would return on
+// the merged cover. The answer does not depend on the order of parts. The
+// scratch behaves as in IncGreedyScratch.
 func IncGreedyParts(parts []Part, n int, opts GreedyOptions, scratch *GreedyScratch) (Result, error) {
 	if err := opts.check(n); err != nil {
 		return Result{}, err
-	}
-	if opts.Lazy {
-		return Result{}, fmt.Errorf("tops: the lazy greedy runs on one cover")
 	}
 	if scratch == nil {
 		scratch = new(GreedyScratch)
@@ -157,29 +140,6 @@ func (opts *GreedyOptions) check(n int) error {
 	return nil
 }
 
-// seedUtilities applies existing services and returns the per-trajectory
-// utility baseline plus its sum (lazyGreedy's seeding; partsGreedy inlines
-// the same loop over its scratch to stay allocation-free).
-func seedUtilities(cs *CoverSets, initial []SiteID) ([]float64, float64, map[SiteID]bool) {
-	cs.ensure()
-	util := make([]float64, cs.M)
-	existing := make(map[SiteID]bool, len(initial))
-	for _, s := range initial {
-		existing[s] = true
-		trajs, scores := cs.TC(int32(s))
-		for i, t := range trajs {
-			if scores[i] > util[t] {
-				util[t] = scores[i]
-			}
-		}
-	}
-	var base float64
-	for _, u := range util {
-		base += u
-	}
-	return util, base, existing
-}
-
 // partsGreedy is the paper's Algorithm 1: incremental marginal maintenance
 // through the α_{ji} identities (α_{ji} = max(0, ψ_{ji} − U_j), kept
 // implicit as the paper's update rule only needs the delta). Marginals and
@@ -200,9 +160,8 @@ func partsGreedy(parts []Part, opts GreedyOptions, g *GreedyScratch) Result {
 	g.prepare(total, universe)
 	util, marg, selected := g.util, g.marg, g.selected
 
-	// Seed the baseline from existing services (§7.3) and count coverage.
-	// The float-op order matches seedUtilities exactly: apply sites in the
-	// caller's order, then sum util left to right.
+	// Seed the baseline from existing services (§7.3) and count coverage:
+	// apply sites in the caller's order, then sum util left to right.
 	var base float64
 	covered := 0
 	for _, s := range opts.InitialSites {
@@ -370,90 +329,6 @@ func partsGreedy(parts []Part, opts GreedyOptions, g *GreedyScratch) Result {
 	return res
 }
 
-// siteHeap is a max-heap of (marginal, weight, site) used by lazyGreedy.
-type siteHeapItem struct {
-	site  int32
-	marg  float64
-	stamp int32 // iteration at which marg was computed
-}
-
-type siteHeap []siteHeapItem
-
-func (h siteHeap) Len() int { return len(h) }
-func (h siteHeap) Less(i, j int) bool {
-	if h[i].marg != h[j].marg {
-		return h[i].marg > h[j].marg
-	}
-	return h[i].site > h[j].site
-}
-func (h siteHeap) Swap(i, j int)     { h[i], h[j] = h[j], h[i] }
-func (h *siteHeap) Push(x any)       { *h = append(*h, x.(siteHeapItem)) }
-func (h *siteHeap) Pop() any         { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h siteHeap) peekMarg() float64 { return h[0].marg }
-
-// lazyGreedy exploits submodularity: marginals only shrink, so a stale
-// heap value is an upper bound and a popped site whose value is fresh for
-// the current iteration is the true argmax (CELF).
-func lazyGreedy(cs *CoverSets, opts GreedyOptions) Result {
-	cs.ensure()
-	n := cs.N()
-	util, base, existing := seedUtilities(cs, opts.InitialSites)
-	tcOff, tcEnd, tcTraj, tcScore := cs.tcOff, cs.tcEnd, cs.tcTraj, cs.tcScore
-
-	evalMarg := func(s int32) float64 {
-		var m float64
-		for i := tcOff[s]; i < tcEnd[s]; i++ {
-			if g := tcScore[i] - util[tcTraj[i]]; g > 0 {
-				m += g
-			}
-		}
-		return m
-	}
-	h := make(siteHeap, 0, n)
-	for s := 0; s < n; s++ {
-		if existing[SiteID(s)] {
-			continue
-		}
-		h = append(h, siteHeapItem{site: int32(s), marg: evalMarg(int32(s)), stamp: 0})
-	}
-	heap.Init(&h)
-
-	res := Result{Utility: base}
-	covered := countCovered(util)
-	for iter := int32(1); len(res.Selected) < opts.K && h.Len() > 0; {
-		if opts.TargetCoverage > 0 && float64(covered) >= opts.TargetCoverage*float64(cs.M) {
-			break
-		}
-		top := heap.Pop(&h).(siteHeapItem)
-		if top.stamp != iter {
-			top.marg = evalMarg(top.site)
-			top.stamp = iter
-			if h.Len() > 0 && top.marg < h.peekMarg() {
-				heap.Push(&h, top)
-				continue
-			}
-		}
-		if opts.TargetCoverage > 0 && top.marg <= 0 {
-			break
-		}
-		res.Selected = append(res.Selected, SiteID(top.site))
-		res.Utility += top.marg
-		for i := tcOff[top.site]; i < tcEnd[top.site]; i++ {
-			t := tcTraj[i]
-			if tcScore[i] > util[t] {
-				if util[t] == 0 {
-					covered++
-				}
-				util[t] = tcScore[i]
-			}
-		}
-		res.UtilityPerIter = append(res.UtilityPerIter, res.Utility)
-		iter++
-	}
-	res.Covered = covered
-	return res
-}
-
 // greaterSite implements the paper's tie-breaking: larger marginal first,
 // then larger weight, then higher index.
 func greaterSite(m1, w1 float64, s1 int, m2, w2 float64, s2 int) bool {
@@ -474,14 +349,4 @@ func countCovered(util []float64) int {
 		}
 	}
 	return c
-}
-
-// GreedyUpperBoundGap returns the worst-case optimality gap of a greedy
-// result given Theorem 3: U(greedy) >= max{1-1/e, k/n}·OPT.
-func GreedyUpperBoundGap(k, n int) float64 {
-	bound := 1 - 1/math.E
-	if kn := float64(k) / float64(n); kn > bound {
-		bound = kn
-	}
-	return bound
 }

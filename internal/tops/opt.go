@@ -16,7 +16,7 @@ type OptimalOptions struct {
 }
 
 // Optimal solves TOPS exactly by branch and bound. The paper formulates the
-// exact algorithm as an ILP solved by an external solver; this reproduction
+// exact algorithm as an ILP solved by an external solver (§3.1); this reproduction
 // substitutes an equivalent exact maximizer: depth-first search over site
 // subsets with a submodular upper bound. For any partial selection Q the
 // best reachable utility is bounded by

@@ -30,25 +30,49 @@ func bruteForceOpt(cs *CoverSets, k int) float64 {
 }
 
 func TestOptimalMatchesBruteForce(t *testing.T) {
+	type input struct {
+		cs *CoverSets
+		k  int
+	}
+	// Paper Example 1 (Table 3): the optimum at k = 2 is {s1, s3}, U = 1.0.
+	inputs := []input{{paperExample1(), 2}}
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
 		n := 6 + rng.Intn(5)
-		cs := randomCoverSets(rng, n, 20, 0.3, trial%2 == 0)
-		k := 1 + rng.Intn(3)
-		res, err := Optimal(cs, OptimalOptions{K: k})
+		inputs = append(inputs, input{randomCoverSets(rng, n, 20, 0.3, trial%2 == 0), 1 + rng.Intn(3)})
+	}
+	for trial, in := range inputs {
+		res, err := Optimal(in.cs, OptimalOptions{K: in.k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteForceOpt(cs, k)
+		want := bruteForceOpt(in.cs, in.k)
 		if !res.Exact {
 			t.Fatalf("trial %d: not exact", trial)
 		}
 		if math.Abs(res.Utility-want) > 1e-9 {
 			t.Fatalf("trial %d: Optimal %v != brute force %v", trial, res.Utility, want)
 		}
-		if len(res.Selected) > k {
+		if len(res.Selected) > in.k {
 			t.Fatalf("trial %d: selected %d > k", trial, len(res.Selected))
 		}
+		if trial == 0 && math.Abs(res.Utility-1.0) > 1e-9 {
+			t.Fatalf("paper Example 1: optimum %v, want 1.0", res.Utility)
+		}
+	}
+
+	// The optimum never decreases with k.
+	cs := randomCoverSets(rng, 7, 20, 0.35, false)
+	prev := -1.0
+	for k := 1; k <= 4; k++ {
+		res, err := Optimal(cs, OptimalOptions{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Utility < prev-1e-9 {
+			t.Fatalf("optimal utility decreased with k: %v after %v", res.Utility, prev)
+		}
+		prev = res.Utility
 	}
 }
 

@@ -197,7 +197,6 @@ func TestIncGreedyPartsValidation(t *testing.T) {
 		{K: 3},
 		{K: 1, InitialSites: []SiteID{2}},
 		{TargetCoverage: 1.5},
-		{K: 1, Lazy: true},
 	} {
 		if _, err := IncGreedyParts(parts, 2, opts, nil); err == nil {
 			t.Fatalf("IncGreedyParts accepted %+v", opts)

@@ -84,17 +84,6 @@ func New(g *roadnet.Graph, nodes []roadnet.NodeID) (*Trajectory, error) {
 	return t, nil
 }
 
-// FromPath builds a trajectory from a node path that is known to follow
-// graph edges (e.g. output of ShortestPath). It panics on broken paths in
-// order to surface generator bugs immediately.
-func FromPath(g *roadnet.Graph, path []roadnet.NodeID) *Trajectory {
-	t, err := New(g, path)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // SubDist returns the along-trajectory distance from node index i to node
 // index j (i <= j).
 func (t *Trajectory) SubDist(i, j int) float64 {
@@ -252,6 +241,10 @@ func (s *Store) Sample(ids []ID) *Store {
 
 const storeMagic uint32 = 0x4e435431 // "NCT1"
 
+// maxPrealloc caps the capacity ReadStore reserves from a count it has not
+// yet read the payload for; a larger store or trajectory grows by append.
+const maxPrealloc = 1 << 12
+
 // WriteTo serializes the store.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -302,7 +295,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 	if count > maxReasonable {
 		return nil, fmt.Errorf("trajectory: implausible count %d", count)
 	}
-	s := NewStore(int(count))
+	s := NewStore(min(int(count), maxPrealloc))
 	for i := uint32(0); i < count; i++ {
 		var l uint32
 		if err := binary.Read(br, binary.LittleEndian, &l); err != nil {
@@ -312,18 +305,20 @@ func ReadStore(r io.Reader) (*Store, error) {
 			return nil, fmt.Errorf("trajectory %d: implausible length %d", i, l)
 		}
 		t := &Trajectory{
-			Nodes:   make([]roadnet.NodeID, l),
-			CumDist: make([]float64, l),
+			Nodes:   make([]roadnet.NodeID, 0, min(int(l), maxPrealloc)),
+			CumDist: make([]float64, 0, min(int(l), maxPrealloc)),
 		}
 		for j := uint32(0); j < l; j++ {
 			var v uint32
+			var d float64
 			if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
 				return nil, fmt.Errorf("trajectory %d node %d: %w", i, j, err)
 			}
-			t.Nodes[j] = roadnet.NodeID(v)
-			if err := binary.Read(br, binary.LittleEndian, &t.CumDist[j]); err != nil {
+			if err := binary.Read(br, binary.LittleEndian, &d); err != nil {
 				return nil, fmt.Errorf("trajectory %d node %d: %w", i, j, err)
 			}
+			t.Nodes = append(t.Nodes, roadnet.NodeID(v))
+			t.CumDist = append(t.CumDist, d)
 		}
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("trajectory %d: %w", i, err)

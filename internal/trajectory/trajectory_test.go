@@ -2,7 +2,9 @@ package trajectory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"netclus/internal/geo"
@@ -233,6 +235,34 @@ func TestReadStoreRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := ReadStore(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestReadStoreSizesFromBytesRead: a header that claims the cap's 2^28
+// trajectories, or one trajectory of 2^28 points, fails at EOF without
+// first reserving them (2 and 3 GiB).
+func TestReadStoreSizesFromBytesRead(t *testing.T) {
+	words := func(ws ...uint32) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"trajectories": words(storeMagic, 1<<28),
+		"points":       words(storeMagic, 1, 1<<28),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadStore(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a header-only store loaded", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: a header-only store allocated %d bytes", name, grew)
 		}
 	}
 }

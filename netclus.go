@@ -57,7 +57,7 @@ type (
 	// TrajectoryID addresses a trajectory within a store.
 	TrajectoryID = trajectory.ID
 	// GreedyOptions forwards advanced IncGreedy knobs (existing services,
-	// lazy evaluation, TOPS4 target coverage) through QueryOptions.Greedy.
+	// TOPS4 target coverage) through QueryOptions.Greedy.
 	GreedyOptions = tops.GreedyOptions
 )
 
