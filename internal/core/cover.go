@@ -33,7 +33,9 @@ import (
 // trajectories change. A site mutation bumps Instance.repGen only where some
 // cluster's representative presence or RepDr actually moved; a trajectory
 // add grows the store and a delete bumps Index.trajDels. A lookup (coverFor)
-// serves in four steps under one singleflight per key:
+// serves in four steps under one singleflight per key (RefreshReadCovers
+// runs steps 2 to 4 the same way, for the covers read since their last
+// refresh, when a trajectory mutation commits):
 //
 //  1. generation and trajectory state equal: hit, O(1), no allocation;
 //  2. trajectories changed: extend the cover over its own rows (extendCover)
@@ -64,11 +66,12 @@ import (
 // the arena's tail), and only when the arena runs out of room is every row
 // laid out again. On bangalore 0.01 a 64-trace ingest window adds about 11 %
 // of each probe cover's pairs (about 4 % by the end of a 1 000-trace feed).
-// BenchmarkQueryAfterIngestWindow/stale times the first query per cover
-// after a window at about 0.38 ms p50 on a 2-core host (0.48 ms when
-// FinalizeAppend copied the whole cover, 0.9–1.3 ms with a cold fill, a hot
-// query about 0.06 ms); most of what is left is the sweep of the TL tails
-// and the greedy.
+// The window's commit extends every cover read since the last one
+// (RefreshReadCovers), so on BenchmarkQueryAfterIngestWindow/stale the
+// first query after a window is a hit, about 0.065 ms p50 on a 2-core host
+// (0.21 ms when that query extended its cover itself, mostly the sweep of
+// the TL tails; 0.03 ms with no window before it), and the window's
+// AddTrajectories call takes about 0.8 ms with the refresh of six covers.
 // Emitting rows in id order costs a cold fill a bitmap walk per row
 // (a sort of the reached ids when the row is too sparse for the walk):
 // about 7 % on BenchmarkCoverAfterSiteUpdate/refill.
@@ -116,9 +119,15 @@ type coverKey struct {
 // previous cover and the next caller in line patches from it under its own
 // context — one aggressive-deadline client cannot fail, or cost a cold fill
 // to, well-behaved concurrent requests for the same cover.
+//
+// pref is the preference the slot was created for (any preference with the
+// key's fingerprint fills the same cover), and read marks that a lookup
+// served the slot since RefreshReadCovers last refreshed it.
 type coverEntry struct {
 	fill sync.Mutex
 	cur  atomic.Pointer[cachedCover]
+	pref tops.Preference
+	read atomic.Bool
 }
 
 // cachedCover is an immutable memoized cover that knows its inputs: the
@@ -148,10 +157,11 @@ func (idx *Index) current(c *cachedCover, gen uint64, keep []ClusterID) bool {
 }
 
 // CoverCacheStats reports cover-cache effectiveness counters. A hit is a
-// lookup that swept no representative row whole (steps 1 to 3 of coverFor;
-// Revalidated counts the lookups that ran step 2 or 3 and swept none), a
-// miss one that swept at least one (a row patch or a cold fill); RowsSwept
-// totals the rows.
+// lookup that swept no representative row whole (steps 1 to 3 of coverFor),
+// a miss one that swept at least one (a row patch or a cold fill).
+// Revalidated counts the refreshes that ran step 2 or 3 and swept no row,
+// whether a lookup or RefreshReadCovers ran them; RowsSwept totals the rows
+// both swept.
 type CoverCacheStats struct {
 	Hits        uint64
 	Misses      uint64
@@ -571,7 +581,7 @@ func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preferen
 	}
 	e, ok := idx.coverCache[key]
 	if !ok {
-		e = &coverEntry{}
+		e = &coverEntry{pref: pref}
 		idx.coverCache[key] = e
 	}
 	idx.coverMu.Unlock()
@@ -582,6 +592,10 @@ func (idx *Index) coverFor(ctx context.Context, key coverKey, pref tops.Preferen
 		if c, swept, err = idx.refreshCover(ctx, e, key, gen, pref, keep); err != nil {
 			return nil, nil, 0, err
 		}
+	}
+	// Stored only when unset, so a run of hits writes nothing shared.
+	if !e.read.Load() {
+		e.read.Store(true)
 	}
 	if swept == 0 {
 		idx.coverHits.Add(1)
@@ -630,6 +644,42 @@ func (idx *Index) refreshCover(ctx context.Context, e *coverEntry, key coverKey,
 	}
 	e.cur.Store(next)
 	return next, swept, nil
+}
+
+// RefreshReadCovers brings every cached cover that a lookup served since
+// its last refresh to the current index state, and clears its read mark.
+// Each slot goes through refreshCover under its singleflight, with the
+// preference it was created for and, for a masked slot, the mask its cover
+// holds, so the cover published is the one its next lookup would have
+// built, and that lookup is a plain hit.
+//
+// A committed trajectory mutation calls it (internal/engine), so that the
+// extension a window costs a cover in use is paid by the writer and not on
+// the request path. A cover nobody read since its last refresh is left
+// stale for its own next lookup to extend: the work is bounded by one
+// refresh per read, however many distinct preferences the cache holds.
+// The caller must hold off mutations, as for any lookup.
+func (idx *Index) RefreshReadCovers() {
+	idx.coverMu.Lock()
+	var keys []coverKey
+	var read []*coverEntry
+	for key, e := range idx.coverCache {
+		if e.read.Load() {
+			keys = append(keys, key)
+			read = append(read, e)
+		}
+	}
+	idx.coverMu.Unlock()
+	for i, e := range read {
+		c := e.cur.Load()
+		if c == nil || !e.read.CompareAndSwap(true, false) {
+			continue
+		}
+		key := keys[i]
+		// refreshCover fails only on a canceled context.
+		_, swept, _ := idx.refreshCover(context.Background(), e, key, idx.Instances[key.p].repGen, e.pref, c.keep)
+		idx.coverRowsSwept.Add(uint64(swept))
+	}
 }
 
 // Masked covers: the sharding layer (internal/shard) partitions cluster

@@ -292,8 +292,18 @@ func (e *Engine) QueryBatch(ctx context.Context, qs []core.QueryOptions) []Batch
 // Apply is the live write path: it applies m and, with a WAL attached, logs
 // it before returning. The engine keeps nothing the caller can still reach
 // — trajectories are stored as decoded copies of the value's data, the same
-// objects a replay of the logged record would build.
+// objects a replay of the logged record would build. A committed trajectory
+// mutation then refreshes the covers read since their last refresh
+// (refreshCovers) before Apply returns.
 func (e *Engine) Apply(m wal.Mutation) (wal.Applied, error) {
+	a, err := e.apply(m)
+	if err == nil {
+		e.refreshCovers(m.Kind)
+	}
+	return a, err
+}
+
+func (e *Engine) apply(m wal.Mutation) (wal.Applied, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.admit != nil {
@@ -302,6 +312,27 @@ func (e *Engine) Apply(m wal.Mutation) (wal.Applied, error) {
 		}
 	}
 	return e.sink.Apply(m, e.transition)
+}
+
+// refreshCovers follows a committed mutation of kind k. A trajectory kind
+// grows or shrinks every cached cover, and the first lookup of each would
+// extend it on the request path. So, under the read lock (queries keep
+// serving), the covers that lookups read since the last refresh are brought
+// current now: core.RefreshReadCovers, the routine and singleflight a
+// lookup uses. Site kinds refresh nothing: a flip moves few rows, and its
+// lookups revalidate them cheaply.
+func (e *Engine) refreshCovers(k wal.Kind) {
+	switch k {
+	case wal.KindAddTrajectory, wal.KindAddTrajectories, wal.KindDeleteTrajectory, wal.KindDeleteTrajectories:
+	default:
+		return
+	}
+	if e.opts.DisableCoverCache {
+		return
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	e.idx.RefreshReadCovers()
 }
 
 // SetAdmission installs a check every live mutation must pass before it is
@@ -416,9 +447,11 @@ func (e *Engine) ApplyRecord(rec wal.Record) error {
 		return err
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.sink.Replay(rec.LSN, m, e.transition); err != nil {
+	err = e.sink.Replay(rec.LSN, m, e.transition)
+	e.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
+	e.refreshCovers(m.Kind)
 	return nil
 }

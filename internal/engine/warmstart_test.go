@@ -51,9 +51,11 @@ func TestEngineWarmStart(t *testing.T) {
 		}
 	}
 
-	// The first query memoized a cover; a trajectory add keeps it, and the
-	// next query appends the new trajectory's entries to it without sweeping
-	// a row, answering what a fresh fill answers.
+	// The first query memoized a cover and read it. The trajectory add
+	// keeps it, and its commit patches it exactly once, sweeping no row:
+	// the add's new entries are appended to the cover the query read.
+	// The next query is then a plain hit, answering what a fresh fill
+	// answers.
 	st := warm.Stats()
 	if st.CoverEntries == 0 {
 		t.Fatal("warm engine did not memoize a cover")
@@ -62,18 +64,27 @@ func TestEngineWarmStart(t *testing.T) {
 	if _, err := warm.AddTrajectory(extra[0]); err != nil {
 		t.Fatal(err)
 	}
-	if st := warm.Stats(); st.CoverEntries != 1 {
-		t.Fatalf("update through warm engine left %d covers, want the memoized one", st.CoverEntries)
+	committed := warm.Stats()
+	if committed.CoverEntries != 1 {
+		t.Fatalf("update through warm engine left %d covers, want the memoized one", committed.CoverEntries)
 	}
-	before := warm.Stats()
+	if committed.CoverMisses != st.CoverMisses || committed.CoverRowsSwept != st.CoverRowsSwept || committed.CoverRevalidated != st.CoverRevalidated+1 {
+		t.Fatalf("commit: misses %d -> %d, rows swept %d -> %d, revalidated %d -> %d; want one patch sweeping no row",
+			st.CoverMisses, committed.CoverMisses, st.CoverRowsSwept, committed.CoverRowsSwept, st.CoverRevalidated, committed.CoverRevalidated)
+	}
 	got, err := warm.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := warm.Stats()
-	if after.CoverMisses != before.CoverMisses || after.CoverRowsSwept != before.CoverRowsSwept || after.CoverRevalidated != before.CoverRevalidated+1 {
-		t.Fatalf("post-update query: misses %d -> %d, rows swept %d -> %d, revalidated %d -> %d; want one patch sweeping no row",
-			before.CoverMisses, after.CoverMisses, before.CoverRowsSwept, after.CoverRowsSwept, before.CoverRevalidated, after.CoverRevalidated)
+	if after.CoverHits != committed.CoverHits+1 || after.CoverMisses != committed.CoverMisses ||
+		after.CoverRowsSwept != committed.CoverRowsSwept || after.CoverRevalidated != committed.CoverRevalidated {
+		t.Fatalf("post-update query: hits %d -> %d, misses %d -> %d, rows swept %d -> %d, revalidated %d -> %d; want a plain hit",
+			committed.CoverHits, after.CoverHits, committed.CoverMisses, after.CoverMisses,
+			committed.CoverRowsSwept, after.CoverRowsSwept, committed.CoverRevalidated, after.CoverRevalidated)
+	}
+	if !got.CoverHit || got.CoverRowsSwept != 0 {
+		t.Fatalf("post-update query: CoverHit %v, %d rows swept; want a hit", got.CoverHit, got.CoverRowsSwept)
 	}
 	want, err := loaded.QueryCtx(context.Background(), q)
 	if err != nil {

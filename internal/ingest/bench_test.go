@@ -67,7 +67,7 @@ func BenchmarkIngest(b *testing.B) {
 	sink := SinkFunc(func(_ context.Context, trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
 		return eng.AddTrajectories(trs)
 	})
-	drop := func(Verdict) error { return nil }
+	drop := func([]Verdict) error { return nil }
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -96,7 +96,7 @@ func BenchmarkIngestPool(b *testing.B) {
 	sink := SinkFunc(func(_ context.Context, trs []*trajectory.Trajectory) ([]trajectory.ID, error) {
 		return make([]trajectory.ID, len(trs)), nil
 	})
-	drop := func(Verdict) error { return nil }
+	drop := func([]Verdict) error { return nil }
 	run := func(b *testing.B, in *Ingestor) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

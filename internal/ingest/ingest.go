@@ -9,11 +9,12 @@
 // AddTrajectories write path, so every ingested trajectory is WAL-logged,
 // quorum-ackable, and replicated exactly like a hand-posted update.
 //
-// Verdicts stream back one per input line, in input order. Batch
-// boundaries are deterministic: a window flushes when MaxBatch lines have
-// accumulated or the stream ends, never on a timer, so the same feed
-// always produces the same sequence of AddTrajectories mutations (the
-// ingest differential test depends on this).
+// Verdicts stream back one per input line, in input order, a window's
+// verdicts together once the window is applied. Batch boundaries are
+// deterministic: a window flushes when MaxBatch lines have accumulated or
+// the stream ends, never on a timer, so the same feed always produces the
+// same sequence of AddTrajectories mutations (the ingest differential test
+// depends on this).
 package ingest
 
 import (
@@ -178,11 +179,12 @@ type item struct {
 }
 
 // Run decodes the NDJSON stream from r, matches and applies it through
-// sink, and calls emit once per non-blank input line, in input order.
-// It returns a non-nil error only for stream-level failures (unreadable
-// body, cancelled context, emit failure, or an engine apply error after
-// the affected lines were reported); per-line problems become verdicts.
-func (in *Ingestor) Run(ctx context.Context, r io.Reader, sink Sink, emit func(Verdict) error) error {
+// sink, and calls emit once per window with the window's verdicts: one per
+// non-blank input line, in input order. It returns a non-nil error only
+// for stream-level failures (unreadable body, cancelled context, emit
+// failure, or an engine apply error after the affected lines were
+// reported); per-line problems become verdicts.
+func (in *Ingestor) Run(ctx context.Context, r io.Reader, sink Sink, emit func([]Verdict) error) error {
 	sc := bufio.NewScanner(r)
 	initial := 64 * 1024
 	if initial > in.opts.MaxLineBytes {
@@ -221,8 +223,8 @@ func (in *Ingestor) Run(ctx context.Context, r io.Reader, sink Sink, emit func(V
 			// cannot resync), so report it and stop.
 			in.tracesIn.Add(1)
 			in.rejected.Add(1)
-			_ = emit(Verdict{Line: line + 1, Code: CodeLineTooLong,
-				Err: fmt.Sprintf("line exceeds %d bytes", in.opts.MaxLineBytes)})
+			_ = emit([]Verdict{{Line: line + 1, Code: CodeLineTooLong,
+				Err: fmt.Sprintf("line exceeds %d bytes", in.opts.MaxLineBytes)}})
 		}
 		return fmt.Errorf("ingest: read stream: %w", err)
 	}
@@ -233,9 +235,9 @@ func (in *Ingestor) Run(ctx context.Context, r io.Reader, sink Sink, emit func(V
 }
 
 // flush matches the window across the worker pool, applies the matched
-// trajectories as one AddTrajectories mutation, and emits verdicts in
-// line order.
-func (in *Ingestor) flush(ctx context.Context, window []item, sink Sink, emit func(Verdict) error) error {
+// trajectories as one AddTrajectories mutation, and emits the window's
+// verdicts in line order, in one call.
+func (in *Ingestor) flush(ctx context.Context, window []item, sink Sink, emit func([]Verdict) error) error {
 	// Fan the decodable lines across the pool. Workers claim indices via
 	// the shared cursor; items that already failed decode pass through.
 	var cursor atomic.Int64
@@ -303,9 +305,10 @@ func (in *Ingestor) flush(ctx context.Context, window []item, sink Sink, emit fu
 		}
 	}
 
+	verdicts := make([]Verdict, len(window))
 	for i := range window {
-		it := &window[i]
-		v := Verdict{Line: it.line, ID: it.id}
+		it, v := &window[i], &verdicts[i]
+		v.Line, v.ID = it.line, it.id
 		if it.ok {
 			in.matched.Add(1)
 			tid := it.tid
@@ -314,9 +317,9 @@ func (in *Ingestor) flush(ctx context.Context, window []item, sink Sink, emit fu
 			in.rejected.Add(1)
 			v.Code, v.Err = it.code, it.err
 		}
-		if err := emit(v); err != nil {
-			return fmt.Errorf("ingest: emit verdict: %w", err)
-		}
+	}
+	if err := emit(verdicts); err != nil {
+		return fmt.Errorf("ingest: emit verdicts: %w", err)
 	}
 	if applyErr != nil {
 		// The engine refused the mutation (read-only flip, log failure…):

@@ -108,8 +108,8 @@ func (s *memSink) AddTrajectories(_ context.Context, trs []*trajectory.Trajector
 func runIngest(t *testing.T, in *Ingestor, sink Sink, feed string) []Verdict {
 	t.Helper()
 	var got []Verdict
-	err := in.Run(context.Background(), strings.NewReader(feed), sink, func(v Verdict) error {
-		got = append(got, v)
+	err := in.Run(context.Background(), strings.NewReader(feed), sink, func(vs []Verdict) error {
+		got = append(got, vs...)
 		return nil
 	})
 	if err != nil {
@@ -251,8 +251,8 @@ func TestIngestApplyFailure(t *testing.T) {
 	traces := genTraces(t, city, 2, 13)
 	sink := &memSink{fail: fmt.Errorf("log wedged")}
 	var got []Verdict
-	err := in.Run(context.Background(), strings.NewReader(ndjsonPlanar(traces)), sink, func(v Verdict) error {
-		got = append(got, v)
+	err := in.Run(context.Background(), strings.NewReader(ndjsonPlanar(traces)), sink, func(vs []Verdict) error {
+		got = append(got, vs...)
 		return nil
 	})
 	if err == nil {
@@ -275,7 +275,7 @@ func TestIngestCancelled(t *testing.T) {
 	traces := genTraces(t, city, 2, 17)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := in.Run(ctx, strings.NewReader(ndjsonPlanar(traces)), &memSink{}, func(Verdict) error { return nil })
+	err := in.Run(ctx, strings.NewReader(ndjsonPlanar(traces)), &memSink{}, func([]Verdict) error { return nil })
 	if err != context.Canceled {
 		t.Fatalf("Run on cancelled context: got %v, want context.Canceled", err)
 	}
@@ -287,8 +287,8 @@ func TestIngestLineTooLong(t *testing.T) {
 	in := New(city.Graph, Options{Workers: 1, MaxLineBytes: 256})
 	big := `{"points":[` + strings.Repeat(`{"x":1,"y":1},`, 100) + `{"x":1,"y":1}]}` + "\n"
 	var got []Verdict
-	err := in.Run(context.Background(), strings.NewReader(big), &memSink{}, func(v Verdict) error {
-		got = append(got, v)
+	err := in.Run(context.Background(), strings.NewReader(big), &memSink{}, func(vs []Verdict) error {
+		got = append(got, vs...)
 		return nil
 	})
 	if err == nil {

@@ -27,7 +27,10 @@
 //     a goal-directed search over the scratch's dense arrays that writes
 //     one distance per next-layer candidate and stops once all of them are
 //     settled, rather than settling the whole corridor of radius
-//     3·gpsDist + 4·CandidateRadiusKm into a map;
+//     3·gpsDist + 4·CandidateRadiusKm into a map. The corridor bounds the
+//     search's A* key, not only its distance, so a candidate the corridor
+//     cannot reach costs only the nodes whose distance plus straight-line
+//     remainder to the layer's candidates fits in it, not the whole ball;
 //   - gap completion runs roadnet.DijkstraScratch.AStar on the same
 //     scratch.
 //

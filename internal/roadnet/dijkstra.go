@@ -175,16 +175,22 @@ func (s *DijkstraScratch) Bounded(g *Graph, src NodeID, dir Direction, radius fl
 // The search is goal-directed (A*, Hart, Nilsson & Raphael 1968): the heap
 // is keyed on g(v) + h(v), where g(v) is the distance found so far and
 // h(v) = α·max(0, |v − c| − r), with c the targets' centroid, r their
-// largest distance from c and α the graph's slope (Graph.slope). The radius
-// still bounds g. Every target has h = 0 exactly, since r is the maximum
-// of the same floats, so a target pops at key g and the early stop after
-// the last one is Dijkstra's. h is consistent: max(0, |x − c| − r) changes
-// by at most |uv| along an edge u → v, and α·|uv| ≤ w(u,v), so
-// h(u) ≤ w(u,v) + h(v). Keys thus never decrease along a shortest path,
-// and every node pops with its final g, as in Dijkstra. The search finds
-// the same distances in a different order: it settles only the nodes whose
-// g plus straight-line remainder to the targets' disc stays under the
-// farthest target's distance, not the whole ball of that radius around src.
+// largest distance from c and α the graph's slope (Graph.slope). Every
+// target has h = 0 exactly, since r is the maximum of the same floats, so a
+// target pops at key g and the early stop after the last one is
+// Dijkstra's. h is consistent: max(0, |x − c| − r) changes by at most |uv|
+// along an edge u → v, and α·|uv| ≤ w(u,v), so h(u) ≤ w(u,v) + h(v). Keys
+// thus never decrease along a shortest path, and every node pops with its
+// final g, as in Dijkstra. The search finds the same distances in a
+// different order: it settles only the nodes whose g plus straight-line
+// remainder to the targets' disc stays under the farthest target's
+// distance, not the whole ball of that radius around src.
+//
+// The radius bounds the key, not only g. h is admissible for every target
+// t in the disc (h(v) ≤ α·|v − t| ≤ d(v, t)), so a node whose key exceeds
+// radius lies on no path to a target within it, and is not pushed. A
+// target the radius does not reach then costs the search only the nodes
+// whose keys fit, not the whole ball.
 //
 // That argument is exact arithmetic. In floats the lengths, the keys and
 // the left-to-right path sums that are the distances all round, and a key
@@ -193,8 +199,18 @@ func (s *DijkstraScratch) Bounded(g *Graph, src NodeID, dir Direction, radius fl
 // bit. The slope is therefore taken a factor (1 − 1e-9) below the graph's
 // least w/|uv|: each edge then leaves h(u) at least 1e-9·w(u,v) below
 // w(u,v) + h(v), more than the rounding of a key (a few ulps) whenever the
-// edge is longer than about a millionth of the distances searched. With no
-// slope (α = 0) the search is plain Dijkstra.
+// edge is longer than about a millionth of the distances searched.
+//
+// The same slack keeps the key bound exact. Take a target t whose Bounded
+// distance D is at most radius, a node v ≠ t on the path whose float sums
+// give D, and R the exact sum of that path's weights past v. Then
+// h(v) ≤ (1 − 1e-9)·R, and D is at least g(v) + R less one rounding per
+// remaining edge, each at most half an ulp of D. v's key is g(v) + h(v)
+// give or take a few ulps, so it stays at or below D, and hence at or
+// below radius, whenever 1e-9·R exceeds those ulps: again whenever R, at
+// least the path's last edge, is longer than about a millionth of D. t
+// itself has key g(t) = D exactly, so even a radius equal to D keeps it.
+// With no slope (α = 0) the search is plain Dijkstra.
 func (s *DijkstraScratch) DistancesTo(g *Graph, src NodeID, radius float64, targets []NodeID, out []float64) {
 	out = out[:len(targets)]
 	left := 0
@@ -234,22 +250,23 @@ func (s *DijkstraScratch) DistancesTo(g *Graph, src NodeID, radius float64, targ
 		}
 		for _, e := range g.out[v] {
 			nd := gv + e.w
-			if radius >= 0 && nd > radius {
+			if (radius >= 0 && nd > radius) || nd >= s.dist[e.to] {
 				continue
 			}
-			if nd < s.dist[e.to] {
-				if math.IsInf(s.dist[e.to], 1) {
-					s.touched = append(s.touched, e.to)
+			key := nd
+			if a > 0 {
+				if x := g.pts[e.to].Dist(c) - r; x > 0 {
+					key += a * x
 				}
-				s.dist[e.to] = nd
-				key := nd
-				if a > 0 {
-					if x := g.pts[e.to].Dist(c) - r; x > 0 {
-						key += a * x
-					}
-				}
-				s.heap.push(pqItem{node: e.to, dist: key})
 			}
+			if radius >= 0 && key > radius {
+				continue
+			}
+			if math.IsInf(s.dist[e.to], 1) {
+				s.touched = append(s.touched, e.to)
+			}
+			s.dist[e.to] = nd
+			s.heap.push(pqItem{node: e.to, dist: key})
 		}
 	}
 }

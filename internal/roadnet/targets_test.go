@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -14,7 +15,9 @@ import (
 // TestDistancesToMatchesBounded pins DistancesTo to Bounded: every target
 // gets the bit-identical distance Bounded maps it to, or +Inf exactly when
 // Bounded does not reach it — across radii, duplicate targets, the source
-// itself as a target, and targets outside the radius.
+// itself as a target, and targets outside the radius. Each query is also
+// run at every radius where the key bound is tightest: exactly a target's
+// Bounded distance, and one ulp below it.
 func TestDistancesToMatchesBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
@@ -37,16 +40,41 @@ func TestDistancesToMatchesBounded(t *testing.T) {
 			if len(targets) > 1 && q%4 == 0 {
 				targets[1] = targets[len(targets)-1]
 			}
-			out := make([]float64, len(targets))
-			s.DistancesTo(g, src, radius, targets, out)
-			want := ref.Bounded(g, src, Forward, radius)
-			for i, v := range targets {
-				if w := want.Get(v); math.Float64bits(out[i]) != math.Float64bits(w) {
-					t.Fatalf("trial %d query %d: target %d (node %d) = %v, Bounded %v", trial, q, i, v, out[i], w)
-				}
+			label := fmt.Sprintf("trial %d query %d", trial, q)
+			sameAsBounded(t, label, s, ref, g, src, radius, targets)
+			for _, r := range tightRadii(ref, g, src, targets) {
+				sameAsBounded(t, label, s, ref, g, src, r, targets)
 			}
 		}
 	}
+}
+
+// sameAsBounded runs DistancesTo and Bounded at one radius and fails on
+// any target whose distances differ in a bit.
+func sameAsBounded(t *testing.T, label string, s, ref *DijkstraScratch, g *Graph, src NodeID, radius float64, targets []NodeID) {
+	t.Helper()
+	out := make([]float64, len(targets))
+	s.DistancesTo(g, src, radius, targets, out)
+	want := ref.Bounded(g, src, Forward, radius)
+	for i, v := range targets {
+		if w := want.Get(v); math.Float64bits(out[i]) != math.Float64bits(w) {
+			t.Fatalf("%s, radius %v: target %d (node %d) = %v, Bounded %v", label, radius, i, v, out[i], w)
+		}
+	}
+}
+
+// tightRadii lists, for every target an unbounded search reaches, its
+// Bounded distance and the float one ulp below it: the radii at which a key
+// bound that rounds the wrong way would drop the target.
+func tightRadii(ref *DijkstraScratch, g *Graph, src NodeID, targets []NodeID) []float64 {
+	all := ref.Bounded(g, src, Forward, -1)
+	var out []float64
+	for _, v := range targets {
+		if d := all.Get(v); !math.IsInf(d, 1) {
+			out = append(out, d, math.Nextafter(d, math.Inf(-1)))
+		}
+	}
+	return out
 }
 
 func TestDistancesToInvalidSource(t *testing.T) {
@@ -73,7 +101,9 @@ func TestScratchSizeIsWholeLinePairs(t *testing.T) {
 // weights from a sixteenth of the straight-line length up to twice it (so
 // the slope sits far below 1), nodes on a coarse grid so that many
 // coincide, one-way and two-way streets, a node at infinity, duplicate and
-// invalid targets, the source among the targets, and radius -1. A second search on the same
+// invalid targets, the source among the targets, and radius -1. Every input
+// is also searched at each reached target's Bounded distance and one ulp
+// below it, where the key bound is tightest. A second search on the same
 // scratch must not see the first.
 func FuzzDistancesTo(f *testing.F) {
 	f.Add(uint8(6), uint8(0), int16(-1), []byte{0, 0, 4, 0, 8, 0, 8, 4, 0, 4, 4, 4}, []byte{0, 1, 47, 1, 2, 1, 2, 3, 40, 3, 4, 15, 4, 5, 33, 5, 0, 0, 0, 2, 16}, []byte{3, 3, 5, 0})
@@ -113,14 +143,11 @@ func FuzzDistancesTo(f *testing.F) {
 			radius = -1
 		}
 		s, ref := NewScratch(g), NewScratch(g)
-		out := make([]float64, len(tg))
 		for _, from := range []NodeID{NodeID(int(src) % n), NodeID((int(src) + 1) % n)} {
-			s.DistancesTo(g, from, radius, tg, out)
-			want := ref.Bounded(g, from, Forward, radius)
-			for i, v := range tg {
-				if w := want.Get(v); math.Float64bits(out[i]) != math.Float64bits(w) {
-					t.Fatalf("from %d radius %v: target %d (node %d) = %v, Bounded %v", from, radius, i, v, out[i], w)
-				}
+			label := fmt.Sprintf("from %d", from)
+			sameAsBounded(t, label, s, ref, g, from, radius, tg)
+			for _, r := range tightRadii(ref, g, from, tg) {
+				sameAsBounded(t, label, s, ref, g, from, r, tg)
 			}
 		}
 	})

@@ -42,8 +42,8 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("roadnet: line %d: N wants 3 arguments", lineNo)
 			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil || NodeID(id) != nextNode {
+			id, err := parseNodeID(fields[1])
+			if err != nil || id != nextNode {
 				return nil, fmt.Errorf("roadnet: line %d: node ids must be dense from 0 (got %q, want %d)", lineNo, fields[1], nextNode)
 			}
 			x, err := strconv.ParseFloat(fields[2], 64)
@@ -63,11 +63,11 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("roadnet: line %d: %s wants 3 arguments", lineNo, fields[0])
 			}
-			u, err := strconv.Atoi(fields[1])
+			u, err := parseNodeID(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad from: %v", lineNo, err)
 			}
-			v, err := strconv.Atoi(fields[2])
+			v, err := parseNodeID(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: bad to: %v", lineNo, err)
 			}
@@ -76,9 +76,9 @@ func ReadText(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("roadnet: line %d: bad weight: %v", lineNo, err)
 			}
 			if fields[0] == "E" {
-				err = g.AddEdge(NodeID(u), NodeID(v), w)
+				err = g.AddEdge(u, v, w)
 			} else {
-				err = g.AddBidirectional(NodeID(u), NodeID(v), w)
+				err = g.AddBidirectional(u, v, w)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("roadnet: line %d: %w", lineNo, err)
@@ -94,6 +94,13 @@ func ReadText(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("roadnet: no nodes in input")
 	}
 	return g, nil
+}
+
+// parseNodeID parses a decimal node id, refusing one NodeID cannot hold
+// instead of letting it wrap onto another node.
+func parseNodeID(s string) (NodeID, error) {
+	id, err := strconv.ParseInt(s, 10, 32)
+	return NodeID(id), err
 }
 
 // WriteText emits the text edge-list format. Two-way streets are written

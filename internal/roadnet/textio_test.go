@@ -54,6 +54,27 @@ func TestReadTextErrors(t *testing.T) {
 	}
 }
 
+// TestReadTextRejectsWrappingIDs: an id past int32 would wrap onto a valid
+// node (2^32 onto 0, 2^32 + 1 onto 1), on an N line's density check and on
+// either end of an E or B line. Each must be refused, not loaded as the
+// node it wraps to.
+func TestReadTextRejectsWrappingIDs(t *testing.T) {
+	const nodes = "N 0 0 0\nN 1 1 0\n"
+	cases := map[string]string{
+		"N id":   "N 4294967296 0 0\n",
+		"N id 1": "N 0 0 0\nN 4294967297 1 0\n",
+		"E from": nodes + "E 4294967296 1 1.5\n",
+		"E to":   nodes + "E 0 4294967297 1.5\n",
+		"B from": nodes + "B 4294967296 1 1.5\n",
+		"B to":   nodes + "B 0 -4294967295 1.5\n",
+	}
+	for name, input := range cases {
+		if g, err := ReadText(strings.NewReader(input)); err == nil {
+			t.Errorf("%s: loaded %d nodes and %d edges, want the id refused", name, g.NumNodes(), g.NumEdges())
+		}
+	}
+}
+
 func TestTextRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomGraph(rng, 60, 150)

@@ -59,13 +59,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	emitted := false
-	emit := func(v ingest.Verdict) error {
+	// A window's verdicts go out together: one write burst and one flush
+	// per committed window, not one per line.
+	emit := func(vs []ingest.Verdict) error {
 		if !emitted {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			emitted = true
 		}
-		if err := enc.Encode(v); err != nil {
-			return err
+		for i := range vs {
+			if err := enc.Encode(&vs[i]); err != nil {
+				return err
+			}
 		}
 		return rc.Flush()
 	}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,5 +252,41 @@ func TestIngestFullDuplexStreaming(t *testing.T) {
 	readVerdict(4)
 	if sc.Scan() {
 		t.Fatalf("unexpected trailing line %q", sc.Text())
+	}
+}
+
+// flushCounter is a full-duplex ResponseWriter that records, at each flush,
+// how many verdict lines the response held.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	lines []int
+}
+
+func (f *flushCounter) Flush() {
+	f.lines = append(f.lines, bytes.Count(f.Body.Bytes(), []byte("\n")))
+	f.ResponseRecorder.Flush()
+}
+
+func (f *flushCounter) EnableFullDuplex() error { return nil }
+
+// TestIngestFlushesOncePerWindow: a window's verdicts go out in one flush,
+// after the window commits — not one flush per line. Seven lines at
+// MaxBatch 3, one of them undecodable, are three windows, three commits and
+// three flushes, after lines 3, 6 and 7.
+func TestIngestFlushesOncePerWindow(t *testing.T) {
+	const seed = 331
+	_, srv, _, _ := newTestServer(t, seed, Options{Ingest: &ingest.Options{Workers: 1, MaxBatch: 3}})
+	lines := strings.SplitAfter(strings.TrimSuffix(ingestFeed(t, ingestFixtureCity(t, seed), 6, seed+100), "\n"), "\n")
+	feed := lines[0] + "{not json\n" + strings.Join(lines[1:], "")
+	w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(feed)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	if got := srv.ing.Stats().Batches; got != 3 {
+		t.Fatalf("%d windows committed, want 3", got)
+	}
+	if !slices.Equal(w.lines, []int{3, 6, 7}) {
+		t.Fatalf("flushed with %v verdict lines on the wire, want one flush per window: [3 6 7]", w.lines)
 	}
 }

@@ -23,8 +23,8 @@ import (
 //	scores pairs × uint64   the float64 bits of each entry's ψ score
 //
 // Weights and the SC side are not shipped: the reader recomputes both through
-// tops.CoverSets' own SetTCArrays / Finalize, which is how the member's fill
-// produced them, so the decoded cover carries the same bits.
+// tops.CoverSets' own Finalize, which sums each row left to right as the
+// member's fill did, so the decoded cover carries the same bits.
 
 var coverMagic = [4]byte{'N', 'C', 'C', 'V'}
 

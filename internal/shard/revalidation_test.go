@@ -215,13 +215,46 @@ type revalHarness struct {
 	eager   []tops.Preference
 	lazy    tops.Preference
 	applied map[wal.Kind]int
+
+	// read holds the cache slots the harness looked up since the last
+	// committed trajectory mutation: the covers the next one must refresh.
+	// refreshed is what the last trajectory commit did.
+	readMu    sync.Mutex
+	read      map[revalSlot]revalRead
+	refreshed revalRefresh
+}
+
+// revalRead is a slot's last lookup: the preference it was asked for, and
+// whether a site mutation committed after it.
+type revalRead struct {
+	pref  tops.Preference
+	moved bool
+}
+
+// revalSlot names one cover-cache slot: the index holding it, the rung, the
+// preference's fingerprint, and whether it is a masked slot.
+type revalSlot struct {
+	idx    *core.Index
+	p      int
+	fp     uint64
+	masked bool
+}
+
+// revalRefresh is one committed trajectory mutation: the slots read before
+// it (clean of them since the last site mutation too), and the covers it
+// revalidated and the rows it swept.
+type revalRefresh struct {
+	read        map[revalSlot]revalRead
+	clean       uint64
+	revalidated uint64
+	swept       uint64
 }
 
 // newRevalHarness builds the subject (a single engine for shards == 0) and
 // its twin over private copies of d.
 func newRevalHarness(t *testing.T, d *revalDataset, shards int) *revalHarness {
 	t.Helper()
-	h := &revalHarness{t: t, d: d, twinInst: d.instance(t), applied: make(map[wal.Kind]int)}
+	h := &revalHarness{t: t, d: d, twinInst: d.instance(t), applied: make(map[wal.Kind]int), read: make(map[revalSlot]revalRead)}
 	twinIdx, err := core.Build(h.twinInst, revalBuild)
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +292,58 @@ func newRevalHarness(t *testing.T, d *revalDataset, shards int) *revalHarness {
 }
 
 func (h *revalHarness) rungs() int { return len(h.twin.Index().Instances) }
+
+func (c revalCache) slot(p int, pref tops.Preference) revalSlot {
+	return revalSlot{idx: c.idx, p: p, fp: core.PrefFingerprint(pref), masked: c.masked}
+}
+
+// noteRead records that the slots of pref at rung p in caches were looked
+// up now.
+func (h *revalHarness) noteRead(p int, pref tops.Preference, caches ...revalCache) {
+	h.readMu.Lock()
+	defer h.readMu.Unlock()
+	for _, c := range caches {
+		h.read[c.slot(p, pref)] = revalRead{pref: pref}
+	}
+}
+
+// lookup is c.cached, recorded as a read.
+func (h *revalHarness) lookup(c revalCache, p int, pref tops.Preference) (*tops.CoverSets, []core.ClusterID, int, error) {
+	h.noteRead(p, pref, c)
+	return c.cached(p, pref)
+}
+
+// rereadMoved looks up again, in every cache of its rung, each slot whose
+// last lookup a site mutation has since left behind: the next trajectory
+// commit then only extends what it refreshes.
+func (h *revalHarness) rereadMoved() {
+	h.t.Helper()
+	var moved []revalSlot
+	var prefs []tops.Preference
+	h.readMu.Lock()
+	for slot, r := range h.read {
+		if r.moved {
+			moved, prefs = append(moved, slot), append(prefs, r.pref)
+		}
+	}
+	h.readMu.Unlock()
+	for i, slot := range moved {
+		for _, c := range h.sub.caches(slot.p) {
+			if _, _, _, err := h.lookup(c, slot.p, prefs[i]); err != nil {
+				h.t.Fatal(err)
+			}
+		}
+	}
+}
+
+// query is the subject's query, recorded as a read of the slots it looks
+// up: on the preference's rung, every cache (a sharded query fetches the
+// cover of every member owning a cluster there).
+func (h *revalHarness) query(ctx context.Context, q core.QueryOptions) (*core.QueryResult, error) {
+	p := h.twin.Index().InstanceFor(q.Pref.Tau)
+	h.noteRead(p, q.Pref, h.sub.caches(p)...)
+	return h.sub.query(ctx, q)
+}
 
 // sameCover asserts byte equality of two finalized covers through the read
 // accessors: every per-site TC row and per-trajectory SC row, in order. It
@@ -308,7 +393,7 @@ func (h *revalHarness) checkCovers(prefs []tops.Preference, rungs ...int) int {
 		for _, p := range rungs {
 			for j, c := range h.sub.caches(p) {
 				label := fmt.Sprintf("ψ=%s rung %d cache %d", pref.Name, p, j)
-				got, gotReps, swept, err := c.cached(p, pref)
+				got, gotReps, swept, err := h.lookup(c, p, pref)
 				if err != nil {
 					h.t.Fatalf("%s: cached cover: %v", label, err)
 				}
@@ -340,7 +425,7 @@ func (h *revalHarness) checkAnswers(prefs []tops.Preference) {
 			if err != nil {
 				h.t.Fatalf("twin query (k=%d, ψ=%s): %v", k, pref.Name, err)
 			}
-			got, err := h.sub.query(ctx, q)
+			got, err := h.query(ctx, q)
 			if err != nil {
 				h.t.Fatalf("query (k=%d, ψ=%s): %v", k, pref.Name, err)
 			}
@@ -367,7 +452,7 @@ func (h *revalHarness) check(prefs []tops.Preference) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				q := core.QueryOptions{K: 1 + (r*each+i)%8, Pref: h.eager[(r+i)%len(h.eager)]}
-				res, err := h.sub.query(context.Background(), q)
+				res, err := h.query(context.Background(), q)
 				out[r] = append(out[r], served{q, res, err})
 			}
 		}()
@@ -395,7 +480,9 @@ func (h *revalHarness) check(prefs []tops.Preference) {
 func (h *revalHarness) step(m wal.Mutation, probe func()) bool {
 	h.t.Helper()
 	_, errTwin := h.twin.Apply(m)
+	before := h.sub.stats()
 	_, errSub := h.sub.apply(m)
+	after := h.sub.stats()
 	if (errTwin == nil) != (errSub == nil) {
 		h.t.Fatalf("%s diverged: twin %v, subject %v", m.Kind, errTwin, errSub)
 	}
@@ -403,11 +490,54 @@ func (h *revalHarness) step(m wal.Mutation, probe func()) bool {
 		return false
 	}
 	h.applied[m.Kind]++
+	h.committed(m.Kind, before, after)
 	if probe != nil {
 		probe()
 	}
 	h.check(h.eager)
 	return true
+}
+
+// committed checks what a committed mutation did to the subject's cover
+// caches, from its stats around the commit, and keeps the record of reads.
+// No commit is a lookup. A site mutation refreshes nothing. A trajectory
+// mutation refreshes each slot read since the last one exactly once: a
+// slot read since the last site mutation too is only extended, and
+// revalidates; an older one may instead sweep the rows a site mutation
+// moved, or drop rows and borrow the rest, which neither sweeps nor
+// revalidates.
+func (h *revalHarness) committed(k wal.Kind, before, after engine.Stats) {
+	h.t.Helper()
+	if after.CoverHits != before.CoverHits || after.CoverMisses != before.CoverMisses {
+		h.t.Fatalf("%s: the commit ran cover lookups (hits %d -> %d, misses %d -> %d)", k, before.CoverHits, after.CoverHits, before.CoverMisses, after.CoverMisses)
+	}
+	revalidated := after.CoverRevalidated - before.CoverRevalidated
+	swept := after.CoverRowsSwept - before.CoverRowsSwept
+	h.readMu.Lock()
+	defer h.readMu.Unlock()
+	switch k {
+	case wal.KindAddTrajectory, wal.KindAddTrajectories, wal.KindDeleteTrajectory, wal.KindDeleteTrajectories:
+	default:
+		if revalidated != 0 || swept != 0 {
+			h.t.Fatalf("%s: the commit revalidated %d covers and swept %d rows, want none", k, revalidated, swept)
+		}
+		for slot, r := range h.read {
+			h.read[slot] = revalRead{pref: r.pref, moved: true}
+		}
+		return
+	}
+	n, clean := uint64(len(h.read)), uint64(0)
+	for _, r := range h.read {
+		if !r.moved {
+			clean++
+		}
+	}
+	if revalidated < clean || revalidated > n || (clean == n && swept != 0) {
+		h.t.Fatalf("%s: the commit revalidated %d covers and swept %d rows; %d covers were read since the last trajectory commit, %d of them since the last site commit",
+			k, revalidated, swept, n, clean)
+	}
+	h.refreshed = revalRefresh{read: h.read, clean: clean, revalidated: revalidated, swept: swept}
+	h.read = make(map[revalSlot]revalRead)
 }
 
 func (h *revalHarness) isSite(v roadnet.NodeID) bool {
@@ -471,22 +601,37 @@ func (h *revalHarness) quiet(what string, strict bool, lookups func() int) {
 	}
 }
 
-// appended asserts the contract of a trajectory op: the next lookup of
-// every cached cover of prefs, on every rung and cache, patches it exactly
-// once and sweeps no row (and checkCovers, which it runs, finds each
-// patched cover byte-equal to a fresh fill).
+// appended asserts the contract of a trajectory op. Its commit patched
+// each cover read since the last one exactly once, sweeping no row. The
+// next lookup of every cached cover of prefs, on every rung and cache, is
+// then a plain hit where the commit patched it (or a lookup since read
+// it), and otherwise patches it exactly once, sweeping no row. checkCovers,
+// which it runs, finds each cover byte-equal to a fresh fill.
 func (h *revalHarness) appended(what string, prefs []tops.Preference) {
 	h.t.Helper()
-	keys := 0
-	for range prefs {
+	r := h.refreshed
+	if n := uint64(len(r.read)); r.clean != n || r.revalidated != n || r.swept != 0 {
+		h.t.Fatalf("%s: the commit patched %d of the %d covers read since the last one (%d since a site commit) and swept %d rows, want each patched once, sweeping none",
+			what, r.revalidated, n, r.clean, r.swept)
+	}
+	stale := uint64(0)
+	h.readMu.Lock()
+	for _, pref := range prefs {
 		for p := 0; p < h.rungs(); p++ {
-			keys += len(h.sub.caches(p))
+			for _, c := range h.sub.caches(p) {
+				_, patched := r.read[c.slot(p, pref)]
+				_, readSince := h.read[c.slot(p, pref)]
+				if !patched && !readSince {
+					stale++
+				}
+			}
 		}
 	}
+	h.readMu.Unlock()
 	before := h.sub.stats()
-	h.quiet(what, false, func() int { return h.checkCovers(prefs) })
-	if got := h.sub.stats().CoverRevalidated - before.CoverRevalidated; got != uint64(keys) {
-		h.t.Fatalf("%s: %d of %d cached covers were patched, want each exactly once", what, got, keys)
+	h.quiet(what, stale == 0, func() int { return h.checkCovers(prefs) })
+	if got := h.sub.stats().CoverRevalidated - before.CoverRevalidated; got != stale {
+		h.t.Fatalf("%s: lookups patched %d cached covers, want exactly the %d no commit or lookup has brought current", what, got, stale)
 	}
 }
 
@@ -499,13 +644,14 @@ func (h *revalHarness) trajScenarios() {
 	t := h.t
 	t.Helper()
 	h.checkCovers([]tops.Preference{h.lazy})
+	h.rereadMoved()
 	first := trajectory.ID(h.twinInst.M())
 	h.step(h.window(64, 0), func() { h.appended("a 64-trace window", h.eager) })
 
 	// Two base ids that some cached cover lists, and two window ids.
 	var held []trajectory.ID
 	for p := h.rungs() - 1; p >= 0 && len(held) < 2; p-- {
-		cs, _, _, err := h.sub.caches(p)[0].cached(p, h.eager[1])
+		cs, _, _, err := h.lookup(h.sub.caches(p)[0], p, h.eager[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +671,7 @@ func (h *revalHarness) trajScenarios() {
 
 	custom := h.eager[2]
 	if !slices.ContainsFunc(h.sub.caches(h.rungs()-1), func(c revalCache) bool {
-		cs, _, _, err := c.cached(h.rungs()-1, custom)
+		cs, _, _, err := h.lookup(c, h.rungs()-1, custom)
 		return err == nil && !cs.AllPositiveScores()
 	}) {
 		t.Fatalf("ψ=%s: no cover on the coarsest rung has a non-positive score; the custom case is not exercised", custom.Name)
@@ -632,7 +778,7 @@ func (h *revalHarness) scenarios() {
 					if rep := h.twin.Index().Instances[p].Clusters[ci].Rep; rep != u {
 						t.Fatalf("tie on RepDr: representative is %d, want the lower node id %d", rep, u)
 					}
-					res, err := h.sub.query(context.Background(), core.QueryOptions{K: 1 << 20, Pref: tops.Binary(h.twin.Index().Instances[p].Radius * 4)})
+					res, err := h.query(context.Background(), core.QueryOptions{K: 1 << 20, Pref: tops.Binary(h.twin.Index().Instances[p].Radius * 4)})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -48,7 +48,9 @@ type CoverSets struct {
 	// M is the size of the trajectory universe; trajectory ids in TC are
 	// indices in [0, M).
 	M int
-	// Weights[s] is the site weight w_s.
+	// Weights[s] is the site weight w_s, the left-to-right sum of row s's
+	// scores. The routine that seals the cover (Finalize, FinalizeAppend)
+	// sums it; before that only AddPair keeps it current.
 	Weights []float64
 
 	// Finalized CSR arrays: site s's TC list is tcTraj/tcScore[tcOff[s] :
@@ -109,8 +111,9 @@ func NewCoverSets(n, m int) *CoverSets {
 	}
 }
 
-// AddPair registers that site s covers trajectory t with the given score.
-// Callers are responsible for not adding duplicates. Panics after Finalize.
+// AddPair registers that site s covers trajectory t with the given score,
+// adding it to the site's weight as it goes. Callers are responsible for
+// not adding duplicates. Panics after Finalize.
 func (cs *CoverSets) AddPair(s, t int32, score float64) {
 	cs.mutable()
 	cs.stTraj[s] = append(cs.stTraj[s], t)
@@ -119,21 +122,17 @@ func (cs *CoverSets) AddPair(s, t int32, score float64) {
 }
 
 // SetTCArrays installs site s's complete trajectory list wholesale,
-// replacing any previous entries and recomputing the site weight. It exists
-// for parallel cover builders: workers fill disjoint sites concurrently
-// (the slices are borrowed, not copied, until Finalize copies them into the
-// flat arrays), then a single Finalize pass seals the structure and derives
-// the trajectory-side lists. The caller must not mutate the slices before
-// Finalize. Panics after Finalize.
+// replacing any previous entries, and leaves its weight to the routine that
+// seals the cover (Finalize sums it; FinalizeAppend continues the previous
+// cover's). It exists for parallel cover builders: workers fill disjoint
+// sites concurrently (the slices are borrowed, not copied, until the seal
+// copies them into the flat arrays), then a single pass seals the
+// structure and derives the trajectory-side lists. The caller must not
+// mutate the slices before the seal. Panics after Finalize.
 func (cs *CoverSets) SetTCArrays(s int32, trajs []int32, scores []float64) {
 	cs.mutable()
 	cs.stTraj[s] = trajs[:len(trajs):len(trajs)]
 	cs.stScore[s] = scores[:len(scores):len(scores)]
-	var w float64
-	for _, sc := range scores {
-		w += sc
-	}
-	cs.Weights[s] = w
 }
 
 func (cs *CoverSets) mutable() {
@@ -142,8 +141,8 @@ func (cs *CoverSets) mutable() {
 	}
 }
 
-// Finalize flattens the staged lists into the CSR arrays and derives every
-// SC list from TC, releasing the staging storage. It is idempotent; the
+// Finalize flattens the staged lists into the CSR arrays, sums every site
+// weight and derives every SC list from TC, releasing the staging storage. It is idempotent; the
 // read accessors call it lazily, so explicit calls only matter before
 // sharing the structure across goroutines.
 func (cs *CoverSets) Finalize() {
@@ -169,12 +168,15 @@ func (cs *CoverSets) Finalize() {
 		tr, sv := cs.stTraj[s], cs.stScore[s]
 		copy(cs.tcTraj[off:], tr)
 		copy(cs.tcScore[off:], sv)
+		var w float64
 		for i, t := range tr {
 			counts[t]++
+			w += sv[i]
 			if sv[i] <= 0 {
 				allPos = false
 			}
 		}
+		cs.Weights[s] = w
 		off += int32(len(tr))
 	}
 	cs.tcOff[n] = off

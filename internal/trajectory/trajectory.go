@@ -90,8 +90,8 @@ func (t *Trajectory) SubDist(i, j int) float64 {
 	return t.CumDist[j] - t.CumDist[i]
 }
 
-// Validate checks internal invariants: matching lengths, monotone cumulative
-// distances, no consecutive duplicates.
+// Validate checks internal invariants: matching lengths, finite and
+// monotone cumulative distances, no consecutive duplicates.
 func (t *Trajectory) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("trajectory: empty")
@@ -103,8 +103,10 @@ func (t *Trajectory) Validate() error {
 		return fmt.Errorf("trajectory: CumDist[0] = %v", t.CumDist[0])
 	}
 	for i := 1; i < len(t.CumDist); i++ {
-		if t.CumDist[i] < t.CumDist[i-1] {
-			return fmt.Errorf("trajectory: CumDist decreases at %d", i)
+		// Written so that NaN fails too; CumDist[i-1] is finite here, so
+		// only +Inf can follow it and pass.
+		if d := t.CumDist[i]; !(d >= t.CumDist[i-1]) || math.IsInf(d, 1) {
+			return fmt.Errorf("trajectory: CumDist is %v at %d after %v: not finite and non-decreasing", d, i, t.CumDist[i-1])
 		}
 		if t.Nodes[i] == t.Nodes[i-1] {
 			return fmt.Errorf("trajectory: duplicate node at %d", i)

@@ -122,6 +122,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFiniteCumDist: a NaN compares false both ways, so a
+// plain "decreases" check lets it through, and +Inf never decreases. Either,
+// after the first entry, must fail validation.
+func TestValidateRejectsNonFiniteCumDist(t *testing.T) {
+	g := lineGraph(t, 4)
+	for _, bad := range [][]float64{
+		{0, math.NaN(), 1},
+		{0, 1, math.NaN()},
+		{0, math.Inf(1), math.Inf(1)},
+		{0, 1, math.Inf(1)},
+	} {
+		tr, err := New(g, []roadnet.NodeID{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(tr.CumDist, bad)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("CumDist %v accepted", bad)
+		}
+	}
+}
+
 func TestStoreBasics(t *testing.T) {
 	g := lineGraph(t, 5)
 	s := NewStore(2)
